@@ -55,19 +55,19 @@ def _load_json(path: str) -> dict:
 def _load_measure(path: str) -> DiscreteMeasure:
     try:
         return DiscreteMeasure.from_dict(_load_json(path))
-    except MeanRiskError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"bad measure in {path}: {err}") from err
+    except ConfigError:
+        raise
+    except (MeanRiskError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad measure in {path}: {type(err).__name__}: {err}") from err
 
 
 def _load_model(path: str) -> MeanRiskModel:
     try:
         return MeanRiskModel.from_dict(_load_json(path))
-    except MeanRiskError as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"bad model in {path}: {err}") from err
+    except ConfigError:
+        raise
+    except (MeanRiskError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad model in {path}: {type(err).__name__}: {err}") from err
 
 
 def _load_scheme(text: str) -> PerturbationScheme:
@@ -80,8 +80,8 @@ def _load_scheme(text: str) -> PerturbationScheme:
             raise ConfigError(f"scheme is neither a file nor inline JSON: {err}") from err
     try:
         return PerturbationScheme.from_dict(data)
-    except (MeanRiskError, KeyError) as err:
-        raise ConfigError(f"bad scheme: {err}") from err
+    except (MeanRiskError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad scheme: {type(err).__name__}: {err}") from err
 
 
 def _atomic_write(path: str, text: str):

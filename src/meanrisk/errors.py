@@ -30,7 +30,9 @@ class NumericalFailure(MeanRiskError):
 
 
 class ConstraintLimitExceeded(MeanRiskError):
-    """A QP has too many rows for KKT subset enumeration (> 20)."""
+    """A problem exceeds a documented size cap: a QP with more than 20 rows
+    for KKT subset enumeration, or a transport problem with more than
+    metrics.MAX_PLAN_ENTRIES (source, target) pairs."""
 
 
 class BoxTooLarge(MeanRiskError):

@@ -24,14 +24,15 @@ Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
 def _merge_sorted(points: np.ndarray, weights: np.ndarray):
     """Merge consecutive rows of a lexicographically sorted point array
-    whose coordinates all agree within POINT_TOL, adding weights."""
+    whose coordinates all agree within POINT_TOL, adding weights (one
+    weight per row, or one row of weights per row)."""
     out_pts = []
     out_wts = []
     anchor = points[0]
     acc = weights[0]
     for i in range(1, len(points)):
         if np.all(np.abs(points[i] - anchor) <= POINT_TOL):
-            acc += weights[i]
+            acc = acc + weights[i]
         else:
             out_pts.append(anchor)
             out_wts.append(acc)
@@ -77,6 +78,8 @@ class DiscreteMeasure:
             raise DimMismatch(f"points shape {pts.shape} vs dim {self.dim}")
         if len(pts) != len(wts) or len(pts) == 0:
             raise EmptySupport("measure needs at least one atom")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+            raise OutOfRange("atom points and weights must be finite")
         if np.any(wts < 0):
             raise NegativeWeight("negative atom weight")
         if abs(float(wts.sum()) - 1.0) > 1e-12:
@@ -145,6 +148,8 @@ def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
         raise DimMismatch(f"inconsistent atom dimensions {sorted(dims)}")
     points = np.array(pts, dtype=float)
     weights = np.array(wts, dtype=float)
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+        raise OutOfRange("atom points and weights must be finite")
     if np.any(weights < 0):
         raise NegativeWeight("negative atom weight")
     total = float(weights.sum())
@@ -180,6 +185,8 @@ class ScalarDistribution:
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if len(values) != len(weights) or len(values) == 0:
             raise EmptySupport("scalar distribution needs atoms")
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
+            raise OutOfRange("scalar distribution values and weights must be finite")
         if np.any(weights < 0):
             raise NegativeWeight("negative weight")
         total = float(weights.sum())

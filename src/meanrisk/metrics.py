@@ -1,12 +1,19 @@
 """Probability metrics on discrete measures.
 
-The weak-convergence metric is the bounded-Lipschitz dual norm, computed
-exactly on finite supports by a linear program; the gauge-weighted metric
-adds the gap of the ||.||^q integrals on top.  Wasserstein distances use
-the exact quantile coupling in one dimension and a transport LP otherwise.
-The Fortet-Mourier transshipment reduces its cost matrix by all-pairs
-shortest paths over the union support before transporting the positive
-against the negative part of the signed difference.
+A function with |f| <= 1 and Lip(f) <= 1 is, up to a shift that leaves
+int f d(mu - nu) unchanged, 1-Lipschitz for min(||x - y||, 2); so the
+bounded-Lipschitz (weak) metric is the cost of transporting (mu - nu)^+
+onto (mu - nu)^- under that truncated distance.  On the line, Lipschitz
+bounds between adjacent atoms imply all others, which leaves an LP with
+O(m) sparse rows.  The gauge-weighted metric adds the gap of the ||.||^q
+integrals.  Wasserstein distances use the quantile coupling in one
+dimension and a transport LP otherwise.  The Fortet-Mourier cost is reduced
+by all-pairs shortest paths before transporting the positive against the
+negative part of mu - nu; on the line the reduced cost adds up over
+adjacent atoms, a closed form in the CDF gap (Rachev and Roemisch, Math.
+Oper. Res. 27, 2002).  Transport LPs are built sparse, one variable per
+(source, target) pair, and refused with ConstraintLimitExceeded above
+MAX_PLAN_ENTRIES pairs before anything of that size is allocated.
 """
 
 from __future__ import annotations
@@ -14,36 +21,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import optim
-from .errors import DimMismatch, EmptySupport, OutOfRange
-from .measure import (
-    POINT_TOL,
-    DiscreteMeasure,
-    ScalarDistribution,
-    moment,
-    quantile,
-    tail_functional,
-)
+from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, OutOfRange
+from .measure import DiscreteMeasure, ScalarDistribution, _merge_sorted
+from .measure import moment, quantile, tail_functional
+
+# largest transport plan (source x target atoms), and largest squared union
+# support for the Fortet-Mourier shortest paths; HiGHS needs about 1 KB per
+# plan entry
+MAX_PLAN_ENTRIES = 1_000_000
 
 
 def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Merged support of two measures with both weight vectors aligned on it."""
     pts = np.vstack([mu.points, nu.points])
-    w1 = np.concatenate([mu.weights, np.zeros(len(nu))])
-    w2 = np.concatenate([np.zeros(len(mu)), nu.weights])
+    w = np.zeros((len(pts), 2))
+    w[: len(mu), 0] = mu.weights
+    w[len(mu) :, 1] = nu.weights
     order = np.lexsort(pts.T[::-1])
-    pts, w1, w2 = pts[order], w1[order], w2[order]
-    out_p, out_1, out_2 = [pts[0]], [w1[0]], [w2[0]]
-    for i in range(1, len(pts)):
-        if np.all(np.abs(pts[i] - out_p[-1]) <= POINT_TOL):
-            out_1[-1] += w1[i]
-            out_2[-1] += w2[i]
-        else:
-            out_p.append(pts[i])
-            out_1.append(w1[i])
-            out_2.append(w2[i])
-    return np.array(out_p), np.array(out_1), np.array(out_2)
+    pts, w = _merge_sorted(pts[order], w[order])
+    return pts, w[:, 0], w[:, 1]
 
 
 def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure):
@@ -51,38 +50,44 @@ def _check_dims(mu: DiscreteMeasure, nu: DiscreteMeasure):
         raise DimMismatch(f"measure dims {mu.dim} vs {nu.dim}")
 
 
+def _check_plan_size(n_src: int, n_dst: int):
+    if n_src * n_dst > MAX_PLAN_ENTRIES:
+        raise ConstraintLimitExceeded(f"{n_src} x {n_dst} plan > {MAX_PLAN_ENTRIES} entries")
+
+
+def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    _check_plan_size(len(X), len(Y))
+    return np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2)
+
+
+def _signed_parts(delta: np.ndarray):
+    """Indices of the positive and of the negative part of a signed weight."""
+    return np.where(delta > 1e-15)[0], np.where(delta < -1e-15)[0]
+
+
 def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """sup { int f dmu - int f dnu : ||f||_inf <= 1, Lip(f) <= 1 }.
 
-    On finite supports the supremum is attained by function values at the
-    union atoms subject to pairwise Lipschitz constraints and the unit box,
-    which is a finite LP.
+    In one dimension, an LP over g = f + 1 at the m sorted union atoms t:
+    rows |g_(i+1) - g_i| <= t_(i+1) - t_i and g <= 2, with g >= 0.  In
+    higher dimensions, the transport cost of (mu - nu)^+ onto (mu - nu)^-
+    under min(||x - y||, 2).
     """
     _check_dims(mu, nu)
     pts, w1, w2 = _union_support(mu, nu)
     a = w1 - w2
-    m = len(pts)
-    if m == 1 or np.max(np.abs(a)) < 1e-15:
+    pos, neg = _signed_parts(a)
+    if len(pos) == 0 or len(neg) == 0:
         return 0.0
-    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    rows = []
-    rhs = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                r = np.zeros(m)
-                r[i] = 1.0
-                r[j] = -1.0
-                rows.append(r)
-                rhs.append(dist[i, j])
-    eye = np.eye(m)
-    rows.extend(eye)
-    rhs.extend([1.0] * m)
-    rows.extend(-eye)
-    rhs.extend([1.0] * m)
-    prob = optim.lp(-a, np.array(rows), np.array(rhs), senses="<=", nonneg=(False,) * m)
-    sol = optim.solve_lp(prob)
-    return max(0.0, -sol.value)
+    if mu.dim > 1:
+        cost = np.minimum(_distances(pts[pos], pts[neg]), 2.0)
+        return max(0.0, transport_plan(a[pos], -a[neg], cost).cost)
+    m, gaps = len(pts), np.diff(pts[:, 0])
+    step = scipy.sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(m - 1, m))
+    A = scipy.sparse.vstack([step, -step, scipy.sparse.eye_array(m)])
+    sol = optim.solve_lp(optim.lp(-a, A, np.concatenate([gaps, gaps, np.full(m, 2.0)]), "<="))
+    # int f d(mu - nu) = a.g - sum(a) for f = g - 1
+    return max(0.0, -sol.value - float(a.sum()))
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,10 @@ class TransportPlan:
 def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     """Minimum-cost coupling of two nonnegative weight vectors of equal mass.
 
-    Solved as an LP over the plan entries; the final target-marginal row is
-    dropped as redundant, which removes the worst degeneracy.
+    Solved as an LP over the plan entries with sparse marginal rows; the
+    final target-marginal row is dropped as redundant, which removes the
+    worst degeneracy.  Raises ConstraintLimitExceeded above MAX_PLAN_ENTRIES
+    entries.
     """
     w_src = np.asarray(w_src, dtype=float)
     w_dst = np.asarray(w_dst, dtype=float)
@@ -124,22 +131,13 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     n_s, n_d = C.shape
     if len(w_src) != n_s or len(w_dst) != n_d:
         raise DimMismatch("cost matrix shape must match the weight vectors")
+    _check_plan_size(n_s, n_d)
     if abs(w_src.sum() - w_dst.sum()) > 1e-9:
         raise OutOfRange("transport requires equal total masses")
-    rows = []
-    rhs = []
-    for i in range(n_s):
-        r = np.zeros(n_s * n_d)
-        r[i * n_d : (i + 1) * n_d] = 1.0
-        rows.append(r)
-        rhs.append(w_src[i])
-    for j in range(n_d - 1):
-        r = np.zeros(n_s * n_d)
-        r[j::n_d] = 1.0
-        rows.append(r)
-        rhs.append(w_dst[j])
-    prob = optim.lp(C.reshape(-1), np.array(rows), np.array(rhs))
-    sol = optim.solve_lp(prob)
+    src_rows = scipy.sparse.kron(scipy.sparse.eye_array(n_s), np.ones((1, n_d)))
+    dst_rows = scipy.sparse.kron(np.ones((1, n_s)), scipy.sparse.eye_array(n_d - 1, n_d))
+    A = scipy.sparse.vstack([src_rows, dst_rows])
+    sol = optim.solve_lp(optim.lp(C.reshape(-1), A, np.concatenate([w_src, w_dst[:-1]])))
     if not sol.optimal:
         raise OutOfRange(f"transport LP came back {sol.status}")
     return TransportPlan.from_matrix(sol.point.reshape(n_s, n_d), C, w_src, w_dst)
@@ -164,8 +162,7 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
         mids = 0.5 * (prev + cuts)
         gaps = np.abs(quantile(du, mids) - quantile(dv, mids)) ** q
         return float(gaps @ (cuts - prev)) ** (1.0 / q)
-    cost = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=2) ** q
-    plan = transport_plan(mu.weights, nu.weights, cost)
+    plan = transport_plan(mu.weights, nu.weights, _distances(mu.points, nu.points) ** q)
     return max(0.0, plan.cost) ** (1.0 / q)
 
 
@@ -181,25 +178,26 @@ def fortet_mourier(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
 
     Cost ||x-y|| * max(1, ||x||^(q-1), ||y||^(q-1)) on the union support,
     reduced by all-pairs shortest paths so relayed transports are no more
-    expensive than direct ones, then a transport LP between the positive
-    and negative parts of mu - nu.
+    expensive than direct ones.  On the line, ||t||^(q-1) peaks at an end of
+    every segment, so the reduced cost adds up over adjacent atoms and the
+    value is sum_i |F_mu - F_nu|(t_i) (t_(i+1) - t_i) max(1, |t_i|^(q-1),
+    |t_(i+1)|^(q-1)).  In higher dimensions it is a transport LP between the
+    positive and negative parts of mu - nu under the reduced cost.
     """
     _check_dims(mu, nu)
     if not (q >= 1.0):
         raise OutOfRange(f"order q must be >= 1, got {q}")
     pts, w1, w2 = _union_support(mu, nu)
     delta = w1 - w2
-    pos = np.where(delta > 1e-15)[0]
-    neg = np.where(delta < -1e-15)[0]
+    pos, neg = _signed_parts(delta)
     if len(pos) == 0 or len(neg) == 0:
         return 0.0
-    norms = np.linalg.norm(pts, axis=1)
-    weight = np.maximum(1.0, norms ** (q - 1.0))
-    scale = np.maximum(weight[:, None], weight[None, :])
-    C = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2) * scale
-    C = _floyd_warshall(C)
-    plan = transport_plan(delta[pos], -delta[neg], C[np.ix_(pos, neg)])
-    return max(0.0, plan.cost)
+    weight = np.maximum(1.0, np.linalg.norm(pts, axis=1) ** (q - 1.0))
+    if mu.dim == 1:
+        seg = np.diff(pts[:, 0]) * np.maximum(weight[:-1], weight[1:])
+        return float(np.abs(np.cumsum(delta)[:-1]) @ seg)
+    C = _floyd_warshall(_distances(pts, pts) * np.maximum(weight[:, None], weight[None, :]))
+    return max(0.0, transport_plan(delta[pos], -delta[neg], C[np.ix_(pos, neg)]).cost)
 
 
 def psi_metric(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:

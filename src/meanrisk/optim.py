@@ -13,11 +13,12 @@ counts used here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from .errors import (
     BoxTooLarge,
@@ -64,7 +65,10 @@ UNBOUNDED = Solution("unbounded")
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min c.x  s.t.  A x (= | <=) b,  x_j >= 0 where nonneg[j] else free."""
+    """min c.x  s.t.  A x (= | <=) b,  x_j >= 0 where nonneg[j] else free.
+
+    A is a dense array or any scipy.sparse matrix; sparse input is kept as
+    CSR and only densified when the tableau solves it."""
 
     c: np.ndarray
     A: np.ndarray
@@ -74,9 +78,13 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        A = np.asarray(self.A, dtype=float)
-        if A.size == 0:
-            A = A.reshape(0, len(c))
+        sparse = scipy.sparse.issparse(self.A)
+        if sparse:
+            A = scipy.sparse.csr_array(self.A, dtype=float)
+        else:
+            A = np.asarray(self.A, dtype=float)
+            if A.size == 0:
+                A = A.reshape(0, len(c))
         b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
         senses = tuple(self.senses)
         nonneg = tuple(bool(v) for v in self.nonneg)
@@ -88,7 +96,7 @@ class LinearProgram:
             raise InvalidSpec(f"row senses must be '==' or '<=', got {senses}")
         if len(nonneg) != len(c):
             raise DimMismatch("one bound flag per variable required")
-        for name, arr in (("c", c), ("A", A), ("b", b)):
+        for name, arr in (("c", c), ("A", A.data if sparse else A), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise InvalidSpec(f"non-finite entries in {name}")
         object.__setattr__(self, "c", c)
@@ -109,9 +117,10 @@ class LinearProgram:
 def lp(c, A, b, senses=None, nonneg=None) -> LinearProgram:
     """Convenience constructor; defaults to all-equality rows and x >= 0."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    A = np.asarray(A, dtype=float)
-    if A.ndim == 1:
-        A = A.reshape(1, -1) if A.size else A.reshape(0, len(c))
+    if not scipy.sparse.issparse(A):
+        A = np.asarray(A, dtype=float)
+        if A.ndim == 1:
+            A = A.reshape(1, -1) if A.size else A.reshape(0, len(c))
     b = np.atleast_1d(np.asarray(b, dtype=float)) if np.size(b) else np.zeros(0)
     if senses is None:
         senses = ("==",) * len(b)
@@ -326,8 +335,13 @@ def _scipy_solve(prob: LinearProgram) -> Solution:
 
 
 def solve_lp(prob: LinearProgram) -> Solution:
-    """Solve a linear program, certifying infeasibility and unboundedness."""
+    """Solve a linear program, certifying infeasibility and unboundedness.
+
+    Up to TABLEAU_LIMIT rows and columns the dense tableau solves it (a
+    sparse A is densified); larger instances go to HiGHS, sparse A as is."""
     if max(prob.n_rows, prob.n_vars) <= TABLEAU_LIMIT:
+        if scipy.sparse.issparse(prob.A):
+            prob = replace(prob, A=prob.A.toarray())
         sol, _ = _tableau_solve(prob)
         return sol
     return _scipy_solve(prob)

@@ -28,8 +28,9 @@ from .measure import (
     empirical,
     measure_sampler,
     mix,
+    moment,
 )
-from .metrics import bounded_lipschitz, diagnose_uniform_integrability, psi_metric
+from .metrics import bounded_lipschitz, diagnose_uniform_integrability
 from .objective import MeanRiskModel, argmin_set, q_profile
 
 COLUMNS = ("step", "param", "d_bl", "d_psi", "delta_phi_abs", "sup_delta_q", "argmin_excess", "error")
@@ -243,8 +244,9 @@ def run_experiment(
 ) -> StabilityReport:
     """Measure stability of phi and the argmin map along a perturbation
     path.  Either a scheme or an explicit measure sequence must be given;
-    a step whose evaluation fails carries an error marker instead of
-    aborting the run."""
+    a step whose metrics or evaluation fail carries NaN in the values it
+    could not compute and an error naming the step instead of aborting the
+    run."""
     if sequence is None:
         if scheme is None:
             raise InvalidSpec("need a scheme or an explicit sequence")
@@ -259,12 +261,15 @@ def run_experiment(
     base_q = q_profile(model, base)
     base_phi = float(np.min(base_q))
     base_arg = argmin_set(model, base, argmin_tol)
+    base_moment = moment(base, qp)
 
     rows = []
     for k, (nu, par) in enumerate(zip(sequence, params)):
-        d_bl = bounded_lipschitz(nu, base)
-        d_psi = psi_metric(nu, base, qp)
+        d_bl = d_psi = float("nan")
         try:
+            d_bl = bounded_lipschitz(nu, base)
+            # psi_metric(nu, base, qp) without solving the BL LP a second time
+            d_psi = d_bl + abs(moment(nu, qp) - base_moment)
             qk = q_profile(model, nu)
             sup_dq = float(np.max(np.abs(qk - base_q)))
             dphi = abs(float(np.min(qk)) - base_phi)
@@ -276,7 +281,7 @@ def run_experiment(
             rows.append(
                 StabilityRow(
                     k, float(par), d_bl, d_psi, float("nan"), float("nan"), float("nan"),
-                    error=f"{type(err).__name__}: {err}",
+                    error=f"step {k}: {type(err).__name__}: {err}",
                 )
             )
 

@@ -3,13 +3,17 @@
 Everything here deliberately avoids the code paths it checks: risk values
 come from plain sums and dense level grids, LP optima from basis
 enumeration, mixed-integer optima from closed-form one-variable solves per
-lattice assignment, and convex minima from dense grids.
+lattice assignment, and convex minima from dense grids.  Metric values come
+from the dense formulations, solved by ``scipy.optimize.linprog`` directly:
+the bounded-Lipschitz LP with one Lipschitz row per ordered pair of atoms,
+and transport LPs with one dense marginal row per atom.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.optimize
 
 from meanrisk.measure import ScalarDistribution, quantile
 
@@ -220,3 +224,88 @@ def random_distribution(rng, max_atoms=20, value_scale=5.0):
     values = rng.uniform(-value_scale, value_scale, size=k)
     weights = rng.uniform(0.1, 1.0, size=k)
     return ScalarDistribution.from_pairs(values, weights / weights.sum())
+
+
+def _linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)) -> float:
+    res = scipy.optimize.linprog(
+        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds, method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def union_atoms(mu, nu):
+    """Distinct points of both measures (exact equality) with mu - nu on them."""
+    pts, inv = np.unique(np.vstack([mu.points, nu.points]), axis=0, return_inverse=True)
+    signed = np.zeros(len(pts))
+    np.add.at(signed, inv.ravel(), np.concatenate([mu.weights, -nu.weights]))
+    return pts, signed
+
+
+def pairwise_bl_oracle(mu, nu) -> float:
+    """sup a.f over |f_i| <= 1 and f_i - f_j <= ||x_i - x_j|| for every
+    ordered pair of union atoms: m(m-1) dense Lipschitz rows."""
+    pts, a = union_atoms(mu, nu)
+    m = len(pts)
+    rows, rhs = [], []
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                r = np.zeros(m)
+                r[i], r[j] = 1.0, -1.0
+                rows.append(r)
+                rhs.append(np.linalg.norm(pts[i] - pts[j]))
+    if not rows:
+        return 0.0
+    return -_linprog(-a, np.array(rows), np.array(rhs), bounds=(-1.0, 1.0))
+
+
+def dense_transport_oracle(w_src, w_dst, C) -> float:
+    """Minimum of <P, C> over couplings P of w_src and w_dst, every marginal
+    row written out densely."""
+    C = np.asarray(C, dtype=float)
+    n_s, n_d = C.shape
+    rows, rhs = [], []
+    for i in range(n_s):
+        r = np.zeros((n_s, n_d))
+        r[i, :] = 1.0
+        rows.append(r.ravel())
+        rhs.append(w_src[i])
+    for j in range(n_d):
+        r = np.zeros((n_s, n_d))
+        r[:, j] = 1.0
+        rows.append(r.ravel())
+        rhs.append(w_dst[j])
+    return _linprog(C.ravel(), A_eq=np.array(rows), b_eq=np.array(rhs))
+
+
+def fortet_mourier_oracle(mu, nu, q) -> float:
+    """Cost ||x-y|| max(1, ||x||^(q-1), ||y||^(q-1)) over the union atoms,
+    closed under relays by Floyd-Warshall in plain loops, then a dense
+    transport of (mu - nu)^+ onto (mu - nu)^-."""
+    pts, a = union_atoms(mu, nu)
+    m = len(pts)
+    g = [max(1.0, float(np.linalg.norm(p)) ** (q - 1.0)) for p in pts]
+    D = [[float(np.linalg.norm(pts[i] - pts[j])) * max(g[i], g[j]) for j in range(m)] for i in range(m)]
+    for k in range(m):
+        for i in range(m):
+            for j in range(m):
+                D[i][j] = min(D[i][j], D[i][k] + D[k][j])
+    pos, neg = np.where(a > 1e-15)[0], np.where(a < -1e-15)[0]
+    if len(pos) == 0 or len(neg) == 0:
+        return 0.0
+    C = np.array(D)[np.ix_(pos, neg)]
+    return dense_transport_oracle(a[pos], -a[neg], C)
+
+
+def wasserstein_transport_oracle(mu, nu, q) -> float:
+    C = np.linalg.norm(mu.points[:, None, :] - nu.points[None, :, :], axis=2) ** q
+    return max(0.0, dense_transport_oracle(mu.weights, nu.weights, C)) ** (1.0 / q)
+
+
+def sorted_matching_wq(x, y, q) -> float:
+    """W_q between two equal-size, equally weighted samples on the line:
+    the i-th smallest of one is matched with the i-th smallest of the other."""
+    x, y = np.sort(np.asarray(x, dtype=float)), np.sort(np.asarray(y, dtype=float))
+    return float(np.mean(np.abs(x - y) ** q)) ** (1.0 / q)

@@ -32,6 +32,24 @@ class TestCanonicalize:
         with pytest.raises(EmptySupport):
             ms.canonicalize([((0,), 0.0)])
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            [((np.nan,), 1.0)],
+            [((0.0, np.inf), 1.0)],
+            [((0.0,), np.nan), ((1.0,), 1.0)],
+            [((0.0,), np.inf), ((1.0,), 1.0)],
+        ],
+        ids=["nan-point", "inf-point", "nan-weight", "inf-weight"],
+    )
+    def test_non_finite_raises(self, raw):
+        with pytest.raises(OutOfRange):
+            ms.canonicalize(raw)
+        points = np.array([p for p, _ in raw], dtype=float)
+        weights = np.array([w for _, w in raw], dtype=float)
+        with pytest.raises(OutOfRange):
+            ms.DiscreteMeasure(dim=points.shape[1], points=points, weights=weights / len(raw))
+
     def test_mixed_dims_raise(self):
         with pytest.raises(DimMismatch):
             ms.canonicalize([((0,), 0.5), ((0, 1), 0.5)])
@@ -94,6 +112,27 @@ class TestQuantile:
             # at non-jump points, stepping back 1e-12 changes nothing
             away = betas[np.min(np.abs(betas[:, None] - d.cumulative[None, :]), axis=1) > 1e-6]
             assert np.array_equal(ms.quantile(d, away - 1e-12), ms.quantile(d, away))
+
+
+class TestScalarDistribution:
+    @pytest.mark.parametrize(
+        "values,weights",
+        [
+            ([0.0, np.nan], [0.5, 0.5]),
+            ([0.0, np.inf], [0.5, 0.5]),
+            ([0.0, 1.0], [np.nan, 0.5]),
+            ([0.0, 1.0], [np.inf, 0.5]),
+        ],
+        ids=["nan-value", "inf-value", "nan-weight", "inf-weight"],
+    )
+    def test_non_finite_raises(self, values, weights):
+        with pytest.raises(OutOfRange):
+            ms.ScalarDistribution.from_pairs(values, weights)
+
+    def test_nan_image_raises_instead_of_nan_risk(self):
+        nu = ms.canonicalize([((0,), 0.5), ((1,), 0.5)])
+        with pytest.raises(OutOfRange):
+            ms.pushforward(nu, [0.0], lambda x, z: np.nan if z[0] else 0.0)
 
 
 class TestPushforward:

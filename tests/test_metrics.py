@@ -1,0 +1,226 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meanrisk import cli, optim
+from meanrisk import metrics as mt
+from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, OutOfRange
+from meanrisk.measure import canonicalize, moment
+
+from oracles import (
+    dense_transport_oracle,
+    fortet_mourier_oracle,
+    pairwise_bl_oracle,
+    sorted_matching_wq,
+    wasserstein_transport_oracle,
+)
+
+
+def random_measure(rng, dim, max_atoms=8, grid=None):
+    """Random measure; with ``grid`` the points are multiples of it in
+    [-3, 3], so two draws tend to share atoms."""
+    n = int(rng.integers(1, max_atoms + 1))
+    if grid is None:
+        pts = rng.normal(scale=1.5, size=(n, dim))
+    else:
+        pts = rng.integers(-int(3 / grid), int(3 / grid) + 1, size=(n, dim)) * grid
+    return canonicalize(list(zip(pts, rng.uniform(0.1, 1.0, n))))
+
+
+def random_pairs(seed, dim, count=12, max_atoms=8):
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        grid = 0.5 if k % 2 else None
+        yield random_measure(rng, dim, max_atoms, grid), random_measure(rng, dim, max_atoms, grid)
+
+
+class TestBoundedLipschitz:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_pairwise_lp(self, dim):
+        for mu, nu in random_pairs(100 + dim, dim):
+            assert mt.bounded_lipschitz(mu, nu) == pytest.approx(pairwise_bl_oracle(mu, nu), abs=1e-9)
+
+    def test_matches_pairwise_lp_40_atoms(self):
+        rng = np.random.default_rng(5)
+        mu, nu = random_measure(rng, 1, 40), random_measure(rng, 1, 40)
+        assert mt.bounded_lipschitz(mu, nu) == pytest.approx(pairwise_bl_oracle(mu, nu), abs=1e-9)
+
+    def test_far_apart_diracs_cap_at_two(self):
+        mu, nu = canonicalize([((0.0, 0.0), 1.0)]), canonicalize([((5.0, 0.0), 1.0)])
+        assert mt.bounded_lipschitz(mu, nu) == pytest.approx(2.0, abs=1e-12)
+        mu, nu = canonicalize([(0.0, 1.0)]), canonicalize([(0.3, 1.0)])
+        assert mt.bounded_lipschitz(mu, nu) == pytest.approx(0.3, abs=1e-12)
+
+    def test_one_dim_lp_has_linear_rows(self, monkeypatch):
+        sizes = []
+        solve = optim.solve_lp
+
+        def spy(prob):
+            sizes.append((prob.n_rows, prob.n_vars, prob.A.nnz))
+            return solve(prob)
+
+        monkeypatch.setattr(optim, "solve_lp", spy)
+        rng = np.random.default_rng(11)
+        mu = canonicalize([(p, 1.0) for p in rng.normal(size=1000)])
+        nu = canonicalize([(p, 1.0) for p in rng.normal(0.1, 1.0, size=1000)])
+        value = mt.bounded_lipschitz(mu, nu)
+        assert sizes == [(3 * 2000 - 2, 2000, 5 * 2000 - 4)]
+        assert 0.0 < value <= mt.wasserstein(mu, nu, 1.0) + 1e-12
+
+    def test_psi_adds_moment_gap(self):
+        for mu, nu in random_pairs(7, 1, count=4):
+            expected = mt.bounded_lipschitz(mu, nu) + abs(moment(mu, 2.0) - moment(nu, 2.0))
+            assert mt.psi_metric(mu, nu, 2.0) == expected
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            mt.bounded_lipschitz(canonicalize([(0.0, 1.0)]), canonicalize([((0.0, 0.0), 1.0)]))
+
+
+class TestFortetMourier:
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
+    def test_one_dim_closed_form_matches_floyd_warshall(self, q):
+        for mu, nu in random_pairs(200 + int(10 * q), 1, count=10, max_atoms=10):
+            expected = fortet_mourier_oracle(mu, nu, q)
+            assert mt.fortet_mourier(mu, nu, q) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0])
+    def test_two_dim_matches_oracle(self, q):
+        for mu, nu in random_pairs(300, 2, count=6, max_atoms=6):
+            expected = fortet_mourier_oracle(mu, nu, q)
+            assert mt.fortet_mourier(mu, nu, q) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+
+    def test_order_one_is_w1_on_the_line(self):
+        for mu, nu in random_pairs(400, 1, count=10, max_atoms=12):
+            w1 = mt.wasserstein(mu, nu, 1.0)
+            assert mt.fortet_mourier(mu, nu, 1.0) == pytest.approx(w1, rel=1e-12, abs=1e-14)
+
+    def test_rejects_order_below_one(self):
+        mu = canonicalize([(0.0, 1.0)])
+        with pytest.raises(OutOfRange):
+            mt.fortet_mourier(mu, mu, 0.5)
+
+
+class TestWasserstein:
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    def test_one_dim_matches_sorted_matching(self, q):
+        rng = np.random.default_rng(int(q))
+        for n in (1, 5, 17):
+            x, y = rng.normal(size=n), rng.normal(1.0, 2.0, size=n)
+            mu = canonicalize([(v, 1.0) for v in x])
+            nu = canonicalize([(v, 1.0) for v in y])
+            assert mt.wasserstein(mu, nu, q) == pytest.approx(sorted_matching_wq(x, y, q), rel=1e-12)
+
+    @pytest.mark.parametrize("dim,q", [(1, 1.0), (1, 2.0), (2, 1.0), (2, 2.0), (3, 2.0)])
+    def test_matches_dense_transport(self, dim, q):
+        for mu, nu in random_pairs(500 + dim, dim, count=6):
+            expected = wasserstein_transport_oracle(mu, nu, q)
+            assert mt.wasserstein(mu, nu, q) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+
+class TestTransportPlan:
+    def test_matches_dense_lp_and_marginals(self):
+        rng = np.random.default_rng(3)
+        for n_s, n_d in [(1, 1), (1, 4), (4, 1), (3, 5), (12, 9), (20, 30)]:
+            w_s, w_d = rng.uniform(0.1, 1.0, n_s), rng.uniform(0.1, 1.0, n_d)
+            w_d *= w_s.sum() / w_d.sum()
+            C = rng.uniform(0.0, 3.0, (n_s, n_d))
+            plan = mt.transport_plan(w_s, w_d, C)
+            assert plan.cost == pytest.approx(dense_transport_oracle(w_s, w_d, C), abs=1e-9)
+            P = np.zeros((n_s, n_d))
+            P[plan.src_idx, plan.dst_idx] = plan.masses
+            assert np.allclose(P.sum(axis=1), w_s, atol=1e-9)
+            assert np.allclose(P.sum(axis=0), w_d, atol=1e-9)
+
+    def test_unequal_masses_rejected(self):
+        with pytest.raises(OutOfRange):
+            mt.transport_plan([1.0], [0.5], np.zeros((1, 1)))
+
+
+class TestSizeCap:
+    def test_transport_plan_refused_before_solving(self):
+        cost = np.broadcast_to(0.0, (1001, 1000))
+        with pytest.raises(ConstraintLimitExceeded):
+            mt.transport_plan(np.ones(1001), np.full(1000, 1.001), cost)
+
+    @pytest.fixture(scope="class")
+    def big_pair(self):
+        rng = np.random.default_rng(0)
+        mu = canonicalize([(p, 1.0) for p in rng.uniform(0.0, 1.0, (1001, 2))])
+        nu = canonicalize([(p, 1.0) for p in rng.uniform(2.0, 3.0, (1000, 2))])
+        return mu, nu
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            mt.bounded_lipschitz,
+            lambda mu, nu: mt.wasserstein(mu, nu, 2.0),
+            lambda mu, nu: mt.fortet_mourier(mu, nu, 1.0),
+        ],
+        ids=["bl", "wasserstein", "fm"],
+    )
+    def test_metrics_refuse_oversized_two_dim_pairs(self, big_pair, metric):
+        with pytest.raises(ConstraintLimitExceeded):
+            metric(*big_pair)
+
+    @pytest.mark.parametrize("kind", ["bl", "wasserstein", "fm", "psi"])
+    def test_cli_exit_code(self, big_pair, kind, tmp_path, capsys):
+        paths = []
+        for name, m in zip("ab", big_pair):
+            path = tmp_path / f"{name}.json"
+            path.write_text(m.dumps())
+            paths.append(str(path))
+        argv = ["metrics", "--measure", paths[0], "--measure2", paths[1], "--kind", kind]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and "plan" in out.err
+
+
+# --- metric axioms on small random measures ---------------------------------
+
+atom = st.tuples(st.integers(-6, 6), st.integers(1, 4))
+atoms = st.lists(atom, min_size=1, max_size=6)
+
+
+def from_atoms(raw):
+    return canonicalize([((0.5 * p,), float(w)) for p, w in raw])
+
+
+METRICS = {
+    "bl": mt.bounded_lipschitz,
+    "w1": lambda mu, nu: mt.wasserstein(mu, nu, 1.0),
+    "fm2": lambda mu, nu: mt.fortet_mourier(mu, nu, 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+@settings(max_examples=40, deadline=None)
+@given(a=atoms, b=atoms)
+def test_symmetric_and_zero_iff_equal(name, a, b):
+    d = METRICS[name]
+    mu, nu = from_atoms(a), from_atoms(b)
+    assert d(mu, nu) == pytest.approx(d(nu, mu), abs=1e-10)
+    assert d(mu, mu) == 0.0
+    equal = np.array_equal(mu.points, nu.points) and np.allclose(mu.weights, nu.weights, atol=1e-12)
+    assert (d(mu, nu) <= 1e-12) == equal
+
+
+@pytest.mark.parametrize("name", ["bl", "w1"])
+@settings(max_examples=40, deadline=None)
+@given(a=atoms, b=atoms, c=atoms)
+def test_triangle_inequality(name, a, b, c):
+    d = METRICS[name]
+    mu, nu, xi = from_atoms(a), from_atoms(b), from_atoms(c)
+    assert d(mu, xi) <= d(mu, nu) + d(nu, xi) + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.lists(st.tuples(atom, atom), min_size=1, max_size=5))
+def test_bl_triangle_inequality_two_dim(a):
+    pts = [((0.5 * p, 0.5 * r), float(w + v)) for (p, w), (r, v) in a]
+    mu = canonicalize(pts)
+    nu = canonicalize([((y, x), w) for (x, y), w in pts])
+    xi = canonicalize([((x, 0.0), w) for (x, _), w in pts])
+    d = mt.bounded_lipschitz
+    assert d(mu, xi) <= d(mu, nu) + d(nu, xi) + 1e-9
