@@ -10,7 +10,6 @@ the underlying measure.
 from . import errors, exprs, metrics, optim, recourse, risk, stability
 from .measure import (
     DiscreteMeasure,
-    GaugeSpec,
     ScalarDistribution,
     canonicalize,
     dirac,
@@ -26,7 +25,6 @@ from .objective import (
     MeanRiskModel,
     Q,
     argmin_set,
-    moment_feasibility,
     phi,
     q_profile,
 )
@@ -37,7 +35,6 @@ from .recourse import (
     certify_growth,
     eval_recourse,
     map_exponent,
-    milp_discontinuity_predicate,
     theoretical_exponent,
 )
 from .risk import RiskSpec, avar, evaluate_risk, icx_leq, semidev, target_semidev
@@ -55,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DiscreteMeasure",
     "ScalarDistribution",
-    "GaugeSpec",
     "canonicalize",
     "dirac",
     "quantile",
@@ -76,7 +72,6 @@ __all__ = [
     "theoretical_exponent",
     "map_exponent",
     "certify_growth",
-    "milp_discontinuity_predicate",
     "GrowthCertificate",
     "DecisionSet",
     "MeanRiskModel",
@@ -84,7 +79,6 @@ __all__ = [
     "q_profile",
     "phi",
     "argmin_set",
-    "moment_feasibility",
     "PerturbationScheme",
     "StabilityReport",
     "generate_sequence",

@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,17 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_GATE = 4
-
-
-@dataclass
-class RunConfig:
-    model_path: str | None = None
-    measure_path: str | None = None
-    measure2_path: str | None = None
-    scheme: str | None = None
-    out_dir: str | None = None
-    seed: int | None = None
-    tol: float | None = None
 
 
 def _load_json(path: str) -> dict:
@@ -212,6 +200,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    for flag, value in (("--n", args.n), ("--xcount", args.xcount)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     model = _load_model(args.model)
     try:
         lo, hi = (float(v) for v in args.zbox.split(":"))
@@ -222,7 +213,7 @@ def cmd_certify(args) -> int:
     s = model.recourse.s
     sampler = box_sampler([lo] * s, [hi] * s)
     gamma = args.gamma if args.gamma is not None else model.gamma
-    xs = model.decisions.points[: args.xcount] if args.xcount else model.decisions.points
+    xs = model.decisions.points[: args.xcount]
     cert = certify_growth(model.recourse, xs, sampler, gamma, args.n, args.seed)
     _emit(cert.to_dict())
     return EXIT_OK
@@ -262,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="empirical growth certificate for a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--zbox", required=True, help="'lo:hi' sampling box per coordinate")
+    p.add_argument(
+        "--zbox",
+        required=True,
+        help="'lo:hi' sampling box per coordinate; write a negative lo as --zbox=-1:1",
+    )
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)

@@ -35,10 +35,6 @@ class ConstraintLimitExceeded(MeanRiskError):
     metrics.MAX_PLAN_ENTRIES (source, target) pairs."""
 
 
-class BoxTooLarge(MeanRiskError):
-    """An integer bounds box has more than 10^6 lattice points."""
-
-
 class RecourseInfeasible(MeanRiskError):
     """The recourse problem is infeasible at a given (x, z).
 
@@ -77,10 +73,6 @@ class InvalidExponent(MeanRiskError):
 
 class MissingDeclaredExponent(MeanRiskError):
     """An expression parameter map has no declared growth exponent."""
-
-
-class DimensionUnsupported(MeanRiskError):
-    """Cone-boundary geometry is only implemented for k <= 2."""
 
 
 class GrammarError(MeanRiskError):

@@ -10,7 +10,7 @@ report a value and a subgradient, which is all the solvers need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

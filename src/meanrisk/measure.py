@@ -219,17 +219,6 @@ class ScalarDistribution:
         return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class GaugeSpec:
-    """Gauge function of the form ||.||^q used to weight tail integrals."""
-
-    q: float
-
-    def __post_init__(self):
-        if not (self.q > 0):
-            raise OutOfRange(f"gauge exponent must be positive, got {self.q}")
-
-
 def quantile(dist: ScalarDistribution, beta):
     """Left-continuous quantile: inf{t : F(t) >= beta} for beta in (0,1).
 
@@ -337,18 +326,3 @@ def constant_sampler(point) -> Sampler:
 
     return draw
 
-
-def shell_sampler(lo_mag: float, hi_mag: float, dim: int) -> Sampler:
-    """Sampler with log-uniform magnitude in [lo_mag, hi_mag] and uniform
-    direction; used to probe growth over several orders of magnitude."""
-    if not (0 < lo_mag < hi_mag):
-        raise OutOfRange("need 0 < lo_mag < hi_mag")
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        mags = np.exp(rng.uniform(np.log(lo_mag), np.log(hi_mag), size=n))
-        dirs = rng.normal(size=(n, dim))
-        norms = np.linalg.norm(dirs, axis=1)
-        norms[norms == 0] = 1.0
-        return dirs / norms[:, None] * mags[:, None]
-
-    return draw

@@ -224,16 +224,10 @@ class UniformIntegrabilityReport:
     sup_tails: np.ndarray
     verdict: bool
     eps: float
-    moment_certificate: tuple | None = None  # (eps, kappa, ok)
 
 
 def diagnose_uniform_integrability(
-    family,
-    q: float,
-    a_grid,
-    eps: float = 1e-9,
-    moment_eps: float | None = None,
-    moment_kappa: float | None = None,
+    family, q: float, a_grid, eps: float = 1e-9
 ) -> UniformIntegrabilityReport:
     family = list(family)
     if not family:
@@ -248,10 +242,6 @@ def diagnose_uniform_integrability(
     sup_tails = tails.max(axis=0)
     below = sup_tails <= eps
     verdict = bool(np.any(below) and np.all(below[int(np.argmax(below)) :]))
-    certificate = None
-    if moment_eps is not None and moment_kappa is not None:
-        ok = moment_bound_certificate(family, q, moment_eps, moment_kappa)
-        certificate = (float(moment_eps), float(moment_kappa), ok)
     return UniformIntegrabilityReport(
         q=float(q),
         a_grid=grid,
@@ -259,17 +249,5 @@ def diagnose_uniform_integrability(
         sup_tails=sup_tails,
         verdict=verdict,
         eps=float(eps),
-        moment_certificate=certificate,
     )
 
-
-def moment_bound_certificate(family, q: float, eps: float, kappa: float) -> bool:
-    """True iff every member has moment of order q+eps at most kappa; a
-    uniform bound of this kind makes the family's tails vanish uniformly
-    (at rate kappa / a^(eps/q)), hence a passing verdict on wide grids."""
-    if not (eps > 0 and kappa > 0):
-        raise OutOfRange("eps and kappa must be positive")
-    family = list(family)
-    if not family:
-        raise EmptySupport("family must be nonempty")
-    return all(moment(m, q + eps) <= kappa for m in family)

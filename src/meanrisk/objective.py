@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, EmptySupport, OutOfRange
-from .measure import DiscreteMeasure, moment, pushforward
+from .measure import DiscreteMeasure, pushforward
 from .recourse import RecourseModel, default_gamma, eval_recourse
 from .risk import RiskSpec, evaluate_risk
 
@@ -76,18 +76,6 @@ class DecisionSet:
             return cls.from_points(data["points"])
         box = data["box"]
         return cls.from_box(box["lo"], box["hi"], box["counts"])
-
-
-@dataclass(frozen=True)
-class MomentCheck:
-    """Truthy record: discrete measures always carry finite moments; the
-    gamma*p moment is reported alongside."""
-
-    ok: bool
-    gamma_p_moment: float
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -179,7 +167,3 @@ def argmin_set(model: MeanRiskModel, nu: DiscreteMeasure, tol: float = 1e-8) -> 
     keep = values <= best + tol
     return DecisionSet(points=model.decisions.points[keep])
 
-
-def moment_feasibility(model: MeanRiskModel, nu: DiscreteMeasure) -> MomentCheck:
-    """Discrete measures always have finite gamma*p moments; report the value."""
-    return MomentCheck(ok=True, gamma_p_moment=moment(nu, model.gamma * model.p))

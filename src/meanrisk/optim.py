@@ -2,31 +2,29 @@
 
 solve_lp runs a dense two-phase tableau simplex with Bland's anti-cycling
 rule for small instances and hands larger instances (the metric LPs) to
-scipy's HiGHS backend behind the same interface.  Mixed-integer problems
-are solved by depth-first branch and bound with a fixed branching order
-(lowest-index most-fractional), which keeps identical inputs producing
-identical outputs.  Convex QPs are solved exactly by KKT subset
-enumeration, which is sound for positive definite objectives at the row
-counts used here.
+scipy's HiGHS backend behind the same interface.  Mixed-integer linear and
+quadratic programs share one depth-first branch and bound; only the
+relaxation differs (an LP or a convex QP), and both append the integer
+boxes as rows.  The fixed branching order (lowest-index most-fractional,
+floor branch first) keeps identical inputs producing identical outputs.
+Convex QPs are solved exactly by KKT subset enumeration, which is sound
+for positive definite objectives at the row counts used here.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse
 
 from .errors import (
-    BoxTooLarge,
     ConstraintLimitExceeded,
     DimMismatch,
     InvalidSpec,
     NumericalFailure,
-    OutOfRange,
 )
 
 FEAS_TOL = 1e-9
@@ -225,17 +223,16 @@ def _run_simplex(T: np.ndarray, basis: list, n_cols: int, budget: list) -> str:
             raise NumericalFailure("simplex pivot cap exceeded")
 
 
-def _tableau_solve(prob: LinearProgram, want_duals: bool = False):
+def _tableau_solve(prob: LinearProgram) -> Solution:
     std = _Standard(prob)
     m, n_std = std.A.shape
     if m == 0:
         # unconstrained: bounded iff no improving direction exists
         for k in range(n_std):
             if std.c[k] < -FEAS_TOL:
-                return UNBOUNDED, None
+                return UNBOUNDED
         x = std.back(np.zeros(n_std), prob.n_vars)
-        sol = Solution("optimal", float(prob.c @ x), x)
-        return (sol, ([], std)) if want_duals else (sol, None)
+        return Solution("optimal", float(prob.c @ x), x)
     budget = [PIVOT_CAP]
 
     # phase 1: artificial basis, reusing unit slack columns where possible
@@ -269,7 +266,7 @@ def _tableau_solve(prob: LinearProgram, want_duals: bool = False):
         if status != "optimal":
             raise NumericalFailure("phase 1 unbounded")
         if -T[-1, -1] > 1e-7:
-            return INFEASIBLE, None
+            return INFEASIBLE
         # drive remaining artificials out of the basis or drop their rows
         keep = np.ones(m, dtype=bool)
         for i in range(m):
@@ -299,13 +296,12 @@ def _tableau_solve(prob: LinearProgram, want_duals: bool = False):
             T2[-1] -= std.c[basis[i]] * T2[i]
     status = _run_simplex(T2, basis, n_std, budget)
     if status == "unbounded":
-        return UNBOUNDED, None
+        return UNBOUNDED
     x_std = np.zeros(n_std)
     for i in range(m):
         x_std[basis[i]] = T2[i, -1]
     x = std.back(x_std, prob.n_vars)
-    sol = Solution("optimal", float(prob.c @ x), x)
-    return (sol, (list(basis), std)) if want_duals else (sol, None)
+    return Solution("optimal", float(prob.c @ x), x)
 
 
 def _scipy_solve(prob: LinearProgram) -> Solution:
@@ -342,32 +338,85 @@ def solve_lp(prob: LinearProgram) -> Solution:
     if max(prob.n_rows, prob.n_vars) <= TABLEAU_LIMIT:
         if scipy.sparse.issparse(prob.A):
             prob = replace(prob, A=prob.A.toarray())
-        sol, _ = _tableau_solve(prob)
-        return sol
+        return _tableau_solve(prob)
     return _scipy_solve(prob)
 
 
-def lp_duals(prob: LinearProgram):
-    """Row duals y and reduced costs c - A'y from the final simplex basis.
+# ---------------------------------------------------------------------------
+# branch and bound shared by the mixed-integer linear and quadratic programs
+# ---------------------------------------------------------------------------
 
-    Only meaningful for optimal instances; used by the complementary
-    slackness checks.
+
+def _box_arrays(bounds):
+    return np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds])
+
+
+def _with_boxes(A: np.ndarray, b: np.ndarray, idx, lo, hi):
+    """A and b with the rows x_i <= hi and -x_i <= -lo appended, in that
+    order for each boxed variable, after the base rows."""
+    m, k = len(b), len(idx)
+    A2 = np.zeros((m + 2 * k, A.shape[1]))
+    A2[:m] = A
+    b2 = np.empty(m + 2 * k)
+    b2[:m] = b
+    for pos, i in enumerate(idx):
+        A2[m + 2 * pos, i] = 1.0
+        A2[m + 2 * pos + 1, i] = -1.0
+    b2[m::2] = hi
+    b2[m + 1 :: 2] = -lo
+    return A2, b2
+
+
+def _branch_var(point: np.ndarray, idx) -> int:
+    """Most fractional integer coordinate; ties go to the lowest index.
+    Returns -1 when all are integral within 1e-9."""
+    best = -1
+    best_score = 1e-9
+    for pos, i in enumerate(idx):
+        frac = abs(point[i] - round(point[i]))
+        if frac > best_score + 1e-15:
+            best_score = frac
+            best = pos
+    return best
+
+
+def _branch_and_bound(relax, idx, lo0, hi0, root: Solution) -> Solution:
+    """Depth-first branch and bound over the integer coordinates idx.
+
+    relax(lo, hi) solves the relaxation with the integer boxes [lo, hi];
+    root is its solution on the initial boxes.  The floor branch is explored
+    first, and a node is pruned when its relaxation cannot improve the
+    incumbent by more than 1e-12.
     """
-    sol, info = _tableau_solve(prob, want_duals=True)
-    if not sol.optimal:
-        raise InvalidSpec(f"duals undefined for {sol.status} problem")
-    basis, std = info
-    if not basis:
-        return sol, np.zeros(prob.n_rows), prob.c.copy()
-    cols = std.A[:, basis]
-    cB = std.c[basis]
-    y_std, *_ = np.linalg.lstsq(cols.T, cB, rcond=None)
-    # undo the sign flips applied when forcing b >= 0
-    y = np.where(std.flipped[: len(y_std)], -y_std, y_std) if len(y_std) else y_std
-    y_full = np.zeros(prob.n_rows)
-    y_full[: len(y)] = y
-    reduced = prob.c - prob.A.T @ y_full
-    return sol, y_full, reduced
+    best_val = np.inf
+    best_pt = None
+    stack = [(lo0, hi0, root)]
+    while stack:
+        lo, hi, rel = stack.pop()
+        if not rel.optimal or rel.value >= best_val - 1e-12:
+            continue
+        pos = _branch_var(rel.point, idx)
+        if pos < 0:
+            pt = rel.point.copy()
+            for i in idx:
+                pt[i] = round(pt[i])
+            if rel.value < best_val - 1e-15:
+                best_val = rel.value
+                best_pt = pt
+            continue
+        split = np.floor(rel.point[idx[pos]] + 1e-9)
+        # the floor branch is pushed last, so it is explored first
+        for new_lo, new_hi in ((split + 1.0, hi[pos]), (lo[pos], split)):
+            if new_lo > new_hi:
+                continue
+            l2, h2 = lo.copy(), hi.copy()
+            l2[pos], h2[pos] = new_lo, new_hi
+            child = relax(l2, h2)
+            if child.optimal and child.value < best_val - 1e-12:
+                stack.append((l2, h2, child))
+    if best_pt is None:
+        return INFEASIBLE
+    return Solution("optimal", best_val, best_pt)
 
 
 # ---------------------------------------------------------------------------
@@ -398,97 +447,30 @@ class MixedIntegerProgram:
         object.__setattr__(self, "bounds", bnds)
 
 
-def _lp_with_boxes(base: LinearProgram, idx, lo, hi) -> LinearProgram:
-    """Append x_i <= hi and -x_i <= -lo rows for the boxed variables."""
-    n = base.n_vars
-    rows = []
-    rhs = []
-    for i, l, h in zip(idx, lo, hi):
-        r = np.zeros(n)
-        r[i] = 1.0
-        rows.append(r)
-        rhs.append(h)
-        r = np.zeros(n)
-        r[i] = -1.0
-        rows.append(r)
-        rhs.append(-l)
-    A = np.vstack([base.A, rows]) if base.n_rows else np.array(rows)
-    b = np.concatenate([base.b, rhs])
-    senses = base.senses + ("<=",) * len(rows)
-    return LinearProgram(c=base.c, A=A, b=b, senses=senses, nonneg=base.nonneg)
-
-
-def _branch_var(point: np.ndarray, idx) -> int:
-    """Most fractional integer coordinate; ties go to the lowest index.
-    Returns -1 when all are integral within 1e-9."""
-    best = -1
-    best_score = 1e-9
-    for pos, i in enumerate(idx):
-        frac = abs(point[i] - round(point[i]))
-        if frac > best_score + 1e-15:
-            best_score = frac
-            best = pos
-    return best
-
-
 def solve_milp(mip: MixedIntegerProgram) -> Solution:
-    """Branch and bound over LP relaxations.
-
-    Integer bounds are enforced as appended rows; nodes explore floor
-    branches first; a node is pruned when its relaxation cannot improve the
-    incumbent by more than 1e-12.
-    """
+    """Branch and bound over LP relaxations, integer bounds as appended rows."""
     if not mip.integer_idx:
         return solve_lp(mip.lp)
-    idx = mip.integer_idx
-    lo0 = np.array([b[0] for b in mip.bounds])
-    hi0 = np.array([b[1] for b in mip.bounds])
+    base, idx = mip.lp, mip.integer_idx
+    senses = base.senses + ("<=",) * (2 * len(idx))
 
-    root = solve_lp(_lp_with_boxes(mip.lp, idx, lo0, hi0))
-    if root.status == "infeasible":
-        return INFEASIBLE
+    def relax(lo, hi):
+        A, b = _with_boxes(base.A, base.b, idx, lo, hi)
+        return solve_lp(LinearProgram(c=base.c, A=A, b=b, senses=senses, nonneg=base.nonneg))
+
+    lo0, hi0 = _box_arrays(mip.bounds)
+    root = relax(lo0, hi0)
     if root.status == "unbounded":
         # bounded integers means any feasible point extends to an unbounded ray
         feas = solve_milp(
             MixedIntegerProgram(
-                lp(np.zeros(mip.lp.n_vars), mip.lp.A, mip.lp.b, mip.lp.senses, mip.lp.nonneg),
+                lp(np.zeros(base.n_vars), base.A, base.b, base.senses, base.nonneg),
                 idx,
                 mip.bounds,
             )
         )
         return UNBOUNDED if feas.optimal else INFEASIBLE
-
-    best_val = np.inf
-    best_pt = None
-    stack = [(lo0, hi0, root)]
-    while stack:
-        lo, hi, rel = stack.pop()
-        if not rel.optimal or rel.value >= best_val - 1e-12:
-            continue
-        pos = _branch_var(rel.point, idx)
-        if pos < 0:
-            pt = rel.point.copy()
-            for i in idx:
-                pt[i] = round(pt[i])
-            if rel.value < best_val - 1e-15:
-                best_val = rel.value
-                best_pt = pt
-            continue
-        split = np.floor(rel.point[idx[pos]] + 1e-9)
-        for new_lo, new_hi, push_last in (
-            (split + 1.0, hi[pos], False),  # ceil branch explored second
-            (lo[pos], split, True),  # floor branch explored first (LIFO)
-        ):
-            if new_lo > new_hi:
-                continue
-            l2, h2 = lo.copy(), hi.copy()
-            l2[pos], h2[pos] = new_lo, new_hi
-            child = solve_lp(_lp_with_boxes(mip.lp, idx, l2, h2))
-            if child.optimal and child.value < best_val - 1e-12:
-                stack.append((l2, h2, child))
-    if best_pt is None:
-        return INFEASIBLE
-    return Solution("optimal", best_val, best_pt)
+    return _branch_and_bound(relax, idx, lo0, hi0, root)
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +522,6 @@ class QuadraticMixedProgram:
         object.__setattr__(self, "integer_idx", idx)
         object.__setattr__(self, "bounds", bnds)
 
-    @property
-    def n_vars(self) -> int:
-        return len(self.q)
-
 
 def solve_qp_convex(D: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) -> Solution:
     """Exact minimum of y'Dy + q.y over A y <= b for positive definite D.
@@ -593,67 +571,17 @@ def solve_qp_convex(D: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) 
     raise NumericalFailure("feasible convex QP without a detected KKT point")
 
 
-def _qp_with_boxes(qmp: QuadraticMixedProgram, lo, hi):
-    rows = []
-    rhs = []
-    n = qmp.n_vars
-    for i, l, h in zip(qmp.integer_idx, lo, hi):
-        r = np.zeros(n)
-        r[i] = 1.0
-        rows.append(r)
-        rhs.append(h)
-        r = np.zeros(n)
-        r[i] = -1.0
-        rows.append(r)
-        rhs.append(-l)
-    A = np.vstack([qmp.A, rows]) if len(qmp.b) else np.array(rows)
-    b = np.concatenate([qmp.b, rhs])
-    return A, b
-
-
 def solve_miqp(qmp: QuadraticMixedProgram) -> Solution:
     """Branch and bound with convex-QP relaxations (KKT enumeration)."""
     if not qmp.integer_idx:
         return solve_qp_convex(qmp.D, qmp.q, qmp.A, qmp.b)
     idx = qmp.integer_idx
-    lo0 = np.array([b[0] for b in qmp.bounds])
-    hi0 = np.array([b[1] for b in qmp.bounds])
 
     def relax(lo, hi):
-        A, b = _qp_with_boxes(qmp, lo, hi)
-        return solve_qp_convex(qmp.D, qmp.q, A, b)
+        return solve_qp_convex(qmp.D, qmp.q, *_with_boxes(qmp.A, qmp.b, idx, lo, hi))
 
-    root = relax(lo0, hi0)
-    if root.status == "infeasible":
-        return INFEASIBLE
-    best_val = np.inf
-    best_pt = None
-    stack = [(lo0, hi0, root)]
-    while stack:
-        lo, hi, rel = stack.pop()
-        if not rel.optimal or rel.value >= best_val - 1e-12:
-            continue
-        pos = _branch_var(rel.point, idx)
-        if pos < 0:
-            pt = rel.point.copy()
-            for i in idx:
-                pt[i] = round(pt[i])
-            if rel.value < best_val - 1e-15:
-                best_val = rel.value
-                best_pt = pt
-            continue
-        split = np.floor(rel.point[idx[pos]] + 1e-9)
-        for new_lo, new_hi in ((split + 1.0, hi[pos]), (lo[pos], split)):
-            if new_lo > new_hi:
-                continue
-            l2, h2 = lo.copy(), hi.copy()
-            l2[pos], h2[pos] = new_lo, new_hi
-            child = relax(l2, h2)
-            if child.optimal and child.value < best_val - 1e-12:
-                stack.append((l2, h2, child))
-    if best_pt is None:
-        return INFEASIBLE
-    return Solution("optimal", best_val, best_pt)
+    lo0, hi0 = _box_arrays(qmp.bounds)
+    return _branch_and_bound(relax, idx, lo0, hi0, relax(lo0, hi0))
 
 
 # ---------------------------------------------------------------------------
@@ -704,13 +632,6 @@ class ConvexMixedProgram:
 def _lattice(bounds) -> itertools.product:
     ranges = [np.arange(np.ceil(lo - 1e-9), np.floor(hi + 1e-9) + 1.0) for lo, hi in bounds]
     return itertools.product(*ranges)
-
-
-def _lattice_volume(bounds) -> int:
-    vol = 1
-    for lo, hi in bounds:
-        vol *= max(0, int(np.floor(hi + 1e-9) - np.ceil(lo - 1e-9)) + 1)
-    return vol
 
 
 def _subgradient_descent(fn, y0, lo, hi, iters):
@@ -776,7 +697,10 @@ def solve_convex_mip(cmp: ConvexMixedProgram) -> Solution:
     projected subgradient descent with golden-section polishing.
 
     A slice is declared infeasible when the minimized worst violation
-    max_i(g_i - rhs_i) stays above 1e-9.
+    max_i(g_i - rhs_i) stays above 1e-9.  On continuous slices this is a
+    heuristic, not a certificate: a feasible slice whose feasible set the
+    search misses is reported infeasible.  Pure-integer slices are checked
+    exactly.
     """
     n = cmp.n_vars
     cont = list(cmp.continuous_idx)
@@ -855,136 +779,3 @@ def solve_convex_mip(cmp: ConvexMixedProgram) -> Solution:
     if best_pt is None:
         return INFEASIBLE
     return Solution("optimal", float(best_val), best_pt)
-
-
-# ---------------------------------------------------------------------------
-# ground-truth lattice enumeration
-# ---------------------------------------------------------------------------
-
-
-def enumerate_oracle(prob) -> Solution:
-    """Exhaustive optimum over the integer box: every lattice assignment is
-    fixed and the continuous remainder solved exactly.  Test-only ground
-    truth; refuses boxes with more than 10^6 points."""
-    if isinstance(prob, MixedIntegerProgram):
-        return _enumerate_milp(prob)
-    if isinstance(prob, QuadraticMixedProgram):
-        return _enumerate_miqp(prob)
-    raise InvalidSpec(f"enumerate_oracle cannot handle {type(prob).__name__}")
-
-
-def _check_volume(bounds):
-    vol = _lattice_volume(bounds)
-    if vol > 1_000_000:
-        raise BoxTooLarge(f"integer box has {vol} points")
-    return vol
-
-
-def _enumerate_milp(mip: MixedIntegerProgram) -> Solution:
-    if not mip.integer_idx:
-        return solve_lp(mip.lp)
-    _check_volume(mip.bounds)
-    base = mip.lp
-    idx = list(mip.integer_idx)
-    cont = [j for j in range(base.n_vars) if j not in mip.integer_idx]
-
-    if not cont:
-        pts = np.array(list(_lattice(mip.bounds)))
-        if pts.size == 0:
-            return INFEASIBLE
-        Y = np.zeros((len(pts), base.n_vars))
-        Y[:, idx] = pts
-        ok = np.ones(len(pts), dtype=bool)
-        for j in range(base.n_vars):
-            if base.nonneg[j]:
-                ok &= Y[:, j] >= -FEAS_TOL
-        if base.n_rows:
-            vals = Y @ base.A.T
-            for r, sense in enumerate(base.senses):
-                if sense == "==":
-                    ok &= np.abs(vals[:, r] - base.b[r]) <= FEAS_TOL
-                else:
-                    ok &= vals[:, r] <= base.b[r] + FEAS_TOL
-        if not np.any(ok):
-            return INFEASIBLE
-        obj = Y[ok] @ base.c
-        k = int(np.argmin(obj))
-        return Solution("optimal", float(obj[k]), Y[ok][k])
-
-    best = None
-    for assign in _lattice(mip.bounds):
-        t = np.array(assign)
-        ok = True
-        for pos, j in enumerate(idx):
-            if base.nonneg[j] and t[pos] < -FEAS_TOL:
-                ok = False
-        if not ok:
-            continue
-        sub = lp(
-            base.c[cont],
-            base.A[:, cont],
-            base.b - base.A[:, idx] @ t,
-            base.senses,
-            tuple(base.nonneg[j] for j in cont),
-        )
-        sol = solve_lp(sub)
-        if sol.status == "unbounded":
-            return UNBOUNDED
-        if not sol.optimal:
-            continue
-        val = sol.value + float(base.c[idx] @ t)
-        if best is None or val < best[0] - 1e-15:
-            pt = np.zeros(base.n_vars)
-            pt[idx] = t
-            pt[cont] = sol.point
-            best = (val, pt)
-    if best is None:
-        return INFEASIBLE
-    return Solution("optimal", best[0], best[1])
-
-
-def _enumerate_miqp(qmp: QuadraticMixedProgram) -> Solution:
-    if not qmp.integer_idx:
-        return solve_qp_convex(qmp.D, qmp.q, qmp.A, qmp.b)
-    _check_volume(qmp.bounds)
-    idx = list(qmp.integer_idx)
-    cont = [j for j in range(qmp.n_vars) if j not in qmp.integer_idx]
-
-    if not cont:
-        pts = np.array(list(_lattice(qmp.bounds)))
-        if pts.size == 0:
-            return INFEASIBLE
-        Y = np.zeros((len(pts), qmp.n_vars))
-        Y[:, idx] = pts
-        ok = np.ones(len(pts), dtype=bool)
-        if len(qmp.b):
-            vals = Y @ qmp.A.T
-            ok = np.all(vals <= qmp.b + FEAS_TOL, axis=1)
-        if not np.any(ok):
-            return INFEASIBLE
-        Yk = Y[ok]
-        obj = np.einsum("ni,ij,nj->n", Yk, qmp.D, Yk) + Yk @ qmp.q
-        k = int(np.argmin(obj))
-        return Solution("optimal", float(obj[k]), Yk[k])
-
-    D = qmp.D
-    best = None
-    for assign in _lattice(qmp.bounds):
-        t = np.array(assign)
-        Dcc = D[np.ix_(cont, cont)]
-        q_sub = qmp.q[cont] + 2.0 * D[np.ix_(cont, idx)] @ t
-        const = float(t @ D[np.ix_(idx, idx)] @ t + qmp.q[idx] @ t)
-        A_sub = qmp.A[:, cont] if len(qmp.b) else np.zeros((0, len(cont)))
-        b_sub = qmp.b - (qmp.A[:, idx] @ t if len(qmp.b) else 0.0)
-        sol = solve_qp_convex(Dcc, q_sub, A_sub, b_sub)
-        if not sol.optimal:
-            continue
-        val = sol.value + const
-        if best is None or val < best[0] - 1e-15:
-            pt = np.zeros(qmp.n_vars)
-            pt[idx] = t
-            pt[cont] = sol.point
-            best = (val, pt)
-    if best is None:
-        return INFEASIBLE
-    return Solution("optimal", best[0], best[1])

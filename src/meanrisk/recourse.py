@@ -12,7 +12,6 @@ assumption for that instance and is raised, never silently absorbed.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import exprs, optim
 from .errors import (
-    DimensionUnsupported,
     DimMismatch,
     InvalidExponent,
     InvalidSpec,
@@ -105,19 +103,6 @@ class ParamMap:
             expressions=trees,
             declared_exponent=data.get("exponent"),
         )
-
-
-def affine_map(matrix, constant=None) -> ParamMap:
-    M = np.asarray(matrix, dtype=float)
-    return ParamMap(out_dim=M.shape[0], matrix=M, constant=constant)
-
-
-def expression_map(expressions, declared_exponent=None) -> ParamMap:
-    return ParamMap(
-        out_dim=len(expressions),
-        expressions=tuple(expressions),
-        declared_exponent=declared_exponent,
-    )
 
 
 def map_exponent(pm: ParamMap) -> float:
@@ -320,7 +305,10 @@ def eval_recourse(model: RecourseModel, x, z) -> float:
         raise InvalidSpec(f"unknown recourse kind {model.kind!r}")
 
     if sol.status == "infeasible":
-        raise RecourseInfeasible(xv, zv)
+        detail = ""
+        if model.kind == "convex_mip" and model.m1:
+            detail = "not certified: continuous slices are judged by subgradient search"
+        raise RecourseInfeasible(xv, zv, detail)
     if sol.status == "unbounded":
         raise RecourseUnbounded(xv, zv)
     return sol.value
@@ -391,13 +379,6 @@ class GrowthCertificate:
     max_residual_margin: float
     seed: int
 
-    def eta_for(self, x) -> float:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        for row, e in zip(self.decisions, self.eta_hat):
-            if np.allclose(row, xv, atol=1e-12):
-                return float(e)
-        raise OutOfRange("decision not covered by this certificate")
-
     def to_dict(self) -> dict:
         return {
             "gamma": float(self.gamma),
@@ -446,112 +427,3 @@ def certify_growth(
         seed=int(seed),
     )
 
-
-# ---------------------------------------------------------------------------
-# candidate discontinuities of mixed-integer linear recourse
-# ---------------------------------------------------------------------------
-
-
-def _cone_boundary(A1: np.ndarray):
-    """Boundary pieces of the cone {A1 y1 | y1 >= 0} in R^k for k <= 2.
-
-    Pieces are ('point', p), ('ray', direction) or ('line', direction), all
-    anchored at the origin; an empty list means the cone is the whole space.
-    """
-    k = A1.shape[0]
-    cols = [A1[:, j] for j in range(A1.shape[1])]
-    dirs = [c / np.linalg.norm(c) for c in cols if np.linalg.norm(c) > 1e-12]
-    if k == 1:
-        has_pos = any(d[0] > 0 for d in dirs)
-        has_neg = any(d[0] < 0 for d in dirs)
-        if has_pos and has_neg:
-            return []  # cone is all of R
-        return [("point", np.zeros(1))]
-    if k == 2:
-        if not dirs:
-            return [("point", np.zeros(2))]
-        angles = np.unique(np.round(np.mod([np.arctan2(d[1], d[0]) for d in dirs], 2 * np.pi), 12))
-        if len(angles) == 1:
-            d = np.array([np.cos(angles[0]), np.sin(angles[0])])
-            return [("ray", d)]
-        gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
-        g = int(np.argmax(gaps))
-        max_gap = gaps[g]
-        if max_gap < np.pi - 1e-9:
-            return []  # generators span the plane
-        lo = angles[(g + 1) % len(angles)]
-        hi = angles[g]
-        d_lo = np.array([np.cos(lo), np.sin(lo)])
-        d_hi = np.array([np.cos(hi), np.sin(hi)])
-        if abs(max_gap - np.pi) <= 1e-9:
-            return [("line", d_lo)]  # half-plane (or a line when antipodal)
-        return [("ray", d_lo), ("ray", d_hi)]
-    raise DimensionUnsupported(f"cone boundary implemented for k <= 2, got k={k}")
-
-
-def _dist_to_piece(p: np.ndarray, piece) -> float:
-    kind, d = piece
-    if kind == "point":
-        return float(np.linalg.norm(p - d))
-    if kind == "ray":
-        t = max(0.0, float(p @ d))
-        return float(np.linalg.norm(p - t * d))
-    t = float(p @ d)
-    return float(np.linalg.norm(p - t * d))
-
-
-@dataclass(frozen=True)
-class MilpDiscontinuitySet:
-    """Membership test for candidate discontinuities of a milp recourse:
-    (x,z) is a candidate iff h(x,z) lies within 1e-9 of some shifted cone
-    boundary {A2 y2} + bd(cone(A1)), y2 ranging over the nonnegative part
-    of the lattice box."""
-
-    model: RecourseModel
-    pieces: tuple
-    shifts: np.ndarray
-
-    def distance(self, x, z) -> float:
-        xv = np.atleast_1d(np.asarray(x, dtype=float))
-        zv = np.atleast_1d(np.asarray(z, dtype=float))
-        t = self.model.h_map(xv, zv)
-        if not self.pieces:
-            return np.inf
-        best = np.inf
-        for shift in self.shifts:
-            p = t - shift
-            for piece in self.pieces:
-                best = min(best, _dist_to_piece(p, piece))
-        return best
-
-    def __call__(self, x, z) -> bool:
-        return self.distance(x, z) <= 1e-9
-
-
-def milp_discontinuity_predicate(model: RecourseModel, integer_box=None) -> MilpDiscontinuitySet:
-    """Candidate-set predicate from the boundary geometry of the continuous
-    part's cone.  Only k <= 2 rows are supported."""
-    if model.kind != "milp":
-        raise InvalidSpec("predicate defined for milp recourse only")
-    box = tuple(integer_box) if integer_box is not None else model.integer_bounds
-    if len(box) != model.m2:
-        raise DimMismatch("one bounds pair per integer variable")
-    A1 = model.A[:, : model.m1]
-    A2 = model.A[:, model.m1 :]
-    pieces = _cone_boundary(A1)
-    clipped = tuple((max(0.0, lo), hi) for lo, hi in box)
-    lattice = [
-        np.arange(np.ceil(lo - 1e-9), np.floor(hi + 1e-9) + 1.0) for lo, hi in clipped
-    ]
-    vol = int(np.prod([len(r) for r in lattice])) if lattice else 1
-    if vol > 1_000_000:
-        raise OutOfRange(f"lattice box has {vol} points")
-    if model.m2 == 0 or vol == 0:
-        shifts = np.zeros((1, model.A.shape[0])) if model.m2 == 0 else np.zeros((0, model.A.shape[0]))
-        if model.m2 == 0:
-            # no integer part: f is continuous, the candidate set is empty
-            return MilpDiscontinuitySet(model=model, pieces=(), shifts=shifts)
-        return MilpDiscontinuitySet(model=model, pieces=tuple(pieces), shifts=shifts)
-    combos = np.array(list(itertools.product(*lattice)))
-    shifts = combos @ A2.T
-    return MilpDiscontinuitySet(model=model, pieces=tuple(pieces), shifts=shifts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, OutOfRange
-from .measure import ScalarDistribution, quantile
+from .measure import ScalarDistribution
 
 KINDS = ("expectation", "avar", "semidev", "target_semidev")
 
@@ -122,19 +122,6 @@ def evaluate_risk(spec: RiskSpec, dist: ScalarDistribution) -> float:
     raise InvalidSpec(f"unknown risk kind {spec.kind!r}")
 
 
-def avar_ru_oracle(dist: ScalarDistribution, alpha: float) -> float:
-    """Independent check for avar: minimize t + E[(Y-t)^+]/(1-alpha) over t.
-
-    The objective is piecewise linear and convex in t with kinks at the atom
-    values, so minimizing over the atom grid is exact.  Test-only.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise OutOfRange(f"alpha must lie in (0,1), got {alpha}")
-    t = dist.values[:, None]
-    excess = np.clip(dist.values[None, :] - t, 0.0, None) @ dist.weights
-    return float(np.min(dist.values + excess / (1.0 - alpha)))
-
-
 def stop_loss(dist: ScalarDistribution, t) -> np.ndarray:
     """E[(Y - t)^+] for a scalar or array of thresholds t."""
     tv = np.atleast_1d(np.asarray(t, dtype=float))
@@ -153,17 +140,3 @@ def icx_leq(mu: ScalarDistribution, nu: ScalarDistribution, tol: float = 1e-10) 
     grid = np.union1d(mu.values, nu.values)
     return bool(np.all(stop_loss(mu, grid) <= stop_loss(nu, grid) + tol))
 
-
-def comonotone_mixture(
-    mu: ScalarDistribution, nu: ScalarDistribution, lam: float
-) -> ScalarDistribution:
-    """Distribution of lam*Q_mu(U) + (1-lam)*Q_nu(U) for a common uniform U,
-    built on the merged cumulative-weight grid of the two inputs."""
-    if not (0.0 <= lam <= 1.0):
-        raise OutOfRange("lambda must lie in [0,1]")
-    cuts = np.union1d(mu.cumulative, nu.cumulative)
-    cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
-    prev = np.concatenate(([0.0], cuts[:-1]))
-    mids = 0.5 * (prev + cuts)
-    vals = lam * quantile(mu, mids) + (1.0 - lam) * quantile(nu, mids)
-    return ScalarDistribution.from_pairs(vals, cuts - prev)

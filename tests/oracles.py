@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the code paths it checks: risk values
 come from plain sums and dense level grids, LP optima from basis
-enumeration, mixed-integer optima from closed-form one-variable solves per
-lattice assignment, and convex minima from dense grids.  Metric values come
-from the dense formulations, solved by ``scipy.optimize.linprog`` directly:
-the bounded-Lipschitz LP with one Lipschitz row per ordered pair of atoms,
-and transport LPs with one dense marginal row per atom.
+enumeration, LP duals from HiGHS, mixed-integer optima from closed-form
+one-variable solves per lattice assignment, and convex minima from dense
+grids.  Metric values come from the dense formulations, solved by
+``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with one
+Lipschitz row per ordered pair of atoms, and transport LPs with one dense
+marginal row per atom.
 """
 
 import itertools
@@ -89,6 +90,35 @@ def lp_vertex_oracle(c, A, b, senses, nonneg):
         if best is None or val < best - 1e-12:
             best = val
     return best
+
+
+def highs_duals(c, A, b, senses):
+    """Row duals y and reduced costs c - A'y of min c.x s.t. A x (senses) b,
+    x >= 0, read from HiGHS through scipy.optimize.linprog: y is the
+    sensitivity of the optimal value to b (ineqlin/eqlin marginals), in row
+    order.  Returns None unless HiGHS reports an optimum."""
+    c = np.asarray(c, dtype=float)
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ub = [i for i, s in enumerate(senses) if s == "<="]
+    eq = [i for i, s in enumerate(senses) if s == "=="]
+    res = scipy.optimize.linprog(
+        c,
+        A_ub=A[ub] if ub else None,
+        b_ub=b[ub] if ub else None,
+        A_eq=A[eq] if eq else None,
+        b_eq=b[eq] if eq else None,
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status != 0:
+        return None
+    y = np.zeros(len(b))
+    if ub:
+        y[ub] = res.ineqlin.marginals
+    if eq:
+        y[eq] = res.eqlin.marginals
+    return y, c - A.T @ y
 
 
 def interval_from_rows(a_vec, rhs, senses, nonneg_var):
@@ -207,6 +237,27 @@ def convex_grid_oracle(v, gs, rhs, box_lo, box_hi, step=1e-3):
             if best is None or val < best:
                 best = val
     return best
+
+
+def avar_ru_oracle(dist: ScalarDistribution, alpha: float) -> float:
+    """AVaR as min over t of t + E[(Y-t)^+]/(1-alpha) (Rockafellar-Uryasev).
+
+    The objective is piecewise linear and convex in t with kinks at the atom
+    values, so minimizing over the atom grid is exact."""
+    t = dist.values[:, None]
+    excess = np.clip(dist.values[None, :] - t, 0.0, None) @ dist.weights
+    return float(np.min(dist.values + excess / (1.0 - alpha)))
+
+
+def comonotone_mixture(mu: ScalarDistribution, nu: ScalarDistribution, lam: float):
+    """Distribution of lam*Q_mu(U) + (1-lam)*Q_nu(U) for a common uniform U,
+    built on the merged cumulative-weight grid of the two inputs."""
+    cuts = np.union1d(mu.cumulative, nu.cumulative)
+    cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
+    prev = np.concatenate(([0.0], cuts[:-1]))
+    mids = 0.5 * (prev + cuts)
+    vals = lam * quantile(mu, mids) + (1.0 - lam) * quantile(nu, mids)
+    return ScalarDistribution.from_pairs(vals, cuts - prev)
 
 
 def quantized_distribution(rng, max_atoms=50, denom=10_000, value_scale=10.0):

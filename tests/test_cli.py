@@ -99,3 +99,27 @@ class TestExitCodes:
                 "--scheme", os.path.join(DEMO, "scheme_saa.json"), "--gate", "d_bl:1e9"]
         assert cli.main(argv) == cli.EXIT_GATE
         assert (tmp_path / "out" / "report.csv").exists()
+
+
+class TestCertify:
+    def certify(self, tmp_path, *extra):
+        model = write(tmp_path, "m.json", demo("model_linear_avar.json"))
+        return cli.main(["certify", "--model", model, "--zbox=-1:1", "--n", "20", *extra])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--xcount", "0"), ("--xcount", "-1"), ("--n", "0")],
+        ids=["xcount-0", "xcount-neg", "n-0"],
+    )
+    def test_nonpositive_counts_are_config_errors(self, tmp_path, capsys, extra):
+        assert self.certify(tmp_path, *extra) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"config error: {extra[0]} must be >= 1")
+
+    @pytest.mark.parametrize("xcount, expect", [(None, 5), (2, 2), (9, 5)])
+    def test_xcount_takes_the_first_decisions(self, tmp_path, capsys, xcount, expect):
+        extra = () if xcount is None else ("--xcount", str(xcount))
+        assert self.certify(tmp_path, *extra) == cli.EXIT_OK
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["decisions"] == [[0.25 * i] for i in range(expect)]
+        assert cert["sample_count"] == 20

@@ -272,8 +272,3 @@ class TestSerialization:
             ms.DiscreteMeasure.from_dict(
                 {"dim": 2, "atoms": [{"point": [0.0], "weight": 1.0}]}
             )
-
-    def test_gauge_validation(self):
-        with pytest.raises(OutOfRange):
-            ms.GaugeSpec(q=0.0)
-        assert ms.GaugeSpec(q=2.0).q == 2.0

@@ -2,15 +2,11 @@ import numpy as np
 import pytest
 
 from meanrisk import exprs, optim
-from meanrisk.errors import (
-    BoxTooLarge,
-    ConstraintLimitExceeded,
-    DimMismatch,
-    InvalidSpec,
-)
+from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, InvalidSpec
 
 from oracles import (
     convex_grid_oracle,
+    highs_duals,
     lp_vertex_oracle,
     milp_closed_oracle,
     miqp_closed_oracle,
@@ -98,7 +94,7 @@ class TestLinearProgram:
             b = A @ rng.uniform(0, 2, size=n)
             c = rng.uniform(0.1, 1, size=n)
             prob = optim.lp(c, A, b)
-            t_sol, _ = optim._tableau_solve(prob)
+            t_sol = optim._tableau_solve(prob)
             s_sol = optim._scipy_solve(prob)
             assert t_sol.status == s_sol.status
             if t_sol.optimal:
@@ -123,10 +119,11 @@ class TestDuals:
             slack = np.where([s == "<=" for s in senses], rng.uniform(0, 1, size=m), 0.0)
             b = A @ rng.uniform(0, 2, size=n) + slack
             c = rng.uniform(0.1, 2, size=n)
-            prob = optim.lp(c, A, b, senses)
-            sol, y, reduced = optim.lp_duals(prob)
+            sol = optim.solve_lp(optim.lp(c, A, b, senses))
             if not sol.optimal:
                 continue
+            # any optimal primal and any optimal dual are complementary
+            y, reduced = highs_duals(c, A, b, senses)
             for i, s in enumerate(senses):
                 if s == "<=":
                     gap = b[i] - A[i] @ sol.point
@@ -163,7 +160,7 @@ class TestMilp:
         # x integer in [0,3], 2x == 7 has no solution
         mip = optim.MixedIntegerProgram(optim.lp([1], [[2]], [7]), (0,), ((0, 3),))
         assert optim.solve_milp(mip).status == "infeasible"
-        assert optim.enumerate_oracle(mip).status == "infeasible"
+        assert milp_closed_oracle([1], [[2]], [7], ("==",), [0], ((0, 3),), []) is None
 
     def test_bounds_validation(self):
         with pytest.raises(InvalidSpec):
@@ -200,8 +197,6 @@ class TestMilp:
             else:
                 assert sol.optimal
                 assert sol.value == pytest.approx(expect, abs=1e-9)
-                oracle = optim.enumerate_oracle(mip)
-                assert oracle.value == pytest.approx(expect, abs=1e-9)
 
     def test_determinism_bitwise(self):
         mip = optim.MixedIntegerProgram(
@@ -272,29 +267,6 @@ class TestQp:
             expect = miqp_closed_oracle(D, q, A, b, list(int_idx), ((-5, 5),) * n_int, cont_idx)
             assert expect is not None and sol.optimal
             assert sol.value == pytest.approx(expect, abs=1e-7)
-            oracle = optim.enumerate_oracle(qmp)
-            assert oracle.value == pytest.approx(expect, abs=1e-7)
-
-
-class TestEnumerateOracle:
-    def test_box_cap(self):
-        mip = optim.MixedIntegerProgram(
-            optim.lp([1, 1, 1], np.zeros((0, 3)), []),
-            (0, 1, 2),
-            ((-100, 100),) * 3,
-        )
-        with pytest.raises(BoxTooLarge):
-            optim.enumerate_oracle(mip)
-
-    def test_delegates_without_integers(self):
-        prob = optim.lp([1, 1], [[1, -1]], [1.5])
-        assert optim.enumerate_oracle(
-            optim.MixedIntegerProgram(prob, (), ())
-        ).value == pytest.approx(1.5, abs=1e-9)
-
-    def test_rejects_unknown_type(self):
-        with pytest.raises(InvalidSpec):
-            optim.enumerate_oracle("nope")
 
 
 class TestConvexMip:
