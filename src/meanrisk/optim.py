@@ -8,7 +8,9 @@ relaxation differs (an LP or a convex QP), and both append the integer
 boxes as rows.  The fixed branching order (lowest-index most-fractional,
 floor branch first) keeps identical inputs producing identical outputs.
 Convex QPs are solved exactly by KKT subset enumeration, which is sound
-for positive definite objectives at the row counts used here.
+for positive definite objectives at the row counts used here.  Continuous
+slices of mixed-integer convex programs are solved by Kelley's cutting
+planes, one small LP per round, so their infeasibility is certified.
 """
 
 from __future__ import annotations
@@ -25,12 +27,15 @@ from .errors import (
     DimMismatch,
     InvalidSpec,
     NumericalFailure,
+    OutOfRange,
 )
 
 FEAS_TOL = 1e-9
 PIVOT_CAP = 1_000_000
 # beyond this size the tableau's dense O(m*n) pivots stop paying off
 TABLEAU_LIMIT = 80
+# cutting-plane rounds per continuous convex-MIP slice before giving up
+KELLEY_ROUNDS = 500
 
 
 @dataclass(frozen=True)
@@ -356,7 +361,8 @@ def _with_boxes(A: np.ndarray, b: np.ndarray, idx, lo, hi):
     order for each boxed variable, after the base rows."""
     m, k = len(b), len(idx)
     A2 = np.zeros((m + 2 * k, A.shape[1]))
-    A2[:m] = A
+    # relaxations are tableau-sized, so a sparse A is densified here
+    A2[:m] = A.toarray() if scipy.sparse.issparse(A) else A
     b2 = np.empty(m + 2 * k)
     b2[:m] = b
     for pos, i in enumerate(idx):
@@ -606,6 +612,8 @@ class ConvexMixedProgram:
         rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
         if len(rhs) != len(self.g):
             raise DimMismatch("one rhs entry per constraint expression")
+        if not np.all(np.isfinite(rhs)):
+            raise OutOfRange("non-finite entries in rhs")
         if len(self.integer_idx) != len(self.integer_bounds):
             raise DimMismatch("one bounds pair per integer variable")
         if len(self.continuous_idx) != len(self.continuous_box):
@@ -634,73 +642,56 @@ def _lattice(bounds) -> itertools.product:
     return itertools.product(*ranges)
 
 
-def _subgradient_descent(fn, y0, lo, hi, iters):
-    """Projected subgradient with diminishing steps; returns the best point."""
-    y = np.clip(y0, lo, hi)
-    best_y = y.copy()
-    best_v = fn(y)[0]
-    span = float(np.max(hi - lo))
-    if span <= 0:
-        return best_y, best_v
-    for t in range(iters):
-        val, grad = fn(y)
-        if val < best_v:
-            best_v = val
-            best_y = y.copy()
-        gn = float(np.linalg.norm(grad))
-        if gn < 1e-14:
-            break
-        step = span / (2.0 * np.sqrt(t + 1.0))
-        y = np.clip(y - step * grad / gn, lo, hi)
-    val = fn(y)[0]
-    if val < best_v:
-        best_v = val
-        best_y = y.copy()
-    return best_y, best_v
+def _kelley_slice(cmp: ConvexMixedProgram, y_full, cont, lo, hi):
+    """Kelley's cutting planes on one continuous slice.
 
-
-def _golden_polish(fn, y, lo, hi, sweeps):
-    """Cyclic per-coordinate golden-section refinement of a convex function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    y = y.copy()
-    for _ in range(sweeps):
-        for i in range(len(y)):
-            a, b = lo[i], hi[i]
-            if b - a < 1e-13:
-                continue
-
-            def phi(t, i=i):
-                yy = y.copy()
-                yy[i] = t
-                return fn(yy)[0]
-
-            c = b - invphi * (b - a)
-            d = a + invphi * (b - a)
-            fc, fd = phi(c), phi(d)
-            for _ in range(60):
-                if fc < fd:
-                    b, d, fd = d, c, fc
-                    c = b - invphi * (b - a)
-                    fc = phi(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + invphi * (b - a)
-                    fd = phi(d)
-            t_best = c if fc < fd else d
-            if phi(t_best) < fn(y)[0]:
-                y[i] = t_best
-    return y
+    Minimizes t over (y_c, t) subject to the box, the cuts
+    t >= v(y_k) + s.(y - y_k) and, for every g_i that y_k violates,
+    g_i(y_k) + s_i.(y - y_k) <= rhs_i.  Every cut outer-approximates the
+    slice, so an infeasible cut LP proves the slice empty (returns None).
+    Otherwise returns (value, point) of the best iterate with
+    g_i <= rhs_i + FEAS_TOL once it is within a relative 1e-10 of the LP
+    bound."""
+    k = len(cont)
+    rows = [np.hstack([np.vstack([np.eye(k), -np.eye(k)]), np.zeros((2 * k, 1))])]
+    rhs = [hi, -lo]
+    cost = np.zeros(k + 1)
+    cost[-1] = 1.0
+    best_val, best_pt = np.inf, None
+    yc = 0.5 * (lo + hi)
+    for _ in range(KELLEY_ROUNDS):
+        y = y_full.copy()
+        y[cont] = yc
+        val, grad = cmp.v.eval_with_subgradient(y)
+        rows.append(np.append(grad[cont], -1.0))
+        rhs.append(grad[cont] @ yc - val)
+        feasible = True
+        for g, r in zip(cmp.g, cmp.rhs):
+            gval, ggrad = g.eval_with_subgradient(y)
+            if gval - r > FEAS_TOL:
+                feasible = False
+                rows.append(np.append(ggrad[cont], 0.0))
+                rhs.append(r - gval + ggrad[cont] @ yc)
+        if feasible and val < best_val:
+            best_val, best_pt = val, y
+        sol = solve_lp(lp(cost, np.vstack(rows), np.hstack(rhs), "<=", (False,) * (k + 1)))
+        if not sol.optimal:
+            return None
+        if best_pt is not None and best_val - sol.value <= 1e-10 * (1.0 + abs(best_val)):
+            return best_val, best_pt
+        yc = sol.point[:k]
+    raise NumericalFailure(f"cutting planes did not close the gap in {KELLEY_ROUNDS} rounds")
 
 
 def solve_convex_mip(cmp: ConvexMixedProgram) -> Solution:
-    """Enumerate integer assignments; solve each continuous slice by
-    projected subgradient descent with golden-section polishing.
+    """Enumerate integer assignments and keep the best feasible slice.
 
-    A slice is declared infeasible when the minimized worst violation
-    max_i(g_i - rhs_i) stays above 1e-9.  On continuous slices this is a
-    heuristic, not a certificate: a feasible slice whose feasible set the
-    search misses is reported infeasible.  Pure-integer slices are checked
-    exactly.
+    A pure-integer slice is one point, checked exactly against
+    g_i <= rhs_i + FEAS_TOL.  A continuous slice is solved by Kelley's
+    cutting planes (_kelley_slice): its value is within a relative 1e-10 of
+    an LP lower bound, and it is reported infeasible only when the cut LP
+    is, which proves it.  NumericalFailure is raised when a slice does not
+    close its gap within KELLEY_ROUNDS rounds.
     """
     n = cmp.n_vars
     cont = list(cmp.continuous_idx)
@@ -725,56 +716,9 @@ def solve_convex_mip(cmp: ConvexMixedProgram) -> Solution:
                     best_pt = y_full.copy()
             continue
 
-        def embed(yc, y_full=y_full):
-            y = y_full.copy()
-            y[cont] = yc
-            return y
-
-        def violation(yc):
-            y = embed(yc)
-            worst = -np.inf
-            worst_grad = np.zeros(len(yc))
-            for g, r in zip(cmp.g, cmp.rhs):
-                val, grad = g.eval_with_subgradient(y)
-                if val - r > worst:
-                    worst = val - r
-                    worst_grad = grad[cont]
-            return worst, worst_grad
-
-        start = 0.5 * (lo + hi)
-        yc, viol = _subgradient_descent(violation, start, lo, hi, 400)
-        yc = _golden_polish(violation, yc, lo, hi, 2)
-        viol = violation(yc)[0]
-        if viol > FEAS_TOL:
-            continue
-
-        def objective_v(yc):
-            y = embed(yc)
-            val, grad = cmp.v.eval_with_subgradient(y)
-            return val, grad[cont]
-
-        scale = 10.0 * (1.0 + abs(objective_v(yc)[0]))
-        feas_yc = yc.copy()
-        for _ in range(6):
-            penalty = scale
-
-            def penalized(yc, penalty=penalty):
-                vval, vgrad = objective_v(yc)
-                w, wgrad = violation(yc)
-                if w > 0.0:
-                    return vval + penalty * w, vgrad + penalty * wgrad
-                return vval, vgrad
-
-            yc, _ = _subgradient_descent(penalized, feas_yc, lo, hi, 800)
-            yc = _golden_polish(penalized, yc, lo, hi, 3)
-            if violation(yc)[0] <= FEAS_TOL:
-                feas_yc = yc
-                break
-            scale *= 10.0
-        val = objective_v(feas_yc)[0]
-        if val < best_val - 1e-15:
-            best_val = val
-            best_pt = embed(feas_yc)
+        found = _kelley_slice(cmp, y_full, cont, lo, hi)
+        if found is not None and found[0] < best_val - 1e-15:
+            best_val, best_pt = found
 
     if best_pt is None:
         return INFEASIBLE

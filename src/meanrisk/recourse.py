@@ -307,7 +307,7 @@ def eval_recourse(model: RecourseModel, x, z) -> float:
     if sol.status == "infeasible":
         detail = ""
         if model.kind == "convex_mip" and model.m1:
-            detail = "not certified: continuous slices are judged by subgradient search"
+            detail = "certified: the cutting-plane LP of every continuous slice is infeasible"
         raise RecourseInfeasible(xv, zv, detail)
     if sol.status == "unbounded":
         raise RecourseUnbounded(xv, zv)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it checks: risk values
 come from plain sums and dense level grids, LP optima from basis
 enumeration, LP duals from HiGHS, mixed-integer optima from closed-form
-one-variable solves per lattice assignment, and convex minima from dense
-grids.  Metric values come from the dense formulations, solved by
+one-variable solves per lattice assignment, one-dimensional convex minima
+from dense grids, polyhedral convex slices from one ``scipy.optimize.linprog``
+LP, and disc-slab slivers in closed form.  Metric values come from the dense formulations, solved by
 ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with one
 Lipschitz row per ordered pair of atoms, and transport LPs with one dense
 marginal row per atom.
@@ -237,6 +238,48 @@ def convex_grid_oracle(v, gs, rhs, box_lo, box_hi, step=1e-3):
             if best is None or val < best:
                 best = val
     return best
+
+
+def polyhedral_slice_oracle(V, v0, G, g0, r, lo, hi):
+    """min max_j (V_j.y + v0_j)  s.t.  |G_i.y + g0_i| <= r_i,  lo <= y <= hi,
+    as one epigraph LP over (y, t); None when it is infeasible."""
+    k = V.shape[1]
+    A = np.vstack(
+        [
+            np.hstack([V, -np.ones((len(V), 1))]),
+            np.hstack([G, np.zeros((len(G), 1))]),
+            np.hstack([-G, np.zeros((len(G), 1))]),
+        ]
+    )
+    b = np.concatenate([-v0, r - g0, r + g0])
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    res = scipy.optimize.linprog(
+        c,
+        A_ub=A,
+        b_ub=b,
+        bounds=list(zip(lo, hi)) + [(None, None)],
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    if res.status == 2:
+        return None
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def sliver_oracle(w, c, R, a, s0, eps):
+    """min w.y  s.t.  |a.(y - c) - s0| <= eps,  |y - c| <= R  for a unit a
+    and 0 <= s0 - eps < R (the box must not bind).
+
+    With y = c + s a + u a_perp the objective is w.c + s w.a + u w.a_perp,
+    minimized at u = -sign(w.a_perp) sqrt(R^2 - s^2); that is convex in s
+    with its stationary point at s = -R w.a / |w|, so the minimum sits at
+    the stationary point clipped to the slab."""
+    perp = np.array([-a[1], a[0]])
+    s_hi = min(s0 + eps, R)
+    s = min(max(-R * (w @ a) / np.linalg.norm(w), s0 - eps), s_hi)
+    return float(w @ c + s * (w @ a) - abs(w @ perp) * math.sqrt(R * R - s * s))
 
 
 def avar_ru_oracle(dist: ScalarDistribution, alpha: float) -> float:

@@ -88,6 +88,25 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_infeasible_recourse_is_a_model_error(self, tmp_path, capsys):
+        # |y| <= z - 5 on a continuous y is empty at every base atom
+        data = demo("model_convex_expectation.json")
+        data["recourse"].update(
+            m1=1,
+            m2=0,
+            integer_bounds=[],
+            continuous_box=[[-10.0, 10.0]],
+            v=["var", 0],
+            g=[["abs", ["var", 0]]],
+            h_map={"affine": {"matrix": [[0.0, 1.0]], "constant": [-5.0]}},
+        )
+        model = write(tmp_path, "m.json", data)
+        base = write(tmp_path, "b.json", demo("base_measure.json"))
+        assert run_eval(model, base) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("model error: RecourseInfeasible")
+        assert "(certified:" in out.err and "Traceback" not in out.err
+
     def test_missing_file(self, tmp_path, capsys):
         model = write(tmp_path, "m.json", demo("model_linear_avar.json"))
         assert run_eval(model, str(tmp_path / "absent.json")) == cli.EXIT_CONFIG

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from meanrisk import exprs, optim
-from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, InvalidSpec
+from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, InvalidSpec, OutOfRange
 
 from oracles import (
     convex_grid_oracle,
@@ -10,6 +11,8 @@ from oracles import (
     lp_vertex_oracle,
     milp_closed_oracle,
     miqp_closed_oracle,
+    polyhedral_slice_oracle,
+    sliver_oracle,
 )
 
 
@@ -162,6 +165,16 @@ class TestMilp:
         assert optim.solve_milp(mip).status == "infeasible"
         assert milp_closed_oracle([1], [[2]], [7], ("==",), [0], ((0, 3),), []) is None
 
+    def test_sparse_a_matches_dense(self):
+        # min y1 s.t. y1 - y0 = 1.2, y >= 0, y1 integer in [0, 10]
+        dense = np.array([[-1.0, 1.0]])
+        sols = [
+            optim.solve_milp(optim.MixedIntegerProgram(optim.lp([0, 1], A, [1.2]), (1,), ((0, 10),)))
+            for A in (scipy.sparse.csr_array(dense), dense)
+        ]
+        assert sols[0].value == sols[1].value == pytest.approx(2.0, abs=1e-9)
+        assert np.array_equal(sols[0].point, sols[1].point)
+
     def test_bounds_validation(self):
         with pytest.raises(InvalidSpec):
             optim.MixedIntegerProgram(optim.lp([1], [[1]], [1]), (0,), ((0, np.inf),))
@@ -312,6 +325,67 @@ class TestConvexMip:
         sol = optim.solve_convex_mip(prob)
         assert sol.value == pytest.approx(0.0625, abs=1e-5)
         assert sol.point[1] == pytest.approx(0.0)
+
+
+    @pytest.mark.parametrize(
+        "slices",
+        [((), (), (0,), ((-5, 5),)), ((0,), ((-5, 5),), (), ())],
+        ids=["continuous", "integer"],
+    )
+    def test_nan_rhs_rejected(self, slices):
+        g = exprs.vabs(exprs.var(0))
+        with pytest.raises(OutOfRange, match="non-finite"):
+            optim.ConvexMixedProgram(exprs.var(0), (g,), [np.nan], *slices)
+
+    def test_against_polyhedral_oracle(self):
+        # v = max of 3 affines, |affine_i| <= r_i on 2-3 continuous
+        # coordinates in [-2, 2]: the cut LP is exact after finitely many
+        # rounds, so status and value must match one LP
+        rng = np.random.default_rng(7)
+        statuses = set()
+        for it in range(60):
+            k = int(rng.integers(2, 4))
+            m = int(rng.integers(1, k + 2))
+            V, v0 = rng.normal(size=(3, k)), rng.normal(size=3)
+            G, g0 = rng.normal(size=(m, k)), rng.normal(size=m)
+            r = 10.0 ** rng.uniform(-7, 0, size=m)
+            lo, hi = np.full(k, -2.0), np.full(k, 2.0)
+            v = exprs.vmax(*(exprs.affine(a, b) for a, b in zip(V, v0)))
+            gs = tuple(exprs.vabs(exprs.affine(a, b)) for a, b in zip(G, g0))
+            prob = optim.ConvexMixedProgram(v, gs, r, (), (), tuple(range(k)), tuple(zip(lo, hi)))
+            sol = optim.solve_convex_mip(prob)
+            expect = polyhedral_slice_oracle(V, v0, G, g0, r, lo, hi)
+            statuses.add(sol.status)
+            if expect is None:
+                assert sol.status == "infeasible", it
+            else:
+                assert sol.optimal and sol.value == pytest.approx(expect, abs=1e-9), it
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_planted_slivers_are_found(self):
+        # a slab |a.(y - c) - s0| <= 1e-8 cutting a disc |y - c| <= R
+        # just inside its edge leaves a feasible sliver; minimize y0 + y1.
+        # The value lies between the sliver's minimum with both constraints
+        # relaxed by FEAS_TOL (what the acceptance rule allows) and its
+        # exact minimum (the cut LP bound) plus the stopping gap
+        rng = np.random.default_rng(5)
+        w, eps, tol = np.ones(2), 1e-8, optim.FEAS_TOL
+        for it in range(40):
+            c = rng.uniform(-1, 1, size=2)
+            R = rng.uniform(1.0, 3.5)
+            th = rng.uniform(0, 2 * np.pi)
+            a = np.array([np.cos(th), np.sin(th)])
+            s0 = R * (1 - 10.0 ** rng.uniform(-12, -8))
+            disc = exprs.norm(exprs.affine([1.0, 0.0], -c[0]), exprs.affine([0.0, 1.0], -c[1]))
+            slab = exprs.vabs(exprs.affine(a, -(a @ c + s0)))
+            prob = optim.ConvexMixedProgram(
+                exprs.affine(w), (disc, slab), [R, eps], (), (), (0, 1), ((-5, 5), (-5, 5))
+            )
+            sol = optim.solve_convex_mip(prob)
+            assert sol.optimal, it
+            lower = sliver_oracle(w, c, R + tol, a, s0, eps + tol)
+            upper = sliver_oracle(w, c, R, a, s0, eps)
+            assert lower - 1e-12 <= sol.value <= upper + 1e-10 * (1 + abs(upper)), it
 
 
 class TestExprGrammar:
