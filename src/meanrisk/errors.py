@@ -35,6 +35,10 @@ class ConstraintLimitExceeded(MeanRiskError):
     metrics.MAX_PLAN_ENTRIES (source, target) pairs."""
 
 
+def _floats(v) -> list:
+    return [float(c) for c in v]
+
+
 class RecourseInfeasible(MeanRiskError):
     """The recourse problem is infeasible at a given (x, z).
 
@@ -47,7 +51,7 @@ class RecourseInfeasible(MeanRiskError):
         self.z = z
         msg = "recourse infeasible"
         if x is not None:
-            msg += f" at x={list(x)}, z={list(z)}"
+            msg += f" at x={_floats(x)}, z={_floats(z)}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
@@ -61,7 +65,7 @@ class RecourseUnbounded(MeanRiskError):
         self.z = z
         msg = "recourse unbounded"
         if x is not None:
-            msg += f" at x={list(x)}, z={list(z)}"
+            msg += f" at x={_floats(x)}, z={_floats(z)}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

@@ -1,9 +1,14 @@
 """Finitely supported probability measures on R^d.
 
-Atoms are canonicalized (lexicographic order, duplicates merged within an
-absolute tolerance of 1e-12 per coordinate, weights renormalized to sum to
-one).  All values are immutable after construction and every operation is
-pure, so concurrent reads are safe.
+Atoms are canonicalized: sorted in lexicographic coordinate order, merged,
+and renormalized to total weight one.  The merge walks the sorted rows and
+adds a row to the current atom when every coordinate is within POINT_TOL
+(1e-12) of that atom's first row, its anchor; any other row becomes the next
+anchor.  Closeness is measured against the anchor, not the previous row, so
+it is not transitive: a chain of rows each within 1e-12 of its predecessor
+splits once it drifts more than 1e-12 from the anchor.  All values are
+immutable after construction and every operation is pure, so concurrent
+reads are safe.
 """
 
 from __future__ import annotations
@@ -22,25 +27,78 @@ POINT_TOL = 1e-12
 Sampler = Callable[[np.random.Generator, int], np.ndarray]
 
 
+def _group_end(points: np.ndarray, a: int, stop: int) -> int:
+    """First row in (a, stop) not within POINT_TOL of row a, else stop.
+
+    Scans blocks of doubling length, so a group of k rows costs O(k)."""
+    lo, step = a + 1, 8
+    while lo < stop:
+        hi = min(lo + step, stop)
+        off = np.any(np.abs(points[lo:hi] - points[a]) > POINT_TOL, axis=1)
+        if off.any():
+            return lo + int(np.argmax(off))
+        lo, step = hi, 2 * step
+    return stop
+
+
+def _anchor_starts(points: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of a sorted array that start a group under
+    the anchor rule.
+
+    Splitting wherever consecutive rows differ by more than POINT_TOL gives
+    the anchor groups exactly when every row is within POINT_TOL of its
+    group's first row and no group's first row is within POINT_TOL of the
+    previous group's.  Where that check fails, only the affected segments
+    (runs with first-coordinate gaps <= POINT_TOL, which no anchor group
+    crosses) are re-split by the anchor rule, one group at a time.
+    """
+    n = len(points)
+    start = np.ones(n, dtype=bool)
+    start[1:] = np.any(np.abs(np.diff(points, axis=0)) > POINT_TOL, axis=1)
+    starts = np.flatnonzero(start)
+    gid = np.cumsum(start) - 1
+    bad = np.zeros(len(starts), dtype=bool)
+    bad[gid[np.any(np.abs(points - points[starts[gid]]) > POINT_TOL, axis=1)]] = True
+    bad[1:] |= np.all(np.abs(points[starts[1:]] - points[starts[:-1]]) <= POINT_TOL, axis=1)
+    if not bad.any():
+        return start
+    seg_start = np.ones(n, dtype=bool)
+    seg_start[1:] = np.diff(points[:, 0]) > POINT_TOL
+    seg_bounds = np.append(np.flatnonzero(seg_start), n)
+    seg = np.cumsum(seg_start) - 1
+    for k in np.unique(seg[starts[bad]]):
+        a, stop = seg_bounds[k], seg_bounds[k + 1]
+        start[a:stop] = False
+        while a < stop:
+            start[a] = True
+            a = _group_end(points, a, stop)
+    return start
+
+
+def _group_sums(weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Weights added left to right within each group (rows starts[g] up to
+    starts[g + 1]), bit for bit as a running ``acc = acc + w`` gives them;
+    ``np.add.reduceat`` rounds differently.  Loops over groups or over
+    positions within a group, whichever count is smaller."""
+    sizes = np.diff(np.append(starts, len(weights)))
+    longest = int(sizes.max())
+    if len(starts) <= longest:
+        return np.array(
+            [np.cumsum(weights[s : s + k], axis=0)[-1] for s, k in zip(starts, sizes)]
+        )
+    acc = weights[starts]
+    for k in range(1, longest):
+        live = sizes > k
+        acc[live] += weights[starts[live] + k]
+    return acc
+
+
 def _merge_sorted(points: np.ndarray, weights: np.ndarray):
-    """Merge consecutive rows of a lexicographically sorted point array
-    whose coordinates all agree within POINT_TOL, adding weights (one
-    weight per row, or one row of weights per row)."""
-    out_pts = []
-    out_wts = []
-    anchor = points[0]
-    acc = weights[0]
-    for i in range(1, len(points)):
-        if np.all(np.abs(points[i] - anchor) <= POINT_TOL):
-            acc = acc + weights[i]
-        else:
-            out_pts.append(anchor)
-            out_wts.append(acc)
-            anchor = points[i]
-            acc = weights[i]
-    out_pts.append(anchor)
-    out_wts.append(acc)
-    return np.array(out_pts, dtype=float), np.array(out_wts, dtype=float)
+    """Merge the rows of a lexicographically sorted point array by the
+    anchor rule (module docstring), adding weights (one weight per row, or
+    one row of weights per row).  Returns the anchors and the group sums."""
+    starts = np.flatnonzero(_anchor_starts(points))
+    return points[starts], _group_sums(weights, starts)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -129,9 +187,16 @@ class DiscreteMeasure:
 def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
     """Build a DiscreteMeasure from raw (point, weight) pairs.
 
-    Points equal within 1e-12 per coordinate are merged by weight addition;
-    weights are renormalized to sum to one; atoms end up in lexicographic
-    coordinate order, so the result is independent of input permutation.
+    Atoms are sorted in lexicographic coordinate order and merged by the
+    anchor rule: walking the sorted atoms, one joins the current atom when
+    every coordinate is within POINT_TOL (1e-12) of that atom's first point,
+    its anchor, and otherwise becomes the next anchor; merged weights are
+    added in sorted order.  The rule is anchor-relative and so not
+    transitive: points 0, 7e-13 and 1.4e-12 give two atoms, 0 with two
+    thirds of the weight and 1.4e-12 with one third.  Weights are
+    renormalized to sum to one, and the result is independent of input
+    permutation.  The pairs are parsed here; :func:`canonicalize_arrays`
+    does the rest.
     """
     if len(raw_atoms) == 0:
         raise EmptySupport("no atoms")
@@ -146,14 +211,26 @@ def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
     dims = {len(p) for p in pts}
     if len(dims) != 1:
         raise DimMismatch(f"inconsistent atom dimensions {sorted(dims)}")
-    points = np.array(pts, dtype=float)
-    weights = np.array(wts, dtype=float)
+    return canonicalize_arrays(np.array(pts, dtype=float), np.array(wts, dtype=float))
+
+
+def canonicalize_arrays(points, weights) -> DiscreteMeasure:
+    """Array form of :func:`canonicalize`: an (n, d) point array with
+    d >= 1 and n weights, sorted, merged by the same anchor rule and
+    renormalized.  Malformed shapes raise DimMismatch."""
+    points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if points.ndim != 2 or points.shape[1] == 0:
+        raise DimMismatch(f"points must have shape (n, d) with d >= 1, got {points.shape}")
+    if weights.shape != (len(points),):
+        raise DimMismatch(f"weights of shape {weights.shape} for {len(points)} points")
+    if len(points) == 0:
+        raise EmptySupport("no atoms")
     if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
         raise OutOfRange("atom points and weights must be finite")
     if np.any(weights < 0):
         raise NegativeWeight("negative atom weight")
-    total = float(weights.sum())
-    if total <= 0:
+    if float(weights.sum()) <= 0:
         raise EmptySupport("total weight is zero")
     order = np.lexsort(points.T[::-1])
     points, weights = _merge_sorted(points[order], weights[order])
@@ -183,7 +260,11 @@ class ScalarDistribution:
     def from_pairs(cls, values, weights) -> "ScalarDistribution":
         values = np.atleast_1d(np.asarray(values, dtype=float))
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
-        if len(values) != len(weights) or len(values) == 0:
+        if values.ndim != 1 or values.shape != weights.shape:
+            raise DimMismatch(
+                f"values {values.shape} and weights {weights.shape} must be equal-length vectors"
+            )
+        if len(values) == 0:
             raise EmptySupport("scalar distribution needs atoms")
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
             raise OutOfRange("scalar distribution values and weights must be finite")
@@ -272,9 +353,10 @@ def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
         return mu
     if t == 1.0:
         return nu
-    raw = [(p, (1.0 - t) * w) for p, w in zip(mu.points, mu.weights)]
-    raw += [(p, t * w) for p, w in zip(nu.points, nu.weights)]
-    return canonicalize(raw)
+    return canonicalize_arrays(
+        np.vstack([mu.points, nu.points]),
+        np.concatenate([(1.0 - t) * mu.weights, t * nu.weights]),
+    )
 
 
 def empirical(sampler: Sampler, n: int, seed) -> DiscreteMeasure:
@@ -290,9 +372,9 @@ def empirical(sampler: Sampler, n: int, seed) -> DiscreteMeasure:
     draws = np.asarray(sampler(rng, n), dtype=float)
     if draws.ndim == 1:
         draws = draws.reshape(-1, 1)
-    if len(draws) != n:
-        raise DimMismatch(f"sampler returned {len(draws)} rows, expected {n}")
-    return canonicalize([(p, 1.0 / n) for p in draws])
+    if draws.ndim != 2 or len(draws) != n:
+        raise DimMismatch(f"sampler returned shape {draws.shape}, expected {n} rows")
+    return canonicalize_arrays(draws, np.full(n, 1.0 / n))
 
 
 def measure_sampler(m: DiscreteMeasure) -> Sampler:

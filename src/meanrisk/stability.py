@@ -24,7 +24,7 @@ from .errors import (
 )
 from .measure import (
     DiscreteMeasure,
-    canonicalize,
+    canonicalize_arrays,
     empirical,
     measure_sampler,
     mix,
@@ -141,13 +141,11 @@ def generate_sequence(scheme: PerturbationScheme, base: DiscreteMeasure):
                 np.random.Philox(np.random.SeedSequence((scheme.seed, k)))
             )
             noise = rng.uniform(-sigma, sigma, size=base.points.shape)
-            out.append(
-                canonicalize(list(zip(base.points + noise, base.weights)))
-            )
+            out.append(canonicalize_arrays(base.points + noise, base.weights))
     else:
         for res in scheme.grid_schedule:
             snapped = np.round(base.points * res) / res
-            out.append(canonicalize(list(zip(snapped, base.weights))))
+            out.append(canonicalize_arrays(snapped, base.weights))
     return out
 
 

@@ -2,13 +2,14 @@
 
 Everything here deliberately avoids the code paths it checks: risk values
 come from plain sums and dense level grids, LP optima from basis
-enumeration, LP duals from HiGHS, mixed-integer optima from closed-form
-one-variable solves per lattice assignment, one-dimensional convex minima
-from dense grids, polyhedral convex slices from one ``scipy.optimize.linprog``
-LP, and disc-slab slivers in closed form.  Metric values come from the dense formulations, solved by
-``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with one
-Lipschitz row per ordered pair of atoms, and transport LPs with one dense
-marginal row per atom.
+enumeration, LP duals from HiGHS, canonical merges from a row-by-row loop,
+mixed-integer optima from closed-form one-variable solves per lattice
+assignment, one-dimensional convex minima from dense grids, polyhedral
+convex slices from one ``scipy.optimize.linprog`` LP, and disc-slab
+slivers in closed form.  Metric values come from the dense formulations,
+solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
+one Lipschitz row per ordered pair of atoms, and transport LPs with one
+dense marginal row per atom.
 """
 
 import itertools
@@ -17,7 +18,29 @@ import math
 import numpy as np
 import scipy.optimize
 
-from meanrisk.measure import ScalarDistribution, quantile
+from meanrisk.measure import POINT_TOL, ScalarDistribution, quantile
+
+
+def merge_sorted_oracle(points, weights):
+    """Row-by-row anchor merge of a lexicographically sorted point array: a
+    row joins the current group if every coordinate is within POINT_TOL of
+    the group's first row, and weights (one per row, or one row per row) are
+    added with a running sum."""
+    out_pts = []
+    out_wts = []
+    anchor = points[0]
+    acc = weights[0]
+    for i in range(1, len(points)):
+        if np.all(np.abs(points[i] - anchor) <= POINT_TOL):
+            acc = acc + weights[i]
+        else:
+            out_pts.append(anchor)
+            out_wts.append(acc)
+            anchor = points[i]
+            acc = weights[i]
+    out_pts.append(anchor)
+    out_wts.append(acc)
+    return np.array(out_pts, dtype=float), np.array(out_wts, dtype=float)
 
 
 def riemann_avar(dist: ScalarDistribution, alpha: float, n: int = 1_000_000) -> float:

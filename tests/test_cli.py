@@ -88,7 +88,7 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_infeasible_recourse_is_a_model_error(self, tmp_path, capsys):
+    def run_infeasible_convex(self, tmp_path, capsys):
         # |y| <= z - 5 on a continuous y is empty at every base atom
         data = demo("model_convex_expectation.json")
         data["recourse"].update(
@@ -103,9 +103,17 @@ class TestExitCodes:
         model = write(tmp_path, "m.json", data)
         base = write(tmp_path, "b.json", demo("base_measure.json"))
         assert run_eval(model, base) == cli.EXIT_MODEL
-        out = capsys.readouterr()
+        return capsys.readouterr()
+
+    def test_infeasible_recourse_is_a_model_error(self, tmp_path, capsys):
+        out = self.run_infeasible_convex(tmp_path, capsys)
         assert out.out == "" and out.err.startswith("model error: RecourseInfeasible")
         assert "(certified:" in out.err and "Traceback" not in out.err
+
+    def test_infeasible_point_prints_plain_floats(self, tmp_path, capsys):
+        err = self.run_infeasible_convex(tmp_path, capsys).err
+        assert "np.float64" not in err
+        assert "at x=[0.0], z=[" in err
 
     def test_missing_file(self, tmp_path, capsys):
         model = write(tmp_path, "m.json", demo("model_linear_avar.json"))

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanrisk import measure as ms
 from meanrisk.errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange
+
+from oracles import merge_sorted_oracle
 
 
 class TestCanonicalize:
@@ -75,6 +79,99 @@ class TestCanonicalize:
             assert np.array_equal(m1.weights, m2.weights)
 
 
+class TestCanonicalizeArrays:
+    def test_matches_list_form_exactly(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            k = int(rng.integers(1, 30))
+            points = rng.integers(-2, 3, size=(k, 2)) + rng.integers(-3, 4, size=(k, 2)) * 4e-13
+            weights = rng.uniform(0.01, 1, size=k)
+            a = ms.canonicalize_arrays(points, weights)
+            b = ms.canonicalize(list(zip(points, weights)))
+            assert a.digest() == b.digest()
+
+    @pytest.mark.parametrize(
+        "points, weights",
+        [
+            (np.zeros(3), np.ones(3)),
+            (np.zeros((3, 0)), np.ones(3)),
+            (np.zeros((3, 2, 1)), np.ones(3)),
+            (np.zeros((3, 2)), np.ones(2)),
+            (np.zeros((3, 2)), np.ones((3, 1))),
+        ],
+        ids=["vector", "zero-dim", "three-axes", "short-weights", "weight-matrix"],
+    )
+    def test_malformed_shapes_are_dim_mismatch(self, points, weights):
+        with pytest.raises(DimMismatch):
+            ms.canonicalize_arrays(points, weights)
+
+    def test_zero_coordinate_point_is_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            ms.canonicalize([(np.zeros(0), 1.0)])
+
+    def test_zero_coordinate_sampler_is_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            ms.empirical(lambda rng, n: np.zeros((n, 0)), 4, seed=0)
+
+    def test_empty_is_empty_support(self):
+        with pytest.raises(EmptySupport):
+            ms.canonicalize_arrays(np.zeros((0, 2)), np.zeros(0))
+
+
+@st.composite
+def sorted_near_tol_rows(draw):
+    """Lexicographically sorted grid points in d = 1..3, each coordinate
+    moved by a multiple of 4e-13 (so chains straddle POINT_TOL), with one
+    or two weight columns."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    cols = draw(st.sampled_from([1, 2]))
+    cell = st.tuples(st.integers(0, 2), st.integers(-4, 4))
+    rows = draw(st.lists(st.lists(cell, min_size=d, max_size=d), min_size=n, max_size=n))
+    points = np.array([[g + k * 4e-13 for g, k in row] for row in rows])
+    flat = draw(st.lists(st.floats(0.0, 1.0), min_size=n * cols, max_size=n * cols))
+    weights = np.array(flat).reshape(n, cols)
+    if cols == 1:
+        weights = weights[:, 0]
+    order = np.lexsort(points.T[::-1])
+    return points[order], weights[order]
+
+
+class TestMergeSorted:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=sorted_near_tol_rows())
+    def test_byte_equal_to_row_loop(self, rows):
+        points, weights = rows
+        got = ms._merge_sorted(points, weights)
+        want = merge_sorted_oracle(points, weights)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    def test_anchor_rule_joins_across_a_consecutive_gap(self):
+        # the third row is 1.5e-12 from the second but within 1e-12 of the first
+        m = ms.canonicalize([((0, 0), 1.0), ((5e-13, 1e-12), 1.0), ((6e-13, -5e-13), 1.0)])
+        assert len(m) == 1
+        assert np.array_equal(m.points, [[0.0, 0.0]])
+
+    def test_anchor_rule_splits_a_chain(self):
+        # each step is 7e-13, but the third row is 1.4e-12 from the anchor
+        m = ms.canonicalize([((0.0,), 1.0), ((7e-13,), 1.0), ((1.4e-12,), 1.0)])
+        assert np.array_equal(m.points.ravel(), [0.0, 1.4e-12])
+        assert np.array_equal(m.weights, np.array([2.0, 1.0]) / 3.0)
+
+    def test_long_chain_and_large_groups(self):
+        n = 5000
+        chain = (np.arange(n) * 5e-13).reshape(-1, 1)
+        blocks = np.repeat(np.arange(7.0), n // 7 + 1)[:n].reshape(-1, 1)
+        rng = np.random.default_rng(19)
+        for points in (chain, blocks):
+            for weights in (rng.uniform(size=n), rng.uniform(size=(n, 2))):
+                got = ms._merge_sorted(points, weights)
+                want = merge_sorted_oracle(points, weights)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 class TestQuantile:
     def test_left_continuity_at_jump(self):
         d = ms.ScalarDistribution.from_pairs([0, 1], [0.5, 0.5])
@@ -127,6 +224,15 @@ class TestScalarDistribution:
     )
     def test_non_finite_raises(self, values, weights):
         with pytest.raises(OutOfRange):
+            ms.ScalarDistribution.from_pairs(values, weights)
+
+    @pytest.mark.parametrize(
+        "values, weights",
+        [(np.zeros((3, 2)), np.ones(3)), ([0.0, 1.0], [1.0]), ([0.0, 1.0], np.ones((2, 1)))],
+        ids=["value-matrix", "short-weights", "weight-matrix"],
+    )
+    def test_malformed_shapes_are_dim_mismatch(self, values, weights):
+        with pytest.raises(DimMismatch):
             ms.ScalarDistribution.from_pairs(values, weights)
 
     def test_nan_image_raises_instead_of_nan_risk(self):

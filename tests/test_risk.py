@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanrisk import risk as rk
 from meanrisk.errors import InvalidSpec, OutOfRange
@@ -250,3 +252,53 @@ class TestIcx:
             assert rk.icx_leq(mu, nu)
             for spec in EQUIVARIANT_SPECS:
                 assert rk.evaluate_risk(spec, mu) <= rk.evaluate_risk(spec, nu) + 1e-10
+
+
+# Risk axioms as properties of random variables on one finite probability
+# space: ``coupled`` draws weights w and the value vectors of ``count``
+# variables, and each variable's law is from_pairs(values, w).
+value = st.floats(-50.0, 50.0)
+
+
+@st.composite
+def coupled(draw, count):
+    n = draw(st.integers(1, 10))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n)))
+    columns = [np.array(draw(st.lists(value, min_size=n, max_size=n))) for _ in range(count)]
+    return weights / weights.sum(), columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=coupled(2))
+def test_axiom_monotone(space):
+    w, (x, lift) = space
+    y = x + np.abs(lift)
+    for spec in ALL_SPECS:
+        assert rk.evaluate_risk(spec, dist(x, w)) <= rk.evaluate_risk(spec, dist(y, w)) + 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=coupled(1), t=value)
+def test_axiom_translation_equivariant(space, t):
+    w, (x,) = space
+    for spec in EQUIVARIANT_SPECS:
+        shifted = rk.evaluate_risk(spec, dist(x + t, w))
+        assert shifted == pytest.approx(rk.evaluate_risk(spec, dist(x, w)) + t, abs=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=coupled(1), lam=st.floats(0.01, 100.0))
+def test_axiom_positively_homogeneous(space, lam):
+    w, (x,) = space
+    for spec in EQUIVARIANT_SPECS:
+        scaled = rk.evaluate_risk(spec, dist(lam * x, w))
+        assert scaled == pytest.approx(lam * rk.evaluate_risk(spec, dist(x, w)), abs=1e-9 * lam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space=coupled(2), lam=st.floats(0.0, 1.0), alpha=st.floats(0.01, 0.99))
+def test_axiom_avar_convex_on_mixtures(space, lam, alpha):
+    w, (x, y) = space
+    mixed = rk.avar(dist(lam * x + (1.0 - lam) * y, w), alpha)
+    bound = lam * rk.avar(dist(x, w), alpha) + (1.0 - lam) * rk.avar(dist(y, w), alpha)
+    assert mixed <= bound + 1e-9
