@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -89,7 +90,15 @@ def _emit(payload):
     print(json.dumps(payload, sort_keys=True))
 
 
+def _argmin_tol(args) -> float:
+    tol = 1e-8 if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
+    return tol
+
+
 def cmd_eval(args) -> int:
+    tol = _argmin_tol(args)
     model = _load_model(args.model)
     base = _load_measure(args.measure)
     if args.x is None and not args.all:
@@ -101,7 +110,6 @@ def cmd_eval(args) -> int:
         _emit({"x": [float(v) for v in x], "q": Q(model, x, base)})
         return EXIT_OK
     values = q_profile(model, base)
-    tol = args.tol if args.tol is not None else 1e-8
     arg = argmin_set(model, base, tol)
     _emit(
         {
@@ -148,6 +156,7 @@ def _parse_gate(text: str):
 
 
 def cmd_stability(args) -> int:
+    tol = _argmin_tol(args)
     model = _load_model(args.model)
     base = _load_measure(args.measure)
     scheme = _load_scheme(args.scheme)
@@ -158,7 +167,6 @@ def cmd_stability(args) -> int:
         scheme = PerturbationScheme.from_dict(data)
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    tol = args.tol if args.tol is not None else 1e-8
     report = run_experiment(model, base, scheme, argmin_tol=tol)
 
     _atomic_write(os.path.join(out_dir, "report.csv"), report.to_csv_text())

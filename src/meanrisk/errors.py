@@ -31,8 +31,9 @@ class NumericalFailure(MeanRiskError):
 
 class ConstraintLimitExceeded(MeanRiskError):
     """A problem exceeds a documented size cap: a QP with more than 20 rows
-    for KKT subset enumeration, or a transport problem with more than
-    metrics.MAX_PLAN_ENTRIES (source, target) pairs."""
+    for KKT subset enumeration, a convex MIP with more than
+    optim.MAX_LATTICE_POINTS integer assignments, or a transport problem
+    with more than metrics.MAX_PLAN_ENTRIES (source, target) pairs."""
 
 
 def _floats(v) -> list:

@@ -3,21 +3,24 @@ finite decision set, and the epsilon-argmin set.
 
 Q(x, nu) pushes nu forward through the recourse value function at x and
 evaluates the risk functional on the image distribution.  Evaluations are
-cached per (decision, measure digest) and recourse values per (x, z), so
-perturbation experiments that revisit atoms pay for each solve once.
+cached per (decision, measure digest), and recourse values per solver input
+(the bytes of h(x, z), and of q(x, z) where the cost moves), so decisions
+and perturbed measures that hand the solver an input it has seen before
+pay for that solve once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimMismatch, EmptySupport, OutOfRange
-from .measure import DiscreteMeasure, pushforward
-from .recourse import RecourseModel, default_gamma, eval_recourse
+from .measure import DiscreteMeasure, ScalarDistribution
+from .recourse import RecourseModel, default_gamma, eval_recourse_batch
 from .risk import RiskSpec, evaluate_risk
 
 
@@ -86,6 +89,7 @@ class MeanRiskModel:
     p: float = 1.0
     gamma: float | None = None
     _q_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    # recourse values keyed on solver inputs (see eval_recourse_batch)
     _f_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -100,13 +104,10 @@ class MeanRiskModel:
             raise OutOfRange(f"gamma must be positive, got {gamma}")
         object.__setattr__(self, "gamma", float(gamma))
 
-    def recourse_value(self, x: np.ndarray, z: np.ndarray) -> float:
-        key = (x.tobytes(), z.tobytes())
-        hit = self._f_cache.get(key)
-        if hit is None:
-            hit = eval_recourse(self.recourse, x, z)
-            self._f_cache[key] = hit
-        return hit
+    def recourse_value(self, x, z) -> float:
+        """f(x, z) through the model's solver-input cache."""
+        zv = np.atleast_1d(np.asarray(z, dtype=float))
+        return float(eval_recourse_batch(self.recourse, x, zv[None, :], self._f_cache)[0])
 
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
@@ -142,8 +143,8 @@ def Q(model: MeanRiskModel, x, nu: DiscreteMeasure) -> float:
     key = (xv.tobytes(), nu.digest())
     hit = model._q_cache.get(key)
     if hit is None:
-        dist = pushforward(nu, xv, model.recourse_value)
-        hit = evaluate_risk(model.risk, dist)
+        values = eval_recourse_batch(model.recourse, xv, nu.points, model._f_cache)
+        hit = evaluate_risk(model.risk, ScalarDistribution.from_pairs(values, nu.weights))
         model._q_cache[key] = hit
     return hit
 
@@ -159,9 +160,10 @@ def phi(model: MeanRiskModel, nu: DiscreteMeasure) -> float:
 
 
 def argmin_set(model: MeanRiskModel, nu: DiscreteMeasure, tol: float = 1e-8) -> DecisionSet:
-    """Decisions within tol of the optimal value; nonempty by finiteness."""
-    if tol < 0:
-        raise OutOfRange("tolerance must be nonnegative")
+    """Decisions within tol of the optimal value; nonempty by finiteness.
+    A negative or non-finite tol raises OutOfRange."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise OutOfRange(f"tolerance must be finite and nonnegative, got {tol}")
     values = q_profile(model, nu)
     best = float(np.min(values))
     keep = values <= best + tol

@@ -36,6 +36,8 @@ PIVOT_CAP = 1_000_000
 TABLEAU_LIMIT = 80
 # cutting-plane rounds per continuous convex-MIP slice before giving up
 KELLEY_ROUNDS = 500
+# integer assignments a convex MIP may enumerate
+MAX_LATTICE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -637,9 +639,23 @@ class ConvexMixedProgram:
         return len(self.integer_idx) + len(self.continuous_idx)
 
 
-def _lattice(bounds) -> itertools.product:
-    ranges = [np.arange(np.ceil(lo - 1e-9), np.floor(hi + 1e-9) + 1.0) for lo, hi in bounds]
-    return itertools.product(*ranges)
+def lattice_points(bounds) -> np.ndarray:
+    """The integer points of the box, one row each, last coordinate fastest.
+
+    The point count is checked from the bounds before anything is
+    allocated: above MAX_LATTICE_POINTS this raises ConstraintLimitExceeded.
+    """
+    lows = [np.ceil(lo - 1e-9) for lo, _ in bounds]
+    highs = [np.floor(hi + 1e-9) for _, hi in bounds]
+    count = float(np.prod([max(0.0, h - l + 1.0) for l, h in zip(lows, highs)]))
+    if count > MAX_LATTICE_POINTS:
+        raise ConstraintLimitExceeded(
+            f"{count:.6g} integer points > MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS}"
+        )
+    axes = [np.arange(l, h + 1.0) for l, h in zip(lows, highs)]
+    if not axes:
+        return np.zeros((1, 0))
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _kelley_slice(cmp: ConvexMixedProgram, y_full, cont, lo, hi):
@@ -691,7 +707,8 @@ def solve_convex_mip(cmp: ConvexMixedProgram) -> Solution:
     cutting planes (_kelley_slice): its value is within a relative 1e-10 of
     an LP lower bound, and it is reported infeasible only when the cut LP
     is, which proves it.  NumericalFailure is raised when a slice does not
-    close its gap within KELLEY_ROUNDS rounds.
+    close its gap within KELLEY_ROUNDS rounds.  More than MAX_LATTICE_POINTS
+    integer assignments raise ConstraintLimitExceeded before any is tried.
     """
     n = cmp.n_vars
     cont = list(cmp.continuous_idx)
@@ -700,10 +717,9 @@ def solve_convex_mip(cmp: ConvexMixedProgram) -> Solution:
     best_val = np.inf
     best_pt = None
 
-    for assign in _lattice(cmp.integer_bounds):
+    for assign in lattice_points(cmp.integer_bounds):
         y_full = np.zeros(n)
-        for i, v in zip(cmp.integer_idx, assign):
-            y_full[i] = v
+        y_full[list(cmp.integer_idx)] = assign
 
         if not cont:
             viol = max(

@@ -256,18 +256,19 @@ class RecourseModel:
         return cls(**kwargs)
 
 
-def _check_dims(model: RecourseModel, x: np.ndarray, z: np.ndarray):
-    if len(x) != model.n:
-        raise DimMismatch(f"decision has dim {len(x)}, model expects {model.n}")
-    if len(z) != model.s:
-        raise DimMismatch(f"noise has dim {len(z)}, model expects {model.s}")
+def _check_dims(model: RecourseModel, n_x: int, n_z: int):
+    if n_x != model.n:
+        raise DimMismatch(f"decision has dim {n_x}, model expects {model.n}")
+    if n_z != model.s:
+        raise DimMismatch(f"noise has dim {n_z}, model expects {model.s}")
 
 
-def eval_recourse(model: RecourseModel, x, z) -> float:
-    """Optimal value f(x, z) of the recourse problem."""
+def eval_recourse(model: RecourseModel, x, z, *, point: bool = False):
+    """Optimal value f(x, z) of the recourse problem; with point=True the
+    pair (value, an optimal recourse vector y)."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_dims(model, xv, zv)
+    _check_dims(model, len(xv), len(zv))
 
     if model.kind == "linear":
         q = model.q_map(xv, zv)
@@ -311,7 +312,123 @@ def eval_recourse(model: RecourseModel, x, z) -> float:
         raise RecourseInfeasible(xv, zv, detail)
     if sol.status == "unbounded":
         raise RecourseUnbounded(xv, zv)
-    return sol.value
+    return (sol.value, sol.point) if point else sol.value
+
+
+def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -> np.ndarray:
+    """f(x, z) at every row z of Z, as eval_recourse gives it row by row.
+
+    Rows are keyed on the bytes of what the solver sees: h(x, z), and
+    q(x, z) for linear and miqp.  Each key not yet in `cache` (a dict the
+    caller may keep across calls; a fresh one by default) is solved once,
+    so rows that differ only where the solver does not look share a solve.
+    Exactness per kind:
+
+    milp, miqp, convex_mip with m1 > 0
+        every distinct input goes through eval_recourse: bit-identical.
+    convex_mip with m1 = 0
+        v and every g_i are evaluated once on the integer lattice, then
+        solve_convex_mip's feasibility test and update are applied point by
+        point in its order to all inputs at once: bit-identical.
+    linear
+        bunching (_bunched): an input is accepted at q_B.B^-1 h when an
+        optimal basis B found at another input with the same q has
+        B^-1 h >= 0; the value is the optimum, and agrees with the per-row
+        tableau to round-off (1e-12 relative in the tests).
+
+    A row whose recourse problem is infeasible, unbounded or invalid raises
+    the error eval_recourse raises there, for the first such row in order.
+    """
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    Zv = np.asarray(Z, dtype=float)
+    if Zv.ndim != 2:
+        raise DimMismatch(f"noise rows must form a 2-D array, got shape {Zv.shape}")
+    _check_dims(model, len(xv), Zv.shape[1])
+    cache = {} if cache is None else cache
+    k = len(Zv)
+    H = np.array([model.h_map(xv, z) for z in Zv]).reshape(k, model.h_map.out_dim)
+    if model.kind in ("linear", "miqp"):
+        C = np.array([model.q_map(xv, z) for z in Zv]).reshape(k, model.q_map.out_dim)
+    else:
+        C = np.zeros((k, 0))
+    keys = [h.tobytes() + c.tobytes() for h, c in zip(H, C)]
+    todo = {}  # first row of every key not in the cache, in row order
+    for i, key in enumerate(keys):
+        if key not in cache and key not in todo:
+            todo[key] = i
+    rows = np.fromiter(todo.values(), dtype=int, count=len(todo))
+    if len(rows):
+        if model.kind == "convex_mip" and not model.m1:
+            values = _lattice_scan(model, xv, Zv[rows], H[rows])
+        elif model.kind == "linear":
+            values = _bunched(model, xv, Zv[rows], H[rows], C[rows])
+        else:
+            values = [eval_recourse(model, xv, z) for z in Zv[rows]]
+        cache.update(zip(todo, values))
+    return np.array([cache[key] for key in keys], dtype=float)
+
+
+def _lattice_scan(model: RecourseModel, xv, Zv, H) -> np.ndarray:
+    """Pure-integer convex_mip at the right-hand sides H (one row per input).
+
+    Runs solve_convex_mip's loop once for all inputs: lattice points in its
+    order, the violation max_i(g_i - h_i) taken left to right as Python's
+    max does, the test <= FEAS_TOL and the update val < best - 1e-15.
+    Rows the table cannot answer (infeasible, or a non-finite h the
+    solver refuses) go through eval_recourse, which raises their error."""
+    pts = optim.lattice_points(model.integer_bounds)
+    V = np.array([model.v.value(p) for p in pts], dtype=float)
+    G = np.array([[g.value(p) for p in pts] for g in model.g], dtype=float)
+    best = np.full(len(H), np.inf)
+    found = np.zeros(len(H), dtype=bool)
+    for l, val in enumerate(V):
+        viol = np.full(len(H), -np.inf)
+        for i in range(len(G)):
+            d = G[i, l] - H[:, i]
+            viol = d if i == 0 else np.where(d > viol, d, viol)
+        better = (viol <= optim.FEAS_TOL) & (val < best - 1e-15)
+        best[better] = val
+        found |= better
+    for j in np.flatnonzero(~found | ~np.all(np.isfinite(H), axis=1)):
+        best[j] = eval_recourse(model, xv, Zv[j])
+    return best
+
+
+def _bunched(model: RecourseModel, xv, Zv, H, C) -> np.ndarray:
+    """Linear recourse by bunching (Wets 1974; Birge & Louveaux, ch. 5).
+
+    Inputs are solved in order.  When an optimal y has exactly m positive
+    coordinates and B = A[:, supp y] is nonsingular, B is an optimal basis,
+    and it stays dual feasible for every input with the same q; so each
+    unsolved input with that q and B^-1 h >= 0 (finite) takes the value
+    q_B.B^-1 h without a solve."""
+    A = model.A
+    same_q = {}
+    for i, c in enumerate(C):
+        same_q.setdefault(c.tobytes(), []).append(i)
+    same_q = {key: np.array(rows) for key, rows in same_q.items()}
+    values = np.empty(len(H))
+    done = np.zeros(len(H), dtype=bool)
+    for j in range(len(H)):
+        if done[j]:
+            continue
+        values[j], y = eval_recourse(model, xv, Zv[j], point=True)
+        done[j] = True
+        basis = np.flatnonzero(y > 0)
+        if len(basis) != A.shape[0]:
+            continue
+        peers = same_q[C[j].tobytes()]
+        rest = peers[~done[peers]]
+        if not len(rest):
+            continue
+        try:
+            Y = np.linalg.solve(A[:, basis], H[rest].T)
+        except np.linalg.LinAlgError:
+            continue
+        ok = np.all(Y >= 0.0, axis=0) & np.all(np.isfinite(Y), axis=0)
+        values[rest[ok]] = C[j, basis] @ Y[:, ok]
+        done[rest[ok]] = True
+    return values
 
 
 def theoretical_exponent(
@@ -411,10 +528,9 @@ def certify_growth(
     denom = np.linalg.norm(zs, axis=1) ** gamma + 1.0
     etas = np.empty(len(xs))
     margin = -np.inf
+    cache = {}
     for i, x in enumerate(xs):
-        ratios = np.array(
-            [abs(eval_recourse(model, x, z)) for z in zs]
-        ) / denom
+        ratios = np.abs(eval_recourse_batch(model, x, zs, cache)) / denom
         eta = max(float(ratios.max()), 1e-12)
         etas[i] = eta
         margin = max(margin, float(np.max((ratios - eta) * denom)))

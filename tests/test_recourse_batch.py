@@ -1,0 +1,356 @@
+"""eval_recourse_batch against the per-row oracle eval_recourse.
+
+The batch must equal eval_recourse row by row: bit for bit for milp, miqp
+and convex_mip, within 1e-12 (relative to max(1, |f|)) for linear, whose
+bunched values come from a basis solve instead of the tableau.  On an
+infeasible, unbounded or invalid row it must raise what eval_recourse
+raises at the first such row.
+"""
+
+import json
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meanrisk import cli, exprs, optim, recourse
+from meanrisk.errors import ConstraintLimitExceeded, MeanRiskError, OutOfRange, RecourseInfeasible
+from meanrisk.measure import DiscreteMeasure
+from meanrisk.objective import MeanRiskModel, Q, argmin_set
+from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse, eval_recourse_batch
+
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
+DEMO_MODELS = sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
+BASES = ("base_measure.json", "base_measure_strict.json")
+LINEAR_TOL = 1e-12
+
+
+def load(name):
+    with open(os.path.join(DEMO, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def per_row(model, x, Z):
+    """(values, None) from eval_recourse row by row, or (None, error) for
+    the first row that raises."""
+    try:
+        return np.array([eval_recourse(model, x, z) for z in Z], dtype=float), None
+    except MeanRiskError as err:
+        return None, err
+
+
+def assert_matches_oracle(model, x, Z, cache=None):
+    want, want_err = per_row(model, x, Z)
+    if want_err is not None:
+        with pytest.raises(type(want_err)) as err:
+            eval_recourse_batch(model, x, Z, cache)
+        assert str(err.value) == str(want_err)
+        return
+    got = eval_recourse_batch(model, x, Z, cache)
+    if model.kind == "linear":
+        gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert np.all(gap <= LINEAR_TOL), (gap.max(), got, want)
+    else:
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Counter of eval_recourse calls made through the module global."""
+    calls = []
+    original = recourse.eval_recourse
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(recourse, "eval_recourse", counted)
+    return calls
+
+
+class TestDemoModels:
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("name", DEMO_MODELS)
+    def test_batch_equals_per_row(self, name, base):
+        model = MeanRiskModel.from_dict(load(name))
+        nu = DiscreteMeasure.from_dict(load(base))
+        grid = np.concatenate([np.arange(-9.5, 10.0, 0.5), [-2.7, -0.3, 0.3, 1.1, 6.9]])
+        cache = {}
+        for x in model.decisions:
+            for Z in (nu.points, grid[:, None]):
+                assert_matches_oracle(model.recourse, x, Z)
+                assert_matches_oracle(model.recourse, x, Z, cache)
+
+    @pytest.mark.parametrize("name", DEMO_MODELS)
+    def test_certificate_equals_per_row_loop(self, name):
+        model = MeanRiskModel.from_dict(load(name))
+        xs = model.decisions.points
+        sampler = lambda rng, n: rng.uniform(-3.0, 3.0, size=(n, 1))  # noqa: E731
+        cert = recourse.certify_growth(model.recourse, xs, sampler, model.gamma, 200, 5)
+        zs = sampler(np.random.Generator(np.random.Philox(np.random.SeedSequence(5))), 200)
+        denom = np.linalg.norm(zs, axis=1) ** model.gamma + 1.0
+        margin = -np.inf
+        for x, eta in zip(xs, cert.eta_hat):
+            ratios = np.array([abs(eval_recourse(model.recourse, x, z)) for z in zs]) / denom
+            assert eta == max(float(ratios.max()), 1e-12)
+            margin = max(margin, float(np.max((ratios - eta) * denom)))
+        assert cert.max_residual_margin == margin
+
+
+class TestSolveCounts:
+    def test_one_solve_per_distinct_input(self, count_solves):
+        # h ignores x in the milp demo, so five decisions share 7 solves
+        model = MeanRiskModel.from_dict(load("model_milp_expectation.json"))
+        Z = np.array([[0.5], [1.5], [0.5], [-2.0], [2.2], [3.0], [1.5], [7.1], [0.0]])
+        cache = {}
+        for x in model.decisions:
+            eval_recourse_batch(model.recourse, x, Z, cache)
+        assert len(count_solves) == 7
+
+    def test_pure_integer_lattice_needs_no_solve(self, count_solves):
+        model = MeanRiskModel.from_dict(load("model_convex_expectation.json"))
+        eval_recourse_batch(model.recourse, [0.0], np.linspace(-9.0, 9.0, 37)[:, None])
+        assert count_solves == []
+
+    def test_linear_bunching_solves_once_per_basis(self, count_solves):
+        # f = |x - z|: one basis for z < x, one for z > x, z = x is degenerate
+        model = MeanRiskModel.from_dict(load("model_linear_expectation.json"))
+        Z = np.array([[0.5], [-1.0], [2.0], [0.25], [3.0], [-4.0]])
+        assert_matches_oracle(model.recourse, [0.5], Z)
+        count_solves.clear()
+        eval_recourse_batch(model.recourse, [0.5], Z)
+        assert len(count_solves) == 3
+
+    def test_model_cache_is_shared_by_q_and_recourse_value(self, count_solves):
+        model = MeanRiskModel.from_dict(load("model_miqp_expectation.json"))
+        nu = DiscreteMeasure.from_dict(load("base_measure.json"))
+        x = model.decisions.points[1]
+        Q(model, x, nu)
+        solved = len(count_solves)
+        assert solved == len(nu)
+        for z in nu.points:
+            assert model.recourse_value(x, z) == eval_recourse(model.recourse, x, z)
+        assert len(count_solves) == solved  # every lookup hit the cache Q filled
+
+
+class TestErrors:
+    def integer_convex(self, m1=0):
+        # |y| <= z - 5
+        box = dict(m1=1, continuous_box=((-9.0, 9.0),)) if m1 else dict(
+            m2=1, integer_bounds=((-9.0, 9.0),)
+        )
+        return RecourseModel(
+            kind="convex_mip",
+            n=1,
+            s=1,
+            h_map=ParamMap(out_dim=1, matrix=[[0.0, 1.0]], constant=[-5.0]),
+            v=exprs.var(0),
+            g=(exprs.vabs(exprs.var(0)),),
+            gamma_K=1.0,
+            **box,
+        )
+
+    @pytest.mark.parametrize("m1", [0, 1], ids=["lattice", "continuous"])
+    def test_first_infeasible_row_is_named(self, m1):
+        model = self.integer_convex(m1)
+        Z = np.array([[6.0], [8.0], [1.0], [0.0], [6.0]])
+        with pytest.raises(RecourseInfeasible) as want:
+            eval_recourse(model, [0.0], Z[2])
+        with pytest.raises(RecourseInfeasible) as got:
+            eval_recourse_batch(model, [0.0], Z)
+        assert str(got.value) == str(want.value)
+        assert "z=[1.0]" in str(got.value)
+
+    def test_non_finite_rhs_on_the_lattice(self):
+        model = RecourseModel(
+            kind="convex_mip",
+            n=1,
+            s=1,
+            h_map=ParamMap(out_dim=1, matrix=[[0.0, 1e308]], constant=[0.0]),
+            v=exprs.var(0),
+            g=(exprs.vabs(exprs.var(0)),),
+            m2=1,
+            integer_bounds=((-2.0, 2.0),),
+            gamma_K=1.0,
+        )
+        # rows: feasible, rhs = +inf (refused by the solver), infeasible
+        Z = np.array([[1.0], [10.0], [-1.0]])
+        with np.errstate(over="ignore"), pytest.raises(OutOfRange, match="non-finite"):
+            eval_recourse_batch(model, [0.0], Z)
+
+    def test_first_unbounded_linear_row_is_named(self):
+        # min q.y, y1 - y2 = h: unbounded when q1 + q2 < 0, i.e. z < -1
+        model = RecourseModel(
+            kind="linear",
+            n=1,
+            s=1,
+            A=[[1.0, -1.0]],
+            h_map=ParamMap(out_dim=1, matrix=[[0.0, 1.0]]),
+            q_map=ParamMap(out_dim=2, matrix=[[0.0, 1.0], [0.0, 0.0]], constant=[0.0, 1.0]),
+        )
+        assert_matches_oracle(model, [0.0], np.array([[1.0], [0.0], [-3.0], [-2.0]]))
+
+
+class TestLatticeScan:
+    """solve_convex_mip's comparisons, kept exactly by the table."""
+
+    def model(self, v, g):
+        return RecourseModel(kind="convex_mip", n=1, s=1, v=v, g=g,
+                             h_map=ParamMap(out_dim=len(g), matrix=[[0.0, 1.0]] * len(g)),
+                             m2=1, integer_bounds=((-1.0, 1.0),), gamma_K=1.0)
+
+    def test_improvement_below_1e15_is_not_taken(self):
+        # v = 1 - 1e-16 y reads 1.0, 1.0, 1 - 2^-53 on the lattice -1, 0, 1
+        model = self.model(exprs.affine([-1e-16], 1.0), (exprs.vabs(exprs.var(0)),))
+        assert_matches_oracle(model, [0.0], np.array([[5.0]]))
+        assert eval_recourse_batch(model, [0.0], np.array([[5.0]]))[0] == 1.0
+
+    def test_nan_violation_is_skipped_as_by_max(self):
+        # g2 = inf + (-inf) = nan at y = 1; Python's max keeps g1's violation
+        g2 = exprs.vsum(exprs.affine([1e308], 1e308), exprs.affine([-1e308], -1e308))
+        model = self.model(exprs.affine([-1.0]), (exprs.vabs(exprs.var(0)), g2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_oracle(model, [0.0], np.array([[1.0], [0.0]]))
+
+
+class TestLatticeCap:
+    def test_cap_is_checked_before_enumerating(self):
+        assert len(optim.lattice_points(((0.0, 999.0), (0.0, 999.0)))) == optim.MAX_LATTICE_POINTS
+        with pytest.raises(ConstraintLimitExceeded, match="MAX_LATTICE_POINTS"):
+            optim.lattice_points(((0.0, 1000.0), (0.0, 999.0)))
+
+    def test_solver_and_batch_refuse_a_huge_lattice(self):
+        data = load("model_convex_expectation.json")["recourse"]
+        data["integer_bounds"] = [[-1e7, 1e7]]
+        model = RecourseModel.from_dict(data)
+        with pytest.raises(ConstraintLimitExceeded):
+            eval_recourse(model, [0.0], [0.5])
+        with pytest.raises(ConstraintLimitExceeded):
+            eval_recourse_batch(model, [0.0], np.array([[0.5], [1.5]]))
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        data = load("model_convex_expectation.json")
+        data["recourse"]["integer_bounds"] = [[-1e7, 1e7]]
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(data))
+        argv = ["eval", "--model", str(model), "--measure", os.path.join(DEMO, BASES[0]),
+                "--x", "0"]
+        assert cli.main(argv) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("model error: ConstraintLimitExceeded")
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_argmin_set_rejects_bad_tol(self, tol):
+        model = MeanRiskModel.from_dict(load("model_milp_expectation.json"))
+        nu = DiscreteMeasure.from_dict(load(BASES[0]))
+        with pytest.raises(OutOfRange, match="tolerance"):
+            argmin_set(model, nu, tol)
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["eval", "stability"])
+    def test_cli_bad_tol_is_a_config_error(self, tmp_path, capsys, command, tol):
+        argv = [command, "--model", os.path.join(DEMO, "model_milp_expectation.json"),
+                "--measure", os.path.join(DEMO, BASES[0]), f"--tol={tol}"]
+        if command == "eval":
+            argv.append("--all")
+        else:
+            argv += ["--scheme", os.path.join(DEMO, "scheme_saa.json"),
+                     "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error: --tol")
+        assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# random instances of each kind
+# ---------------------------------------------------------------------------
+
+quarter = st.integers(-8, 8).map(lambda k: 0.25 * k)
+small = st.integers(-1, 1).map(lambda k: 0.25 * k)
+
+
+def affine_map(draw, out_dim, n_in, coef=quarter, z_free=False, through_origin=False):
+    """An affine map of (x, z) on quarter-integer entries; with z_free the
+    output ignores z, with through_origin it is 0 at (0, 0)."""
+    M = np.array([[draw(coef) for _ in range(n_in)] for _ in range(out_dim)])
+    if z_free:
+        M[:, 1:] = 0.0
+    c = np.zeros(out_dim) if through_origin else np.array([draw(quarter) for _ in range(out_dim)])
+    return M, c
+
+
+@st.composite
+def noise_rows(draw, s):
+    """Rows on a coarse grid, the zero row and repeats included."""
+    rows = draw(st.lists(st.lists(st.integers(-4, 4).map(lambda k: 0.5 * k),
+                                  min_size=s, max_size=s), min_size=1, max_size=12))
+    rows += [[0.0] * s] + rows[: draw(st.integers(0, 3))]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order], dtype=float)
+
+
+@st.composite
+def linear_instances(draw):
+    # A = [I, -I, R] makes every h feasible and q >= 1 - 1.25 > 0 every q
+    # bounded; q depends on z unless z_free, h = 0 at x = 0, z = 0 when the
+    # map goes through the origin (a degenerate optimum)
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 2))
+    R = np.array([[draw(quarter) for _ in range(k)] for _ in range(m)]).reshape(m, k)
+    A = np.hstack([np.eye(m), -np.eye(m), R])
+    H, h0 = affine_map(draw, m, 3, through_origin=draw(st.booleans()))
+    Qm, q0 = affine_map(draw, A.shape[1], 3, coef=small, z_free=draw(st.booleans()))
+    model = RecourseModel(
+        kind="linear", n=1, s=2, A=A,
+        h_map=ParamMap(out_dim=m, matrix=H, constant=h0),
+        q_map=ParamMap(out_dim=A.shape[1], matrix=Qm, constant=np.abs(q0) + 1.0),
+    )
+    return model, draw(st.sampled_from([0.0, 0.5, -1.0])), draw(noise_rows(2))
+
+
+@st.composite
+def milp_instances(draw):
+    # y = (slack+, slack-, integers in [0, 4]); h moves with x
+    m = draw(st.integers(1, 2))
+    m2 = draw(st.integers(1, 2))
+    R = np.array([[draw(st.integers(-2, 2)) for _ in range(m2)] for _ in range(m)], dtype=float)
+    A = np.hstack([np.eye(m), -np.eye(m), R])
+    q = np.array([draw(quarter) + 2.5 for _ in range(2 * m)] + [draw(quarter) for _ in range(m2)])
+    H, h0 = affine_map(draw, m, 2)
+    H[:, 0] = [0.5 * draw(st.integers(1, 4)) for _ in range(m)]
+    model = RecourseModel(kind="milp", n=1, s=1, A=A, q=q,
+                          h_map=ParamMap(out_dim=m, matrix=H, constant=h0),
+                          m1=2 * m, m2=m2, integer_bounds=((0.0, 4.0),) * m2)
+    return model, draw(st.sampled_from([0.0, 0.5, 1.0])), draw(noise_rows(1))
+
+
+@st.composite
+def convex_instances(draw):
+    # v = (a.y + b)^2 + c|y1 - d|, g1 = |y0 - e|, g2 = max(y0 + y1, -y1);
+    # small rhs values leave some rows infeasible
+    v = exprs.vsum(
+        exprs.even_power(exprs.affine([draw(quarter), draw(quarter)], draw(quarter)), 2),
+        exprs.scale(abs(draw(quarter)), exprs.vabs(exprs.affine([0.0, 1.0], -draw(quarter)))),
+    )
+    g = (
+        exprs.vabs(exprs.affine([1.0, 0.0], -draw(quarter))),
+        exprs.vmax(exprs.affine([1.0, 1.0]), exprs.affine([0.0, -1.0])),
+    )
+    H, h0 = affine_map(draw, 2, 2, z_free=draw(st.booleans()))
+    model = RecourseModel(kind="convex_mip", n=1, s=1, v=v, g=g,
+                          h_map=ParamMap(out_dim=2, matrix=H, constant=h0),
+                          m2=2, integer_bounds=((-3.0, 3.0), (-2.5, 2.0)), gamma_K=1.0)
+    return model, draw(st.sampled_from([0.0, 1.0])), draw(noise_rows(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.one_of(linear_instances(), milp_instances(), convex_instances()))
+def test_random_instances_match_the_oracle(case):
+    model, x, Z = case
+    assert_matches_oracle(model, [x], Z)
+    assert_matches_oracle(model, [x], Z[::-1])
