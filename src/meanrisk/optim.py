@@ -3,14 +3,19 @@
 solve_lp runs a dense two-phase tableau simplex with Bland's anti-cycling
 rule for small instances and hands larger instances (the metric LPs) to
 scipy's HiGHS backend behind the same interface.  Mixed-integer linear and
-quadratic programs share one depth-first branch and bound; only the
-relaxation differs (an LP or a convex QP), and both append the integer
-boxes as rows.  The fixed branching order (lowest-index most-fractional,
-floor branch first) keeps identical inputs producing identical outputs.
-Convex QPs are solved exactly by KKT subset enumeration, which is sound
-for positive definite objectives at the row counts used here.  Continuous
-slices of mixed-integer convex programs are solved by Kelley's cutting
-planes, one small LP per round, so their infeasibility is certified.
+quadratic programs share one depth-first branch and bound, which runs the
+trees of many inputs in lockstep; only the relaxation differs (an LP or a
+convex QP), and both append the integer boxes as rows.  The fixed
+branching order (lowest-index most-fractional, floor branch first) keeps
+identical inputs producing identical outputs.  Convex QPs are solved
+exactly by KKT subset enumeration, which is sound for positive definite
+objectives at the row counts used here.  The boxed rows are the same at
+every node, so each round of a batch of MIQP trees is one KKT sweep: per
+active set, one matrix for all pending relaxations, with per-input
+arithmetic, so a batch is bit-identical to its rows solved alone.
+Continuous slices of mixed-integer convex programs are solved by Kelley's
+cutting planes, one small LP per round, so their infeasibility is
+certified.
 """
 
 from __future__ import annotations
@@ -358,21 +363,28 @@ def _box_arrays(bounds):
     return np.array([b[0] for b in bounds]), np.array([b[1] for b in bounds])
 
 
-def _with_boxes(A: np.ndarray, b: np.ndarray, idx, lo, hi):
-    """A and b with the rows x_i <= hi and -x_i <= -lo appended, in that
-    order for each boxed variable, after the base rows."""
-    m, k = len(b), len(idx)
+def _box_rows(A, idx) -> np.ndarray:
+    """A with the rows x_i <= hi and -x_i <= -lo appended, in that order
+    for each boxed variable, after the base rows (see _box_rhs)."""
+    m, k = A.shape[0], len(idx)
     A2 = np.zeros((m + 2 * k, A.shape[1]))
     # relaxations are tableau-sized, so a sparse A is densified here
     A2[:m] = A.toarray() if scipy.sparse.issparse(A) else A
-    b2 = np.empty(m + 2 * k)
-    b2[:m] = b
     for pos, i in enumerate(idx):
         A2[m + 2 * pos, i] = 1.0
         A2[m + 2 * pos + 1, i] = -1.0
-    b2[m::2] = hi
-    b2[m + 1 :: 2] = -lo
-    return A2, b2
+    return A2
+
+
+def _box_rhs(b, lo, hi) -> np.ndarray:
+    """The right-hand side of _box_rows: b, then hi and -lo interleaved.
+    b, lo and hi may carry one leading row per input."""
+    m = b.shape[-1]
+    b2 = np.empty(b.shape[:-1] + (m + 2 * lo.shape[-1],))
+    b2[..., :m] = b
+    b2[..., m::2] = hi
+    b2[..., m + 1 :: 2] = -lo
+    return b2
 
 
 def _branch_var(point: np.ndarray, idx) -> int:
@@ -388,48 +400,79 @@ def _branch_var(point: np.ndarray, idx) -> int:
     return best
 
 
-def _branch_and_bound(relax, idx, lo0, hi0, root: Solution) -> Solution:
-    """Depth-first branch and bound over the integer coordinates idx.
+def _branch_and_bound(relax, idx, lo0, hi0, roots) -> list:
+    """Depth-first branch and bound over the integer coordinates idx, one
+    tree per root, the trees run in lockstep.
 
-    relax(lo, hi) solves the relaxation with the integer boxes [lo, hi];
-    root is its solution on the initial boxes.  The floor branch is explored
-    first, and a node is pruned when its relaxation cannot improve the
-    incumbent by more than 1e-12.
+    roots[t] is tree t's relaxation on the initial boxes [lo0, hi0];
+    relax(requests) solves the relaxations of a list of (tree, lo, hi)
+    requests and returns their solutions in order.  Each round pops nodes
+    from every tree until one branches and relaxes all their children in
+    one relax call.  Within a tree the ceil child is relaxed first and the
+    floor child explored first, and a node is pruned when its relaxation
+    cannot improve that tree's incumbent by more than 1e-12, so every tree
+    visits exactly the nodes it visits alone.  Returns one Solution per
+    tree.
     """
-    best_val = np.inf
-    best_pt = None
-    stack = [(lo0, hi0, root)]
-    while stack:
-        lo, hi, rel = stack.pop()
-        if not rel.optimal or rel.value >= best_val - 1e-12:
-            continue
-        pos = _branch_var(rel.point, idx)
-        if pos < 0:
-            pt = rel.point.copy()
-            for i in idx:
-                pt[i] = round(pt[i])
-            if rel.value < best_val - 1e-15:
-                best_val = rel.value
-                best_pt = pt
-            continue
-        split = np.floor(rel.point[idx[pos]] + 1e-9)
-        # the floor branch is pushed last, so it is explored first
-        for new_lo, new_hi in ((split + 1.0, hi[pos]), (lo[pos], split)):
-            if new_lo > new_hi:
-                continue
-            l2, h2 = lo.copy(), hi.copy()
-            l2[pos], h2[pos] = new_lo, new_hi
-            child = relax(l2, h2)
-            if child.optimal and child.value < best_val - 1e-12:
-                stack.append((l2, h2, child))
-    if best_pt is None:
-        return INFEASIBLE
-    return Solution("optimal", best_val, best_pt)
+    best_val = [np.inf] * len(roots)
+    best_pt = [None] * len(roots)
+    stacks = [[(lo0, hi0, root)] for root in roots]
+    while True:
+        requests = []
+        for t, stack in enumerate(stacks):
+            asked = len(requests)
+            while stack and len(requests) == asked:
+                lo, hi, rel = stack.pop()
+                if not rel.optimal or rel.value >= best_val[t] - 1e-12:
+                    continue
+                pos = _branch_var(rel.point, idx)
+                if pos < 0:
+                    pt = rel.point.copy()
+                    for i in idx:
+                        pt[i] = round(pt[i])
+                    if rel.value < best_val[t] - 1e-15:
+                        best_val[t] = rel.value
+                        best_pt[t] = pt
+                    continue
+                split = np.floor(rel.point[idx[pos]] + 1e-9)
+                for new_lo, new_hi in ((split + 1.0, hi[pos]), (lo[pos], split)):
+                    if new_lo > new_hi:
+                        continue
+                    l2, h2 = lo.copy(), hi.copy()
+                    l2[pos], h2[pos] = new_lo, new_hi
+                    requests.append((t, l2, h2))
+        if not requests:
+            break
+        # the floor child is pushed last, so it is explored first
+        for (t, l2, h2), child in zip(requests, relax(requests)):
+            if child.optimal and child.value < best_val[t] - 1e-12:
+                stacks[t].append((l2, h2, child))
+    return [
+        INFEASIBLE if pt is None else Solution("optimal", val, pt)
+        for val, pt in zip(best_val, best_pt)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # mixed-integer linear programs
 # ---------------------------------------------------------------------------
+
+
+def _integer_boxes(integer_idx, bounds, n: int):
+    """Integer indices and their (lo, hi) boxes, checked against n variables."""
+    idx = tuple(int(i) for i in integer_idx)
+    bnds = tuple((float(lo), float(hi)) for lo, hi in bounds)
+    if len(idx) != len(bnds):
+        raise DimMismatch("one bounds pair per integer variable")
+    for i in idx:
+        if not (0 <= i < n):
+            raise InvalidSpec(f"integer index {i} out of range")
+    if len(set(idx)) != len(idx):
+        raise InvalidSpec("duplicate integer indices")
+    for lo, hi in bnds:
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            raise InvalidSpec(f"integer bounds must be finite with lo <= hi, got ({lo}, {hi})")
+    return idx, bnds
 
 
 @dataclass(frozen=True)
@@ -439,18 +482,7 @@ class MixedIntegerProgram:
     bounds: tuple  # one finite (lo, hi) per integer variable
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.integer_idx)
-        bnds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        if len(idx) != len(bnds):
-            raise DimMismatch("one bounds pair per integer variable")
-        for i in idx:
-            if not (0 <= i < self.lp.n_vars):
-                raise InvalidSpec(f"integer index {i} out of range")
-        if len(set(idx)) != len(idx):
-            raise InvalidSpec("duplicate integer indices")
-        for lo, hi in bnds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise InvalidSpec(f"integer bounds must be finite with lo <= hi, got ({lo}, {hi})")
+        idx, bnds = _integer_boxes(self.integer_idx, self.bounds, self.lp.n_vars)
         object.__setattr__(self, "integer_idx", idx)
         object.__setattr__(self, "bounds", bnds)
 
@@ -461,13 +493,17 @@ def solve_milp(mip: MixedIntegerProgram) -> Solution:
         return solve_lp(mip.lp)
     base, idx = mip.lp, mip.integer_idx
     senses = base.senses + ("<=",) * (2 * len(idx))
+    A = _box_rows(base.A, idx)
 
-    def relax(lo, hi):
-        A, b = _with_boxes(base.A, base.b, idx, lo, hi)
-        return solve_lp(LinearProgram(c=base.c, A=A, b=b, senses=senses, nonneg=base.nonneg))
+    def relax(requests):
+        return [
+            solve_lp(LinearProgram(c=base.c, A=A, b=_box_rhs(base.b, lo, hi), senses=senses,
+                                   nonneg=base.nonneg))
+            for _, lo, hi in requests
+        ]
 
     lo0, hi0 = _box_arrays(mip.bounds)
-    root = relax(lo0, hi0)
+    (root,) = relax([(0, lo0, hi0)])
     if root.status == "unbounded":
         # bounded integers means any feasible point extends to an unbounded ray
         feas = solve_milp(
@@ -478,12 +514,41 @@ def solve_milp(mip: MixedIntegerProgram) -> Solution:
             )
         )
         return UNBOUNDED if feas.optimal else INFEASIBLE
-    return _branch_and_bound(relax, idx, lo0, hi0, root)
+    return _branch_and_bound(relax, idx, lo0, hi0, [root])[0]
 
 
 # ---------------------------------------------------------------------------
 # convex quadratic programs and their mixed-integer extension
 # ---------------------------------------------------------------------------
+
+# rows a convex QP may have: KKT enumeration tries every active set
+MAX_QP_ROWS = 20
+
+
+def _qp_arrays(D, Q, A, B):
+    """D, Q, A and B as float arrays, Q and B with one row per program,
+    after the checks every QP entry point makes."""
+    D = np.asarray(D, dtype=float)
+    Q = np.asarray(Q, dtype=float)
+    k, n = Q.shape
+    A = np.asarray(A, dtype=float)
+    if A.size == 0:
+        A = A.reshape(0, n)
+    B = np.asarray(B, dtype=float)
+    if B.size == 0 and B.ndim != 2:
+        B = B.reshape(k, 0)
+    for name, arr in (("D", D), ("q", Q), ("A", A), ("b", B)):
+        if not np.all(np.isfinite(arr)):
+            raise OutOfRange(f"non-finite entries in {name}")
+    if D.shape != (n, n):
+        raise DimMismatch(f"D shape {D.shape} vs {n} variables")
+    if np.max(np.abs(D - D.T), initial=0.0) > 1e-12:
+        raise InvalidSpec("D must be symmetric within 1e-12")
+    if np.min(np.linalg.eigvalsh(D)) <= 1e-10:
+        raise InvalidSpec("D must be positive definite (min eigenvalue > 1e-10)")
+    if A.ndim != 2 or A.shape[1] != n or B.shape != (k, A.shape[0]):
+        raise DimMismatch(f"A shape {A.shape} vs b {B.shape[-1]}")
+    return D, Q, A, B
 
 
 @dataclass(frozen=True)
@@ -498,54 +563,63 @@ class QuadraticMixedProgram:
     bounds: tuple = ()
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=float)
         q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        n = len(q)
-        A = np.asarray(self.A, dtype=float)
-        if A.size == 0:
-            A = A.reshape(0, n)
         b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
-        if D.shape != (n, n):
-            raise DimMismatch(f"D shape {D.shape} vs {n} variables")
-        if np.max(np.abs(D - D.T), initial=0.0) > 1e-12:
-            raise InvalidSpec("D must be symmetric within 1e-12")
-        if np.min(np.linalg.eigvalsh(D)) <= 1e-10:
-            raise InvalidSpec("D must be positive definite (min eigenvalue > 1e-10)")
-        if A.shape != (len(b), n):
-            raise DimMismatch(f"A shape {A.shape} vs b {len(b)}")
-        idx = tuple(int(i) for i in self.integer_idx)
-        bnds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        if len(idx) != len(bnds):
-            raise DimMismatch("one bounds pair per integer variable")
-        for i in idx:
-            if not (0 <= i < n):
-                raise InvalidSpec(f"integer index {i} out of range")
-        for lo, hi in bnds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise InvalidSpec("integer bounds must be finite with lo <= hi")
+        D, Q, A, B = _qp_arrays(self.D, q[None], self.A, b[None])
+        idx, bnds = _integer_boxes(self.integer_idx, self.bounds, len(q))
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "q", Q[0])
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "b", B[0])
         object.__setattr__(self, "integer_idx", idx)
         object.__setattr__(self, "bounds", bnds)
 
 
-def solve_qp_convex(D: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) -> Solution:
-    """Exact minimum of y'Dy + q.y over A y <= b for positive definite D.
+def _quad_values(D, Y, Q) -> np.ndarray:
+    """y'Dy + q.y per row, each as the 1-D expression y @ D @ y + q @ y
+    evaluates it: the stacked matmuls make the same BLAS call per row."""
+    Yc = Y[:, :, None]
+    return (Y[:, None, :] @ D @ Yc)[:, 0, 0] + (Q[:, None, :] @ Yc)[:, 0, 0]
+
+
+def _stacked_solve(K, R) -> np.ndarray:
+    """np.linalg.solve(K, r) for every row r of R, with the arithmetic of a
+    one-vector solve: a multi-column solve rounds differently."""
+    return np.linalg.solve(np.broadcast_to(K, (len(R),) + K.shape), R[..., None])[..., 0]
+
+
+def _kkt_sweep(D, A, Q, B) -> list:
+    """Exact minimum of y'Dy + Q[j].y over A y <= B[j], one Solution per j,
+    for positive definite D.
 
     Enumerates KKT active sets of size at most n (conic Caratheodory
-    guarantees one exists at the optimum).  Raises ConstraintLimitExceeded
-    for more than 20 rows.
+    guarantees one exists at the optimum) in itertools.combinations order.
+    Every active set S has one KKT matrix K_S for all inputs, so each is
+    solved once for all inputs still without a free minimum: one vector
+    solve per input, so values are those of a per-input enumeration.  An
+    input without a KKT point must have an empty feasible set, which one LP
+    per input certifies (otherwise NumericalFailure).  Raises
+    ConstraintLimitExceeded for more than MAX_QP_ROWS rows.
     """
-    n = len(q)
-    m = len(b)
-    if m > 20:
-        raise ConstraintLimitExceeded(f"{m} rows > 20")
-    y_free = np.linalg.solve(2.0 * D, -q)
-    if m == 0 or np.all(A @ y_free <= b + FEAS_TOL):
-        return Solution("optimal", float(y_free @ D @ y_free + q @ y_free), y_free)
-    best = None
+    k, n = Q.shape
+    m = A.shape[0]
+    if m > MAX_QP_ROWS:
+        raise ConstraintLimitExceeded(f"{m} rows > {MAX_QP_ROWS}")
+    Y = _stacked_solve(2.0 * D, -Q)
+    free = np.ones(k, dtype=bool) if m == 0 else np.all(
+        (A @ Y[:, :, None])[:, :, 0] <= B + FEAS_TOL, axis=1
+    )
+    out = [None] * k
+    j = np.flatnonzero(free)
+    for pos, val in zip(j, _quad_values(D, Y[j], Q[j])):
+        out[pos] = Solution("optimal", val, Y[pos])
+    rest = np.flatnonzero(~free)
+    if not len(rest):
+        return out
+    Q_rest, B_rest = Q[rest], B[rest]
+    best_val = np.full(len(rest), np.inf)
+    best_y = np.zeros((len(rest), n))
+    found = np.zeros(len(rest), dtype=bool)
     for size in range(1, min(n, m) + 1):
         for S in itertools.combinations(range(m), size):
             As = A[list(S)]
@@ -553,43 +627,76 @@ def solve_qp_convex(D: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) 
             K[:n, :n] = 2.0 * D
             K[:n, n:] = As.T
             K[n:, :n] = As
-            rhs = np.concatenate([-q, b[list(S)]])
+            R = np.concatenate([-Q_rest, B_rest[:, list(S)]], axis=1)
             try:
-                sol = np.linalg.solve(K, rhs)
+                sol = _stacked_solve(K, R)
             except np.linalg.LinAlgError:
                 continue
-            if not np.all(np.isfinite(sol)):
-                continue
-            y, lam = sol[:n], sol[n:]
-            if np.max(np.abs(K @ sol - rhs)) > 1e-7:
-                continue
-            if np.any(lam < -1e-9):
-                continue
-            if np.any(A @ y > b + FEAS_TOL):
-                continue
-            val = float(y @ D @ y + q @ y)
-            if best is None or val < best[0] - 1e-15:
-                best = (val, y)
-    if best is not None:
-        return Solution("optimal", best[0], best[1])
-    # no KKT point: the feasible set must be empty
-    feas = solve_lp(lp(np.zeros(n), A, b, senses="<=", nonneg=(False,) * n))
-    if feas.status == "infeasible":
-        return INFEASIBLE
-    raise NumericalFailure("feasible convex QP without a detected KKT point")
+            # the checks of a single KKT point, each on the inputs that
+            # passed the one before
+            j = np.flatnonzero(np.all(np.isfinite(sol), axis=1))
+            resid = (K @ sol[j, :, None])[:, :, 0] - R[j]
+            j = j[~(np.max(np.abs(resid), axis=1) > 1e-7)]
+            j = j[~np.any(sol[j, n:] < -1e-9, axis=1)]
+            y = sol[j, :n]
+            j_ok = ~np.any((A @ y[:, :, None])[:, :, 0] > B_rest[j] + FEAS_TOL, axis=1)
+            j, y = j[j_ok], y[j_ok]
+            val = _quad_values(D, y, Q_rest[j])
+            better = ~found[j] | (val < best_val[j] - 1e-15)
+            best_val[j[better]] = val[better]
+            best_y[j[better]] = y[better]
+            found[j[better]] = True
+    for pos, j in enumerate(rest):
+        if found[pos]:
+            out[j] = Solution("optimal", best_val[pos], best_y[pos])
+            continue
+        # no KKT point: the feasible set must be empty
+        feas = solve_lp(lp(np.zeros(n), A, B[j], senses="<=", nonneg=(False,) * n))
+        if feas.status != "infeasible":
+            raise NumericalFailure("feasible convex QP without a detected KKT point")
+        out[j] = INFEASIBLE
+    return out
+
+
+def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> list:
+    """solve_miqp at every (q, b) = (Q[j], B[j]) with one D, A and set of
+    integer boxes: one Solution per row, bit-identical to solving each row
+    alone.  The trees run in lockstep, and each round's relaxations share
+    one KKT sweep, since the boxed rows (and so every K_S) are the same for
+    all nodes of all trees.  Errors are raised for the batch, with the
+    message a single row would give."""
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2:
+        raise DimMismatch(f"Q must have one row per program, got shape {Q.shape}")
+    D, Q, A, B = _qp_arrays(D, Q, A, B)
+    idx, bounds = _integer_boxes(integer_idx, bounds, Q.shape[1])
+    if not idx:
+        return _kkt_sweep(D, A, Q, B)
+    A2 = _box_rows(A, idx)
+
+    def relax(requests):
+        trees = [t for t, _, _ in requests]
+        lo = np.array([lo for _, lo, _ in requests])
+        hi = np.array([hi for _, _, hi in requests])
+        return _kkt_sweep(D, A2, Q[trees], _box_rhs(B[trees], lo, hi))
+
+    lo0, hi0 = _box_arrays(bounds)
+    roots = _kkt_sweep(D, A2, Q, _box_rhs(B, lo0, hi0))
+    return _branch_and_bound(relax, idx, lo0, hi0, roots)
+
+
+def solve_qp_convex(D: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) -> Solution:
+    """Exact minimum of y'Dy + q.y over A y <= b for positive definite D,
+    by KKT active-set enumeration (a batch of one).  Raises
+    OutOfRange on non-finite data and ConstraintLimitExceeded for more
+    than MAX_QP_ROWS rows."""
+    return solve_miqp(QuadraticMixedProgram(D, q, A, b))
 
 
 def solve_miqp(qmp: QuadraticMixedProgram) -> Solution:
-    """Branch and bound with convex-QP relaxations (KKT enumeration)."""
-    if not qmp.integer_idx:
-        return solve_qp_convex(qmp.D, qmp.q, qmp.A, qmp.b)
-    idx = qmp.integer_idx
-
-    def relax(lo, hi):
-        return solve_qp_convex(qmp.D, qmp.q, *_with_boxes(qmp.A, qmp.b, idx, lo, hi))
-
-    lo0, hi0 = _box_arrays(qmp.bounds)
-    return _branch_and_bound(relax, idx, lo0, hi0, relax(lo0, hi0))
+    """Branch and bound with convex-QP relaxations (KKT enumeration), as a
+    batch of one."""
+    return solve_miqp_batch(qmp.D, qmp.q[None], qmp.A, qmp.b[None], qmp.integer_idx, qmp.bounds)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import (
     DimMismatch,
     InvalidExponent,
     InvalidSpec,
+    MeanRiskError,
     MissingDeclaredExponent,
     OutOfRange,
     RecourseInfeasible,
@@ -269,42 +270,44 @@ def eval_recourse(model: RecourseModel, x, z, *, point: bool = False):
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     zv = np.atleast_1d(np.asarray(z, dtype=float))
     _check_dims(model, len(xv), len(zv))
+    q = model.q_map(xv, zv) if model.kind in ("linear", "miqp") else None
+    return _solve(model, xv, zv, model.h_map(xv, zv), q, point)
 
+
+def _solve(model: RecourseModel, xv, zv, h, q, point: bool = False):
+    """eval_recourse at (xv, zv) from its mapped right-hand side h and cost
+    q (None for milp and convex_mip), so a caller that has mapped them
+    already does not map them again."""
+    idx = tuple(range(model.m1, model.m1 + model.m2))
     if model.kind == "linear":
-        q = model.q_map(xv, zv)
-        h = model.h_map(xv, zv)
         sol = optim.solve_lp(optim.lp(q, model.A, h))
     elif model.kind == "milp":
-        h = model.h_map(xv, zv)
         base = optim.lp(model.q, model.A, h)
         # Eq-form integer recourse keeps y >= 0, so the declared boxes are
         # clipped from below at zero.
         bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
-        idx = tuple(range(model.m1, model.m1 + model.m2))
         sol = optim.solve_milp(optim.MixedIntegerProgram(base, idx, bounds))
     elif model.kind == "miqp":
-        q = model.q_map(xv, zv)
-        h = model.h_map(xv, zv)
-        idx = tuple(range(model.m1, model.m1 + model.m2))
         sol = optim.solve_miqp(
             optim.QuadraticMixedProgram(model.D, q, model.A, h, idx, model.integer_bounds)
         )
-    elif model.kind == "convex_mip":
-        rhs = model.h_map(xv, zv)
-        idx = tuple(range(model.m1, model.m1 + model.m2))
+    else:
         prob = optim.ConvexMixedProgram(
             v=model.v,
             g=model.g,
-            rhs=rhs,
+            rhs=h,
             integer_idx=idx,
             integer_bounds=model.integer_bounds,
             continuous_idx=tuple(range(model.m1)),
             continuous_box=model.continuous_box,
         )
         sol = optim.solve_convex_mip(prob)
-    else:
-        raise InvalidSpec(f"unknown recourse kind {model.kind!r}")
+    return _result(model, xv, zv, sol, point)
 
+
+def _result(model: RecourseModel, xv, zv, sol, point: bool = False):
+    """The value (and point) of an optimal sol; RecourseInfeasible or
+    RecourseUnbounded at (xv, zv) otherwise."""
     if sol.status == "infeasible":
         detail = ""
         if model.kind == "convex_mip" and model.m1:
@@ -324,8 +327,13 @@ def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -
     so rows that differ only where the solver does not look share a solve.
     Exactness per kind:
 
-    milp, miqp, convex_mip with m1 > 0
-        every distinct input goes through eval_recourse: bit-identical.
+    milp, convex_mip with m1 > 0
+        every distinct input goes through eval_recourse's solve (_solve,
+        with the h and q already mapped for the key): bit-identical.
+    miqp
+        all distinct inputs go to one optim.solve_miqp_batch call, whose
+        lockstep trees visit the nodes solve_miqp visits for each input
+        alone, with the same arithmetic: bit-identical.
     convex_mip with m1 = 0
         v and every g_i are evaluated once on the integer lattice, then
         solve_convex_mip's feasibility test and update are applied point by
@@ -362,8 +370,10 @@ def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -
             values = _lattice_scan(model, xv, Zv[rows], H[rows])
         elif model.kind == "linear":
             values = _bunched(model, xv, Zv[rows], H[rows], C[rows])
+        elif model.kind == "miqp":
+            values = _miqp_rows(model, xv, Zv[rows], H[rows], C[rows])
         else:
-            values = [eval_recourse(model, xv, z) for z in Zv[rows]]
+            values = [_solve(model, xv, z, h, None) for z, h in zip(Zv[rows], H[rows])]
         cache.update(zip(todo, values))
     return np.array([cache[key] for key in keys], dtype=float)
 
@@ -375,7 +385,7 @@ def _lattice_scan(model: RecourseModel, xv, Zv, H) -> np.ndarray:
     order, the violation max_i(g_i - h_i) taken left to right as Python's
     max does, the test <= FEAS_TOL and the update val < best - 1e-15.
     Rows the table cannot answer (infeasible, or a non-finite h the
-    solver refuses) go through eval_recourse, which raises their error."""
+    solver refuses) go through _solve, which raises their error."""
     pts = optim.lattice_points(model.integer_bounds)
     V = np.array([model.v.value(p) for p in pts], dtype=float)
     G = np.array([[g.value(p) for p in pts] for g in model.g], dtype=float)
@@ -390,8 +400,21 @@ def _lattice_scan(model: RecourseModel, xv, Zv, H) -> np.ndarray:
         best[better] = val
         found |= better
     for j in np.flatnonzero(~found | ~np.all(np.isfinite(H), axis=1)):
-        best[j] = eval_recourse(model, xv, Zv[j])
+        best[j] = _solve(model, xv, Zv[j], H[j], None)
     return best
+
+
+def _miqp_rows(model: RecourseModel, xv, Zv, H, C) -> list:
+    """miqp at the inputs (H[j], C[j]) through one optim.solve_miqp_batch.
+
+    A batch that raises is replayed row by row, so the error raised is
+    the one eval_recourse raises at the first failing row."""
+    idx = tuple(range(model.m1, model.m1 + model.m2))
+    try:
+        sols = optim.solve_miqp_batch(model.D, C, model.A, H, idx, model.integer_bounds)
+    except MeanRiskError:
+        return [_solve(model, xv, z, h, q) for z, h, q in zip(Zv, H, C)]
+    return [_result(model, xv, z, sol) for z, sol in zip(Zv, sols)]
 
 
 def _bunched(model: RecourseModel, xv, Zv, H, C) -> np.ndarray:
@@ -412,7 +435,7 @@ def _bunched(model: RecourseModel, xv, Zv, H, C) -> np.ndarray:
     for j in range(len(H)):
         if done[j]:
             continue
-        values[j], y = eval_recourse(model, xv, Zv[j], point=True)
+        values[j], y = _solve(model, xv, Zv[j], H[j], C[j], point=True)
         done[j] = True
         basis = np.flatnonzero(y > 0)
         if len(basis) != A.shape[0]:

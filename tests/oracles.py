@@ -4,7 +4,10 @@ Everything here deliberately avoids the code paths it checks: risk values
 come from plain sums and dense level grids, LP optima from basis
 enumeration, LP duals from HiGHS, canonical merges from a row-by-row loop,
 mixed-integer optima from closed-form one-variable solves per lattice
-assignment, one-dimensional convex minima from dense grids, polyhedral
+assignment, mixed-integer QPs from the per-input KKT enumeration and
+depth-first branch and bound that ``optim`` ran before its batched
+lockstep form (one tree and one ``np.linalg.solve`` per relaxation and
+active set), one-dimensional convex minima from dense grids, polyhedral
 convex slices from one ``scipy.optimize.linprog`` LP, and disc-slab
 slivers in closed form.  Metric values come from the dense formulations,
 solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
@@ -18,6 +21,8 @@ import math
 import numpy as np
 import scipy.optimize
 
+from meanrisk import optim
+from meanrisk.errors import ConstraintLimitExceeded, NumericalFailure
 from meanrisk.measure import POINT_TOL, ScalarDistribution, quantile
 
 
@@ -248,6 +253,108 @@ def miqp_closed_oracle(D, q, A, b, int_idx, bounds, cont_idx):
         if best is None or val < best - 1e-12:
             best = val
     return best
+
+
+def qp_kkt_oracle(D, q, A, b):
+    """Minimum of y'Dy + q.y over A y <= b for positive definite D, by KKT
+    active-set enumeration, one input at a time: the reference the batched
+    optim sweep must match bit for bit, including its errors."""
+    n = len(q)
+    m = len(b)
+    if m > 20:
+        raise ConstraintLimitExceeded(f"{m} rows > 20")
+    y_free = np.linalg.solve(2.0 * D, -q)
+    if m == 0 or np.all(A @ y_free <= b + optim.FEAS_TOL):
+        return optim.Solution("optimal", float(y_free @ D @ y_free + q @ y_free), y_free)
+    best = None
+    for size in range(1, min(n, m) + 1):
+        for S in itertools.combinations(range(m), size):
+            As = A[list(S)]
+            K = np.zeros((n + size, n + size))
+            K[:n, :n] = 2.0 * D
+            K[:n, n:] = As.T
+            K[n:, :n] = As
+            rhs = np.concatenate([-q, b[list(S)]])
+            try:
+                sol = np.linalg.solve(K, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            if not np.all(np.isfinite(sol)):
+                continue
+            y, lam = sol[:n], sol[n:]
+            if np.max(np.abs(K @ sol - rhs)) > 1e-7:
+                continue
+            if np.any(lam < -1e-9):
+                continue
+            if np.any(A @ y > b + optim.FEAS_TOL):
+                continue
+            val = float(y @ D @ y + q @ y)
+            if best is None or val < best[0] - 1e-15:
+                best = (val, y)
+    if best is not None:
+        return optim.Solution("optimal", best[0], best[1])
+    feas = optim.solve_lp(optim.lp(np.zeros(n), A, b, senses="<=", nonneg=(False,) * n))
+    if feas.status == "infeasible":
+        return optim.INFEASIBLE
+    raise NumericalFailure("feasible convex QP without a detected KKT point")
+
+
+def miqp_bb_oracle(D, q, A, b, int_idx, bounds):
+    """Depth-first branch and bound over qp_kkt_oracle relaxations, one tree
+    per input: integer boxes appended as rows x_i <= hi, -x_i <= -lo; the
+    lowest-index most-fractional coordinate is branched on, the ceil child
+    relaxed first and the floor child explored first; a node is pruned when
+    it cannot improve the incumbent by more than 1e-12."""
+    D, q, A, b = (np.asarray(v, dtype=float) for v in (D, q, A, b))
+    A = A.reshape(len(b), len(q))
+    if not int_idx:
+        return qp_kkt_oracle(D, q, A, b)
+    m, k = len(b), len(int_idx)
+
+    def relax(lo, hi):
+        A2 = np.zeros((m + 2 * k, len(q)))
+        A2[:m] = A
+        b2 = np.empty(m + 2 * k)
+        b2[:m] = b
+        for pos, i in enumerate(int_idx):
+            A2[m + 2 * pos, i] = 1.0
+            A2[m + 2 * pos + 1, i] = -1.0
+        b2[m::2] = hi
+        b2[m + 1 :: 2] = -lo
+        return qp_kkt_oracle(D, q, A2, b2)
+
+    lo0 = np.array([lo for lo, _ in bounds], dtype=float)
+    hi0 = np.array([hi for _, hi in bounds], dtype=float)
+    best_val, best_pt = np.inf, None
+    stack = [(lo0, hi0, relax(lo0, hi0))]
+    while stack:
+        lo, hi, rel = stack.pop()
+        if not rel.optimal or rel.value >= best_val - 1e-12:
+            continue
+        pos, score = -1, 1e-9
+        for p, i in enumerate(int_idx):
+            frac = abs(rel.point[i] - round(rel.point[i]))
+            if frac > score + 1e-15:
+                pos, score = p, frac
+        if pos < 0:
+            pt = rel.point.copy()
+            for i in int_idx:
+                pt[i] = round(pt[i])
+            if rel.value < best_val - 1e-15:
+                best_val, best_pt = rel.value, pt
+            continue
+        split = np.floor(rel.point[int_idx[pos]] + 1e-9)
+        for new_lo, new_hi in ((split + 1.0, hi[pos]), (lo[pos], split)):
+            if new_lo > new_hi:
+                continue
+            l2, h2 = lo.copy(), hi.copy()
+            l2[pos], h2[pos] = new_lo, new_hi
+            child = relax(l2, h2)
+            if child.optimal and child.value < best_val - 1e-12:
+                stack.append((l2, h2, child))
+    if best_pt is None:
+        return optim.INFEASIBLE
+    return optim.Solution("optimal", best_val, best_pt)
 
 
 def convex_grid_oracle(v, gs, rhs, box_lo, box_hi, step=1e-3):

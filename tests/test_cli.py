@@ -115,6 +115,18 @@ class TestExitCodes:
         assert "np.float64" not in err
         assert "at x=[0.0], z=[" in err
 
+    @pytest.mark.parametrize("entry", ["q_map", "h_map"])
+    def test_non_finite_miqp_data_is_a_model_error(self, tmp_path, capsys, entry):
+        data = demo("model_miqp_expectation.json")
+        data["recourse"][entry]["affine"]["constant"] = [float("inf")]
+        model = write(tmp_path, "m.json", data)
+        base = write(tmp_path, "b.json", demo("base_measure.json"))
+        assert run_eval(model, base) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        name = "q" if entry == "q_map" else "b"
+        assert out.out == ""
+        assert out.err == f"model error: OutOfRange: non-finite entries in {name}\n"
+
     def test_missing_file(self, tmp_path, capsys):
         model = write(tmp_path, "m.json", demo("model_linear_avar.json"))
         assert run_eval(model, str(tmp_path / "absent.json")) == cli.EXIT_CONFIG

@@ -1,15 +1,24 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanrisk import exprs, optim
-from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, InvalidSpec, OutOfRange
+from meanrisk.errors import (
+    ConstraintLimitExceeded,
+    DimMismatch,
+    InvalidSpec,
+    MeanRiskError,
+    OutOfRange,
+)
 
 from oracles import (
     convex_grid_oracle,
     highs_duals,
     lp_vertex_oracle,
     milp_closed_oracle,
+    miqp_bb_oracle,
     miqp_closed_oracle,
     polyhedral_slice_oracle,
     sliver_oracle,
@@ -280,6 +289,113 @@ class TestQp:
             expect = miqp_closed_oracle(D, q, A, b, list(int_idx), ((-5, 5),) * n_int, cont_idx)
             assert expect is not None and sol.optimal
             assert sol.value == pytest.approx(expect, abs=1e-7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["D", "q", "A", "b"])
+    def test_non_finite_data_is_out_of_range(self, name, bad):
+        data = dict(D=np.eye(2), q=np.zeros(2), A=np.array([[1.0, 1.0]]), b=np.ones(1))
+        data[name][(0,) * data[name].ndim] = bad
+        D, q, A, b = data["D"], data["q"], data["A"], data["b"]
+        match = f"non-finite entries in {name}"
+        with pytest.raises(OutOfRange, match=match):
+            optim.QuadraticMixedProgram(D, q, A, b, (0,), ((-2.0, 2.0),))
+        with pytest.raises(OutOfRange, match=match):
+            optim.solve_qp_convex(D, q, A, b)
+        with pytest.raises(OutOfRange, match=match):
+            optim.solve_miqp_batch(D, np.vstack([np.ones(2), q]), A, np.vstack([b, b]))
+
+
+def same_solution(got, want) -> bool:
+    if got.status != want.status:
+        return False
+    if not want.optimal:
+        return True
+    return (np.float64(got.value).tobytes() == np.float64(want.value).tobytes()
+            and got.point.tobytes() == want.point.tobytes())
+
+
+real = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def miqp_batches(draw):
+    """Up to 6 inputs (q, b) of one MIQP: random positive definite D with
+    n <= 3, up to 4 base rows with small integer entries (so a child box
+    often cuts the polytope empty), 1-2 boxed integer coordinates."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 4))
+    idx = tuple(sorted(draw(st.permutations(range(n)))[: draw(st.integers(1, min(2, n)))]))
+    R = np.array([[draw(real) for _ in range(n)] for _ in range(n)])
+    D = R @ R.T + draw(st.floats(0.1, 2.0)) * np.eye(n)
+    A = np.array([[float(draw(st.integers(-2, 2))) for _ in range(n)] for _ in range(m)])
+    bounds = tuple((draw(st.integers(-3, 0)) - 0.5 * draw(st.integers(0, 1)),
+                    float(draw(st.integers(0, 3)))) for _ in idx)
+    k = draw(st.integers(1, 6))
+    Q = np.array([[4.0 / 3.0 * draw(real) for _ in range(n)] for _ in range(k)])
+    B = np.array([[draw(real) for _ in range(m)] for _ in range(k)]).reshape(k, m)
+    return D, Q, A.reshape(m, n), B, idx, bounds
+
+
+class TestMiqpBatch:
+    """solve_miqp_batch against the per-input KKT enumeration and branch and
+    bound in tests/oracles.py, bit for bit."""
+
+    def check(self, D, Q, A, B, idx, bounds):
+        try:
+            want = [miqp_bb_oracle(D, q, A, b, idx, bounds) for q, b in zip(Q, B)]
+        except MeanRiskError as err:
+            with pytest.raises(type(err)) as got:
+                optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
+            assert str(got.value) == str(err)
+            return None
+        got = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert same_solution(g, w), (g, w)
+        return want
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=miqp_batches(), data=st.data())
+    def test_rows_match_the_oracle_in_any_order(self, case, data):
+        D, Q, A, B, idx, bounds = case
+        want = self.check(D, Q, A, B, idx, bounds)
+        if want is None:
+            return
+        order = data.draw(st.permutations(range(len(Q))))
+        for perm in (order, order[::-1]):
+            got = optim.solve_miqp_batch(D, Q[perm], A, B[perm], idx, bounds)
+            for g, i in zip(got, perm):
+                assert same_solution(g, want[i])
+
+    def test_infeasible_children_and_roots(self):
+        # y0 + y1 <= b0, -y0 + y1 <= b1 with y integer in [-2, 2] x [-2, 2]:
+        # fractional corners make children empty, b0 + b1 < -8 the root
+        D = np.array([[1.0, 0.2], [0.2, 0.7]])
+        A = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        Q = np.array([[-3.1, -2.2], [0.4, -5.3], [1.0, 1.0], [-7.0, 0.3]])
+        B = np.array([[0.5, -0.5], [-4.5, -4.5], [1.5, 0.25], [-2.75, 0.6]])
+        want = self.check(D, Q, A, B, (0, 1), ((-2.0, 2.0), (-2.0, 2.0)))
+        assert [w.status for w in want] == ["optimal", "infeasible", "optimal", "optimal"]
+
+    def test_qp_and_miqp_are_batches_of_one(self):
+        D = np.array([[2.0, 0.5], [0.5, 1.0]])
+        q, A, b = np.array([0.3, -1.7]), np.array([[1.0, 2.0], [-1.0, 0.5]]), np.array([0.7, 0.2])
+        want = miqp_bb_oracle(D, q, A, b, (), ())
+        assert same_solution(optim.solve_qp_convex(D, q, A, b), want)
+        qmp = optim.QuadraticMixedProgram(D, q, A, b, (1,), ((-3.0, 3.0),))
+        want = miqp_bb_oracle(D, q, A, b, (1,), ((-3.0, 3.0),))
+        assert same_solution(optim.solve_miqp(qmp), want)
+
+    def test_row_cap_is_checked_before_any_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before the row cap was checked")
+
+        monkeypatch.setattr(optim, "_stacked_solve", no_solve)
+        # 1 base row + 2 box rows for each of 10 integer coordinates
+        n = 10
+        with pytest.raises(ConstraintLimitExceeded, match="^21 rows > 20$"):
+            optim.solve_miqp_batch(np.eye(n), np.zeros((3, n)), np.ones((1, n)),
+                                   np.ones((3, 1)), tuple(range(n)), ((0.0, 1.0),) * n)
 
 
 class TestConvexMip:

@@ -1,7 +1,8 @@
 """eval_recourse_batch against the per-row oracle eval_recourse.
 
 The batch must equal eval_recourse row by row: bit for bit for milp, miqp
-and convex_mip, within 1e-12 (relative to max(1, |f|)) for linear, whose
+and convex_mip (miqp also against the per-input branch and bound of
+tests/oracles.py), within 1e-12 (relative to max(1, |f|)) for linear, whose
 bunched values come from a basis solve instead of the tableau.  On an
 infeasible, unbounded or invalid row it must raise what eval_recourse
 raises at the first such row.
@@ -20,6 +21,8 @@ from meanrisk.errors import ConstraintLimitExceeded, MeanRiskError, OutOfRange, 
 from meanrisk.measure import DiscreteMeasure
 from meanrisk.objective import MeanRiskModel, Q, argmin_set
 from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse, eval_recourse_batch
+
+from oracles import miqp_bb_oracle
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 DEMO_MODELS = sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
@@ -58,15 +61,22 @@ def assert_matches_oracle(model, x, Z, cache=None):
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """Counter of eval_recourse calls made through the module global."""
+    """Counter of solver inputs: one entry per call of the solve every
+    eval_recourse makes (recourse._solve, through the module global) and
+    one per row handed to the batched miqp solver."""
     calls = []
-    original = recourse.eval_recourse
+    solve, batch = recourse._solve, optim.solve_miqp_batch
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def counted_solve(model, xv, zv, *args, **kwargs):
+        calls.append(zv)
+        return solve(model, xv, zv, *args, **kwargs)
 
-    monkeypatch.setattr(recourse, "eval_recourse", counted)
+    def counted_batch(D, Q, A, B, *args, **kwargs):
+        calls.extend(B)
+        return batch(D, Q, A, B, *args, **kwargs)
+
+    monkeypatch.setattr(recourse, "_solve", counted_solve)
+    monkeypatch.setattr(optim, "solve_miqp_batch", counted_batch)
     return calls
 
 
@@ -82,6 +92,17 @@ class TestDemoModels:
             for Z in (nu.points, grid[:, None]):
                 assert_matches_oracle(model.recourse, x, Z)
                 assert_matches_oracle(model.recourse, x, Z, cache)
+
+    def test_miqp_equals_the_branch_and_bound_oracle(self):
+        # the benchmark's miqp recourse is this demo's, on 100 atoms uniform on [-2, 3]
+        model = MeanRiskModel.from_dict(load("model_miqp_expectation.json"))
+        r = model.recourse
+        draws = np.random.default_rng(7).uniform(-2.0, 3.0, size=(100, 1))
+        for Z in [DiscreteMeasure.from_dict(load(b)).points for b in BASES] + [draws]:
+            for x in model.decisions.points:
+                want = [miqp_bb_oracle(r.D, r.q_map(x, z), r.A, r.h_map(x, z), (0,),
+                                       r.integer_bounds).value for z in Z]
+                assert eval_recourse_batch(r, x, Z).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("name", DEMO_MODELS)
     def test_certificate_equals_per_row_loop(self, name):
@@ -127,11 +148,13 @@ class TestSolveCounts:
         model = MeanRiskModel.from_dict(load("model_miqp_expectation.json"))
         nu = DiscreteMeasure.from_dict(load("base_measure.json"))
         x = model.decisions.points[1]
+        want = [eval_recourse(model.recourse, x, z) for z in nu.points]
+        count_solves.clear()
         Q(model, x, nu)
         solved = len(count_solves)
         assert solved == len(nu)
-        for z in nu.points:
-            assert model.recourse_value(x, z) == eval_recourse(model.recourse, x, z)
+        for z, value in zip(nu.points, want):
+            assert model.recourse_value(x, z) == value
         assert len(count_solves) == solved  # every lookup hit the cache Q filled
 
 
@@ -179,6 +202,52 @@ class TestErrors:
         Z = np.array([[1.0], [10.0], [-1.0]])
         with np.errstate(over="ignore"), pytest.raises(OutOfRange, match="non-finite"):
             eval_recourse_batch(model, [0.0], Z)
+
+    def miqp(self, h_scale=1.0, m2=1):
+        # min y'y + q.y over y >= -h_scale z (first coordinate), y in [-600, 1100]
+        return RecourseModel(
+            kind="miqp", n=1, s=1, A=[[-1.0] + [0.0] * (m2 - 1)], D=np.eye(m2),
+            h_map=ParamMap(out_dim=1, matrix=[[0.0, h_scale]]),
+            q_map=ParamMap(out_dim=m2, matrix=[[1.0, -1.0]] * m2),
+            m2=m2, integer_bounds=((-600.0, 1100.0),) * m2,
+        )
+
+    @pytest.mark.parametrize(
+        "Z, error",
+        [([[0.5], [-1.0], [2.0]], RecourseInfeasible), ([[0.5], [2.0], [-1.0]], OutOfRange)],
+        ids=["infeasible-first", "non-finite-first"],
+    )
+    def test_first_failing_miqp_row_is_named(self, Z, error):
+        # h = 1e308 z: z = -1 needs y >= 1e308 (infeasible), z = 2 gives h = inf
+        model = self.miqp(h_scale=1e308)
+        with np.errstate(over="ignore"):
+            assert_matches_oracle(model, [0.0], np.array(Z))
+            with pytest.raises(error):
+                eval_recourse_batch(model, [0.0], np.array(Z))
+
+    def test_miqp_row_cap_before_any_solve(self, monkeypatch):
+        # 1 base row + 2 box rows for each of 10 integer coordinates
+        model = self.miqp(m2=10)
+
+        def no_solve(*args):
+            raise AssertionError("solved before the row cap was checked")
+
+        monkeypatch.setattr(optim, "_stacked_solve", no_solve)
+        with pytest.raises(ConstraintLimitExceeded) as want:
+            eval_recourse(model, [0.0], [0.5])
+        assert str(want.value) == "21 rows > 20"
+        assert_matches_oracle(model, [0.0], np.array([[0.5], [1.5]]))
+
+    def test_miqp_row_cap_cli_exit_code(self, tmp_path, capsys):
+        data = load("model_miqp_expectation.json")
+        data["recourse"] = self.miqp(m2=10).to_dict()
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(data))
+        argv = ["eval", "--model", str(model), "--measure", os.path.join(DEMO, BASES[0]), "--all"]
+        assert cli.main(argv) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "model error: ConstraintLimitExceeded: 21 rows > 20\n"
 
     def test_first_unbounded_linear_row_is_named(self):
         # min q.y, y1 - y2 = h: unbounded when q1 + q2 < 0, i.e. z < -1
@@ -346,6 +415,49 @@ def convex_instances(draw):
                           h_map=ParamMap(out_dim=2, matrix=H, constant=h0),
                           m2=2, integer_bounds=((-3.0, 3.0), (-2.5, 2.0)), gamma_K=1.0)
     return model, draw(st.sampled_from([0.0, 1.0])), draw(noise_rows(1))
+
+
+@st.composite
+def miqp_instances(draw):
+    # y = (continuous, integers in boxes); h and q move with x and z, and
+    # small h leaves some rows infeasible
+    m1 = draw(st.integers(0, 1))
+    m2 = draw(st.integers(1, 2))
+    n = m1 + m2
+    m = draw(st.integers(1, 2))
+    R = np.array([[draw(quarter) for _ in range(n)] for _ in range(n)])
+    D = R @ R.T + (0.3 + draw(st.integers(0, 6)) / 7.0) * np.eye(n)
+    A = np.array([[float(draw(st.integers(-2, 2))) for _ in range(n)] for _ in range(m)])
+    H, h0 = affine_map(draw, m, 2)
+    Qm, q0 = affine_map(draw, n, 2)
+    bounds = tuple((float(draw(st.integers(-3, 0))), float(draw(st.integers(0, 3))))
+                   for _ in range(m2))
+    model = RecourseModel(kind="miqp", n=1, s=1, A=A, D=D, m1=m1, m2=m2, integer_bounds=bounds,
+                          h_map=ParamMap(out_dim=m, matrix=H, constant=h0),
+                          q_map=ParamMap(out_dim=n, matrix=Qm, constant=q0 / 3.0))
+    return model, draw(st.sampled_from([0.0, 0.5, 1.0])), draw(noise_rows(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=miqp_instances(), data=st.data())
+def test_random_miqp_matches_the_branch_and_bound_oracle(case, data):
+    # values bit for bit, and the first infeasible row named, in any row order
+    model, x, Z = case
+    xv = np.array([x])
+    idx = tuple(range(model.m1, model.m1 + model.m2))
+    want = [miqp_bb_oracle(model.D, model.q_map(xv, z), model.A, model.h_map(xv, z), idx,
+                           model.integer_bounds) for z in Z]
+    order = np.arange(len(Z))
+    for perm in (order, order[::-1], np.array(data.draw(st.permutations(order)))):
+        failing = [i for i in perm if not want[i].optimal]
+        if failing:
+            with pytest.raises(RecourseInfeasible) as err:
+                eval_recourse_batch(model, xv, Z[perm])
+            assert str(err.value) == str(RecourseInfeasible(xv, Z[failing[0]]))
+        else:
+            got = eval_recourse_batch(model, xv, Z[perm])
+            assert got.tobytes() == np.array([want[i].value for i in perm]).tobytes()
+    assert_matches_oracle(model, xv, Z)
 
 
 @settings(max_examples=60, deadline=None)
