@@ -307,7 +307,7 @@ def quantile(dist: ScalarDistribution, beta):
     jumps exactly at the cumulative weights.
     """
     b = np.asarray(beta, dtype=float)
-    if np.any(b <= 0.0) or np.any(b >= 1.0):
+    if not np.all((b > 0.0) & (b < 1.0)):
         raise OutOfRange("quantile level must lie in (0, 1)")
     idx = np.searchsorted(dist.cumulative, b, side="left")
     out = dist.values[idx]
@@ -336,8 +336,8 @@ def moment(mu: DiscreteMeasure, q: float) -> float:
 
 def tail_functional(mu: DiscreteMeasure, q: float, a: float) -> float:
     """Sum_i w_i ||z_i||^q over atoms with ||z_i||^q strictly above a."""
-    if a < 0:
-        raise OutOfRange("tail threshold must be nonnegative")
+    if not (a >= 0):
+        raise OutOfRange(f"tail threshold must be nonnegative, got {a}")
     g = mu.norms() ** q
     mask = g > a
     return float(g[mask] @ mu.weights[mask])

@@ -60,6 +60,13 @@ def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2)
 
 
+def _finite(value: float, name: str, q: float) -> float:
+    """value, or OutOfRange when a power ||.||^q overflowed on the atoms."""
+    if not np.isfinite(value):
+        raise OutOfRange(f"{name} is {value} at order q = {q}: not finite on these atoms")
+    return value
+
+
 def _signed_parts(delta: np.ndarray):
     """Indices of the positive and of the negative part of a signed weight."""
     return np.where(delta > 1e-15)[0], np.where(delta < -1e-15)[0]
@@ -152,8 +159,8 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     q-th root).  In one dimension the quantile coupling integral is exact:
     int_0^1 |Q_mu - Q_nu|^q dbeta over the merged cumulative grid."""
     _check_dims(mu, nu)
-    if not (q >= 1.0):
-        raise OutOfRange(f"order q must be >= 1, got {q}")
+    if not (1.0 <= q < np.inf):
+        raise OutOfRange(f"order q must be finite and >= 1, got {q}")
     if mu.dim == 1:
         du, dv = _scalar(mu), _scalar(nu)
         cuts = np.union1d(du.cumulative, dv.cumulative)
@@ -161,7 +168,7 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
         prev = np.concatenate(([0.0], cuts[:-1]))
         mids = 0.5 * (prev + cuts)
         gaps = np.abs(quantile(du, mids) - quantile(dv, mids)) ** q
-        return float(gaps @ (cuts - prev)) ** (1.0 / q)
+        return _finite(float(gaps @ (cuts - prev)) ** (1.0 / q), "wasserstein", q)
     plan = transport_plan(mu.weights, nu.weights, _distances(mu.points, nu.points) ** q)
     return max(0.0, plan.cost) ** (1.0 / q)
 
@@ -185,8 +192,8 @@ def fortet_mourier(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     positive and negative parts of mu - nu under the reduced cost.
     """
     _check_dims(mu, nu)
-    if not (q >= 1.0):
-        raise OutOfRange(f"order q must be >= 1, got {q}")
+    if not (1.0 <= q < np.inf):
+        raise OutOfRange(f"order q must be finite and >= 1, got {q}")
     pts, w1, w2 = _union_support(mu, nu)
     delta = w1 - w2
     pos, neg = _signed_parts(delta)
@@ -195,7 +202,7 @@ def fortet_mourier(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     weight = np.maximum(1.0, np.linalg.norm(pts, axis=1) ** (q - 1.0))
     if mu.dim == 1:
         seg = np.diff(pts[:, 0]) * np.maximum(weight[:-1], weight[1:])
-        return float(np.abs(np.cumsum(delta)[:-1]) @ seg)
+        return _finite(float(np.abs(np.cumsum(delta)[:-1]) @ seg), "fortet_mourier", q)
     C = _floyd_warshall(_distances(pts, pts) * np.maximum(weight[:, None], weight[None, :]))
     return max(0.0, transport_plan(delta[pos], -delta[neg], C[np.ix_(pos, neg)]).cost)
 
@@ -205,9 +212,9 @@ def psi_metric(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     integrals.  Metrizes convergence in distribution together with
     convergence of the q-th moments."""
     _check_dims(mu, nu)
-    if not (q > 0):
-        raise OutOfRange(f"gauge exponent must be positive, got {q}")
-    return bounded_lipschitz(mu, nu) + abs(moment(mu, q) - moment(nu, q))
+    if not (0.0 < q < np.inf):
+        raise OutOfRange(f"gauge exponent must be finite and positive, got {q}")
+    return _finite(bounded_lipschitz(mu, nu) + abs(moment(mu, q) - moment(nu, q)), "psi_metric", q)
 
 
 @dataclass(frozen=True)
@@ -236,8 +243,8 @@ def diagnose_uniform_integrability(
     if len(dims) != 1:
         raise DimMismatch(f"family carries dims {sorted(dims)}")
     grid = np.sort(np.asarray(a_grid, dtype=float))
-    if np.any(grid < 0):
-        raise OutOfRange("thresholds must be nonnegative")
+    if not np.all(grid >= 0):
+        raise OutOfRange("thresholds must be nonnegative numbers")
     tails = np.array([[tail_functional(m, q, a) for a in grid] for m in family])
     sup_tails = tails.max(axis=0)
     below = sup_tails <= eps

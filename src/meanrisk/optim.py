@@ -13,9 +13,11 @@ objectives at the row counts used here.  The boxed rows are the same at
 every node, so each round of a batch of MIQP trees is one KKT sweep: per
 active set, one matrix for all pending relaxations, with per-input
 arithmetic, so a batch is bit-identical to its rows solved alone.
-Continuous slices of mixed-integer convex programs are solved by Kelley's
-cutting planes, one small LP per round, so their infeasibility is
-certified.
+Mixed-integer convex programs enumerate the integer lattice.  A batch of
+pure-integer programs that differ only in their right-hand sides shares one
+table of the objective and constraint values on the lattice; continuous
+slices are solved by Kelley's cutting planes, one small LP per round, so
+their infeasibility is certified.
 """
 
 from __future__ import annotations
@@ -597,8 +599,10 @@ def _kkt_sweep(D, A, Q, B) -> list:
     Every active set S has one KKT matrix K_S for all inputs, so each is
     solved once for all inputs still without a free minimum: one vector
     solve per input, so values are those of a per-input enumeration.  An
-    input without a KKT point must have an empty feasible set, which one LP
-    per input certifies (otherwise NumericalFailure).  Raises
+    input without a KKT point must have an empty feasible set: one LP per
+    input certifies it, or returns a point violating A y <= b + FEAS_TOL
+    (a set empty up to the tableau's phase-1 tolerance); a point that
+    passes raises NumericalFailure.  Raises
     ConstraintLimitExceeded for more than MAX_QP_ROWS rows.
     """
     k, n = Q.shape
@@ -650,9 +654,10 @@ def _kkt_sweep(D, A, Q, B) -> list:
         if found[pos]:
             out[j] = Solution("optimal", best_val[pos], best_y[pos])
             continue
-        # no KKT point: the feasible set must be empty
+        # no KKT point: the feasible set must be empty, which the LP
+        # certifies, or else the LP's point violates a row by > FEAS_TOL
         feas = solve_lp(lp(np.zeros(n), A, B[j], senses="<=", nonneg=(False,) * n))
-        if feas.status != "infeasible":
+        if feas.optimal and not np.any(A @ feas.point > B[j] + FEAS_TOL):
             raise NumericalFailure("feasible convex QP without a detected KKT point")
         out[j] = INFEASIBLE
     return out
@@ -704,6 +709,30 @@ def solve_miqp(qmp: QuadraticMixedProgram) -> Solution:
 # ---------------------------------------------------------------------------
 
 
+def _convex_arrays(g, R, integer_idx, integer_bounds, continuous_idx, continuous_box):
+    """g as a tuple, R as floats with one row per program, and the integer
+    and continuous indices and boxes, after the checks every convex-MIP entry
+    point makes."""
+    g = tuple(g)
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 2 or R.shape[1] != len(g):
+        raise DimMismatch("one rhs entry per constraint expression")
+    if not np.all(np.isfinite(R)):
+        raise OutOfRange("non-finite entries in rhs")
+    if len(integer_idx) != len(integer_bounds):
+        raise DimMismatch("one bounds pair per integer variable")
+    if len(continuous_idx) != len(continuous_box):
+        raise DimMismatch("one box pair per continuous variable")
+    for lo, hi in tuple(integer_bounds) + tuple(continuous_box):
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            raise InvalidSpec("boxes must be finite with lo <= hi")
+    def pairs(box):
+        return tuple((float(a), float(b)) for a, b in box)
+
+    return (g, R, tuple(int(i) for i in integer_idx), pairs(integer_bounds),
+            tuple(int(i) for i in continuous_idx), pairs(continuous_box))
+
+
 @dataclass(frozen=True)
 class ConvexMixedProgram:
     """min v(y)  s.t.  g_i(y) <= rhs_i,  integer coordinates boxed, the
@@ -719,27 +748,12 @@ class ConvexMixedProgram:
 
     def __post_init__(self):
         rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        if len(rhs) != len(self.g):
-            raise DimMismatch("one rhs entry per constraint expression")
-        if not np.all(np.isfinite(rhs)):
-            raise OutOfRange("non-finite entries in rhs")
-        if len(self.integer_idx) != len(self.integer_bounds):
-            raise DimMismatch("one bounds pair per integer variable")
-        if len(self.continuous_idx) != len(self.continuous_box):
-            raise DimMismatch("one box pair per continuous variable")
-        for lo, hi in tuple(self.integer_bounds) + tuple(self.continuous_box):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-                raise InvalidSpec("boxes must be finite with lo <= hi")
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "g", tuple(self.g))
-        object.__setattr__(self, "integer_idx", tuple(int(i) for i in self.integer_idx))
-        object.__setattr__(
-            self, "integer_bounds", tuple((float(a), float(b)) for a, b in self.integer_bounds)
-        )
-        object.__setattr__(self, "continuous_idx", tuple(int(i) for i in self.continuous_idx))
-        object.__setattr__(
-            self, "continuous_box", tuple((float(a), float(b)) for a, b in self.continuous_box)
-        )
+        checked = _convex_arrays(self.g, rhs[None], self.integer_idx, self.integer_bounds,
+                                 self.continuous_idx, self.continuous_box)
+        for name, value in zip(("g", "rhs", "integer_idx", "integer_bounds", "continuous_idx",
+                                "continuous_box"), checked):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "rhs", self.rhs[0])  # the one row of the checked rhs
 
     @property
     def n_vars(self) -> int:
@@ -765,7 +779,7 @@ def lattice_points(bounds) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def _kelley_slice(cmp: ConvexMixedProgram, y_full, cont, lo, hi):
+def _kelley_slice(v, g, rhs, y_full, cont, lo, hi):
     """Kelley's cutting planes on one continuous slice.
 
     Minimizes t over (y_c, t) subject to the box, the cuts
@@ -777,7 +791,7 @@ def _kelley_slice(cmp: ConvexMixedProgram, y_full, cont, lo, hi):
     bound."""
     k = len(cont)
     rows = [np.hstack([np.vstack([np.eye(k), -np.eye(k)]), np.zeros((2 * k, 1))])]
-    rhs = [hi, -lo]
+    cut_rhs = [hi, -lo]
     cost = np.zeros(k + 1)
     cost[-1] = 1.0
     best_val, best_pt = np.inf, None
@@ -785,19 +799,19 @@ def _kelley_slice(cmp: ConvexMixedProgram, y_full, cont, lo, hi):
     for _ in range(KELLEY_ROUNDS):
         y = y_full.copy()
         y[cont] = yc
-        val, grad = cmp.v.eval_with_subgradient(y)
+        val, grad = v.eval_with_subgradient(y)
         rows.append(np.append(grad[cont], -1.0))
-        rhs.append(grad[cont] @ yc - val)
+        cut_rhs.append(grad[cont] @ yc - val)
         feasible = True
-        for g, r in zip(cmp.g, cmp.rhs):
-            gval, ggrad = g.eval_with_subgradient(y)
+        for gi, r in zip(g, rhs):
+            gval, ggrad = gi.eval_with_subgradient(y)
             if gval - r > FEAS_TOL:
                 feasible = False
                 rows.append(np.append(ggrad[cont], 0.0))
-                rhs.append(r - gval + ggrad[cont] @ yc)
+                cut_rhs.append(r - gval + ggrad[cont] @ yc)
         if feasible and val < best_val:
             best_val, best_pt = val, y
-        sol = solve_lp(lp(cost, np.vstack(rows), np.hstack(rhs), "<=", (False,) * (k + 1)))
+        sol = solve_lp(lp(cost, np.vstack(rows), np.hstack(cut_rhs), "<=", (False,) * (k + 1)))
         if not sol.optimal:
             return None
         if best_pt is not None and best_val - sol.value <= 1e-10 * (1.0 + abs(best_val)):
@@ -806,43 +820,59 @@ def _kelley_slice(cmp: ConvexMixedProgram, y_full, cont, lo, hi):
     raise NumericalFailure(f"cutting planes did not close the gap in {KELLEY_ROUNDS} rounds")
 
 
+def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=(),
+                           continuous_box=()) -> list:
+    """solve_convex_mip at every rhs = R[j] with one v, g and set of boxes:
+    one Solution per row, bit-identical to solving each row alone.
+
+    Integer assignments are enumerated in lattice_points order and the best
+    feasible slice is kept (an improvement must exceed 1e-15).  Without
+    continuous coordinates a slice is one point: v and every g_i are
+    evaluated once on the lattice for all rows, and each point is checked
+    against g_i <= rhs_i + FEAS_TOL (the violation max_i(g_i - rhs_i) taken
+    left to right, as Python's max takes it).  A continuous slice is solved
+    per row by Kelley's cutting planes (_kelley_slice): its value is within
+    a relative 1e-10 of an LP lower bound, and it is reported infeasible
+    only when the cut LP is, which proves it.  NumericalFailure is raised
+    when a slice does not close its gap within KELLEY_ROUNDS rounds.  More
+    than MAX_LATTICE_POINTS integer assignments raise
+    ConstraintLimitExceeded before any is tried.  Errors are raised for the
+    batch, with the message a single row would give."""
+    g, R, idx, bounds, cont, box = _convex_arrays(
+        g, R, integer_idx, integer_bounds, continuous_idx, continuous_box
+    )
+    pts = lattice_points(bounds)
+    Y = np.zeros((len(pts), len(idx) + len(cont)))
+    Y[:, list(idx)] = pts
+    if cont:
+        lo, hi = _box_arrays(box)
+        cont = list(cont)
+        out = []
+        for rhs in R:
+            best_val, best_pt = np.inf, None
+            for y_full in Y:
+                found = _kelley_slice(v, g, rhs, y_full, cont, lo, hi)
+                if found is not None and found[0] < best_val - 1e-15:
+                    best_val, best_pt = found
+            out.append(INFEASIBLE if best_pt is None else Solution("optimal", best_val, best_pt))
+        return out
+    V = np.array([v.value(y) for y in Y], dtype=float)
+    G = np.array([[gi.value(y) for y in Y] for gi in g], dtype=float).reshape(len(g), len(Y))
+    best = np.full(len(R), np.inf)
+    arg = np.full(len(R), -1)
+    for l, val in enumerate(V):
+        viol = np.full(len(R), -np.inf)
+        for i in range(len(g)):
+            d = G[i, l] - R[:, i]
+            viol = d if i == 0 else np.where(d > viol, d, viol)
+        better = (viol <= FEAS_TOL) & (val < best - 1e-15)
+        best[better] = val
+        arg[better] = l
+    return [INFEASIBLE if a < 0 else Solution("optimal", b, Y[a].copy()) for a, b in zip(arg, best)]
+
+
 def solve_convex_mip(cmp: ConvexMixedProgram) -> Solution:
-    """Enumerate integer assignments and keep the best feasible slice.
-
-    A pure-integer slice is one point, checked exactly against
-    g_i <= rhs_i + FEAS_TOL.  A continuous slice is solved by Kelley's
-    cutting planes (_kelley_slice): its value is within a relative 1e-10 of
-    an LP lower bound, and it is reported infeasible only when the cut LP
-    is, which proves it.  NumericalFailure is raised when a slice does not
-    close its gap within KELLEY_ROUNDS rounds.  More than MAX_LATTICE_POINTS
-    integer assignments raise ConstraintLimitExceeded before any is tried.
-    """
-    n = cmp.n_vars
-    cont = list(cmp.continuous_idx)
-    lo = np.array([b[0] for b in cmp.continuous_box])
-    hi = np.array([b[1] for b in cmp.continuous_box])
-    best_val = np.inf
-    best_pt = None
-
-    for assign in lattice_points(cmp.integer_bounds):
-        y_full = np.zeros(n)
-        y_full[list(cmp.integer_idx)] = assign
-
-        if not cont:
-            viol = max(
-                (g.value(y_full) - r for g, r in zip(cmp.g, cmp.rhs)), default=-np.inf
-            )
-            if viol <= FEAS_TOL:
-                val = cmp.v.value(y_full)
-                if val < best_val - 1e-15:
-                    best_val = val
-                    best_pt = y_full.copy()
-            continue
-
-        found = _kelley_slice(cmp, y_full, cont, lo, hi)
-        if found is not None and found[0] < best_val - 1e-15:
-            best_val, best_pt = found
-
-    if best_pt is None:
-        return INFEASIBLE
-    return Solution("optimal", float(best_val), best_pt)
+    """Enumerate integer assignments and keep the best feasible slice, as a
+    batch of one (see solve_convex_mip_batch)."""
+    return solve_convex_mip_batch(cmp.v, cmp.g, cmp.rhs[None], cmp.integer_idx,
+                                  cmp.integer_bounds, cmp.continuous_idx, cmp.continuous_box)[0]

@@ -5,6 +5,12 @@ milp        min q.y        s.t. A y  = h(x,z), y >= 0, last m2 coords integer
 miqp        min y'Dy+q(x,z).y  s.t. A y <= h(x,z), last m2 coords integer
 convex_mip  min v(y)       s.t. g(y) <= h(x,z), last m2 coords integer
 
+Each kind has one route to its solver (_solve_rows): bunching over
+optim.solve_lp for linear, optim.solve_milp per input for milp, and the
+batched optim.solve_miqp_batch and optim.solve_convex_mip_batch for miqp
+and convex_mip.  eval_recourse_batch solves every distinct input of a batch
+that way, and eval_recourse is a batch of one.
+
 Infeasibility or unboundedness at a point signals a violated model
 assumption for that instance and is raised, never silently absorbed.
 """
@@ -264,88 +270,27 @@ def _check_dims(model: RecourseModel, n_x: int, n_z: int):
         raise DimMismatch(f"noise has dim {n_z}, model expects {model.s}")
 
 
-def eval_recourse(model: RecourseModel, x, z, *, point: bool = False):
-    """Optimal value f(x, z) of the recourse problem; with point=True the
-    pair (value, an optimal recourse vector y)."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+def eval_recourse(model: RecourseModel, x, z) -> float:
+    """Optimal value f(x, z) of the recourse problem (a batch of one)."""
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_dims(model, len(xv), len(zv))
-    q = model.q_map(xv, zv) if model.kind in ("linear", "miqp") else None
-    return _solve(model, xv, zv, model.h_map(xv, zv), q, point)
-
-
-def _solve(model: RecourseModel, xv, zv, h, q, point: bool = False):
-    """eval_recourse at (xv, zv) from its mapped right-hand side h and cost
-    q (None for milp and convex_mip), so a caller that has mapped them
-    already does not map them again."""
-    idx = tuple(range(model.m1, model.m1 + model.m2))
-    if model.kind == "linear":
-        sol = optim.solve_lp(optim.lp(q, model.A, h))
-    elif model.kind == "milp":
-        base = optim.lp(model.q, model.A, h)
-        # Eq-form integer recourse keeps y >= 0, so the declared boxes are
-        # clipped from below at zero.
-        bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
-        sol = optim.solve_milp(optim.MixedIntegerProgram(base, idx, bounds))
-    elif model.kind == "miqp":
-        sol = optim.solve_miqp(
-            optim.QuadraticMixedProgram(model.D, q, model.A, h, idx, model.integer_bounds)
-        )
-    else:
-        prob = optim.ConvexMixedProgram(
-            v=model.v,
-            g=model.g,
-            rhs=h,
-            integer_idx=idx,
-            integer_bounds=model.integer_bounds,
-            continuous_idx=tuple(range(model.m1)),
-            continuous_box=model.continuous_box,
-        )
-        sol = optim.solve_convex_mip(prob)
-    return _result(model, xv, zv, sol, point)
-
-
-def _result(model: RecourseModel, xv, zv, sol, point: bool = False):
-    """The value (and point) of an optimal sol; RecourseInfeasible or
-    RecourseUnbounded at (xv, zv) otherwise."""
-    if sol.status == "infeasible":
-        detail = ""
-        if model.kind == "convex_mip" and model.m1:
-            detail = "certified: the cutting-plane LP of every continuous slice is infeasible"
-        raise RecourseInfeasible(xv, zv, detail)
-    if sol.status == "unbounded":
-        raise RecourseUnbounded(xv, zv)
-    return (sol.value, sol.point) if point else sol.value
+    return float(eval_recourse_batch(model, x, zv[None, :])[0])
 
 
 def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -> np.ndarray:
-    """f(x, z) at every row z of Z, as eval_recourse gives it row by row.
+    """f(x, z) at every row z of Z.
 
     Rows are keyed on the bytes of what the solver sees: h(x, z), and
     q(x, z) for linear and miqp.  Each key not yet in `cache` (a dict the
     caller may keep across calls; a fresh one by default) is solved once,
     so rows that differ only where the solver does not look share a solve.
-    Exactness per kind:
-
-    milp, convex_mip with m1 > 0
-        every distinct input goes through eval_recourse's solve (_solve,
-        with the h and q already mapped for the key): bit-identical.
-    miqp
-        all distinct inputs go to one optim.solve_miqp_batch call, whose
-        lockstep trees visit the nodes solve_miqp visits for each input
-        alone, with the same arithmetic: bit-identical.
-    convex_mip with m1 = 0
-        v and every g_i are evaluated once on the integer lattice, then
-        solve_convex_mip's feasibility test and update are applied point by
-        point in its order to all inputs at once: bit-identical.
-    linear
-        bunching (_bunched): an input is accepted at q_B.B^-1 h when an
-        optimal basis B found at another input with the same q has
-        B^-1 h >= 0; the value is the optimum, and agrees with the per-row
-        tableau to round-off (1e-12 relative in the tests).
+    All misses go to their kind's solver in one _solve_rows call; a
+    batched solver gives each row what it gives the row alone, and linear
+    bunching agrees with the per-row LP to round-off (1e-12 relative in the
+    tests).
 
     A row whose recourse problem is infeasible, unbounded or invalid raises
-    the error eval_recourse raises there, for the first such row in order.
+    its error, for the first such row in order: a batch that raises is
+    replayed one row at a time.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     Zv = np.asarray(Z, dtype=float)
@@ -366,78 +311,74 @@ def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -
             todo[key] = i
     rows = np.fromiter(todo.values(), dtype=int, count=len(todo))
     if len(rows):
-        if model.kind == "convex_mip" and not model.m1:
-            values = _lattice_scan(model, xv, Zv[rows], H[rows])
-        elif model.kind == "linear":
-            values = _bunched(model, xv, Zv[rows], H[rows], C[rows])
-        elif model.kind == "miqp":
-            values = _miqp_rows(model, xv, Zv[rows], H[rows], C[rows])
-        else:
-            values = [_solve(model, xv, z, h, None) for z, h in zip(Zv[rows], H[rows])]
-        cache.update(zip(todo, values))
+        try:
+            sols = _solve_rows(model, H[rows], C[rows])
+        except MeanRiskError:
+            sols = (_solve_rows(model, H[[j]], C[[j]])[0] for j in rows)
+        cache.update(zip(todo, [_result(model, xv, Zv[j], sol) for j, sol in zip(rows, sols)]))
     return np.array([cache[key] for key in keys], dtype=float)
 
 
-def _lattice_scan(model: RecourseModel, xv, Zv, H) -> np.ndarray:
-    """Pure-integer convex_mip at the right-hand sides H (one row per input).
-
-    Runs solve_convex_mip's loop once for all inputs: lattice points in its
-    order, the violation max_i(g_i - h_i) taken left to right as Python's
-    max does, the test <= FEAS_TOL and the update val < best - 1e-15.
-    Rows the table cannot answer (infeasible, or a non-finite h the
-    solver refuses) go through _solve, which raises their error."""
-    pts = optim.lattice_points(model.integer_bounds)
-    V = np.array([model.v.value(p) for p in pts], dtype=float)
-    G = np.array([[g.value(p) for p in pts] for g in model.g], dtype=float)
-    best = np.full(len(H), np.inf)
-    found = np.zeros(len(H), dtype=bool)
-    for l, val in enumerate(V):
-        viol = np.full(len(H), -np.inf)
-        for i in range(len(G)):
-            d = G[i, l] - H[:, i]
-            viol = d if i == 0 else np.where(d > viol, d, viol)
-        better = (viol <= optim.FEAS_TOL) & (val < best - 1e-15)
-        best[better] = val
-        found |= better
-    for j in np.flatnonzero(~found | ~np.all(np.isfinite(H), axis=1)):
-        best[j] = _solve(model, xv, Zv[j], H[j], None)
-    return best
-
-
-def _miqp_rows(model: RecourseModel, xv, Zv, H, C) -> list:
-    """miqp at the inputs (H[j], C[j]) through one optim.solve_miqp_batch.
-
-    A batch that raises is replayed row by row, so the error raised is
-    the one eval_recourse raises at the first failing row."""
+def _solve_rows(model: RecourseModel, H, C) -> list:
+    """The recourse problem at every right-hand side H[j] (and cost C[j] for
+    linear and miqp) through the one solver of its kind: one Solution per
+    row, or, for a linear row bunching answered, its optimal value."""
     idx = tuple(range(model.m1, model.m1 + model.m2))
-    try:
-        sols = optim.solve_miqp_batch(model.D, C, model.A, H, idx, model.integer_bounds)
-    except MeanRiskError:
-        return [_solve(model, xv, z, h, q) for z, h, q in zip(Zv, H, C)]
-    return [_result(model, xv, z, sol) for z, sol in zip(Zv, sols)]
+    if model.kind == "linear":
+        return _bunched(model.A, H, C)
+    if model.kind == "milp":
+        # Eq-form integer recourse keeps y >= 0, so the declared boxes are
+        # clipped from below at zero.
+        bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
+        return [
+            optim.solve_milp(optim.MixedIntegerProgram(optim.lp(model.q, model.A, h), idx, bounds))
+            for h in H
+        ]
+    if model.kind == "miqp":
+        return optim.solve_miqp_batch(model.D, C, model.A, H, idx, model.integer_bounds)
+    return optim.solve_convex_mip_batch(model.v, model.g, H, idx, model.integer_bounds,
+                                        tuple(range(model.m1)), model.continuous_box)
 
 
-def _bunched(model: RecourseModel, xv, Zv, H, C) -> np.ndarray:
-    """Linear recourse by bunching (Wets 1974; Birge & Louveaux, ch. 5).
+def _result(model: RecourseModel, xv, zv, sol) -> float:
+    """The value of sol (a float is already an optimal value);
+    RecourseInfeasible or RecourseUnbounded at (xv, zv) otherwise."""
+    if isinstance(sol, float):
+        return sol
+    if sol.status == "infeasible":
+        detail = ""
+        if model.kind == "convex_mip" and model.m1:
+            detail = "certified: the cutting-plane LP of every continuous slice is infeasible"
+        raise RecourseInfeasible(xv, zv, detail)
+    if sol.status == "unbounded":
+        raise RecourseUnbounded(xv, zv)
+    return sol.value
+
+
+def _bunched(A, H, C) -> list:
+    """Linear recourse min C[j].y, A y = H[j], y >= 0 by bunching (Wets
+    1974; Birge & Louveaux, ch. 5).
 
     Inputs are solved in order.  When an optimal y has exactly m positive
     coordinates and B = A[:, supp y] is nonsingular, B is an optimal basis,
     and it stays dual feasible for every input with the same q; so each
     unsolved input with that q and B^-1 h >= 0 (finite) takes the value
-    q_B.B^-1 h without a solve."""
-    A = model.A
+    q_B.B^-1 h without a solve.  Returns the Solution of each solved input
+    and the value of each bunched one."""
     same_q = {}
     for i, c in enumerate(C):
         same_q.setdefault(c.tobytes(), []).append(i)
     same_q = {key: np.array(rows) for key, rows in same_q.items()}
-    values = np.empty(len(H))
+    out = [None] * len(H)
     done = np.zeros(len(H), dtype=bool)
     for j in range(len(H)):
         if done[j]:
             continue
-        values[j], y = _solve(model, xv, Zv[j], H[j], C[j], point=True)
+        sol = out[j] = optim.solve_lp(optim.lp(C[j], A, H[j]))
         done[j] = True
-        basis = np.flatnonzero(y > 0)
+        if not sol.optimal:
+            continue
+        basis = np.flatnonzero(sol.point > 0)
         if len(basis) != A.shape[0]:
             continue
         peers = same_q[C[j].tobytes()]
@@ -449,9 +390,10 @@ def _bunched(model: RecourseModel, xv, Zv, H, C) -> np.ndarray:
         except np.linalg.LinAlgError:
             continue
         ok = np.all(Y >= 0.0, axis=0) & np.all(np.isfinite(Y), axis=0)
-        values[rest[ok]] = C[j, basis] @ Y[:, ok]
+        for i, value in zip(rest[ok], C[j, basis] @ Y[:, ok]):
+            out[i] = value
         done[rest[ok]] = True
-    return values
+    return out
 
 
 def theoretical_exponent(

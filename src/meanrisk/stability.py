@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DimMismatch,
     EmptySet,
     InvalidSpec,
     MeanRiskError,
@@ -218,6 +219,8 @@ def argmin_excess(candidate, reference) -> float:
     ref = np.atleast_2d(np.asarray(getattr(reference, "points", reference), dtype=float))
     if cand.size == 0 or ref.size == 0:
         raise EmptySet("argmin excess needs nonempty sets")
+    if cand.shape[1] != ref.shape[1]:
+        raise DimMismatch(f"argmin sets of dims {cand.shape[1]} vs {ref.shape[1]}")
     d = np.linalg.norm(cand[:, None, :] - ref[None, :, :], axis=2)
     return float(np.max(np.min(d, axis=1)))
 

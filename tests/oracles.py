@@ -7,9 +7,11 @@ mixed-integer optima from closed-form one-variable solves per lattice
 assignment, mixed-integer QPs from the per-input KKT enumeration and
 depth-first branch and bound that ``optim`` ran before its batched
 lockstep form (one tree and one ``np.linalg.solve`` per relaxation and
-active set), one-dimensional convex minima from dense grids, polyhedral
-convex slices from one ``scipy.optimize.linprog`` LP, and disc-slab
-slivers in closed form.  Metric values come from the dense formulations,
+active set), mixed-integer convex optima from the per-program lattice loop
+that ``optim`` ran before its batched table, recourse values from one
+solve per (x, z) with no batching or bunching, one-dimensional convex
+minima from dense grids, polyhedral convex slices from one
+``scipy.optimize.linprog`` LP, and disc-slab slivers in closed form.  Metric values come from the dense formulations,
 solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
 one Lipschitz row per ordered pair of atoms, and transport LPs with one
 dense marginal row per atom.
@@ -22,7 +24,12 @@ import numpy as np
 import scipy.optimize
 
 from meanrisk import optim
-from meanrisk.errors import ConstraintLimitExceeded, NumericalFailure
+from meanrisk.errors import (
+    ConstraintLimitExceeded,
+    NumericalFailure,
+    RecourseInfeasible,
+    RecourseUnbounded,
+)
 from meanrisk.measure import POINT_TOL, ScalarDistribution, quantile
 
 
@@ -293,10 +300,12 @@ def qp_kkt_oracle(D, q, A, b):
                 best = (val, y)
     if best is not None:
         return optim.Solution("optimal", best[0], best[1])
+    # an infeasible certificate LP, or one whose point violates a row by
+    # more than FEAS_TOL, means the feasible set is empty
     feas = optim.solve_lp(optim.lp(np.zeros(n), A, b, senses="<=", nonneg=(False,) * n))
-    if feas.status == "infeasible":
-        return optim.INFEASIBLE
-    raise NumericalFailure("feasible convex QP without a detected KKT point")
+    if feas.optimal and not np.any(A @ feas.point > b + optim.FEAS_TOL):
+        raise NumericalFailure("feasible convex QP without a detected KKT point")
+    return optim.INFEASIBLE
 
 
 def miqp_bb_oracle(D, q, A, b, int_idx, bounds):
@@ -355,6 +364,67 @@ def miqp_bb_oracle(D, q, A, b, int_idx, bounds):
     if best_pt is None:
         return optim.INFEASIBLE
     return optim.Solution("optimal", best_val, best_pt)
+
+
+def convex_mip_loop_oracle(cmp):
+    """solve_convex_mip as a loop over lattice points, one program at a time:
+    a pure-integer point is checked against max_i(g_i - rhs_i) <= FEAS_TOL
+    with Python's max, a continuous slice goes to Kelley's cutting planes,
+    and an improvement must exceed 1e-15."""
+    n = cmp.n_vars
+    cont = list(cmp.continuous_idx)
+    lo = np.array([b[0] for b in cmp.continuous_box])
+    hi = np.array([b[1] for b in cmp.continuous_box])
+    best_val, best_pt = np.inf, None
+    for assign in optim.lattice_points(cmp.integer_bounds):
+        y_full = np.zeros(n)
+        y_full[list(cmp.integer_idx)] = assign
+        if cont:
+            found = optim._kelley_slice(cmp.v, cmp.g, cmp.rhs, y_full, cont, lo, hi)
+            if found is not None and found[0] < best_val - 1e-15:
+                best_val, best_pt = found
+            continue
+        viol = max((g.value(y_full) - r for g, r in zip(cmp.g, cmp.rhs)), default=-np.inf)
+        if viol <= optim.FEAS_TOL:
+            val = cmp.v.value(y_full)
+            if val < best_val - 1e-15:
+                best_val, best_pt = val, y_full.copy()
+    if best_pt is None:
+        return optim.INFEASIBLE
+    return optim.Solution("optimal", float(best_val), best_pt)
+
+
+def recourse_row_oracle(model, x, z):
+    """f(x, z) solved on its own: solve_lp for linear, solve_milp for milp,
+    miqp_bb_oracle for miqp and convex_mip_loop_oracle for convex_mip, the
+    solver inputs checked by optim's program classes.  Raises what the
+    recourse module raises at that row."""
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    zv = np.atleast_1d(np.asarray(z, dtype=float))
+    h = model.h_map(xv, zv)
+    idx = tuple(range(model.m1, model.m1 + model.m2))
+    if model.kind == "linear":
+        sol = optim.solve_lp(optim.lp(model.q_map(xv, zv), model.A, h))
+    elif model.kind == "milp":
+        bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
+        mip = optim.MixedIntegerProgram(optim.lp(model.q, model.A, h), idx, bounds)
+        sol = optim.solve_milp(mip)
+    elif model.kind == "miqp":
+        qmp = optim.QuadraticMixedProgram(model.D, model.q_map(xv, zv), model.A, h, idx,
+                                          model.integer_bounds)
+        sol = miqp_bb_oracle(qmp.D, qmp.q, qmp.A, qmp.b, qmp.integer_idx, qmp.bounds)
+    else:
+        sol = convex_mip_loop_oracle(optim.ConvexMixedProgram(
+            model.v, model.g, h, idx, model.integer_bounds, tuple(range(model.m1)),
+            model.continuous_box))
+    if sol.status == "infeasible":
+        detail = ""
+        if model.kind == "convex_mip" and model.m1:
+            detail = "certified: the cutting-plane LP of every continuous slice is infeasible"
+        raise RecourseInfeasible(xv, zv, detail)
+    if sol.status == "unbounded":
+        raise RecourseUnbounded(xv, zv)
+    return sol.value
 
 
 def convex_grid_oracle(v, gs, rhs, box_lo, box_hi, step=1e-3):

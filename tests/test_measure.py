@@ -192,7 +192,7 @@ class TestQuantile:
 
     def test_range_validation(self):
         d = ms.ScalarDistribution.from_pairs([0], [1.0])
-        for beta in (0.0, 1.0, -0.1, 1.1):
+        for beta in (0.0, 1.0, -0.1, 1.1, np.nan, [0.5, np.nan]):
             with pytest.raises(OutOfRange):
                 ms.quantile(d, beta)
 
@@ -294,6 +294,10 @@ class TestMoments:
         for n in (2, 10, 100):
             mu = ms.canonicalize([((0,), 1 - 1 / n), ((n,), 1 / n)])
             assert ms.tail_functional(mu, 1, n / 2) == pytest.approx(1.0)
+
+    def test_tail_nan_threshold_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="nonnegative"):
+            ms.tail_functional(ms.dirac([1.0]), 1, np.nan)
 
     def test_tail_partial(self):
         mu = ms.canonicalize([((1,), 0.5), ((2,), 0.5)])

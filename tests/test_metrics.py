@@ -177,6 +177,47 @@ class TestSizeCap:
         assert out.out == "" and "plan" in out.err
 
 
+NEAR = (canonicalize([((0.5,), 0.5), ((2.0,), 0.5)]),
+        canonicalize([((0.0,), 0.5), ((3.0,), 0.5)]))
+FAR = (NEAR[0], canonicalize([((10.0,), 1.0)]))
+ORDERED = {"wasserstein": mt.wasserstein, "fm": mt.fortet_mourier, "psi": mt.psi_metric}
+# (kind, --q, pair): non-finite orders, then finite orders whose value overflows
+NON_FINITE = [(kind, q, "near") for kind in ORDERED for q in ("inf", "nan")] + [
+    ("fm", "1000", "near"), ("psi", "1000", "near"), ("wasserstein", "1000", "far")]
+
+
+class TestNonFinite:
+    """A non-finite order, or a value that overflows, is OutOfRange (CLI exit
+    2), never a NaN, an Infinity or a meaningless 1.0 on stdout."""
+
+    @pytest.mark.parametrize("kind, q, pair", NON_FINITE)
+    def test_api_raises(self, kind, q, pair):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OutOfRange, match="finite"):
+                ORDERED[kind](*(NEAR if pair == "near" else FAR), float(q))
+
+    @pytest.mark.parametrize("kind, q, pair", NON_FINITE)
+    def test_cli_exit_code(self, kind, q, pair, tmp_path, capsys):
+        paths = []
+        for name, m in zip("ab", NEAR if pair == "near" else FAR):
+            path = tmp_path / f"{name}.json"
+            path.write_text(m.dumps())
+            paths.append(str(path))
+        argv = ["metrics", "--measure", paths[0], "--measure2", paths[1], "--kind", kind,
+                "--q", q]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error:") and "finite" in out.err
+
+    def test_large_finite_order_still_works(self):
+        assert np.isfinite(mt.wasserstein(*NEAR, 1000.0))
+
+    def test_nan_threshold_grid_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match="thresholds"):
+            mt.diagnose_uniform_integrability(NEAR, 1.0, [0.0, np.nan, 2.0])
+
+
 # --- metric axioms on small random measures ---------------------------------
 
 atom = st.tuples(st.integers(-6, 6), st.integers(1, 4))

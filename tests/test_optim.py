@@ -15,6 +15,7 @@ from meanrisk.errors import (
 
 from oracles import (
     convex_grid_oracle,
+    convex_mip_loop_oracle,
     highs_duals,
     lp_vertex_oracle,
     milp_closed_oracle,
@@ -386,6 +387,17 @@ class TestMiqpBatch:
         want = miqp_bb_oracle(D, q, A, b, (1,), ((-3.0, 3.0),))
         assert same_solution(optim.solve_miqp(qmp), want)
 
+    def test_certificate_point_violating_a_row_is_infeasible(self):
+        # the ceil child y >= 0 against y <= -5.96e-8 has no KKT point within
+        # FEAS_TOL, and the tableau's phase 1 (tolerance 1e-7) returns y = 0
+        D, q, A = np.array([[10.7575]]), np.array([0.0]), np.array([[0.0], [1.0], [-1.0]])
+        b = np.array([0.451, -5.96e-8, 0.0267])
+        qmp = optim.QuadraticMixedProgram(D, q, A, b, (0,), ((-0.5, 2.0),))
+        assert optim.solve_miqp(qmp).status == "infeasible"
+        assert miqp_bb_oracle(D, q, A, b, (0,), ((-0.5, 2.0),)).status == "infeasible"
+        child = optim.solve_qp_convex(D, q, np.vstack([A, [[-1.0]]]), np.append(b, 0.0))
+        assert child.status == "infeasible"
+
     def test_row_cap_is_checked_before_any_solve(self, monkeypatch):
         def no_solve(*args):
             raise AssertionError("solved before the row cap was checked")
@@ -396,6 +408,70 @@ class TestMiqpBatch:
         with pytest.raises(ConstraintLimitExceeded, match="^21 rows > 20$"):
             optim.solve_miqp_batch(np.eye(n), np.zeros((3, n)), np.ones((1, n)),
                                    np.ones((3, 1)), tuple(range(n)), ((0.0, 1.0),) * n)
+
+
+@st.composite
+def convex_batches(draw):
+    """Up to 6 right-hand sides of one pure-integer convex MIP on n <= 3
+    variables: v = (a.y + b)^2 + c|y_j - d|, constraints |y_i - e| and
+    max(a'.y, -y_j); small right-hand sides leave some rows infeasible and
+    ties between lattice points are common."""
+    n = draw(st.integers(1, 3))
+    coef = st.integers(-4, 4).map(lambda k: 0.5 * k)
+    j = draw(st.integers(0, n - 1))
+    unit = [1.0 if i == j else 0.0 for i in range(n)]
+    v = exprs.vsum(
+        exprs.even_power(exprs.affine([draw(coef) for _ in range(n)], draw(coef)), 2),
+        exprs.scale(abs(draw(coef)), exprs.vabs(exprs.affine(unit, -draw(coef)))),
+    )
+    g = (
+        exprs.vabs(exprs.affine([1.0] + [0.0] * (n - 1), -draw(coef))),
+        exprs.vmax(exprs.affine([draw(coef) for _ in range(n)]),
+                   exprs.affine([-u for u in unit])),
+    )[: draw(st.integers(0, 2))]
+    idx = tuple(draw(st.permutations(range(n))))
+    bounds = tuple((draw(st.integers(-3, 0)) - 0.5 * draw(st.integers(0, 1)),
+                    float(draw(st.integers(0, 2)))) for _ in idx)
+    k = draw(st.integers(1, 6))
+    R = np.array([[draw(coef) for _ in g] for _ in range(k)]).reshape(k, len(g))
+    return v, g, R, idx, bounds
+
+
+class TestConvexMipBatch:
+    """solve_convex_mip_batch against the per-program lattice loop in
+    tests/oracles.py, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=convex_batches(), data=st.data())
+    def test_rows_match_the_loop_in_any_order(self, case, data):
+        v, g, R, idx, bounds = case
+        want = [convex_mip_loop_oracle(optim.ConvexMixedProgram(v, g, r, idx, bounds, (), ()))
+                for r in R]
+        order = np.array(data.draw(st.permutations(range(len(R)))), dtype=int)
+        for perm in (np.arange(len(R)), order, order[::-1]):
+            got = optim.solve_convex_mip_batch(v, g, R[perm], idx, bounds)
+            assert len(got) == len(perm)
+            for sol, i in zip(got, perm):
+                assert same_solution(sol, want[i]), (sol, want[i])
+
+    def test_continuous_slices_match_the_loop(self):
+        # the mixed program of TestConvexMip, at three right-hand sides
+        v = exprs.vsum(
+            exprs.even_power(exprs.affine([1.0, 0.0], -1.5), 2),
+            exprs.even_power(exprs.affine([0.0, 1.0], 0.25), 2),
+        )
+        g = (exprs.vabs(exprs.var(0)),)
+        R = np.array([[2.0], [-1.0], [0.5]])
+        got = optim.solve_convex_mip_batch(v, g, R, (1,), ((-3, 3),), (0,), ((-4, 4),))
+        for sol, r in zip(got, R):
+            prob = optim.ConvexMixedProgram(v, g, r, (1,), ((-3, 3),), (0,), ((-4, 4),))
+            assert same_solution(sol, convex_mip_loop_oracle(prob))
+        assert [sol.status for sol in got] == ["optimal", "infeasible", "optimal"]
+
+    def test_a_non_finite_row_fails_the_batch(self):
+        g = (exprs.vabs(exprs.var(0)),)
+        with pytest.raises(OutOfRange, match="non-finite"):
+            optim.solve_convex_mip_batch(exprs.var(0), g, [[1.0], [np.inf]], (0,), ((-2, 2),))
 
 
 class TestConvexMip:

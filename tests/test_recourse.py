@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from meanrisk import exprs
-from meanrisk.errors import EmptySet, RecourseInfeasible
+from meanrisk.errors import DimMismatch, EmptySet, RecourseInfeasible
 from meanrisk.measure import ScalarDistribution, canonicalize
 from meanrisk.objective import MeanRiskModel, Q, argmin_set, phi, q_profile
 from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse
@@ -156,6 +156,10 @@ class TestObjective:
             assert argmin_excess(a, np.vstack([a, b])) == 0.0
         with pytest.raises(EmptySet):
             argmin_excess(np.zeros((0, 2)), a)
+
+    def test_argmin_excess_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            argmin_excess([[0.0, 1.0]], [[0.0]])
 
 
 class TestRoundTrip:

@@ -1,15 +1,15 @@
-"""eval_recourse_batch against the per-row oracle eval_recourse.
+"""eval_recourse_batch against the per-row oracle of tests/oracles.py.
 
-The batch must equal eval_recourse row by row: bit for bit for milp, miqp
-and convex_mip (miqp also against the per-input branch and bound of
-tests/oracles.py), within 1e-12 (relative to max(1, |f|)) for linear, whose
-bunched values come from a basis solve instead of the tableau.  On an
-infeasible, unbounded or invalid row it must raise what eval_recourse
-raises at the first such row.
+The batch must equal recourse_row_oracle row by row: bit for bit for milp,
+miqp and convex_mip, within 1e-12 (relative to max(1, |f|)) for linear,
+whose bunched values come from a basis solve instead of the tableau.  On an
+infeasible, unbounded or invalid row it must raise what the oracle raises
+at the first such row.
 """
 
 import json
 import os
+import types
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from meanrisk.measure import DiscreteMeasure
 from meanrisk.objective import MeanRiskModel, Q, argmin_set
 from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse, eval_recourse_batch
 
-from oracles import miqp_bb_oracle
+from oracles import miqp_bb_oracle, recourse_row_oracle
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 DEMO_MODELS = sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
@@ -36,10 +36,10 @@ def load(name):
 
 
 def per_row(model, x, Z):
-    """(values, None) from eval_recourse row by row, or (None, error) for
-    the first row that raises."""
+    """(values, None) from recourse_row_oracle row by row, or (None, error)
+    for the first row that raises."""
     try:
-        return np.array([eval_recourse(model, x, z) for z in Z], dtype=float), None
+        return np.array([recourse_row_oracle(model, x, z) for z in Z], dtype=float), None
     except MeanRiskError as err:
         return None, err
 
@@ -61,22 +61,33 @@ def assert_matches_oracle(model, x, Z, cache=None):
 
 @pytest.fixture
 def count_solves(monkeypatch):
-    """Counter of solver inputs: one entry per call of the solve every
-    eval_recourse makes (recourse._solve, through the module global) and
-    one per row handed to the batched miqp solver."""
+    """Counter of the solver inputs recourse hands to optim: one entry per
+    solve_lp or solve_milp call and one per row of a solve_miqp_batch or
+    solve_convex_mip_batch call.  Only recourse's own reference to optim is
+    replaced, so the solves optim makes inside a solver (solve_milp's LP
+    relaxations, Kelley's cut LPs) are not counted."""
     calls = []
-    solve, batch = recourse._solve, optim.solve_miqp_batch
 
-    def counted_solve(model, xv, zv, *args, **kwargs):
-        calls.append(zv)
-        return solve(model, xv, zv, *args, **kwargs)
+    def counted_lp(prob):
+        calls.append(prob)
+        return optim.solve_lp(prob)
 
-    def counted_batch(D, Q, A, B, *args, **kwargs):
+    def counted_milp(mip):
+        calls.append(mip)
+        return optim.solve_milp(mip)
+
+    def counted_miqp(D, Q, A, B, *args):
         calls.extend(B)
-        return batch(D, Q, A, B, *args, **kwargs)
+        return optim.solve_miqp_batch(D, Q, A, B, *args)
 
-    monkeypatch.setattr(recourse, "_solve", counted_solve)
-    monkeypatch.setattr(optim, "solve_miqp_batch", counted_batch)
+    def counted_convex(v, g, R, *args):
+        calls.extend(R)
+        return optim.solve_convex_mip_batch(v, g, R, *args)
+
+    spy = types.SimpleNamespace(**vars(optim))
+    spy.solve_lp, spy.solve_milp = counted_lp, counted_milp
+    spy.solve_miqp_batch, spy.solve_convex_mip_batch = counted_miqp, counted_convex
+    monkeypatch.setattr(recourse, "optim", spy)
     return calls
 
 
@@ -92,6 +103,15 @@ class TestDemoModels:
             for Z in (nu.points, grid[:, None]):
                 assert_matches_oracle(model.recourse, x, Z)
                 assert_matches_oracle(model.recourse, x, Z, cache)
+
+    @pytest.mark.parametrize("name", DEMO_MODELS)
+    def test_eval_recourse_is_a_batch_of_one(self, name):
+        # one row is never bunched, so linear is bit for bit here too
+        model = MeanRiskModel.from_dict(load(name))
+        for x in model.decisions.points:
+            for z in (-2.7, 0.0, 0.3, 1.1, 6.9):
+                assert eval_recourse(model.recourse, x, [z]) == recourse_row_oracle(
+                    model.recourse, x, [z])
 
     def test_miqp_equals_the_branch_and_bound_oracle(self):
         # the benchmark's miqp recourse is this demo's, on 100 atoms uniform on [-2, 3]
@@ -114,7 +134,7 @@ class TestDemoModels:
         denom = np.linalg.norm(zs, axis=1) ** model.gamma + 1.0
         margin = -np.inf
         for x, eta in zip(xs, cert.eta_hat):
-            ratios = np.array([abs(eval_recourse(model.recourse, x, z)) for z in zs]) / denom
+            ratios = np.array([abs(recourse_row_oracle(model.recourse, x, z)) for z in zs]) / denom
             assert eta == max(float(ratios.max()), 1e-12)
             margin = max(margin, float(np.max((ratios - eta) * denom)))
         assert cert.max_residual_margin == margin
@@ -130,10 +150,21 @@ class TestSolveCounts:
             eval_recourse_batch(model.recourse, x, Z, cache)
         assert len(count_solves) == 7
 
-    def test_pure_integer_lattice_needs_no_solve(self, count_solves):
+    def test_pure_integer_lattice_needs_no_solve(self, count_solves, monkeypatch):
+        # h = |z| + 1 makes the 37 rows 19 distinct inputs, all answered by
+        # one batch and so by one lattice table of v and g
+        tables = []
+        lattice = optim.lattice_points
+
+        def counted_lattice(bounds):
+            tables.append(bounds)
+            return lattice(bounds)
+
+        monkeypatch.setattr(optim, "lattice_points", counted_lattice)
         model = MeanRiskModel.from_dict(load("model_convex_expectation.json"))
         eval_recourse_batch(model.recourse, [0.0], np.linspace(-9.0, 9.0, 37)[:, None])
-        assert count_solves == []
+        assert len(count_solves) == 19
+        assert len(tables) == 1
 
     def test_linear_bunching_solves_once_per_basis(self, count_solves):
         # f = |x - z|: one basis for z < x, one for z > x, z = x is degenerate
@@ -148,8 +179,7 @@ class TestSolveCounts:
         model = MeanRiskModel.from_dict(load("model_miqp_expectation.json"))
         nu = DiscreteMeasure.from_dict(load("base_measure.json"))
         x = model.decisions.points[1]
-        want = [eval_recourse(model.recourse, x, z) for z in nu.points]
-        count_solves.clear()
+        want = [recourse_row_oracle(model.recourse, x, z) for z in nu.points]
         Q(model, x, nu)
         solved = len(count_solves)
         assert solved == len(nu)
@@ -180,7 +210,7 @@ class TestErrors:
         model = self.integer_convex(m1)
         Z = np.array([[6.0], [8.0], [1.0], [0.0], [6.0]])
         with pytest.raises(RecourseInfeasible) as want:
-            eval_recourse(model, [0.0], Z[2])
+            recourse_row_oracle(model, [0.0], Z[2])
         with pytest.raises(RecourseInfeasible) as got:
             eval_recourse_batch(model, [0.0], Z)
         assert str(got.value) == str(want.value)
