@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -18,7 +17,7 @@ import tempfile
 import numpy as np
 
 from . import metrics as metrics_mod
-from .errors import ConfigError, MeanRiskError
+from .errors import ConfigError, MeanRiskError, in_range
 from .measure import DiscreteMeasure, box_sampler
 from .objective import MeanRiskModel, Q, argmin_set, phi, q_profile
 from .recourse import certify_growth
@@ -29,6 +28,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_GATE = 4
+
+# what turning parsed JSON into a package object raises on a malformed
+# document: a missing key or entry, a wrong type or shape, a bad number, or
+# a float too large for an integer field (int(1e400))
+MALFORMED = (MeanRiskError, KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
 def _load_json(path: str) -> dict:
@@ -46,7 +50,7 @@ def _load_measure(path: str) -> DiscreteMeasure:
         return DiscreteMeasure.from_dict(_load_json(path))
     except ConfigError:
         raise
-    except (MeanRiskError, KeyError, TypeError, ValueError) as err:
+    except MALFORMED as err:
         raise ConfigError(f"bad measure in {path}: {type(err).__name__}: {err}") from err
 
 
@@ -55,7 +59,7 @@ def _load_model(path: str) -> MeanRiskModel:
         return MeanRiskModel.from_dict(_load_json(path))
     except ConfigError:
         raise
-    except (MeanRiskError, KeyError, TypeError, ValueError) as err:
+    except MALFORMED as err:
         raise ConfigError(f"bad model in {path}: {type(err).__name__}: {err}") from err
 
 
@@ -69,7 +73,7 @@ def _load_scheme(text: str) -> PerturbationScheme:
             raise ConfigError(f"scheme is neither a file nor inline JSON: {err}") from err
     try:
         return PerturbationScheme.from_dict(data)
-    except (MeanRiskError, KeyError, TypeError, ValueError) as err:
+    except MALFORMED as err:
         raise ConfigError(f"bad scheme: {type(err).__name__}: {err}") from err
 
 
@@ -91,10 +95,7 @@ def _emit(payload):
 
 
 def _argmin_tol(args) -> float:
-    tol = 1e-8 if args.tol is None else args.tol
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"--tol must be finite and >= 0, got {tol}")
-    return tol
+    return 1e-8 if args.tol is None else in_range(args.tol, "--tol", ge=0, error=ConfigError)
 
 
 def cmd_eval(args) -> int:
@@ -216,8 +217,7 @@ def cmd_certify(args) -> int:
         lo, hi = (float(v) for v in args.zbox.split(":"))
     except ValueError as err:
         raise ConfigError(f"--zbox must be 'lo:hi', got {args.zbox!r}") from err
-    if not (lo < hi):
-        raise ConfigError("--zbox needs lo < hi")
+    in_range(hi - lo, "--zbox width hi - lo", gt=0, error=ConfigError)
     s = model.recourse.s
     sampler = box_sampler([lo] * s, [hi] * s)
     gamma = args.gamma if args.gamma is not None else model.gamma

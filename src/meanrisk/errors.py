@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guards on scalars:
+in_range for every parameter's range, finite_result for computed values."""
+
+import math
+import operator
+from numbers import Real
 
 
 class MeanRiskError(Exception):
@@ -73,7 +78,7 @@ class RecourseUnbounded(MeanRiskError):
 
 
 class InvalidExponent(MeanRiskError):
-    """A growth exponent that must be positive is missing or <= 0."""
+    """A growth exponent that must be positive is missing, not finite or <= 0."""
 
 
 class MissingDeclaredExponent(MeanRiskError):
@@ -94,3 +99,31 @@ class EmptySet(MeanRiskError):
 
 class ConfigError(MeanRiskError):
     """A CLI configuration file is missing, unreadable or inconsistent."""
+
+
+_OPS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
+        "lt": (operator.lt, "<"), "le": (operator.le, "<=")}
+_WORDS = {("gt", 0): "positive", ("ge", 0): "nonnegative"}
+
+
+def in_range(value, name: str, *, gt=None, ge=None, lt=None, le=None, error=OutOfRange) -> float:
+    """float(value) when value is a finite real number above gt (or at least
+    ge) and below lt (or at most le), each end optional.  Otherwise, and for
+    None, a string or any other non-number, raise ``error`` with a message
+    naming the parameter and its range."""
+    bounds = [(op, b) for op, b in zip(_OPS, (gt, ge, lt, le)) if b is not None]
+    try:
+        v = float(value) if isinstance(value, Real) else math.nan
+    except OverflowError:  # an int beyond the float range
+        v = math.inf
+    if not (math.isfinite(v) and all(_OPS[op][0](v, b) for op, b in bounds)):
+        rule = "".join(f" and {_WORDS.get((op, b)) or f'{_OPS[op][1]} {b:g}'}" for op, b in bounds)
+        raise error(f"{name} must be finite{rule}, got {value}")
+    return v
+
+
+def finite_result(value: float, name: str, q: float) -> float:
+    """value, or OutOfRange when a power ||.||^q overflowed on the atoms."""
+    if not math.isfinite(value):
+        raise OutOfRange(f"{name} is {value} at order q = {q}: not finite on these atoms")
+    return value

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrammarError
+from .errors import GrammarError, in_range
 
 AFFINE = "affine"
 CONVEX = "convex"
@@ -34,6 +34,8 @@ class ConvexExpr:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise GrammarError(f"unknown node kind {self.kind!r}")
+        if not np.all(np.isfinite(self.coeffs + (self.value0,))):
+            raise GrammarError("expression coefficients and constants must be finite")
 
     # -- curvature -------------------------------------------------------
 
@@ -46,6 +48,12 @@ class ConvexExpr:
         if self.kind == "scale":
             return self.children[0].curvature
         return CONVEX
+
+    @property
+    def width(self) -> int:
+        """How many leading coordinates of the point the tree reads."""
+        own = {"var": self.index + 1, "affine": len(self.coeffs)}.get(self.kind, 0)
+        return max([own] + [c.width for c in self.children])
 
     # -- evaluation ------------------------------------------------------
 
@@ -163,9 +171,8 @@ def vsum(*children: ConvexExpr) -> ConvexExpr:
 
 
 def scale(factor: float, child: ConvexExpr) -> ConvexExpr:
-    if factor < 0:
-        raise GrammarError("scale factor must be nonnegative")
-    return ConvexExpr("scale", children=(child,), value0=float(factor))
+    factor = in_range(factor, "scale factor", ge=0, error=GrammarError)
+    return ConvexExpr("scale", children=(child,), value0=factor)
 
 
 def vmax(*children: ConvexExpr) -> ConvexExpr:

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange
+from .errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange, finite_result, in_range
 
 POINT_TOL = 1e-12
 
@@ -107,6 +107,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_atoms(points: np.ndarray, weights: np.ndarray):
+    """At least one atom, finite points and weights, none negative, a positive total."""
+    if len(weights) == 0:
+        raise EmptySupport("no atoms")
+    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+        raise OutOfRange("atom points and weights must be finite")
+    if np.any(weights < 0):
+        raise NegativeWeight("negative atom weight")
+    if float(weights.sum()) <= 0:
+        raise EmptySupport("total weight is zero")
+
+
 def _renormalize(weights: np.ndarray) -> np.ndarray:
     """Divide by the total unless it is already 1 within 1e-12; the skip
     makes canonicalization exactly idempotent."""
@@ -136,10 +148,7 @@ class DiscreteMeasure:
             raise DimMismatch(f"points shape {pts.shape} vs dim {self.dim}")
         if len(pts) != len(wts) or len(pts) == 0:
             raise EmptySupport("measure needs at least one atom")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
-            raise OutOfRange("atom points and weights must be finite")
-        if np.any(wts < 0):
-            raise NegativeWeight("negative atom weight")
+        _check_atoms(pts, wts)
         if abs(float(wts.sum()) - 1.0) > 1e-12:
             raise OutOfRange(f"weights sum to {wts.sum()}, expected 1")
         object.__setattr__(self, "points", _freeze(pts))
@@ -224,14 +233,7 @@ def canonicalize_arrays(points, weights) -> DiscreteMeasure:
         raise DimMismatch(f"points must have shape (n, d) with d >= 1, got {points.shape}")
     if weights.shape != (len(points),):
         raise DimMismatch(f"weights of shape {weights.shape} for {len(points)} points")
-    if len(points) == 0:
-        raise EmptySupport("no atoms")
-    if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
-        raise OutOfRange("atom points and weights must be finite")
-    if np.any(weights < 0):
-        raise NegativeWeight("negative atom weight")
-    if float(weights.sum()) <= 0:
-        raise EmptySupport("total weight is zero")
+    _check_atoms(points, weights)
     order = np.lexsort(points.T[::-1])
     points, weights = _merge_sorted(points[order], weights[order])
     weights = _renormalize(weights)
@@ -264,15 +266,7 @@ class ScalarDistribution:
             raise DimMismatch(
                 f"values {values.shape} and weights {weights.shape} must be equal-length vectors"
             )
-        if len(values) == 0:
-            raise EmptySupport("scalar distribution needs atoms")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(weights))):
-            raise OutOfRange("scalar distribution values and weights must be finite")
-        if np.any(weights < 0):
-            raise NegativeWeight("negative weight")
-        total = float(weights.sum())
-        if total <= 0:
-            raise EmptySupport("total weight is zero")
+        _check_atoms(values, weights)
         order = np.argsort(values, kind="stable")
         vals, wts = _merge_sorted(values[order].reshape(-1, 1), weights[order])
         vals = vals[:, 0]
@@ -328,27 +322,29 @@ def pushforward(nu: DiscreteMeasure, x, f) -> ScalarDistribution:
 
 
 def moment(mu: DiscreteMeasure, q: float) -> float:
-    """Sum_i w_i ||z_i||^q with the Euclidean norm; finite by construction."""
-    if not (q > 0):
-        raise OutOfRange("moment exponent must be positive")
-    return float(mu.norms() ** q @ mu.weights)
+    """Sum_i w_i ||z_i||^q with the Euclidean norm; OutOfRange when the sum
+    overflows."""
+    q = in_range(q, "moment exponent q", gt=0)
+    with np.errstate(over="ignore"):
+        return finite_result(float(mu.norms() ** q @ mu.weights), "moment", q)
 
 
 def tail_functional(mu: DiscreteMeasure, q: float, a: float) -> float:
-    """Sum_i w_i ||z_i||^q over atoms with ||z_i||^q strictly above a."""
-    if not (a >= 0):
-        raise OutOfRange(f"tail threshold must be nonnegative, got {a}")
-    g = mu.norms() ** q
-    mask = g > a
-    return float(g[mask] @ mu.weights[mask])
+    """Sum_i w_i ||z_i||^q over atoms with ||z_i||^q strictly above a;
+    OutOfRange when the sum overflows."""
+    q = in_range(q, "tail exponent q", gt=0)
+    a = in_range(a, "tail threshold", ge=0)
+    with np.errstate(over="ignore"):
+        g = mu.norms() ** q
+        mask = g > a
+        return finite_result(float(g[mask] @ mu.weights[mask]), "tail functional", q)
 
 
 def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
     """Convex combination (1-t)*mu + t*nu, canonicalized."""
     if mu.dim != nu.dim:
         raise DimMismatch(f"dims {mu.dim} vs {nu.dim}")
-    if not (0.0 <= t <= 1.0):
-        raise OutOfRange("mixture parameter must lie in [0, 1]")
+    t = in_range(t, "mixture parameter t", ge=0, le=1)
     if t == 0.0:
         return mu
     if t == 1.0:
@@ -398,13 +394,3 @@ def box_sampler(lo, hi) -> Sampler:
         return rng.uniform(lo, hi, size=(n, len(lo)))
 
     return draw
-
-
-def constant_sampler(point) -> Sampler:
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.tile(p, (n, 1))
-
-    return draw
-

@@ -25,6 +25,7 @@ import scipy.sparse
 
 from . import optim
 from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, OutOfRange
+from .errors import finite_result, in_range
 from .measure import DiscreteMeasure, ScalarDistribution, _merge_sorted
 from .measure import moment, quantile, tail_functional
 
@@ -58,13 +59,6 @@ def _check_plan_size(n_src: int, n_dst: int):
 def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     _check_plan_size(len(X), len(Y))
     return np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2)
-
-
-def _finite(value: float, name: str, q: float) -> float:
-    """value, or OutOfRange when a power ||.||^q overflowed on the atoms."""
-    if not np.isfinite(value):
-        raise OutOfRange(f"{name} is {value} at order q = {q}: not finite on these atoms")
-    return value
 
 
 def _signed_parts(delta: np.ndarray):
@@ -157,20 +151,23 @@ def _scalar(mu: DiscreteMeasure) -> ScalarDistribution:
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     """Order-q Wasserstein distance (min transport cost ||x-y||^q, then the
     q-th root).  In one dimension the quantile coupling integral is exact:
-    int_0^1 |Q_mu - Q_nu|^q dbeta over the merged cumulative grid."""
+    int_0^1 |Q_mu - Q_nu|^q dbeta over the merged cumulative grid.  A value
+    or cost that overflows raises OutOfRange."""
     _check_dims(mu, nu)
-    if not (1.0 <= q < np.inf):
-        raise OutOfRange(f"order q must be finite and >= 1, got {q}")
+    in_range(q, "order q", ge=1)
     if mu.dim == 1:
         du, dv = _scalar(mu), _scalar(nu)
         cuts = np.union1d(du.cumulative, dv.cumulative)
         cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
         prev = np.concatenate(([0.0], cuts[:-1]))
         mids = 0.5 * (prev + cuts)
-        gaps = np.abs(quantile(du, mids) - quantile(dv, mids)) ** q
-        return _finite(float(gaps @ (cuts - prev)) ** (1.0 / q), "wasserstein", q)
-    plan = transport_plan(mu.weights, nu.weights, _distances(mu.points, nu.points) ** q)
-    return max(0.0, plan.cost) ** (1.0 / q)
+        with np.errstate(over="ignore"):
+            gaps = np.abs(quantile(du, mids) - quantile(dv, mids)) ** q
+        return finite_result(float(gaps @ (cuts - prev)) ** (1.0 / q), "wasserstein", q)
+    with np.errstate(over="ignore"):
+        C = _distances(mu.points, nu.points) ** q
+    finite_result(float(C.max()), "wasserstein cost ||x - y||^q", q)
+    return max(0.0, transport_plan(mu.weights, nu.weights, C).cost) ** (1.0 / q)
 
 
 def _floyd_warshall(C: np.ndarray) -> np.ndarray:
@@ -189,32 +186,34 @@ def fortet_mourier(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     every segment, so the reduced cost adds up over adjacent atoms and the
     value is sum_i |F_mu - F_nu|(t_i) (t_(i+1) - t_i) max(1, |t_i|^(q-1),
     |t_(i+1)|^(q-1)).  In higher dimensions it is a transport LP between the
-    positive and negative parts of mu - nu under the reduced cost.
+    positive and negative parts of mu - nu under the reduced cost.  A value
+    or cost that overflows raises OutOfRange.
     """
     _check_dims(mu, nu)
-    if not (1.0 <= q < np.inf):
-        raise OutOfRange(f"order q must be finite and >= 1, got {q}")
+    in_range(q, "order q", ge=1)
     pts, w1, w2 = _union_support(mu, nu)
     delta = w1 - w2
     pos, neg = _signed_parts(delta)
     if len(pos) == 0 or len(neg) == 0:
         return 0.0
-    weight = np.maximum(1.0, np.linalg.norm(pts, axis=1) ** (q - 1.0))
-    if mu.dim == 1:
-        seg = np.diff(pts[:, 0]) * np.maximum(weight[:-1], weight[1:])
-        return _finite(float(np.abs(np.cumsum(delta)[:-1]) @ seg), "fortet_mourier", q)
-    C = _floyd_warshall(_distances(pts, pts) * np.maximum(weight[:, None], weight[None, :]))
-    return max(0.0, transport_plan(delta[pos], -delta[neg], C[np.ix_(pos, neg)]).cost)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.maximum(1.0, np.linalg.norm(pts, axis=1) ** (q - 1.0))
+        if mu.dim == 1:
+            seg = np.diff(pts[:, 0]) * np.maximum(weight[:-1], weight[1:])
+            return finite_result(float(np.abs(np.cumsum(delta)[:-1]) @ seg), "fortet_mourier", q)
+        C = _floyd_warshall(_distances(pts, pts) * np.maximum(weight[:, None], weight[None, :]))
+    C = C[np.ix_(pos, neg)]
+    finite_result(float(C.max()), "fortet_mourier reduced cost", q)
+    return max(0.0, transport_plan(delta[pos], -delta[neg], C).cost)
 
 
 def psi_metric(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     """Gauge-weighted distance: weak metric plus the gap of the ||.||^q
     integrals.  Metrizes convergence in distribution together with
-    convergence of the q-th moments."""
+    convergence of the q-th moments; OutOfRange when a moment overflows."""
     _check_dims(mu, nu)
-    if not (0.0 < q < np.inf):
-        raise OutOfRange(f"gauge exponent must be finite and positive, got {q}")
-    return _finite(bounded_lipschitz(mu, nu) + abs(moment(mu, q) - moment(nu, q)), "psi_metric", q)
+    in_range(q, "gauge exponent q", gt=0)
+    return bounded_lipschitz(mu, nu) + abs(moment(mu, q) - moment(nu, q))
 
 
 @dataclass(frozen=True)
@@ -242,15 +241,16 @@ def diagnose_uniform_integrability(
     dims = {m.dim for m in family}
     if len(dims) != 1:
         raise DimMismatch(f"family carries dims {sorted(dims)}")
+    q = in_range(q, "tail exponent q", gt=0)
     grid = np.sort(np.asarray(a_grid, dtype=float))
-    if not np.all(grid >= 0):
-        raise OutOfRange("thresholds must be nonnegative numbers")
+    for a in grid:
+        in_range(a, "thresholds", ge=0)
     tails = np.array([[tail_functional(m, q, a) for a in grid] for m in family])
     sup_tails = tails.max(axis=0)
     below = sup_tails <= eps
     verdict = bool(np.any(below) and np.all(below[int(np.argmax(below)) :]))
     return UniformIntegrabilityReport(
-        q=float(q),
+        q=q,
         a_grid=grid,
         tails=tails,
         sup_tails=sup_tails,

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySupport, OutOfRange
+from .errors import DimMismatch, EmptySupport, OutOfRange, in_range
 from .measure import DiscreteMeasure, ScalarDistribution
 from .recourse import RecourseModel, default_gamma, eval_recourse_batch
 from .risk import RiskSpec, evaluate_risk
@@ -34,6 +33,8 @@ class DecisionSet:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise EmptySupport("decision set must be nonempty")
+        if not np.all(np.isfinite(pts)):
+            raise OutOfRange("decision points must be finite")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
@@ -93,16 +94,15 @@ class MeanRiskModel:
     _f_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise OutOfRange(f"p must be >= 1, got {self.p}")
+        p = in_range(self.p, "p", ge=1)
         if self.decisions.dim != self.recourse.n:
             raise DimMismatch(
                 f"decision dim {self.decisions.dim} vs recourse n={self.recourse.n}"
             )
         gamma = self.gamma if self.gamma is not None else default_gamma(self.recourse)
-        if not (gamma > 0):
-            raise OutOfRange(f"gamma must be positive, got {gamma}")
-        object.__setattr__(self, "gamma", float(gamma))
+        gamma = in_range(gamma, "gamma", gt=0)
+        in_range(gamma * p, "gauge exponent gamma * p", gt=0)
+        object.__setattr__(self, "gamma", gamma)
 
     def recourse_value(self, x, z) -> float:
         """f(x, z) through the model's solver-input cache."""
@@ -162,8 +162,7 @@ def phi(model: MeanRiskModel, nu: DiscreteMeasure) -> float:
 def argmin_set(model: MeanRiskModel, nu: DiscreteMeasure, tol: float = 1e-8) -> DecisionSet:
     """Decisions within tol of the optimal value; nonempty by finiteness.
     A negative or non-finite tol raises OutOfRange."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise OutOfRange(f"tolerance must be finite and nonnegative, got {tol}")
+    in_range(tol, "tolerance", ge=0)
     values = q_profile(model, nu)
     best = float(np.min(values))
     keep = values <= best + tol

@@ -460,20 +460,21 @@ def _branch_and_bound(relax, idx, lo0, hi0, roots) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _integer_boxes(integer_idx, bounds, n: int):
-    """Integer indices and their (lo, hi) boxes, checked against n variables."""
+def _integer_boxes(integer_idx, bounds, n: int, kind: str = "integer"):
+    """Indices of the integer (or another kind of) variables and their
+    (lo, hi) boxes, checked against n variables."""
     idx = tuple(int(i) for i in integer_idx)
     bnds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     if len(idx) != len(bnds):
-        raise DimMismatch("one bounds pair per integer variable")
+        raise DimMismatch(f"one bounds pair per {kind} variable")
     for i in idx:
         if not (0 <= i < n):
-            raise InvalidSpec(f"integer index {i} out of range")
+            raise InvalidSpec(f"{kind} index {i} out of range")
     if len(set(idx)) != len(idx):
-        raise InvalidSpec("duplicate integer indices")
+        raise InvalidSpec(f"duplicate {kind} indices")
     for lo, hi in bnds:
         if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise InvalidSpec(f"integer bounds must be finite with lo <= hi, got ({lo}, {hi})")
+            raise InvalidSpec(f"{kind} bounds must be finite with lo <= hi, got ({lo}, {hi})")
     return idx, bnds
 
 
@@ -712,25 +713,19 @@ def solve_miqp(qmp: QuadraticMixedProgram) -> Solution:
 def _convex_arrays(g, R, integer_idx, integer_bounds, continuous_idx, continuous_box):
     """g as a tuple, R as floats with one row per program, and the integer
     and continuous indices and boxes, after the checks every convex-MIP entry
-    point makes."""
+    point makes; the two index lists together must be 0, ..., n - 1."""
     g = tuple(g)
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[1] != len(g):
         raise DimMismatch("one rhs entry per constraint expression")
     if not np.all(np.isfinite(R)):
         raise OutOfRange("non-finite entries in rhs")
-    if len(integer_idx) != len(integer_bounds):
-        raise DimMismatch("one bounds pair per integer variable")
-    if len(continuous_idx) != len(continuous_box):
-        raise DimMismatch("one box pair per continuous variable")
-    for lo, hi in tuple(integer_bounds) + tuple(continuous_box):
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise InvalidSpec("boxes must be finite with lo <= hi")
-    def pairs(box):
-        return tuple((float(a), float(b)) for a, b in box)
-
-    return (g, R, tuple(int(i) for i in integer_idx), pairs(integer_bounds),
-            tuple(int(i) for i in continuous_idx), pairs(continuous_box))
+    n = len(integer_idx) + len(continuous_idx)
+    idx, bounds = _integer_boxes(integer_idx, integer_bounds, n)
+    cont, box = _integer_boxes(continuous_idx, continuous_box, n, "continuous")
+    if sorted(idx + cont) != list(range(n)):
+        raise InvalidSpec(f"integer and continuous indices must together be 0, ..., {n - 1}")
+    return g, R, idx, bounds, cont, box
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,8 @@ from .errors import (
     OutOfRange,
     RecourseInfeasible,
     RecourseUnbounded,
+    finite_result,
+    in_range,
 )
 from .measure import Sampler
 
@@ -58,7 +60,7 @@ class ParamMap:
                 if self.constant is not None
                 else np.zeros(self.out_dim)
             )
-            if M.ndim != 2 or M.shape[0] != self.out_dim or len(c) != self.out_dim:
+            if M.ndim != 2 or M.shape[0] != self.out_dim or c.shape != (self.out_dim,):
                 raise DimMismatch(f"affine map shape {M.shape} vs out_dim {self.out_dim}")
             object.__setattr__(self, "matrix", M)
             object.__setattr__(self, "constant", c)
@@ -66,6 +68,10 @@ class ParamMap:
             if len(self.expressions) != self.out_dim:
                 raise DimMismatch("one expression per output coordinate")
             object.__setattr__(self, "expressions", tuple(self.expressions))
+        if self.declared_exponent is not None:
+            exponent = in_range(self.declared_exponent, "declared exponent", gt=0,
+                                error=InvalidExponent)
+            object.__setattr__(self, "declared_exponent", exponent)
 
     @property
     def is_affine(self) -> bool:
@@ -119,9 +125,7 @@ def map_exponent(pm: ParamMap) -> float:
         return 1.0
     if pm.declared_exponent is None:
         raise MissingDeclaredExponent("expression map has no declared growth exponent")
-    if not (pm.declared_exponent > 0):
-        raise InvalidExponent(f"declared exponent must be positive, got {pm.declared_exponent}")
-    return float(pm.declared_exponent)
+    return pm.declared_exponent
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,9 @@ class RecourseModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown recourse kind {self.kind!r}")
-        if self.A is not None:
-            object.__setattr__(self, "A", np.asarray(self.A, dtype=float))
-        if self.q is not None:
-            object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        if self.D is not None:
-            object.__setattr__(self, "D", np.asarray(self.D, dtype=float))
+        for name in ("A", "q", "D"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(
             self, "integer_bounds", tuple((float(a), float(b)) for a, b in self.integer_bounds)
         )
@@ -166,6 +167,9 @@ class RecourseModel:
             self, "continuous_box", tuple((float(a), float(b)) for a, b in self.continuous_box)
         )
         object.__setattr__(self, "g", tuple(self.g))
+        maps = [pm for pm in (self.q_map, self.h_map) if pm is not None]
+        if max((e.width for pm in maps for e in pm.expressions), default=0) > self.n + self.s:
+            raise DimMismatch(f"a map expression reads past its n + s = {self.n + self.s} inputs")
         k = self.kind
         if k == "linear":
             if self.A is None or self.q_map is None or self.h_map is None:
@@ -179,8 +183,6 @@ class RecourseModel:
                 raise DimMismatch("A/q width must equal m1 + m2")
             if self.h_map.out_dim != self.A.shape[0]:
                 raise DimMismatch("h_map must match the row count of A")
-            if len(self.integer_bounds) != self.m2:
-                raise DimMismatch("one bounds pair per integer variable")
         elif k == "miqp":
             if self.A is None or self.D is None or self.q_map is None or self.h_map is None:
                 raise InvalidSpec("miqp recourse needs A, D, q_map, h_map")
@@ -190,17 +192,17 @@ class RecourseModel:
                 raise DimMismatch("q_map must produce m1 + m2 outputs")
             if self.h_map.out_dim != self.A.shape[0]:
                 raise DimMismatch("h_map must match the row count of A")
-            if len(self.integer_bounds) != self.m2:
-                raise DimMismatch("one bounds pair per integer variable")
         elif k == "convex_mip":
             if self.v is None or self.h_map is None:
                 raise InvalidSpec("convex_mip recourse needs v and h_map")
             if self.h_map.out_dim != len(self.g):
                 raise DimMismatch("h_map must produce one rhs per constraint")
-            if len(self.integer_bounds) != self.m2:
-                raise DimMismatch("one bounds pair per integer variable")
+            if max(e.width for e in (self.v, *self.g)) > self.m1 + self.m2:
+                raise DimMismatch("v and g must read only the m1 + m2 recourse variables")
             if len(self.continuous_box) != self.m1:
                 raise DimMismatch("one box pair per continuous variable")
+        if k != "linear" and len(self.integer_bounds) != self.m2:
+            raise DimMismatch("one bounds pair per integer variable")
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -299,11 +301,13 @@ def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -
     _check_dims(model, len(xv), Zv.shape[1])
     cache = {} if cache is None else cache
     k = len(Zv)
-    H = np.array([model.h_map(xv, z) for z in Zv]).reshape(k, model.h_map.out_dim)
-    if model.kind in ("linear", "miqp"):
-        C = np.array([model.q_map(xv, z) for z in Zv]).reshape(k, model.q_map.out_dim)
-    else:
-        C = np.zeros((k, 0))
+    # a non-finite h or q (inf data times zero) is rejected by the solver
+    with np.errstate(invalid="ignore", over="ignore"):
+        H = np.array([model.h_map(xv, z) for z in Zv]).reshape(k, model.h_map.out_dim)
+        if model.kind in ("linear", "miqp"):
+            C = np.array([model.q_map(xv, z) for z in Zv]).reshape(k, model.q_map.out_dim)
+        else:
+            C = np.zeros((k, 0))
     keys = [h.tobytes() + c.tobytes() for h, c in zip(H, C)]
     todo = {}  # first row of every key not in the cache, in row order
     for i, key in enumerate(keys):
@@ -396,6 +400,15 @@ def _bunched(A, H, C) -> list:
     return out
 
 
+# per recourse kind: the exponents the growth of f depends on, and how
+_GROWTH = {
+    "linear": (("gamma_q", "gamma_h"), lambda q, h: q + h),
+    "milp": (("gamma_h",), lambda h: h),
+    "miqp": (("gamma_q", "gamma_h"), lambda q, h: max(2.0 * q, 2.0 * h)),
+    "convex_mip": (("gamma_h", "gamma_K", "gamma_v"), lambda h, K, v: h * (K + 1.0) * (v + 1.0)),
+}
+
+
 def theoretical_exponent(
     model: RecourseModel,
     gamma_q: float | None = None,
@@ -409,35 +422,21 @@ def theoretical_exponent(
     milp        gamma_h
     miqp        max(2*gamma_q, 2*gamma_h)
     convex_mip  gamma_h * (gamma_K + 1) * (gamma_v + 1)
+
+    with each exponent it uses finite and positive (else InvalidExponent).
     """
-
-    def need(value, name):
-        if value is None or not (value > 0):
-            raise InvalidExponent(f"{name} must be positive, got {value}")
-        return float(value)
-
-    if model.kind == "linear":
-        return need(gamma_q, "gamma_q") + need(gamma_h, "gamma_h")
-    if model.kind == "milp":
-        return need(gamma_h, "gamma_h")
-    if model.kind == "miqp":
-        return max(2.0 * need(gamma_q, "gamma_q"), 2.0 * need(gamma_h, "gamma_h"))
-    if model.kind == "convex_mip":
-        return need(gamma_h, "gamma_h") * (need(gamma_K, "gamma_K") + 1.0) * (
-            need(gamma_v, "gamma_v") + 1.0
-        )
-    raise InvalidSpec(f"unknown recourse kind {model.kind!r}")
+    names, growth = _GROWTH[model.kind]
+    given = {"gamma_q": gamma_q, "gamma_h": gamma_h, "gamma_v": gamma_v, "gamma_K": gamma_K}
+    return growth(*(in_range(given[name], name, gt=0, error=InvalidExponent) for name in names))
 
 
 def default_gamma(model: RecourseModel) -> float:
     """Exponent derived from the model's own maps and declared metadata."""
     gh = map_exponent(model.h_map) if model.h_map is not None else None
-    if model.kind == "linear":
+    if model.kind in ("linear", "miqp"):
         return theoretical_exponent(model, gamma_q=map_exponent(model.q_map), gamma_h=gh)
     if model.kind == "milp":
         return theoretical_exponent(model, gamma_h=gh)
-    if model.kind == "miqp":
-        return theoretical_exponent(model, gamma_q=map_exponent(model.q_map), gamma_h=gh)
     gv = model.gamma_v if model.gamma_v is not None else model.v.growth_exponent()
     if model.gamma_K is None:
         raise MissingDeclaredExponent(
@@ -480,17 +479,21 @@ def certify_growth(
     n: int,
     seed: int,
 ) -> GrowthCertificate:
-    """Sample z and record eta_hat(x) = max |f(x,z)| / (||z||^gamma + 1)."""
-    if not (gamma > 0):
-        raise InvalidExponent(f"gamma must be positive, got {gamma}")
+    """Sample z and record eta_hat(x) = max |f(x,z)| / (||z||^gamma + 1);
+    OutOfRange when ||z||^gamma overflows on the sample."""
+    in_range(gamma, "gamma", gt=0, error=InvalidExponent)
     if n < 1:
         raise OutOfRange("sample count must be >= 1")
+    if seed < 0:
+        raise OutOfRange(f"seed must be a nonnegative integer, got {seed}")
     xs = np.atleast_2d(np.asarray(x_set, dtype=float))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     zs = np.asarray(z_sampler(rng, n), dtype=float)
     if zs.ndim == 1:
         zs = zs.reshape(-1, 1)
-    denom = np.linalg.norm(zs, axis=1) ** gamma + 1.0
+    with np.errstate(over="ignore"):
+        denom = np.linalg.norm(zs, axis=1) ** gamma + 1.0
+    finite_result(float(denom.max()), "||z||^gamma + 1 on the sample", gamma)
     etas = np.empty(len(xs))
     margin = -np.inf
     cache = {}

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, OutOfRange
+from .errors import InvalidSpec, in_range
 from .measure import ScalarDistribution
 
 KINDS = ("expectation", "avar", "semidev", "target_semidev")
@@ -22,7 +22,7 @@ KINDS = ("expectation", "avar", "semidev", "target_semidev")
 class RiskSpec:
     """One of the four implemented risk functionals with its parameters.
 
-    kind            parameters used
+    kind            parameters used (each finite)
     expectation     none
     avar            alpha in (0,1)
     semidev         a in [0,1], p >= 1
@@ -39,16 +39,12 @@ class RiskSpec:
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown risk kind {self.kind!r}")
         if self.kind == "avar":
-            if self.alpha is None or not (0.0 < self.alpha < 1.0):
-                raise InvalidSpec(f"avar needs alpha in (0,1), got {self.alpha}")
+            in_range(self.alpha, "avar level alpha", gt=0, lt=1, error=InvalidSpec)
         if self.kind in ("semidev", "target_semidev"):
-            if self.a is None or not (0.0 <= self.a <= 1.0):
-                raise InvalidSpec(f"semideviation weight a must lie in [0,1], got {self.a}")
-            if self.p is None or not (self.p >= 1.0):
-                raise InvalidSpec(f"semideviation order p must be >= 1, got {self.p}")
+            in_range(self.a, "semideviation weight a", ge=0, le=1, error=InvalidSpec)
+            in_range(self.p, "semideviation order p", ge=1, error=InvalidSpec)
         if self.kind == "target_semidev":
-            if self.c is None or not (self.c > 0.0):
-                raise InvalidSpec(f"target c must be positive, got {self.c}")
+            in_range(self.c, "target c", gt=0, error=InvalidSpec)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
@@ -76,8 +72,7 @@ def avar(dist: ScalarDistribution, alpha: float) -> float:
     plateaus, so the integral is summed exactly; the plateau containing
     alpha contributes (cum_i - alpha) * value_i.
     """
-    if not (0.0 < alpha < 1.0):
-        raise OutOfRange(f"alpha must lie in (0,1), got {alpha}")
+    in_range(alpha, "alpha", gt=0, lt=1)
     cum = dist.cumulative
     prev = np.concatenate(([0.0], cum[:-1]))
     seg = np.clip(np.minimum(cum, 1.0) - np.maximum(prev, alpha), 0.0, None)
@@ -87,10 +82,8 @@ def avar(dist: ScalarDistribution, alpha: float) -> float:
 def semidev(dist: ScalarDistribution, a: float, p: float) -> float:
     """Mean upper semideviation of order p:
     E[Y] + a * (E[((Y - E[Y])^+)^p])^(1/p)."""
-    if not (0.0 <= a <= 1.0):
-        raise InvalidSpec(f"a must lie in [0,1], got {a}")
-    if not (p >= 1.0):
-        raise InvalidSpec(f"p must be >= 1, got {p}")
+    in_range(a, "a", ge=0, le=1, error=InvalidSpec)
+    in_range(p, "p", ge=1, error=InvalidSpec)
     m = dist.mean()
     dev = np.clip(dist.values - m, 0.0, None)
     return m + a * float(dev**p @ dist.weights) ** (1.0 / p)
@@ -99,12 +92,9 @@ def semidev(dist: ScalarDistribution, a: float, p: float) -> float:
 def target_semidev(dist: ScalarDistribution, a: float, c: float, p: float) -> float:
     """Mean upper semideviation of order p from the target c:
     E[Y] + a * (E[((Y - c)^+)^p])^(1/p)."""
-    if not (0.0 <= a <= 1.0):
-        raise InvalidSpec(f"a must lie in [0,1], got {a}")
-    if not (c > 0.0):
-        raise InvalidSpec(f"c must be positive, got {c}")
-    if not (p >= 1.0):
-        raise InvalidSpec(f"p must be >= 1, got {p}")
+    in_range(a, "a", ge=0, le=1, error=InvalidSpec)
+    in_range(c, "c", gt=0, error=InvalidSpec)
+    in_range(p, "p", ge=1, error=InvalidSpec)
     dev = np.clip(dist.values - c, 0.0, None)
     return dist.mean() + a * float(dev**p @ dist.weights) ** (1.0 / p)
 

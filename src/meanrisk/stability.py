@@ -22,6 +22,7 @@ from .errors import (
     MeanRiskError,
     OutOfRange,
     UnknownColumn,
+    in_range,
 )
 from .measure import (
     DiscreteMeasure,
@@ -37,11 +38,20 @@ from .objective import MeanRiskModel, argmin_set, q_profile
 COLUMNS = ("step", "param", "d_bl", "d_psi", "delta_phi_abs", "sup_delta_q", "argmin_excess", "error")
 
 SCHEME_KINDS = ("saa", "contamination", "jitter", "discretize")
+# per kind: its schedule, the type and range of every entry, and +1 when the
+# schedule strictly increases or -1 when it strictly decreases
+_SCHEDULES = {
+    "saa": ("n_schedule", int, {"ge": 1}, 1),
+    "contamination": ("t_schedule", float, {"ge": 0, "le": 1}, -1),
+    "jitter": ("sigma_schedule", float, {"gt": 0}, -1),
+    "discretize": ("grid_schedule", float, {"gt": 0}, 1),
+}
 
 
 @dataclass(frozen=True)
 class PerturbationScheme:
-    """One of four perturbation families:
+    """One of four perturbation families, each with a nonempty schedule of
+    finite entries (ranges and directions in _SCHEDULES):
 
     saa            empirical measures of the base, sizes n_schedule
     contamination  (1-t) base + t direction, t_schedule decreasing
@@ -60,68 +70,42 @@ class PerturbationScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise InvalidSpec(f"unknown scheme kind {self.kind!r}")
-        object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
-        object.__setattr__(self, "t_schedule", tuple(float(t) for t in self.t_schedule))
-        object.__setattr__(self, "sigma_schedule", tuple(float(s) for s in self.sigma_schedule))
-        object.__setattr__(self, "grid_schedule", tuple(float(g) for g in self.grid_schedule))
-        if self.kind == "saa":
-            ns = self.n_schedule
-            if not ns or any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-                raise InvalidSpec("saa needs a strictly increasing positive n_schedule")
-        if self.kind == "contamination":
-            ts = self.t_schedule
-            if self.direction is None or not ts:
-                raise InvalidSpec("contamination needs a direction and a t_schedule")
-            if any(not (0.0 <= t <= 1.0) for t in ts) or any(
-                b >= a for a, b in zip(ts, ts[1:])
-            ):
-                raise InvalidSpec("t_schedule must strictly decrease within [0,1]")
-        if self.kind == "jitter":
-            ss = self.sigma_schedule
-            if not ss or any(s <= 0 for s in ss) or any(b >= a for a, b in zip(ss, ss[1:])):
-                raise InvalidSpec("sigma_schedule must be positive and strictly decreasing")
-        if self.kind == "discretize":
-            gs = self.grid_schedule
-            if not gs or any(g <= 0 for g in gs) or any(b <= a for a, b in zip(gs, gs[1:])):
-                raise InvalidSpec("grid_schedule must be positive and strictly increasing")
+        for name, cast, _, _ in _SCHEDULES.values():
+            object.__setattr__(self, name, tuple(cast(v) for v in getattr(self, name)))
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be a nonnegative integer, got {self.seed}")
+        if self.kind == "contamination" and self.direction is None:
+            raise InvalidSpec("contamination needs a direction")
+        name, _, bounds, sign = _SCHEDULES[self.kind]
+        values = self.params
+        if not values:
+            raise InvalidSpec(f"{self.kind} needs a nonempty {name}")
+        for v in values:
+            in_range(v, f"{name} entry", error=InvalidSpec, **bounds)
+        if any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
+            raise InvalidSpec(f"{name} must strictly {'increase' if sign > 0 else 'decrease'}")
 
     @property
     def params(self) -> tuple:
-        return {
-            "saa": self.n_schedule,
-            "contamination": self.t_schedule,
-            "jitter": self.sigma_schedule,
-            "discretize": self.grid_schedule,
-        }[self.kind]
+        return getattr(self, _SCHEDULES[self.kind][0])
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "saa":
-            out["n_schedule"] = list(self.n_schedule)
+        out = {"kind": self.kind, _SCHEDULES[self.kind][0]: list(self.params)}
+        if self.kind in ("saa", "jitter"):
             out["seed"] = int(self.seed)
-        elif self.kind == "contamination":
+        if self.kind == "contamination":
             out["direction"] = self.direction.to_dict()
-            out["t_schedule"] = list(self.t_schedule)
-        elif self.kind == "jitter":
-            out["sigma_schedule"] = list(self.sigma_schedule)
-            out["seed"] = int(self.seed)
-        else:
-            out["grid_schedule"] = list(self.grid_schedule)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerturbationScheme":
-        kind = data["kind"]
         return cls(
-            kind=kind,
-            n_schedule=tuple(data.get("n_schedule", ())),
+            kind=data["kind"],
             seed=int(data.get("seed", 0)),
             direction=(
                 DiscreteMeasure.from_dict(data["direction"]) if "direction" in data else None
             ),
-            t_schedule=tuple(data.get("t_schedule", ())),
-            sigma_schedule=tuple(data.get("sigma_schedule", ())),
-            grid_schedule=tuple(data.get("grid_schedule", ())),
+            **{name: tuple(data.get(name, ())) for name, *_ in _SCHEDULES.values()},
         )
 
 
@@ -317,8 +301,7 @@ class TrendResult:
 def trend_check(report: StabilityReport, column: str, factor: float) -> TrendResult:
     """Gate: last value <= first value / factor; also fits the slope of
     log(value) against log(step index) over the positive entries."""
-    if not (factor > 1.0):
-        raise OutOfRange("factor must exceed 1")
+    in_range(factor, "factor", gt=1)
     values = report.column(column)
     if len(values) < 3:
         raise OutOfRange("trend check needs at least 3 rows")

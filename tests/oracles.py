@@ -14,7 +14,8 @@ minima from dense grids, polyhedral convex slices from one
 ``scipy.optimize.linprog`` LP, and disc-slab slivers in closed form.  Metric values come from the dense formulations,
 solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
 one Lipschitz row per ordered pair of atoms, and transport LPs with one
-dense marginal row per atom.
+dense marginal row per atom.  Trend slopes come from the centred normal
+equations of a least-squares line.
 """
 
 import itertools
@@ -603,3 +604,15 @@ def sorted_matching_wq(x, y, q) -> float:
     the i-th smallest of one is matched with the i-th smallest of the other."""
     x, y = np.sort(np.asarray(x, dtype=float)), np.sort(np.asarray(y, dtype=float))
     return float(np.mean(np.abs(x - y) ** q)) ** (1.0 / q)
+
+
+def trend_slope_oracle(values) -> float:
+    """Least-squares slope of log(value) against log(step), steps 1, 2, ...,
+    over the positive entries only, from the centred normal equations; 0.0
+    with fewer than two positive entries."""
+    pts = [(math.log(k), math.log(v)) for k, v in enumerate(values, start=1) if v > 0]
+    if len(pts) < 2:
+        return 0.0
+    mx = sum(x for x, _ in pts) / len(pts)
+    my = sum(y for _, y in pts) / len(pts)
+    return sum((x - mx) * (y - my) for x, y in pts) / sum((x - mx) ** 2 for x, _ in pts)

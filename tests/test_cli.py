@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanrisk import cli
 
@@ -38,8 +45,13 @@ class TestExitCodes:
             lambda d: d["decisions"].pop("points"),
             lambda d: d.update(gamma="steep"),
             lambda d: d.update(p=[1, 2]),
+            lambda d: d.update(gamma=1e400),
+            lambda d: d.update(p=1e400),
+            lambda d: d.update(risk={"kind": "semidev", "a": 0.5, "p": 1e400}),
+            lambda d: d["recourse"].update(n=1e400),
         ],
-        ids=["no-risk", "no-recourse", "no-decisions", "gamma-not-a-number", "p-a-list"],
+        ids=["no-risk", "no-recourse", "no-decisions", "gamma-not-a-number", "p-a-list",
+             "gamma-1e400", "p-1e400", "risk-p-1e400", "n-1e400"],
     )
     def test_malformed_model_is_a_config_error(self, tmp_path, capsys, edit):
         data = demo("model_linear_avar.json")
@@ -60,8 +72,10 @@ class TestExitCodes:
             '{"dim": 1, "atoms": [{"point": [NaN], "weight": 1.0}]}',
             '{"dim": 1, "atoms": [{"point": [0.0], "weight": Infinity}]}',
             '{"dim": 1, "atoms": 3}',
+            '{"dim": 1e400, "atoms": [{"point": [0.0], "weight": 1.0}]}',
         ],
-        ids=["no-weight", "no-point", "no-dim", "text-point", "nan-point", "inf-weight", "atoms-int"],
+        ids=["no-weight", "no-point", "no-dim", "text-point", "nan-point", "inf-weight",
+             "atoms-int", "dim-1e400"],
     )
     def test_malformed_measure_is_a_config_error(self, tmp_path, capsys, text):
         model = write(tmp_path, "m.json", demo("model_linear_avar.json"))
@@ -77,8 +91,9 @@ class TestExitCodes:
             '{"kind": "saa", "n_schedule": [100], "seed": "x"}',
             '{"n_schedule": [100], "seed": 0}',
             '[1, 2',
+            '{"kind": "saa", "n_schedule": [1e400, 2000], "seed": 0}',
         ],
-        ids=["schedule-text", "seed-text", "no-kind", "broken-json"],
+        ids=["schedule-text", "seed-text", "no-kind", "broken-json", "n-1e400"],
     )
     def test_malformed_scheme_is_a_config_error(self, tmp_path, capsys, scheme):
         model = write(tmp_path, "m.json", demo("model_milp_expectation.json"))
@@ -155,6 +170,12 @@ class TestCertify:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith(f"config error: {extra[0]} must be >= 1")
 
+    @pytest.mark.parametrize("zbox", ["-1:inf", "-inf:1", "nan:1", "1:1", "-1e308:1e308"])
+    def test_bad_zbox_is_a_config_error(self, tmp_path, capsys, zbox):
+        assert self.certify(tmp_path, f"--zbox={zbox}") == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error: --zbox")
+
     @pytest.mark.parametrize("xcount, expect", [(None, 5), (2, 2), (9, 5)])
     def test_xcount_takes_the_first_decisions(self, tmp_path, capsys, xcount, expect):
         extra = () if xcount is None else ("--xcount", str(xcount))
@@ -162,3 +183,123 @@ class TestCertify:
         cert = json.loads(capsys.readouterr().out)
         assert cert["decisions"] == [[0.25 * i] for i in range(expect)]
         assert cert["sample_count"] == 20
+
+
+# --- CLI fuzz: one malformed edit of a demo document ------------------------
+
+MODELS = sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
+BASES = ["base_measure.json", "base_measure_strict.json"]
+SCHEMES = ["scheme_contamination.json", "scheme_saa.json"]
+# the documents each command reads
+READS = {"eval": ("model", "measure"), "stability": ("model", "measure", "scheme"),
+         "certify": ("model",), "metrics": ("measure",)}
+NAN_MARK = "__NaN__"
+
+
+def paths(node, prefix=()):
+    """Every path to a value inside a JSON document (the root excluded)."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from paths(child, prefix + (key,))
+
+
+def get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def json_kind(value):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value)
+
+
+@st.composite
+def malformed_runs(draw):
+    """A command, its documents, and one edit of one document: a dropped
+    key, a value of another type, or a number made NaN, 1e400 or -1.  No
+    edit makes a size larger."""
+    command = draw(st.sampled_from(sorted(READS)))
+    docs = {"model": draw(st.sampled_from(MODELS)), "measure": draw(st.sampled_from(BASES)),
+            "scheme": draw(st.sampled_from(SCHEMES))}
+    docs = {name: demo(file) for name, file in docs.items()}
+    doc = docs[draw(st.sampled_from(READS[command]))]
+    edit = draw(st.sampled_from(["drop", "retype", "number"]))
+    where = list(paths(doc))
+    if edit == "drop":
+        where = [p for p in where if isinstance(p[-1], str)]
+    elif edit == "number":
+        where = [p for p in where if json_kind(get(doc, p)) == "number"]
+    path = draw(st.sampled_from(where))
+    parent = get(doc, path[:-1])
+    if edit == "drop":
+        del parent[path[-1]]
+    elif edit == "number":
+        parent[path[-1]] = draw(st.sampled_from([math.nan, 1e400, -1]))
+    else:
+        old = json_kind(parent[path[-1]])
+        others = [v for v in ("x", 1.0, [], {}, None, True) if json_kind(v) != old]
+        parent[path[-1]] = draw(st.sampled_from(others))
+    return command, docs
+
+
+def strict_json(text):
+    """Parse JSON, failing on +-Infinity and marking NaN with NAN_MARK."""
+    def constant(name):
+        assert name == "NaN", f"{name} in the output"
+        return NAN_MARK
+
+    return json.loads(text, parse_constant=constant)
+
+
+class TestFuzz:
+    """Malformed documents end in a documented exit code with strict JSON
+    output, never a traceback, a RuntimeWarning or a non-finite report
+    value outside a failed row's value columns."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(run=malformed_runs())
+    def test_malformed_documents(self, run):
+        command, docs = run
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {}
+            for name, data in docs.items():
+                files[name] = os.path.join(tmp, f"{name}.json")
+                with open(files[name], "w", encoding="utf-8") as fh:
+                    json.dump(data, fh)
+            out_dir = os.path.join(tmp, "out")
+            model, measure = files["model"], files["measure"]
+            argv = {
+                "eval": ["eval", "--model", model, "--measure", measure, "--all"],
+                "stability": ["stability", "--model", model, "--measure", measure,
+                              "--scheme", files["scheme"], "--out", out_dir, "--gate", "d_bl:1.5"],
+                "certify": ["certify", "--model", model, "--zbox=-1:2", "--n", "20"],
+                "metrics": ["metrics", "--measure", measure, "--kind", "psi", "--q", "2",
+                            "--measure2", os.path.join(DEMO, "measure_dirac1.json")],
+            }[command]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main(argv)
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_MODEL, cli.EXIT_GATE)
+            assert "Traceback" not in stderr.getvalue()
+            if code in (cli.EXIT_OK, cli.EXIT_GATE):
+                assert NAN_MARK not in json.dumps(strict_json(stdout.getvalue()))
+            else:
+                assert stdout.getvalue() == ""
+            report = os.path.join(out_dir, "report.json")
+            if command == "stability" and os.path.exists(report):
+                with open(report, encoding="utf-8") as fh:
+                    doc = strict_json(fh.read())
+                for row in doc.pop("rows"):
+                    marked = [i for i, v in enumerate(row) if v == NAN_MARK]
+                    assert not marked or (row[-1] and set(marked) <= {2, 3, 4, 5, 6}), row
+                assert NAN_MARK not in json.dumps(doc)

@@ -343,7 +343,7 @@ class TestMix:
 
 class TestEmpirical:
     def test_constant_sampler_collapses(self):
-        m = ms.empirical(ms.constant_sampler([0.0]), 5, seed=0)
+        m = ms.empirical(lambda rng, n: np.zeros((n, 1)), 5, seed=0)
         assert len(m) == 1
         assert m.weights[0] == 1.0
 
@@ -367,7 +367,7 @@ class TestEmpirical:
 
     def test_n_validation(self):
         with pytest.raises(OutOfRange):
-            ms.empirical(ms.constant_sampler([0.0]), 0, seed=0)
+            ms.empirical(lambda rng, n: np.zeros((n, 1)), 0, seed=0)
 
 
 class TestSerialization:

@@ -180,10 +180,16 @@ class TestSizeCap:
 NEAR = (canonicalize([((0.5,), 0.5), ((2.0,), 0.5)]),
         canonicalize([((0.0,), 0.5), ((3.0,), 0.5)]))
 FAR = (NEAR[0], canonicalize([((10.0,), 1.0)]))
+# two atoms 30 apart in the plane against one between them
+FAR_2D = (canonicalize([((0.0, 0.0), 0.5), ((30.0, 0.0), 0.5)]),
+          canonicalize([((15.0, 0.0), 1.0)]))
+PAIRS = {"near": NEAR, "far": FAR, "far-2d": FAR_2D}
 ORDERED = {"wasserstein": mt.wasserstein, "fm": mt.fortet_mourier, "psi": mt.psi_metric}
-# (kind, --q, pair): non-finite orders, then finite orders whose value overflows
+# (kind, --q, pair): non-finite orders, then finite orders whose value or
+# cost overflows
 NON_FINITE = [(kind, q, "near") for kind in ORDERED for q in ("inf", "nan")] + [
-    ("fm", "1000", "near"), ("psi", "1000", "near"), ("wasserstein", "1000", "far")]
+    ("fm", "1000", "near"), ("psi", "1000", "near"), ("wasserstein", "1000", "far")] + [
+    (kind, "1000", "far-2d") for kind in ORDERED]
 
 
 class TestNonFinite:
@@ -194,12 +200,12 @@ class TestNonFinite:
     def test_api_raises(self, kind, q, pair):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OutOfRange, match="finite"):
-                ORDERED[kind](*(NEAR if pair == "near" else FAR), float(q))
+                ORDERED[kind](*PAIRS[pair], float(q))
 
     @pytest.mark.parametrize("kind, q, pair", NON_FINITE)
     def test_cli_exit_code(self, kind, q, pair, tmp_path, capsys):
         paths = []
-        for name, m in zip("ab", NEAR if pair == "near" else FAR):
+        for name, m in zip("ab", PAIRS[pair]):
             path = tmp_path / f"{name}.json"
             path.write_text(m.dumps())
             paths.append(str(path))

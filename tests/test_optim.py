@@ -473,6 +473,16 @@ class TestConvexMipBatch:
         with pytest.raises(OutOfRange, match="non-finite"):
             optim.solve_convex_mip_batch(exprs.var(0), g, [[1.0], [np.inf]], (0,), ((-2, 2),))
 
+    @pytest.mark.parametrize(
+        "slices",
+        [((3,), ((0, 2),), (), ()), ((0, 0), ((0, 2), (0, 2)), (), ()),
+         ((0,), ((0, 2),), (0,), ((0, 2),)), ((), (), (1,), ((0, 2),))],
+        ids=["integer-out-of-range", "duplicate-integer", "overlap", "continuous-out-of-range"],
+    )
+    def test_indices_must_be_exactly_range_n(self, slices):
+        with pytest.raises(InvalidSpec):
+            optim.solve_convex_mip_batch(exprs.var(0), (), [[]], *slices)
+
 
 class TestConvexMip:
     def test_unconstrained_minimum_feasible(self):

@@ -1,0 +1,150 @@
+"""Every scalar exponent, order, level, threshold and tolerance goes through
+errors.in_range: a NaN, an infinity, a non-number or a value outside the
+range raises the caller's typed error, and no numpy RuntimeWarning is
+printed on the way."""
+
+import json
+import math
+import os
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+from meanrisk import exprs, measure, metrics, risk, stability
+from meanrisk.errors import (
+    DimMismatch,
+    GrammarError,
+    InvalidExponent,
+    InvalidSpec,
+    OutOfRange,
+    in_range,
+)
+from meanrisk.measure import box_sampler, canonicalize
+from meanrisk.objective import Q, DecisionSet, MeanRiskModel
+from meanrisk.recourse import ParamMap, RecourseModel, certify_growth, theoretical_exponent
+
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
+INF, NAN = math.inf, math.nan
+
+
+def demo(name):
+    with open(os.path.join(DEMO, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def model_with(**edits):
+    data = demo("model_milp_expectation.json")
+    data.update(edits)
+    return MeanRiskModel.from_dict(data)
+
+
+def milp_with_h_matrix(matrix):
+    data = demo("model_milp_expectation.json")
+    data["recourse"]["h_map"]["affine"]["matrix"] = matrix
+    return MeanRiskModel.from_dict(data)
+
+
+def convex_recourse(**edits):
+    data = demo("model_convex_expectation.json")["recourse"]
+    data.update(edits)
+    return RecourseModel.from_dict(data)
+
+
+MU = canonicalize([((0.5,), 0.5), ((2.0,), 0.5)])
+FAR = (canonicalize([((0.0, 0.0), 0.5), ((30.0, 0.0), 0.5)]), canonicalize([((15.0, 0.0), 1.0)]))
+DIST = measure.ScalarDistribution.from_pairs([0.0, 1.0, 4.0], [0.25, 0.5, 0.25])
+MILP = model_with().recourse
+REPORT = stability.StabilityReport(
+    tuple(stability.StabilityRow(k, float(k), 1.0 / (k + 1), 0, 0, 0, 0) for k in range(3)),
+    True, (), (), {},
+)
+
+CASES = {
+    "moment-inf": (OutOfRange, lambda: measure.moment(MU, INF)),
+    "moment-overflow": (OutOfRange, lambda: measure.moment(FAR[0], 1000.0)),
+    "tail-nan-q": (OutOfRange, lambda: measure.tail_functional(MU, NAN, 1.0)),
+    "tail-negative-q": (OutOfRange, lambda: measure.tail_functional(MU, -1.0, 1.0)),
+    "tail-overflow": (OutOfRange, lambda: measure.tail_functional(FAR[0], 1000.0, 1.0)),
+    "mix-nan": (OutOfRange, lambda: measure.mix(MU, MU, NAN)),
+    "ui-nan-q": (OutOfRange, lambda: metrics.diagnose_uniform_integrability([MU], NAN, [1.0])),
+    "ui-inf-threshold": (OutOfRange,
+                         lambda: metrics.diagnose_uniform_integrability([MU], 1.0, [INF])),
+    "wasserstein-2d-overflow": (OutOfRange, lambda: metrics.wasserstein(*FAR, 1000.0)),
+    "fm-2d-overflow": (OutOfRange, lambda: metrics.fortet_mourier(*FAR, 1000.0)),
+    "psi-2d-overflow": (OutOfRange, lambda: metrics.psi_metric(*FAR, 1000.0)),
+    "avar-nan": (OutOfRange, lambda: risk.avar(DIST, NAN)),
+    "semidev-inf-p": (InvalidSpec, lambda: risk.semidev(DIST, 0.5, INF)),
+    "target-semidev-inf-c": (InvalidSpec, lambda: risk.target_semidev(DIST, 0.5, INF, 2.0)),
+    "target-semidev-inf-p": (InvalidSpec, lambda: risk.target_semidev(DIST, 0.5, 1.0, INF)),
+    "riskspec-inf-p": (InvalidSpec, lambda: risk.RiskSpec("semidev", a=0.5, p=INF)),
+    "riskspec-text-alpha": (InvalidSpec, lambda: risk.RiskSpec("avar", alpha="0.5")),
+    "model-inf-gamma": (OutOfRange, lambda: model_with(gamma=INF)),
+    "model-inf-p": (OutOfRange, lambda: model_with(p=INF)),
+    "model-gauge-overflow": (OutOfRange, lambda: model_with(gamma=1e300, p=1e300)),
+    "decision-inf": (OutOfRange, lambda: DecisionSet.from_points([[INF]])),
+    "theoretical-inf": (InvalidExponent, lambda: theoretical_exponent(MILP, gamma_h=INF)),
+    "theoretical-missing": (InvalidExponent, lambda: theoretical_exponent(MILP)),
+    "declared-exponent-text": (InvalidExponent,
+                               lambda: ParamMap(1, expressions=(exprs.var(0),),
+                                                declared_exponent="x")),
+    "certify-inf-gamma": (InvalidExponent,
+                          lambda: certify_growth(MILP, [[0.0]], box_sampler(0, 1), INF, 5, 0)),
+    "certify-overflow": (OutOfRange,
+                         lambda: certify_growth(MILP, [[0.0]], box_sampler(5, 6), 700.0, 5, 0)),
+    "certify-negative-seed": (OutOfRange,
+                              lambda: certify_growth(MILP, [[0.0]], box_sampler(0, 1), 1.0, 5, -1)),
+    "trend-inf-factor": (OutOfRange, lambda: stability.trend_check(REPORT, "d_bl", INF)),
+    "jitter-nan-sigma": (InvalidSpec,
+                         lambda: stability.PerturbationScheme("jitter", sigma_schedule=(NAN,))),
+    "saa-negative-seed": (InvalidSpec,
+                          lambda: stability.PerturbationScheme("saa", n_schedule=(5,), seed=-1)),
+    "scale-nan": (GrammarError, lambda: exprs.scale(NAN, exprs.var(0))),
+    "affine-inf": (GrammarError, lambda: exprs.affine([INF])),
+    "expression-reads-past-m2": (DimMismatch, lambda: convex_recourse(v=["var", 1])),
+    # inf * 0 in h(x, z) at x = 0 reaches the solver as a NaN right-hand side
+    "map-inf-times-zero": (InvalidSpec, lambda: Q(milp_with_h_matrix([[INF, 1.0]]), [0.0], MU)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_out_of_range_is_a_typed_error_without_warnings(name):
+    error, call = CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error):
+            call()
+
+
+class TestInRange:
+    @pytest.mark.parametrize(
+        "bounds, words",
+        [
+            ({"gt": 0}, "must be finite and positive"),
+            ({"ge": 0}, "must be finite and nonnegative"),
+            ({"ge": 1}, "must be finite and >= 1"),
+            ({"gt": 0, "lt": 1}, "must be finite and positive and < 1"),
+            ({"ge": 0, "le": 1}, "must be finite and nonnegative and <= 1"),
+            ({"ge": 1, "lt": 2.5}, "must be finite and >= 1 and < 2.5"),
+            ({}, "must be finite,"),
+        ],
+    )
+    def test_message_names_the_range(self, bounds, words):
+        with pytest.raises(OutOfRange, match=f"^order q {re.escape(words)}"):
+            in_range(NAN, "order q", **bounds)
+
+    @pytest.mark.parametrize("value", [None, "1", [1.0], NAN, INF, -INF, 10**400])
+    def test_non_numbers_and_non_finite_values_raise(self, value):
+        with pytest.raises(InvalidSpec):
+            in_range(value, "p", ge=1, error=InvalidSpec)
+
+    def test_ends_open_or_closed(self):
+        assert in_range(0, "a", ge=0, le=1) == 0.0 and in_range(1, "a", ge=0, le=1) == 1.0
+        for value, bounds in ((0.0, {"gt": 0}), (1.0, {"lt": 1}), (-1e-300, {"ge": 0})):
+            with pytest.raises(OutOfRange):
+                in_range(value, "a", **bounds)
+
+    def test_returns_a_float(self):
+        got = in_range(np.int64(3), "n", ge=1)
+        assert got == 3.0 and type(got) is float
