@@ -63,10 +63,15 @@ class DecisionSet:
             raise DimMismatch("box bounds and counts must share a dimension")
         if np.any(counts < 1):
             raise OutOfRange("grid counts must be >= 1")
-        axes = [
-            np.linspace(l, h, int(c)) if c > 1 else np.array([0.5 * (l + h)])
-            for l, h, c in zip(lo, hi, counts)
-        ]
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise OutOfRange("box bounds must be finite")
+        # a span past the float range overflows to inf, which the point
+        # check in __post_init__ refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            axes = [
+                np.linspace(l, h, int(c)) if c > 1 else np.array([0.5 * (l + h)])
+                for l, h, c in zip(lo, hi, counts)
+            ]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
         return cls(points=pts)

@@ -2,22 +2,28 @@
 
 solve_lp runs a dense two-phase tableau simplex with Bland's anti-cycling
 rule for small instances and hands larger instances (the metric LPs) to
-scipy's HiGHS backend behind the same interface.  Mixed-integer linear and
-quadratic programs share one depth-first branch and bound, which runs the
-trees of many inputs in lockstep; only the relaxation differs (an LP or a
-convex QP), and both append the integer boxes as rows.  The fixed
-branching order (lowest-index most-fractional, floor branch first) keeps
-identical inputs producing identical outputs.  Convex QPs are solved
-exactly by KKT subset enumeration, which is sound for positive definite
-objectives at the row counts used here.  The boxed rows are the same at
-every node, so each round of a batch of MIQP trees is one KKT sweep: per
-active set, one matrix for all pending relaxations, with per-input
-arithmetic, so a batch is bit-identical to its rows solved alone.
-Mixed-integer convex programs enumerate the integer lattice.  A batch of
-pure-integer programs that differ only in their right-hand sides shares one
-table of the objective and constraint values on the lattice; continuous
-slices are solved by Kelley's cutting planes, one small LP per round, so
-their infeasibility is certified.
+scipy's HiGHS backend behind the same interface.  solve_lp_batch solves
+many LPs that differ only in their right-hand sides: an optimal basis
+answers every right-hand side it stays primal feasible for (bunching), and
+a Farkas ray every one it separates, so only the rows no stored
+certificate covers reach solve_lp.  Mixed-integer linear and quadratic
+programs share one depth-first branch and bound, which runs the trees of
+many inputs in lockstep; only the relaxation differs (an LP or a convex
+QP), and both append the integer boxes as rows.  The boxed rows are the
+same at every node, so each round's relaxations are one batch: for MILPs
+one solve_lp_batch, whose bases and rays serve every round; for MIQPs one
+KKT sweep (per active set, one matrix for all pending relaxations, with
+per-input arithmetic, so a batch is bit-identical to its rows solved
+alone), whose infeasibility certificates share one store of rays and
+bases.  The fixed branching order (lowest-index most-fractional, floor
+branch first) keeps identical inputs producing identical outputs.  Convex
+QPs are solved exactly by KKT subset enumeration, which is sound for
+positive definite objectives at the row counts used here.  Mixed-integer
+convex programs enumerate the integer lattice.  A batch of pure-integer
+programs that differ only in their right-hand sides shares one table of
+the objective and constraint values on the lattice; continuous slices are
+solved by Kelley's cutting planes, one small LP per round, so their
+infeasibility is certified.
 """
 
 from __future__ import annotations
@@ -357,6 +363,160 @@ def solve_lp(prob: LinearProgram) -> Solution:
 
 
 # ---------------------------------------------------------------------------
+# linear programs that differ only in their right-hand sides
+# ---------------------------------------------------------------------------
+
+# A Farkas ray lam with ||lam||_inf = 1 certifies b only when lam.b is below
+# -RAY_MARGIN: phase 1 on b would then end above its 1e-7 threshold.
+RAY_MARGIN = 1e-6
+# sign conditions a ray must meet before it is stored
+RAY_TOL = 1e-12
+
+
+class _LpBatch:
+    """min c.x  s.t.  A x (senses) b,  x_j >= 0 where nonneg[j], for many b,
+    with the optimal bases and Farkas rays found so far.
+
+    Certificates live in the standard form M w = b, w >= 0, where w holds x
+    (a free x_j split as x_j = w_j - w_j') and one slack per <= row.  A
+    basis is the support of a nondegenerate optimal vertex (exactly m
+    positive coordinates of w) whose reduced costs are >= -FEAS_TOL; it
+    answers every b with B^-1 b >= 0 (bunching: Wets 1974; Birge &
+    Louveaux, ch. 5).  A ray lam with M'lam >= -RAY_TOL answers every b with
+    lam.b < -RAY_MARGIN as infeasible (Farkas)."""
+
+    def __init__(self, c, A, senses, nonneg):
+        if not scipy.sparse.issparse(A):
+            A = np.asarray(A, dtype=float)
+        self.prob = LinearProgram(c, A, np.zeros(A.shape[0] if A.ndim == 2 else 0), senses, nonneg)
+        self.rays = []  # one lam per ray
+        self.bases = []  # the columns of M of each basis
+        self._M = None
+
+    def _standard_form(self):
+        """M, with its costs, its slack rows, the map P from w back to x
+        (x = w @ P) and a dense A, built on first use."""
+        if self._M is None:
+            p = self.prob
+            self._A = p.A.toarray() if scipy.sparse.issparse(p.A) else p.A
+            free = [j for j, nn in enumerate(p.nonneg) if not nn]
+            self._le = [i for i, s in enumerate(p.senses) if s == "<="]
+            cols = list(range(p.n_vars)) + free
+            signs = np.array([1.0] * p.n_vars + [-1.0] * len(free))
+            slacks = np.zeros((p.n_rows, len(self._le)))
+            slacks[self._le, np.arange(len(self._le))] = 1.0
+            self._M = np.hstack([self._A[:, cols] * signs, slacks])
+            self._cost = np.concatenate([p.c[cols] * signs, np.zeros(len(self._le))])
+            self._P = np.zeros((len(self._cost), p.n_vars))
+            self._P[np.arange(len(cols)), cols] = signs
+        return self._M
+
+    def _store_basis(self, x, b) -> bool:
+        """Store the basis of the optimal point x of row b when x is a
+        nondegenerate vertex whose reduced costs are >= -FEAS_TOL."""
+        M = self._standard_form()
+        w = self._P @ x
+        w[len(w) - len(self._le):] = b[self._le] - self._A[self._le] @ x
+        cols = np.flatnonzero(w > 0)
+        if len(cols) != len(b):
+            return False
+        try:
+            duals = np.linalg.solve(M[:, cols].T, self._cost[cols])
+        except np.linalg.LinAlgError:
+            return False
+        # a nearly singular basis may overflow here; NaN fails the check
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.all(self._cost - M.T @ duals >= -FEAS_TOL):
+                return False
+        self.bases.append(cols)
+        return True
+
+    def _store_ray(self, b) -> bool:
+        """Solve the Farkas LP min b.lam over M'lam >= 0, |lam| <= 1."""
+        M = self._standard_form()
+        p = self.prob
+        eq = [i for i, s in enumerate(p.senses) if s == "=="]
+        box = np.vstack([np.eye(p.n_rows), -np.eye(p.n_rows)[eq]])
+        farkas = LinearProgram(
+            c=b,
+            A=np.vstack([-self._A.T, box]),
+            b=np.concatenate([np.zeros(p.n_vars), np.ones(len(box))]),
+            senses=tuple("<=" if nn else "==" for nn in p.nonneg) + ("<=",) * len(box),
+            nonneg=tuple(s == "<=" for s in p.senses),
+        )
+        sol = solve_lp(farkas)
+        if not sol.optimal or not np.any(sol.point):
+            return False
+        lam = sol.point / np.max(np.abs(sol.point))
+        if not (lam @ b < -RAY_MARGIN and np.all(M.T @ lam >= -RAY_TOL)):
+            return False
+        self.rays.append(lam)
+        return True
+
+    def _cover(self, B, todo, out, rays, bases):
+        """Answer the rows todo of B that a ray or basis certifies; returns
+        the rows still open."""
+        if rays and len(todo):
+            hit = np.any(np.array(rays) @ B[todo].T < -RAY_MARGIN, axis=0)
+            for j in todo[hit]:
+                out[j] = INFEASIBLE
+            todo = todo[~hit]
+        for cols in bases:
+            if not len(todo):
+                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                W = np.linalg.solve(self._M[:, cols], B[todo].T)
+                ok = np.all(W >= 0.0, axis=0) & np.all(np.isfinite(W), axis=0)
+                X = W[:, ok].T @ self._P[cols]
+            for j, x, value in zip(todo[ok], X, X @ self.prob.c):
+                out[j] = Solution("optimal", value, x)
+            todo = todo[~ok]
+        return todo
+
+    def rows(self, B) -> np.ndarray:
+        """B as floats, one finite right-hand side per row."""
+        B = np.asarray(B, dtype=float)
+        if B.ndim != 2 or B.shape[1] != self.prob.n_rows:
+            raise DimMismatch(f"B must have one row of {self.prob.n_rows} entries per program, "
+                              f"got shape {B.shape}")
+        if not np.all(np.isfinite(B)):
+            raise InvalidSpec("non-finite entries in b")
+        return B
+
+    def solve(self, B) -> list:
+        """One Solution per row of B; see solve_lp_batch."""
+        B = self.rows(B)
+        out = [None] * len(B)
+        todo = self._cover(B, np.arange(len(B)), out, self.rays, self.bases)
+        while len(todo):
+            j, todo = todo[0], todo[1:]
+            sol = out[j] = solve_lp(replace(self.prob, b=B[j]))
+            # a certificate is sought only while rows of this call are open
+            if not len(todo):
+                break
+            if sol.optimal and self._store_basis(sol.point, B[j]):
+                todo = self._cover(B, todo, out, [], self.bases[-1:])
+            elif sol.status == "infeasible" and self._store_ray(B[j]):
+                todo = self._cover(B, todo, out, self.rays[-1:], [])
+        return out
+
+
+def solve_lp_batch(c, A, senses, nonneg, B) -> list:
+    """solve_lp at every right-hand side b = B[j] with one c, A, senses and
+    nonneg: one Solution per row.
+
+    A row is first checked against the Farkas rays and then against the
+    optimal bases stored so far in this call, each check one matrix product
+    or solve over all open rows; only a row that neither covers goes to
+    solve_lp.  Each solved row that leaves rows open stores a certificate:
+    the basis of a nondegenerate optimal vertex, or the ray of one small
+    Farkas LP on an infeasible row.  Statuses are solve_lp's; a value from a
+    basis agrees with the tableau's to round-off.  Errors are raised for the
+    batch, with the message a single row would give."""
+    return _LpBatch(c, A, senses, nonneg).solve(B)
+
+
+# ---------------------------------------------------------------------------
 # branch and bound shared by the mixed-integer linear and quadratic programs
 # ---------------------------------------------------------------------------
 
@@ -394,8 +554,9 @@ def _branch_var(point: np.ndarray, idx) -> int:
     Returns -1 when all are integral within 1e-9."""
     best = -1
     best_score = 1e-9
+    values = point.tolist()  # Python floats round faster than numpy scalars
     for pos, i in enumerate(idx):
-        frac = abs(point[i] - round(point[i]))
+        frac = abs(values[i] - round(values[i]))
         if frac > best_score + 1e-15:
             best_score = frac
             best = pos
@@ -407,8 +568,8 @@ def _branch_and_bound(relax, idx, lo0, hi0, roots) -> list:
     tree per root, the trees run in lockstep.
 
     roots[t] is tree t's relaxation on the initial boxes [lo0, hi0];
-    relax(requests) solves the relaxations of a list of (tree, lo, hi)
-    requests and returns their solutions in order.  Each round pops nodes
+    relax(trees, lo, hi) returns the solutions of the relaxations of trees
+    trees[r] on the boxes [lo[r], hi[r]], in order.  Each round pops nodes
     from every tree until one branches and relaxes all their children in
     one relax call.  Within a tree the ceil child is relaxed first and the
     floor child explored first, and a node is pruned when its relaxation
@@ -431,7 +592,7 @@ def _branch_and_bound(relax, idx, lo0, hi0, roots) -> list:
                 if pos < 0:
                     pt = rel.point.copy()
                     for i in idx:
-                        pt[i] = round(pt[i])
+                        pt[i] = round(float(pt[i]))
                     if rel.value < best_val[t] - 1e-15:
                         best_val[t] = rel.value
                         best_pt[t] = pt
@@ -445,8 +606,11 @@ def _branch_and_bound(relax, idx, lo0, hi0, roots) -> list:
                     requests.append((t, l2, h2))
         if not requests:
             break
+        trees = [t for t, _, _ in requests]
+        lo = np.array([l2 for _, l2, _ in requests])
+        hi = np.array([h2 for _, _, h2 in requests])
         # the floor child is pushed last, so it is explored first
-        for (t, l2, h2), child in zip(requests, relax(requests)):
+        for (t, l2, h2), child in zip(requests, relax(trees, lo, hi)):
             if child.optimal and child.value < best_val[t] - 1e-12:
                 stacks[t].append((l2, h2, child))
     return [
@@ -490,34 +654,48 @@ class MixedIntegerProgram:
         object.__setattr__(self, "bounds", bnds)
 
 
-def solve_milp(mip: MixedIntegerProgram) -> Solution:
-    """Branch and bound over LP relaxations, integer bounds as appended rows."""
-    if not mip.integer_idx:
-        return solve_lp(mip.lp)
-    base, idx = mip.lp, mip.integer_idx
-    senses = base.senses + ("<=",) * (2 * len(idx))
-    A = _box_rows(base.A, idx)
+def solve_milp_batch(c, A, senses, nonneg, B, integer_idx=(), bounds=()) -> list:
+    """solve_milp at every right-hand side b = B[j] with one c, A, senses,
+    nonneg and set of integer boxes: one Solution per row.
 
-    def relax(requests):
-        return [
-            solve_lp(LinearProgram(c=base.c, A=A, b=_box_rhs(base.b, lo, hi), senses=senses,
-                                   nonneg=base.nonneg))
-            for _, lo, hi in requests
-        ]
+    The trees run in lockstep (_branch_and_bound), the boxes appended as
+    rows, and each round's relaxations are one solve_lp_batch over one
+    store of bases and rays kept for the whole call: every node of every
+    tree has the same boxed matrix.  A row whose root relaxation is
+    unbounded is unbounded if its integer boxes hold a feasible point (a
+    zero-cost batch decides it) and infeasible otherwise.  Errors are raised
+    for the batch, with the message a single row would give."""
+    plain = _LpBatch(c, A, senses, nonneg)
+    prob = plain.prob
+    idx, bounds = _integer_boxes(integer_idx, bounds, prob.n_vars)
+    if not idx:
+        return plain.solve(B)
+    B = plain.rows(B)
+    boxed = _LpBatch(prob.c, _box_rows(prob.A, idx), prob.senses + ("<=",) * (2 * len(idx)),
+                     prob.nonneg)
 
-    lo0, hi0 = _box_arrays(mip.bounds)
-    (root,) = relax([(0, lo0, hi0)])
-    if root.status == "unbounded":
+    def relax(trees, lo, hi):
+        return boxed.solve(_box_rhs(B[trees], lo, hi))
+
+    lo0, hi0 = _box_arrays(bounds)
+    roots = relax(np.arange(len(B)), lo0, hi0)
+    out = _branch_and_bound(relax, idx, lo0, hi0, roots)
+    unbounded = [j for j, root in enumerate(roots) if root.status == "unbounded"]
+    if unbounded:
         # bounded integers means any feasible point extends to an unbounded ray
-        feas = solve_milp(
-            MixedIntegerProgram(
-                lp(np.zeros(base.n_vars), base.A, base.b, base.senses, base.nonneg),
-                idx,
-                mip.bounds,
-            )
-        )
-        return UNBOUNDED if feas.optimal else INFEASIBLE
-    return _branch_and_bound(relax, idx, lo0, hi0, [root])[0]
+        feas = solve_milp_batch(np.zeros(prob.n_vars), prob.A, prob.senses, prob.nonneg,
+                                B[unbounded], idx, bounds)
+        for j, sol in zip(unbounded, feas):
+            out[j] = UNBOUNDED if sol.optimal else INFEASIBLE
+    return out
+
+
+def solve_milp(mip: MixedIntegerProgram) -> Solution:
+    """Branch and bound over LP relaxations, integer bounds as appended rows
+    (a batch of one)."""
+    p = mip.lp
+    return solve_milp_batch(p.c, p.A, p.senses, p.nonneg, p.b[None], mip.integer_idx,
+                            mip.bounds)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +769,7 @@ def _stacked_solve(K, R) -> np.ndarray:
     return np.linalg.solve(np.broadcast_to(K, (len(R),) + K.shape), R[..., None])[..., 0]
 
 
-def _kkt_sweep(D, A, Q, B) -> list:
+def _kkt_sweep(D, A, Q, B, feasibility) -> list:
     """Exact minimum of y'Dy + Q[j].y over A y <= B[j], one Solution per j,
     for positive definite D.
 
@@ -600,11 +778,14 @@ def _kkt_sweep(D, A, Q, B) -> list:
     Every active set S has one KKT matrix K_S for all inputs, so each is
     solved once for all inputs still without a free minimum: one vector
     solve per input, so values are those of a per-input enumeration.  An
-    input without a KKT point must have an empty feasible set: one LP per
-    input certifies it, or returns a point violating A y <= b + FEAS_TOL
-    (a set empty up to the tableau's phase-1 tolerance); a point that
-    passes raises NumericalFailure.  Raises
-    ConstraintLimitExceeded for more than MAX_QP_ROWS rows.
+    input without a KKT point must have an empty feasible set.  All such
+    inputs go to one feasibility.solve, an _LpBatch of min 0 over A y <= b
+    with y free whose rays and bases the caller keeps across sweeps: a ray
+    certifies an input infeasible, and an LP either does too or returns a
+    point violating A y <= b + FEAS_TOL (a set empty up to the tableau's
+    phase-1 tolerance).  A point that passes, from an LP or a basis, raises
+    NumericalFailure.  Raises ConstraintLimitExceeded for more than
+    MAX_QP_ROWS rows.
     """
     k, n = Q.shape
     m = A.shape[0]
@@ -651,13 +832,12 @@ def _kkt_sweep(D, A, Q, B) -> list:
             best_val[j[better]] = val[better]
             best_y[j[better]] = y[better]
             found[j[better]] = True
-    for pos, j in enumerate(rest):
-        if found[pos]:
-            out[j] = Solution("optimal", best_val[pos], best_y[pos])
-            continue
-        # no KKT point: the feasible set must be empty, which the LP
-        # certifies, or else the LP's point violates a row by > FEAS_TOL
-        feas = solve_lp(lp(np.zeros(n), A, B[j], senses="<=", nonneg=(False,) * n))
+    for pos in np.flatnonzero(found):
+        out[rest[pos]] = Solution("optimal", best_val[pos], best_y[pos])
+    # no KKT point: the feasible set must be empty, which a ray or an LP
+    # certifies, or else the LP's point violates a row by > FEAS_TOL
+    empty = rest[~found]
+    for j, feas in zip(empty, feasibility.solve(B[empty])):
         if feas.optimal and not np.any(A @ feas.point > B[j] + FEAS_TOL):
             raise NumericalFailure("feasible convex QP without a detected KKT point")
         out[j] = INFEASIBLE
@@ -675,19 +855,21 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> list:
     if Q.ndim != 2:
         raise DimMismatch(f"Q must have one row per program, got shape {Q.shape}")
     D, Q, A, B = _qp_arrays(D, Q, A, B)
-    idx, bounds = _integer_boxes(integer_idx, bounds, Q.shape[1])
+    n = Q.shape[1]
+    idx, bounds = _integer_boxes(integer_idx, bounds, n)
+    if idx:
+        A = _box_rows(A, idx)
+    # every relaxation has the same rows, so one store of certificates
+    # serves the feasibility LPs of every sweep
+    feasibility = _LpBatch(np.zeros(n), A, ("<=",) * len(A), (False,) * n)
     if not idx:
-        return _kkt_sweep(D, A, Q, B)
-    A2 = _box_rows(A, idx)
+        return _kkt_sweep(D, A, Q, B, feasibility)
 
-    def relax(requests):
-        trees = [t for t, _, _ in requests]
-        lo = np.array([lo for _, lo, _ in requests])
-        hi = np.array([hi for _, _, hi in requests])
-        return _kkt_sweep(D, A2, Q[trees], _box_rhs(B[trees], lo, hi))
+    def relax(trees, lo, hi):
+        return _kkt_sweep(D, A, Q[trees], _box_rhs(B[trees], lo, hi), feasibility)
 
     lo0, hi0 = _box_arrays(bounds)
-    roots = _kkt_sweep(D, A2, Q, _box_rhs(B, lo0, hi0))
+    roots = relax(np.arange(len(B)), lo0, hi0)
     return _branch_and_bound(relax, idx, lo0, hi0, roots)
 
 

@@ -5,11 +5,13 @@ milp        min q.y        s.t. A y  = h(x,z), y >= 0, last m2 coords integer
 miqp        min y'Dy+q(x,z).y  s.t. A y <= h(x,z), last m2 coords integer
 convex_mip  min v(y)       s.t. g(y) <= h(x,z), last m2 coords integer
 
-Each kind has one route to its solver (_solve_rows): bunching over
-optim.solve_lp for linear, optim.solve_milp per input for milp, and the
-batched optim.solve_miqp_batch and optim.solve_convex_mip_batch for miqp
-and convex_mip.  eval_recourse_batch solves every distinct input of a batch
-that way, and eval_recourse is a batch of one.
+Each kind has one route to its batched solver (_solve_rows):
+optim.solve_lp_batch per distinct cost for linear (bunching: one optimal
+basis answers every right-hand side it stays feasible for),
+optim.solve_milp_batch for milp, optim.solve_miqp_batch for miqp and
+optim.solve_convex_mip_batch for convex_mip; this module holds no solver
+logic of its own.  eval_recourse_batch solves every distinct input of a
+batch that way, and eval_recourse is a batch of one.
 
 Infeasibility or unboundedness at a point signals a violated model
 assumption for that instance and is raised, never silently absorbed.
@@ -160,6 +162,10 @@ class RecourseModel:
         for name in ("A", "q", "D"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name in ("A", "D"):
+            M = getattr(self, name)
+            if M is not None and M.ndim != 2:
+                raise DimMismatch(f"{name} must be a matrix, got shape {M.shape}")
         object.__setattr__(
             self, "integer_bounds", tuple((float(a), float(b)) for a, b in self.integer_bounds)
         )
@@ -188,6 +194,8 @@ class RecourseModel:
                 raise InvalidSpec("miqp recourse needs A, D, q_map, h_map")
             if self.A.shape[1] != self.m1 + self.m2:
                 raise DimMismatch("A width must equal m1 + m2")
+            if self.D.shape != (self.m1 + self.m2,) * 2:
+                raise DimMismatch(f"D shape {self.D.shape} must be (m1 + m2) x (m1 + m2)")
             if self.q_map.out_dim != self.m1 + self.m2:
                 raise DimMismatch("q_map must produce m1 + m2 outputs")
             if self.h_map.out_dim != self.A.shape[0]:
@@ -212,7 +220,7 @@ class RecourseModel:
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "n": self.n, "s": self.s}
         if self.A is not None:
-            out["A"] = [[float(v) for v in row] for row in np.atleast_2d(self.A)]
+            out["A"] = [[float(v) for v in row] for row in self.A]
         if self.q is not None:
             out["q"] = [float(v) for v in self.q]
         if self.q_map is not None:
@@ -220,7 +228,7 @@ class RecourseModel:
         if self.h_map is not None:
             out["h_map"] = self.h_map.to_dict()
         if self.D is not None:
-            out["D"] = [[float(v) for v in row] for row in np.atleast_2d(self.D)]
+            out["D"] = [[float(v) for v in row] for row in self.D]
         if self.kind != "linear":
             out["m1"] = self.m1
             out["m2"] = self.m2
@@ -285,10 +293,10 @@ def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -
     q(x, z) for linear and miqp.  Each key not yet in `cache` (a dict the
     caller may keep across calls; a fresh one by default) is solved once,
     so rows that differ only where the solver does not look share a solve.
-    All misses go to their kind's solver in one _solve_rows call; a
-    batched solver gives each row what it gives the row alone, and linear
-    bunching agrees with the per-row LP to round-off (1e-12 relative in the
-    tests).
+    All misses go to their kind's solver in one _solve_rows call.  The
+    miqp and convex_mip batches give each row what they give it alone; a
+    linear row or milp node that a stored basis answers agrees with its own
+    LP to round-off (1e-12 relative in the tests).
 
     A row whose recourse problem is infeasible, unbounded or invalid raises
     its error, for the first such row in order: a batch that raises is
@@ -325,19 +333,27 @@ def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -
 
 def _solve_rows(model: RecourseModel, H, C) -> list:
     """The recourse problem at every right-hand side H[j] (and cost C[j] for
-    linear and miqp) through the one solver of its kind: one Solution per
-    row, or, for a linear row bunching answered, its optimal value."""
+    linear and miqp) through the one batched solver of its kind: one
+    Solution per row."""
     idx = tuple(range(model.m1, model.m1 + model.m2))
+    if model.kind in ("linear", "milp"):
+        m, width = model.A.shape
+        eq, nonneg = ("==",) * m, (True,) * width
     if model.kind == "linear":
-        return _bunched(model.A, H, C)
+        # one LP batch, and so one store of bases, per distinct cost
+        out = [None] * len(H)
+        same_q = {}
+        for i, c in enumerate(C):
+            same_q.setdefault(c.tobytes(), []).append(i)
+        for rows in same_q.values():
+            for i, sol in zip(rows, optim.solve_lp_batch(C[rows[0]], model.A, eq, nonneg, H[rows])):
+                out[i] = sol
+        return out
     if model.kind == "milp":
         # Eq-form integer recourse keeps y >= 0, so the declared boxes are
         # clipped from below at zero.
         bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
-        return [
-            optim.solve_milp(optim.MixedIntegerProgram(optim.lp(model.q, model.A, h), idx, bounds))
-            for h in H
-        ]
+        return optim.solve_milp_batch(model.q, model.A, eq, nonneg, H, idx, bounds)
     if model.kind == "miqp":
         return optim.solve_miqp_batch(model.D, C, model.A, H, idx, model.integer_bounds)
     return optim.solve_convex_mip_batch(model.v, model.g, H, idx, model.integer_bounds,
@@ -345,10 +361,8 @@ def _solve_rows(model: RecourseModel, H, C) -> list:
 
 
 def _result(model: RecourseModel, xv, zv, sol) -> float:
-    """The value of sol (a float is already an optimal value);
-    RecourseInfeasible or RecourseUnbounded at (xv, zv) otherwise."""
-    if isinstance(sol, float):
-        return sol
+    """The value of sol; RecourseInfeasible or RecourseUnbounded at (xv, zv)
+    otherwise."""
     if sol.status == "infeasible":
         detail = ""
         if model.kind == "convex_mip" and model.m1:
@@ -357,47 +371,6 @@ def _result(model: RecourseModel, xv, zv, sol) -> float:
     if sol.status == "unbounded":
         raise RecourseUnbounded(xv, zv)
     return sol.value
-
-
-def _bunched(A, H, C) -> list:
-    """Linear recourse min C[j].y, A y = H[j], y >= 0 by bunching (Wets
-    1974; Birge & Louveaux, ch. 5).
-
-    Inputs are solved in order.  When an optimal y has exactly m positive
-    coordinates and B = A[:, supp y] is nonsingular, B is an optimal basis,
-    and it stays dual feasible for every input with the same q; so each
-    unsolved input with that q and B^-1 h >= 0 (finite) takes the value
-    q_B.B^-1 h without a solve.  Returns the Solution of each solved input
-    and the value of each bunched one."""
-    same_q = {}
-    for i, c in enumerate(C):
-        same_q.setdefault(c.tobytes(), []).append(i)
-    same_q = {key: np.array(rows) for key, rows in same_q.items()}
-    out = [None] * len(H)
-    done = np.zeros(len(H), dtype=bool)
-    for j in range(len(H)):
-        if done[j]:
-            continue
-        sol = out[j] = optim.solve_lp(optim.lp(C[j], A, H[j]))
-        done[j] = True
-        if not sol.optimal:
-            continue
-        basis = np.flatnonzero(sol.point > 0)
-        if len(basis) != A.shape[0]:
-            continue
-        peers = same_q[C[j].tobytes()]
-        rest = peers[~done[peers]]
-        if not len(rest):
-            continue
-        try:
-            Y = np.linalg.solve(A[:, basis], H[rest].T)
-        except np.linalg.LinAlgError:
-            continue
-        ok = np.all(Y >= 0.0, axis=0) & np.all(np.isfinite(Y), axis=0)
-        for i, value in zip(rest[ok], C[j, basis] @ Y[:, ok]):
-            out[i] = value
-        done[rest[ok]] = True
-    return out
 
 
 # per recourse kind: the exponents the growth of f depends on, and how

@@ -4,14 +4,16 @@ Everything here deliberately avoids the code paths it checks: risk values
 come from plain sums and dense level grids, LP optima from basis
 enumeration, LP duals from HiGHS, canonical merges from a row-by-row loop,
 mixed-integer optima from closed-form one-variable solves per lattice
-assignment, mixed-integer QPs from the per-input KKT enumeration and
-depth-first branch and bound that ``optim`` ran before its batched
-lockstep form (one tree and one ``np.linalg.solve`` per relaxation and
-active set), mixed-integer convex optima from the per-program lattice loop
-that ``optim`` ran before its batched table, recourse values from one
-solve per (x, z) with no batching or bunching, one-dimensional convex
-minima from dense grids, polyhedral convex slices from one
-``scipy.optimize.linprog`` LP, and disc-slab slivers in closed form.  Metric values come from the dense formulations,
+assignment, mixed-integer LPs and QPs from the per-input depth-first
+branch and bound that ``optim`` ran before its batched lockstep form (one
+tree per input, and per relaxation one ``optim.solve_lp`` tableau LP or a
+KKT enumeration with one ``np.linalg.solve`` per active set), mixed-integer
+convex optima from the per-program lattice loop that ``optim`` ran before
+its batched table, recourse values from one solve per (x, z) with no
+batching, bunching or stored certificates, one-dimensional convex minima
+from dense grids, polyhedral convex slices from one
+``scipy.optimize.linprog`` LP, and disc-slab slivers in closed form.
+Metric values come from the dense formulations,
 solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
 one Lipschitz row per ordered pair of atoms, and transport LPs with one
 dense marginal row per atom.  Trend slopes come from the centred normal
@@ -23,6 +25,7 @@ import math
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse
 
 from meanrisk import optim
 from meanrisk.errors import (
@@ -156,6 +159,25 @@ def highs_duals(c, A, b, senses):
     if eq:
         y[eq] = res.eqlin.marginals
     return y, c - A.T @ y
+
+
+def highs_status(c, A, b, senses, nonneg):
+    """scipy.optimize.linprog's status for min c.x s.t. A x (senses) b,
+    x_j >= 0 where nonneg[j]: 0 optimal, 2 infeasible, 3 unbounded."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ub = [i for i, s in enumerate(senses) if s == "<="]
+    eq = [i for i, s in enumerate(senses) if s == "=="]
+    res = scipy.optimize.linprog(
+        c,
+        A_ub=A[ub] if ub else None,
+        b_ub=b[ub] if ub else None,
+        A_eq=A[eq] if eq else None,
+        b_eq=b[eq] if eq else None,
+        bounds=[(0.0, None) if nn else (None, None) for nn in nonneg],
+        method="highs",
+    )
+    return res.status
 
 
 def interval_from_rows(a_vec, rhs, senses, nonneg_var):
@@ -367,6 +389,74 @@ def miqp_bb_oracle(D, q, A, b, int_idx, bounds):
     return optim.Solution("optimal", best_val, best_pt)
 
 
+def milp_bb_oracle(mip):
+    """Depth-first branch and bound over one optim.solve_lp relaxation per
+    node, one tree per program, as optim ran it before its batched form:
+    integer boxes appended as rows x_i <= hi, -x_i <= -lo; the lowest-index
+    most-fractional coordinate is branched on, the ceil child relaxed first
+    and the floor child explored first; a node is pruned when it cannot
+    improve the incumbent by more than 1e-12.  A program whose root
+    relaxation is unbounded is unbounded if a zero-cost run finds an
+    integer-feasible point and infeasible otherwise."""
+    base, idx = mip.lp, mip.integer_idx
+    if not idx:
+        return optim.solve_lp(base)
+    A = base.A.toarray() if scipy.sparse.issparse(base.A) else base.A
+    m, k = A.shape[0], len(idx)
+    A2 = np.zeros((m + 2 * k, base.n_vars))
+    A2[:m] = A
+    for pos, i in enumerate(idx):
+        A2[m + 2 * pos, i] = 1.0
+        A2[m + 2 * pos + 1, i] = -1.0
+    senses = base.senses + ("<=",) * (2 * k)
+
+    def relax(lo, hi):
+        b2 = np.empty(m + 2 * k)
+        b2[:m] = base.b
+        b2[m::2] = hi
+        b2[m + 1 :: 2] = -lo
+        return optim.solve_lp(optim.LinearProgram(base.c, A2, b2, senses, base.nonneg))
+
+    lo0 = np.array([lo for lo, _ in mip.bounds], dtype=float)
+    hi0 = np.array([hi for _, hi in mip.bounds], dtype=float)
+    root = relax(lo0, hi0)
+    if root.status == "unbounded":
+        feas = milp_bb_oracle(optim.MixedIntegerProgram(
+            optim.LinearProgram(np.zeros(base.n_vars), base.A, base.b, base.senses, base.nonneg),
+            idx, mip.bounds))
+        return optim.UNBOUNDED if feas.optimal else optim.INFEASIBLE
+    best_val, best_pt = np.inf, None
+    stack = [(lo0, hi0, root)]
+    while stack:
+        lo, hi, rel = stack.pop()
+        if not rel.optimal or rel.value >= best_val - 1e-12:
+            continue
+        pos, score = -1, 1e-9
+        for p, i in enumerate(idx):
+            frac = abs(rel.point[i] - round(rel.point[i]))
+            if frac > score + 1e-15:
+                pos, score = p, frac
+        if pos < 0:
+            pt = rel.point.copy()
+            for i in idx:
+                pt[i] = round(pt[i])
+            if rel.value < best_val - 1e-15:
+                best_val, best_pt = rel.value, pt
+            continue
+        split = np.floor(rel.point[idx[pos]] + 1e-9)
+        for new_lo, new_hi in ((split + 1.0, hi[pos]), (lo[pos], split)):
+            if new_lo > new_hi:
+                continue
+            l2, h2 = lo.copy(), hi.copy()
+            l2[pos], h2[pos] = new_lo, new_hi
+            child = relax(l2, h2)
+            if child.optimal and child.value < best_val - 1e-12:
+                stack.append((l2, h2, child))
+    if best_pt is None:
+        return optim.INFEASIBLE
+    return optim.Solution("optimal", best_val, best_pt)
+
+
 def convex_mip_loop_oracle(cmp):
     """solve_convex_mip as a loop over lattice points, one program at a time:
     a pure-integer point is checked against max_i(g_i - rhs_i) <= FEAS_TOL
@@ -396,8 +486,8 @@ def convex_mip_loop_oracle(cmp):
 
 
 def recourse_row_oracle(model, x, z):
-    """f(x, z) solved on its own: solve_lp for linear, solve_milp for milp,
-    miqp_bb_oracle for miqp and convex_mip_loop_oracle for convex_mip, the
+    """f(x, z) solved on its own: solve_lp for linear, milp_bb_oracle for
+    milp, miqp_bb_oracle for miqp and convex_mip_loop_oracle for convex_mip, the
     solver inputs checked by optim's program classes.  Raises what the
     recourse module raises at that row."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
@@ -408,8 +498,7 @@ def recourse_row_oracle(model, x, z):
         sol = optim.solve_lp(optim.lp(model.q_map(xv, zv), model.A, h))
     elif model.kind == "milp":
         bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
-        mip = optim.MixedIntegerProgram(optim.lp(model.q, model.A, h), idx, bounds)
-        sol = optim.solve_milp(mip)
+        sol = milp_bb_oracle(optim.MixedIntegerProgram(optim.lp(model.q, model.A, h), idx, bounds))
     elif model.kind == "miqp":
         qmp = optim.QuadraticMixedProgram(model.D, model.q_map(xv, zv), model.A, h, idx,
                                           model.integer_bounds)

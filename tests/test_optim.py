@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -17,7 +19,9 @@ from oracles import (
     convex_grid_oracle,
     convex_mip_loop_oracle,
     highs_duals,
+    highs_status,
     lp_vertex_oracle,
+    milp_bb_oracle,
     milp_closed_oracle,
     miqp_bb_oracle,
     miqp_closed_oracle,
@@ -146,6 +150,117 @@ class TestDuals:
                 assert reduced[j] >= -1e-8
 
 
+@st.composite
+def lp_batches(draw):
+    """Up to 8 right-hand sides of one LP: m <= 3 rows with mixed senses and
+    entries in {-2, ..., 2}, n <= 4 variables, some free.  A row is A x + s
+    for an integer x (nonnegative where it must be) and slack s >= 0 on <=
+    rows, an integer vector (often infeasible or degenerate), or a positive
+    multiple of an earlier row, so that stored bases and rays get used."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    A = np.array([[float(draw(st.integers(-2, 2))) for _ in range(n)] for _ in range(m)])
+    senses = tuple(draw(st.sampled_from(["==", "<="])) for _ in range(m))
+    nonneg = tuple(draw(st.booleans()) for _ in range(n))
+    c = np.array([0.25 * draw(st.integers(-4, 8)) for _ in range(n)])
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["feasible", "grid", "multiple"] if rows else ["feasible", "grid"]))
+        if kind == "feasible":
+            x = np.array([float(draw(st.integers(0 if nn else -2, 2))) for nn in nonneg])
+            s = np.array([float(draw(st.integers(0, 2))) if sense == "<=" else 0.0
+                          for sense in senses])
+            rows.append(A @ x + s)
+        elif kind == "grid":
+            rows.append(np.array([float(draw(st.integers(-3, 3))) for _ in range(m)]))
+        else:
+            rows.append(draw(st.sampled_from([0.5, 1.0, 3.0])) * draw(st.sampled_from(rows)))
+    return c, A, senses, nonneg, np.array(rows).reshape(len(rows), m)
+
+
+class TestLpBatch:
+    """solve_lp_batch against solve_lp row by row: the same status, values
+    within 1e-12 relative to max(1, |value|), and every row a Farkas ray
+    answered infeasible for HiGHS too."""
+
+    def solve_logged(self, c, A, senses, nonneg, B):
+        """solve_lp_batch, and the right-hand sides of the row LPs it solved
+        (the Farkas LPs have another cost vector)."""
+        solved = []
+        solve = optim.solve_lp
+
+        def spy(prob):
+            if prob.c.tobytes() == np.asarray(c, dtype=float).tobytes():
+                solved.append(prob.b.tobytes())
+            return solve(prob)
+
+        with mock.patch.object(optim, "solve_lp", spy):
+            return optim.solve_lp_batch(c, A, senses, nonneg, B), solved
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=lp_batches(), data=st.data())
+    def test_rows_match_solve_lp_in_any_order(self, case, data):
+        c, A, senses, nonneg, B = case
+        want = [optim.solve_lp(optim.LinearProgram(c, A, b, senses, nonneg)) for b in B]
+        order = np.array(data.draw(st.permutations(range(len(B)))), dtype=int)
+        for perm in (np.arange(len(B)), order):
+            got, solved = self.solve_logged(c, A, senses, nonneg, B[perm])
+            assert len(got) == len(perm)
+            for sol, i in zip(got, perm):
+                assert sol.status == want[i].status, (sol, want[i])
+                if sol.optimal:
+                    gap = abs(sol.value - want[i].value) / max(1.0, abs(want[i].value))
+                    assert gap <= 1e-12, (sol, want[i])
+                    assert sol.value == pytest.approx(c @ sol.point, abs=1e-12)
+                    resid = A @ sol.point - B[i]
+                    assert np.all(np.where(np.array(senses) == "==", np.abs(resid), resid) <= 1e-9)
+                    assert np.all(sol.point[list(nonneg)] >= -1e-9)
+                elif sol.status == "infeasible" and B[i].tobytes() not in solved:
+                    assert highs_status(c, A, B[i], senses, nonneg) == 2
+
+    def test_certificates_answer_rows_without_an_lp(self):
+        # min x0 + x1, x0 - x1 = b, x >= 0: one basis for b > 0, one for b < 0;
+        # x0 + x1 <= -1 is empty, and one ray answers every such row
+        A = np.array([[1.0, -1.0], [1.0, 1.0]])
+        B = np.array([[2.0, 5.0], [3.0, 5.0], [-1.0, 5.0], [-4.0, 5.0], [0.5, 9.0],
+                      [1.0, -1.0], [2.0, -3.0], [0.0, -2.0]])
+        got, solved = self.solve_logged([1.0, 1.0], A, ("==", "<="), (True, True), B)
+        assert [sol.value for sol in got[:5]] == [2.0, 3.0, 1.0, 4.0, 0.5]
+        assert [sol.status for sol in got[5:]] == ["infeasible"] * 3
+        assert solved == [B[0].tobytes(), B[2].tobytes(), B[5].tobytes()]
+
+    def test_a_ray_breaking_its_sign_conditions_is_not_stored(self):
+        # a Farkas LP answer lam = (1, -1) has lam.b < 0 at b = (-1, 5) but
+        # breaks A'lam >= 0; stored, it would call the feasible b = (1, 5)
+        # infeasible
+        solve = optim.solve_lp
+
+        def spy(prob):
+            if prob.n_vars == 2:  # the Farkas LP, over lam
+                return optim.Solution("optimal", -6.0, np.array([1.0, -1.0]))
+            return solve(prob)
+
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with mock.patch.object(optim, "solve_lp", spy):
+            got = optim.solve_lp_batch([1.0, 1.0, 0.0], A, ("==", "=="), (True, True, False),
+                                       [[-1.0, 5.0], [1.0, 5.0]])
+        assert [sol.status for sol in got] == ["infeasible", "optimal"]
+
+    def test_empty_batch_and_batch_of_one(self):
+        c, A, senses = [1.0, 2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], ("==", "<=")
+        assert optim.solve_lp_batch(c, A, senses, (True,) * 3, np.zeros((0, 2))) == []
+        for b in ([3.0, 0.5], [-1.0, 0.0]):
+            (got,) = optim.solve_lp_batch(c, A, senses, (True,) * 3, [b])
+            assert same_solution(got, optim.solve_lp(optim.lp(c, A, b, senses)))
+
+    def test_bad_right_hand_sides(self):
+        args = ([1.0], [[1.0]], ("==",), (True,))
+        with pytest.raises(InvalidSpec, match="non-finite entries in b"):
+            optim.solve_lp_batch(*args, [[1.0], [np.nan]])
+        with pytest.raises(DimMismatch):
+            optim.solve_lp_batch(*args, [1.0, 2.0])
+
+
 class TestMilp:
     def test_ceiling_example(self):
         mip = optim.MixedIntegerProgram(
@@ -230,6 +345,66 @@ class TestMilp:
         a = optim.solve_milp(mip)
         b = optim.solve_milp(mip)
         assert a.value == b.value and np.array_equal(a.point, b.point)
+
+
+@st.composite
+def milp_batches(draw):
+    """Up to 6 right-hand sides of one MILP on n <= 3 variables, 1-2 of them
+    integer in small boxes, with m <= 3 rows of mixed senses, some variables
+    free and costs of either sign, so roots may be unbounded and children
+    empty; rows are small integer vectors or positive multiples of one."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    idx = tuple(sorted(draw(st.permutations(range(n)))[: draw(st.integers(1, min(2, n)))]))
+    A = np.array([[0.5 * draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(m)])
+    senses = tuple(draw(st.sampled_from(["==", "<="])) for _ in range(m))
+    nonneg = tuple(draw(st.booleans()) for _ in range(n))
+    c = np.array([0.25 * draw(st.integers(-6, 6)) for _ in range(n)])
+    bounds = tuple((float(draw(st.integers(-3, 0))), draw(st.integers(0, 3)) + 0.5 * draw(
+        st.integers(0, 1))) for _ in idx)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if rows and draw(st.booleans()):
+            rows.append(draw(st.sampled_from([0.5, 2.0])) * draw(st.sampled_from(rows)))
+        else:
+            rows.append(np.array([0.5 * draw(st.integers(-6, 6)) for _ in range(m)]))
+    return c, A.reshape(m, n), senses, nonneg, np.array(rows).reshape(len(rows), m), idx, bounds
+
+
+class TestMilpBatch:
+    """solve_milp_batch against the per-node branch and bound of
+    tests/oracles.py: the same status, values within 1e-12 relative."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=milp_batches(), data=st.data())
+    def test_rows_match_the_oracle_in_any_order(self, case, data):
+        c, A, senses, nonneg, B, idx, bounds = case
+        want = [milp_bb_oracle(optim.MixedIntegerProgram(
+            optim.LinearProgram(c, A, b, senses, nonneg), idx, bounds)) for b in B]
+        order = np.array(data.draw(st.permutations(range(len(B)))), dtype=int)
+        for perm in (np.arange(len(B)), order):
+            got = optim.solve_milp_batch(c, A, senses, nonneg, B[perm], idx, bounds)
+            assert len(got) == len(perm)
+            for sol, i in zip(got, perm):
+                assert sol.status == want[i].status, (sol, want[i])
+                if sol.optimal:
+                    gap = abs(sol.value - want[i].value) / max(1.0, abs(want[i].value))
+                    assert gap <= 1e-12, (sol, want[i])
+
+    def test_unbounded_and_infeasible_roots(self):
+        # y0 integer in [0, 2] with 2 y0 == b1 has no point for b1 = 3; the
+        # free y2 with cost -1 in no row makes every other row unbounded
+        A = np.array([[-1.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+        B = np.array([[0.0, 2.0], [1.0, 3.0], [5.0, 4.0]])
+        got = optim.solve_milp_batch([0.5, -1.0, -1.0], A, ("<=", "=="), (True, False, False),
+                                     B, (0,), ((0.0, 2.0),))
+        assert [sol.status for sol in got] == ["unbounded", "infeasible", "unbounded"]
+
+    def test_milp_is_a_batch_of_one(self):
+        mip = optim.MixedIntegerProgram(
+            optim.lp([1, -1.3, 0.2], [[1, 1, 1]], [4.5], "<=", (False, False, True)),
+            (0, 1), ((-5, 5), (-5, 5)))
+        assert same_solution(optim.solve_milp(mip), milp_bb_oracle(mip))
 
 
 class TestQp:
@@ -397,6 +572,20 @@ class TestMiqpBatch:
         assert miqp_bb_oracle(D, q, A, b, (0,), ((-0.5, 2.0),)).status == "infeasible"
         child = optim.solve_qp_convex(D, q, np.vstack([A, [[-1.0]]]), np.append(b, 0.0))
         assert child.status == "infeasible"
+
+    def test_certificate_lps_share_one_store(self, monkeypatch):
+        # min y^2 + (2 b + 1) y over integers y >= -b: the relaxed minimum
+        # sits on the bound y = -b, so at every fractional b the floor child
+        # y <= floor(-b) is empty, and one Farkas ray certifies all of them
+        B = np.linspace(0.05, 2.95, 30)[:, None]
+        args = (np.eye(1), 2.0 * B + 1.0, -np.eye(1), B, (0,), ((-5.0, 5.0),))
+        want = self.check(*args)
+        assert all(w.optimal for w in want)
+        calls = []
+        solve = optim.solve_lp
+        monkeypatch.setattr(optim, "solve_lp", lambda prob: calls.append(prob) or solve(prob))
+        optim.solve_miqp_batch(*args)
+        assert len(calls) == 2  # the first empty child's LP and its Farkas LP
 
     def test_row_cap_is_checked_before_any_solve(self, monkeypatch):
         def no_solve(*args):

@@ -84,6 +84,10 @@ CASES = {
     "model-inf-p": (OutOfRange, lambda: model_with(p=INF)),
     "model-gauge-overflow": (OutOfRange, lambda: model_with(gamma=1e300, p=1e300)),
     "decision-inf": (OutOfRange, lambda: DecisionSet.from_points([[INF]])),
+    "decision-box-inf": (OutOfRange, lambda: DecisionSet.from_box([0.0], [INF], [3])),
+    "decision-box-nan": (OutOfRange, lambda: DecisionSet.from_box([NAN], [1.0], [1])),
+    "decision-box-span-overflow": (OutOfRange,
+                                   lambda: DecisionSet.from_box([-1e308], [1e308], [3])),
     "theoretical-inf": (InvalidExponent, lambda: theoretical_exponent(MILP, gamma_h=INF)),
     "theoretical-missing": (InvalidExponent, lambda: theoretical_exponent(MILP)),
     "declared-exponent-text": (InvalidExponent,

@@ -7,6 +7,7 @@ miqp        f(x, z) = min y^2 + (x - z) y over integers y >= -z in the box
 convex_mip  f(x, z) = (7 - min(7, floor(|z| + 1)))^2
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from meanrisk import exprs
+from meanrisk import cli, exprs
 from meanrisk.errors import DimMismatch, EmptySet, RecourseInfeasible
 from meanrisk.measure import ScalarDistribution, canonicalize
 from meanrisk.objective import MeanRiskModel, Q, argmin_set, phi, q_profile
@@ -174,3 +175,54 @@ class TestRoundTrip:
         assert rec.digest() == model.recourse.digest()
         for z in (-2.7, 0.0, 1.1):
             assert eval_recourse(rec, [0.5], [z]) == eval_recourse(model.recourse, [0.5], [z])
+
+
+class TestMatrixShapes:
+    """A and D must be matrices, and the miqp D must be (m1 + m2) x (m1 + m2),
+    at construction: DimMismatch from the API, a config error from the CLI."""
+
+    def recourse_dict(self, name, **edits):
+        with open(os.path.join(DEMO, name), encoding="utf-8") as fh:
+            data = json.load(fh)["recourse"]
+        data.update(edits)
+        return data
+
+    @pytest.mark.parametrize("A", [1.0, [1.0, -1.0], [[[1.0, -1.0]]]],
+                             ids=["scalar", "vector", "3-d"])
+    @pytest.mark.parametrize("name", ["model_linear_expectation.json",
+                                      "model_milp_expectation.json"])
+    def test_a_must_be_a_matrix(self, name, A):
+        data = self.recourse_dict(name, A=A)
+        with pytest.raises(DimMismatch, match="A must be a matrix"):
+            RecourseModel.from_dict(data)
+        model = RecourseModel.from_dict(self.recourse_dict(name))
+        with pytest.raises(DimMismatch, match="A must be a matrix"):
+            dataclasses.replace(model, A=A)
+
+    @pytest.mark.parametrize("D, match", [
+        (1.0, "D must be a matrix"),
+        ([1.0], "D must be a matrix"),
+        ([[1.0, 0.0], [0.0, 1.0]], "D shape"),
+        ([[1.0, 0.0]], "D shape"),
+    ], ids=["scalar", "vector", "too-large", "not-square"])
+    def test_miqp_d_is_square_of_width_m1_plus_m2(self, D, match):
+        data = self.recourse_dict("model_miqp_expectation.json", D=D)
+        with pytest.raises(DimMismatch, match=match):
+            RecourseModel.from_dict(data)
+        model = RecourseModel.from_dict(self.recourse_dict("model_miqp_expectation.json"))
+        with pytest.raises(DimMismatch, match=match):
+            dataclasses.replace(model, D=D)
+
+    @pytest.mark.parametrize("edit", [{"A": 1.0}, {"A": [1.0]}, {"D": 1.0}],
+                             ids=["scalar-A", "vector-A", "scalar-D"])
+    def test_cli_config_error(self, edit, tmp_path, capsys):
+        with open(os.path.join(DEMO, "model_miqp_expectation.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["recourse"].update(edit)
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(data))
+        argv = ["eval", "--model", str(model), "--measure",
+                os.path.join(DEMO, "base_measure.json"), "--all"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and "DimMismatch" in out.err

@@ -1,10 +1,12 @@
 """eval_recourse_batch against the per-row oracle of tests/oracles.py.
 
-The batch must equal recourse_row_oracle row by row: bit for bit for milp,
-miqp and convex_mip, within 1e-12 (relative to max(1, |f|)) for linear,
-whose bunched values come from a basis solve instead of the tableau.  On an
-infeasible, unbounded or invalid row it must raise what the oracle raises
-at the first such row.
+The batch must equal recourse_row_oracle row by row: bit for bit for miqp
+and convex_mip, and for milp on the demo models; elsewhere within 1e-12
+(relative to max(1, |f|)) for linear and milp, whose rows or nodes a
+stored basis answers with a basis solve instead of the tableau (the oracle
+solves every milp node by its own tableau LP).  On an infeasible,
+unbounded or invalid row it must raise what the oracle raises at the first
+such row.
 """
 
 import json
@@ -27,7 +29,7 @@ from oracles import miqp_bb_oracle, recourse_row_oracle
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 DEMO_MODELS = sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
 BASES = ("base_measure.json", "base_measure_strict.json")
-LINEAR_TOL = 1e-12
+ROUNDOFF_TOL = 1e-12
 
 
 def load(name):
@@ -44,7 +46,9 @@ def per_row(model, x, Z):
         return None, err
 
 
-def assert_matches_oracle(model, x, Z, cache=None):
+def assert_matches_oracle(model, x, Z, cache=None, bitwise=None):
+    """The batch equals the oracle row by row: bit for bit when bitwise
+    (by default for miqp and convex_mip), else within ROUNDOFF_TOL."""
     want, want_err = per_row(model, x, Z)
     if want_err is not None:
         with pytest.raises(type(want_err)) as err:
@@ -52,42 +56,53 @@ def assert_matches_oracle(model, x, Z, cache=None):
         assert str(err.value) == str(want_err)
         return
     got = eval_recourse_batch(model, x, Z, cache)
-    if model.kind == "linear":
-        gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-        assert np.all(gap <= LINEAR_TOL), (gap.max(), got, want)
-    else:
+    if bitwise is None:
+        bitwise = model.kind in ("miqp", "convex_mip")
+    if bitwise:
         assert got.tobytes() == want.tobytes(), (got, want)
+    else:
+        gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert np.all(gap <= ROUNDOFF_TOL), (gap.max(), got, want)
 
 
 @pytest.fixture
 def count_solves(monkeypatch):
     """Counter of the solver inputs recourse hands to optim: one entry per
-    solve_lp or solve_milp call and one per row of a solve_miqp_batch or
+    row of a solve_lp_batch, solve_milp_batch, solve_miqp_batch or
     solve_convex_mip_batch call.  Only recourse's own reference to optim is
-    replaced, so the solves optim makes inside a solver (solve_milp's LP
+    replaced, so the solves optim makes inside a solver (LPs of a batch,
     relaxations, Kelley's cut LPs) are not counted."""
     calls = []
 
-    def counted_lp(prob):
-        calls.append(prob)
-        return optim.solve_lp(prob)
+    def counted(name, rows):
+        solver = getattr(optim, name)
 
-    def counted_milp(mip):
-        calls.append(mip)
-        return optim.solve_milp(mip)
+        def spy(*args):
+            calls.extend(args[rows])
+            return solver(*args)
 
-    def counted_miqp(D, Q, A, B, *args):
-        calls.extend(B)
-        return optim.solve_miqp_batch(D, Q, A, B, *args)
-
-    def counted_convex(v, g, R, *args):
-        calls.extend(R)
-        return optim.solve_convex_mip_batch(v, g, R, *args)
+        return spy
 
     spy = types.SimpleNamespace(**vars(optim))
-    spy.solve_lp, spy.solve_milp = counted_lp, counted_milp
-    spy.solve_miqp_batch, spy.solve_convex_mip_batch = counted_miqp, counted_convex
+    # each solver's argument that holds one row per input
+    for name, rows in (("solve_lp_batch", 4), ("solve_milp_batch", 4), ("solve_miqp_batch", 3),
+                       ("solve_convex_mip_batch", 2)):
+        setattr(spy, name, counted(name, rows))
     monkeypatch.setattr(recourse, "optim", spy)
+    return calls
+
+
+@pytest.fixture
+def count_lps(monkeypatch):
+    """Counter of every optim.solve_lp call, inside the solvers too."""
+    calls = []
+    solve = optim.solve_lp
+
+    def counted(prob):
+        calls.append(prob)
+        return solve(prob)
+
+    monkeypatch.setattr(optim, "solve_lp", counted)
     return calls
 
 
@@ -99,10 +114,11 @@ class TestDemoModels:
         nu = DiscreteMeasure.from_dict(load(base))
         grid = np.concatenate([np.arange(-9.5, 10.0, 0.5), [-2.7, -0.3, 0.3, 1.1, 6.9]])
         cache = {}
+        bitwise = model.recourse.kind != "linear"
         for x in model.decisions:
             for Z in (nu.points, grid[:, None]):
-                assert_matches_oracle(model.recourse, x, Z)
-                assert_matches_oracle(model.recourse, x, Z, cache)
+                assert_matches_oracle(model.recourse, x, Z, bitwise=bitwise)
+                assert_matches_oracle(model.recourse, x, Z, cache, bitwise=bitwise)
 
     @pytest.mark.parametrize("name", DEMO_MODELS)
     def test_eval_recourse_is_a_batch_of_one(self, name):
@@ -166,14 +182,37 @@ class TestSolveCounts:
         assert len(count_solves) == 19
         assert len(tables) == 1
 
-    def test_linear_bunching_solves_once_per_basis(self, count_solves):
+    def test_linear_bunching_solves_once_per_basis(self, count_solves, count_lps):
         # f = |x - z|: one basis for z < x, one for z > x, z = x is degenerate
         model = MeanRiskModel.from_dict(load("model_linear_expectation.json"))
         Z = np.array([[0.5], [-1.0], [2.0], [0.25], [3.0], [-4.0]])
         assert_matches_oracle(model.recourse, [0.5], Z)
         count_solves.clear()
+        count_lps.clear()
         eval_recourse_batch(model.recourse, [0.5], Z)
-        assert len(count_solves) == 3
+        assert len(count_solves) == 6
+        assert len(count_lps) == 3
+
+    def test_eval_all_lp_count(self, count_lps, tmp_path, capsys):
+        # the benchmark's eval-recourse pass at seed 7: eval --all of the four
+        # recourse families on 100 atoms uniform on [-2, 3], which took 484
+        # LPs when no basis or ray was reused
+        rng = np.random.default_rng(7)
+        points, weights = rng.uniform(-2.0, 3.0, size=100), rng.uniform(0.5, 1.5, size=100)
+        atoms = [{"point": [p], "weight": w} for p, w in zip(points, weights / weights.sum())]
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps({"dim": 1, "atoms": atoms}))
+        counts = []
+        for _ in range(2):
+            count_lps.clear()
+            for name in ("model_linear_avar.json", "model_milp_expectation.json",
+                         "model_miqp_expectation.json", "model_convex_expectation.json"):
+                argv = ["eval", "--model", os.path.join(DEMO, name), "--measure", str(measure),
+                        "--all"]
+                assert cli.main(argv) == cli.EXIT_OK
+            counts.append(len(count_lps))
+        capsys.readouterr()
+        assert counts[0] == counts[1] <= 80
 
     def test_model_cache_is_shared_by_q_and_recourse_value(self, count_solves):
         model = MeanRiskModel.from_dict(load("model_miqp_expectation.json"))
