@@ -122,8 +122,10 @@ def in_range(value, name: str, *, gt=None, ge=None, lt=None, le=None, error=OutO
     return v
 
 
-def finite_result(value: float, name: str, q: float) -> float:
-    """value, or OutOfRange when a power ||.||^q overflowed on the atoms."""
+def finite_result(value: float, name: str, q: float | None = None) -> float:
+    """value, or OutOfRange naming what overflowed: a power ||.||^q on the
+    atoms when q is given, else the computed quantity name."""
     if not math.isfinite(value):
-        raise OutOfRange(f"{name} is {value} at order q = {q}: not finite on these atoms")
+        where = ": not finite" if q is None else f" at order q = {q}: not finite on these atoms"
+        raise OutOfRange(f"{name} is {value}{where}")
     return value

@@ -10,11 +10,12 @@ report a value and a subgradient, which is all the solvers need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrammarError, in_range
+from .errors import GrammarError, finite_result, in_range
 
 AFFINE = "affine"
 CONVEX = "convex"
@@ -58,10 +59,29 @@ class ConvexExpr:
     # -- evaluation ------------------------------------------------------
 
     def value(self, y: np.ndarray) -> float:
-        return self.eval_with_subgradient(y)[0]
+        """The value at the point y; OutOfRange, naming the expression and
+        the point, when it overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = self._eval(y)[0]
+        if not math.isfinite(v):  # the message is built only on failure
+            finite_result(v, self._at(y))
+        return v
 
     def eval_with_subgradient(self, y: np.ndarray):
-        """Return (value, subgradient) at the point y."""
+        """Return (value, subgradient) at the point y; OutOfRange, naming the
+        expression and the point, when either overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, g = self._eval(y)
+        if not (math.isfinite(v) and np.all(np.isfinite(g))):
+            finite_result(v, self._at(y))
+            finite_result(float(np.max(np.abs(g))), f"the subgradient of {self._at(y)}")
+        return v, g
+
+    def _at(self, y) -> str:
+        return f"expression {self.to_prefix()} at y = {[float(c) for c in y]}"
+
+    def _eval(self, y: np.ndarray):
+        """(value, subgradient) at y, unchecked: an overflow gives inf."""
         k = self.kind
         if k == "const":
             return self.value0, np.zeros(len(y))
@@ -78,33 +98,36 @@ class ConvexExpr:
             total = 0.0
             grad = np.zeros(len(y))
             for c in self.children:
-                v, g = c.eval_with_subgradient(y)
+                v, g = c._eval(y)
                 total += v
                 grad += g
             return total, grad
         if k == "scale":
-            v, g = self.children[0].eval_with_subgradient(y)
+            v, g = self.children[0]._eval(y)
             return self.value0 * v, self.value0 * g
         if k == "max":
             best_v = -np.inf
             best_g = np.zeros(len(y))
             for c in self.children:
-                v, g = c.eval_with_subgradient(y)
+                v, g = c._eval(y)
                 if v > best_v:
                     best_v, best_g = v, g
             return best_v, best_g
         if k == "abs":
-            v, g = self.children[0].eval_with_subgradient(y)
+            v, g = self.children[0]._eval(y)
             s = np.sign(v)
             return abs(v), s * g
         if k == "pow":
-            v, g = self.children[0].eval_with_subgradient(y)
-            return v**self.exponent, self.exponent * v ** (self.exponent - 1) * g
+            v, g = self.children[0]._eval(y)
+            try:
+                return v**self.exponent, self.exponent * v ** (self.exponent - 1) * g
+            except OverflowError:  # a float power raises where a product gives inf
+                return math.inf, g
         if k == "norm":
             vals = []
             grads = []
             for c in self.children:
-                v, g = c.eval_with_subgradient(y)
+                v, g = c._eval(y)
                 vals.append(v)
                 grads.append(g)
             vals = np.array(vals)

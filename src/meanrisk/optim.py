@@ -3,19 +3,20 @@
 solve_lp runs a dense two-phase tableau simplex with Bland's anti-cycling
 rule for small instances and hands larger instances (the metric LPs) to
 scipy's HiGHS backend behind the same interface.  solve_lp_batch solves
-many LPs that differ only in their right-hand sides: an optimal basis
-answers every right-hand side it stays primal feasible for (bunching), and
-a Farkas ray every one it separates, so only the rows no stored
-certificate covers reach solve_lp.  Mixed-integer linear and quadratic
-programs share one depth-first branch and bound, which runs the trees of
-many inputs in lockstep; only the relaxation differs (an LP or a convex
-QP), and both append the integer boxes as rows.  The boxed rows are the
-same at every node, so each round's relaxations are one batch: for MILPs
-one solve_lp_batch, whose bases and rays serve every round; for MIQPs one
-KKT sweep (per active set, one matrix for all pending relaxations, with
-per-input arithmetic, so a batch is bit-identical to its rows solved
-alone), whose infeasibility certificates share one store of rays and
-bases.  The fixed branching order (lowest-index most-fractional, floor
+many LPs that differ only in their right-hand sides: the tableau returns
+its final basis with an optimal solution and its phase-1 Farkas ray with
+an infeasible one; the basis answers every right-hand side it stays primal
+feasible for (bunching) and the ray every one it separates, so only the
+rows no stored certificate covers reach solve_lp.  Mixed-integer linear
+and quadratic programs share one depth-first branch and bound, which runs
+the trees of many inputs in lockstep; only the relaxation differs (an LP
+or a convex QP), and both append the integer boxes as rows.  The boxed
+rows are the same at every node, so each round's relaxations are one
+batch: for MILPs one solve_lp_batch, whose bases and rays serve every
+round; for MIQPs one KKT sweep (per active set, one matrix for all
+pending relaxations, with per-input arithmetic, so a batch is
+bit-identical to its rows solved alone), whose infeasibility certificates
+share one store of rays and bases.  The fixed branching order (lowest-index most-fractional, floor
 branch first) keeps identical inputs producing identical outputs.  Convex
 QPs are solved exactly by KKT subset enumeration, which is sound for
 positive definite objectives at the row counts used here.  Mixed-integer
@@ -155,48 +156,33 @@ def lp(c, A, b, senses=None, nonneg=None) -> LinearProgram:
 
 
 class _Standard:
-    """Standard form min c.x, Ax = b, x >= 0 with a map back to the
-    original variables (free variables split into positive/negative parts)."""
+    """The standard form min cost.w, M w = b, w >= 0 of min c.x, A x (senses)
+    b, x_j >= 0 where nonneg[j]: w holds x_j for each variable in order,
+    followed by -x_j for a free x_j (x_j = w_j - w_j'), and then one slack
+    per <= row (slack_of_row maps the row to its column); x = w @ P.  It
+    does not depend on b, so one object serves every right-hand side."""
 
     def __init__(self, prob: LinearProgram):
-        n = prob.n_vars
-        cols = []  # (orig_index, sign)
-        for j in range(n):
-            cols.append((j, 1.0))
-            if not prob.nonneg[j]:
-                cols.append((j, -1.0))
-        self.var_cols = cols
-        A = np.zeros((prob.n_rows, len(cols)))
-        for k, (j, s) in enumerate(cols):
-            A[:, k] = s * prob.A[:, j]
-        c = np.array([s * prob.c[j] for j, s in cols])
-        # slack per <= row
-        self.slack_of_row = {}
-        slack_cols = []
-        for i, sense in enumerate(prob.senses):
-            if sense == "<=":
-                col = np.zeros(prob.n_rows)
-                col[i] = 1.0
-                slack_cols.append(col)
-                self.slack_of_row[i] = len(cols) + len(slack_cols) - 1
-        if slack_cols:
-            A = np.hstack([A, np.array(slack_cols).T])
-            c = np.concatenate([c, np.zeros(len(slack_cols))])
-        b = prob.b.copy()
-        flip = b < 0
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-        self.flipped = flip
-        self.A = A
-        self.b = b
-        self.c = c
-        self.n_struct = len(cols)
+        A = prob.A.toarray() if scipy.sparse.issparse(prob.A) else prob.A
+        cols = [j for j, nn in enumerate(prob.nonneg) for _ in range(1 if nn else 2)]
+        signs = np.array([s for nn in prob.nonneg for s in ((1.0,) if nn else (1.0, -1.0))])
+        le = [i for i, s in enumerate(prob.senses) if s == "<="]
+        k = len(cols)
+        self.slack_of_row = {i: k + pos for pos, i in enumerate(le)}
+        self.M = np.zeros((prob.n_rows, k + len(le)))
+        self.M[:, :k] = A[:, cols] * signs
+        self.M[le, k + np.arange(len(le))] = 1.0
+        self.cost = np.zeros(k + len(le))
+        self.cost[:k] = prob.c[cols] * signs
+        self.P = np.zeros((k + len(le), prob.n_vars))
+        self.P[np.arange(k), cols] = signs
 
-    def back(self, x_std: np.ndarray, n: int) -> np.ndarray:
-        x = np.zeros(n)
-        for k, (j, s) in enumerate(self.var_cols):
-            x[j] += s * x_std[k]
-        return x
+
+def _certified(sol: Solution, certificate) -> Solution:
+    """sol with the tableau's certificate attached as an attribute that is
+    not a field, so equality and repr ignore it (see _LpBatch._store)."""
+    object.__setattr__(sol, "certificate", certificate)
+    return sol
 
 
 def _pivot(T: np.ndarray, basis: list, row: int, col: int):
@@ -244,49 +230,48 @@ def _run_simplex(T: np.ndarray, basis: list, n_cols: int, budget: list) -> str:
 
 
 def _tableau_solve(prob: LinearProgram) -> Solution:
+    """Two-phase simplex on the standard form, its rows with b < 0 negated.
+
+    An optimal Solution carries its final basis (columns of M) as its
+    certificate, unless phase 1 dropped a redundant row.  An infeasible one
+    carries the Farkas ray lam = -y of the phase-1 duals y = B1^-T c1, on the
+    original rows: M'lam >= -FEAS_TOL and lam.b < -1e-7."""
     std = _Standard(prob)
-    m, n_std = std.A.shape
+    m, n_std = std.M.shape
     if m == 0:
         # unconstrained: bounded iff no improving direction exists
-        for k in range(n_std):
-            if std.c[k] < -FEAS_TOL:
-                return UNBOUNDED
-        x = std.back(np.zeros(n_std), prob.n_vars)
+        if np.any(std.cost < -FEAS_TOL):
+            return UNBOUNDED
+        x = np.zeros(prob.n_vars)
         return Solution("optimal", float(prob.c @ x), x)
     budget = [PIVOT_CAP]
+    sign = np.where(prob.b < 0, -1.0, 1.0)
 
     # phase 1: artificial basis, reusing unit slack columns where possible
-    basis = [-1] * m
-    art_cols = []
-    A1 = std.A
-    for i in range(m):
-        srow = std.slack_of_row.get(i)
-        if srow is not None and not std.flipped[i]:
-            basis[i] = srow
-    for i in range(m):
-        if basis[i] < 0:
-            col = np.zeros(m)
-            col[i] = 1.0
-            art_cols.append(col)
-            basis[i] = n_std + len(art_cols) - 1
-    n_all = n_std + len(art_cols)
-    if art_cols:
-        A1 = np.hstack([std.A, np.array(art_cols).T])
+    basis = [std.slack_of_row.get(i, -1) if sign[i] > 0 else -1 for i in range(m)]
+    art_rows = [i for i in range(m) if basis[i] < 0]
+    n_all = n_std + len(art_rows)
+    for k, i in enumerate(art_rows):
+        basis[i] = n_std + k
+    start = list(basis)
     T = np.zeros((m + 1, n_all + 1))
-    T[:m, :A1.shape[1]] = A1
-    T[:m, -1] = std.b
-    if art_cols:
+    T[:m, :n_std] = std.M * sign[:, None]
+    T[art_rows, n_std:n_all] = np.eye(len(art_rows))
+    T[:m, -1] = prob.b * sign
+    if art_rows:
         c1 = np.zeros(n_all)
         c1[n_std:] = 1.0
         T[-1, :n_all] = c1
-        for i in range(m):
-            if basis[i] >= n_std:
-                T[-1] -= T[i]
+        for i in art_rows:
+            T[-1] -= T[i]
         status = _run_simplex(T, basis, n_all, budget)
         if status != "optimal":
             raise NumericalFailure("phase 1 unbounded")
         if -T[-1, -1] > 1e-7:
-            return INFEASIBLE
+            # row i started on the unit column start[i], whose reduced cost
+            # is c1 - y_i
+            y = c1[start] - T[-1, start]
+            return _certified(Solution("infeasible"), -sign * y)
         # drive remaining artificials out of the basis or drop their rows
         keep = np.ones(m, dtype=bool)
         for i in range(m):
@@ -310,18 +295,18 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
     T2 = np.zeros((m + 1, n_std + 1))
     T2[:m, :n_std] = T[:m, :n_std]
     T2[:m, -1] = T[:m, -1]
-    T2[-1, :n_std] = std.c
+    T2[-1, :n_std] = std.cost
     for i in range(m):
-        if std.c[basis[i]] != 0.0:
-            T2[-1] -= std.c[basis[i]] * T2[i]
+        if std.cost[basis[i]] != 0.0:
+            T2[-1] -= std.cost[basis[i]] * T2[i]
     status = _run_simplex(T2, basis, n_std, budget)
     if status == "unbounded":
         return UNBOUNDED
-    x_std = np.zeros(n_std)
-    for i in range(m):
-        x_std[basis[i]] = T2[i, -1]
-    x = std.back(x_std, prob.n_vars)
-    return Solution("optimal", float(prob.c @ x), x)
+    w = np.zeros(n_std)
+    w[basis] = T2[:m, -1]
+    x = w @ std.P
+    sol = Solution("optimal", float(prob.c @ x), x)
+    return _certified(sol, np.array(basis)) if m == prob.n_rows else sol
 
 
 def _scipy_solve(prob: LinearProgram) -> Solution:
@@ -356,8 +341,6 @@ def solve_lp(prob: LinearProgram) -> Solution:
     Up to TABLEAU_LIMIT rows and columns the dense tableau solves it (a
     sparse A is densified); larger instances go to HiGHS, sparse A as is."""
     if max(prob.n_rows, prob.n_vars) <= TABLEAU_LIMIT:
-        if scipy.sparse.issparse(prob.A):
-            prob = replace(prob, A=prob.A.toarray())
         return _tableau_solve(prob)
     return _scipy_solve(prob)
 
@@ -377,79 +360,48 @@ class _LpBatch:
     """min c.x  s.t.  A x (senses) b,  x_j >= 0 where nonneg[j], for many b,
     with the optimal bases and Farkas rays found so far.
 
-    Certificates live in the standard form M w = b, w >= 0, where w holds x
-    (a free x_j split as x_j = w_j - w_j') and one slack per <= row.  A
-    basis is the support of a nondegenerate optimal vertex (exactly m
-    positive coordinates of w) whose reduced costs are >= -FEAS_TOL; it
-    answers every b with B^-1 b >= 0 (bunching: Wets 1974; Birge &
-    Louveaux, ch. 5).  A ray lam with M'lam >= -RAY_TOL answers every b with
-    lam.b < -RAY_MARGIN as infeasible (Farkas)."""
+    Certificates are the tableau's own (_tableau_solve), in the standard
+    form M w = b, w >= 0 of _Standard, which the batch builds once, on
+    first use.  A basis is a final tableau basis, degenerate or not, whose
+    reduced costs recomputed from M are >= -FEAS_TOL; it answers every b
+    with B^-1 b >= 0 (bunching: Wets 1974; Birge & Louveaux, ch. 5).  A ray
+    is the tableau's phase-1 dual scaled to ||lam||_inf = 1, kept when
+    M'lam >= -RAY_TOL and lam.b < -RAY_MARGIN at its own row; it answers
+    every b with lam.b < -RAY_MARGIN as infeasible (Farkas).  A row above
+    TABLEAU_LIMIT goes to HiGHS and stores nothing; no recourse model
+    batches an LP of that size."""
 
     def __init__(self, c, A, senses, nonneg):
         if not scipy.sparse.issparse(A):
             A = np.asarray(A, dtype=float)
         self.prob = LinearProgram(c, A, np.zeros(A.shape[0] if A.ndim == 2 else 0), senses, nonneg)
+        self.std = None  # prob's _Standard, built on the first store
         self.rays = []  # one lam per ray
         self.bases = []  # the columns of M of each basis
-        self._M = None
 
-    def _standard_form(self):
-        """M, with its costs, its slack rows, the map P from w back to x
-        (x = w @ P) and a dense A, built on first use."""
-        if self._M is None:
-            p = self.prob
-            self._A = p.A.toarray() if scipy.sparse.issparse(p.A) else p.A
-            free = [j for j, nn in enumerate(p.nonneg) if not nn]
-            self._le = [i for i, s in enumerate(p.senses) if s == "<="]
-            cols = list(range(p.n_vars)) + free
-            signs = np.array([1.0] * p.n_vars + [-1.0] * len(free))
-            slacks = np.zeros((p.n_rows, len(self._le)))
-            slacks[self._le, np.arange(len(self._le))] = 1.0
-            self._M = np.hstack([self._A[:, cols] * signs, slacks])
-            self._cost = np.concatenate([p.c[cols] * signs, np.zeros(len(self._le))])
-            self._P = np.zeros((len(self._cost), p.n_vars))
-            self._P[np.arange(len(cols)), cols] = signs
-        return self._M
-
-    def _store_basis(self, x, b) -> bool:
-        """Store the basis of the optimal point x of row b when x is a
-        nondegenerate vertex whose reduced costs are >= -FEAS_TOL."""
-        M = self._standard_form()
-        w = self._P @ x
-        w[len(w) - len(self._le):] = b[self._le] - self._A[self._le] @ x
-        cols = np.flatnonzero(w > 0)
-        if len(cols) != len(b):
+    def _store(self, sol, b) -> bool:
+        """Store the certificate the tableau attached to sol, the solution
+        of row b, if it passes its check."""
+        cert = getattr(sol, "certificate", None)
+        if cert is None:
             return False
-        try:
-            duals = np.linalg.solve(M[:, cols].T, self._cost[cols])
-        except np.linalg.LinAlgError:
-            return False
-        # a nearly singular basis may overflow here; NaN fails the check
+        if self.std is None:
+            self.std = _Standard(self.prob)
+        M, cost = self.std.M, self.std.cost
+        # a nearly singular basis may overflow here; NaN fails the checks
         with np.errstate(over="ignore", invalid="ignore"):
-            if not np.all(self._cost - M.T @ duals >= -FEAS_TOL):
+            if sol.optimal:
+                try:
+                    duals = np.linalg.solve(M[:, cert].T, cost[cert])
+                except np.linalg.LinAlgError:
+                    return False
+                if not np.all(cost - M.T @ duals >= -FEAS_TOL):
+                    return False
+                self.bases.append(cert)
+                return True
+            lam = cert / np.max(np.abs(cert))
+            if not (lam @ b < -RAY_MARGIN and np.all(M.T @ lam >= -RAY_TOL)):
                 return False
-        self.bases.append(cols)
-        return True
-
-    def _store_ray(self, b) -> bool:
-        """Solve the Farkas LP min b.lam over M'lam >= 0, |lam| <= 1."""
-        M = self._standard_form()
-        p = self.prob
-        eq = [i for i, s in enumerate(p.senses) if s == "=="]
-        box = np.vstack([np.eye(p.n_rows), -np.eye(p.n_rows)[eq]])
-        farkas = LinearProgram(
-            c=b,
-            A=np.vstack([-self._A.T, box]),
-            b=np.concatenate([np.zeros(p.n_vars), np.ones(len(box))]),
-            senses=tuple("<=" if nn else "==" for nn in p.nonneg) + ("<=",) * len(box),
-            nonneg=tuple(s == "<=" for s in p.senses),
-        )
-        sol = solve_lp(farkas)
-        if not sol.optimal or not np.any(sol.point):
-            return False
-        lam = sol.point / np.max(np.abs(sol.point))
-        if not (lam @ b < -RAY_MARGIN and np.all(M.T @ lam >= -RAY_TOL)):
-            return False
         self.rays.append(lam)
         return True
 
@@ -465,9 +417,9 @@ class _LpBatch:
             if not len(todo):
                 break
             with np.errstate(over="ignore", invalid="ignore"):
-                W = np.linalg.solve(self._M[:, cols], B[todo].T)
+                W = np.linalg.solve(self.std.M[:, cols], B[todo].T)
                 ok = np.all(W >= 0.0, axis=0) & np.all(np.isfinite(W), axis=0)
-                X = W[:, ok].T @ self._P[cols]
+                X = W[:, ok].T @ self.std.P[cols]
             for j, x, value in zip(todo[ok], X, X @ self.prob.c):
                 out[j] = Solution("optimal", value, x)
             todo = todo[~ok]
@@ -491,13 +443,10 @@ class _LpBatch:
         while len(todo):
             j, todo = todo[0], todo[1:]
             sol = out[j] = solve_lp(replace(self.prob, b=B[j]))
-            # a certificate is sought only while rows of this call are open
-            if not len(todo):
-                break
-            if sol.optimal and self._store_basis(sol.point, B[j]):
-                todo = self._cover(B, todo, out, [], self.bases[-1:])
-            elif sol.status == "infeasible" and self._store_ray(B[j]):
-                todo = self._cover(B, todo, out, self.rays[-1:], [])
+            # a certificate is stored only while rows of this call are open
+            if len(todo) and self._store(sol, B[j]):
+                new = ([], self.bases[-1:]) if sol.optimal else (self.rays[-1:], [])
+                todo = self._cover(B, todo, out, *new)
         return out
 
 
@@ -508,11 +457,12 @@ def solve_lp_batch(c, A, senses, nonneg, B) -> list:
     A row is first checked against the Farkas rays and then against the
     optimal bases stored so far in this call, each check one matrix product
     or solve over all open rows; only a row that neither covers goes to
-    solve_lp.  Each solved row that leaves rows open stores a certificate:
-    the basis of a nondegenerate optimal vertex, or the ray of one small
-    Farkas LP on an infeasible row.  Statuses are solve_lp's; a value from a
-    basis agrees with the tableau's to round-off.  Errors are raised for the
-    batch, with the message a single row would give."""
+    solve_lp.  Each solved row that leaves rows open stores the certificate
+    the tableau returned with it, if it passes its check: the final basis of
+    an optimal row, degenerate or not, or the phase-1 Farkas ray of an
+    infeasible one.  Statuses are solve_lp's; a value from a basis agrees
+    with the tableau's to round-off.  Errors are raised for the batch, with
+    the message a single row would give."""
     return _LpBatch(c, A, senses, nonneg).solve(B)
 
 
@@ -780,10 +730,11 @@ def _kkt_sweep(D, A, Q, B, feasibility) -> list:
     solve per input, so values are those of a per-input enumeration.  An
     input without a KKT point must have an empty feasible set.  All such
     inputs go to one feasibility.solve, an _LpBatch of min 0 over A y <= b
-    with y free whose rays and bases the caller keeps across sweeps: a ray
-    certifies an input infeasible, and an LP either does too or returns a
-    point violating A y <= b + FEAS_TOL (a set empty up to the tableau's
-    phase-1 tolerance).  A point that passes, from an LP or a basis, raises
+    with y free whose rays and bases (the tableau's phase-1 rays and final
+    bases) the caller keeps across sweeps: a ray certifies an input
+    infeasible, and an LP either does too or returns a point violating
+    A y <= b + FEAS_TOL (a set empty up to the tableau's phase-1
+    tolerance).  A point that passes, from an LP or a basis, raises
     NumericalFailure.  Raises ConstraintLimitExceeded for more than
     MAX_QP_ROWS rows.
     """

@@ -142,6 +142,27 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err == f"model error: OutOfRange: non-finite entries in {name}\n"
 
+    @pytest.mark.parametrize("entry", ["v", "h_map"])
+    def test_expression_overflow_is_a_model_error(self, tmp_path, capsys, entry):
+        # (1e200 y + 7)^2 on the integer box, or z^2 at an atom z = 1e200
+        data = demo("model_convex_expectation.json")
+        base = demo("base_measure.json")
+        if entry == "v":
+            data["recourse"]["v"] = ["pow", ["affine", [1e200], 7.0], 2]
+            expr = "['pow', ['affine', [1e+200], 7.0], 2]"
+        else:
+            data["recourse"]["h_map"]["expr"] = [["pow", ["affine", [0.0, 1.0]], 2]]
+            base = {"dim": 1, "atoms": [{"point": [1e200], "weight": 1.0}]}
+            expr = "['pow', ['affine', [0.0, 1.0], 0.0], 2]"
+        model = write(tmp_path, "m.json", data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_eval(model, write(tmp_path, "b.json", base)) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"model error: OutOfRange: expression {expr} at y = [")
+        assert out.err.endswith("is inf: not finite\n") and out.err.count("\n") == 1
+
     def test_missing_file(self, tmp_path, capsys):
         model = write(tmp_path, "m.json", demo("model_linear_avar.json"))
         assert run_eval(model, str(tmp_path / "absent.json")) == cli.EXIT_CONFIG

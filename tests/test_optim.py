@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -184,14 +185,12 @@ class TestLpBatch:
     answered infeasible for HiGHS too."""
 
     def solve_logged(self, c, A, senses, nonneg, B):
-        """solve_lp_batch, and the right-hand sides of the row LPs it solved
-        (the Farkas LPs have another cost vector)."""
+        """solve_lp_batch, and the right-hand sides of the row LPs it solved."""
         solved = []
         solve = optim.solve_lp
 
         def spy(prob):
-            if prob.c.tobytes() == np.asarray(c, dtype=float).tobytes():
-                solved.append(prob.b.tobytes())
+            solved.append(prob.b.tobytes())
             return solve(prob)
 
         with mock.patch.object(optim, "solve_lp", spy):
@@ -229,22 +228,107 @@ class TestLpBatch:
         assert [sol.status for sol in got[5:]] == ["infeasible"] * 3
         assert solved == [B[0].tobytes(), B[2].tobytes(), B[5].tobytes()]
 
-    def test_a_ray_breaking_its_sign_conditions_is_not_stored(self):
-        # a Farkas LP answer lam = (1, -1) has lam.b < 0 at b = (-1, 5) but
-        # breaks A'lam >= 0; stored, it would call the feasible b = (1, 5)
-        # infeasible
+    @staticmethod
+    def solve_with(certificate, c, A, senses, nonneg, B):
+        """An _LpBatch over B whose row LPs carry `certificate` in place of
+        the tableau's own, and the right-hand sides of the LPs it solved."""
+        solved = []
         solve = optim.solve_lp
 
         def spy(prob):
-            if prob.n_vars == 2:  # the Farkas LP, over lam
-                return optim.Solution("optimal", -6.0, np.array([1.0, -1.0]))
-            return solve(prob)
+            solved.append(prob.b.tobytes())
+            return optim._certified(solve(prob), np.array(certificate))
 
-        A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        batch = optim._LpBatch(c, A, senses, nonneg)
         with mock.patch.object(optim, "solve_lp", spy):
-            got = optim.solve_lp_batch([1.0, 1.0, 0.0], A, ("==", "=="), (True, True, False),
-                                       [[-1.0, 5.0], [1.0, 5.0]])
+            return batch, batch.solve(B), solved
+
+    def test_a_ray_breaking_its_sign_conditions_is_not_stored(self):
+        # lam = (1, -1) has lam.b < 0 at b = (-1, 5) but breaks A'lam >= 0;
+        # stored, it would call the feasible b = (1, 5) infeasible
+        args = ([1.0, 1.0, 0.0], np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), ("==", "=="),
+                (True, True, False), np.array([[-1.0, 5.0], [1.0, 5.0]]))
+        batch, got, solved = self.solve_with([1.0, -1.0], *args)
         assert [sol.status for sol in got] == ["infeasible", "optimal"]
+        assert batch.rays == [] and len(solved) == 2
+        # the tableau's own ray is stored, and does not cover b = (1, 5)
+        batch = optim._LpBatch(*args[:4])
+        assert [sol.status for sol in batch.solve(args[4])] == ["infeasible", "optimal"]
+        assert len(batch.rays) == 1
+
+    def test_a_basis_failing_its_reduced_costs_is_not_stored(self):
+        # min x0 + 2 x1 over x0 + x1 = b, x >= 0: the basis {x1} is primal
+        # feasible for every b >= 0 but has reduced cost -1 on x0; stored, it
+        # would answer b = 3 with the value 6
+        args = ([1.0, 2.0], [[1.0, 1.0]], ("==",), (True, True), np.array([[2.0], [3.0]]))
+        batch, got, solved = self.solve_with([1], *args)
+        assert [sol.value for sol in got] == [2.0, 3.0]
+        assert batch.bases == [] and len(solved) == 2
+        # the tableau's own basis {x0} is stored and answers b = 3
+        batch, got, solved = self.solve_with([0], *args)
+        assert [sol.value for sol in got] == [2.0, 3.0]
+        assert len(batch.bases) == 1 and solved == [args[4][0].tobytes()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=lp_batches())
+    def test_every_tableau_ray_is_stored_only_when_it_certifies(self, case):
+        # the checks, in the original rows: A_j'lam >= 0 for x_j >= 0 and
+        # = 0 for a free x_j, lam_i >= 0 on a <= row, lam.b < 0 with margin
+        c, A, senses, nonneg, B = case
+        le = np.array(senses) == "<="
+        for b in B:
+            sol = optim.solve_lp(optim.LinearProgram(c, A, b, senses, nonneg))
+            if sol.status != "infeasible":
+                continue
+            ray = sol.certificate
+            lam = ray / np.max(np.abs(ray))
+            At = A.T @ lam
+            passes = (lam @ b < -optim.RAY_MARGIN
+                      and np.all(np.where(nonneg, At, -np.abs(At)) >= -optim.RAY_TOL)
+                      and np.all(lam[le] >= -optim.RAY_TOL))
+            batch = optim._LpBatch(c, A, senses, nonneg)
+            assert batch._store(sol, b) == passes
+            if passes:
+                assert np.array_equal(batch.rays[0], lam)
+                assert highs_status(c, A, b, senses, nonneg) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=lp_batches())
+    def test_every_tableau_basis_is_primal_feasible_on_its_row(self, case):
+        # the standard form built here: x_j, then -x_j after a free x_j, then
+        # one slack per <= row; the basis solve gives the solution's point
+        c, A, senses, nonneg, B = case
+        cols = [(j, s) for j, nn in enumerate(nonneg) for s in ((1.0,) if nn else (1.0, -1.0))]
+        le = [i for i, sense in enumerate(senses) if sense == "<="]
+        M = np.hstack([np.array([s * A[:, j] for j, s in cols]).T, np.eye(len(senses))[:, le]])
+        for b in B:
+            sol = optim.solve_lp(optim.LinearProgram(c, A, b, senses, nonneg))
+            basis = getattr(sol, "certificate", None)
+            if not sol.optimal or basis is None:
+                continue
+            assert len(basis) == len(b) == len(set(basis.tolist()))
+            w = np.linalg.solve(M[:, basis], b)
+            assert np.all(w >= -1e-9)
+            x = np.zeros(len(c))
+            for k, wk in zip(basis, w):
+                if k < len(cols):
+                    x[cols[k][0]] += cols[k][1] * wk
+            assert np.allclose(x, sol.point, atol=1e-9)
+
+    def test_highs_sized_rows_store_nothing(self, monkeypatch):
+        # 90 columns are above TABLEAU_LIMIT: every row goes to HiGHS
+        rng = np.random.default_rng(90)
+        c, A = rng.uniform(0.5, 1.5, 90), rng.uniform(-1.0, 1.0, (2, 90))
+        B = np.array([[1.0, 0.5], [2.0, 1.0], [-1.0, 0.25]])
+        calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: calls.append(a) or linprog(*a, **k))
+        batch = optim._LpBatch(c, A, ("==", "<="), (True,) * 90)
+        got = batch.solve(B)
+        assert len(calls) == 3 and batch.rays == [] and batch.bases == []
+        for sol, b in zip(got, B):
+            assert same_solution(sol, optim.solve_lp(optim.lp(c, A, b, ("==", "<="))))
 
     def test_empty_batch_and_batch_of_one(self):
         c, A, senses = [1.0, 2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], ("==", "<=")
@@ -405,6 +489,23 @@ class TestMilpBatch:
             optim.lp([1, -1.3, 0.2], [[1, 1, 1]], [4.5], "<=", (False, False, True)),
             (0, 1), ((-5, 5), (-5, 5)))
         assert same_solution(optim.solve_milp(mip), milp_bb_oracle(mip))
+
+    def test_degenerate_roots_share_one_basis(self, monkeypatch):
+        # the milp demo's recourse: min y1 over -y0 + y1 = z, y >= 0, y1
+        # integer in [0, 1100].  At z < 0 the root is y = (-z, 0): y1 sits on
+        # its box bound, so the vertex is degenerate (2 positive coordinates
+        # for 3 rows), and the first root's basis answers every other one
+        A, q, bounds = [[-1.0, 1.0]], [0.0, 1.0], ((0.0, 1100.0),)
+        B = np.array([[-0.5], [-2.0], [-1.25], [-7.0], [-0.01]])
+        calls = []
+        solve = optim.solve_lp
+        monkeypatch.setattr(optim, "solve_lp", lambda prob: calls.append(prob) or solve(prob))
+        got = optim.solve_milp_batch(q, A, ("==",), (True, True), B, (1,), bounds)
+        assert len(calls) == 1
+        for sol, b in zip(got, B):
+            want = milp_bb_oracle(optim.MixedIntegerProgram(optim.lp(q, A, b), (1,), bounds))
+            assert sol.value == want.value == 0.0
+            assert np.array_equal(sol.point, [-b[0], 0.0])
 
 
 class TestQp:
@@ -576,7 +677,8 @@ class TestMiqpBatch:
     def test_certificate_lps_share_one_store(self, monkeypatch):
         # min y^2 + (2 b + 1) y over integers y >= -b: the relaxed minimum
         # sits on the bound y = -b, so at every fractional b the floor child
-        # y <= floor(-b) is empty, and one Farkas ray certifies all of them
+        # y <= floor(-b) is empty, and the phase-1 ray of the first such LP
+        # certifies all of them
         B = np.linspace(0.05, 2.95, 30)[:, None]
         args = (np.eye(1), 2.0 * B + 1.0, -np.eye(1), B, (0,), ((-5.0, 5.0),))
         want = self.check(*args)
@@ -585,7 +687,7 @@ class TestMiqpBatch:
         solve = optim.solve_lp
         monkeypatch.setattr(optim, "solve_lp", lambda prob: calls.append(prob) or solve(prob))
         optim.solve_miqp_batch(*args)
-        assert len(calls) == 2  # the first empty child's LP and its Farkas LP
+        assert len(calls) == 1  # the first empty child's LP
 
     def test_row_cap_is_checked_before_any_solve(self, monkeypatch):
         def no_solve(*args):

@@ -52,6 +52,12 @@ def convex_recourse(**edits):
     return RecourseModel.from_dict(data)
 
 
+def convex_model(**edits):
+    data = demo("model_convex_expectation.json")
+    data["recourse"].update(edits)
+    return MeanRiskModel.from_dict(data)
+
+
 MU = canonicalize([((0.5,), 0.5), ((2.0,), 0.5)])
 FAR = (canonicalize([((0.0, 0.0), 0.5), ((30.0, 0.0), 0.5)]), canonicalize([((15.0, 0.0), 1.0)]))
 DIST = measure.ScalarDistribution.from_pairs([0.0, 1.0, 4.0], [0.25, 0.5, 0.25])
@@ -107,6 +113,15 @@ CASES = {
     "scale-nan": (GrammarError, lambda: exprs.scale(NAN, exprs.var(0))),
     "affine-inf": (GrammarError, lambda: exprs.affine([INF])),
     "expression-reads-past-m2": (DimMismatch, lambda: convex_recourse(v=["var", 1])),
+    "expression-pow-overflow": (OutOfRange, lambda: exprs.even_power(
+        exprs.affine([1e200], 7.0), 2).value(np.array([1.0]))),
+    "expression-subgradient-overflow": (OutOfRange, lambda: exprs.scale(
+        1e200, exprs.affine([1e200])).eval_with_subgradient(np.array([1e-250]))),
+    "convex-v-overflow": (OutOfRange, lambda: Q(
+        convex_model(v=["pow", ["affine", [1e200], 7.0], 2]), [0.0], MU)),
+    "convex-h-map-overflow": (OutOfRange, lambda: Q(
+        convex_model(h_map={"exponent": 2.0, "expr": [["pow", ["affine", [0.0, 1.0]], 2]]}),
+        [0.0], canonicalize([((1e200,), 1.0)]))),
     # inf * 0 in h(x, z) at x = 0 reaches the solver as a NaN right-hand side
     "map-inf-times-zero": (InvalidSpec, lambda: Q(milp_with_h_matrix([[INF, 1.0]]), [0.0], MU)),
 }
@@ -119,6 +134,23 @@ def test_out_of_range_is_a_typed_error_without_warnings(name):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(error):
             call()
+
+
+class TestExpressionOverflow:
+    def test_the_error_names_the_expression_and_the_point(self):
+        e = exprs.even_power(exprs.affine([1e200], 7.0), 2)
+        with pytest.raises(OutOfRange, match=re.escape(
+                "expression ['pow', ['affine', [1e+200], 7.0], 2] at y = [1.0] is inf")):
+            e.eval_with_subgradient(np.array([1.0]))
+
+    def test_a_finite_value_with_an_overflowing_subgradient(self):
+        # 1e200 * (1e200 * 1e-250) = 1e150, but the subgradient is 1e400
+        e = exprs.scale(1e200, exprs.affine([1e200]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert e.value(np.array([1e-250])) == pytest.approx(1e150)
+            with pytest.raises(OutOfRange, match="^the subgradient of expression"):
+                e.eval_with_subgradient(np.array([1e-250]))
 
 
 class TestInRange:
