@@ -5,7 +5,7 @@ value, even integer power, Euclidean norm.  Convexity is enforced by
 construction: nonaffine nodes only accept children whose curvature keeps
 the whole tree convex (abs, even powers and norms require affine children;
 sums, maxima and nonnegative scalings accept convex ones).  Every node can
-report a value and a subgradient, which is all the solvers need.
+report values and subgradients, all the solvers need, at many points at once.
 """
 
 from __future__ import annotations
@@ -58,85 +58,67 @@ class ConvexExpr:
 
     # -- evaluation ------------------------------------------------------
 
+    def values(self, Y: np.ndarray) -> np.ndarray:
+        """The values at the rows of Y; OutOfRange at the first that overflows."""
+        return table((self,), Y)[:, 0]
+
     def value(self, y: np.ndarray) -> float:
-        """The value at the point y; OutOfRange, naming the expression and
-        the point, when it overflows."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = self._eval(y)[0]
-        if not math.isfinite(v):  # the message is built only on failure
-            finite_result(v, self._at(y))
-        return v
+        """The value at the point y (a row of one, see values)."""
+        return float(self.values([y])[0])
 
     def eval_with_subgradient(self, y: np.ndarray):
         """Return (value, subgradient) at the point y; OutOfRange, naming the
         expression and the point, when either overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            v, g = self._eval(y)
+            (v,), (g,) = self._eval(np.asarray([y], dtype=float))
         if not (math.isfinite(v) and np.all(np.isfinite(g))):
-            finite_result(v, self._at(y))
+            finite_result(float(v), self._at(y))
             finite_result(float(np.max(np.abs(g))), f"the subgradient of {self._at(y)}")
-        return v, g
+        return float(v), g
 
     def _at(self, y) -> str:
         return f"expression {self.to_prefix()} at y = {[float(c) for c in y]}"
 
-    def _eval(self, y: np.ndarray):
-        """(value, subgradient) at y, unchecked: an overflow gives inf."""
+    def _eval(self, Y: np.ndarray):
+        """(values, subgradients) at the rows of Y, each as for a point alone."""
         k = self.kind
+        rows, d = Y.shape
+        G = np.zeros((rows, d))
         if k == "const":
-            return self.value0, np.zeros(len(y))
+            return np.full(rows, self.value0), G
         if k == "var":
-            g = np.zeros(len(y))
-            g[self.index] = 1.0
-            return float(y[self.index]), g
+            G[:, self.index] = 1.0
+            return Y[:, self.index].copy(), G
         if k == "affine":
             a = np.asarray(self.coeffs, dtype=float)
-            g = np.zeros(len(y))
-            g[: len(a)] = a
-            return float(a @ y[: len(a)]) + self.value0, g
+            G[:, : len(a)] = a
+            return Y[:, : len(a)] @ a + self.value0, G
+        if k in ("scale", "abs", "pow"):
+            v, g = self.children[0]._eval(Y)
+            if k == "scale":
+                return self.value0 * v, self.value0 * g
+            if k == "abs":
+                return np.abs(v), np.sign(v)[:, None] * g
+            return v**self.exponent, (self.exponent * v ** (self.exponent - 1))[:, None] * g
+        parts = [c._eval(Y) for c in self.children]
+        if k == "max":  # the first strict maximum
+            best = np.full(rows, -np.inf)
+            for v, g in parts:
+                better = v > best
+                best = np.where(better, v, best)
+                G = np.where(better[:, None], g, G)
+            return best, G
+        total = np.zeros(rows)  # sum and norm accumulate child by child from 0.0
+        for v, g in parts:
+            total += v if k == "sum" else v * v
+            G += g if k == "sum" else v[:, None] * g
         if k == "sum":
-            total = 0.0
-            grad = np.zeros(len(y))
-            for c in self.children:
-                v, g = c._eval(y)
-                total += v
-                grad += g
-            return total, grad
-        if k == "scale":
-            v, g = self.children[0]._eval(y)
-            return self.value0 * v, self.value0 * g
-        if k == "max":
-            best_v = -np.inf
-            best_g = np.zeros(len(y))
-            for c in self.children:
-                v, g = c._eval(y)
-                if v > best_v:
-                    best_v, best_g = v, g
-            return best_v, best_g
-        if k == "abs":
-            v, g = self.children[0]._eval(y)
-            s = np.sign(v)
-            return abs(v), s * g
-        if k == "pow":
-            v, g = self.children[0]._eval(y)
-            try:
-                return v**self.exponent, self.exponent * v ** (self.exponent - 1) * g
-            except OverflowError:  # a float power raises where a product gives inf
-                return math.inf, g
-        if k == "norm":
-            vals = []
-            grads = []
-            for c in self.children:
-                v, g = c._eval(y)
-                vals.append(v)
-                grads.append(g)
-            vals = np.array(vals)
-            nrm = float(np.linalg.norm(vals))
-            if nrm == 0.0:
-                return 0.0, np.zeros(len(y))
-            grad = sum(v * g for v, g in zip(vals, grads)) / nrm
-            return nrm, grad
-        raise GrammarError(f"unknown node kind {k!r}")
+            return total, G
+        nrm = np.sqrt(total)  # norm
+        zero = nrm == 0.0
+        G /= np.where(zero, 1.0, nrm)[:, None]
+        G[zero] = 0.0
+        return nrm, G
 
     # -- growth ----------------------------------------------------------
 
@@ -171,6 +153,19 @@ class ConvexExpr:
         if k == "abs":
             return ["abs", self.children[0].to_prefix()]
         return [k] + [c.to_prefix() for c in self.children]
+
+
+def table(trees, Y) -> np.ndarray:
+    """The values of every tree (columns) at every row of Y; OutOfRange at the
+    first row, then tree, that overflows, naming both."""
+    Y = np.asarray(Y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = np.array([t._eval(Y)[0] for t in trees]).reshape(len(trees), len(Y)).T
+    bad = ~np.isfinite(V)
+    if bad.any():  # the message is built only on failure
+        i, j = divmod(int(np.argmax(bad)), len(trees))
+        finite_result(float(V[i, j]), trees[j]._at(Y[i]))
+    return V
 
 
 def const(v: float) -> ConvexExpr:

@@ -6,7 +6,7 @@ evaluates the risk functional on the image distribution.  Evaluations are
 cached per (decision, measure digest), and recourse values per solver input
 (the bytes of h(x, z), and of q(x, z) where the cost moves), so decisions
 and perturbed measures that hand the solver an input it has seen before
-pay for that solve once.
+pay for that solve once; q_profile evaluates all decisions in one batch.
 """
 
 from __future__ import annotations
@@ -111,8 +111,7 @@ class MeanRiskModel:
 
     def recourse_value(self, x, z) -> float:
         """f(x, z) through the model's solver-input cache."""
-        zv = np.atleast_1d(np.asarray(z, dtype=float))
-        return float(eval_recourse_batch(self.recourse, x, zv[None, :], self._f_cache)[0])
+        return float(eval_recourse_batch(self.recourse, x, [np.ravel(z)], self._f_cache)[0])
 
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
@@ -140,23 +139,29 @@ class MeanRiskModel:
 
 def Q(model: MeanRiskModel, x, nu: DiscreteMeasure) -> float:
     """Risk of the push-forward of nu through the recourse value at x."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    if len(xv) != model.recourse.n:
-        raise DimMismatch(f"decision dim {len(xv)} vs model n={model.recourse.n}")
-    if nu.dim != model.recourse.s:
-        raise DimMismatch(f"measure dim {nu.dim} vs model s={model.recourse.s}")
-    key = (xv.tobytes(), nu.digest())
-    hit = model._q_cache.get(key)
-    if hit is None:
-        values = eval_recourse_batch(model.recourse, xv, nu.points, model._f_cache)
-        hit = evaluate_risk(model.risk, ScalarDistribution.from_pairs(values, nu.weights))
-        model._q_cache[key] = hit
-    return hit
+    return float(_profile(model, np.asarray(x, dtype=float).reshape(1, -1), nu)[0])
 
 
 def q_profile(model: MeanRiskModel, nu: DiscreteMeasure) -> np.ndarray:
-    """Q over the whole decision set, in decision order."""
-    return np.array([Q(model, x, nu) for x in model.decisions])
+    """Q over the whole decision set, in decision order.  The (decision,
+    atom) pairs of the decisions not yet cached for nu are one recourse
+    batch: a map overflow at any pair is raised before any solver error,
+    each for its first pair in (decision, atom) order."""
+    return _profile(model, model.decisions.points, nu)
+
+
+def _profile(model: MeanRiskModel, xs: np.ndarray, nu: DiscreteMeasure) -> np.ndarray:
+    """Q at every row of xs (a profile of one is Q); the batch checks dims."""
+    digest = nu.digest()
+    keys = [(x.tobytes(), digest) for x in xs]
+    todo = [i for i, key in enumerate(keys) if key not in model._q_cache]
+    if todo:
+        f = eval_recourse_batch(model.recourse, np.repeat(xs[todo], len(nu), axis=0),
+                                np.tile(nu.points, (len(todo), 1)), model._f_cache)
+        for i, values in zip(todo, f.reshape(len(todo), -1)):
+            dist = ScalarDistribution.from_pairs(values, nu.weights)
+            model._q_cache[keys[i]] = evaluate_risk(model.risk, dist)
+    return np.array([model._q_cache[key] for key in keys])
 
 
 def phi(model: MeanRiskModel, nu: DiscreteMeasure) -> float:

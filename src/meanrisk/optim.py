@@ -529,10 +529,10 @@ def _branch_and_bound(relax, idx, lo0, hi0, roots) -> list:
     """
     best_val = [np.inf] * len(roots)
     best_pt = [None] * len(roots)
-    stacks = [[(lo0, hi0, root)] for root in roots]
+    stacks = {t: [(lo0, hi0, root)] for t, root in enumerate(roots)}
     while True:
         requests = []
-        for t, stack in enumerate(stacks):
+        for t, stack in stacks.items():
             asked = len(requests)
             while stack and len(requests) == asked:
                 lo, hi, rel = stack.pop()
@@ -563,6 +563,7 @@ def _branch_and_bound(relax, idx, lo0, hi0, roots) -> list:
         for (t, l2, h2), child in zip(requests, relax(trees, lo, hi)):
             if child.optimal and child.value < best_val[t] - 1e-12:
                 stacks[t].append((l2, h2, child))
+        stacks = {t: stack for t, stack in stacks.items() if stack}  # the trees left to walk
     return [
         INFEASIBLE if pt is None else Solution("optimal", val, pt)
         for val, pt in zip(best_val, best_pt)
@@ -984,8 +985,8 @@ def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=
                     best_val, best_pt = found
             out.append(INFEASIBLE if best_pt is None else Solution("optimal", best_val, best_pt))
         return out
-    V = np.array([v.value(y) for y in Y], dtype=float)
-    G = np.array([[gi.value(y) for y in Y] for gi in g], dtype=float).reshape(len(g), len(Y))
+    V = v.values(Y)
+    G = np.array([gi.values(Y) for gi in g]).reshape(len(g), len(Y))
     best = np.full(len(R), np.inf)
     arg = np.full(len(R), -1)
     for l, val in enumerate(V):

@@ -11,7 +11,7 @@ basis answers every right-hand side it stays feasible for),
 optim.solve_milp_batch for milp, optim.solve_miqp_batch for miqp and
 optim.solve_convex_mip_batch for convex_mip; this module holds no solver
 logic of its own.  eval_recourse_batch solves every distinct input of a
-batch that way, and eval_recourse is a batch of one.
+batch of rows (x, z) that way, and eval_recourse is a batch of one.
 
 Infeasibility or unboundedness at a point signals a violated model
 assumption for that instance and is raised, never silently absorbed.
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import exprs, optim
 from .errors import (
+    ConstraintLimitExceeded,
     DimMismatch,
     InvalidExponent,
     InvalidSpec,
@@ -41,6 +42,7 @@ from .errors import (
 from .measure import Sampler
 
 KINDS = ("linear", "milp", "miqp", "convex_mip")
+MAX_CERTIFY_ROWS = 500_000  # (x, z) rows of a certify batch; a miqp row holds ~2.3 KB
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,15 @@ class ParamMap:
     def is_affine(self) -> bool:
         return self.matrix is not None
 
-    def __call__(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
-        w = np.concatenate([x, z])
-        if self.is_affine:
-            if self.matrix.shape[1] != len(w):
-                raise DimMismatch(
-                    f"affine map expects {self.matrix.shape[1]} inputs, got {len(w)}"
-                )
-            return self.matrix @ w + self.constant
-        return np.array([e.value(w) for e in self.expressions])
+    def rows(self, X, Z) -> np.ndarray:
+        """The map at every row (x, z), X one x for all rows z of Z or one per
+        row; OutOfRange at the first row, then expression, that overflows."""
+        W = np.hstack([_decision_rows(X, len(Z)), np.asarray(Z, dtype=float)])
+        if not self.is_affine:
+            return exprs.table(self.expressions, W)
+        if self.matrix.shape[1] != W.shape[1]:
+            raise DimMismatch(f"affine map of {self.matrix.shape[1]} inputs, got {W.shape[1]}")
+        return W @ self.matrix.T + self.constant
 
     def to_dict(self) -> dict:
         if self.is_affine:
@@ -118,6 +120,14 @@ class ParamMap:
             expressions=trees,
             declared_exponent=data.get("exponent"),
         )
+
+
+def _decision_rows(X, k: int) -> np.ndarray:
+    """X as k rows: one decision for every row, or one row per noise row."""
+    X = np.atleast_1d(np.asarray(X, dtype=float))
+    if X.ndim > 2 or (X.ndim == 2 and len(X) != k):
+        raise DimMismatch(f"decision rows of shape {X.shape} for {k} noise rows")
+    return np.broadcast_to(X, (k, X.shape[-1]))
 
 
 def map_exponent(pm: ParamMap) -> float:
@@ -273,21 +283,13 @@ class RecourseModel:
         return cls(**kwargs)
 
 
-def _check_dims(model: RecourseModel, n_x: int, n_z: int):
-    if n_x != model.n:
-        raise DimMismatch(f"decision has dim {n_x}, model expects {model.n}")
-    if n_z != model.s:
-        raise DimMismatch(f"noise has dim {n_z}, model expects {model.s}")
-
-
 def eval_recourse(model: RecourseModel, x, z) -> float:
     """Optimal value f(x, z) of the recourse problem (a batch of one)."""
-    zv = np.atleast_1d(np.asarray(z, dtype=float))
-    return float(eval_recourse_batch(model, x, zv[None, :])[0])
+    return float(eval_recourse_batch(model, x, np.reshape(z, (1, -1)))[0])
 
 
-def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -> np.ndarray:
-    """f(x, z) at every row z of Z.
+def eval_recourse_batch(model: RecourseModel, X, Z, cache: dict | None = None) -> np.ndarray:
+    """f(x, z) at every row z of Z, with X one x for all rows or one per row.
 
     Rows are keyed on the bytes of what the solver sees: h(x, z), and
     q(x, z) for linear and miqp.  Each key not yet in `cache` (a dict the
@@ -298,37 +300,35 @@ def eval_recourse_batch(model: RecourseModel, x, Z, cache: dict | None = None) -
     linear row or milp node that a stored basis answers agrees with its own
     LP to round-off (1e-12 relative in the tests).
 
-    A row whose recourse problem is infeasible, unbounded or invalid raises
-    its error, for the first such row in order: a batch that raises is
+    A map overflow (OutOfRange) is raised before any solve, and then a row
+    whose recourse problem is infeasible, unbounded or invalid raises its
+    error, each for the first such row in order: a batch that raises is
     replayed one row at a time.
     """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
     Zv = np.asarray(Z, dtype=float)
     if Zv.ndim != 2:
         raise DimMismatch(f"noise rows must form a 2-D array, got shape {Zv.shape}")
-    _check_dims(model, len(xv), Zv.shape[1])
+    Xv = _decision_rows(X, len(Zv))
+    if Xv.shape[1] != model.n:
+        raise DimMismatch(f"decision has dim {Xv.shape[1]}, model expects {model.n}")
+    if Zv.shape[1] != model.s:
+        raise DimMismatch(f"noise has dim {Zv.shape[1]}, model expects {model.s}")
     cache = {} if cache is None else cache
-    k = len(Zv)
     # a non-finite h or q (inf data times zero) is rejected by the solver
     with np.errstate(invalid="ignore", over="ignore"):
-        H = np.array([model.h_map(xv, z) for z in Zv]).reshape(k, model.h_map.out_dim)
-        if model.kind in ("linear", "miqp"):
-            C = np.array([model.q_map(xv, z) for z in Zv]).reshape(k, model.q_map.out_dim)
-        else:
-            C = np.zeros((k, 0))
-    keys = [h.tobytes() + c.tobytes() for h, c in zip(H, C)]
-    todo = {}  # first row of every key not in the cache, in row order
-    for i, key in enumerate(keys):
-        if key not in cache and key not in todo:
-            todo[key] = i
-    rows = np.fromiter(todo.values(), dtype=int, count=len(todo))
-    if len(rows):
+        H = model.h_map.rows(Xv, Zv)
+        C = model.q_map.rows(Xv, Zv) if model.kind in ("linear", "miqp") else np.zeros((len(Zv), 0))
+    HC = np.hstack([H, C]).view(np.int64)  # rows compared bit for bit
+    _, first, inverse = np.unique(HC, axis=0, return_index=True, return_inverse=True)
+    keys = {j: HC[j].tobytes() for j in first.tolist()}
+    rows = sorted(j for j, key in keys.items() if key not in cache)  # the misses' first rows
+    if rows:
         try:
             sols = _solve_rows(model, H[rows], C[rows])
         except MeanRiskError:
             sols = (_solve_rows(model, H[[j]], C[[j]])[0] for j in rows)
-        cache.update(zip(todo, [_result(model, xv, Zv[j], sol) for j, sol in zip(rows, sols)]))
-    return np.array([cache[key] for key in keys], dtype=float)
+        cache.update([(keys[j], _result(model, Xv[j], Zv[j], sol)) for j, sol in zip(rows, sols)])
+    return np.array([cache[key] for key in keys.values()], dtype=float)[inverse.ravel()]
 
 
 def _solve_rows(model: RecourseModel, H, C) -> list:
@@ -453,28 +453,25 @@ def certify_growth(
     seed: int,
 ) -> GrowthCertificate:
     """Sample z and record eta_hat(x) = max |f(x,z)| / (||z||^gamma + 1);
-    OutOfRange when ||z||^gamma overflows on the sample."""
+    OutOfRange when ||z||^gamma overflows on the sample.  The (x, z) pairs are
+    one recourse batch: ConstraintLimitExceeded above MAX_CERTIFY_ROWS, before sampling."""
     in_range(gamma, "gamma", gt=0, error=InvalidExponent)
     if n < 1:
         raise OutOfRange("sample count must be >= 1")
     if seed < 0:
         raise OutOfRange(f"seed must be a nonnegative integer, got {seed}")
     xs = np.atleast_2d(np.asarray(x_set, dtype=float))
+    if n * len(xs) > MAX_CERTIFY_ROWS:
+        raise ConstraintLimitExceeded(f"{n * len(xs)} rows > MAX_CERTIFY_ROWS = {MAX_CERTIFY_ROWS}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    zs = np.asarray(z_sampler(rng, n), dtype=float)
-    if zs.ndim == 1:
-        zs = zs.reshape(-1, 1)
+    zs = np.asarray(z_sampler(rng, n), dtype=float).reshape(n, -1)
     with np.errstate(over="ignore"):
         denom = np.linalg.norm(zs, axis=1) ** gamma + 1.0
     finite_result(float(denom.max()), "||z||^gamma + 1 on the sample", gamma)
-    etas = np.empty(len(xs))
-    margin = -np.inf
-    cache = {}
-    for i, x in enumerate(xs):
-        ratios = np.abs(eval_recourse_batch(model, x, zs, cache)) / denom
-        eta = max(float(ratios.max()), 1e-12)
-        etas[i] = eta
-        margin = max(margin, float(np.max((ratios - eta) * denom)))
+    f = eval_recourse_batch(model, np.repeat(xs, len(zs), axis=0), np.tile(zs, (len(xs), 1)))
+    ratios = np.abs(f.reshape(len(xs), len(zs))) / denom
+    etas = np.maximum(ratios.max(axis=1), 1e-12)
+    margin = float(np.max((ratios - etas[:, None]) * denom))
     return GrowthCertificate(
         gamma=float(gamma),
         decisions=xs,

@@ -9,7 +9,9 @@ branch and bound that ``optim`` ran before its batched lockstep form (one
 tree per input, and per relaxation one ``optim.solve_lp`` tableau LP or a
 KKT enumeration with one ``np.linalg.solve`` per active set), mixed-integer
 convex optima from the per-program lattice loop that ``optim`` ran before
-its batched table, recourse values from one solve per (x, z) with no
+its batched table, expression values and subgradients from the per-point
+tree walk that ``exprs`` ran before it evaluated rows, parameter maps one
+point at a time, recourse values from one solve per (x, z) with no
 batching, bunching or stored certificates, one-dimensional convex minima
 from dense grids, polyhedral convex slices from one
 ``scipy.optimize.linprog`` LP, and disc-slab slivers in closed form.
@@ -31,6 +33,7 @@ from meanrisk import optim
 from meanrisk.errors import (
     ConstraintLimitExceeded,
     NumericalFailure,
+    OutOfRange,
     RecourseInfeasible,
     RecourseUnbounded,
 )
@@ -457,6 +460,80 @@ def milp_bb_oracle(mip):
     return optim.Solution("optimal", best_val, best_pt)
 
 
+def expr_point_oracle(e, y):
+    """(value, subgradient) of the expression tree e at the point y, one
+    node at a time in Python floats (the per-point walk exprs ran before it
+    evaluated rows), unchecked: an overflow gives inf."""
+    k = e.kind
+    if k == "const":
+        return e.value0, np.zeros(len(y))
+    if k == "var":
+        g = np.zeros(len(y))
+        g[e.index] = 1.0
+        return float(y[e.index]), g
+    if k == "affine":
+        a = np.asarray(e.coeffs, dtype=float)
+        g = np.zeros(len(y))
+        g[: len(a)] = a
+        return float(a @ y[: len(a)]) + e.value0, g
+    if k == "sum":
+        total = 0.0
+        grad = np.zeros(len(y))
+        for c in e.children:
+            v, g = expr_point_oracle(c, y)
+            total += v
+            grad += g
+        return total, grad
+    if k == "scale":
+        v, g = expr_point_oracle(e.children[0], y)
+        return e.value0 * v, e.value0 * g
+    if k == "max":
+        best_v = -np.inf
+        best_g = np.zeros(len(y))
+        for c in e.children:
+            v, g = expr_point_oracle(c, y)
+            if v > best_v:
+                best_v, best_g = v, g
+        return best_v, best_g
+    if k == "abs":
+        v, g = expr_point_oracle(e.children[0], y)
+        return abs(v), np.sign(v) * g
+    if k == "pow":
+        v, g = expr_point_oracle(e.children[0], y)
+        try:
+            return v**e.exponent, e.exponent * v ** (e.exponent - 1) * g
+        except OverflowError:  # a float power raises where a product gives inf
+            return math.inf, g
+    assert k == "norm", k
+    vals, grads = zip(*(expr_point_oracle(c, y) for c in e.children))
+    vals = np.array(vals)
+    nrm = float(np.linalg.norm(vals))
+    if nrm == 0.0:
+        return 0.0, np.zeros(len(y))
+    return nrm, sum(v * g for v, g in zip(vals, grads)) / nrm
+
+
+def expr_value_oracle(e, y):
+    """The value of e at y by expr_point_oracle; OutOfRange with the message
+    of ConvexExpr.value when it is not finite."""
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = expr_point_oracle(e, y)[0]
+    if not math.isfinite(v):
+        raise OutOfRange(f"expression {e.to_prefix()} at y = {[float(c) for c in y]} is {v}: "
+                         "not finite")
+    return v
+
+
+def param_map_oracle(pm, x, z):
+    """The map at one point (x, z): M @ w + c for an affine map, one
+    expr_value_oracle per output for an expression map."""
+    w = np.concatenate([np.atleast_1d(x), np.atleast_1d(z)]).astype(float)
+    if pm.is_affine:
+        return pm.matrix @ w + pm.constant
+    return np.array([expr_value_oracle(e, w) for e in pm.expressions])
+
+
 def convex_mip_loop_oracle(cmp):
     """solve_convex_mip as a loop over lattice points, one program at a time:
     a pure-integer point is checked against max_i(g_i - rhs_i) <= FEAS_TOL
@@ -475,9 +552,10 @@ def convex_mip_loop_oracle(cmp):
             if found is not None and found[0] < best_val - 1e-15:
                 best_val, best_pt = found
             continue
-        viol = max((g.value(y_full) - r for g, r in zip(cmp.g, cmp.rhs)), default=-np.inf)
+        viol = max((expr_value_oracle(g, y_full) - r for g, r in zip(cmp.g, cmp.rhs)),
+                   default=-np.inf)
         if viol <= optim.FEAS_TOL:
-            val = cmp.v.value(y_full)
+            val = expr_value_oracle(cmp.v, y_full)
             if val < best_val - 1e-15:
                 best_val, best_pt = val, y_full.copy()
     if best_pt is None:
@@ -492,16 +570,16 @@ def recourse_row_oracle(model, x, z):
     recourse module raises at that row."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    h = model.h_map(xv, zv)
+    h = param_map_oracle(model.h_map, xv, zv)
     idx = tuple(range(model.m1, model.m1 + model.m2))
     if model.kind == "linear":
-        sol = optim.solve_lp(optim.lp(model.q_map(xv, zv), model.A, h))
+        sol = optim.solve_lp(optim.lp(param_map_oracle(model.q_map, xv, zv), model.A, h))
     elif model.kind == "milp":
         bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
         sol = milp_bb_oracle(optim.MixedIntegerProgram(optim.lp(model.q, model.A, h), idx, bounds))
     elif model.kind == "miqp":
-        qmp = optim.QuadraticMixedProgram(model.D, model.q_map(xv, zv), model.A, h, idx,
-                                          model.integer_bounds)
+        qmp = optim.QuadraticMixedProgram(model.D, param_map_oracle(model.q_map, xv, zv),
+                                          model.A, h, idx, model.integer_bounds)
         sol = miqp_bb_oracle(qmp.D, qmp.q, qmp.A, qmp.b, qmp.integer_idx, qmp.bounds)
     else:
         sol = convex_mip_loop_oracle(optim.ConvexMixedProgram(
@@ -523,8 +601,8 @@ def convex_grid_oracle(v, gs, rhs, box_lo, box_hi, step=1e-3):
     best = None
     for y in ys:
         yv = np.array([y])
-        if all(g.value(yv) <= r + 1e-9 for g, r in zip(gs, rhs)):
-            val = v.value(yv)
+        if all(expr_value_oracle(g, yv) <= r + 1e-9 for g, r in zip(gs, rhs)):
+            val = expr_value_oracle(v, yv)
             if best is None or val < best:
                 best = val
     return best

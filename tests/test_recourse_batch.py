@@ -11,6 +11,7 @@ such row.
 
 import json
 import os
+import re
 import types
 
 import numpy as np
@@ -20,11 +21,11 @@ from hypothesis import strategies as st
 
 from meanrisk import cli, exprs, optim, recourse
 from meanrisk.errors import ConstraintLimitExceeded, MeanRiskError, OutOfRange, RecourseInfeasible
-from meanrisk.measure import DiscreteMeasure
-from meanrisk.objective import MeanRiskModel, Q, argmin_set
+from meanrisk.measure import DiscreteMeasure, canonicalize
+from meanrisk.objective import MeanRiskModel, Q, argmin_set, q_profile
 from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse, eval_recourse_batch
 
-from oracles import miqp_bb_oracle, recourse_row_oracle
+from oracles import miqp_bb_oracle, param_map_oracle, recourse_row_oracle
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 DEMO_MODELS = sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
@@ -136,7 +137,8 @@ class TestDemoModels:
         draws = np.random.default_rng(7).uniform(-2.0, 3.0, size=(100, 1))
         for Z in [DiscreteMeasure.from_dict(load(b)).points for b in BASES] + [draws]:
             for x in model.decisions.points:
-                want = [miqp_bb_oracle(r.D, r.q_map(x, z), r.A, r.h_map(x, z), (0,),
+                want = [miqp_bb_oracle(r.D, param_map_oracle(r.q_map, x, z), r.A,
+                                       param_map_oracle(r.h_map, x, z), (0,),
                                        r.integer_bounds).value for z in Z]
                 assert eval_recourse_batch(r, x, Z).tobytes() == np.array(want).tobytes()
 
@@ -197,8 +199,9 @@ class TestSolveCounts:
     def test_eval_all_lp_count(self, count_lps, tmp_path, capsys):
         # the benchmark's eval-recourse pass at seed 7: eval --all of the four
         # recourse families on 100 atoms uniform on [-2, 3], which took 484
-        # LPs when no basis or ray was reused and 66 when a degenerate basis
-        # was not, with one Farkas LP per stored ray
+        # LPs when no basis or ray was reused, 66 when a degenerate basis
+        # was not, with one Farkas LP per stored ray, and 19 with one batch
+        # per decision; one batch per decision set takes 7
         rng = np.random.default_rng(7)
         points, weights = rng.uniform(-2.0, 3.0, size=100), rng.uniform(0.5, 1.5, size=100)
         atoms = [{"point": [p], "weight": w} for p, w in zip(points, weights / weights.sum())]
@@ -214,7 +217,44 @@ class TestSolveCounts:
                 assert cli.main(argv) == cli.EXIT_OK
             counts.append(len(count_lps))
         capsys.readouterr()
-        assert counts[0] == counts[1] <= 25
+        assert counts[0] == counts[1] <= 8
+
+    def test_linear_certify_is_one_batch(self, count_lps, capsys):
+        # the two bases of f = |x - z| serve all five decisions (10 LPs with
+        # one batch per decision)
+        argv = ["certify", "--model", os.path.join(DEMO, "model_linear_avar.json"),
+                "--zbox=-3:3", "--n", "200", "--xcount", "5"]
+        assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+        assert len(count_lps) == 2
+
+    @pytest.mark.parametrize("name", ["model_milp_expectation.json", "model_miqp_expectation.json"])
+    def test_duplicated_shuffled_rows_solve_each_input_once(self, name, count_solves):
+        model = MeanRiskModel.from_dict(load(name)).recourse
+        X = np.array([[0.0], [0.5], [0.0], [1.0], [0.5], [0.0]])
+        Z = np.array([[1.5], [-0.5], [1.5], [2.0], [-0.5], [0.25]])
+        distinct = {(x.tobytes(), z.tobytes()) for x, z in zip(X, Z)}
+        perm = np.random.default_rng(3).permutation(24)
+        Xs, Zs = np.tile(X, (4, 1))[perm], np.tile(Z, (4, 1))[perm]
+        got = eval_recourse_batch(model, Xs, Zs)
+        # milp's h ignores x, so its inputs are the distinct z
+        assert len(count_solves) == (len({z.tobytes() for z in Z}) if model.kind == "milp"
+                                     else len(distinct))
+        want = [recourse_row_oracle(model, x, z) for x, z in zip(Xs, Zs)]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("name", DEMO_MODELS)
+    def test_q_profile_equals_q_per_decision(self, name, base):
+        # one batch over all decisions against a fresh model per decision
+        nu = DiscreteMeasure.from_dict(load(base))
+        fresh = lambda: MeanRiskModel.from_dict(load(name))  # noqa: E731
+        got = q_profile(fresh(), nu)
+        want = [Q(fresh(), x, nu) for x in fresh().decisions]
+        gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert np.all(gap <= ROUNDOFF_TOL), (got, want)
+        if not name.startswith("model_linear"):
+            assert got.tobytes() == np.array(want).tobytes()
 
     def test_model_cache_is_shared_by_q_and_recourse_value(self, count_solves):
         model = MeanRiskModel.from_dict(load("model_miqp_expectation.json"))
@@ -273,6 +313,33 @@ class TestErrors:
         Z = np.array([[1.0], [10.0], [-1.0]])
         with np.errstate(over="ignore"), pytest.raises(OutOfRange, match="non-finite"):
             eval_recourse_batch(model, [0.0], Z)
+
+    def abs_gap_model(self, decisions, overflow=False):
+        # |y| <= h = |z - x| - 1: infeasible when |z - x| < 1; with overflow,
+        # h adds (1e200 (x - 2))^2, which is inf unless x = 2
+        h = ["sum", ["abs", ["affine", [-1.0, 1.0], 0.0]], ["const", -1.0]]
+        if overflow:
+            h.append(["pow", ["affine", [1e200, 0.0], -2e200], 2])
+        recourse_data = self.integer_convex().to_dict()
+        recourse_data["h_map"] = {"expr": [h], "exponent": 2.0}
+        return MeanRiskModel.from_dict({"recourse": recourse_data,
+                                        "risk": {"kind": "expectation"},
+                                        "decisions": {"points": decisions}})
+
+    def test_error_order_is_map_then_solver_each_by_decision_then_atom(self):
+        nu = canonicalize([((2.0,), 0.5), ((6.0,), 0.5)])
+        # x = 6 fails at its second atom, x = 2.5 at its first and x = 10
+        # nowhere: the decision order decides, and the row's own x is named
+        with pytest.raises(RecourseInfeasible, match=re.escape("x=[6.0], z=[6.0]")):
+            q_profile(self.abs_gap_model([[6.0], [2.5]]), nu)
+        with pytest.raises(RecourseInfeasible, match=re.escape("x=[2.5], z=[2.0]")):
+            q_profile(self.abs_gap_model([[10.0], [2.5], [6.0]]), nu)
+        # x = 2 is infeasible at z = 2, and h overflows at x = 6: every map
+        # error comes before any solver error
+        with pytest.raises(OutOfRange, match=re.escape("at y = [6.0, 2.0] is inf")):
+            q_profile(self.abs_gap_model([[2.0], [6.0]], overflow=True), nu)
+        with pytest.raises(RecourseInfeasible, match=re.escape("x=[2.0], z=[2.0]")):
+            Q(self.abs_gap_model([[2.0], [6.0]], overflow=True), [2.0], nu)
 
     def miqp(self, h_scale=1.0, m2=1):
         # min y'y + q.y over y >= -h_scale z (first coordinate), y in [-600, 1100]
@@ -380,6 +447,34 @@ class TestLatticeCap:
         assert cli.main(argv) == cli.EXIT_MODEL
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("model error: ConstraintLimitExceeded")
+
+
+class TestCertifyCap:
+    def no_sampler(self, rng, n):
+        raise AssertionError("sampled before the row cap was checked")
+
+    def test_cap_is_checked_before_sampling(self, monkeypatch):
+        model = MeanRiskModel.from_dict(load("model_linear_avar.json"))
+        xs = model.decisions.points
+        n = recourse.MAX_CERTIFY_ROWS // len(xs) + 1
+        with pytest.raises(ConstraintLimitExceeded, match="MAX_CERTIFY_ROWS"):
+            recourse.certify_growth(model.recourse, xs, self.no_sampler, 2.0, n, 0)
+        # the cap itself is admitted
+        monkeypatch.setattr(recourse, "MAX_CERTIFY_ROWS", 10)
+        sampler = lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 1))  # noqa: E731
+        assert recourse.certify_growth(model.recourse, xs[:2], sampler, 2.0, 5, 0).sample_count == 5
+        with pytest.raises(ConstraintLimitExceeded):
+            recourse.certify_growth(model.recourse, xs[:2], self.no_sampler, 2.0, 6, 0)
+
+    def test_cli_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "box_sampler", lambda lo, hi: self.no_sampler)
+        argv = ["certify", "--model", os.path.join(DEMO, "model_linear_avar.json"),
+                "--zbox=-1:1", "--n", str(10**12)]
+        assert cli.main(argv) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("model error: ConstraintLimitExceeded: 5000000000000 rows "
+                           "> MAX_CERTIFY_ROWS = 500000\n")
 
 
 class TestTolerance:
@@ -516,8 +611,9 @@ def test_random_miqp_matches_the_branch_and_bound_oracle(case, data):
     model, x, Z = case
     xv = np.array([x])
     idx = tuple(range(model.m1, model.m1 + model.m2))
-    want = [miqp_bb_oracle(model.D, model.q_map(xv, z), model.A, model.h_map(xv, z), idx,
-                           model.integer_bounds) for z in Z]
+    want = [miqp_bb_oracle(model.D, param_map_oracle(model.q_map, xv, z), model.A,
+                           param_map_oracle(model.h_map, xv, z), idx, model.integer_bounds)
+            for z in Z]
     order = np.arange(len(Z))
     for perm in (order, order[::-1], np.array(data.draw(st.permutations(order)))):
         failing = [i for i in perm if not want[i].optimal]
