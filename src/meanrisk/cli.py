@@ -9,6 +9,7 @@ files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -227,6 +228,7 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meanrisk",
@@ -275,8 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

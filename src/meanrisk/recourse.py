@@ -186,6 +186,8 @@ class RecourseModel:
         maps = [pm for pm in (self.q_map, self.h_map) if pm is not None]
         if max((e.width for pm in maps for e in pm.expressions), default=0) > self.n + self.s:
             raise DimMismatch(f"a map expression reads past its n + s = {self.n + self.s} inputs")
+        if any(pm.is_affine and pm.matrix.shape[1] != self.n + self.s for pm in maps):
+            raise DimMismatch(f"an affine map does not have n + s = {self.n + self.s} columns")
         k = self.kind
         if k == "linear":
             if self.A is None or self.q_map is None or self.h_map is None:

@@ -253,7 +253,7 @@ def run_experiment(
         d_bl = d_psi = float("nan")
         try:
             d_bl = bounded_lipschitz(nu, base)
-            # psi_metric(nu, base, qp) without solving the BL LP a second time
+            # psi_metric(nu, base, qp), reusing d_bl and the base moment
             d_psi = d_bl + abs(moment(nu, qp) - base_moment)
             qk = q_profile(model, nu)
             sup_dq = float(np.max(np.abs(qk - base_q)))

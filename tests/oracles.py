@@ -18,7 +18,9 @@ from dense grids, polyhedral convex slices from one
 Metric values come from the dense formulations,
 solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
 one Lipschitz row per ordered pair of atoms, and transport LPs with one
-dense marginal row per atom.  Trend slopes come from the centred normal
+dense marginal row per atom; on the line also from the LP with Lipschitz
+rows between adjacent atoms only, which ``metrics`` solved before its
+dynamic program.  Trend slopes come from the centred normal
 equations of a least-squares line.
 """
 
@@ -721,6 +723,19 @@ def pairwise_bl_oracle(mu, nu) -> float:
     if not rows:
         return 0.0
     return -_linprog(-a, np.array(rows), np.array(rhs), bounds=(-1.0, 1.0))
+
+
+def adjacent_bl_lp_oracle(t, a) -> float:
+    """BL of the signed weight a on sorted 1-D atoms t by one optim.solve_lp
+    LP over g = f + 1: rows |g_(i+1) - g_i| <= t_(i+1) - t_i and g <= 2,
+    with g >= 0, 3m - 2 sparse rows in all (Lipschitz bounds between
+    adjacent atoms imply all others)."""
+    m, gaps = len(t), np.diff(t)
+    step = scipy.sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(m - 1, m))
+    A = scipy.sparse.vstack([step, -step, scipy.sparse.eye_array(m)])
+    sol = optim.solve_lp(optim.lp(-a, A, np.concatenate([gaps, gaps, np.full(m, 2.0)]), "<="))
+    # int f d(mu - nu) = a.g - sum(a) for f = g - 1
+    return max(0.0, -sol.value - float(np.sum(a)))
 
 
 def dense_transport_oracle(w_src, w_dst, C) -> float:

@@ -142,6 +142,20 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err == f"model error: OutOfRange: non-finite entries in {name}\n"
 
+    @pytest.mark.parametrize("entry", ["q_map", "h_map"])
+    def test_affine_map_width_is_a_config_error(self, tmp_path, capsys, entry):
+        # n + s = 2 inputs (x, z), three columns
+        data = demo("model_linear_avar.json")
+        affine = data["recourse"][entry]["affine"]
+        affine["matrix"] = [row + [0.5] for row in affine["matrix"]]
+        model = write(tmp_path, "m.json", data)
+        base = write(tmp_path, "b.json", demo("base_measure.json"))
+        assert run_eval(model, base) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"config error: bad model in {model}: DimMismatch: an affine map"
+                           " does not have n + s = 2 columns\n")
+
     @pytest.mark.parametrize("entry", ["v", "h_map"])
     def test_expression_overflow_is_a_model_error(self, tmp_path, capsys, entry):
         # (1e200 y + 7)^2 on the integer box, or z^2 at an atom z = 1e200
@@ -174,6 +188,39 @@ class TestExitCodes:
                 "--scheme", os.path.join(DEMO, "scheme_saa.json"), "--gate", "d_bl:1e9"]
         assert cli.main(argv) == cli.EXIT_GATE
         assert (tmp_path / "out" / "report.csv").exists()
+
+
+class TestParserReuse:
+    """main builds its parser once per process; the reused parser answers
+    like a fresh one, also after a parse error."""
+
+    def run(self, argv, capsys):
+        try:
+            code = cli.main(argv)
+        except SystemExit as err:
+            code = err.code
+        return code, capsys.readouterr().out
+
+    def test_reused_parser_answers_like_a_fresh_one(self, tmp_path, capsys):
+        model = write(tmp_path, "m.json", demo("model_linear_avar.json"))
+        base = write(tmp_path, "b.json", demo("base_measure.json"))
+        calls = {
+            "bad": ["eval", "--model", model, "--no-such-flag"],
+            "eval": ["eval", "--model", model, "--measure", base, "--all"],
+            "metrics": ["metrics", "--measure", base, "--measure2",
+                        os.path.join(DEMO, "measure_dirac1.json"), "--kind", "bl"],
+        }
+        fresh = {}
+        for name, argv in calls.items():
+            cli.build_parser.cache_clear()
+            fresh[name] = self.run(argv, capsys)
+        assert [code for code, _ in fresh.values()] == [cli.EXIT_CONFIG, cli.EXIT_OK, cli.EXIT_OK]
+        assert fresh["bad"][1] == "" and fresh["eval"][1] and fresh["metrics"][1]
+        parser = cli.build_parser()
+        for sequence in (["bad", "eval"], ["eval", "metrics"], ["bad", "metrics", "bad", "eval"]):
+            for name in sequence:
+                assert self.run(calls[name], capsys) == fresh[name], sequence
+        assert cli.build_parser() is parser
 
 
 class TestCertify:

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanrisk import cli, optim
 from meanrisk import metrics as mt
 from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, OutOfRange
-from meanrisk.measure import canonicalize, moment
+from meanrisk.measure import POINT_TOL, canonicalize, moment
 
 from oracles import (
+    adjacent_bl_lp_oracle,
     dense_transport_oracle,
     fortet_mourier_oracle,
     pairwise_bl_oracle,
@@ -52,20 +54,27 @@ class TestBoundedLipschitz:
         mu, nu = canonicalize([(0.0, 1.0)]), canonicalize([(0.3, 1.0)])
         assert mt.bounded_lipschitz(mu, nu) == pytest.approx(0.3, abs=1e-12)
 
-    def test_one_dim_lp_has_linear_rows(self, monkeypatch):
-        sizes = []
-        solve = optim.solve_lp
+    def test_one_dim_makes_no_lp(self, monkeypatch):
+        calls = []
+        for owner, name in ((optim, "solve_lp"), (scipy.optimize, "linprog")):
+            real = getattr(owner, name)
 
-        def spy(prob):
-            sizes.append((prob.n_rows, prob.n_vars, prob.A.nnz))
-            return solve(prob)
+            def spy(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(optim, "solve_lp", spy)
+            monkeypatch.setattr(owner, name, spy)
         rng = np.random.default_rng(11)
         mu = canonicalize([(p, 1.0) for p in rng.normal(size=1000)])
         nu = canonicalize([(p, 1.0) for p in rng.normal(0.1, 1.0, size=1000)])
         value = mt.bounded_lipschitz(mu, nu)
-        assert sizes == [(3 * 2000 - 2, 2000, 5 * 2000 - 4)]
+        psi = mt.psi_metric(mu, nu, 2.0)
+        assert calls == []
+        monkeypatch.undo()
+        pts, w1, w2 = mt._union_support(mu, nu)
+        assert len(pts) == 2000
+        assert value == pytest.approx(adjacent_bl_lp_oracle(pts[:, 0], w1 - w2), abs=1e-12)
+        assert psi == value + abs(moment(mu, 2.0) - moment(nu, 2.0))
         assert 0.0 < value <= mt.wasserstein(mu, nu, 1.0) + 1e-12
 
     def test_psi_adds_moment_gap(self):
@@ -76,6 +85,71 @@ class TestBoundedLipschitz:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             mt.bounded_lipschitz(canonicalize([(0.0, 1.0)]), canonicalize([((0.0, 0.0), 1.0)]))
+
+
+def line_pairs(seed, count):
+    """1-D pairs of small measures, cycling through six kinds: random,
+    single atoms, identical measures, atoms within POINT_TOL of the other
+    measure's (merged by canonicalization), atoms more than 2 apart, and
+    equal weights whose sum is 1 only up to round-off."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        kind = ["random", "single", "identical", "ties", "far", "round-off"][k % 6]
+        n, n2 = (1, 1) if kind == "single" else (int(v) for v in rng.integers(1, 8, 2))
+        scale = rng.choice([0.01, 0.5, 2.0])
+        p1, p2 = rng.normal(scale=scale, size=n), rng.normal(scale=scale, size=n2)
+        if kind == "ties":
+            p2 = np.concatenate([p1 + rng.uniform(-0.4, 0.4, n) * POINT_TOL, p2])
+        elif kind == "far":
+            pts = np.cumsum(rng.uniform(2.1, 4.0, n + n2))
+            p1, p2 = pts[:n], rng.permutation(pts)[:n2]
+        w1, w2 = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, len(p2))
+        if kind == "round-off":
+            # sums 1 - 2.2e-16 and 1 - 1.1e-16, which canonicalize keeps
+            p1, p2 = rng.normal(size=7), rng.normal(size=15)
+            w1, w2 = np.full(7, 1 / 7), np.full(15, 1 / 15)
+        elif kind == "identical":
+            p2, w2 = p1[::-1], w1[::-1]
+        yield kind, canonicalize(list(zip(p1, w1))), canonicalize(list(zip(p2, w2)))
+
+
+class TestLineProgram:
+    """The slope-trick program of ``_bl_line`` against the adjacent-row LP
+    it replaced and the dense pairwise LP, on 360 seeded 1-D pairs."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        out = []
+        for kind, mu, nu in line_pairs(2024, 360):
+            pts, w1, w2 = mt._union_support(mu, nu)
+            out.append((kind, mu, nu, pts[:, 0], w1 - w2))
+        return out
+
+    def test_matches_lp_oracles(self, cases):
+        for kind, mu, nu, t, a in cases:
+            dp = mt._bl_line(t, a)
+            assert dp == pytest.approx(adjacent_bl_lp_oracle(t, a), abs=1e-12), kind
+            assert dp == pytest.approx(pairwise_bl_oracle(mu, nu), abs=1e-12), kind
+            assert mt.bounded_lipschitz(mu, nu) == pytest.approx(dp, abs=1e-15), kind
+
+    def test_special_kinds(self, cases):
+        kinds = {kind for kind, *_ in cases}
+        assert kinds == {"random", "single", "identical", "ties", "far", "round-off"}
+        for kind, mu, nu, t, a in cases:
+            if kind == "identical":
+                assert mt.bounded_lipschitz(mu, nu) == 0.0
+            elif kind == "far":
+                assert mt._bl_line(t, a) == pytest.approx(np.abs(a).sum(), abs=1e-15)
+            elif kind == "ties":
+                assert len(t) < len(mu) + len(nu)
+            elif kind == "round-off":
+                assert mu.weights.sum() != 1.0 and nu.weights.sum() != 1.0
+        # the last partial sum of mu - nu, A_m, is not 0 for some of them
+        assert any(np.cumsum(a)[-1] != 0.0 for kind, *_, a in cases if kind == "round-off")
+
+    def test_symmetric(self, cases):
+        for kind, mu, nu, *_ in cases:
+            assert abs(mt.bounded_lipschitz(mu, nu) - mt.bounded_lipschitz(nu, mu)) <= 1e-15, kind
 
 
 class TestFortetMourier:
