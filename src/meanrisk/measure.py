@@ -41,6 +41,8 @@ def _group_end(points: np.ndarray, a: int, stop: int) -> int:
     return stop
 
 
+# a gap between atoms near +-1e308 overflows to inf, which is > POINT_TOL
+@np.errstate(over="ignore")
 def _anchor_starts(points: np.ndarray) -> np.ndarray:
     """Boolean mask of the rows of a sorted array that start a group under
     the anchor rule.

@@ -23,7 +23,6 @@ import bisect
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import optim
 from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, OutOfRange
@@ -76,7 +75,9 @@ def _bl_line(t: np.ndarray, a: np.ndarray) -> float:
     breakpoints left (``lo``, in H) and right (``hi``, in -H) of its minimum,
     inner end last, each side of total slope 1 after each hub step."""
     low, lo, hi = 0.0, [[0.0, 1.0]], [[0.0, 1.0]]
-    for x, w in zip(np.cumsum(a).tolist(), np.minimum(np.diff(t), 2.0).tolist() + [1.0]):
+    with np.errstate(over="ignore"):  # an inf gap between far atoms costs 2
+        gaps = np.minimum(np.diff(t), 2.0)
+    for x, w in zip(np.cumsum(a).tolist(), gaps.tolist() + [1.0]):
         near, far, y = (hi, lo, -x) if -x < hi[-1][0] else (lo, hi, x)
         bisect.insort(near, [y, 2.0 * w])
         rest = w
@@ -157,6 +158,8 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     _check_plan_size(n_s, n_d)
     if abs(w_src.sum() - w_dst.sum()) > 1e-9:
         raise OutOfRange("transport requires equal total masses")
+    import scipy.sparse
+
     src_rows = scipy.sparse.kron(scipy.sparse.eye_array(n_s), np.ones((1, n_d)))
     dst_rows = scipy.sparse.kron(np.ones((1, n_s)), scipy.sparse.eye_array(n_d - 1, n_d))
     A = scipy.sparse.vstack([src_rows, dst_rows])

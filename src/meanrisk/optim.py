@@ -2,39 +2,43 @@
 
 solve_lp runs a dense two-phase tableau simplex with Bland's anti-cycling
 rule for small instances and hands larger instances (the metric LPs) to
-scipy's HiGHS backend behind the same interface.  solve_lp_batch solves
-many LPs that differ only in their right-hand sides: the tableau returns
-its final basis with an optimal solution and its phase-1 Farkas ray with
-an infeasible one; the basis answers every right-hand side it stays primal
-feasible for (bunching) and the ray every one it separates, so only the
-rows no stored certificate covers reach solve_lp.  Mixed-integer linear
-and quadratic programs share one depth-first branch and bound, which runs
-the trees of many inputs in lockstep; only the relaxation differs (an LP
-or a convex QP), and both append the integer boxes as rows.  The boxed
-rows are the same at every node, so each round's relaxations are one
-batch: for MILPs one solve_lp_batch, whose bases and rays serve every
-round; for MIQPs one KKT sweep (per active set, one matrix for all
-pending relaxations, with per-input arithmetic, so a batch is
-bit-identical to its rows solved alone), whose infeasibility certificates
-share one store of rays and bases.  The fixed branching order (lowest-index most-fractional, floor
-branch first) keeps identical inputs producing identical outputs.  Convex
-QPs are solved exactly by KKT subset enumeration, which is sound for
+scipy's HiGHS backend behind the same interface; it returns one Solution.
+The batch solvers (solve_lp_batch, solve_milp_batch, solve_miqp_batch and
+solve_convex_mip_batch) solve many programs that share their matrices and
+return one Rows: an int8 status code, a value and a point per program, as
+arrays, NaN where a program is not optimal.  solve_lp_batch solves LPs that
+differ only in their right-hand sides: the tableau returns its final basis
+with an optimal solution and its phase-1 Farkas ray with an infeasible one;
+the basis answers every right-hand side it stays primal feasible for
+(bunching) and the ray every one it separates, so only the rows no stored
+certificate covers reach solve_lp.  Mixed-integer linear and quadratic
+programs share one depth-first branch and bound, which runs the trees of
+many inputs in lockstep over one array store of nodes; only the relaxation
+differs (an LP or a convex QP), and both append the integer boxes as rows.
+The boxed rows are the same at every node, so each round's relaxations are
+one batch: for MILPs one solve_lp_batch, whose bases and rays serve every
+round; for MIQPs one KKT sweep (per active set, one matrix for all pending
+relaxations, with per-input arithmetic, so a batch is bit-identical to its
+rows solved alone), whose infeasibility certificates share one store of
+rays and bases.  The fixed branching order (lowest-index most-fractional,
+floor branch first) keeps identical inputs producing identical outputs.
+Convex QPs are solved exactly by KKT subset enumeration, which is sound for
 positive definite objectives at the row counts used here.  Mixed-integer
 convex programs enumerate the integer lattice.  A batch of pure-integer
 programs that differ only in their right-hand sides shares one table of
 the objective and constraint values on the lattice; continuous slices are
 solved by Kelley's cutting planes, one small LP per round, so their
-infeasibility is certified.
+infeasibility is certified.  scipy is imported only when HiGHS runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
 from .errors import (
     ConstraintLimitExceeded,
@@ -54,14 +58,22 @@ KELLEY_ROUNDS = 500
 MAX_LATTICE_POINTS = 1_000_000
 
 
+# Rows.status codes, and the Solution status each stands for
+OPTIMAL, INFEASIBLE, UNBOUNDED = 0, 1, 2
+STATUSES = ("optimal", "infeasible", "unbounded")
+
+
 @dataclass(frozen=True)
 class Solution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    """The result of solve_lp: one of STATUSES, and a value and point when
+    optimal."""
+
+    status: str
     value: float | None = None
     point: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.status not in ("optimal", "infeasible", "unbounded"):
+        if self.status not in STATUSES:
             raise InvalidSpec(f"bad status {self.status!r}")
         if self.status == "optimal":
             if self.value is None or self.point is None:
@@ -78,8 +90,33 @@ class Solution:
         return self.status == "optimal"
 
 
-INFEASIBLE = Solution("infeasible")
-UNBOUNDED = Solution("unbounded")
+class Rows(NamedTuple):
+    """The results of a batch, one row per program: int8 status codes
+    (OPTIMAL, INFEASIBLE or UNBOUNDED), values (k,) and points (k, n), NaN
+    where a row is not optimal."""
+
+    status: np.ndarray
+    value: np.ndarray
+    point: np.ndarray
+
+    @classmethod
+    def infeasible(cls, k: int, n: int) -> "Rows":
+        """k rows of n variables, each infeasible until it is filled."""
+        return cls(np.full(k, INFEASIBLE, dtype=np.int8), np.full(k, np.nan),
+                   np.full((k, n), np.nan))
+
+    def put(self, j, value, point):
+        """Mark rows j optimal with their values and points."""
+        self.status[j] = OPTIMAL
+        self.value[j] = value
+        self.point[j] = point
+
+
+def _issparse(A) -> bool:
+    """scipy.sparse.issparse(A), without importing scipy: no sparse matrix
+    exists before scipy.sparse is imported."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(A)
 
 
 @dataclass(frozen=True)
@@ -97,9 +134,9 @@ class LinearProgram:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        sparse = scipy.sparse.issparse(self.A)
+        sparse = _issparse(self.A)
         if sparse:
-            A = scipy.sparse.csr_array(self.A, dtype=float)
+            A = sys.modules["scipy.sparse"].csr_array(self.A, dtype=float)
         else:
             A = np.asarray(self.A, dtype=float)
             if A.size == 0:
@@ -136,7 +173,7 @@ class LinearProgram:
 def lp(c, A, b, senses=None, nonneg=None) -> LinearProgram:
     """Convenience constructor; defaults to all-equality rows and x >= 0."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
-    if not scipy.sparse.issparse(A):
+    if not _issparse(A):
         A = np.asarray(A, dtype=float)
         if A.ndim == 1:
             A = A.reshape(1, -1) if A.size else A.reshape(0, len(c))
@@ -163,7 +200,7 @@ class _Standard:
     does not depend on b, so one object serves every right-hand side."""
 
     def __init__(self, prob: LinearProgram):
-        A = prob.A.toarray() if scipy.sparse.issparse(prob.A) else prob.A
+        A = prob.A.toarray() if _issparse(prob.A) else prob.A
         cols = [j for j, nn in enumerate(prob.nonneg) for _ in range(1 if nn else 2)]
         signs = np.array([s for nn in prob.nonneg for s in ((1.0,) if nn else (1.0, -1.0))])
         le = [i for i, s in enumerate(prob.senses) if s == "<="]
@@ -241,7 +278,7 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
     if m == 0:
         # unconstrained: bounded iff no improving direction exists
         if np.any(std.cost < -FEAS_TOL):
-            return UNBOUNDED
+            return Solution("unbounded")
         x = np.zeros(prob.n_vars)
         return Solution("optimal", float(prob.c @ x), x)
     budget = [PIVOT_CAP]
@@ -301,7 +338,7 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
             T2[-1] -= std.cost[basis[i]] * T2[i]
     status = _run_simplex(T2, basis, n_std, budget)
     if status == "unbounded":
-        return UNBOUNDED
+        return Solution("unbounded")
     w = np.zeros(n_std)
     w[basis] = T2[:m, -1]
     x = w @ std.P
@@ -310,6 +347,8 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
 
 
 def _scipy_solve(prob: LinearProgram) -> Solution:
+    import scipy.optimize
+
     eq = [i for i, s in enumerate(prob.senses) if s == "=="]
     ub = [i for i, s in enumerate(prob.senses) if s == "<="]
     bounds = [(0.0, None) if nn else (None, None) for nn in prob.nonneg]
@@ -328,10 +367,8 @@ def _scipy_solve(prob: LinearProgram) -> Solution:
     )
     if res.status == 0:
         return Solution("optimal", float(res.fun), np.asarray(res.x, dtype=float))
-    if res.status == 2:
-        return INFEASIBLE
-    if res.status == 3:
-        return UNBOUNDED
+    if res.status in (2, 3):
+        return Solution(STATUSES[res.status - 1])
     raise NumericalFailure(f"linprog status {res.status}: {res.message}")
 
 
@@ -372,7 +409,7 @@ class _LpBatch:
     batches an LP of that size."""
 
     def __init__(self, c, A, senses, nonneg):
-        if not scipy.sparse.issparse(A):
+        if not _issparse(A):
             A = np.asarray(A, dtype=float)
         self.prob = LinearProgram(c, A, np.zeros(A.shape[0] if A.ndim == 2 else 0), senses, nonneg)
         self.std = None  # prob's _Standard, built on the first store
@@ -406,12 +443,11 @@ class _LpBatch:
         return True
 
     def _cover(self, B, todo, out, rays, bases):
-        """Answer the rows todo of B that a ray or basis certifies; returns
-        the rows still open."""
+        """Answer the rows todo of B that a ray or basis certifies in the
+        Rows out; returns the rows still open."""
         if rays and len(todo):
             hit = np.any(np.array(rays) @ B[todo].T < -RAY_MARGIN, axis=0)
-            for j in todo[hit]:
-                out[j] = INFEASIBLE
+            out.status[todo[hit]] = INFEASIBLE
             todo = todo[~hit]
         for cols in bases:
             if not len(todo):
@@ -420,8 +456,7 @@ class _LpBatch:
                 W = np.linalg.solve(self.std.M[:, cols], B[todo].T)
                 ok = np.all(W >= 0.0, axis=0) & np.all(np.isfinite(W), axis=0)
                 X = W[:, ok].T @ self.std.P[cols]
-            for j, x, value in zip(todo[ok], X, X @ self.prob.c):
-                out[j] = Solution("optimal", value, x)
+            out.put(todo[ok], X @ self.prob.c, X)
             todo = todo[~ok]
         return todo
 
@@ -435,14 +470,17 @@ class _LpBatch:
             raise InvalidSpec("non-finite entries in b")
         return B
 
-    def solve(self, B) -> list:
-        """One Solution per row of B; see solve_lp_batch."""
+    def solve(self, B) -> Rows:
+        """The Rows of B; see solve_lp_batch."""
         B = self.rows(B)
-        out = [None] * len(B)
+        out = Rows.infeasible(len(B), self.prob.n_vars)
         todo = self._cover(B, np.arange(len(B)), out, self.rays, self.bases)
         while len(todo):
             j, todo = todo[0], todo[1:]
-            sol = out[j] = solve_lp(replace(self.prob, b=B[j]))
+            sol = solve_lp(replace(self.prob, b=B[j]))
+            out.status[j] = STATUSES.index(sol.status)
+            if sol.optimal:
+                out.put(j, sol.value, sol.point)
             # a certificate is stored only while rows of this call are open
             if len(todo) and self._store(sol, B[j]):
                 new = ([], self.bases[-1:]) if sol.optimal else (self.rays[-1:], [])
@@ -450,9 +488,9 @@ class _LpBatch:
         return out
 
 
-def solve_lp_batch(c, A, senses, nonneg, B) -> list:
+def solve_lp_batch(c, A, senses, nonneg, B) -> Rows:
     """solve_lp at every right-hand side b = B[j] with one c, A, senses and
-    nonneg: one Solution per row.
+    nonneg: one row of Rows per program.
 
     A row is first checked against the Farkas rays and then against the
     optimal bases stored so far in this call, each check one matrix product
@@ -481,7 +519,7 @@ def _box_rows(A, idx) -> np.ndarray:
     m, k = A.shape[0], len(idx)
     A2 = np.zeros((m + 2 * k, A.shape[1]))
     # relaxations are tableau-sized, so a sparse A is densified here
-    A2[:m] = A.toarray() if scipy.sparse.issparse(A) else A
+    A2[:m] = A.toarray() if _issparse(A) else A
     for pos, i in enumerate(idx):
         A2[m + 2 * pos, i] = 1.0
         A2[m + 2 * pos + 1, i] = -1.0
@@ -499,75 +537,97 @@ def _box_rhs(b, lo, hi) -> np.ndarray:
     return b2
 
 
-def _branch_var(point: np.ndarray, idx) -> int:
-    """Most fractional integer coordinate; ties go to the lowest index.
-    Returns -1 when all are integral within 1e-9."""
-    best = -1
-    best_score = 1e-9
-    values = point.tolist()  # Python floats round faster than numpy scalars
+def _branch_positions(P: np.ndarray, idx) -> np.ndarray:
+    """Per row of P, the position in idx of its most fractional integer
+    coordinate, scanned column by column so that a later one wins only by
+    more than 1e-15 (ties go to the lowest index); -1 where all are
+    integral within 1e-9."""
+    best = np.full(len(P), -1)
+    score = np.full(len(P), 1e-9)
     for pos, i in enumerate(idx):
-        frac = abs(values[i] - round(values[i]))
-        if frac > best_score + 1e-15:
-            best_score = frac
-            best = pos
+        frac = np.abs(P[:, i] - np.round(P[:, i]))
+        better = frac > score + 1e-15
+        best[better] = pos
+        score[better] = frac[better]
     return best
 
 
-def _branch_and_bound(relax, idx, lo0, hi0, roots) -> list:
+def _branch_and_bound(relax, idx, lo0, hi0, roots: Rows) -> Rows:
     """Depth-first branch and bound over the integer coordinates idx, one
-    tree per root, the trees run in lockstep.
+    tree per row of roots, the trees run in lockstep.
 
-    roots[t] is tree t's relaxation on the initial boxes [lo0, hi0];
-    relax(trees, lo, hi) returns the solutions of the relaxations of trees
-    trees[r] on the boxes [lo[r], hi[r]], in order.  Each round pops nodes
-    from every tree until one branches and relaxes all their children in
-    one relax call.  Within a tree the ceil child is relaxed first and the
-    floor child explored first, and a node is pruned when its relaxation
-    cannot improve that tree's incumbent by more than 1e-12, so every tree
-    visits exactly the nodes it visits alone.  Returns one Solution per
-    tree.
+    roots holds each tree's relaxation on the initial boxes [lo0, hi0];
+    relax(trees, lo, hi) returns the Rows of the relaxations of trees
+    trees[r] on the boxes [lo[r], hi[r]].  The nodes live in one array store
+    of boxes, relaxation values and points, a relaxation that is not
+    optimal at value +inf so the prune drops it; each tree's stack is a
+    linked list from top[t] through below[v].  Each round pops nodes from
+    every tree until one branches and relaxes all their children in one
+    relax call, tree by tree.  Within a tree the ceil child is relaxed first
+    and the floor child explored first, and a node is pruned when its
+    relaxation cannot improve that tree's incumbent by more than 1e-12, so
+    every tree visits exactly the nodes it visits alone.
     """
-    best_val = [np.inf] * len(roots)
-    best_pt = [None] * len(roots)
-    stacks = {t: [(lo0, hi0, root)] for t, root in enumerate(roots)}
-    while True:
-        requests = []
-        for t, stack in stacks.items():
-            asked = len(requests)
-            while stack and len(requests) == asked:
-                lo, hi, rel = stack.pop()
-                if not rel.optimal or rel.value >= best_val[t] - 1e-12:
-                    continue
-                pos = _branch_var(rel.point, idx)
-                if pos < 0:
-                    pt = rel.point.copy()
-                    for i in idx:
-                        pt[i] = round(float(pt[i]))
-                    if rel.value < best_val[t] - 1e-15:
-                        best_val[t] = rel.value
-                        best_pt[t] = pt
-                    continue
-                split = np.floor(rel.point[idx[pos]] + 1e-9)
-                for new_lo, new_hi in ((split + 1.0, hi[pos]), (lo[pos], split)):
-                    if new_lo > new_hi:
-                        continue
-                    l2, h2 = lo.copy(), hi.copy()
-                    l2[pos], h2[pos] = new_lo, new_hi
-                    requests.append((t, l2, h2))
-        if not requests:
-            break
-        trees = [t for t, _, _ in requests]
-        lo = np.array([l2 for _, l2, _ in requests])
-        hi = np.array([h2 for _, _, h2 in requests])
+    n_trees, n = roots.point.shape
+    out = Rows.infeasible(n_trees, n)
+    best = np.full(n_trees, np.inf)
+    cols = np.array(idx)
+    # the store, grown by doubling, holds size nodes; the roots come first
+    lo, hi = np.repeat(lo0[None], n_trees, axis=0), np.repeat(hi0[None], n_trees, axis=0)
+    val = np.where(roots.status == OPTIMAL, roots.value, np.inf)
+    pt, below = roots.point.copy(), np.full(n_trees, -1)
+    top, size = np.arange(n_trees), n_trees
+    active = top.copy()
+    while len(active):
+        requests = []  # (trees, child, lo, hi), child 0 for ceil and 1 for floor
+        while len(active):
+            v = top[active]
+            top[active] = below[v]
+            live = np.flatnonzero(val[v] < best[active] - 1e-12)
+            t, v = active[live], v[live]
+            pos = _branch_positions(pt[v], idx)
+            leaf = pos < 0
+            new = leaf & (val[v] < best[t] - 1e-15)
+            t_new, v_new = t[new], v[new]
+            best[t_new] = val[v_new]
+            point = pt[v_new]
+            point[:, cols] = np.round(point[:, cols]) + 0.0  # +0.0 where it rounds to zero
+            out.put(t_new, val[v_new], point)
+            t, v, pos = t[~leaf], v[~leaf], pos[~leaf]
+            rows = np.arange(len(v))
+            split = np.floor(pt[v, cols[pos]] + 1e-9)
+            up, down = split + 1.0 <= hi[v, pos], lo[v, pos] <= split
+            ceil_lo, floor_hi = lo[v], hi[v]
+            ceil_lo[rows, pos] = split + 1.0
+            floor_hi[rows, pos] = split
+            requests += [(t[up], np.zeros(up.sum()), ceil_lo[up], hi[v[up]]),
+                         (t[down], np.ones(down.sum()), lo[v[down]], floor_hi[down])]
+            branched = np.zeros(len(active), dtype=bool)
+            branched[live[~leaf][up | down]] = True
+            active = active[~branched & (top[active] >= 0)]
+        trees, child, kid_lo, kid_hi = (np.concatenate(part) for part in zip(*requests))
+        if not len(trees):
+            break  # every stack is empty
+        order = np.lexsort((child, trees))
+        trees, kid_lo, kid_hi = trees[order], kid_lo[order], kid_hi[order]
+        kids = relax(trees, kid_lo, kid_hi)
+        kid_val = np.where(kids.status == OPTIMAL, kids.value, np.inf)
+        keep = kid_val < best[trees] - 1e-12
+        trees = trees[keep]
+        ids = size + np.arange(len(trees))
+        size += len(trees)
+        while size > len(val):
+            lo, hi, val, pt, below = (np.resize(a, (2 * len(a),) + a.shape[1:])
+                                      for a in (lo, hi, val, pt, below))
+        lo[ids], hi[ids] = kid_lo[keep], kid_hi[keep]
+        val[ids], pt[ids] = kid_val[keep], kids.point[keep]
         # the floor child is pushed last, so it is explored first
-        for (t, l2, h2), child in zip(requests, relax(trees, lo, hi)):
-            if child.optimal and child.value < best_val[t] - 1e-12:
-                stacks[t].append((l2, h2, child))
-        stacks = {t: stack for t, stack in stacks.items() if stack}  # the trees left to walk
-    return [
-        INFEASIBLE if pt is None else Solution("optimal", val, pt)
-        for val, pt in zip(best_val, best_pt)
-    ]
+        same = np.zeros(len(trees), dtype=bool)  # a floor child after its ceil sibling
+        same[1:] = trees[1:] == trees[:-1]
+        below[ids] = np.where(same, ids - 1, top[trees])
+        np.maximum.at(top, trees, ids)  # a new id exceeds every stored one
+        active = np.flatnonzero(top >= 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -593,21 +653,10 @@ def _integer_boxes(integer_idx, bounds, n: int, kind: str = "integer"):
     return idx, bnds
 
 
-@dataclass(frozen=True)
-class MixedIntegerProgram:
-    lp: LinearProgram
-    integer_idx: tuple
-    bounds: tuple  # one finite (lo, hi) per integer variable
-
-    def __post_init__(self):
-        idx, bnds = _integer_boxes(self.integer_idx, self.bounds, self.lp.n_vars)
-        object.__setattr__(self, "integer_idx", idx)
-        object.__setattr__(self, "bounds", bnds)
-
-
-def solve_milp_batch(c, A, senses, nonneg, B, integer_idx=(), bounds=()) -> list:
-    """solve_milp at every right-hand side b = B[j] with one c, A, senses,
-    nonneg and set of integer boxes: one Solution per row.
+def solve_milp_batch(c, A, senses, nonneg, B, integer_idx=(), bounds=()) -> Rows:
+    """Branch and bound over LP relaxations at every right-hand side
+    b = B[j], with one c, A, senses, nonneg and set of finite integer boxes
+    (lo, hi): one row of Rows per program.
 
     The trees run in lockstep (_branch_and_bound), the boxes appended as
     rows, and each round's relaxations are one solve_lp_batch over one
@@ -631,22 +680,13 @@ def solve_milp_batch(c, A, senses, nonneg, B, integer_idx=(), bounds=()) -> list
     lo0, hi0 = _box_arrays(bounds)
     roots = relax(np.arange(len(B)), lo0, hi0)
     out = _branch_and_bound(relax, idx, lo0, hi0, roots)
-    unbounded = [j for j, root in enumerate(roots) if root.status == "unbounded"]
-    if unbounded:
+    unbounded = np.flatnonzero(roots.status == UNBOUNDED)
+    if len(unbounded):
         # bounded integers means any feasible point extends to an unbounded ray
         feas = solve_milp_batch(np.zeros(prob.n_vars), prob.A, prob.senses, prob.nonneg,
                                 B[unbounded], idx, bounds)
-        for j, sol in zip(unbounded, feas):
-            out[j] = UNBOUNDED if sol.optimal else INFEASIBLE
+        out.status[unbounded] = np.where(feas.status == OPTIMAL, UNBOUNDED, INFEASIBLE)
     return out
-
-
-def solve_milp(mip: MixedIntegerProgram) -> Solution:
-    """Branch and bound over LP relaxations, integer bounds as appended rows
-    (a batch of one)."""
-    p = mip.lp
-    return solve_milp_batch(p.c, p.A, p.senses, p.nonneg, p.b[None], mip.integer_idx,
-                            mip.bounds)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -655,56 +695,6 @@ def solve_milp(mip: MixedIntegerProgram) -> Solution:
 
 # rows a convex QP may have: KKT enumeration tries every active set
 MAX_QP_ROWS = 20
-
-
-def _qp_arrays(D, Q, A, B):
-    """D, Q, A and B as float arrays, Q and B with one row per program,
-    after the checks every QP entry point makes."""
-    D = np.asarray(D, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    k, n = Q.shape
-    A = np.asarray(A, dtype=float)
-    if A.size == 0:
-        A = A.reshape(0, n)
-    B = np.asarray(B, dtype=float)
-    if B.size == 0 and B.ndim != 2:
-        B = B.reshape(k, 0)
-    for name, arr in (("D", D), ("q", Q), ("A", A), ("b", B)):
-        if not np.all(np.isfinite(arr)):
-            raise OutOfRange(f"non-finite entries in {name}")
-    if D.shape != (n, n):
-        raise DimMismatch(f"D shape {D.shape} vs {n} variables")
-    if np.max(np.abs(D - D.T), initial=0.0) > 1e-12:
-        raise InvalidSpec("D must be symmetric within 1e-12")
-    if np.min(np.linalg.eigvalsh(D)) <= 1e-10:
-        raise InvalidSpec("D must be positive definite (min eigenvalue > 1e-10)")
-    if A.ndim != 2 or A.shape[1] != n or B.shape != (k, A.shape[0]):
-        raise DimMismatch(f"A shape {A.shape} vs b {B.shape[-1]}")
-    return D, Q, A, B
-
-
-@dataclass(frozen=True)
-class QuadraticMixedProgram:
-    """min y'Dy + q.y  s.t.  A y <= b,  y_i integer (boxed) for i in idx."""
-
-    D: np.ndarray
-    q: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    integer_idx: tuple = ()
-    bounds: tuple = ()
-
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
-        D, Q, A, B = _qp_arrays(self.D, q[None], self.A, b[None])
-        idx, bnds = _integer_boxes(self.integer_idx, self.bounds, len(q))
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "q", Q[0])
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", B[0])
-        object.__setattr__(self, "integer_idx", idx)
-        object.__setattr__(self, "bounds", bnds)
 
 
 def _quad_values(D, Y, Q) -> np.ndarray:
@@ -720,9 +710,9 @@ def _stacked_solve(K, R) -> np.ndarray:
     return np.linalg.solve(np.broadcast_to(K, (len(R),) + K.shape), R[..., None])[..., 0]
 
 
-def _kkt_sweep(D, A, Q, B, feasibility) -> list:
-    """Exact minimum of y'Dy + Q[j].y over A y <= B[j], one Solution per j,
-    for positive definite D.
+def _kkt_sweep(D, A, Q, B, feasibility) -> Rows:
+    """Exact minimum of y'Dy + Q[j].y over A y <= B[j], one row of Rows per
+    j, for positive definite D.
 
     Enumerates KKT active sets of size at most n (conic Caratheodory
     guarantees one exists at the optimum) in itertools.combinations order.
@@ -747,10 +737,9 @@ def _kkt_sweep(D, A, Q, B, feasibility) -> list:
     free = np.ones(k, dtype=bool) if m == 0 else np.all(
         (A @ Y[:, :, None])[:, :, 0] <= B + FEAS_TOL, axis=1
     )
-    out = [None] * k
+    out = Rows.infeasible(k, n)
     j = np.flatnonzero(free)
-    for pos, val in zip(j, _quad_values(D, Y[j], Q[j])):
-        out[pos] = Solution("optimal", val, Y[pos])
+    out.put(j, _quad_values(D, Y[j], Q[j]), Y[j])
     rest = np.flatnonzero(~free)
     if not len(rest):
         return out
@@ -784,30 +773,51 @@ def _kkt_sweep(D, A, Q, B, feasibility) -> list:
             best_val[j[better]] = val[better]
             best_y[j[better]] = y[better]
             found[j[better]] = True
-    for pos in np.flatnonzero(found):
-        out[rest[pos]] = Solution("optimal", best_val[pos], best_y[pos])
+    out.put(rest[found], best_val[found], best_y[found])
     # no KKT point: the feasible set must be empty, which a ray or an LP
     # certifies, or else the LP's point violates a row by > FEAS_TOL
     empty = rest[~found]
-    for j, feas in zip(empty, feasibility.solve(B[empty])):
-        if feas.optimal and not np.any(A @ feas.point > B[j] + FEAS_TOL):
-            raise NumericalFailure("feasible convex QP without a detected KKT point")
-        out[j] = INFEASIBLE
+    feas = feasibility.solve(B[empty])
+    ok = feas.status == OPTIMAL
+    P = feas.point[ok]
+    if not np.all(np.any((A @ P[:, :, None])[:, :, 0] > B[empty[ok]] + FEAS_TOL, axis=1)):
+        raise NumericalFailure("feasible convex QP without a detected KKT point")
     return out
 
 
-def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> list:
-    """solve_miqp at every (q, b) = (Q[j], B[j]) with one D, A and set of
-    integer boxes: one Solution per row, bit-identical to solving each row
-    alone.  The trees run in lockstep, and each round's relaxations share
-    one KKT sweep, since the boxed rows (and so every K_S) are the same for
-    all nodes of all trees.  Errors are raised for the batch, with the
-    message a single row would give."""
+def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
+    """Exact minimum of y'Dy + q.y over A y <= b, y_i integer in the finite
+    box (lo, hi) of each i in integer_idx, at every (q, b) = (Q[j], B[j])
+    with one positive definite D and one A: one row of Rows per program,
+    bit-identical to solving each row alone.  Without integers it is one
+    KKT sweep (_kkt_sweep); with them the trees run in lockstep, and each
+    round's relaxations share one KKT sweep, since the boxed rows (and so
+    every K_S) are the same for all nodes of all trees.  Raises OutOfRange
+    on non-finite data and ConstraintLimitExceeded for more than
+    MAX_QP_ROWS rows, boxes included.  Errors are raised for the batch,
+    with the message a single row would give."""
+    D = np.asarray(D, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
         raise DimMismatch(f"Q must have one row per program, got shape {Q.shape}")
-    D, Q, A, B = _qp_arrays(D, Q, A, B)
-    n = Q.shape[1]
+    k, n = Q.shape
+    A = np.asarray(A, dtype=float)
+    if A.size == 0:
+        A = A.reshape(0, n)
+    B = np.asarray(B, dtype=float)
+    if B.size == 0 and B.ndim != 2:
+        B = B.reshape(k, 0)
+    for name, arr in (("D", D), ("q", Q), ("A", A), ("b", B)):
+        if not np.all(np.isfinite(arr)):
+            raise OutOfRange(f"non-finite entries in {name}")
+    if D.shape != (n, n):
+        raise DimMismatch(f"D shape {D.shape} vs {n} variables")
+    if np.max(np.abs(D - D.T), initial=0.0) > 1e-12:
+        raise InvalidSpec("D must be symmetric within 1e-12")
+    if np.min(np.linalg.eigvalsh(D)) <= 1e-10:
+        raise InvalidSpec("D must be positive definite (min eigenvalue > 1e-10)")
+    if A.ndim != 2 or A.shape[1] != n or B.shape != (k, A.shape[0]):
+        raise DimMismatch(f"A shape {A.shape} vs b {B.shape[-1]}")
     idx, bounds = _integer_boxes(integer_idx, bounds, n)
     if idx:
         A = _box_rows(A, idx)
@@ -825,68 +835,9 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> list:
     return _branch_and_bound(relax, idx, lo0, hi0, roots)
 
 
-def solve_qp_convex(D: np.ndarray, q: np.ndarray, A: np.ndarray, b: np.ndarray) -> Solution:
-    """Exact minimum of y'Dy + q.y over A y <= b for positive definite D,
-    by KKT active-set enumeration (a batch of one).  Raises
-    OutOfRange on non-finite data and ConstraintLimitExceeded for more
-    than MAX_QP_ROWS rows."""
-    return solve_miqp(QuadraticMixedProgram(D, q, A, b))
-
-
-def solve_miqp(qmp: QuadraticMixedProgram) -> Solution:
-    """Branch and bound with convex-QP relaxations (KKT enumeration), as a
-    batch of one."""
-    return solve_miqp_batch(qmp.D, qmp.q[None], qmp.A, qmp.b[None], qmp.integer_idx, qmp.bounds)[0]
-
-
 # ---------------------------------------------------------------------------
 # mixed-integer convex programs over the expression grammar
 # ---------------------------------------------------------------------------
-
-
-def _convex_arrays(g, R, integer_idx, integer_bounds, continuous_idx, continuous_box):
-    """g as a tuple, R as floats with one row per program, and the integer
-    and continuous indices and boxes, after the checks every convex-MIP entry
-    point makes; the two index lists together must be 0, ..., n - 1."""
-    g = tuple(g)
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[1] != len(g):
-        raise DimMismatch("one rhs entry per constraint expression")
-    if not np.all(np.isfinite(R)):
-        raise OutOfRange("non-finite entries in rhs")
-    n = len(integer_idx) + len(continuous_idx)
-    idx, bounds = _integer_boxes(integer_idx, integer_bounds, n)
-    cont, box = _integer_boxes(continuous_idx, continuous_box, n, "continuous")
-    if sorted(idx + cont) != list(range(n)):
-        raise InvalidSpec(f"integer and continuous indices must together be 0, ..., {n - 1}")
-    return g, R, idx, bounds, cont, box
-
-
-@dataclass(frozen=True)
-class ConvexMixedProgram:
-    """min v(y)  s.t.  g_i(y) <= rhs_i,  integer coordinates boxed, the
-    continuous coordinates searched over a finite box."""
-
-    v: object  # ConvexExpr
-    g: tuple
-    rhs: np.ndarray
-    integer_idx: tuple
-    integer_bounds: tuple
-    continuous_idx: tuple
-    continuous_box: tuple
-
-    def __post_init__(self):
-        rhs = np.atleast_1d(np.asarray(self.rhs, dtype=float))
-        checked = _convex_arrays(self.g, rhs[None], self.integer_idx, self.integer_bounds,
-                                 self.continuous_idx, self.continuous_box)
-        for name, value in zip(("g", "rhs", "integer_idx", "integer_bounds", "continuous_idx",
-                                "continuous_box"), checked):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "rhs", self.rhs[0])  # the one row of the checked rhs
-
-    @property
-    def n_vars(self) -> int:
-        return len(self.integer_idx) + len(self.continuous_idx)
 
 
 def lattice_points(bounds) -> np.ndarray:
@@ -950,9 +901,12 @@ def _kelley_slice(v, g, rhs, y_full, cont, lo, hi):
 
 
 def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=(),
-                           continuous_box=()) -> list:
-    """solve_convex_mip at every rhs = R[j] with one v, g and set of boxes:
-    one Solution per row, bit-identical to solving each row alone.
+                           continuous_box=()) -> Rows:
+    """min v(y) s.t. g_i(y) <= rhs_i at every rhs = R[j], with one v, g and
+    set of boxes: the integer coordinates integer_idx in integer_bounds and
+    the continuous ones continuous_idx searched over continuous_box, the two
+    index lists together 0, ..., n - 1.  One row of Rows per program,
+    bit-identical to solving each row alone.
 
     Integer assignments are enumerated in lattice_points order and the best
     feasible slice is kept (an improvement must exceed 1e-15).  Without
@@ -967,23 +921,32 @@ def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=
     than MAX_LATTICE_POINTS integer assignments raise
     ConstraintLimitExceeded before any is tried.  Errors are raised for the
     batch, with the message a single row would give."""
-    g, R, idx, bounds, cont, box = _convex_arrays(
-        g, R, integer_idx, integer_bounds, continuous_idx, continuous_box
-    )
+    g = tuple(g)
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 2 or R.shape[1] != len(g):
+        raise DimMismatch("one rhs entry per constraint expression")
+    if not np.all(np.isfinite(R)):
+        raise OutOfRange("non-finite entries in rhs")
+    n = len(integer_idx) + len(continuous_idx)
+    idx, bounds = _integer_boxes(integer_idx, integer_bounds, n)
+    cont, box = _integer_boxes(continuous_idx, continuous_box, n, "continuous")
+    if sorted(idx + cont) != list(range(n)):
+        raise InvalidSpec(f"integer and continuous indices must together be 0, ..., {n - 1}")
     pts = lattice_points(bounds)
-    Y = np.zeros((len(pts), len(idx) + len(cont)))
+    Y = np.zeros((len(pts), n))
     Y[:, list(idx)] = pts
+    out = Rows.infeasible(len(R), n)
     if cont:
         lo, hi = _box_arrays(box)
         cont = list(cont)
-        out = []
-        for rhs in R:
+        for j, rhs in enumerate(R):
             best_val, best_pt = np.inf, None
             for y_full in Y:
                 found = _kelley_slice(v, g, rhs, y_full, cont, lo, hi)
                 if found is not None and found[0] < best_val - 1e-15:
                     best_val, best_pt = found
-            out.append(INFEASIBLE if best_pt is None else Solution("optimal", best_val, best_pt))
+            if best_pt is not None:
+                out.put(j, best_val, best_pt)
         return out
     V = v.values(Y)
     G = np.array([gi.values(Y) for gi in g]).reshape(len(g), len(Y))
@@ -997,11 +960,6 @@ def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=
         better = (viol <= FEAS_TOL) & (val < best - 1e-15)
         best[better] = val
         arg[better] = l
-    return [INFEASIBLE if a < 0 else Solution("optimal", b, Y[a].copy()) for a, b in zip(arg, best)]
-
-
-def solve_convex_mip(cmp: ConvexMixedProgram) -> Solution:
-    """Enumerate integer assignments and keep the best feasible slice, as a
-    batch of one (see solve_convex_mip_batch)."""
-    return solve_convex_mip_batch(cmp.v, cmp.g, cmp.rhs[None], cmp.integer_idx,
-                                  cmp.integer_bounds, cmp.continuous_idx, cmp.continuous_box)[0]
+    hit = arg >= 0
+    out.put(hit, best[hit], Y[arg[hit]])
+    return out

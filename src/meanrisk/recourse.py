@@ -11,7 +11,9 @@ basis answers every right-hand side it stays feasible for),
 optim.solve_milp_batch for milp, optim.solve_miqp_batch for miqp and
 optim.solve_convex_mip_batch for convex_mip; this module holds no solver
 logic of its own.  eval_recourse_batch solves every distinct input of a
-batch of rows (x, z) that way, and eval_recourse is a batch of one.
+batch of rows (x, z) that way, in one optim.Rows of status codes, values
+and points, and checks the statuses in one pass; eval_recourse is a batch
+of one.  A batch holds at most MAX_RECOURSE_ROWS rows.
 
 Infeasibility or unboundedness at a point signals a violated model
 assumption for that instance and is raised, never silently absorbed.
@@ -42,7 +44,10 @@ from .errors import (
 from .measure import Sampler
 
 KINDS = ("linear", "milp", "miqp", "convex_mip")
-MAX_CERTIFY_ROWS = 500_000  # (x, z) rows of a certify batch; a miqp row holds ~2.3 KB
+# (x, z) rows of one recourse batch; at the peak of a 100,000-row certify a
+# row holds about 1.1 KB for miqp, 0.45 KB for linear and under 0.2 KB for
+# milp and convex_mip
+MAX_RECOURSE_ROWS = 500_000
 
 
 @dataclass(frozen=True)
@@ -290,6 +295,12 @@ def eval_recourse(model: RecourseModel, x, z) -> float:
     return float(eval_recourse_batch(model, x, np.reshape(z, (1, -1)))[0])
 
 
+def _check_rows(count: int):
+    """ConstraintLimitExceeded for a batch of more than MAX_RECOURSE_ROWS rows."""
+    if count > MAX_RECOURSE_ROWS:
+        raise ConstraintLimitExceeded(f"{count} rows > MAX_RECOURSE_ROWS = {MAX_RECOURSE_ROWS}")
+
+
 def eval_recourse_batch(model: RecourseModel, X, Z, cache: dict | None = None) -> np.ndarray:
     """f(x, z) at every row z of Z, with X one x for all rows or one per row.
 
@@ -302,14 +313,16 @@ def eval_recourse_batch(model: RecourseModel, X, Z, cache: dict | None = None) -
     linear row or milp node that a stored basis answers agrees with its own
     LP to round-off (1e-12 relative in the tests).
 
-    A map overflow (OutOfRange) is raised before any solve, and then a row
-    whose recourse problem is infeasible, unbounded or invalid raises its
-    error, each for the first such row in order: a batch that raises is
-    replayed one row at a time.
+    More than MAX_RECOURSE_ROWS rows raise ConstraintLimitExceeded before
+    any map is evaluated.  A map overflow (OutOfRange) is raised before any
+    solve, and then a row whose recourse problem is infeasible, unbounded or
+    invalid raises its error, each for the first such row in order: a batch
+    whose solver raises is replayed one row at a time.
     """
     Zv = np.asarray(Z, dtype=float)
     if Zv.ndim != 2:
         raise DimMismatch(f"noise rows must form a 2-D array, got shape {Zv.shape}")
+    _check_rows(len(Zv))
     Xv = _decision_rows(X, len(Zv))
     if Xv.shape[1] != model.n:
         raise DimMismatch(f"decision has dim {Xv.shape[1]}, model expects {model.n}")
@@ -326,30 +339,33 @@ def eval_recourse_batch(model: RecourseModel, X, Z, cache: dict | None = None) -
     rows = sorted(j for j, key in keys.items() if key not in cache)  # the misses' first rows
     if rows:
         try:
-            sols = _solve_rows(model, H[rows], C[rows])
+            solved = _solve_rows(model, H[rows], C[rows])
         except MeanRiskError:
-            sols = (_solve_rows(model, H[[j]], C[[j]])[0] for j in rows)
-        cache.update([(keys[j], _result(model, Xv[j], Zv[j], sol)) for j, sol in zip(rows, sols)])
+            for j in rows:  # one row at a time, so the first row that fails raises
+                _values(model, Xv[[j]], Zv[[j]], _solve_rows(model, H[[j]], C[[j]]))
+            raise
+        values = _values(model, Xv[rows], Zv[rows], solved)
+        cache.update(zip([keys[j] for j in rows], values.tolist()))
     return np.array([cache[key] for key in keys.values()], dtype=float)[inverse.ravel()]
 
 
-def _solve_rows(model: RecourseModel, H, C) -> list:
+def _solve_rows(model: RecourseModel, H, C) -> optim.Rows:
     """The recourse problem at every right-hand side H[j] (and cost C[j] for
-    linear and miqp) through the one batched solver of its kind: one
-    Solution per row."""
+    linear and miqp) through the one batched solver of its kind."""
     idx = tuple(range(model.m1, model.m1 + model.m2))
     if model.kind in ("linear", "milp"):
         m, width = model.A.shape
         eq, nonneg = ("==",) * m, (True,) * width
     if model.kind == "linear":
         # one LP batch, and so one store of bases, per distinct cost
-        out = [None] * len(H)
+        out = optim.Rows.infeasible(len(H), width)
         same_q = {}
         for i, c in enumerate(C):
             same_q.setdefault(c.tobytes(), []).append(i)
         for rows in same_q.values():
-            for i, sol in zip(rows, optim.solve_lp_batch(C[rows[0]], model.A, eq, nonneg, H[rows])):
-                out[i] = sol
+            solved = optim.solve_lp_batch(C[rows[0]], model.A, eq, nonneg, H[rows])
+            for part, got in zip(out, solved):
+                part[rows] = got
         return out
     if model.kind == "milp":
         # Eq-form integer recourse keeps y >= 0, so the declared boxes are
@@ -362,17 +378,20 @@ def _solve_rows(model: RecourseModel, H, C) -> list:
                                         tuple(range(model.m1)), model.continuous_box)
 
 
-def _result(model: RecourseModel, xv, zv, sol) -> float:
-    """The value of sol; RecourseInfeasible or RecourseUnbounded at (xv, zv)
-    otherwise."""
-    if sol.status == "infeasible":
-        detail = ""
-        if model.kind == "convex_mip" and model.m1:
-            detail = "certified: the cutting-plane LP of every continuous slice is infeasible"
-        raise RecourseInfeasible(xv, zv, detail)
-    if sol.status == "unbounded":
-        raise RecourseUnbounded(xv, zv)
-    return sol.value
+def _values(model: RecourseModel, X, Z, solved: optim.Rows) -> np.ndarray:
+    """The values of solved, whose row j is the problem at (X[j], Z[j]);
+    RecourseInfeasible or RecourseUnbounded at its first row that is not
+    optimal."""
+    bad = np.flatnonzero(solved.status != optim.OPTIMAL)
+    if not len(bad):
+        return solved.value
+    j = bad[0]
+    if solved.status[j] == optim.UNBOUNDED:
+        raise RecourseUnbounded(X[j], Z[j])
+    detail = ""
+    if model.kind == "convex_mip" and model.m1:
+        detail = "certified: the cutting-plane LP of every continuous slice is infeasible"
+    raise RecourseInfeasible(X[j], Z[j], detail)
 
 
 # per recourse kind: the exponents the growth of f depends on, and how
@@ -456,15 +475,14 @@ def certify_growth(
 ) -> GrowthCertificate:
     """Sample z and record eta_hat(x) = max |f(x,z)| / (||z||^gamma + 1);
     OutOfRange when ||z||^gamma overflows on the sample.  The (x, z) pairs are
-    one recourse batch: ConstraintLimitExceeded above MAX_CERTIFY_ROWS, before sampling."""
+    one recourse batch: ConstraintLimitExceeded above MAX_RECOURSE_ROWS, before sampling."""
     in_range(gamma, "gamma", gt=0, error=InvalidExponent)
     if n < 1:
         raise OutOfRange("sample count must be >= 1")
     if seed < 0:
         raise OutOfRange(f"seed must be a nonnegative integer, got {seed}")
     xs = np.atleast_2d(np.asarray(x_set, dtype=float))
-    if n * len(xs) > MAX_CERTIFY_ROWS:
-        raise ConstraintLimitExceeded(f"{n * len(xs)} rows > MAX_CERTIFY_ROWS = {MAX_CERTIFY_ROWS}")
+    _check_rows(n * len(xs))
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     zs = np.asarray(z_sampler(rng, n), dtype=float).reshape(n, -1)
     with np.errstate(over="ignore"):

@@ -333,7 +333,7 @@ def qp_kkt_oracle(D, q, A, b):
     feas = optim.solve_lp(optim.lp(np.zeros(n), A, b, senses="<=", nonneg=(False,) * n))
     if feas.optimal and not np.any(A @ feas.point > b + optim.FEAS_TOL):
         raise NumericalFailure("feasible convex QP without a detected KKT point")
-    return optim.INFEASIBLE
+    return optim.Solution("infeasible")
 
 
 def miqp_bb_oracle(D, q, A, b, int_idx, bounds):
@@ -376,7 +376,7 @@ def miqp_bb_oracle(D, q, A, b, int_idx, bounds):
         if pos < 0:
             pt = rel.point.copy()
             for i in int_idx:
-                pt[i] = round(pt[i])
+                pt[i] = round(float(pt[i]))  # an int, so never -0.0
             if rel.value < best_val - 1e-15:
                 best_val, best_pt = rel.value, pt
             continue
@@ -390,20 +390,22 @@ def miqp_bb_oracle(D, q, A, b, int_idx, bounds):
             if child.optimal and child.value < best_val - 1e-12:
                 stack.append((l2, h2, child))
     if best_pt is None:
-        return optim.INFEASIBLE
+        return optim.Solution("infeasible")
     return optim.Solution("optimal", best_val, best_pt)
 
 
-def milp_bb_oracle(mip):
-    """Depth-first branch and bound over one optim.solve_lp relaxation per
-    node, one tree per program, as optim ran it before its batched form:
+def milp_bb_oracle(c, A, b, senses, nonneg, idx, bounds):
+    """min c.x s.t. A x (senses) b, x_j >= 0 where nonneg[j], x_i integer in
+    bounds for i in idx, by depth-first branch and bound over one
+    optim.solve_lp relaxation per node, one tree per program, as optim ran
+    it before its batched form:
     integer boxes appended as rows x_i <= hi, -x_i <= -lo; the lowest-index
     most-fractional coordinate is branched on, the ceil child relaxed first
     and the floor child explored first; a node is pruned when it cannot
     improve the incumbent by more than 1e-12.  A program whose root
     relaxation is unbounded is unbounded if a zero-cost run finds an
     integer-feasible point and infeasible otherwise."""
-    base, idx = mip.lp, mip.integer_idx
+    base = optim.LinearProgram(c, A, b, senses, nonneg)
     if not idx:
         return optim.solve_lp(base)
     A = base.A.toarray() if scipy.sparse.issparse(base.A) else base.A
@@ -422,14 +424,13 @@ def milp_bb_oracle(mip):
         b2[m + 1 :: 2] = -lo
         return optim.solve_lp(optim.LinearProgram(base.c, A2, b2, senses, base.nonneg))
 
-    lo0 = np.array([lo for lo, _ in mip.bounds], dtype=float)
-    hi0 = np.array([hi for _, hi in mip.bounds], dtype=float)
+    lo0 = np.array([lo for lo, _ in bounds], dtype=float)
+    hi0 = np.array([hi for _, hi in bounds], dtype=float)
     root = relax(lo0, hi0)
     if root.status == "unbounded":
-        feas = milp_bb_oracle(optim.MixedIntegerProgram(
-            optim.LinearProgram(np.zeros(base.n_vars), base.A, base.b, base.senses, base.nonneg),
-            idx, mip.bounds))
-        return optim.UNBOUNDED if feas.optimal else optim.INFEASIBLE
+        feas = milp_bb_oracle(np.zeros(base.n_vars), base.A, base.b, base.senses, base.nonneg,
+                              idx, bounds)
+        return optim.Solution("unbounded" if feas.optimal else "infeasible")
     best_val, best_pt = np.inf, None
     stack = [(lo0, hi0, root)]
     while stack:
@@ -444,7 +445,7 @@ def milp_bb_oracle(mip):
         if pos < 0:
             pt = rel.point.copy()
             for i in idx:
-                pt[i] = round(pt[i])
+                pt[i] = round(float(pt[i]))
             if rel.value < best_val - 1e-15:
                 best_val, best_pt = rel.value, pt
             continue
@@ -458,7 +459,7 @@ def milp_bb_oracle(mip):
             if child.optimal and child.value < best_val - 1e-12:
                 stack.append((l2, h2, child))
     if best_pt is None:
-        return optim.INFEASIBLE
+        return optim.Solution("infeasible")
     return optim.Solution("optimal", best_val, best_pt)
 
 
@@ -536,57 +537,61 @@ def param_map_oracle(pm, x, z):
     return np.array([expr_value_oracle(e, w) for e in pm.expressions])
 
 
-def convex_mip_loop_oracle(cmp):
-    """solve_convex_mip as a loop over lattice points, one program at a time:
-    a pure-integer point is checked against max_i(g_i - rhs_i) <= FEAS_TOL
-    with Python's max, a continuous slice goes to Kelley's cutting planes,
-    and an improvement must exceed 1e-15."""
-    n = cmp.n_vars
-    cont = list(cmp.continuous_idx)
-    lo = np.array([b[0] for b in cmp.continuous_box])
-    hi = np.array([b[1] for b in cmp.continuous_box])
+def convex_mip_loop_oracle(v, g, rhs, integer_idx, integer_bounds, continuous_idx=(),
+                           continuous_box=()):
+    """min v(y) s.t. g_i(y) <= rhs_i as a loop over lattice points, one
+    program at a time: a pure-integer point is checked against
+    max_i(g_i - rhs_i) <= FEAS_TOL with Python's max, a continuous slice
+    goes to Kelley's cutting planes, and an improvement must exceed 1e-15."""
+    n = len(integer_idx) + len(continuous_idx)
+    cont = list(continuous_idx)
+    lo = np.array([b[0] for b in continuous_box], dtype=float)
+    hi = np.array([b[1] for b in continuous_box], dtype=float)
     best_val, best_pt = np.inf, None
-    for assign in optim.lattice_points(cmp.integer_bounds):
+    for assign in optim.lattice_points(integer_bounds):
         y_full = np.zeros(n)
-        y_full[list(cmp.integer_idx)] = assign
+        y_full[list(integer_idx)] = assign
         if cont:
-            found = optim._kelley_slice(cmp.v, cmp.g, cmp.rhs, y_full, cont, lo, hi)
+            found = optim._kelley_slice(v, g, rhs, y_full, cont, lo, hi)
             if found is not None and found[0] < best_val - 1e-15:
                 best_val, best_pt = found
             continue
-        viol = max((expr_value_oracle(g, y_full) - r for g, r in zip(cmp.g, cmp.rhs)),
-                   default=-np.inf)
+        viol = max((expr_value_oracle(gi, y_full) - r for gi, r in zip(g, rhs)), default=-np.inf)
         if viol <= optim.FEAS_TOL:
-            val = expr_value_oracle(cmp.v, y_full)
+            val = expr_value_oracle(v, y_full)
             if val < best_val - 1e-15:
                 best_val, best_pt = val, y_full.copy()
     if best_pt is None:
-        return optim.INFEASIBLE
+        return optim.Solution("infeasible")
     return optim.Solution("optimal", float(best_val), best_pt)
 
 
 def recourse_row_oracle(model, x, z):
     """f(x, z) solved on its own: solve_lp for linear, milp_bb_oracle for
-    milp, miqp_bb_oracle for miqp and convex_mip_loop_oracle for convex_mip, the
-    solver inputs checked by optim's program classes.  Raises what the
-    recourse module raises at that row."""
+    milp, miqp_bb_oracle for miqp and convex_mip_loop_oracle for convex_mip,
+    a non-finite solver input refused with the error optim gives it (the LP
+    constructor's InvalidSpec, OutOfRange for a QP's q or b and for a convex
+    program's rhs).  Raises what the recourse module raises at that row."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     zv = np.atleast_1d(np.asarray(z, dtype=float))
     h = param_map_oracle(model.h_map, xv, zv)
     idx = tuple(range(model.m1, model.m1 + model.m2))
+    inputs = {"linear": (), "milp": (), "miqp": ("q", "b"), "convex_mip": ("rhs",)}[model.kind]
+    q = param_map_oracle(model.q_map, xv, zv) if model.q_map is not None else None
+    for name in inputs:
+        if not np.all(np.isfinite(q if name == "q" else h)):
+            raise OutOfRange(f"non-finite entries in {name}")
     if model.kind == "linear":
-        sol = optim.solve_lp(optim.lp(param_map_oracle(model.q_map, xv, zv), model.A, h))
+        sol = optim.solve_lp(optim.lp(q, model.A, h))
     elif model.kind == "milp":
         bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
-        sol = milp_bb_oracle(optim.MixedIntegerProgram(optim.lp(model.q, model.A, h), idx, bounds))
+        sol = milp_bb_oracle(model.q, model.A, h, ("==",) * len(h), (True,) * len(model.q), idx,
+                             bounds)
     elif model.kind == "miqp":
-        qmp = optim.QuadraticMixedProgram(model.D, param_map_oracle(model.q_map, xv, zv),
-                                          model.A, h, idx, model.integer_bounds)
-        sol = miqp_bb_oracle(qmp.D, qmp.q, qmp.A, qmp.b, qmp.integer_idx, qmp.bounds)
+        sol = miqp_bb_oracle(model.D, q, model.A, h, idx, model.integer_bounds)
     else:
-        sol = convex_mip_loop_oracle(optim.ConvexMixedProgram(
-            model.v, model.g, h, idx, model.integer_bounds, tuple(range(model.m1)),
-            model.continuous_box))
+        sol = convex_mip_loop_oracle(model.v, model.g, h, idx, model.integer_bounds,
+                                     tuple(range(model.m1)), model.continuous_box)
     if sol.status == "infeasible":
         detail = ""
         if model.kind == "convex_mip" and model.m1:

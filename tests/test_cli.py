@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -371,3 +373,61 @@ class TestFuzz:
                     marked = [i for i, v in enumerate(row) if v == NAN_MARK]
                     assert not marked or (row[-1] and set(marked) <= {2, 3, 4, 5, 6}), row
                 assert NAN_MARK not in json.dumps(doc)
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+# runs the CLI on its arguments, then reports on stderr whether scipy was imported
+PROBE = ("import sys; from meanrisk import cli; code = cli.main(sys.argv[1:]); "
+         "print('scipy' in sys.modules, file=sys.stderr); sys.exit(code)")
+
+
+def fresh_python(*args):
+    """A fresh interpreter on args, importing meanrisk from this checkout."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestFreshProcess:
+    """CLI runs in a fresh interpreter: numpy warnings as errors, and scipy
+    imported only where HiGHS or a sparse transport LP runs."""
+
+    def test_far_atoms_bl_under_warnings_as_errors(self, tmp_path):
+        # gaps between atoms at +-1e308 overflow to inf: every pair is more
+        # than 2 apart, so BL is the total variation 2
+        far = write(tmp_path, "far.json", {"dim": 1, "atoms": [
+            {"point": [1e308], "weight": 0.5}, {"point": [-1e308], "weight": 0.5}]})
+        dirac = os.path.join(DEMO, "measure_dirac1.json")
+        run = fresh_python("-W", "error::RuntimeWarning", "-m", "meanrisk.cli", "metrics",
+                           "--measure", far, "--measure2", dirac, "--kind", "bl")
+        assert (run.returncode, run.stdout, run.stderr) == (cli.EXIT_OK, "2.0\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["eval", "--model", os.path.join(DEMO, name), "--measure",
+                      os.path.join(DEMO, "base_measure.json"), "--all"], id=f"eval-{name[6:-5]}")
+        for name in sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
+    ] + [
+        pytest.param(["metrics", "--measure", os.path.join(DEMO, "base_measure.json"),
+                      "--measure2", os.path.join(DEMO, "base_measure_strict.json"), "--kind", "bl"],
+                     id="metrics-bl"),
+        pytest.param(["stability", "--model", os.path.join(DEMO, "model_milp_expectation.json"),
+                      "--measure", os.path.join(DEMO, "base_measure.json"),
+                      "--scheme", os.path.join(DEMO, "scheme_saa.json")], id="stability-saa"),
+    ])
+    def test_one_dimensional_runs_leave_scipy_unimported(self, argv, tmp_path):
+        if argv[0] == "stability":
+            argv = argv + ["--out", str(tmp_path / "out")]
+        run = fresh_python("-c", PROBE, *argv)
+        assert run.returncode == cli.EXIT_OK, run.stderr
+        assert run.stderr == "False\n"
+
+    def test_two_dimensional_wasserstein_imports_highs(self, tmp_path):
+        mu = write(tmp_path, "mu.json", {"dim": 2, "atoms": [
+            {"point": [0.0, 0.0], "weight": 0.5}, {"point": [1.0, 2.0], "weight": 0.25},
+            {"point": [-1.0, 0.5], "weight": 0.25}]})
+        nu = write(tmp_path, "nu.json", {"dim": 2, "atoms": [
+            {"point": [0.5, -0.5], "weight": 0.6}, {"point": [2.0, 1.0], "weight": 0.4}]})
+        run = fresh_python("-c", PROBE, "metrics", "--measure", mu, "--measure2", nu,
+                           "--kind", "wasserstein", "--q", "2")
+        assert (run.returncode, run.stdout, run.stderr) == (cli.EXIT_OK, "1.4958275301651591\n",
+                                                            "True\n")

@@ -31,6 +31,37 @@ from oracles import (
 )
 
 
+def solutions(rows) -> list:
+    """The Rows of a batch as one optim.Solution per row."""
+    return [optim.Solution("optimal", value, point) if status == optim.OPTIMAL
+            else optim.Solution(optim.STATUSES[status]) for status, value, point in zip(*rows)]
+
+
+def one(rows) -> optim.Solution:
+    """The result of a batch of one."""
+    (sol,) = solutions(rows)
+    return sol
+
+
+def solve_milp(prob, idx, bounds) -> optim.Solution:
+    """The LP prob with integer boxes, as a batch of one."""
+    return one(optim.solve_milp_batch(prob.c, prob.A, prob.senses, prob.nonneg, prob.b[None], idx,
+                                      bounds))
+
+
+def solve_miqp(D, q, A, b, idx=(), bounds=()) -> optim.Solution:
+    """min y'Dy + q.y over A y <= b with integer boxes, as a batch of one."""
+    row = lambda v: np.atleast_1d(np.asarray(v, dtype=float))[None]  # noqa: E731
+    return one(optim.solve_miqp_batch(D, row(q), A, row(b), idx, bounds))
+
+
+def solve_convex_mip(v, g, rhs, *slices) -> optim.Solution:
+    """min v(y) over g(y) <= rhs on the integer and continuous slices, as a
+    batch of one."""
+    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))[None]
+    return one(optim.solve_convex_mip_batch(v, g, rhs, *slices))
+
+
 class TestLinearProgram:
     def test_shape_validation(self):
         with pytest.raises(DimMismatch):
@@ -194,7 +225,7 @@ class TestLpBatch:
             return solve(prob)
 
         with mock.patch.object(optim, "solve_lp", spy):
-            return optim.solve_lp_batch(c, A, senses, nonneg, B), solved
+            return solutions(optim.solve_lp_batch(c, A, senses, nonneg, B)), solved
 
     @settings(max_examples=200, deadline=None)
     @given(case=lp_batches(), data=st.data())
@@ -241,7 +272,7 @@ class TestLpBatch:
 
         batch = optim._LpBatch(c, A, senses, nonneg)
         with mock.patch.object(optim, "solve_lp", spy):
-            return batch, batch.solve(B), solved
+            return batch, solutions(batch.solve(B)), solved
 
     def test_a_ray_breaking_its_sign_conditions_is_not_stored(self):
         # lam = (1, -1) has lam.b < 0 at b = (-1, 5) but breaks A'lam >= 0;
@@ -253,7 +284,7 @@ class TestLpBatch:
         assert batch.rays == [] and len(solved) == 2
         # the tableau's own ray is stored, and does not cover b = (1, 5)
         batch = optim._LpBatch(*args[:4])
-        assert [sol.status for sol in batch.solve(args[4])] == ["infeasible", "optimal"]
+        assert [sol.status for sol in solutions(batch.solve(args[4]))] == ["infeasible", "optimal"]
         assert len(batch.rays) == 1
 
     def test_a_basis_failing_its_reduced_costs_is_not_stored(self):
@@ -325,16 +356,16 @@ class TestLpBatch:
         monkeypatch.setattr(scipy.optimize, "linprog",
                             lambda *a, **k: calls.append(a) or linprog(*a, **k))
         batch = optim._LpBatch(c, A, ("==", "<="), (True,) * 90)
-        got = batch.solve(B)
+        got = solutions(batch.solve(B))
         assert len(calls) == 3 and batch.rays == [] and batch.bases == []
         for sol, b in zip(got, B):
             assert same_solution(sol, optim.solve_lp(optim.lp(c, A, b, ("==", "<="))))
 
     def test_empty_batch_and_batch_of_one(self):
         c, A, senses = [1.0, 2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], ("==", "<=")
-        assert optim.solve_lp_batch(c, A, senses, (True,) * 3, np.zeros((0, 2))) == []
+        assert solutions(optim.solve_lp_batch(c, A, senses, (True,) * 3, np.zeros((0, 2)))) == []
         for b in ([3.0, 0.5], [-1.0, 0.0]):
-            (got,) = optim.solve_lp_batch(c, A, senses, (True,) * 3, [b])
+            got = one(optim.solve_lp_batch(c, A, senses, (True,) * 3, [b]))
             assert same_solution(got, optim.solve_lp(optim.lp(c, A, b, senses)))
 
     def test_bad_right_hand_sides(self):
@@ -345,40 +376,69 @@ class TestLpBatch:
             optim.solve_lp_batch(*args, [1.0, 2.0])
 
 
+class TestRows:
+    """Every batch entry returns one Rows: int8 status codes, (k,) values
+    and (k, n) points, NaN where a row is not optimal."""
+
+    def batches(self, k):
+        g = (exprs.vabs(exprs.var(0)),)
+        lp = ([1.0, 2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], ("==", "<="), (True,) * 3)
+        qp = (np.eye(2), np.ones((k, 2)), [[1.0, 1.0]], np.ones((k, 1)))
+        return {
+            "lp": (optim.solve_lp_batch(*lp, np.tile([3.0, 0.5], (k, 1))), 3),
+            "milp": (optim.solve_milp_batch(*lp, np.tile([3.0, 0.5], (k, 1)), (0,), ((0, 2),)), 3),
+            "qp": (optim.solve_miqp_batch(*qp), 2),
+            "miqp": (optim.solve_miqp_batch(*qp, (1,), ((-2, 2),)), 2),
+            "lattice": (optim.solve_convex_mip_batch(exprs.var(0), g, np.ones((k, 1)), (0,),
+                                                     ((-2, 2),)), 1),
+            "kelley": (optim.solve_convex_mip_batch(exprs.var(0), g, np.ones((k, 1)), (), (), (0,),
+                                                    ((-2, 2),)), 1),
+        }
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_shapes(self, k):
+        for name, (rows, n) in self.batches(k).items():
+            assert isinstance(rows, optim.Rows), name
+            assert rows.status.dtype == np.int8, name
+            assert (rows.status.shape, rows.value.shape, rows.point.shape) == ((k,), (k,), (k, n))
+            assert np.all(rows.status == optim.OPTIMAL), name
+
+    def test_rows_that_are_not_optimal_carry_nan(self):
+        # x0 + x1 + x2 = 3, x0 - x1 <= b1: feasible, empty for b = (-1, 0)
+        rows = optim.solve_lp_batch([1.0, 2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]],
+                                    ("==", "<="), (True,) * 3, [[3.0, 0.5], [-1.0, 0.0]])
+        assert rows.status.tolist() == [optim.OPTIMAL, optim.INFEASIBLE]
+        assert np.isfinite(rows.value[0]) and np.all(np.isfinite(rows.point[0]))
+        assert np.isnan(rows.value[1]) and np.all(np.isnan(rows.point[1]))
+
+
 class TestMilp:
     def test_ceiling_example(self):
-        mip = optim.MixedIntegerProgram(
-            optim.lp([0, 1], [[-1, 1]], [1.2]), (1,), ((0, 10),)
-        )
-        sol = optim.solve_milp(mip)
+        sol = solve_milp(optim.lp([0, 1], [[-1, 1]], [1.2]), (1,), ((0, 10),))
         assert sol.value == pytest.approx(2.0, abs=1e-9)
         assert abs(sol.point[1] - round(sol.point[1])) <= 1e-9
 
     def test_negative_rhs(self):
-        mip = optim.MixedIntegerProgram(
-            optim.lp([0, 1], [[-1, 1]], [-3.0]), (1,), ((0, 10),)
-        )
-        assert optim.solve_milp(mip).value == pytest.approx(0.0, abs=1e-9)
+        sol = solve_milp(optim.lp([0, 1], [[-1, 1]], [-3.0]), (1,), ((0, 10),))
+        assert sol.value == pytest.approx(0.0, abs=1e-9)
 
     def test_no_integers_degenerates_to_lp(self):
         prob = optim.lp([1, 1], [[1, -1]], [1.5])
-        mip = optim.MixedIntegerProgram(prob, (), ())
         lp_sol = optim.solve_lp(prob)
-        mip_sol = optim.solve_milp(mip)
+        mip_sol = solve_milp(prob, (), ())
         assert mip_sol.value == lp_sol.value
         assert np.array_equal(mip_sol.point, lp_sol.point)
 
     def test_infeasible_lattice(self):
         # x integer in [0,3], 2x == 7 has no solution
-        mip = optim.MixedIntegerProgram(optim.lp([1], [[2]], [7]), (0,), ((0, 3),))
-        assert optim.solve_milp(mip).status == "infeasible"
+        assert solve_milp(optim.lp([1], [[2]], [7]), (0,), ((0, 3),)).status == "infeasible"
         assert milp_closed_oracle([1], [[2]], [7], ("==",), [0], ((0, 3),), []) is None
 
     def test_sparse_a_matches_dense(self):
         # min y1 s.t. y1 - y0 = 1.2, y >= 0, y1 integer in [0, 10]
         dense = np.array([[-1.0, 1.0]])
         sols = [
-            optim.solve_milp(optim.MixedIntegerProgram(optim.lp([0, 1], A, [1.2]), (1,), ((0, 10),)))
+            solve_milp(optim.lp([0, 1], A, [1.2]), (1,), ((0, 10),))
             for A in (scipy.sparse.csr_array(dense), dense)
         ]
         assert sols[0].value == sols[1].value == pytest.approx(2.0, abs=1e-9)
@@ -386,7 +446,7 @@ class TestMilp:
 
     def test_bounds_validation(self):
         with pytest.raises(InvalidSpec):
-            optim.MixedIntegerProgram(optim.lp([1], [[1]], [1]), (0,), ((0, np.inf),))
+            solve_milp(optim.lp([1], [[1]], [1]), (0,), ((0, np.inf),))
 
     def test_against_closed_oracle_random(self):
         rng = np.random.default_rng(73)
@@ -409,10 +469,7 @@ class TestMilp:
             cont_idx = list(range(n_int, n))
             nonneg = (False,) * n_int + (True,) * n_cont
             bounds = ((-5, 5),) * n_int
-            mip = optim.MixedIntegerProgram(
-                optim.lp(c, A, b, senses, nonneg), int_idx, bounds
-            )
-            sol = optim.solve_milp(mip)
+            sol = solve_milp(optim.lp(c, A, b, senses, nonneg), int_idx, bounds)
             expect = milp_closed_oracle(c, A, b, senses, list(int_idx), bounds, cont_idx)
             if expect is None:
                 assert sol.status == "infeasible"
@@ -421,13 +478,9 @@ class TestMilp:
                 assert sol.value == pytest.approx(expect, abs=1e-9)
 
     def test_determinism_bitwise(self):
-        mip = optim.MixedIntegerProgram(
-            optim.lp([1, -1.3, 0.2], [[1, 1, 1]], [4.5], "<=", (False, False, True)),
-            (0, 1),
-            ((-5, 5), (-5, 5)),
-        )
-        a = optim.solve_milp(mip)
-        b = optim.solve_milp(mip)
+        prob = optim.lp([1, -1.3, 0.2], [[1, 1, 1]], [4.5], "<=", (False, False, True))
+        a = solve_milp(prob, (0, 1), ((-5, 5), (-5, 5)))
+        b = solve_milp(prob, (0, 1), ((-5, 5), (-5, 5)))
         assert a.value == b.value and np.array_equal(a.point, b.point)
 
 
@@ -463,11 +516,10 @@ class TestMilpBatch:
     @given(case=milp_batches(), data=st.data())
     def test_rows_match_the_oracle_in_any_order(self, case, data):
         c, A, senses, nonneg, B, idx, bounds = case
-        want = [milp_bb_oracle(optim.MixedIntegerProgram(
-            optim.LinearProgram(c, A, b, senses, nonneg), idx, bounds)) for b in B]
+        want = [milp_bb_oracle(c, A, b, senses, nonneg, idx, bounds) for b in B]
         order = np.array(data.draw(st.permutations(range(len(B)))), dtype=int)
         for perm in (np.arange(len(B)), order):
-            got = optim.solve_milp_batch(c, A, senses, nonneg, B[perm], idx, bounds)
+            got = solutions(optim.solve_milp_batch(c, A, senses, nonneg, B[perm], idx, bounds))
             assert len(got) == len(perm)
             for sol, i in zip(got, perm):
                 assert sol.status == want[i].status, (sol, want[i])
@@ -480,15 +532,14 @@ class TestMilpBatch:
         # free y2 with cost -1 in no row makes every other row unbounded
         A = np.array([[-1.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
         B = np.array([[0.0, 2.0], [1.0, 3.0], [5.0, 4.0]])
-        got = optim.solve_milp_batch([0.5, -1.0, -1.0], A, ("<=", "=="), (True, False, False),
-                                     B, (0,), ((0.0, 2.0),))
+        got = solutions(optim.solve_milp_batch([0.5, -1.0, -1.0], A, ("<=", "=="),
+                                               (True, False, False), B, (0,), ((0.0, 2.0),)))
         assert [sol.status for sol in got] == ["unbounded", "infeasible", "unbounded"]
 
     def test_milp_is_a_batch_of_one(self):
-        mip = optim.MixedIntegerProgram(
-            optim.lp([1, -1.3, 0.2], [[1, 1, 1]], [4.5], "<=", (False, False, True)),
-            (0, 1), ((-5, 5), (-5, 5)))
-        assert same_solution(optim.solve_milp(mip), milp_bb_oracle(mip))
+        args = ([1, -1.3, 0.2], [[1, 1, 1]], [4.5], ("<=",), (False, False, True), (0, 1),
+                ((-5, 5), (-5, 5)))
+        assert same_solution(solve_milp(optim.lp(*args[:5]), *args[5:]), milp_bb_oracle(*args))
 
     def test_degenerate_roots_share_one_basis(self, monkeypatch):
         # the milp demo's recourse: min y1 over -y0 + y1 = z, y >= 0, y1
@@ -500,10 +551,10 @@ class TestMilpBatch:
         calls = []
         solve = optim.solve_lp
         monkeypatch.setattr(optim, "solve_lp", lambda prob: calls.append(prob) or solve(prob))
-        got = optim.solve_milp_batch(q, A, ("==",), (True, True), B, (1,), bounds)
+        got = solutions(optim.solve_milp_batch(q, A, ("==",), (True, True), B, (1,), bounds))
         assert len(calls) == 1
         for sol, b in zip(got, B):
-            want = milp_bb_oracle(optim.MixedIntegerProgram(optim.lp(q, A, b), (1,), bounds))
+            want = milp_bb_oracle(q, A, b, ("==",), (True, True), (1,), bounds)
             assert sol.value == want.value == 0.0
             assert np.array_equal(sol.point, [-b[0], 0.0])
 
@@ -511,9 +562,9 @@ class TestMilpBatch:
 class TestQp:
     def test_validation(self):
         with pytest.raises(InvalidSpec):
-            optim.QuadraticMixedProgram([[1, 0.1], [0, 1]], [0, 0], [], [])
+            solve_miqp([[1, 0.1], [0, 1]], [0, 0], [], [])
         with pytest.raises(InvalidSpec):
-            optim.QuadraticMixedProgram([[0.0]], [0.0], [], [])
+            solve_miqp([[0.0]], [0.0], [], [])
 
     def test_unconstrained_identity(self):
         rng = np.random.default_rng(79)
@@ -522,27 +573,22 @@ class TestQp:
             R = rng.normal(size=(n, n))
             D = R @ R.T + np.eye(n)
             q = rng.normal(size=n)
-            sol = optim.solve_qp_convex(D, q, np.zeros((0, n)), np.zeros(0))
+            sol = solve_miqp(D, q, np.zeros((0, n)), np.zeros(0))
             expect = -0.25 * q @ np.linalg.solve(D, q)
             assert sol.value == pytest.approx(expect, abs=1e-8)
 
     def test_integer_example(self):
-        qmp = optim.QuadraticMixedProgram(
-            [[1.0]], [0.0], [[-1.0]], [-1.5], (0,), ((-10, 10),)
-        )
-        assert optim.solve_miqp(qmp).value == pytest.approx(4.0, abs=1e-9)
+        sol = solve_miqp([[1.0]], [0.0], [[-1.0]], [-1.5], (0,), ((-10, 10),))
+        assert sol.value == pytest.approx(4.0, abs=1e-9)
 
     def test_constraint_cap(self):
         n = 2
         A = np.vstack([np.eye(n)] * 11)  # 22 rows
         with pytest.raises(ConstraintLimitExceeded):
-            optim.solve_qp_convex(np.eye(n), np.zeros(n), A, np.ones(22))
+            solve_miqp(np.eye(n), np.zeros(n), A, np.ones(22))
 
     def test_infeasible(self):
-        qmp = optim.QuadraticMixedProgram(
-            [[1.0]], [0.0], [[1.0], [-1.0]], [-1.0, -1.0], (), ()
-        )
-        assert optim.solve_miqp(qmp).status == "infeasible"
+        assert solve_miqp([[1.0]], [0.0], [[1.0], [-1.0]], [-1.0, -1.0]).status == "infeasible"
 
     def test_against_closed_oracle_random(self):
         rng = np.random.default_rng(83)
@@ -561,8 +607,7 @@ class TestQp:
             b = A @ y_star + rng.uniform(0, 2, size=m) if m else np.zeros(0)
             int_idx = tuple(range(n_int))
             cont_idx = list(range(n_int, n))
-            qmp = optim.QuadraticMixedProgram(D, q, A, b, int_idx, ((-5, 5),) * n_int)
-            sol = optim.solve_miqp(qmp)
+            sol = solve_miqp(D, q, A, b, int_idx, ((-5, 5),) * n_int)
             expect = miqp_closed_oracle(D, q, A, b, list(int_idx), ((-5, 5),) * n_int, cont_idx)
             assert expect is not None and sol.optimal
             assert sol.value == pytest.approx(expect, abs=1e-7)
@@ -575,9 +620,9 @@ class TestQp:
         D, q, A, b = data["D"], data["q"], data["A"], data["b"]
         match = f"non-finite entries in {name}"
         with pytest.raises(OutOfRange, match=match):
-            optim.QuadraticMixedProgram(D, q, A, b, (0,), ((-2.0, 2.0),))
+            solve_miqp(D, q, A, b, (0,), ((-2.0, 2.0),))
         with pytest.raises(OutOfRange, match=match):
-            optim.solve_qp_convex(D, q, A, b)
+            solve_miqp(D, q, A, b)
         with pytest.raises(OutOfRange, match=match):
             optim.solve_miqp_batch(D, np.vstack([np.ones(2), q]), A, np.vstack([b, b]))
 
@@ -625,7 +670,7 @@ class TestMiqpBatch:
                 optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
             assert str(got.value) == str(err)
             return None
-        got = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
+        got = solutions(optim.solve_miqp_batch(D, Q, A, B, idx, bounds))
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert same_solution(g, w), (g, w)
@@ -640,7 +685,7 @@ class TestMiqpBatch:
             return
         order = data.draw(st.permutations(range(len(Q))))
         for perm in (order, order[::-1]):
-            got = optim.solve_miqp_batch(D, Q[perm], A, B[perm], idx, bounds)
+            got = solutions(optim.solve_miqp_batch(D, Q[perm], A, B[perm], idx, bounds))
             for g, i in zip(got, perm):
                 assert same_solution(g, want[i])
 
@@ -658,20 +703,27 @@ class TestMiqpBatch:
         D = np.array([[2.0, 0.5], [0.5, 1.0]])
         q, A, b = np.array([0.3, -1.7]), np.array([[1.0, 2.0], [-1.0, 0.5]]), np.array([0.7, 0.2])
         want = miqp_bb_oracle(D, q, A, b, (), ())
-        assert same_solution(optim.solve_qp_convex(D, q, A, b), want)
-        qmp = optim.QuadraticMixedProgram(D, q, A, b, (1,), ((-3.0, 3.0),))
+        assert same_solution(solve_miqp(D, q, A, b), want)
         want = miqp_bb_oracle(D, q, A, b, (1,), ((-3.0, 3.0),))
-        assert same_solution(optim.solve_miqp(qmp), want)
+        assert same_solution(solve_miqp(D, q, A, b, (1,), ((-3.0, 3.0),)), want)
+
+    def test_integer_coordinate_rounding_to_zero_from_below_is_plus_zero(self):
+        # min y^2 + 2e-12 y: the relaxed minimum y = -1e-12 is integral within
+        # 1e-9 and rounds to 0, which np.round alone makes -0.0
+        D, Q, A, B = np.eye(1), np.array([[2e-12]]), np.zeros((0, 1)), np.zeros((1, 0))
+        want = self.check(D, Q, A, B, (0,), ((-2.0, 2.0),))
+        rows = optim.solve_miqp_batch(D, Q, A, B, (0,), ((-2.0, 2.0),))
+        assert rows.point.tobytes() == np.array([[0.0]]).tobytes() == want[0].point.tobytes()
+        assert np.signbit(np.round(-1e-12))
 
     def test_certificate_point_violating_a_row_is_infeasible(self):
         # the ceil child y >= 0 against y <= -5.96e-8 has no KKT point within
         # FEAS_TOL, and the tableau's phase 1 (tolerance 1e-7) returns y = 0
         D, q, A = np.array([[10.7575]]), np.array([0.0]), np.array([[0.0], [1.0], [-1.0]])
         b = np.array([0.451, -5.96e-8, 0.0267])
-        qmp = optim.QuadraticMixedProgram(D, q, A, b, (0,), ((-0.5, 2.0),))
-        assert optim.solve_miqp(qmp).status == "infeasible"
+        assert solve_miqp(D, q, A, b, (0,), ((-0.5, 2.0),)).status == "infeasible"
         assert miqp_bb_oracle(D, q, A, b, (0,), ((-0.5, 2.0),)).status == "infeasible"
-        child = optim.solve_qp_convex(D, q, np.vstack([A, [[-1.0]]]), np.append(b, 0.0))
+        child = solve_miqp(D, q, np.vstack([A, [[-1.0]]]), np.append(b, 0.0))
         assert child.status == "infeasible"
 
     def test_certificate_lps_share_one_store(self, monkeypatch):
@@ -736,11 +788,10 @@ class TestConvexMipBatch:
     @given(case=convex_batches(), data=st.data())
     def test_rows_match_the_loop_in_any_order(self, case, data):
         v, g, R, idx, bounds = case
-        want = [convex_mip_loop_oracle(optim.ConvexMixedProgram(v, g, r, idx, bounds, (), ()))
-                for r in R]
+        want = [convex_mip_loop_oracle(v, g, r, idx, bounds) for r in R]
         order = np.array(data.draw(st.permutations(range(len(R)))), dtype=int)
         for perm in (np.arange(len(R)), order, order[::-1]):
-            got = optim.solve_convex_mip_batch(v, g, R[perm], idx, bounds)
+            got = solutions(optim.solve_convex_mip_batch(v, g, R[perm], idx, bounds))
             assert len(got) == len(perm)
             for sol, i in zip(got, perm):
                 assert same_solution(sol, want[i]), (sol, want[i])
@@ -753,10 +804,10 @@ class TestConvexMipBatch:
         )
         g = (exprs.vabs(exprs.var(0)),)
         R = np.array([[2.0], [-1.0], [0.5]])
-        got = optim.solve_convex_mip_batch(v, g, R, (1,), ((-3, 3),), (0,), ((-4, 4),))
+        slices = ((1,), ((-3, 3),), (0,), ((-4, 4),))
+        got = solutions(optim.solve_convex_mip_batch(v, g, R, *slices))
         for sol, r in zip(got, R):
-            prob = optim.ConvexMixedProgram(v, g, r, (1,), ((-3, 3),), (0,), ((-4, 4),))
-            assert same_solution(sol, convex_mip_loop_oracle(prob))
+            assert same_solution(sol, convex_mip_loop_oracle(v, g, r, *slices))
         assert [sol.status for sol in got] == ["optimal", "infeasible", "optimal"]
 
     def test_a_non_finite_row_fails_the_batch(self):
@@ -779,14 +830,13 @@ class TestConvexMip:
     def test_unconstrained_minimum_feasible(self):
         v = exprs.even_power(exprs.var(0), 2)
         g = exprs.vsum(exprs.vabs(exprs.var(0)), exprs.const(-1.0))
-        prob = optim.ConvexMixedProgram(v, (g,), [0.5], (), (), (0,), ((-5, 5),))
-        assert optim.solve_convex_mip(prob).value == pytest.approx(0.0, abs=1e-5)
+        sol = solve_convex_mip(v, (g,), [0.5], (), (), (0,), ((-5, 5),))
+        assert sol.value == pytest.approx(0.0, abs=1e-5)
 
     def test_boundary_minimum(self):
         v = exprs.var(0)
         g = exprs.vsum(exprs.vabs(exprs.var(0)), exprs.const(-1.0))
-        prob = optim.ConvexMixedProgram(v, (g,), [0.0], (), (), (0,), ((-5, 5),))
-        sol = optim.solve_convex_mip(prob)
+        sol = solve_convex_mip(v, (g,), [0.0], (), (), (0,), ((-5, 5),))
         expect = convex_grid_oracle(v, (g,), [0.0], -5, 5)
         assert sol.value == pytest.approx(expect, abs=1e-5)
         assert sol.value == pytest.approx(-1.0, abs=1e-5)
@@ -794,17 +844,13 @@ class TestConvexMip:
     def test_integer_slice(self):
         v = exprs.even_power(exprs.var(0), 2)
         g = exprs.vsum(exprs.vabs(exprs.affine([1.0], -2.5)), exprs.const(-1.0))
-        prob = optim.ConvexMixedProgram(v, (g,), [0.0], (0,), ((0, 5),), (), ())
-        sol = optim.solve_convex_mip(prob)
+        sol = solve_convex_mip(v, (g,), [0.0], (0,), ((0, 5),), (), ())
         assert sol.value == pytest.approx(4.0, abs=1e-9)
         assert sol.point[0] == pytest.approx(2.0)
 
     def test_infeasible_everywhere(self):
         g = exprs.vabs(exprs.var(0))
-        prob = optim.ConvexMixedProgram(
-            exprs.var(0), (g,), [-1.0], (0,), ((-3, 3),), (), ()
-        )
-        assert optim.solve_convex_mip(prob).status == "infeasible"
+        assert solve_convex_mip(exprs.var(0), (g,), [-1.0], (0,), ((-3, 3),)).status == "infeasible"
 
     def test_mixed_integer_continuous(self):
         # v = (y0 - 1.5)^2 + (y1 + 0.25)^2 with y1 integer in [-3, 3],
@@ -814,8 +860,7 @@ class TestConvexMip:
             exprs.even_power(exprs.affine([0.0, 1.0], 0.25), 2),
         )
         g = exprs.vabs(exprs.var(0))
-        prob = optim.ConvexMixedProgram(v, (g,), [2.0], (1,), ((-3, 3),), (0,), ((-4, 4),))
-        sol = optim.solve_convex_mip(prob)
+        sol = solve_convex_mip(v, (g,), [2.0], (1,), ((-3, 3),), (0,), ((-4, 4),))
         assert sol.value == pytest.approx(0.0625, abs=1e-5)
         assert sol.point[1] == pytest.approx(0.0)
 
@@ -828,7 +873,7 @@ class TestConvexMip:
     def test_nan_rhs_rejected(self, slices):
         g = exprs.vabs(exprs.var(0))
         with pytest.raises(OutOfRange, match="non-finite"):
-            optim.ConvexMixedProgram(exprs.var(0), (g,), [np.nan], *slices)
+            solve_convex_mip(exprs.var(0), (g,), [np.nan], *slices)
 
     def test_against_polyhedral_oracle(self):
         # v = max of 3 affines, |affine_i| <= r_i on 2-3 continuous
@@ -845,8 +890,7 @@ class TestConvexMip:
             lo, hi = np.full(k, -2.0), np.full(k, 2.0)
             v = exprs.vmax(*(exprs.affine(a, b) for a, b in zip(V, v0)))
             gs = tuple(exprs.vabs(exprs.affine(a, b)) for a, b in zip(G, g0))
-            prob = optim.ConvexMixedProgram(v, gs, r, (), (), tuple(range(k)), tuple(zip(lo, hi)))
-            sol = optim.solve_convex_mip(prob)
+            sol = solve_convex_mip(v, gs, r, (), (), tuple(range(k)), tuple(zip(lo, hi)))
             expect = polyhedral_slice_oracle(V, v0, G, g0, r, lo, hi)
             statuses.add(sol.status)
             if expect is None:
@@ -871,10 +915,8 @@ class TestConvexMip:
             s0 = R * (1 - 10.0 ** rng.uniform(-12, -8))
             disc = exprs.norm(exprs.affine([1.0, 0.0], -c[0]), exprs.affine([0.0, 1.0], -c[1]))
             slab = exprs.vabs(exprs.affine(a, -(a @ c + s0)))
-            prob = optim.ConvexMixedProgram(
-                exprs.affine(w), (disc, slab), [R, eps], (), (), (0, 1), ((-5, 5), (-5, 5))
-            )
-            sol = optim.solve_convex_mip(prob)
+            sol = solve_convex_mip(exprs.affine(w), (disc, slab), [R, eps], (), (), (0, 1),
+                                   ((-5, 5), (-5, 5)))
             assert sol.optimal, it
             lower = sliver_oracle(w, c, R + tol, a, s0, eps + tol)
             upper = sliver_oracle(w, c, R, a, s0, eps)

@@ -20,7 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanrisk import cli, exprs, optim, recourse
-from meanrisk.errors import ConstraintLimitExceeded, MeanRiskError, OutOfRange, RecourseInfeasible
+from meanrisk.errors import (
+    ConstraintLimitExceeded,
+    MeanRiskError,
+    OutOfRange,
+    RecourseInfeasible,
+    RecourseUnbounded,
+)
 from meanrisk.measure import DiscreteMeasure, canonicalize
 from meanrisk.objective import MeanRiskModel, Q, argmin_set, q_profile
 from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse, eval_recourse_batch
@@ -387,6 +393,23 @@ class TestErrors:
         assert out.out == ""
         assert out.err == "model error: ConstraintLimitExceeded: 21 rows > 20\n"
 
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [0, 2, 1, 3], [3, 2, 1, 0]])
+    def test_first_bad_row_is_named_among_infeasible_and_unbounded(self, order):
+        # min (1 - z) y1 over y1 - y2 = 0, y3 = z + 1, y >= 0: infeasible for
+        # z < -1, unbounded for z > 1 (y1 = y2 -> inf), else 0
+        model = RecourseModel(
+            kind="linear", n=1, s=1, A=[[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+            h_map=ParamMap(out_dim=2, matrix=[[0.0, 0.0], [0.0, 1.0]], constant=[0.0, 1.0]),
+            q_map=ParamMap(out_dim=3, matrix=[[0.0, -1.0], [0.0, 0.0], [0.0, 0.0]],
+                           constant=[1.0, 0.0, 0.0]),
+        )
+        Z = np.array([[0.5], [-3.0], [2.0], [0.0]])[order]
+        first = next(z for z in Z if abs(z[0]) > 1)
+        error = RecourseInfeasible if first[0] < -1 else RecourseUnbounded
+        with pytest.raises(error, match=re.escape(f"z=[{first[0]}]")):
+            eval_recourse_batch(model, [0.0], Z)
+        assert_matches_oracle(model, [0.0], Z)
+
     def test_first_unbounded_linear_row_is_named(self):
         # min q.y, y1 - y2 = h: unbounded when q1 + q2 < 0, i.e. z < -1
         model = RecourseModel(
@@ -456,11 +479,11 @@ class TestCertifyCap:
     def test_cap_is_checked_before_sampling(self, monkeypatch):
         model = MeanRiskModel.from_dict(load("model_linear_avar.json"))
         xs = model.decisions.points
-        n = recourse.MAX_CERTIFY_ROWS // len(xs) + 1
-        with pytest.raises(ConstraintLimitExceeded, match="MAX_CERTIFY_ROWS"):
+        n = recourse.MAX_RECOURSE_ROWS // len(xs) + 1
+        with pytest.raises(ConstraintLimitExceeded, match="MAX_RECOURSE_ROWS"):
             recourse.certify_growth(model.recourse, xs, self.no_sampler, 2.0, n, 0)
         # the cap itself is admitted
-        monkeypatch.setattr(recourse, "MAX_CERTIFY_ROWS", 10)
+        monkeypatch.setattr(recourse, "MAX_RECOURSE_ROWS", 10)
         sampler = lambda rng, n: rng.uniform(-1.0, 1.0, size=(n, 1))  # noqa: E731
         assert recourse.certify_growth(model.recourse, xs[:2], sampler, 2.0, 5, 0).sample_count == 5
         with pytest.raises(ConstraintLimitExceeded):
@@ -474,7 +497,31 @@ class TestCertifyCap:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == ("model error: ConstraintLimitExceeded: 5000000000000 rows "
-                           "> MAX_CERTIFY_ROWS = 500000\n")
+                           "> MAX_RECOURSE_ROWS = 500000\n")
+
+
+class TestRecourseRowCap:
+    def test_q_profile_admits_the_cap_and_refuses_one_row_more(self, monkeypatch):
+        model = MeanRiskModel.from_dict(load("model_milp_expectation.json"))
+        nu = DiscreteMeasure.from_dict(load(BASES[0]))
+        rows = len(model.decisions) * len(nu)
+        monkeypatch.setattr(recourse, "MAX_RECOURSE_ROWS", rows)
+        want = q_profile(MeanRiskModel.from_dict(load("model_milp_expectation.json")), nu)
+        monkeypatch.setattr(recourse, "MAX_RECOURSE_ROWS", rows - 1)
+        with pytest.raises(ConstraintLimitExceeded,
+                           match=f"^{rows} rows > MAX_RECOURSE_ROWS = {rows - 1}$"):
+            q_profile(model, nu)
+        assert len(want) == len(model.decisions)
+
+    def test_eval_all_above_the_cap_is_a_model_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(recourse, "MAX_RECOURSE_ROWS", 10)
+        argv = ["eval", "--model", os.path.join(DEMO, "model_miqp_expectation.json"),
+                "--measure", os.path.join(DEMO, BASES[0]), "--all"]
+        assert cli.main(argv) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert re.fullmatch(r"model error: ConstraintLimitExceeded: \d+ rows > "
+                            r"MAX_RECOURSE_ROWS = 10\n", out.err)
 
 
 class TestTolerance:
