@@ -336,10 +336,19 @@ def tail_functional(mu: DiscreteMeasure, q: float, a: float) -> float:
     OutOfRange when the sum overflows."""
     q = in_range(q, "tail exponent q", gt=0)
     a = in_range(a, "tail threshold", ge=0)
+    return _tail_sums(mu, q, [a])[0]
+
+
+def _tail_sums(mu: DiscreteMeasure, q: float, thresholds) -> list:
+    """tail_functional(mu, q, a) for every (checked) threshold a, with the
+    powers ||z_i||^q computed once."""
     with np.errstate(over="ignore"):
         g = mu.norms() ** q
-        mask = g > a
-        return finite_result(float(g[mask] @ mu.weights[mask]), "tail functional", q)
+        out = []
+        for a in thresholds:
+            mask = g > a
+            out.append(finite_result(float(g[mask] @ mu.weights[mask]), "tail functional", q))
+        return out
 
 
 def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:

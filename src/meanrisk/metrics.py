@@ -28,7 +28,7 @@ from . import optim
 from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, OutOfRange
 from .errors import finite_result, in_range
 from .measure import DiscreteMeasure, ScalarDistribution, _merge_sorted
-from .measure import moment, quantile, tail_functional
+from .measure import _tail_sums, moment, quantile
 
 # largest transport plan (source x target atoms), and largest squared union
 # support for the Fortet-Mourier shortest paths; HiGHS needs about 1 KB per
@@ -270,7 +270,7 @@ def diagnose_uniform_integrability(
     grid = np.sort(np.asarray(a_grid, dtype=float))
     for a in grid:
         in_range(a, "thresholds", ge=0)
-    tails = np.array([[tail_functional(m, q, a) for a in grid] for m in family])
+    tails = np.array([_tail_sums(m, q, grid) for m in family])
     sup_tails = tails.max(axis=0)
     below = sup_tails <= eps
     verdict = bool(np.any(below) and np.all(below[int(np.argmax(below)) :]))

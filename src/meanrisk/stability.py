@@ -24,24 +24,20 @@ from .errors import (
     UnknownColumn,
     in_range,
 )
-from .measure import (
-    DiscreteMeasure,
-    canonicalize_arrays,
-    empirical,
-    measure_sampler,
-    mix,
-    moment,
-)
+from .measure import DiscreteMeasure, canonicalize_arrays, mix, moment
 from .metrics import bounded_lipschitz, diagnose_uniform_integrability
 from .objective import MeanRiskModel, argmin_set, q_profile
 
 COLUMNS = ("step", "param", "d_bl", "d_psi", "delta_phi_abs", "sup_delta_q", "argmin_excess", "error")
 
 SCHEME_KINDS = ("saa", "contamination", "jitter", "discretize")
+# draws of one SAA step; a step holds 16 B per draw at its peak (the int64
+# atom indices and their float64 1/n weights), so 160 MB at the cap
+MAX_SAA_DRAWS = 10_000_000
 # per kind: its schedule, the type and range of every entry, and +1 when the
 # schedule strictly increases or -1 when it strictly decreases
 _SCHEDULES = {
-    "saa": ("n_schedule", int, {"ge": 1}, 1),
+    "saa": ("n_schedule", int, {"ge": 1, "le": MAX_SAA_DRAWS}, 1),
     "contamination": ("t_schedule", float, {"ge": 0, "le": 1}, -1),
     "jitter": ("sigma_schedule", float, {"gt": 0}, -1),
     "discretize": ("grid_schedule", float, {"gt": 0}, 1),
@@ -82,6 +78,9 @@ class PerturbationScheme:
             raise InvalidSpec(f"{self.kind} needs a nonempty {name}")
         for v in values:
             in_range(v, f"{name} entry", error=InvalidSpec, **bounds)
+            # rng.uniform(-sigma, sigma) needs a finite width 2 sigma
+            if self.kind == "jitter" and not np.isfinite(2 * v):
+                raise InvalidSpec(f"{name} entry {v} is too large: 2 sigma overflows")
         if any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
             raise InvalidSpec(f"{name} must strictly {'increase' if sign > 0 else 'decrease'}")
 
@@ -109,14 +108,38 @@ class PerturbationScheme:
         )
 
 
+def _saa_step(base: DiscreteMeasure, n: int, seed) -> DiscreteMeasure:
+    """Empirical measure of n draws from base, as counts on its atoms."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    idx = rng.choice(len(base), size=n, p=base.weights)
+    mass = np.full(n, 1.0 / n)
+    sums = np.bincount(idx, weights=mass, minlength=len(base))
+    kept = np.flatnonzero(sums)
+    step = canonicalize_arrays(base.points[kept], sums[kept])
+    if len(step) < len(kept):
+        # kept atoms merged: add their draws up in sorted order, as empirical does
+        step = canonicalize_arrays(base.points[idx], mass)
+    return step
+
+
 def generate_sequence(scheme: PerturbationScheme, base: DiscreteMeasure):
     """Deterministic perturbed sequence; per-step randomness is keyed by
-    (seed, step index) so steps are independent of evaluation order."""
+    (seed, step index) so steps are independent of evaluation order.
+
+    An SAA step draws its atom indices as measure_sampler(base) does and
+    sums the 1/n weights per base atom (np.bincount) instead of sorting
+    the n draws.  Equal weights add up to the same running sums in any
+    order, so the step is bit for bit
+    empirical(measure_sampler(base), n, seed=(seed, k)).  The one exception
+    is a set of drawn atoms that merge once the atoms between them are
+    missing (possible in d >= 2), whose sums could differ in the last bit;
+    such a step is canonicalized from its draws instead.  Jittered or
+    snapped points that overflow are refused by canonicalization
+    (OutOfRange)."""
     out = []
     if scheme.kind == "saa":
-        sampler = measure_sampler(base)
         for k, n in enumerate(scheme.n_schedule):
-            out.append(empirical(sampler, n, seed=(scheme.seed, k)))
+            out.append(_saa_step(base, n, (scheme.seed, k)))
     elif scheme.kind == "contamination":
         for t in scheme.t_schedule:
             out.append(mix(base, scheme.direction, t))
@@ -126,10 +149,13 @@ def generate_sequence(scheme: PerturbationScheme, base: DiscreteMeasure):
                 np.random.Philox(np.random.SeedSequence((scheme.seed, k)))
             )
             noise = rng.uniform(-sigma, sigma, size=base.points.shape)
-            out.append(canonicalize_arrays(base.points + noise, base.weights))
+            with np.errstate(over="ignore"):
+                moved = base.points + noise
+            out.append(canonicalize_arrays(moved, base.weights))
     else:
         for res in scheme.grid_schedule:
-            snapped = np.round(base.points * res) / res
+            with np.errstate(over="ignore"):
+                snapped = np.round(base.points * res) / res
             out.append(canonicalize_arrays(snapped, base.weights))
     return out
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from meanrisk import cli, optim
 from meanrisk import metrics as mt
 from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, OutOfRange
-from meanrisk.measure import POINT_TOL, canonicalize, moment
+from meanrisk.measure import POINT_TOL, canonicalize, moment, tail_functional
 
 from oracles import (
     adjacent_bl_lp_oracle,
@@ -210,6 +210,25 @@ class TestTransportPlan:
     def test_unequal_masses_rejected(self):
         with pytest.raises(OutOfRange):
             mt.transport_plan([1.0], [0.5], np.zeros((1, 1)))
+
+
+class TestUniformIntegrability:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, 3.7])
+    def test_tails_match_one_tail_functional_per_threshold(self, dim, q):
+        rng = np.random.default_rng(dim)
+        family = [random_measure(rng, dim, max_atoms=12, grid=0.5 if k % 2 else None)
+                  for k in range(6)]
+        grid = np.concatenate([[0.0], np.logspace(-2.0, 2.0, 24)])
+        report = mt.diagnose_uniform_integrability(family, q, grid)
+        loop = np.array([[tail_functional(m, q, a) for a in grid] for m in family])
+        assert report.tails.tobytes() == loop.tobytes()
+        assert report.sup_tails.tobytes() == loop.max(axis=0).tobytes()
+
+    def test_overflowing_tail_is_out_of_range(self):
+        far = canonicalize([((1e200,), 1.0), ((0.0,), 1.0)])
+        with pytest.raises(OutOfRange, match="tail functional is inf at order q = 2.0"):
+            mt.diagnose_uniform_integrability([far], 2.0, [0.0, 1.0])
 
 
 class TestSizeCap:

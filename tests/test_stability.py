@@ -2,13 +2,16 @@ import json
 import math
 import os
 
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanrisk import stability
-from meanrisk.errors import OutOfRange
-from meanrisk.measure import canonicalize
+from meanrisk import cli, stability
+from meanrisk.errors import InvalidSpec, OutOfRange
+from meanrisk.measure import canonicalize, canonicalize_arrays, empirical, measure_sampler
 from meanrisk.metrics import bounded_lipschitz, psi_metric
 from meanrisk.objective import MeanRiskModel
 
@@ -70,6 +73,102 @@ class TestRunExperiment:
         assert all(math.isnan(v) for v in bad.as_list()[2:7])
         assert report.rows[0].error == "" and report.rows[2].error == ""
         assert report.rows[2].d_bl == 0.0
+
+
+def same_bits(mu, nu):
+    return (mu.points.tobytes(), mu.weights.tobytes()) == (nu.points.tobytes(), nu.weights.tobytes())
+
+
+def saa_steps(base, n_schedule, seed):
+    scheme = stability.PerturbationScheme(kind="saa", n_schedule=n_schedule, seed=seed)
+    return stability.generate_sequence(scheme, base)
+
+
+# (0, 0) and (1e-13, 0) lie within POINT_TOL of each other but are kept
+# apart by (0, 1) between them in sorted order, so a step without (0, 1)
+# merges them
+MERGING_BASE = canonicalize([((0.0, 0.0), 1.0), ((0.0, 1.0), 1.0), ((1e-13, 0.0), 1.0)])
+
+
+class TestSaaSteps:
+    """An SAA step is bit for bit the empirical measure of the base's
+    sampler, keyed by (seed, step index)."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_steps_are_empirical_measures(self, dim):
+        rng = np.random.default_rng(dim)
+        # rounded points, so some atoms share coordinates
+        base = canonicalize_arrays(rng.normal(size=(40, dim)).round(1), rng.uniform(0.1, 1.0, 40))
+        schedule = (1, 7, 100, 1000, 100_000)
+        for seed in range(5):
+            for k, (n, step) in enumerate(zip(schedule, saa_steps(base, schedule, seed))):
+                assert same_bits(step, empirical(measure_sampler(base), n, seed=(seed, k)))
+
+    def test_atoms_that_merge_without_their_neighbour(self):
+        assert len(MERGING_BASE) == 3
+        schedule = (2, 3, 5, 7)
+        summed_apart = 0
+        for seed in range(200):
+            for k, (n, step) in enumerate(zip(schedule, saa_steps(MERGING_BASE, schedule, seed))):
+                oracle = empirical(measure_sampler(MERGING_BASE), n, seed=(seed, k))
+                assert same_bits(step, oracle)
+                # the weights as counts on the atoms, without the merge guard
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
+                idx = rng.choice(3, size=n, p=MERGING_BASE.weights)
+                sums = np.bincount(idx, weights=np.full(n, 1.0 / n), minlength=3)
+                kept = np.flatnonzero(sums)
+                counted = canonicalize_arrays(MERGING_BASE.points[kept], sums[kept])
+                summed_apart += not same_bits(counted, oracle)
+        assert summed_apart > 0
+
+    def test_draw_cap(self):
+        stability.PerturbationScheme(kind="saa", n_schedule=(stability.MAX_SAA_DRAWS,))
+        with pytest.raises(InvalidSpec, match="n_schedule entry"):
+            stability.PerturbationScheme(kind="saa", n_schedule=(stability.MAX_SAA_DRAWS + 1,))
+
+
+def run_stability(tmp_path, scheme, atoms):
+    """cli.main on a scheme over a 1-D base, numpy warnings as errors."""
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({"dim": 1, "atoms": [
+        {"point": [p], "weight": 1.0} for p in atoms]}))
+    argv = ["stability", "--model", os.path.join(DEMO, "model_milp_expectation.json"),
+            "--measure", str(base), "--scheme", json.dumps(scheme), "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return cli.main(argv)
+
+
+class TestSchemeRefusals:
+    def test_jitter_whose_width_overflows_is_a_config_error(self, tmp_path, capsys):
+        scheme = {"kind": "jitter", "sigma_schedule": [1e308], "seed": 0}
+        assert run_stability(tmp_path, scheme, [0.0, 0.5, 1.0]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == ("config error: bad scheme: InvalidSpec: sigma_schedule"
+                                             " entry 1e+308 is too large: 2 sigma overflows\n")
+
+    def test_widest_jitter_is_accepted(self):
+        sigma = float(np.finfo(float).max / 2)
+        stability.PerturbationScheme(kind="jitter", sigma_schedule=(sigma,))
+        with pytest.raises(InvalidSpec):
+            stability.PerturbationScheme(kind="jitter", sigma_schedule=(np.nextafter(sigma, np.inf),))
+
+    @pytest.mark.parametrize("scheme, atoms", [
+        ({"kind": "discretize", "grid_schedule": [1e308]}, [0.0, 3.0]),
+        ({"kind": "jitter", "sigma_schedule": [8e307], "seed": 0}, [-1.7e308, 0.0, 1.0]),
+    ], ids=["snap", "jitter"])
+    def test_overflowing_points_are_a_model_error(self, tmp_path, capsys, scheme, atoms):
+        assert run_stability(tmp_path, scheme, atoms) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "model error: OutOfRange: atom points and weights must be finite\n"
+
+    def test_draws_above_the_cap_are_a_config_error(self, tmp_path, capsys):
+        scheme = {"kind": "saa", "n_schedule": [10**12], "seed": 0}
+        assert run_stability(tmp_path, scheme, [0.0, 0.5, 1.0]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error: bad scheme: InvalidSpec: "
+                                                    "n_schedule entry")
 
 
 def report_with(column):
