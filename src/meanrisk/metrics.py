@@ -8,24 +8,29 @@ flow along the atoms and through a hub one unit from each, solved exactly
 by a slope-trick dynamic program (Johnson, J. Comput. Graph. Stat. 22,
 2013).  The gauge-weighted metric adds the gap of the ||.||^q integrals.
 Wasserstein distances use the quantile coupling in one dimension and a
-transport LP otherwise.  The Fortet-Mourier cost is reduced by all-pairs
+transport plan otherwise.  The Fortet-Mourier cost is reduced by all-pairs
 shortest paths before transporting the positive against the negative part
 of mu - nu; on the line the reduced cost adds up over adjacent atoms, a
 closed form in the CDF gap (Rachev and Roemisch, Math. Oper. Res. 27,
-2002).  Transport LPs are built sparse, one variable per (source, target)
-pair, and refused with ConstraintLimitExceeded above MAX_PLAN_ENTRIES pairs
-before anything of that size is allocated.
+2002).  Between two lists of n atoms that all carry the same weight, as two
+n-atom empirical measures or the two parts of their difference do, every
+vertex of the coupling polytope is a permutation (Birkhoff-von Neumann), so
+the plan is an assignment solved without an LP.  Other plans are LPs built
+sparse, one variable per (source, target) pair.  Both are refused with
+ConstraintLimitExceeded above MAX_PLAN_ENTRIES pairs before anything of that
+size is allocated.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import optim
-from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, OutOfRange
+from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, InvalidSpec, OutOfRange
 from .errors import finite_result, in_range
 from .measure import DiscreteMeasure, ScalarDistribution, _merge_sorted
 from .measure import _tail_sums, moment, quantile
@@ -144,10 +149,16 @@ class TransportPlan:
 def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     """Minimum-cost coupling of two nonnegative weight vectors of equal mass.
 
-    Solved as an LP over the plan entries with sparse marginal rows; the
-    final target-marginal row is dropped as redundant, which removes the
-    worst degeneracy.  Raises ConstraintLimitExceeded above MAX_PLAN_ENTRIES
-    entries.
+    When both sides have n atoms and every weight on both is the same
+    positive float w (two n-atom empirical measures, or the two parts of
+    their difference), the coupling polytope is w times the Birkhoff
+    polytope, whose vertices are the permutation matrices (Birkhoff-von
+    Neumann): an optimal assignment (scipy's linear_sum_assignment) is an
+    optimal plan, with n entries of mass w.  Any other input is an LP over
+    the plan entries with sparse marginal rows; the final target-marginal
+    row is dropped as redundant, which removes the worst degeneracy.  Raises
+    ConstraintLimitExceeded above MAX_PLAN_ENTRIES entries and InvalidSpec
+    on a non-finite cost.
     """
     w_src = np.asarray(w_src, dtype=float)
     w_dst = np.asarray(w_dst, dtype=float)
@@ -158,11 +169,28 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     _check_plan_size(n_s, n_d)
     if abs(w_src.sum() - w_dst.sum()) > 1e-9:
         raise OutOfRange("transport requires equal total masses")
+    if not np.all(np.isfinite(C)):
+        raise InvalidSpec("non-finite entries in c")
+    w = w_src[0] if n_s else 0.0
+    if n_s == n_d and w > 0.0 and np.all(w_src == w) and np.all(w_dst == w):
+        import scipy.optimize
+
+        src, dst = scipy.optimize.linear_sum_assignment(C)
+        masses = np.full(n_s, w)
+        # fsum: the same value whichever measure is the source
+        cost = math.fsum(masses * C[src, dst])
+        return TransportPlan(src, dst, masses, float(masses.sum()), cost)
     import scipy.sparse
 
-    src_rows = scipy.sparse.kron(scipy.sparse.eye_array(n_s), np.ones((1, n_d)))
-    dst_rows = scipy.sparse.kron(np.ones((1, n_s)), scipy.sparse.eye_array(n_d - 1, n_d))
-    A = scipy.sparse.vstack([src_rows, dst_rows])
+    # rows i < n_s are the source marginals and rows n_s + j the target
+    # marginals of j < n_d - 1; plan entry (i, j) is variable i n_d + j
+    # (int32 indices, which scipy.sparse picks itself at this size)
+    var = np.arange(n_s * n_d, dtype=np.int32)
+    tgt = var[var % n_d < n_d - 1]
+    rows = np.concatenate([var // n_d, n_s + tgt % n_d])
+    cols = np.concatenate([var, tgt])
+    A = scipy.sparse.coo_array((np.ones(len(rows)), (rows, cols)),
+                               shape=(n_s + n_d - 1, n_s * n_d))
     sol = optim.solve_lp(optim.lp(C.reshape(-1), A, np.concatenate([w_src, w_dst[:-1]])))
     if not sol.optimal:
         raise OutOfRange(f"transport LP came back {sol.status}")

@@ -695,6 +695,8 @@ def solve_milp_batch(c, A, senses, nonneg, B, integer_idx=(), bounds=()) -> Rows
 
 # rows a convex QP may have: KKT enumeration tries every active set
 MAX_QP_ROWS = 20
+# inputs per chunk of a KKT sweep, which bounds the sweep's working arrays
+KKT_CHUNK = 8192
 
 
 def _quad_values(D, Y, Q) -> np.ndarray:
@@ -720,29 +722,41 @@ def _kkt_sweep(D, A, Q, B, feasibility) -> Rows:
     solved once for all inputs still without a free minimum: one vector
     solve per input, so values are those of a per-input enumeration.  An
     input without a KKT point must have an empty feasible set.  All such
-    inputs go to one feasibility.solve, an _LpBatch of min 0 over A y <= b
-    with y free whose rays and bases (the tableau's phase-1 rays and final
-    bases) the caller keeps across sweeps: a ray certifies an input
-    infeasible, and an LP either does too or returns a point violating
-    A y <= b + FEAS_TOL (a set empty up to the tableau's phase-1
+    inputs of a chunk go to one feasibility.solve, an _LpBatch of min 0
+    over A y <= b with y free whose rays and bases (the tableau's phase-1
+    rays and final bases) the caller keeps across sweeps: a ray certifies
+    an input infeasible, and an LP either does too or returns a point
+    violating A y <= b + FEAS_TOL (a set empty up to the tableau's phase-1
     tolerance).  A point that passes, from an LP or a basis, raises
-    NumericalFailure.  Raises ConstraintLimitExceeded for more than
-    MAX_QP_ROWS rows.
+    NumericalFailure.  Inputs are swept in chunks of KKT_CHUNK, which
+    bounds the working arrays of a large branch-and-bound round; every
+    input's arithmetic is its own, so the Rows do not depend on the
+    chunking.  Raises ConstraintLimitExceeded for more than MAX_QP_ROWS
+    rows.
     """
-    k, n = Q.shape
     m = A.shape[0]
     if m > MAX_QP_ROWS:
         raise ConstraintLimitExceeded(f"{m} rows > {MAX_QP_ROWS}")
+    out = Rows.infeasible(*Q.shape)
+    for i in range(0, len(Q), KKT_CHUNK):
+        part = slice(i, i + KKT_CHUNK)
+        _kkt_chunk(D, A, Q[part], B[part], feasibility, Rows(*(a[part] for a in out)))
+    return out
+
+
+def _kkt_chunk(D, A, Q, B, feasibility, out: Rows):
+    """The sweep of _kkt_sweep on the inputs (Q, B), written into out."""
+    k, n = Q.shape
+    m = A.shape[0]
     Y = _stacked_solve(2.0 * D, -Q)
     free = np.ones(k, dtype=bool) if m == 0 else np.all(
         (A @ Y[:, :, None])[:, :, 0] <= B + FEAS_TOL, axis=1
     )
-    out = Rows.infeasible(k, n)
     j = np.flatnonzero(free)
     out.put(j, _quad_values(D, Y[j], Q[j]), Y[j])
     rest = np.flatnonzero(~free)
     if not len(rest):
-        return out
+        return
     Q_rest, B_rest = Q[rest], B[rest]
     best_val = np.full(len(rest), np.inf)
     best_y = np.zeros((len(rest), n))
@@ -782,7 +796,6 @@ def _kkt_sweep(D, A, Q, B, feasibility) -> Rows:
     P = feas.point[ok]
     if not np.all(np.any((A @ P[:, :, None])[:, :, 0] > B[empty[ok]] + FEAS_TOL, axis=1)):
         raise NumericalFailure("feasible convex QP without a detected KKT point")
-    return out
 
 
 def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:

@@ -737,10 +737,20 @@ def adjacent_bl_lp_oracle(t, a) -> float:
     adjacent atoms imply all others)."""
     m, gaps = len(t), np.diff(t)
     step = scipy.sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(m - 1, m))
-    A = scipy.sparse.vstack([step, -step, scipy.sparse.eye_array(m)])
+    A = scipy.sparse.vstack([step, -step, scipy.sparse.diags_array(np.ones(m))])
     sol = optim.solve_lp(optim.lp(-a, A, np.concatenate([gaps, gaps, np.full(m, 2.0)]), "<="))
     # int f d(mu - nu) = a.g - sum(a) for f = g - 1
     return max(0.0, -sol.value - float(np.sum(a)))
+
+
+def kron_marginal_rows(n_s: int, n_d: int):
+    """The marginal rows of an n_s x n_d transport LP as Kronecker products:
+    I (x) 1' for the sources, then 1' (x) [I 0] for all targets but the
+    last, over the plan entries in row-major order."""
+    src_rows = scipy.sparse.kron(scipy.sparse.diags_array(np.ones(n_s)), np.ones((1, n_d)))
+    dst_rows = scipy.sparse.kron(np.ones((1, n_s)),
+                                 scipy.sparse.diags_array(np.ones(n_d - 1), shape=(n_d - 1, n_d)))
+    return scipy.sparse.vstack([src_rows, dst_rows])
 
 
 def dense_transport_oracle(w_src, w_dst, C) -> float:

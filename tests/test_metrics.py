@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from meanrisk import cli, optim
 from meanrisk import metrics as mt
-from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, OutOfRange
+from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, InvalidSpec, OutOfRange
 from meanrisk.measure import POINT_TOL, canonicalize, moment, tail_functional
 
 from oracles import (
     adjacent_bl_lp_oracle,
     dense_transport_oracle,
     fortet_mourier_oracle,
+    kron_marginal_rows,
     pairwise_bl_oracle,
     sorted_matching_wq,
     wasserstein_transport_oracle,
@@ -210,6 +211,115 @@ class TestTransportPlan:
     def test_unequal_masses_rejected(self):
         with pytest.raises(OutOfRange):
             mt.transport_plan([1.0], [0.5], np.zeros((1, 1)))
+
+    def test_lp_input_and_output_match_the_kron_construction(self, monkeypatch):
+        # the marginal rows built from index arrays are, CSR array for CSR
+        # array, the Kronecker-product rows, and the solver returns the same
+        # bits for both (the tableau up to 80 entries, HiGHS above)
+        calls = []
+        solve = optim.solve_lp
+        monkeypatch.setattr(optim, "solve_lp", lambda prob: calls.append(prob) or solve(prob))
+        rng = np.random.default_rng(8)
+        for n_s, n_d in [(1, 1), (1, 4), (4, 1), (3, 5), (12, 9), (20, 30), (60, 45)]:
+            w_s, w_d = rng.uniform(0.1, 1.0, n_s), rng.uniform(0.1, 1.0, n_d)
+            w_d *= w_s.sum() / w_d.sum()
+            if n_s == n_d == 1:
+                w_d = np.nextafter(w_s, 2.0)  # unequal weights keep the LP
+            C = rng.uniform(0.0, 3.0, (n_s, n_d))
+            calls.clear()
+            plan = mt.transport_plan(w_s, w_d, C)
+            (prob,) = calls
+            kron = optim.lp(C.reshape(-1), kron_marginal_rows(n_s, n_d),
+                            np.concatenate([w_s, w_d[:-1]]))
+            for part in ("data", "indices", "indptr"):
+                new, old = getattr(prob.A, part), getattr(kron.A, part)
+                assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+            assert prob.c.tobytes() == kron.c.tobytes() and prob.b.tobytes() == kron.b.tobytes()
+            got, want = solve(prob), solve(kron)
+            assert got.value == want.value and got.point.tobytes() == want.point.tobytes()
+            ref = mt.TransportPlan.from_matrix(want.point.reshape(n_s, n_d), C, w_s, w_d)
+            for field in ("src_idx", "dst_idx", "masses"):
+                assert getattr(plan, field).tobytes() == getattr(ref, field).tobytes()
+            assert (plan.cost, plan.total_mass) == (ref.cost, ref.total_mass)
+
+
+def empirical(points):
+    return canonicalize([(p, 1.0) for p in points])
+
+
+class TestAssignment:
+    """Equal-weight plans of equal size are permutations, found without an LP."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        real = optim._scipy_solve
+        monkeypatch.setattr(optim, "_scipy_solve", lambda prob: calls.append(prob) or real(prob))
+        return calls
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 16, 60])
+    def test_matches_dense_lp_with_exact_marginals(self, n, dim):
+        rng = np.random.default_rng(10 * n + dim)
+        mu, nu = empirical(rng.normal(size=(n, dim))), empirical(rng.normal(size=(n, dim)))
+        C = mt._distances(mu.points, nu.points) ** 2
+        plan = mt.transport_plan(mu.weights, nu.weights, C)
+        assert plan.cost == pytest.approx(dense_transport_oracle(mu.weights, nu.weights, C),
+                                          rel=1e-12, abs=0.0)
+        assert np.array_equal(np.sort(plan.src_idx), np.arange(n))
+        assert np.array_equal(np.sort(plan.dst_idx), np.arange(n))
+        assert np.array_equal(np.bincount(plan.src_idx, plan.masses, n), mu.weights)
+        assert np.array_equal(np.bincount(plan.dst_idx, plan.masses, n), nu.weights)
+
+    def test_lp_only_when_weights_differ(self, lp_calls):
+        rng = np.random.default_rng(4)
+        C = rng.uniform(0.0, 3.0, (16, 16))
+        w = np.full(16, 1.0 / 16)
+        mt.transport_plan(w, w, C)
+        assert lp_calls == []
+        uneven = rng.uniform(0.5, 1.5, 16)
+        cases = [
+            (uneven / uneven.sum(), w, C),  # unequal weights
+            (w, np.full(8, 1.0 / 8), C[:, :8]),  # unequal counts
+            (w, np.full(16, np.nextafter(1.0 / 16, 1.0)), C),  # equal per side only
+        ]
+        for w_s, w_d, cost in cases:
+            lp_calls.clear()
+            plan = mt.transport_plan(w_s, w_d, cost)
+            assert len(lp_calls) == 1
+            assert plan.cost == pytest.approx(dense_transport_oracle(w_s, w_d, cost), abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_disjoint_empirical_pairs_match_their_oracles(self, dim, lp_calls):
+        rng = np.random.default_rng(dim)
+        mu, nu = empirical(rng.normal(size=(16, dim))), empirical(rng.normal(0.3, 1.0, (16, dim)))
+        w2 = mt.wasserstein(mu, nu, 2.0)
+        bl = mt.bounded_lipschitz(mu, nu)
+        fm = mt.fortet_mourier(mu, nu, 2.0)
+        assert lp_calls == []
+        assert w2 == pytest.approx(wasserstein_transport_oracle(mu, nu, 2.0), rel=1e-12)
+        assert bl == pytest.approx(pairwise_bl_oracle(mu, nu), rel=1e-9)
+        assert fm == pytest.approx(fortet_mourier_oracle(mu, nu, 2.0), rel=1e-9)
+
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0])
+    def test_both_argument_orders_agree(self, q):
+        # the same float: the cost is summed exactly (a plain sum of the
+        # same terms in the other order differs in the last bit about a
+        # third of the time at this size)
+        rng = np.random.default_rng(int(q))
+        for _ in range(8):
+            mu, nu = empirical(rng.normal(size=(40, 2))), empirical(rng.normal(size=(40, 2)))
+            assert mt.wasserstein(mu, nu, q) == mt.wasserstein(nu, mu, q)
+            assert mt.bounded_lipschitz(mu, nu) == mt.bounded_lipschitz(nu, mu)
+
+    @pytest.mark.parametrize("w_dst", [np.full(3, 0.25), np.array([0.2, 0.25, 0.3])],
+                             ids=["assignment", "lp"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cost_is_invalid_on_both_branches(self, w_dst, bad):
+        C = np.ones((3, 3))
+        C[1, 2] = bad
+        with pytest.raises(InvalidSpec, match="^non-finite entries in c$"):
+            mt.transport_plan(np.full(3, 0.25), w_dst, C)
 
 
 class TestUniformIntegrability:

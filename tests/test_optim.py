@@ -741,6 +741,38 @@ class TestMiqpBatch:
         optim.solve_miqp_batch(*args)
         assert len(calls) == 1  # the first empty child's LP
 
+    @settings(max_examples=60, deadline=None)
+    @given(case=miqp_batches(), chunk=st.integers(1, 3))
+    def test_chunked_sweeps_give_the_same_rows(self, case, chunk):
+        D, Q, A, B, idx, bounds = case
+        try:
+            whole = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
+        except MeanRiskError:
+            return
+        with mock.patch.object(optim, "KKT_CHUNK", chunk):
+            parts = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
+        for got, want in zip(parts, whole):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_large_round_is_swept_in_chunks(self, monkeypatch):
+        # 300 inputs, each round swept 7 at a time: the same Rows, bit for bit
+        rng = np.random.default_rng(2)
+        D = np.array([[1.0, 0.2], [0.2, 0.7]])
+        A = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        Q, B = rng.normal(0.0, 3.0, (300, 2)), rng.normal(0.0, 2.0, (300, 2))
+        args = (D, Q, A, B, (0, 1), ((-2.0, 2.0), (-2.0, 2.0)))
+        whole = optim.solve_miqp_batch(*args)
+        sizes = []
+        sweep = optim._kkt_chunk
+        monkeypatch.setattr(optim, "KKT_CHUNK", 7)
+        monkeypatch.setattr(optim, "_kkt_chunk",
+                            lambda D, A, Q, *rest: sizes.append(len(Q)) or sweep(D, A, Q, *rest))
+        parts = optim.solve_miqp_batch(*args)
+        assert max(sizes) == 7 and len(sizes) > 300 // 7
+        for got, want in zip(parts, whole):
+            assert got.tobytes() == want.tobytes()
+        assert np.mean(whole.status == optim.OPTIMAL) > 0.5
+
     def test_row_cap_is_checked_before_any_solve(self, monkeypatch):
         def no_solve(*args):
             raise AssertionError("solved before the row cap was checked")
