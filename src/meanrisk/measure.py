@@ -206,23 +206,27 @@ def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
     transitive: points 0, 7e-13 and 1.4e-12 give two atoms, 0 with two
     thirds of the weight and 1.4e-12 with one third.  Weights are
     renormalized to sum to one, and the result is independent of input
-    permutation.  The pairs are parsed here; :func:`canonicalize_arrays`
-    does the rest.
+    permutation.  Points are vectors of one length or, for d = 1, bare
+    numbers (not both in one call); any other shape is a DimMismatch.  The
+    pairs are parsed here, into one point array and one weight array;
+    :func:`canonicalize_arrays` does the rest.
     """
     if len(raw_atoms) == 0:
         raise EmptySupport("no atoms")
-    pts = []
-    wts = []
-    for point, weight in raw_atoms:
-        p = np.atleast_1d(np.asarray(point, dtype=float))
-        if p.ndim != 1:
-            raise DimMismatch("atom points must be vectors")
-        pts.append(p)
-        wts.append(float(weight))
-    dims = {len(p) for p in pts}
-    if len(dims) != 1:
-        raise DimMismatch(f"inconsistent atom dimensions {sorted(dims)}")
-    return canonicalize_arrays(np.array(pts, dtype=float), np.array(wts, dtype=float))
+    points = [p for p, _ in raw_atoms]
+    weights = np.array([w for _, w in raw_atoms], dtype=float)
+    try:
+        pts = np.array(points, dtype=float)
+    except ValueError as err:
+        # points of unequal shapes; one that is not numbers raises here instead
+        for p in points:
+            np.asarray(p, dtype=float)
+        raise DimMismatch("atom points must be vectors of one length") from err
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    elif pts.ndim != 2:
+        raise DimMismatch("atom points must be vectors")
+    return canonicalize_arrays(pts, weights)
 
 
 def canonicalize_arrays(points, weights) -> DiscreteMeasure:

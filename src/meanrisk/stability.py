@@ -31,8 +31,10 @@ from .objective import MeanRiskModel, argmin_set, q_profile
 COLUMNS = ("step", "param", "d_bl", "d_psi", "delta_phi_abs", "sup_delta_q", "argmin_excess", "error")
 
 SCHEME_KINDS = ("saa", "contamination", "jitter", "discretize")
-# draws of one SAA step; a step holds 16 B per draw at its peak (the int64
-# atom indices and their float64 1/n weights), so 160 MB at the cap
+# draws of one SAA step; outside the d >= 2 merge fallback a step holds 8 B
+# per draw at its peak (the sorted float64 uniforms, freed before the
+# weights' running sums of 8 B per draw of the most-drawn atom), so 80 MB
+# at the cap
 MAX_SAA_DRAWS = 10_000_000
 # per kind: its schedule, the type and range of every entry, and +1 when the
 # schedule strictly increases or -1 when it strictly decreases
@@ -108,17 +110,35 @@ class PerturbationScheme:
         )
 
 
-def _saa_step(base: DiscreteMeasure, n: int, seed) -> DiscreteMeasure:
-    """Empirical measure of n draws from base, as counts on its atoms."""
+def _saa_counts(base: DiscreteMeasure, n: int, seed) -> np.ndarray:
+    """Draws per base atom of rng.choice(len(base), size=n, p=base.weights).
+
+    choice returns cdf.searchsorted(rng.random(n), side="right") with
+    cdf = cumsum(p) / its last entry, so atom k gets the uniforms in
+    [cdf[k-1], cdf[k]).  Counting them needs the same n uniforms only
+    sorted, and one search per atom rather than one per draw."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    idx = rng.choice(len(base), size=n, p=base.weights)
-    mass = np.full(n, 1.0 / n)
-    sums = np.bincount(idx, weights=mass, minlength=len(base))
-    kept = np.flatnonzero(sums)
-    step = canonicalize_arrays(base.points[kept], sums[kept])
+    u = rng.random(n)
+    u.sort()
+    cdf = np.cumsum(base.weights)
+    cdf /= cdf[-1]
+    below = np.searchsorted(u, cdf, side="left")
+    return np.diff(below, prepend=0)
+
+
+def _saa_step(base: DiscreteMeasure, n: int, seed) -> DiscreteMeasure:
+    """Empirical measure of n draws from base, as counts on its atoms.
+
+    An atom drawn c times weighs the c-th running sum of 1/n, which is what
+    adding its draws' 1/n weights up one by one gives, in any order."""
+    counts = _saa_counts(base, n, seed)
+    kept = np.flatnonzero(counts)
+    sums = np.full(int(counts.max()), 1.0 / n)
+    np.cumsum(sums, out=sums)
+    step = canonicalize_arrays(base.points[kept], sums[counts[kept] - 1])
     if len(step) < len(kept):
         # kept atoms merged: add their draws up in sorted order, as empirical does
-        step = canonicalize_arrays(base.points[idx], mass)
+        step = canonicalize_arrays(np.repeat(base.points, counts, axis=0), np.full(n, 1.0 / n))
     return step
 
 
@@ -126,16 +146,18 @@ def generate_sequence(scheme: PerturbationScheme, base: DiscreteMeasure):
     """Deterministic perturbed sequence; per-step randomness is keyed by
     (seed, step index) so steps are independent of evaluation order.
 
-    An SAA step draws its atom indices as measure_sampler(base) does and
-    sums the 1/n weights per base atom (np.bincount) instead of sorting
-    the n draws.  Equal weights add up to the same running sums in any
-    order, so the step is bit for bit
-    empirical(measure_sampler(base), n, seed=(seed, k)).  The one exception
-    is a set of drawn atoms that merge once the atoms between them are
-    missing (possible in d >= 2), whose sums could differ in the last bit;
-    such a step is canonicalized from its draws instead.  Jittered or
-    snapped points that overflow are refused by canonicalization
-    (OutOfRange)."""
+    An SAA step counts the draws measure_sampler(base) would make per base
+    atom from one sort of the same uniforms (rng.choice maps each uniform
+    to the first atom whose normalized cumulative weight exceeds it, so the
+    count of atom k is the number of sorted uniforms between two such
+    weights), and gives atom k the running sum of 1/n over its count.
+    Equal weights add up to the same running sums in any order, so the
+    step is bit for bit empirical(measure_sampler(base), n, seed=(seed, k)).
+    The one exception is a set of drawn atoms that merge once the atoms
+    between them are missing (possible in d >= 2), whose sums could differ
+    in the last bit; such a step is canonicalized from its draws, repeated
+    per atom, instead.  Jittered or snapped points that overflow are
+    refused by canonicalization (OutOfRange)."""
     out = []
     if scheme.kind == "saa":
         for k, n in enumerate(scheme.n_schedule):

@@ -3,18 +3,19 @@
 Everything here deliberately avoids the code paths it checks: risk values
 come from plain sums and dense level grids, LP optima from basis
 enumeration, LP duals from HiGHS, canonical merges from a row-by-row loop,
-mixed-integer optima from closed-form one-variable solves per lattice
-assignment, mixed-integer LPs and QPs from the per-input depth-first
-branch and bound that ``optim`` ran before its batched lockstep form (one
-tree per input, and per relaxation one ``optim.solve_lp`` tableau LP or a
-KKT enumeration with one ``np.linalg.solve`` per active set), mixed-integer
-convex optima from the per-program lattice loop that ``optim`` ran before
-its batched table, expression values and subgradients from the per-point
-tree walk that ``exprs`` ran before it evaluated rows, parameter maps one
-point at a time, recourse values from one solve per (x, z) with no
-batching, bunching or stored certificates, one-dimensional convex minima
-from dense grids, polyhedral convex slices from one
-``scipy.optimize.linprog`` LP, and disc-slab slivers in closed form.
+parsed atoms from a per-atom conversion loop, mixed-integer optima from
+closed-form one-variable solves per lattice assignment, mixed-integer LPs
+and QPs from the per-input depth-first branch and bound that ``optim`` ran
+before its batched lockstep form (one tree per input, and per relaxation one
+``optim.solve_lp`` tableau LP or a KKT enumeration with one
+``np.linalg.solve`` per active set), mixed-integer convex optima from the
+per-program lattice loop that ``optim`` ran before its batched table,
+expression values and subgradients from the per-point tree walk that
+``exprs`` ran before it evaluated rows, parameter maps one point at a time,
+recourse values from one solve per (x, z) with no batching, bunching or
+stored certificates, one-dimensional convex minima from dense grids,
+polyhedral convex slices from one ``scipy.optimize.linprog`` LP, and
+disc-slab slivers in closed form.
 Metric values come from the dense formulations,
 solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
 one Lipschitz row per ordered pair of atoms, and transport LPs with one
@@ -34,6 +35,7 @@ import scipy.sparse
 from meanrisk import optim
 from meanrisk.errors import (
     ConstraintLimitExceeded,
+    DimMismatch,
     NumericalFailure,
     OutOfRange,
     RecourseInfeasible,
@@ -62,6 +64,25 @@ def merge_sorted_oracle(points, weights):
     out_pts.append(anchor)
     out_wts.append(acc)
     return np.array(out_pts, dtype=float), np.array(out_wts, dtype=float)
+
+
+def parse_atoms_oracle(raw_atoms):
+    """Point and weight arrays of raw (point, weight) pairs, converted one
+    atom at a time as ``measure.canonicalize`` did before it parsed them as
+    arrays: each point through ``np.atleast_1d(np.asarray(p, dtype=float))``,
+    each weight through ``float``."""
+    pts = []
+    wts = []
+    for point, weight in raw_atoms:
+        p = np.atleast_1d(np.asarray(point, dtype=float))
+        if p.ndim != 1:
+            raise DimMismatch("atom points must be vectors")
+        pts.append(p)
+        wts.append(float(weight))
+    dims = {len(p) for p in pts}
+    if len(dims) != 1:
+        raise DimMismatch(f"inconsistent atom dimensions {sorted(dims)}")
+    return np.array(pts, dtype=float), np.array(wts, dtype=float)
 
 
 def riemann_avar(dist: ScalarDistribution, alpha: float, n: int = 1_000_000) -> float:

@@ -75,9 +75,19 @@ class TestExitCodes:
             '{"dim": 1, "atoms": [{"point": [0.0], "weight": Infinity}]}',
             '{"dim": 1, "atoms": 3}',
             '{"dim": 1e400, "atoms": [{"point": [0.0], "weight": 1.0}]}',
+            '{"dim": 2, "atoms": [{"point": [0.0, 1.0], "weight": 0.5},'
+            ' {"point": [2.0], "weight": 0.5}]}',
+            '{"dim": 1, "atoms": [{"point": [[0.0]], "weight": 1.0}]}',
+            '{"dim": 1, "atoms": [{"point": [0.0], "weight": 0.5},'
+            ' {"point": [[1.0]], "weight": 0.5}]}',
+            '{"dim": 1, "atoms": [{"point": [], "weight": 1.0}]}',
+            '{"dim": 1, "atoms": [{"point": 0.0, "weight": 0.5}, {"point": [1.0], "weight": 0.5}]}',
+            '{"dim": 1, "atoms": [{"point": [0.0], "weight": null}]}',
+            '{"dim": 1, "atoms": [{"point": [0.0], "weight": [1.0]}]}',
         ],
         ids=["no-weight", "no-point", "no-dim", "text-point", "nan-point", "inf-weight",
-             "atoms-int", "dim-1e400"],
+             "atoms-int", "dim-1e400", "ragged-points", "nested-point", "nested-and-flat",
+             "empty-point", "bare-and-list-points", "null-weight", "list-weight"],
     )
     def test_malformed_measure_is_a_config_error(self, tmp_path, capsys, text):
         model = write(tmp_path, "m.json", demo("model_linear_avar.json"))

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from meanrisk import measure as ms
 from meanrisk.errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange
 
-from oracles import merge_sorted_oracle
+from oracles import merge_sorted_oracle, parse_atoms_oracle
 
 
 class TestCanonicalize:
@@ -77,6 +77,68 @@ class TestCanonicalize:
             m2 = ms.canonicalize([raw[i] for i in perm])
             assert np.array_equal(m1.points, m2.points)
             assert np.array_equal(m1.weights, m2.weights)
+
+
+POINT_FORMS = {
+    "list": lambda p: [float(v) for v in p],
+    "tuple": lambda p: tuple(float(v) for v in p),
+    "array": lambda p: np.array(p),
+    "bare": lambda p: float(p[0]),
+    "numpy-scalar": lambda p: p[0],
+}
+WEIGHT_FORMS = (float, np.float64, lambda w: int(round(10 * w)) + 1)
+
+
+class TestParseAtoms:
+    """canonicalize reads its pairs as one point array and one weight array,
+    with the result and the errors of the per-atom loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(1, 3),
+        k=st.integers(1, 12),
+        form=st.sampled_from(sorted(POINT_FORMS)),
+        weight_form=st.integers(0, len(WEIGHT_FORMS) - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_atom_loop(self, dim, k, form, weight_form, seed):
+        if form in ("bare", "numpy-scalar"):
+            dim = 1
+        rng = np.random.default_rng(seed)
+        # a few distinct values with sub-tolerance offsets, so atoms merge
+        points = rng.integers(-2, 3, size=(k, dim)) + rng.integers(-3, 4, size=(k, dim)) * 4e-13
+        weights = rng.uniform(0.01, 1, size=k)
+        raw = [(POINT_FORMS[form](p), WEIGHT_FORMS[weight_form](w)) for p, w in zip(points, weights)]
+        pts, wts = parse_atoms_oracle(raw)
+        assert ms.canonicalize(raw).digest() == ms.canonicalize_arrays(pts, wts).digest()
+
+    @pytest.mark.parametrize(
+        "raw, error",
+        [
+            ([((0.0, 1.0), 0.5), ((2.0,), 0.5)], DimMismatch),
+            ([([[0.0]], 1.0)], DimMismatch),
+            ([((0.0,), 0.5), ([[1.0]], 0.5)], DimMismatch),
+            ([((), 1.0)], DimMismatch),
+            ([((0.0,), 0.5), ((), 0.5)], DimMismatch),
+            ([((np.nan,), 0.5), ((1.0,), 0.5)], OutOfRange),
+            ([((0.0,), np.nan), ((1.0,), 0.5)], OutOfRange),
+            ([(("zero",), 1.0)], ValueError),
+            ([((0.0,), 0.5), (("zero",), 0.5)], ValueError),
+        ],
+        ids=["ragged", "nested", "nested-and-flat", "empty", "empty-and-flat", "nan-point",
+             "nan-weight", "text-point", "text-point-and-flat"],
+    )
+    def test_malformed_points_keep_their_error_type(self, raw, error):
+        with pytest.raises(error):
+            ms.canonicalize(raw)
+        with pytest.raises(error):
+            ms.canonicalize_arrays(*parse_atoms_oracle(raw))
+
+    def test_bare_and_list_points_do_not_mix(self):
+        raw = [(0.0, 0.5), ((1.0,), 0.5)]
+        parse_atoms_oracle(raw)
+        with pytest.raises(DimMismatch):
+            ms.canonicalize(raw)
 
 
 class TestCanonicalizeArrays:

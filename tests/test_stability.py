@@ -121,6 +121,75 @@ class TestSaaSteps:
                 summed_apart += not same_bits(counted, oracle)
         assert summed_apart > 0
 
+    def test_merging_atoms_beside_a_separate_one(self):
+        base = canonicalize_arrays(np.vstack([MERGING_BASE.points, [[2.0, 0.0]]]), [1, 2, 3, 4])
+        merged = 0
+        for seed in range(100):
+            for k, (n, step) in enumerate(zip((3, 6), saa_steps(base, (3, 6), seed))):
+                assert same_bits(step, empirical(measure_sampler(base), n, seed=(seed, k)))
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
+                drawn = set(rng.choice(4, size=n, p=base.weights).tolist())
+                merged += {0, 2, 3} <= drawn and 1 not in drawn
+        assert merged > 0
+
+    @pytest.mark.parametrize("zeros", [(0,), (3,), (7,), (0, 4, 7), (1, 2, 3, 5, 6)],
+                             ids=["first", "interior", "last", "first-interior-last", "two-left"])
+    def test_zero_weight_atoms_are_never_drawn(self, zeros):
+        weights = np.linspace(1.0, 2.0, 8)
+        weights[list(zeros)] = 0.0
+        base = canonicalize_arrays(np.arange(8.0).reshape(-1, 1), weights)
+        schedule = (1, 2, 50, 10_000)
+        for seed in range(10):
+            for k, (n, step) in enumerate(zip(schedule, saa_steps(base, schedule, seed))):
+                assert same_bits(step, empirical(measure_sampler(base), n, seed=(seed, k)))
+                assert not np.isin(step.points[:, 0], np.array(zeros, dtype=float)).any()
+
+    def test_one_atom_base(self):
+        base = canonicalize([((1.5, -2.0), 3.0)])
+        schedule = (1, 2, 1000)
+        for k, (n, step) in enumerate(zip(schedule, saa_steps(base, schedule, 4))):
+            assert same_bits(step, empirical(measure_sampler(base), n, seed=(4, k)))
+            # the weight is n running sums of 1/n, kept when within 1e-12 of 1
+            assert np.array_equal(step.points, base.points) and abs(step.weights[0] - 1) <= 1e-12
+
+    def test_one_draw(self):
+        rng = np.random.default_rng(9)
+        base = canonicalize_arrays(rng.normal(size=(25, 2)), rng.uniform(0.0, 1.0, 25))
+        for seed in range(50):
+            (step,) = saa_steps(base, (1,), seed)
+            assert len(step) == 1 and step.weights[0] == 1.0
+            assert same_bits(step, empirical(measure_sampler(base), 1, seed=(seed, 0)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=12)
+        .filter(lambda w: sum(w) > 0),
+        dim=st.integers(1, 2),
+        n=st.integers(1, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_steps_are_empirical_for_any_weights(self, weights, dim, n, seed):
+        points = np.random.default_rng(seed).integers(-3, 4, size=(len(weights), dim))
+        base = canonicalize_arrays(points, weights)
+        (step,) = saa_steps(base, (n,), seed)
+        assert same_bits(step, empirical(measure_sampler(base), n, seed=(seed, 0)))
+
+    def test_steps_draw_without_choice(self, monkeypatch):
+        calls = []
+
+        class Spy(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                calls.append(1)
+                return super().choice(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Spy)
+        base = canonicalize([((0.0,), 1.0), ((0.5,), 2.0), ((1.0,), 3.0)])
+        steps = saa_steps(base, (10, 1000), 0)
+        assert calls == []
+        # the spy sees the sampler's draw, so the count above is not vacuous
+        assert same_bits(steps[1], empirical(measure_sampler(base), 1000, seed=(0, 1)))
+        assert calls == [1]
+
     def test_draw_cap(self):
         stability.PerturbationScheme(kind="saa", n_schedule=(stability.MAX_SAA_DRAWS,))
         with pytest.raises(InvalidSpec, match="n_schedule entry"):
