@@ -266,20 +266,44 @@ class ScalarDistribution:
 
     @classmethod
     def from_pairs(cls, values, weights) -> "ScalarDistribution":
+        """Values with their weights, sorted, merged by the anchor rule
+        (module docstring) and renormalized: from_rows of one row."""
         values = np.atleast_1d(np.asarray(values, dtype=float))
         weights = np.atleast_1d(np.asarray(weights, dtype=float))
         if values.ndim != 1 or values.shape != weights.shape:
             raise DimMismatch(
                 f"values {values.shape} and weights {weights.shape} must be equal-length vectors"
             )
+        return cls.from_rows(values.reshape(1, -1), weights)[0]
+
+    @classmethod
+    def from_rows(cls, values, weights) -> list:
+        """One distribution per row of a (k, m) value array, every row with
+        the m weights, as from_pairs gives it alone: one stable sort along
+        the rows, one merge of the (row index, value) pairs (indices 1 apart
+        are never within POINT_TOL, so no two rows join), then each row's
+        renormalization and cumulative weights."""
+        values = np.asarray(values, dtype=float)
+        weights = np.asarray(weights, dtype=float)
+        if values.ndim != 2 or weights.shape != values.shape[1:]:
+            raise DimMismatch(
+                f"values {values.shape} need one weight per column, got {weights.shape}"
+            )
         _check_atoms(values, weights)
-        order = np.argsort(values, kind="stable")
-        vals, wts = _merge_sorted(values[order].reshape(-1, 1), weights[order])
-        vals = vals[:, 0]
-        wts = _renormalize(wts)
-        cum = np.cumsum(wts)
-        cum[-1] = 1.0
-        return cls(values=vals, weights=wts, cumulative=cum)
+        k, m = values.shape
+        order = np.argsort(values, axis=1, kind="stable")
+        pairs = np.column_stack([np.repeat(np.arange(k, dtype=float), m),
+                                 np.take_along_axis(values, order, axis=1).ravel()])
+        anchors, sums = _merge_sorted(pairs, weights[order].ravel())
+        vals = anchors[:, 1]
+        bounds = np.searchsorted(anchors[:, 0], np.arange(k + 1))
+        out = []
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            wts = _renormalize(sums[a:b])
+            cum = np.cumsum(wts)
+            cum[-1] = 1.0
+            out.append(cls(values=vals[a:b], weights=wts, cumulative=cum))
+        return out
 
     def __len__(self) -> int:
         return len(self.values)

@@ -4,9 +4,11 @@ finite decision set, and the epsilon-argmin set.
 Q(x, nu) pushes nu forward through the recourse value function at x and
 evaluates the risk functional on the image distribution.  Evaluations are
 cached per (decision, measure digest), and recourse values per solver input
-(the bytes of h(x, z), and of q(x, z) where the cost moves), so decisions
-and perturbed measures that hand the solver an input it has seen before
-pay for that solve once; q_profile evaluates all decisions in one batch.
+in the model's RecourseCache (the row of h(x, z), and of q(x, z) where the
+cost moves, compared bit for bit), so decisions and perturbed measures that
+hand the solver an input it has seen before pay for that solve once.
+q_profile evaluates all decisions in one recourse batch and builds their
+image distributions in one pass (ScalarDistribution.from_rows).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import DimMismatch, EmptySupport, OutOfRange, in_range
 from .measure import DiscreteMeasure, ScalarDistribution
-from .recourse import RecourseModel, default_gamma, eval_recourse_batch
+from .recourse import RecourseCache, RecourseModel, default_gamma, eval_recourse_batch
 from .risk import RiskSpec, evaluate_risk
 
 
@@ -96,7 +98,7 @@ class MeanRiskModel:
     gamma: float | None = None
     _q_cache: dict = field(default_factory=dict, compare=False, repr=False)
     # recourse values keyed on solver inputs (see eval_recourse_batch)
-    _f_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _f_cache: RecourseCache = field(default_factory=RecourseCache, compare=False, repr=False)
 
     def __post_init__(self):
         p = in_range(self.p, "p", ge=1)
@@ -158,8 +160,8 @@ def _profile(model: MeanRiskModel, xs: np.ndarray, nu: DiscreteMeasure) -> np.nd
     if todo:
         f = eval_recourse_batch(model.recourse, np.repeat(xs[todo], len(nu), axis=0),
                                 np.tile(nu.points, (len(todo), 1)), model._f_cache)
-        for i, values in zip(todo, f.reshape(len(todo), -1)):
-            dist = ScalarDistribution.from_pairs(values, nu.weights)
+        dists = ScalarDistribution.from_rows(f.reshape(len(todo), -1), nu.weights)
+        for i, dist in zip(todo, dists):
             model._q_cache[keys[i]] = evaluate_risk(model.risk, dist)
     return np.array([model._q_cache[key] for key in keys])
 

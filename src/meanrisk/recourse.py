@@ -35,9 +35,11 @@ from .errors import (
     InvalidSpec,
     MeanRiskError,
     MissingDeclaredExponent,
+    NumericalFailure,
     OutOfRange,
     RecourseInfeasible,
     RecourseUnbounded,
+    _floats,
     finite_result,
     in_range,
 )
@@ -301,23 +303,69 @@ def _check_rows(count: int):
         raise ConstraintLimitExceeded(f"{count} rows > MAX_RECOURSE_ROWS = {MAX_RECOURSE_ROWS}")
 
 
-def eval_recourse_batch(model: RecourseModel, X, Z, cache: dict | None = None) -> np.ndarray:
+class RecourseCache:
+    """Recourse values of one model keyed on their solver inputs, for
+    eval_recourse_batch to keep across calls.
+
+    A key is one row of [h | q] read as int64 words, so inputs are compared
+    bit for bit (0.0 and -0.0 are distinct keys), and the keys are kept as
+    one sorted array of fixed-width byte strings with the values in the same
+    order: a batch looks up its rows with one searchsorted.
+    """
+
+    def __init__(self):
+        self.keys = None
+        self.values = np.empty(0)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def find(self, words: np.ndarray):
+        """For every key row of words (int64, C order): its position in the
+        sorted keys, and whether the key stored there is that row."""
+        keys = _as_keys(words)
+        if not len(self):
+            return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
+        stored = self.keys[pos].view(np.int64).reshape(words.shape)
+        return pos, np.all(stored == words, axis=1)
+
+    def add(self, words: np.ndarray, values: np.ndarray):
+        """Store key rows that are new, distinct and in key order, with their values."""
+        keys = _as_keys(words)
+        if not len(self):
+            self.keys, self.values = keys, values
+            return
+        at = np.searchsorted(self.keys, keys)
+        self.keys = np.insert(self.keys, at, keys)
+        self.values = np.insert(self.values, at, values)
+
+
+def _as_keys(words: np.ndarray) -> np.ndarray:
+    """The int64 rows of words as one byte string each (a void view)."""
+    return words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel()
+
+
+def eval_recourse_batch(model: RecourseModel, X, Z,
+                        cache: RecourseCache | None = None) -> np.ndarray:
     """f(x, z) at every row z of Z, with X one x for all rows or one per row.
 
-    Rows are keyed on the bytes of what the solver sees: h(x, z), and
-    q(x, z) for linear and miqp.  Each key not yet in `cache` (a dict the
-    caller may keep across calls; a fresh one by default) is solved once,
-    so rows that differ only where the solver does not look share a solve.
-    All misses go to their kind's solver in one _solve_rows call.  The
-    miqp and convex_mip batches give each row what they give it alone; a
-    linear row or milp node that a stored basis answers agrees with its own
-    LP to round-off (1e-12 relative in the tests).
+    Rows are keyed on what the solver sees: h(x, z), and q(x, z) for linear
+    and miqp, bit for bit.  Each key not yet in `cache` (a RecourseCache the
+    caller may keep across calls for one model; a fresh one by default) is
+    solved once, so rows that differ only where the solver does not look
+    share a solve.  All misses go to their kind's solver in one _solve_rows
+    call, in the order of their first rows, and are then added to the
+    cache.  The miqp and convex_mip batches give each row what they give it
+    alone; a linear row or milp node that a stored basis answers agrees with
+    its own LP to round-off (1e-12 relative in the tests).
 
     More than MAX_RECOURSE_ROWS rows raise ConstraintLimitExceeded before
     any map is evaluated.  A map overflow (OutOfRange) is raised before any
     solve, and then a row whose recourse problem is infeasible, unbounded or
     invalid raises its error, each for the first such row in order: a batch
-    whose solver raises is replayed one row at a time.
+    whose solver raises is replayed one row at a time, and an error of the
+    replayed solve names the row's x and z.
     """
     Zv = np.asarray(Z, dtype=float)
     if Zv.ndim != 2:
@@ -328,25 +376,43 @@ def eval_recourse_batch(model: RecourseModel, X, Z, cache: dict | None = None) -
         raise DimMismatch(f"decision has dim {Xv.shape[1]}, model expects {model.n}")
     if Zv.shape[1] != model.s:
         raise DimMismatch(f"noise has dim {Zv.shape[1]}, model expects {model.s}")
-    cache = {} if cache is None else cache
+    cache = RecourseCache() if cache is None else cache
     # a non-finite h or q (inf data times zero) is rejected by the solver
     with np.errstate(invalid="ignore", over="ignore"):
         H = model.h_map.rows(Xv, Zv)
         C = model.q_map.rows(Xv, Zv) if model.kind in ("linear", "miqp") else np.zeros((len(Zv), 0))
-    HC = np.hstack([H, C]).view(np.int64)  # rows compared bit for bit
-    _, first, inverse = np.unique(HC, axis=0, return_index=True, return_inverse=True)
-    keys = {j: HC[j].tobytes() for j in first.tolist()}
-    rows = sorted(j for j, key in keys.items() if key not in cache)  # the misses' first rows
-    if rows:
+    words = np.hstack([H, C]).view(np.int64)
+    if not words.shape[1]:  # no input at all: one key for every row
+        words = np.zeros((len(Zv), 1), dtype=np.int64)
+    pos, hit = cache.find(words)
+    out = np.zeros(len(words))
+    out[hit] = cache.values[pos[hit]]
+    miss = np.flatnonzero(~hit)
+    if len(miss):
+        # the missed rows in key order, each key's rows in row order
+        order = miss[np.argsort(_as_keys(words[miss]), kind="stable")]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = np.any(words[order[1:]] != words[order[:-1]], axis=1)
+        firsts = order[new]
+        by_row = np.argsort(firsts)
+        rows = firsts[by_row]  # each new key's first row, in row order
         try:
             solved = _solve_rows(model, H[rows], C[rows])
         except MeanRiskError:
             for j in rows:  # one row at a time, so the first row that fails raises
-                _values(model, Xv[[j]], Zv[[j]], _solve_rows(model, H[[j]], C[[j]]))
+                try:
+                    one = _solve_rows(model, H[[j]], C[[j]])
+                except (InvalidSpec, NumericalFailure, OutOfRange) as err:
+                    # the errors of this row's data: name the row, as _values does
+                    err.args = (f"{err} at x={_floats(Xv[j])}, z={_floats(Zv[j])}",) + err.args[1:]
+                    raise
+                _values(model, Xv[[j]], Zv[[j]], one)
             raise
-        values = _values(model, Xv[rows], Zv[rows], solved)
-        cache.update(zip([keys[j] for j in rows], values.tolist()))
-    return np.array([cache[key] for key in keys.values()], dtype=float)[inverse.ravel()]
+        values = np.empty(len(rows))
+        values[by_row] = _values(model, Xv[rows], Zv[rows], solved)
+        cache.add(words[firsts], values)
+        out[order] = values[np.cumsum(new) - 1]
+    return out
 
 
 def _solve_rows(model: RecourseModel, H, C) -> optim.Rows:

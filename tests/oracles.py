@@ -36,6 +36,7 @@ from meanrisk import optim
 from meanrisk.errors import (
     ConstraintLimitExceeded,
     DimMismatch,
+    InvalidSpec,
     NumericalFailure,
     OutOfRange,
     RecourseInfeasible,
@@ -64,6 +65,23 @@ def merge_sorted_oracle(points, weights):
     out_pts.append(anchor)
     out_wts.append(acc)
     return np.array(out_pts, dtype=float), np.array(out_wts, dtype=float)
+
+
+def scalar_distribution_oracle(values, weights):
+    """(values, weights, cumulative) of ScalarDistribution.from_pairs by
+    merge_sorted_oracle: a stable sort of the values, the row-by-row anchor
+    merge, then division by the total unless it is within 1e-12 of one, and
+    cumulative weights with the last pinned to 1."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    order = np.argsort(values, kind="stable")
+    pts, wts = merge_sorted_oracle(values[order].reshape(-1, 1), weights[order])
+    total = float(wts.sum())
+    if abs(total - 1.0) > 1e-12:
+        wts = wts / total
+    cum = np.cumsum(wts)
+    cum[-1] = 1.0
+    return pts[:, 0], wts, cum
 
 
 def parse_atoms_oracle(raw_atoms):
@@ -592,27 +610,33 @@ def recourse_row_oracle(model, x, z):
     milp, miqp_bb_oracle for miqp and convex_mip_loop_oracle for convex_mip,
     a non-finite solver input refused with the error optim gives it (the LP
     constructor's InvalidSpec, OutOfRange for a QP's q or b and for a convex
-    program's rhs).  Raises what the recourse module raises at that row."""
+    program's rhs).  Raises what the recourse module raises at that row,
+    the solver's errors about the row's data (InvalidSpec, NumericalFailure,
+    OutOfRange) with " at x=[...], z=[...]" appended."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     zv = np.atleast_1d(np.asarray(z, dtype=float))
     h = param_map_oracle(model.h_map, xv, zv)
     idx = tuple(range(model.m1, model.m1 + model.m2))
     inputs = {"linear": (), "milp": (), "miqp": ("q", "b"), "convex_mip": ("rhs",)}[model.kind]
     q = param_map_oracle(model.q_map, xv, zv) if model.q_map is not None else None
-    for name in inputs:
-        if not np.all(np.isfinite(q if name == "q" else h)):
-            raise OutOfRange(f"non-finite entries in {name}")
-    if model.kind == "linear":
-        sol = optim.solve_lp(optim.lp(q, model.A, h))
-    elif model.kind == "milp":
-        bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
-        sol = milp_bb_oracle(model.q, model.A, h, ("==",) * len(h), (True,) * len(model.q), idx,
-                             bounds)
-    elif model.kind == "miqp":
-        sol = miqp_bb_oracle(model.D, q, model.A, h, idx, model.integer_bounds)
-    else:
-        sol = convex_mip_loop_oracle(model.v, model.g, h, idx, model.integer_bounds,
-                                     tuple(range(model.m1)), model.continuous_box)
+    try:
+        for name in inputs:
+            if not np.all(np.isfinite(q if name == "q" else h)):
+                raise OutOfRange(f"non-finite entries in {name}")
+        if model.kind == "linear":
+            sol = optim.solve_lp(optim.lp(q, model.A, h))
+        elif model.kind == "milp":
+            bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
+            sol = milp_bb_oracle(model.q, model.A, h, ("==",) * len(h), (True,) * len(model.q), idx,
+                                 bounds)
+        elif model.kind == "miqp":
+            sol = miqp_bb_oracle(model.D, q, model.A, h, idx, model.integer_bounds)
+        else:
+            sol = convex_mip_loop_oracle(model.v, model.g, h, idx, model.integer_bounds,
+                                         tuple(range(model.m1)), model.continuous_box)
+    except (InvalidSpec, NumericalFailure, OutOfRange) as err:  # the row's data: name the row
+        err.args = (f"{err} at x={xv.tolist()}, z={zv.tolist()}",) + err.args[1:]
+        raise
     if sol.status == "infeasible":
         detail = ""
         if model.kind == "convex_mip" and model.m1:

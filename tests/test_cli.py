@@ -152,7 +152,23 @@ class TestExitCodes:
         out = capsys.readouterr()
         name = "q" if entry == "q_map" else "b"
         assert out.out == ""
-        assert out.err == f"model error: OutOfRange: non-finite entries in {name}\n"
+        # the solver refuses the input, and its error names the first row
+        assert out.err == (f"model error: OutOfRange: non-finite entries in {name}"
+                           " at x=[0.0], z=[0.0]\n")
+
+    def test_replayed_solver_error_names_its_row(self, tmp_path, capsys):
+        # z = 1e308 leaves the branch and bound's QP without a KKT point; the
+        # batch is replayed row by row and the failing row is named
+        model = write(tmp_path, "m.json", demo("model_miqp_expectation.json"))
+        far = {"dim": 1, "atoms": [{"point": [1e308], "weight": 0.5},
+                                   {"point": [0.0], "weight": 0.5}]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_eval(model, write(tmp_path, "b.json", far)) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("model error: NumericalFailure: feasible convex QP without a detected"
+                           " KKT point at x=[0.0], z=[1e+308]\n")
 
     @pytest.mark.parametrize("entry", ["q_map", "h_map"])
     def test_affine_map_width_is_a_config_error(self, tmp_path, capsys, entry):
@@ -187,7 +203,9 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"model error: OutOfRange: expression {expr} at y = [")
-        assert out.err.endswith("is inf: not finite\n") and out.err.count("\n") == 1
+        # v overflows inside the solver, whose replayed error names the row
+        tail = " at x=[0.0], z=[0.0]" if entry == "v" else ""
+        assert out.err.endswith(f"is inf: not finite{tail}\n") and out.err.count("\n") == 1
 
     def test_missing_file(self, tmp_path, capsys):
         model = write(tmp_path, "m.json", demo("model_linear_avar.json"))

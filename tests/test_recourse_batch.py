@@ -29,7 +29,13 @@ from meanrisk.errors import (
 )
 from meanrisk.measure import DiscreteMeasure, canonicalize
 from meanrisk.objective import MeanRiskModel, Q, argmin_set, q_profile
-from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse, eval_recourse_batch
+from meanrisk.recourse import (
+    ParamMap,
+    RecourseCache,
+    RecourseModel,
+    eval_recourse,
+    eval_recourse_batch,
+)
 
 from oracles import miqp_bb_oracle, param_map_oracle, recourse_row_oracle
 
@@ -120,7 +126,7 @@ class TestDemoModels:
         model = MeanRiskModel.from_dict(load(name))
         nu = DiscreteMeasure.from_dict(load(base))
         grid = np.concatenate([np.arange(-9.5, 10.0, 0.5), [-2.7, -0.3, 0.3, 1.1, 6.9]])
-        cache = {}
+        cache = RecourseCache()
         bitwise = model.recourse.kind != "linear"
         for x in model.decisions:
             for Z in (nu.points, grid[:, None]):
@@ -166,13 +172,58 @@ class TestDemoModels:
 
 class TestSolveCounts:
     def test_one_solve_per_distinct_input(self, count_solves):
-        # h ignores x in the milp demo, so five decisions share 7 solves
+        # h ignores x in the milp demo, so five decisions share 7 solves, and
+        # a later call solves only the inputs no call has seen
         model = MeanRiskModel.from_dict(load("model_milp_expectation.json"))
         Z = np.array([[0.5], [1.5], [0.5], [-2.0], [2.2], [3.0], [1.5], [7.1], [0.0]])
-        cache = {}
+        cache = RecourseCache()
         for x in model.decisions:
             eval_recourse_batch(model.recourse, x, Z, cache)
         assert len(count_solves) == 7
+        assert len(cache) == 7
+        more = np.array([[3.0], [-4.5], [0.5], [-4.5], [9.0]])
+        got = eval_recourse_batch(model.recourse, [0.0], more, cache)
+        assert len(count_solves) == 9
+        assert len(cache) == 9
+        want = [recourse_row_oracle(model.recourse, [0.0], z) for z in more]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_misses_are_solved_in_first_occurrence_order(self, monkeypatch):
+        model = MeanRiskModel.from_dict(load("model_milp_expectation.json")).recourse
+        seen = []
+        solve_rows = recourse._solve_rows
+
+        def spy(model, H, C):
+            seen.append(H.copy())
+            return solve_rows(model, H, C)
+
+        monkeypatch.setattr(recourse, "_solve_rows", spy)
+        cache = RecourseCache()
+        eval_recourse_batch(model, [0.0], np.array([[2.0]]), cache)
+        Z = np.array([[1.0], [3.0], [1.0], [2.0], [-1.0], [3.0]])
+        got = eval_recourse_batch(model, [0.0], Z, cache)
+        # z = 2 is cached; 1, 3 and -1 are solved in one call, in that order,
+        # though their keys sort as 3, 1, -1
+        assert len(seen) == 2
+        assert seen[1].tobytes() == model.h_map.rows([0.0], Z[[0, 1, 4]]).tobytes()
+        want = [recourse_row_oracle(model, [0.0], z) for z in Z]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_signed_zeros_are_distinct_keys(self, count_solves):
+        # h = z itself, so z = 0.0 and z = -0.0 hand the solver two inputs
+        model = RecourseModel(
+            kind="convex_mip", n=1, s=1, v=exprs.var(0), g=(exprs.vabs(exprs.var(0)),),
+            h_map=ParamMap(out_dim=1, expressions=(exprs.var(1),), declared_exponent=1.0),
+            m2=1, integer_bounds=((-2.0, 2.0),), gamma_K=1.0,
+        )
+        Z = np.array([[0.0], [-0.0], [0.0], [-0.0]])
+        assert np.signbit(model.h_map.rows([0.0], Z)[:, 0]).tolist() == [False, True] * 2
+        cache = RecourseCache()
+        assert eval_recourse_batch(model, [0.0], Z, cache).tolist() == [0.0] * 4
+        assert len(count_solves) == 2
+        assert len(cache) == 2
+        eval_recourse_batch(model, [0.0], Z[::-1], cache)
+        assert len(count_solves) == 2
 
     def test_pure_integer_lattice_needs_no_solve(self, count_solves, monkeypatch):
         # h = |z| + 1 makes the 37 rows 19 distinct inputs, all answered by
