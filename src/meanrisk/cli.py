@@ -20,7 +20,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .errors import ConfigError, MeanRiskError, in_range
 from .measure import DiscreteMeasure, box_sampler
-from .objective import MeanRiskModel, Q, argmin_set, phi, q_profile
+from .objective import MeanRiskModel, Q, _argmin, q_profile
 from .recourse import certify_growth
 from .stability import PerturbationScheme, run_experiment, trend_check
 from .svgchart import render_loglog_chart
@@ -112,7 +112,7 @@ def cmd_eval(args) -> int:
         _emit({"x": [float(v) for v in x], "q": Q(model, x, base)})
         return EXIT_OK
     values = q_profile(model, base)
-    arg = argmin_set(model, base, tol)
+    arg = _argmin(model, values, tol)
     _emit(
         {
             "phi": float(np.min(values)),

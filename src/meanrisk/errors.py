@@ -35,27 +35,26 @@ class NumericalFailure(MeanRiskError):
 
 
 class ConstraintLimitExceeded(MeanRiskError):
-    """A problem exceeds a documented size cap: a QP with more than 20 rows
-    for KKT subset enumeration, a convex MIP with more than
-    optim.MAX_LATTICE_POINTS integer assignments, or a transport problem
-    with more than metrics.MAX_PLAN_ENTRIES (source, target) pairs."""
+    """A problem exceeds a documented size cap: a QP with more than
+    optim.MAX_QP_ROWS rows for KKT subset enumeration, a convex MIP with
+    more than optim.MAX_LATTICE_POINTS integer assignments, a transport
+    problem with more than metrics.MAX_PLAN_ENTRIES (source, target) pairs,
+    or a recourse batch of more than recourse.MAX_RECOURSE_ROWS rows."""
 
 
 def _floats(v) -> list:
     return [float(c) for c in v]
 
 
-class RecourseInfeasible(MeanRiskError):
-    """The recourse problem is infeasible at a given (x, z).
+class _RecourseAtPoint(MeanRiskError):
+    """A recourse problem without an optimal value at (x, z), kept for diagnostics."""
 
-    Signals a violated feasibility assumption for this instance; the
-    offending point is kept for diagnostics.
-    """
+    status = ""
 
     def __init__(self, x=None, z=None, detail=""):
         self.x = x
         self.z = z
-        msg = "recourse infeasible"
+        msg = f"recourse {self.status}"
         if x is not None:
             msg += f" at x={_floats(x)}, z={_floats(z)}"
         if detail:
@@ -63,18 +62,17 @@ class RecourseInfeasible(MeanRiskError):
         super().__init__(msg)
 
 
-class RecourseUnbounded(MeanRiskError):
+class RecourseInfeasible(_RecourseAtPoint):
+    """The recourse problem is infeasible at a given (x, z): a violated
+    feasibility assumption for this instance."""
+
+    status = "infeasible"
+
+
+class RecourseUnbounded(_RecourseAtPoint):
     """The recourse problem is unbounded below at a given (x, z)."""
 
-    def __init__(self, x=None, z=None, detail=""):
-        self.x = x
-        self.z = z
-        msg = "recourse unbounded"
-        if x is not None:
-            msg += f" at x={_floats(x)}, z={_floats(z)}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+    status = "unbounded"
 
 
 class InvalidExponent(MeanRiskError):

@@ -92,7 +92,7 @@ class ConvexExpr:
         if k == "affine":
             a = np.asarray(self.coeffs, dtype=float)
             G[:, : len(a)] = a
-            return Y[:, : len(a)] @ a + self.value0, G
+            return affine_rows(Y, a[None, :], self.value0)[:, 0], G
         if k in ("scale", "abs", "pow"):
             v, g = self.children[0]._eval(Y)
             if k == "scale":
@@ -153,6 +153,16 @@ class ConvexExpr:
         if k == "abs":
             return ["abs", self.children[0].to_prefix()]
         return [k] + [c.to_prefix() for c in self.children]
+
+
+def affine_rows(Y: np.ndarray, M: np.ndarray, c) -> np.ndarray:
+    """Y[:, :M.shape[1]] @ M.T + c as a fold from 0.0 adding column j's term
+    for j = 0, 1, ..., then c, in elementwise ufuncs: a row's bits do not
+    depend on its batch, as a BLAS product's may."""
+    out = np.zeros((len(Y), len(M)))
+    for j in range(M.shape[1]):
+        out += Y[:, j:j + 1] * M[:, j]
+    return out + c
 
 
 def table(trees, Y) -> np.ndarray:

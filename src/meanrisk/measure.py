@@ -317,12 +317,6 @@ class ScalarDistribution:
     def abs_moment(self, p: float) -> float:
         return float(np.abs(self.values) ** p @ self.weights)
 
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.values.tobytes())
-        h.update(self.weights.tobytes())
-        return h.hexdigest()
-
 
 def quantile(dist: ScalarDistribution, beta):
     """Left-continuous quantile: inf{t : F(t) >= beta} for beta in (0,1).

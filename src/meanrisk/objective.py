@@ -2,11 +2,11 @@
 finite decision set, and the epsilon-argmin set.
 
 Q(x, nu) pushes nu forward through the recourse value function at x and
-evaluates the risk functional on the image distribution.  Evaluations are
-cached per (decision, measure digest), and recourse values per solver input
-in the model's RecourseCache (the row of h(x, z), and of q(x, z) where the
-cost moves, compared bit for bit), so decisions and perturbed measures that
-hand the solver an input it has seen before pay for that solve once.
+evaluates the risk functional on the image distribution.  The one cache
+is the model's RecourseCache of recourse values per solver input (the row
+of h(x, z), and of q(x, z) where the cost moves, compared bit for bit).
+Maps compute each row on its own (exprs.affine_rows), so a key is exact
+across batches and an input seen in any earlier call is solved once.
 q_profile evaluates all decisions in one recourse batch and builds their
 image distributions in one pass (ScalarDistribution.from_rows).
 """
@@ -96,7 +96,6 @@ class MeanRiskModel:
     decisions: DecisionSet
     p: float = 1.0
     gamma: float | None = None
-    _q_cache: dict = field(default_factory=dict, compare=False, repr=False)
     # recourse values keyed on solver inputs (see eval_recourse_batch)
     _f_cache: RecourseCache = field(default_factory=RecourseCache, compare=False, repr=False)
 
@@ -146,24 +145,18 @@ def Q(model: MeanRiskModel, x, nu: DiscreteMeasure) -> float:
 
 def q_profile(model: MeanRiskModel, nu: DiscreteMeasure) -> np.ndarray:
     """Q over the whole decision set, in decision order.  The (decision,
-    atom) pairs of the decisions not yet cached for nu are one recourse
-    batch: a map overflow at any pair is raised before any solver error,
-    each for its first pair in (decision, atom) order."""
+    atom) pairs are one recourse batch: a map overflow at any pair is raised
+    before any solver error, each for its first pair in (decision, atom)
+    order."""
     return _profile(model, model.decisions.points, nu)
 
 
 def _profile(model: MeanRiskModel, xs: np.ndarray, nu: DiscreteMeasure) -> np.ndarray:
     """Q at every row of xs (a profile of one is Q); the batch checks dims."""
-    digest = nu.digest()
-    keys = [(x.tobytes(), digest) for x in xs]
-    todo = [i for i, key in enumerate(keys) if key not in model._q_cache]
-    if todo:
-        f = eval_recourse_batch(model.recourse, np.repeat(xs[todo], len(nu), axis=0),
-                                np.tile(nu.points, (len(todo), 1)), model._f_cache)
-        dists = ScalarDistribution.from_rows(f.reshape(len(todo), -1), nu.weights)
-        for i, dist in zip(todo, dists):
-            model._q_cache[keys[i]] = evaluate_risk(model.risk, dist)
-    return np.array([model._q_cache[key] for key in keys])
+    f = eval_recourse_batch(model.recourse, np.repeat(xs, len(nu), axis=0),
+                            np.tile(nu.points, (len(xs), 1)), model._f_cache)
+    dists = ScalarDistribution.from_rows(f.reshape(len(xs), -1), nu.weights)
+    return np.array([evaluate_risk(model.risk, dist) for dist in dists])
 
 
 def phi(model: MeanRiskModel, nu: DiscreteMeasure) -> float:
@@ -173,10 +166,11 @@ def phi(model: MeanRiskModel, nu: DiscreteMeasure) -> float:
 
 def argmin_set(model: MeanRiskModel, nu: DiscreteMeasure, tol: float = 1e-8) -> DecisionSet:
     """Decisions within tol of the optimal value; nonempty by finiteness.
-    A negative or non-finite tol raises OutOfRange."""
-    in_range(tol, "tolerance", ge=0)
-    values = q_profile(model, nu)
-    best = float(np.min(values))
-    keep = values <= best + tol
-    return DecisionSet(points=model.decisions.points[keep])
+    A negative or non-finite tol raises OutOfRange before any solve."""
+    tol = in_range(tol, "tolerance", ge=0)
+    return _argmin(model, q_profile(model, nu), tol)
 
+
+def _argmin(model: MeanRiskModel, values: np.ndarray, tol: float) -> DecisionSet:
+    """The decisions whose values (a q_profile) are within tol of their minimum."""
+    return DecisionSet(points=model.decisions.points[values <= float(np.min(values)) + tol])

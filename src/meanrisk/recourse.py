@@ -96,7 +96,7 @@ class ParamMap:
             return exprs.table(self.expressions, W)
         if self.matrix.shape[1] != W.shape[1]:
             raise DimMismatch(f"affine map of {self.matrix.shape[1]} inputs, got {W.shape[1]}")
-        return W @ self.matrix.T + self.constant
+        return exprs.affine_rows(W, self.matrix, self.constant)
 
     def to_dict(self) -> dict:
         if self.is_affine:
@@ -152,7 +152,7 @@ class RecourseModel:
     """One of the four recourse problem classes with its data.
 
     The rational-entry assumption on the matrices of the integer classes is
-    declarative metadata and is not enforced numerically.
+    not checked.
     """
 
     kind: str
@@ -171,7 +171,6 @@ class RecourseModel:
     continuous_box: tuple = ()
     gamma_v: float | None = None
     gamma_K: float | None = None
-    rational_entries: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -351,14 +350,17 @@ def eval_recourse_batch(model: RecourseModel, X, Z,
     """f(x, z) at every row z of Z, with X one x for all rows or one per row.
 
     Rows are keyed on what the solver sees: h(x, z), and q(x, z) for linear
-    and miqp, bit for bit.  Each key not yet in `cache` (a RecourseCache the
-    caller may keep across calls for one model; a fresh one by default) is
-    solved once, so rows that differ only where the solver does not look
-    share a solve.  All misses go to their kind's solver in one _solve_rows
-    call, in the order of their first rows, and are then added to the
-    cache.  The miqp and convex_mip batches give each row what they give it
-    alone; a linear row or milp node that a stored basis answers agrees with
-    its own LP to round-off (1e-12 relative in the tests).
+    and miqp, bit for bit.  The maps compute each row's bits on their own
+    (exprs.affine_rows, and expression trees node by node), so a key does
+    not depend on the batch that holds its row: a row seen in any earlier
+    call hits.  Each key not yet in `cache` (a RecourseCache the caller may
+    keep across calls for one model; a fresh one by default) is solved
+    once, so rows that differ only where the solver does not look share a
+    solve.  All misses go to their kind's solver in one _solve_rows call, in
+    the order of their first rows, and are then added to the cache.  The
+    miqp and convex_mip batches give each row what they give it alone; a
+    linear row or milp node that a stored basis answers agrees with its own
+    LP to round-off (1e-12 relative in the tests).
 
     More than MAX_RECOURSE_ROWS rows raise ConstraintLimitExceeded before
     any map is evaluated.  A map overflow (OutOfRange) is raised before any

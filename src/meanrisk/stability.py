@@ -26,7 +26,7 @@ from .errors import (
 )
 from .measure import DiscreteMeasure, canonicalize_arrays, mix, moment
 from .metrics import bounded_lipschitz, diagnose_uniform_integrability
-from .objective import MeanRiskModel, argmin_set, q_profile
+from .objective import MeanRiskModel, _argmin, q_profile
 
 COLUMNS = ("step", "param", "d_bl", "d_psi", "delta_phi_abs", "sup_delta_q", "argmin_excess", "error")
 
@@ -270,30 +270,27 @@ def run_experiment(
     base: DiscreteMeasure,
     scheme: PerturbationScheme | None = None,
     sequence=None,
-    params=None,
     argmin_tol: float = 1e-8,
-    ui_grid=None,
-    ui_eps: float = 1e-9,
 ) -> StabilityReport:
     """Measure stability of phi and the argmin map along a perturbation
-    path.  Either a scheme or an explicit measure sequence must be given;
-    a step whose metrics or evaluation fail carries NaN in the values it
-    could not compute and an error naming the step instead of aborting the
-    run."""
+    path, from one Q profile per measure.  Either a scheme or an explicit
+    measure sequence (steps 1, 2, ...) must be given; a bad argmin_tol
+    raises OutOfRange before any solve.  A step whose metrics or evaluation
+    fail carries NaN in the values it could not compute and an error naming
+    the step instead of aborting the run."""
+    argmin_tol = in_range(argmin_tol, "tolerance", ge=0)
     if sequence is None:
         if scheme is None:
             raise InvalidSpec("need a scheme or an explicit sequence")
         sequence = generate_sequence(scheme, base)
         params = list(scheme.params)
-    if params is None:
+    else:
         params = list(range(1, len(sequence) + 1))
-    if len(params) != len(sequence):
-        raise InvalidSpec("one param per generated measure required")
 
     qp = model.gamma * model.p
     base_q = q_profile(model, base)
     base_phi = float(np.min(base_q))
-    base_arg = argmin_set(model, base, argmin_tol)
+    base_arg = _argmin(model, base_q, argmin_tol)
     base_moment = moment(base, qp)
 
     rows = []
@@ -306,7 +303,7 @@ def run_experiment(
             qk = q_profile(model, nu)
             sup_dq = float(np.max(np.abs(qk - base_q)))
             dphi = abs(float(np.min(qk)) - base_phi)
-            exc = argmin_excess(argmin_set(model, nu, argmin_tol), base_arg)
+            exc = argmin_excess(_argmin(model, qk, argmin_tol), base_arg)
             rows.append(
                 StabilityRow(k, float(par), d_bl, d_psi, dphi, sup_dq, exc)
             )
@@ -318,8 +315,7 @@ def run_experiment(
                 )
             )
 
-    grid = np.asarray(ui_grid, dtype=float) if ui_grid is not None else _default_ui_grid(base, qp)
-    ui = diagnose_uniform_integrability(list(sequence) + [base], qp, grid, eps=ui_eps)
+    ui = diagnose_uniform_integrability(list(sequence) + [base], qp, _default_ui_grid(base, qp))
 
     metadata = {
         "model_hash": model.digest(),

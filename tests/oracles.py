@@ -514,10 +514,9 @@ def expr_point_oracle(e, y):
         g[e.index] = 1.0
         return float(y[e.index]), g
     if k == "affine":
-        a = np.asarray(e.coeffs, dtype=float)
         g = np.zeros(len(y))
-        g[: len(a)] = a
-        return float(a @ y[: len(a)]) + e.value0, g
+        g[: len(e.coeffs)] = e.coeffs
+        return affine_fold_oracle(e.coeffs, y, e.value0), g
     if k == "sum":
         total = 0.0
         grad = np.zeros(len(y))
@@ -567,12 +566,21 @@ def expr_value_oracle(e, y):
     return v
 
 
+def affine_fold_oracle(a, y, c):
+    """a . y + c in Python floats: 0.0 plus a[j] * y[j] for j = 0, 1, ...,
+    then c (the order exprs.affine_rows keeps for every row)."""
+    total = 0.0
+    for aj, yj in zip(a, y):
+        total = total + float(yj) * float(aj)
+    return total + float(c)
+
+
 def param_map_oracle(pm, x, z):
-    """The map at one point (x, z): M @ w + c for an affine map, one
-    expr_value_oracle per output for an expression map."""
+    """The map at one point (x, z): one affine_fold_oracle per output for an
+    affine map, one expr_value_oracle per output for an expression map."""
     w = np.concatenate([np.atleast_1d(x), np.atleast_1d(z)]).astype(float)
     if pm.is_affine:
-        return pm.matrix @ w + pm.constant
+        return np.array([affine_fold_oracle(row, w, c) for row, c in zip(pm.matrix, pm.constant)])
     return np.array([expr_value_oracle(e, w) for e in pm.expressions])
 
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanrisk import cli, exprs, optim, recourse
+from meanrisk import cli, exprs, objective, optim, recourse, stability
 from meanrisk.errors import (
     ConstraintLimitExceeded,
     MeanRiskError,
@@ -326,6 +326,60 @@ class TestSolveCounts:
         assert len(count_solves) == solved  # every lookup hit the cache Q filled
 
 
+class TestExactKeys:
+    """The fractional h = 0.7x - 1.3z + 0.1 rounds differently per batch
+    under a BLAS product; with one fold per row a row's key is the same in
+    every batch, so the recourse cache answers every repeated (x, z)."""
+
+    def model(self):
+        data = load("model_linear_expectation.json")
+        data["recourse"]["h_map"]["affine"] = {"matrix": [[0.7, -1.3]], "constant": [0.1]}
+        data["decisions"] = {"points": [[x] for x in np.linspace(0.0, 1.0, 11)]}
+        return MeanRiskModel.from_dict(data)
+
+    def measures(self):
+        rng = np.random.default_rng(5)
+        ones = [canonicalize([((z,), 1.0)]) for z in rng.uniform(-1.0, 1.0, 20)]
+        many = [canonicalize([((z,), w) for z, w in zip(rng.uniform(-1.0, 1.0, 50),
+                                                         rng.uniform(0.1, 1.0, 50))])
+                for _ in range(4)]
+        return ones + many
+
+    def test_q_after_q_profile_is_its_entry_without_a_solve(self, count_solves):
+        model = self.model()
+        for nu in self.measures():
+            values = q_profile(model, nu)
+            solved = len(count_solves)
+            for x, value in zip(model.decisions, values):
+                assert np.float64(Q(model, x, nu)).tobytes() == value.tobytes()
+            assert len(count_solves) == solved
+
+    def test_recourse_value_after_q_profile_adds_no_cache_key(self):
+        model = self.model()
+        for nu in self.measures():
+            q_profile(model, nu)
+            keys = len(model._f_cache)
+            for x in model.decisions:
+                for z in nu.points:
+                    model.recourse_value(x, z)
+            assert len(model._f_cache) == keys
+
+    def test_one_profile_per_eval_all(self, monkeypatch, capsys):
+        calls = []
+        profile = objective._profile
+
+        def counted(*args):
+            calls.append(1)
+            return profile(*args)
+
+        monkeypatch.setattr(objective, "_profile", counted)
+        argv = ["eval", "--model", os.path.join(DEMO, "model_milp_expectation.json"),
+                "--measure", os.path.join(DEMO, BASES[0]), "--all"]
+        assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(capsys.readouterr().out)["argmin"]
+        assert len(calls) == 1
+
+
 class TestErrors:
     def integer_convex(self, m1=0):
         # |y| <= z - 5
@@ -577,11 +631,20 @@ class TestRecourseRowCap:
 
 class TestTolerance:
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
-    def test_argmin_set_rejects_bad_tol(self, tol):
+    def test_argmin_set_rejects_bad_tol(self, tol, count_solves):
         model = MeanRiskModel.from_dict(load("model_milp_expectation.json"))
         nu = DiscreteMeasure.from_dict(load(BASES[0]))
         with pytest.raises(OutOfRange, match="tolerance"):
             argmin_set(model, nu, tol)
+        assert count_solves == []
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_run_experiment_rejects_bad_tol_before_any_solve(self, tol, count_solves):
+        model = MeanRiskModel.from_dict(load("model_milp_expectation.json"))
+        nu = DiscreteMeasure.from_dict(load(BASES[0]))
+        with pytest.raises(OutOfRange, match="tolerance"):
+            stability.run_experiment(model, nu, sequence=[nu], argmin_tol=tol)
+        assert count_solves == []
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
     @pytest.mark.parametrize("command", ["eval", "stability"])

@@ -4,11 +4,13 @@ ConvexExpr.values, eval_with_subgradient and ParamMap.rows must equal
 expr_point_oracle and param_map_oracle row by row: bit for bit when the
 coefficients are integers and the points dyadic (every product and sum of
 an affine piece is then exact, and the rest is the same operations in the
-same order), and within ROUNDOFF_TOL relative otherwise, where a batched
-matrix product may round a sum differently from a per-row dot product.
-An overflow must raise the oracle's OutOfRange for the first failing row;
-trees with the coefficient 1e200 are drawn for their overflows, and only
-their errors are compared (their products are inexact and may cancel).
+same order), and within ROUNDOFF_TOL relative otherwise, where numpy and
+Python may round a power or a norm differently.  An overflow must raise
+the oracle's OutOfRange for the first failing row; trees with the
+coefficient 1e200 are drawn for their overflows, and only their errors are
+compared (their products are inexact and may cancel).  Every affine form
+is one fold per row (exprs.affine_rows), so a batch must equal, bit for
+bit, the same rows evaluated in any split into smaller batches.
 """
 
 import numpy as np
@@ -151,7 +153,8 @@ def test_affine_map_rows_equal_the_point_oracle(mode, data):
     pm = ParamMap(out_dim=out_dim, matrix=M, constant=c)
     Y = data.draw(points(mode == "exact", data.draw(st.integers(1, 6))))
     got = pm.rows(Y[:, :1], Y[:, 1:])
-    assert agree(got, [param_map_oracle(pm, y[:1], y[1:]) for y in Y], mode)
+    # the map and the oracle make the same fold, so float data agree bit for bit too
+    assert agree(got, [param_map_oracle(pm, y[:1], y[1:]) for y in Y], "exact")
 
 
 @pytest.mark.parametrize("e, y", [
@@ -186,3 +189,63 @@ def test_first_overflowing_row_then_expression_is_named():
     assert str(err.value) == (
         "expression ['pow', ['affine', [1e+200, 0.0], 0.0], 2] at y = [1.0, 0.0] is inf: "
         "not finite")
+
+
+def outcome(call, Y):
+    """The bytes of call(Y), or the message of its OutOfRange."""
+    try:
+        return call(Y).tobytes()
+    except OutOfRange as err:
+        return str(err)
+
+
+def split_outcome(call, Y, cuts):
+    """outcome of call on the pieces of Y cut at cuts, in order: the first
+    piece that raises gives its message, else the pieces' rows joined."""
+    parts = []
+    for piece in np.split(Y, cuts):
+        try:
+            parts.append(call(piece))
+        except OutOfRange as err:
+            return str(err)
+    return np.concatenate(parts).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode=st.sampled_from(["exact", "float", "huge"]), data=st.data())
+def test_batches_equal_their_rows_in_any_split(mode, data):
+    trees = tuple(data.draw(st.lists(convex_trees(mode != "float", mode == "huge"),
+                                     min_size=1, max_size=3)))
+    Y = data.draw(points(mode != "float", data.draw(st.integers(1, 40))))
+    coef = coefficient(mode != "float")
+    big = coef | st.just(1e200) if mode == "huge" else coef
+    out_dim = data.draw(st.integers(1, 3))
+    M = np.array(data.draw(st.lists(st.lists(big, min_size=DIM, max_size=DIM),
+                                    min_size=out_dim, max_size=out_dim)))
+    c = np.array(data.draw(st.lists(big, min_size=out_dim, max_size=out_dim)))
+    affine_map = ParamMap(out_dim=out_dim, matrix=M, constant=c)
+    tree_map = ParamMap(out_dim=len(trees), expressions=trees)
+    calls = (
+        trees[0].values,
+        lambda W: exprs.table(trees, W),
+        lambda W: affine_map.rows(W[:, :1], W[:, 1:]),
+        lambda W: tree_map.rows(W[:, :1], W[:, 1:]),
+    )
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(Y) - 1))) if len(Y) > 1 else ())
+    for call in calls:
+        with np.errstate(over="ignore", invalid="ignore"):  # an affine map may give inf
+            whole = outcome(call, Y)
+            assert split_outcome(call, Y, cuts) == whole
+            assert split_outcome(call, Y, range(1, len(Y))) == whole
+
+
+def test_cancelling_row_gives_the_same_error_alone_and_after_another_row():
+    # 1e200 * (0.25 + 1.25 - 1.5) cancels to 0 in exact arithmetic; the fold
+    # leaves a residue of about 1e184, whose square overflows, in any batch
+    e = exprs.even_power(exprs.vsum(exprs.affine([1e200] * 3)), 2)
+    y = [0.25, 1.25, -1.5]
+    alone = first_error(lambda: e.values([y]))
+    assert alone == ("expression ['pow', ['sum', ['affine', [1e+200, 1e+200, 1e+200], 0.0]], 2] "
+                     "at y = [0.25, 1.25, -1.5] is inf: not finite")
+    assert first_error(lambda: e.values([[0.0, 0.0, 0.0], y])) == alone
+    assert first_error(lambda: expr_value_oracle(e, y)) == alone

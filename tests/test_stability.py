@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanrisk import cli, stability
+from meanrisk import cli, objective, stability
 from meanrisk.errors import InvalidSpec, OutOfRange
 from meanrisk.measure import canonicalize, canonicalize_arrays, empirical, measure_sampler
 from meanrisk.metrics import bounded_lipschitz, psi_metric
@@ -56,6 +56,21 @@ class TestRunExperiment:
             assert row.error == ""
             assert row.d_bl == bounded_lipschitz(nu, base)
             assert row.d_psi == psi_metric(nu, base, qp)
+
+    def test_one_q_profile_per_measure(self, model, base, monkeypatch):
+        seen = []
+        profile = objective._profile
+
+        def counted(m, xs, nu):
+            seen.append(nu)
+            return profile(m, xs, nu)
+
+        monkeypatch.setattr(objective, "_profile", counted)
+        seq = sequence(base)
+        report = stability.run_experiment(model, base, sequence=seq)
+        assert [row.error for row in report.rows] == [""] * len(seq)
+        assert len(seen) == len(seq) + 1
+        assert seen[0] is base and all(a is b for a, b in zip(seen[1:], seq))
 
     def test_failing_metric_marks_the_row(self, model, base, monkeypatch):
         seq = sequence(base)
