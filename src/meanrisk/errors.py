@@ -1,9 +1,9 @@
-"""Exception types shared across the package, and the guards on scalars:
-in_range for every parameter's range, finite_result for computed values."""
+"""Exception types and the guards on scalars: in_range for every parameter's
+range, as_int for integer fields, finite_result for computed values."""
 
 import math
 import operator
-from numbers import Real
+from numbers import Integral, Real
 
 
 class MeanRiskError(Exception):
@@ -118,6 +118,16 @@ def in_range(value, name: str, *, gt=None, ge=None, lt=None, le=None, error=OutO
         rule = "".join(f" and {_WORDS.get((op, b)) or f'{_OPS[op][1]} {b:g}'}" for op, b in bounds)
         raise error(f"{name} must be finite{rule}, got {value}")
     return v
+
+
+def as_int(value, name: str, error=OutOfRange) -> int:
+    """int(value) when value is an integral number (2 or 2.0, but not 1.9,
+    inf, True or "2"); otherwise raise ``error`` naming the field."""
+    if not isinstance(value, bool) and (
+        isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
+    ):
+        return int(value)
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 def finite_result(value: float, name: str, q: float | None = None) -> float:

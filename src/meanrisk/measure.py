@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange, finite_result, in_range
+from .errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange, as_int, finite_result
+from .errors import in_range
 
 POINT_TOL = 1e-12
 
@@ -57,6 +59,8 @@ def _anchor_starts(points: np.ndarray) -> np.ndarray:
     n = len(points)
     start = np.ones(n, dtype=bool)
     start[1:] = np.any(np.abs(np.diff(points, axis=0)) > POINT_TOL, axis=1)
+    if start.all():  # singletons are their own anchors, each > POINT_TOL past the last
+        return start
     starts = np.flatnonzero(start)
     gid = np.cumsum(start) - 1
     bad = np.zeros(len(starts), dtype=bool)
@@ -98,8 +102,11 @@ def _group_sums(weights: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _merge_sorted(points: np.ndarray, weights: np.ndarray):
     """Merge the rows of a lexicographically sorted point array by the
     anchor rule (module docstring), adding weights (one weight per row, or
-    one row of weights per row).  Returns the anchors and the group sums."""
+    one row of weights per row).  Returns the anchors and the group sums,
+    the arrays themselves when every row is its own atom."""
     starts = np.flatnonzero(_anchor_starts(points))
+    if len(starts) == len(points):
+        return points, weights
     return points[starts], _group_sums(weights, starts)
 
 
@@ -109,16 +116,23 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _check_atoms(points: np.ndarray, weights: np.ndarray):
-    """At least one atom, finite points and weights, none negative, a positive total."""
+def _check_atoms(points: np.ndarray, weights: np.ndarray) -> float:
+    """At least one atom, finite points and weights, none negative and a
+    finite positive total, which is returned.  NaN and inf carry into sums,
+    so three reductions pass a valid measure; others get the checks below."""
     if len(weights) == 0:
         raise EmptySupport("no atoms")
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(weights.sum())
+        if 0 < total < math.inf and math.isfinite(points.sum()) and weights.min() >= 0:
+            return total
     if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
         raise OutOfRange("atom points and weights must be finite")
     if np.any(weights < 0):
         raise NegativeWeight("negative atom weight")
-    if float(weights.sum()) <= 0:
+    if total <= 0:
         raise EmptySupport("total weight is zero")
+    return finite_result(total, "total weight")
 
 
 def _renormalize(weights: np.ndarray) -> np.ndarray:
@@ -150,9 +164,9 @@ class DiscreteMeasure:
             raise DimMismatch(f"points shape {pts.shape} vs dim {self.dim}")
         if len(pts) != len(wts) or len(pts) == 0:
             raise EmptySupport("measure needs at least one atom")
-        _check_atoms(pts, wts)
-        if abs(float(wts.sum()) - 1.0) > 1e-12:
-            raise OutOfRange(f"weights sum to {wts.sum()}, expected 1")
+        total = _check_atoms(pts, wts)
+        if abs(total - 1.0) > 1e-12:
+            raise OutOfRange(f"weights sum to {total}, expected 1")
         object.__setattr__(self, "points", _freeze(pts))
         object.__setattr__(self, "weights", _freeze(wts))
 
@@ -180,7 +194,7 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMeasure":
-        dim = int(data["dim"])
+        dim = as_int(data["dim"], "dim")
         raw = [(a["point"], a["weight"]) for a in data["atoms"]]
         m = canonicalize(raw)
         if m.dim != dim:

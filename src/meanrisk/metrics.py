@@ -32,7 +32,7 @@ import numpy as np
 from . import optim
 from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, InvalidSpec, OutOfRange
 from .errors import finite_result, in_range
-from .measure import DiscreteMeasure, ScalarDistribution, _merge_sorted
+from .measure import POINT_TOL, DiscreteMeasure, ScalarDistribution, _merge_sorted
 from .measure import _tail_sums, moment, quantile
 
 # largest transport plan (source x target atoms), and largest squared union
@@ -198,7 +198,16 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
 
 
 def _scalar(mu: DiscreteMeasure) -> ScalarDistribution:
-    return ScalarDistribution.from_pairs(mu.points[:, 0], mu.weights)
+    """A 1-D measure's coordinate; canonical atoms (increasing by more than
+    POINT_TOL) as they are, which is from_pairs bit for bit, else merged."""
+    t = mu.points[:, 0]
+    with np.errstate(over="ignore"):  # a gap between atoms near +-1e308 is inf
+        canonical = bool(np.all(np.diff(t) > POINT_TOL))
+    if not canonical:
+        return ScalarDistribution.from_pairs(t, mu.weights)
+    cum = np.cumsum(mu.weights)
+    cum[-1] = 1.0
+    return ScalarDistribution(values=t, weights=mu.weights, cumulative=cum)
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySupport, OutOfRange, in_range
+from .errors import DimMismatch, EmptySupport, OutOfRange, as_int, in_range
 from .measure import DiscreteMeasure, ScalarDistribution
 from .recourse import RecourseCache, RecourseModel, default_gamma, eval_recourse_batch
 from .risk import RiskSpec, evaluate_risk
@@ -60,7 +60,8 @@ class DecisionSet:
         """Per-axis uniform grid over [lo, hi], expanded in C order."""
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        counts = np.atleast_1d(np.asarray(counts, dtype=int))
+        counts = np.atleast_1d(counts).tolist()
+        counts = np.array([as_int(c, "box counts") for c in counts], dtype=int)
         if not (len(lo) == len(hi) == len(counts)):
             raise DimMismatch("box bounds and counts must share a dimension")
         if np.any(counts < 1):

@@ -40,6 +40,7 @@ from .errors import (
     RecourseInfeasible,
     RecourseUnbounded,
     _floats,
+    as_int,
     finite_result,
     in_range,
 )
@@ -264,7 +265,7 @@ class RecourseModel:
     @classmethod
     def from_dict(cls, data: dict) -> "RecourseModel":
         kind = data["kind"]
-        kwargs = dict(kind=kind, n=int(data["n"]), s=int(data["s"]))
+        kwargs = dict(kind=kind, **{k: as_int(data[k], f"recourse {k}") for k in ("n", "s")})
         if "A" in data:
             kwargs["A"] = np.asarray(data["A"], dtype=float)
         if "q" in data:
@@ -277,7 +278,7 @@ class RecourseModel:
             kwargs["D"] = np.asarray(data["D"], dtype=float)
         for name in ("m1", "m2"):
             if name in data:
-                kwargs[name] = int(data[name])
+                kwargs[name] = as_int(data[name], f"recourse {name}")
         if "integer_bounds" in data:
             kwargs["integer_bounds"] = tuple(tuple(b) for b in data["integer_bounds"])
         if kind == "convex_mip":

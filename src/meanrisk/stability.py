@@ -22,6 +22,7 @@ from .errors import (
     MeanRiskError,
     OutOfRange,
     UnknownColumn,
+    as_int,
     in_range,
 )
 from .measure import DiscreteMeasure, canonicalize_arrays, mix, moment
@@ -36,10 +37,11 @@ SCHEME_KINDS = ("saa", "contamination", "jitter", "discretize")
 # weights' running sums of 8 B per draw of the most-drawn atom), so 80 MB
 # at the cap
 MAX_SAA_DRAWS = 10_000_000
-# per kind: its schedule, the type and range of every entry, and +1 when the
+# per kind: its schedule, the cast and range of every entry, and +1 when the
 # schedule strictly increases or -1 when it strictly decreases
 _SCHEDULES = {
-    "saa": ("n_schedule", int, {"ge": 1, "le": MAX_SAA_DRAWS}, 1),
+    "saa": ("n_schedule", lambda v: as_int(v, "n_schedule entry", InvalidSpec),
+            {"ge": 1, "le": MAX_SAA_DRAWS}, 1),
     "contamination": ("t_schedule", float, {"ge": 0, "le": 1}, -1),
     "jitter": ("sigma_schedule", float, {"gt": 0}, -1),
     "discretize": ("grid_schedule", float, {"gt": 0}, 1),
@@ -70,6 +72,7 @@ class PerturbationScheme:
             raise InvalidSpec(f"unknown scheme kind {self.kind!r}")
         for name, cast, _, _ in _SCHEDULES.values():
             object.__setattr__(self, name, tuple(cast(v) for v in getattr(self, name)))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", InvalidSpec))
         if self.seed < 0:
             raise InvalidSpec(f"seed must be a nonnegative integer, got {self.seed}")
         if self.kind == "contamination" and self.direction is None:
@@ -93,7 +96,7 @@ class PerturbationScheme:
     def to_dict(self) -> dict:
         out = {"kind": self.kind, _SCHEDULES[self.kind][0]: list(self.params)}
         if self.kind in ("saa", "jitter"):
-            out["seed"] = int(self.seed)
+            out["seed"] = self.seed
         if self.kind == "contamination":
             out["direction"] = self.direction.to_dict()
         return out
@@ -102,7 +105,7 @@ class PerturbationScheme:
     def from_dict(cls, data: dict) -> "PerturbationScheme":
         return cls(
             kind=data["kind"],
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             direction=(
                 DiscreteMeasure.from_dict(data["direction"]) if "direction" in data else None
             ),

@@ -115,6 +115,69 @@ class TestExitCodes:
         assert cli.main(argv) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize(
+        "doc, path, value, message",
+        [
+            ("base_measure.json", ("dim",), 1.9, "dim must be an integer, got 1.9"),
+            ("base_measure.json", ("dim",), "1", "dim must be an integer, got '1'"),
+            ("model.json", ("recourse", "n"), 1.9, "recourse n must be an integer, got 1.9"),
+            ("model.json", ("recourse", "s"), 1.9, "recourse s must be an integer, got 1.9"),
+            ("model.json", ("recourse", "m1"), 0.5, "recourse m1 must be an integer, got 0.5"),
+            ("model.json", ("recourse", "m2"), "1", "recourse m2 must be an integer, got '1'"),
+            ("model.json", ("recourse", "n"), True, "recourse n must be an integer, got True"),
+            ("model.json", ("decisions",), {"box": {"lo": [0.0], "hi": [1.0], "counts": [4.5]}},
+             "box counts must be an integer, got 4.5"),
+            ("model.json", ("decisions",), {"box": {"lo": [0.0], "hi": [1.0], "counts": "5"}},
+             "box counts must be an integer, got '5'"),
+            ("scheme.json", ("seed",), 0.5, "seed must be an integer, got 0.5"),
+            ("scheme.json", ("n_schedule",), [100.7, 1000],
+             "n_schedule entry must be an integer, got 100.7"),
+        ],
+        ids=["dim-fraction", "dim-text", "n-fraction", "s-fraction", "m1-fraction", "m2-text",
+             "n-bool", "counts-fraction", "counts-text", "seed-fraction", "n-schedule-fraction"],
+    )
+    def test_integer_fields_refuse_fractions(self, tmp_path, capsys, doc, path, value, message):
+        docs = {"model.json": demo("model_milp_expectation.json"),
+                "base_measure.json": demo("base_measure.json"),
+                "scheme.json": demo("scheme_saa.json")}
+        node = docs[doc]
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        model, base, scheme = (write(tmp_path, name, data) for name, data in docs.items())
+        argv = ["stability", "--model", model, "--measure", base, "--scheme", scheme,
+                "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error:")
+        assert message in out.err
+
+    def test_integral_floats_are_integers(self, tmp_path, capsys):
+        model = demo("model_milp_expectation.json")
+        model["recourse"].update(n=1.0, s=1.0, m1=1.0, m2=1.0)
+        model["decisions"] = {"box": {"lo": [0.0], "hi": [1.0], "counts": [5.0]}}
+        base = demo("base_measure.json")
+        base["dim"] = 1.0
+        assert run_eval(write(tmp_path, "m.json", model), write(tmp_path, "b.json", base)) == 0
+        reference = capsys.readouterr().out
+        assert run_eval(write(tmp_path, "m.json", demo("model_milp_expectation.json")),
+                        write(tmp_path, "b.json", demo("base_measure.json"))) == 0
+        assert capsys.readouterr().out == reference
+
+    def test_overflowing_total_weight_is_one_config_error(self, tmp_path, capsys):
+        # two finite weights of 1e308 add up to inf, at one point or at two
+        for second in (0.0, 1.0):
+            heavy = write(tmp_path, "heavy.json", {"dim": 1, "atoms": [
+                {"point": [0.0], "weight": 1e308}, {"point": [second], "weight": 1e308}]})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main(["metrics", "--measure", heavy, "--measure2", heavy, "--kind", "bl"])
+            assert code == cli.EXIT_CONFIG
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == (f"config error: bad measure in {heavy}: OutOfRange: "
+                               "total weight is inf: not finite\n")
+
     def run_infeasible_convex(self, tmp_path, capsys):
         # |y| <= z - 5 on a continuous y is empty at every base atom
         data = demo("model_convex_expectation.json")

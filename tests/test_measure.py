@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,130 @@ class TestMergeSorted:
                 got = ms._merge_sorted(points, weights)
                 want = merge_sorted_oracle(points, weights)
                 assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+@st.composite
+def raw_measures(draw):
+    """Unsorted points in d = 1..3 with weights (zeros and negative zeros
+    among them): all-distinct rows, near-ties on a grid moved by multiples
+    of 4e-13, or a chain of steps below POINT_TOL that drifts from its
+    anchor along one coordinate."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    mode = draw(st.sampled_from(["distinct", "near-ties", "chain"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if mode == "distinct":
+        points = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 7)
+    elif mode == "near-ties":
+        points = rng.integers(0, 3, size=(n, d)) + rng.integers(-3, 4, size=(n, d)) * 4e-13
+    else:
+        points = np.repeat(rng.normal(size=(1, d)), n, axis=0)
+        points[:, rng.integers(d)] += np.arange(n) * rng.uniform(2e-13, 1e-12)
+        points = points[rng.permutation(n)]
+    weights = draw(st.sampled_from([rng.uniform(0.0, 3.0, size=n), np.full(n, 1.0 / n)]))
+    weights[rng.random(n) < 0.2] = draw(st.sampled_from([0.0, -0.0]))
+    weights[0] = 0.5
+    return points, weights
+
+
+def canonical_oracle(points, weights):
+    """Points and weights of the canonical measure by the row-by-row oracles:
+    a lexicographic sort, merge_sorted_oracle, and division by the total
+    unless it is within 1e-12 of one."""
+    order = np.lexsort(points.T[::-1])
+    pts, wts = merge_sorted_oracle(points[order], weights[order])
+    total = float(wts.sum())
+    return pts, wts if abs(total - 1.0) <= 1e-12 else wts / total
+
+
+class TestCanonicalForm:
+    """canonicalize_arrays and from_dict give the oracles' measure bit for
+    bit, whether or not any two rows merge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=raw_measures())
+    def test_byte_equal_to_the_oracles(self, raw):
+        points, weights = raw
+        doc = {"dim": points.shape[1], "atoms": [
+            {"point": [float(v) for v in p], "weight": float(w)} for p, w in zip(points, weights)]}
+        want = canonical_oracle(*parse_atoms_oracle([(a["point"], a["weight"]) for a in doc["atoms"]]))
+        for m in (ms.canonicalize_arrays(points, weights), ms.DiscreteMeasure.from_dict(doc)):
+            for g, w in zip((m.points, m.weights), want):
+                assert g.shape == w.shape and g.dtype == w.dtype
+                assert g.tobytes() == w.tobytes()
+
+    def test_distinct_rows_are_returned_as_given(self):
+        points = np.array([[0.0, 5.0], [0.0, 5.0 + 2e-12], [1.0, -1.0]])
+        weights = np.array([0.5, 0.25, 0.25])
+        got = ms._merge_sorted(points, weights)
+        assert got[0] is points and got[1] is weights
+
+
+FAR = [[1e308], [1.5e308], [-1e308]]
+# points, weights, and the error type and message of the entrywise checks (None
+# for a valid measure); the first check to fail names the error
+VALIDATION_CASES = {
+    "nan-point": ([[np.nan], [1.0]], [0.5, 0.5], OutOfRange, "atom points and weights must be finite"),
+    "inf-point": ([[0.0, np.inf]], [1.0], OutOfRange, "atom points and weights must be finite"),
+    "opposite-inf-points": ([[np.inf], [-np.inf]], [0.5, 0.5], OutOfRange,
+                            "atom points and weights must be finite"),
+    "nan-weight": ([[0.0], [1.0]], [np.nan, 1.0], OutOfRange,
+                   "atom points and weights must be finite"),
+    "inf-weight": ([[0.0], [1.0]], [np.inf, 1.0], OutOfRange,
+                   "atom points and weights must be finite"),
+    "opposite-inf-weights": ([[0.0], [1.0]], [np.inf, -np.inf], OutOfRange,
+                             "atom points and weights must be finite"),
+    "nan-point-negative-weight": ([[np.nan], [1.0]], [-0.5, 1.5], OutOfRange,
+                                  "atom points and weights must be finite"),
+    "negative-weight": ([[0.0], [1.0]], [-0.5, 1.5], NegativeWeight, "negative atom weight"),
+    "negative-weight-zero-total": ([[0.0], [1.0]], [-1.0, 1.0], NegativeWeight,
+                                   "negative atom weight"),
+    "zero-total": ([[0.0], [1.0]], [0.0, 0.0], EmptySupport, "total weight is zero"),
+    "negative-zero-total": ([[0.0]], [-0.0], EmptySupport, "total weight is zero"),
+    "no-atoms": (np.zeros((0, 1)), [], EmptySupport, "no atoms"),
+    "overflowing-total": ([[0.0], [1.0]], [1e308, 1e308], OutOfRange,
+                          "total weight is inf: not finite"),
+    "overflowing-total-negative-weight": ([[0.0], [1.0], [2.0]], [1e308, 1e308, -1.0],
+                                          NegativeWeight, "negative atom weight"),
+    "far-points": (FAR, [0.25, 0.25, 0.5], None, None),
+    "far-points-negative-sum": ([[-1e308], [-1.5e308]], [0.5, 0.5], None, None),
+    "negative-zero-weights": ([[0.0], [1.0], [2.0]], [-0.0, 1.0, -0.0], None, None),
+}
+
+
+class TestCheckAtoms:
+    """The three-reduction pass of _check_atoms lets through exactly the valid
+    measures; every other measure gets the entrywise checks' error, without a
+    numpy warning."""
+
+    @pytest.mark.parametrize("case", sorted(VALIDATION_CASES))
+    def test_error_type_and_message(self, case):
+        points, weights, error, message = VALIDATION_CASES[case]
+        points = np.array(points, dtype=float)
+        weights = np.array(weights, dtype=float)
+        builds = [lambda: ms._check_atoms(points, weights),
+                  lambda: ms.canonicalize_arrays(points, weights),
+                  lambda: ms.ScalarDistribution.from_rows(points.T, weights)]
+        if len(weights):
+            builds.append(lambda: ms.DiscreteMeasure(dim=points.shape[1], points=points,
+                                                     weights=weights))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for build in builds[:3] if error is None else builds:
+                if error is None:
+                    build()
+                    continue
+                with pytest.raises(error) as caught:
+                    build()
+                assert type(caught.value) is error and str(caught.value) == message
+
+    def test_returns_the_total(self):
+        weights = np.array([0.25, 0.5, 0.125])
+        assert ms._check_atoms(np.zeros((3, 2)), weights) == float(weights.sum())
+
+    def test_far_points_keep_their_bits(self):
+        m = ms.canonicalize_arrays(np.array(FAR), np.array([0.25, 0.25, 0.5]))
+        assert np.array_equal(m.points.ravel(), [-1e308, 1e308, 1.5e308])
+        assert np.array_equal(m.weights, [0.5, 0.25, 0.25])
 
 
 class TestQuantile:
