@@ -1,9 +1,12 @@
-"""Exception types and the guards on scalars: in_range for every parameter's
-range, as_int for integer fields, finite_result for computed values."""
+"""Exception types and the guards on input numbers: in_range for every
+parameter's range, as_int for integer fields, float_array for arrays of
+data, finite_result for computed values."""
 
 import math
 import operator
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class MeanRiskError(Exception):
@@ -104,30 +107,48 @@ _OPS = {"gt": (operator.gt, ">"), "ge": (operator.ge, ">="),
 _WORDS = {("gt", 0): "positive", ("ge", 0): "nonnegative"}
 
 
+def _real(kind: type) -> bool:
+    """Whether values of this type are real numbers (numpy's too), not bools."""
+    return issubclass(kind, Real) and not issubclass(kind, bool)
+
+
 def in_range(value, name: str, *, gt=None, ge=None, lt=None, le=None, error=OutOfRange) -> float:
     """float(value) when value is a finite real number above gt (or at least
     ge) and below lt (or at most le), each end optional.  Otherwise, and for
-    None, a string or any other non-number, raise ``error`` with a message
-    naming the parameter and its range."""
+    None, a bool, a string or any other non-number (shown by its repr), raise
+    ``error`` with a message naming the parameter and its range."""
     bounds = [(op, b) for op, b in zip(_OPS, (gt, ge, lt, le)) if b is not None]
     try:
-        v = float(value) if isinstance(value, Real) else math.nan
+        v = float(value) if _real(type(value)) else math.nan
     except OverflowError:  # an int beyond the float range
         v = math.inf
     if not (math.isfinite(v) and all(_OPS[op][0](v, b) for op, b in bounds)):
         rule = "".join(f" and {_WORDS.get((op, b)) or f'{_OPS[op][1]} {b:g}'}" for op, b in bounds)
-        raise error(f"{name} must be finite{rule}, got {value}")
+        shown = value if _real(type(value)) else repr(value)
+        raise error(f"{name} must be finite{rule}, got {shown}")
     return v
 
 
 def as_int(value, name: str, error=OutOfRange) -> int:
     """int(value) when value is an integral number (2 or 2.0, but not 1.9,
     inf, True or "2"); otherwise raise ``error`` naming the field."""
-    if not isinstance(value, bool) and (
-        isinstance(value, Integral) or isinstance(value, Real) and float(value).is_integer()
-    ):
+    if _real(type(value)) and (isinstance(value, Integral) or float(value).is_integer()):
         return int(value)
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def float_array(value, name: str, error=OutOfRange) -> np.ndarray:
+    """value as a float array: a numeric array, or numbers nested in lists or
+    tuples.  An entry that is not a real number (a string, a bool, None, or
+    the list left where a nesting is ragged) raises ``error``; finiteness
+    and shape are the caller's to check."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        return value.astype(float, copy=False)
+    entries = np.array(value, dtype=object)
+    if not all(map(_real, set(map(type, entries.flat)))):
+        bad = next(v for v in entries.flat if not _real(type(v)))
+        raise error(f"{name} must hold only numbers, got {bad!r}")
+    return entries.astype(float)
 
 
 def finite_result(value: float, name: str, q: float | None = None) -> float:

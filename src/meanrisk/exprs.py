@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrammarError, finite_result, in_range
+from .errors import GrammarError, as_int, finite_result, in_range
 
 AFFINE = "affine"
 CONVEX = "convex"
@@ -35,8 +35,6 @@ class ConvexExpr:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise GrammarError(f"unknown node kind {self.kind!r}")
-        if not np.all(np.isfinite(self.coeffs + (self.value0,))):
-            raise GrammarError("expression coefficients and constants must be finite")
 
     # -- curvature -------------------------------------------------------
 
@@ -179,17 +177,20 @@ def table(trees, Y) -> np.ndarray:
 
 
 def const(v: float) -> ConvexExpr:
-    return ConvexExpr("const", value0=float(v))
+    return ConvexExpr("const", value0=in_range(v, "constant", error=GrammarError))
 
 
 def var(i: int) -> ConvexExpr:
+    i = as_int(i, "variable index", GrammarError)
     if i < 0:
         raise GrammarError("variable index must be nonnegative")
-    return ConvexExpr("var", index=int(i))
+    return ConvexExpr("var", index=i)
 
 
 def affine(coeffs, offset: float = 0.0) -> ConvexExpr:
-    return ConvexExpr("affine", coeffs=tuple(float(c) for c in coeffs), value0=float(offset))
+    coeffs = tuple(in_range(c, "affine coefficient", error=GrammarError) for c in coeffs)
+    return ConvexExpr("affine", coeffs=coeffs,
+                      value0=in_range(offset, "affine offset", error=GrammarError))
 
 
 def vsum(*children: ConvexExpr) -> ConvexExpr:
@@ -216,11 +217,12 @@ def vabs(child: ConvexExpr) -> ConvexExpr:
 
 
 def even_power(child: ConvexExpr, exponent: int) -> ConvexExpr:
+    exponent = as_int(exponent, "power exponent", GrammarError)
     if exponent < 2 or exponent % 2 != 0:
         raise GrammarError(f"power must be an even integer >= 2, got {exponent}")
     if child.curvature != AFFINE:
         raise GrammarError("even powers require an affine child")
-    return ConvexExpr("pow", children=(child,), exponent=int(exponent))
+    return ConvexExpr("pow", children=(child,), exponent=exponent)
 
 
 def norm(*children: ConvexExpr) -> ConvexExpr:

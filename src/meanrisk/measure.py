@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange, as_int, finite_result
-from .errors import in_range
+from .errors import float_array, in_range
 
 POINT_TOL = 1e-12
 
@@ -221,20 +221,21 @@ def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
     thirds of the weight and 1.4e-12 with one third.  Weights are
     renormalized to sum to one, and the result is independent of input
     permutation.  Points are vectors of one length or, for d = 1, bare
-    numbers (not both in one call); any other shape is a DimMismatch.  The
-    pairs are parsed here, into one point array and one weight array;
-    :func:`canonicalize_arrays` does the rest.
+    numbers (not both in one call); any other shape is a DimMismatch, and
+    an entry that is not a real number (a string, a bool, None) is a
+    ValueError.  The pairs are parsed here, into one point array and one
+    weight array; :func:`canonicalize_arrays` does the rest.
     """
     if len(raw_atoms) == 0:
         raise EmptySupport("no atoms")
     points = [p for p, _ in raw_atoms]
-    weights = np.array([w for _, w in raw_atoms], dtype=float)
+    weights = float_array([w for _, w in raw_atoms], "atom weights", ValueError)
     try:
-        pts = np.array(points, dtype=float)
+        pts = float_array(points, "atom points", ValueError)
     except ValueError as err:
         # points of unequal shapes; one that is not numbers raises here instead
         for p in points:
-            np.asarray(p, dtype=float)
+            float_array(p, "atom point", ValueError)
         raise DimMismatch("atom points must be vectors of one length") from err
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
@@ -402,6 +403,12 @@ def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
     )
 
 
+def _philox(seed) -> np.random.Generator:
+    """The counter-based Philox generator keyed by seed (an int or a tuple of
+    ints), which every sampled step of the package draws from."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def empirical(sampler: Sampler, n: int, seed) -> DiscreteMeasure:
     """Empirical measure of n i.i.d. draws, each with weight 1/n.
 
@@ -411,23 +418,12 @@ def empirical(sampler: Sampler, n: int, seed) -> DiscreteMeasure:
     """
     if n < 1:
         raise OutOfRange("sample count must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    draws = np.asarray(sampler(rng, n), dtype=float)
+    draws = np.asarray(sampler(_philox(seed), n), dtype=float)
     if draws.ndim == 1:
         draws = draws.reshape(-1, 1)
     if draws.ndim != 2 or len(draws) != n:
         raise DimMismatch(f"sampler returned shape {draws.shape}, expected {n} rows")
     return canonicalize_arrays(draws, np.full(n, 1.0 / n))
-
-
-def measure_sampler(m: DiscreteMeasure) -> Sampler:
-    """Sampler drawing i.i.d. atoms of m according to its weights."""
-
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        idx = rng.choice(len(m), size=n, p=m.weights)
-        return m.points[idx]
-
-    return draw
 
 
 def box_sampler(lo, hi) -> Sampler:

@@ -191,7 +191,8 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     cols = np.concatenate([var, tgt])
     A = scipy.sparse.coo_array((np.ones(len(rows)), (rows, cols)),
                                shape=(n_s + n_d - 1, n_s * n_d))
-    sol = optim.solve_lp(optim.lp(C.reshape(-1), A, np.concatenate([w_src, w_dst[:-1]])))
+    b = np.concatenate([w_src, w_dst[:-1]])
+    sol = optim.solve_lp(optim.LinearProgram(C.reshape(-1), A, b))
     if not sol.optimal:
         raise OutOfRange(f"transport LP came back {sol.status}")
     return TransportPlan.from_matrix(sol.point.reshape(n_s, n_d), C, w_src, w_dst)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySupport, OutOfRange, as_int, in_range
+from .errors import DimMismatch, EmptySupport, OutOfRange, as_int, float_array, in_range
 from .measure import DiscreteMeasure, ScalarDistribution
 from .recourse import RecourseCache, RecourseModel, default_gamma, eval_recourse_batch
 from .risk import RiskSpec, evaluate_risk
@@ -32,7 +32,7 @@ class DecisionSet:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.atleast_2d(float_array(self.points, "decision points"))
         if pts.size == 0:
             raise EmptySupport("decision set must be nonempty")
         if not np.all(np.isfinite(pts)):
@@ -52,14 +52,10 @@ class DecisionSet:
         return self.points.shape[1]
 
     @classmethod
-    def from_points(cls, points) -> "DecisionSet":
-        return cls(points=np.atleast_2d(np.asarray(points, dtype=float)))
-
-    @classmethod
     def from_box(cls, lo, hi, counts) -> "DecisionSet":
         """Per-axis uniform grid over [lo, hi], expanded in C order."""
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo = np.atleast_1d(float_array(lo, "box lo"))
+        hi = np.atleast_1d(float_array(hi, "box hi"))
         counts = np.atleast_1d(counts).tolist()
         counts = np.array([as_int(c, "box counts") for c in counts], dtype=int)
         if not (len(lo) == len(hi) == len(counts)):
@@ -85,7 +81,7 @@ class DecisionSet:
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionSet":
         if "points" in data:
-            return cls.from_points(data["points"])
+            return cls(points=data["points"])
         box = data["box"]
         return cls.from_box(box["lo"], box["hi"], box["counts"])
 
@@ -109,6 +105,7 @@ class MeanRiskModel:
         gamma = self.gamma if self.gamma is not None else default_gamma(self.recourse)
         gamma = in_range(gamma, "gamma", gt=0)
         in_range(gamma * p, "gauge exponent gamma * p", gt=0)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "gamma", gamma)
 
     def recourse_value(self, x, z) -> float:
@@ -119,14 +116,13 @@ class MeanRiskModel:
         return hashlib.sha256(json.dumps(self.to_dict(), sort_keys=True).encode()).hexdigest()
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "recourse": self.recourse.to_dict(),
             "risk": self.risk.to_dict(),
             "decisions": self.decisions.to_dict(),
-            "p": float(self.p),
-            "gamma": float(self.gamma),
+            "p": self.p,
+            "gamma": self.gamma,
         }
-        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeanRiskModel":
@@ -134,8 +130,8 @@ class MeanRiskModel:
             recourse=RecourseModel.from_dict(data["recourse"]),
             risk=RiskSpec.from_dict(data["risk"]),
             decisions=DecisionSet.from_dict(data["decisions"]),
-            p=float(data.get("p", 1.0)),
-            gamma=float(data["gamma"]) if "gamma" in data else None,
+            p=data.get("p", 1.0),
+            gamma=data.get("gamma"),
         )
 
 

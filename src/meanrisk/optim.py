@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -71,6 +71,8 @@ class Solution:
     status: str
     value: float | None = None
     point: np.ndarray | None = None
+    # the tableau's optimal basis or Farkas ray (see _LpBatch._store)
+    certificate: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.status not in STATUSES:
@@ -123,14 +125,16 @@ def _issparse(A) -> bool:
 class LinearProgram:
     """min c.x  s.t.  A x (= | <=) b,  x_j >= 0 where nonneg[j] else free.
 
-    A is a dense array or any scipy.sparse matrix; sparse input is kept as
-    CSR and only densified when the tableau solves it."""
+    senses is one sense per row or one for every row (default "=="), and
+    nonneg defaults to x >= 0; a 1-D A is one row.  A is a dense array or
+    any scipy.sparse matrix; sparse input is kept as CSR and only densified
+    when the tableau solves it."""
 
     c: np.ndarray
     A: np.ndarray
     b: np.ndarray
-    senses: tuple
-    nonneg: tuple
+    senses: tuple | str = "=="
+    nonneg: tuple | None = None
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
@@ -141,9 +145,11 @@ class LinearProgram:
             A = np.asarray(self.A, dtype=float)
             if A.size == 0:
                 A = A.reshape(0, len(c))
+            elif A.ndim == 1:
+                A = A.reshape(1, -1)
         b = np.atleast_1d(np.asarray(self.b, dtype=float)) if np.size(self.b) else np.zeros(0)
-        senses = tuple(self.senses)
-        nonneg = tuple(bool(v) for v in self.nonneg)
+        senses = (self.senses,) * len(b) if isinstance(self.senses, str) else tuple(self.senses)
+        nonneg = (True,) * len(c) if self.nonneg is None else tuple(bool(v) for v in self.nonneg)
         if A.ndim != 2 or A.shape != (len(b), len(c)):
             raise DimMismatch(f"A shape {A.shape} vs b {len(b)}, c {len(c)}")
         if len(senses) != len(b):
@@ -168,23 +174,6 @@ class LinearProgram:
     @property
     def n_rows(self) -> int:
         return len(self.b)
-
-
-def lp(c, A, b, senses=None, nonneg=None) -> LinearProgram:
-    """Convenience constructor; defaults to all-equality rows and x >= 0."""
-    c = np.atleast_1d(np.asarray(c, dtype=float))
-    if not _issparse(A):
-        A = np.asarray(A, dtype=float)
-        if A.ndim == 1:
-            A = A.reshape(1, -1) if A.size else A.reshape(0, len(c))
-    b = np.atleast_1d(np.asarray(b, dtype=float)) if np.size(b) else np.zeros(0)
-    if senses is None:
-        senses = ("==",) * len(b)
-    if isinstance(senses, str):
-        senses = (senses,) * len(b)
-    if nonneg is None:
-        nonneg = (True,) * len(c)
-    return LinearProgram(c=c, A=A, b=b, senses=tuple(senses), nonneg=tuple(nonneg))
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +202,6 @@ class _Standard:
         self.cost[:k] = prob.c[cols] * signs
         self.P = np.zeros((k + len(le), prob.n_vars))
         self.P[np.arange(k), cols] = signs
-
-
-def _certified(sol: Solution, certificate) -> Solution:
-    """sol with the tableau's certificate attached as an attribute that is
-    not a field, so equality and repr ignore it (see _LpBatch._store)."""
-    object.__setattr__(sol, "certificate", certificate)
-    return sol
 
 
 def _pivot(T: np.ndarray, basis: list, row: int, col: int):
@@ -308,7 +290,7 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
             # row i started on the unit column start[i], whose reduced cost
             # is c1 - y_i
             y = c1[start] - T[-1, start]
-            return _certified(Solution("infeasible"), -sign * y)
+            return Solution("infeasible", certificate=-sign * y)
         # drive remaining artificials out of the basis or drop their rows
         keep = np.ones(m, dtype=bool)
         for i in range(m):
@@ -342,8 +324,8 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
     w = np.zeros(n_std)
     w[basis] = T2[:m, -1]
     x = w @ std.P
-    sol = Solution("optimal", float(prob.c @ x), x)
-    return _certified(sol, np.array(basis)) if m == prob.n_rows else sol
+    cert = np.array(basis) if m == prob.n_rows else None
+    return Solution("optimal", float(prob.c @ x), x, certificate=cert)
 
 
 def _scipy_solve(prob: LinearProgram) -> Solution:
@@ -409,17 +391,16 @@ class _LpBatch:
     batches an LP of that size."""
 
     def __init__(self, c, A, senses, nonneg):
-        if not _issparse(A):
-            A = np.asarray(A, dtype=float)
-        self.prob = LinearProgram(c, A, np.zeros(A.shape[0] if A.ndim == 2 else 0), senses, nonneg)
+        rows = np.shape(A)[0] if np.ndim(A) == 2 else 0
+        self.prob = LinearProgram(c, A, np.zeros(rows), senses, nonneg)
         self.std = None  # prob's _Standard, built on the first store
         self.rays = []  # one lam per ray
         self.bases = []  # the columns of M of each basis
 
     def _store(self, sol, b) -> bool:
-        """Store the certificate the tableau attached to sol, the solution
-        of row b, if it passes its check."""
-        cert = getattr(sol, "certificate", None)
+        """Store the certificate the tableau gave sol, the solution of row
+        b, if it passes its check."""
+        cert = sol.certificate
         if cert is None:
             return False
         if self.std is None:
@@ -904,7 +885,8 @@ def _kelley_slice(v, g, rhs, y_full, cont, lo, hi):
                 cut_rhs.append(r - gval + ggrad[cont] @ yc)
         if feasible and val < best_val:
             best_val, best_pt = val, y
-        sol = solve_lp(lp(cost, np.vstack(rows), np.hstack(cut_rhs), "<=", (False,) * (k + 1)))
+        prob = LinearProgram(cost, np.vstack(rows), np.hstack(cut_rhs), "<=", (False,) * (k + 1))
+        sol = solve_lp(prob)
         if not sol.optimal:
             return None
         if best_pt is not None and best_val - sol.value <= 1e-10 * (1.0 + abs(best_val)):

@@ -42,9 +42,10 @@ from .errors import (
     _floats,
     as_int,
     finite_result,
+    float_array,
     in_range,
 )
-from .measure import Sampler
+from .measure import Sampler, _philox
 
 KINDS = ("linear", "milp", "miqp", "convex_mip")
 # (x, z) rows of one recourse batch; at the peak of a 100,000-row certify a
@@ -66,9 +67,9 @@ class ParamMap:
 
     def __post_init__(self):
         if self.matrix is not None:
-            M = np.asarray(self.matrix, dtype=float)
+            M = float_array(self.matrix, "affine matrix")
             c = (
-                np.asarray(self.constant, dtype=float)
+                float_array(self.constant, "affine constant")
                 if self.constant is not None
                 else np.zeros(self.out_dim)
             )
@@ -115,13 +116,9 @@ class ParamMap:
     @classmethod
     def from_dict(cls, data: dict) -> "ParamMap":
         if "affine" in data:
-            M = np.asarray(data["affine"]["matrix"], dtype=float)
-            const = data["affine"].get("constant")
-            return cls(
-                out_dim=M.shape[0],
-                matrix=M,
-                constant=np.asarray(const, dtype=float) if const is not None else None,
-            )
+            affine = data["affine"]
+            return cls(out_dim=len(affine["matrix"]), matrix=affine["matrix"],
+                       constant=affine.get("constant"))
         trees = tuple(exprs.from_prefix(e) for e in data["expr"])
         return cls(
             out_dim=len(trees),
@@ -176,19 +173,23 @@ class RecourseModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown recourse kind {self.kind!r}")
+        for name in ("n", "s", "m1", "m2"):
+            object.__setattr__(self, name, as_int(getattr(self, name), f"recourse {name}"))
         for name in ("A", "q", "D"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+                object.__setattr__(self, name, float_array(getattr(self, name), name))
         for name in ("A", "D"):
             M = getattr(self, name)
             if M is not None and M.ndim != 2:
                 raise DimMismatch(f"{name} must be a matrix, got shape {M.shape}")
-        object.__setattr__(
-            self, "integer_bounds", tuple((float(a), float(b)) for a, b in self.integer_bounds)
-        )
-        object.__setattr__(
-            self, "continuous_box", tuple((float(a), float(b)) for a, b in self.continuous_box)
-        )
+        for name in ("integer_bounds", "continuous_box"):
+            pairs = tuple(tuple(in_range(v, f"{name} entry", error=InvalidSpec) for v in (a, b))
+                          for a, b in getattr(self, name))
+            object.__setattr__(self, name, pairs)
+        for name in ("gamma_v", "gamma_K"):
+            if getattr(self, name) is not None:
+                exponent = in_range(getattr(self, name), name, gt=0, error=InvalidExponent)
+                object.__setattr__(self, name, exponent)
         object.__setattr__(self, "g", tuple(self.g))
         maps = [pm for pm in (self.q_map, self.h_map) if pm is not None]
         if max((e.width for pm in maps for e in pm.expressions), default=0) > self.n + self.s:
@@ -265,31 +266,17 @@ class RecourseModel:
     @classmethod
     def from_dict(cls, data: dict) -> "RecourseModel":
         kind = data["kind"]
-        kwargs = dict(kind=kind, **{k: as_int(data[k], f"recourse {k}") for k in ("n", "s")})
-        if "A" in data:
-            kwargs["A"] = np.asarray(data["A"], dtype=float)
-        if "q" in data:
-            kwargs["q"] = np.asarray(data["q"], dtype=float)
-        if "q_map" in data:
-            kwargs["q_map"] = ParamMap.from_dict(data["q_map"])
-        if "h_map" in data:
-            kwargs["h_map"] = ParamMap.from_dict(data["h_map"])
-        if "D" in data:
-            kwargs["D"] = np.asarray(data["D"], dtype=float)
-        for name in ("m1", "m2"):
+        names = ["A", "q", "D", "m1", "m2", "integer_bounds"]
+        if kind == "convex_mip":
+            names += ["continuous_box", "gamma_v", "gamma_K"]
+        kwargs = {name: data[name] for name in names if name in data}
+        for name in ("q_map", "h_map"):
             if name in data:
-                kwargs[name] = as_int(data[name], f"recourse {name}")
-        if "integer_bounds" in data:
-            kwargs["integer_bounds"] = tuple(tuple(b) for b in data["integer_bounds"])
+                kwargs[name] = ParamMap.from_dict(data[name])
         if kind == "convex_mip":
             kwargs["v"] = exprs.from_prefix(data["v"])
             kwargs["g"] = tuple(exprs.from_prefix(e) for e in data["g"])
-            kwargs["continuous_box"] = tuple(tuple(b) for b in data.get("continuous_box", ()))
-            if "gamma_v" in data:
-                kwargs["gamma_v"] = float(data["gamma_v"])
-            if "gamma_K" in data:
-                kwargs["gamma_K"] = float(data["gamma_K"])
-        return cls(**kwargs)
+        return cls(kind=kind, n=data["n"], s=data["s"], **kwargs)
 
 
 def eval_recourse(model: RecourseModel, x, z) -> float:
@@ -552,8 +539,7 @@ def certify_growth(
         raise OutOfRange(f"seed must be a nonnegative integer, got {seed}")
     xs = np.atleast_2d(np.asarray(x_set, dtype=float))
     _check_rows(n * len(xs))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    zs = np.asarray(z_sampler(rng, n), dtype=float).reshape(n, -1)
+    zs = np.asarray(z_sampler(_philox(seed), n), dtype=float).reshape(n, -1)
     with np.errstate(over="ignore"):
         denom = np.linalg.norm(zs, axis=1) ** gamma + 1.0
     finite_result(float(denom.max()), "||z||^gamma + 1 on the sample", gamma)

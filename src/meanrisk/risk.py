@@ -38,20 +38,26 @@ class RiskSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown risk kind {self.kind!r}")
-        if self.kind == "avar":
-            in_range(self.alpha, "avar level alpha", gt=0, lt=1, error=InvalidSpec)
-        if self.kind in ("semidev", "target_semidev"):
-            in_range(self.a, "semideviation weight a", ge=0, le=1, error=InvalidSpec)
-            in_range(self.p, "semideviation order p", ge=1, error=InvalidSpec)
-        if self.kind == "target_semidev":
-            in_range(self.c, "target c", gt=0, error=InvalidSpec)
+        semi = self.kind in ("semidev", "target_semidev")
+        # per parameter: its name in messages, its range, and whether the kind
+        # reads it; a parameter given but not read is still a finite number
+        rules = {
+            "alpha": ("avar level alpha", {"gt": 0, "lt": 1}, self.kind == "avar"),
+            "a": ("semideviation weight a", {"ge": 0, "le": 1}, semi),
+            "p": ("semideviation order p", {"ge": 1}, semi),
+            "c": ("target c", {"gt": 0}, self.kind == "target_semidev"),
+        }
+        for name, (label, bounds, read) in rules.items():
+            value = getattr(self, name)
+            if read or value is not None:
+                value = in_range(value, label, error=InvalidSpec, **(bounds if read else {}))
+                object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         for name in ("alpha", "a", "c", "p"):
-            v = getattr(self, name)
-            if v is not None:
-                out[name] = float(v)
+            if getattr(self, name) is not None:
+                out[name] = getattr(self, name)
         return out
 
     @classmethod

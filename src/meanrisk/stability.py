@@ -25,7 +25,7 @@ from .errors import (
     as_int,
     in_range,
 )
-from .measure import DiscreteMeasure, canonicalize_arrays, mix, moment
+from .measure import DiscreteMeasure, _philox, canonicalize_arrays, mix, moment
 from .metrics import bounded_lipschitz, diagnose_uniform_integrability
 from .objective import MeanRiskModel, _argmin, q_profile
 
@@ -37,14 +37,13 @@ SCHEME_KINDS = ("saa", "contamination", "jitter", "discretize")
 # weights' running sums of 8 B per draw of the most-drawn atom), so 80 MB
 # at the cap
 MAX_SAA_DRAWS = 10_000_000
-# per kind: its schedule, the cast and range of every entry, and +1 when the
-# schedule strictly increases or -1 when it strictly decreases
+# per kind: its schedule, the range of every entry (an integer for saa), and
+# +1 when the schedule strictly increases or -1 when it strictly decreases
 _SCHEDULES = {
-    "saa": ("n_schedule", lambda v: as_int(v, "n_schedule entry", InvalidSpec),
-            {"ge": 1, "le": MAX_SAA_DRAWS}, 1),
-    "contamination": ("t_schedule", float, {"ge": 0, "le": 1}, -1),
-    "jitter": ("sigma_schedule", float, {"gt": 0}, -1),
-    "discretize": ("grid_schedule", float, {"gt": 0}, 1),
+    "saa": ("n_schedule", {"ge": 1, "le": MAX_SAA_DRAWS}, 1),
+    "contamination": ("t_schedule", {"ge": 0, "le": 1}, -1),
+    "jitter": ("sigma_schedule", {"gt": 0}, -1),
+    "discretize": ("grid_schedule", {"gt": 0}, 1),
 }
 
 
@@ -70,22 +69,26 @@ class PerturbationScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise InvalidSpec(f"unknown scheme kind {self.kind!r}")
-        for name, cast, _, _ in _SCHEDULES.values():
-            object.__setattr__(self, name, tuple(cast(v) for v in getattr(self, name)))
         object.__setattr__(self, "seed", as_int(self.seed, "seed", InvalidSpec))
         if self.seed < 0:
             raise InvalidSpec(f"seed must be a nonnegative integer, got {self.seed}")
         if self.kind == "contamination" and self.direction is None:
             raise InvalidSpec("contamination needs a direction")
-        name, _, bounds, sign = _SCHEDULES[self.kind]
-        values = self.params
-        if not values:
-            raise InvalidSpec(f"{self.kind} needs a nonempty {name}")
-        for v in values:
-            in_range(v, f"{name} entry", error=InvalidSpec, **bounds)
+        name, bounds, sign = _SCHEDULES[self.kind]
+        entry, values = f"{name} entry", []
+        for v in getattr(self, name):
+            if self.kind == "saa":
+                v = as_int(v, entry, InvalidSpec)
+                in_range(v, entry, error=InvalidSpec, **bounds)
+            else:
+                v = in_range(v, entry, error=InvalidSpec, **bounds)
             # rng.uniform(-sigma, sigma) needs a finite width 2 sigma
             if self.kind == "jitter" and not np.isfinite(2 * v):
-                raise InvalidSpec(f"{name} entry {v} is too large: 2 sigma overflows")
+                raise InvalidSpec(f"{entry} {v} is too large: 2 sigma overflows")
+            values.append(v)
+        if not values:
+            raise InvalidSpec(f"{self.kind} needs a nonempty {name}")
+        object.__setattr__(self, name, tuple(values))
         if any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
             raise InvalidSpec(f"{name} must strictly {'increase' if sign > 0 else 'decrease'}")
 
@@ -120,8 +123,7 @@ def _saa_counts(base: DiscreteMeasure, n: int, seed) -> np.ndarray:
     cdf = cumsum(p) / its last entry, so atom k gets the uniforms in
     [cdf[k-1], cdf[k]).  Counting them needs the same n uniforms only
     sorted, and one search per atom rather than one per draw."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    u = rng.random(n)
+    u = _philox(seed).random(n)
     u.sort()
     cdf = np.cumsum(base.weights)
     cdf /= cdf[-1]
@@ -149,13 +151,15 @@ def generate_sequence(scheme: PerturbationScheme, base: DiscreteMeasure):
     """Deterministic perturbed sequence; per-step randomness is keyed by
     (seed, step index) so steps are independent of evaluation order.
 
-    An SAA step counts the draws measure_sampler(base) would make per base
-    atom from one sort of the same uniforms (rng.choice maps each uniform
-    to the first atom whose normalized cumulative weight exceeds it, so the
-    count of atom k is the number of sorted uniforms between two such
-    weights), and gives atom k the running sum of 1/n over its count.
-    Equal weights add up to the same running sums in any order, so the
-    step is bit for bit empirical(measure_sampler(base), n, seed=(seed, k)).
+    An SAA step counts the draws rng.choice(len(base), n, p=base.weights)
+    would make per base atom from one sort of the same uniforms (rng.choice
+    maps each uniform to the first atom whose normalized cumulative weight
+    exceeds it, so the count of atom k is the number of sorted uniforms
+    between two such weights), and gives atom k the running sum of 1/n over
+    its count.  Equal weights add up to the same running sums in any order,
+    so the step is bit for bit the empirical measure of those draws, as
+    empirical(sampler, n, seed=(seed, k)) gives it for a sampler that
+    returns base.points at those atom indices.
     The one exception is a set of drawn atoms that merge once the atoms
     between them are missing (possible in d >= 2), whose sums could differ
     in the last bit; such a step is canonicalized from its draws, repeated
@@ -170,10 +174,7 @@ def generate_sequence(scheme: PerturbationScheme, base: DiscreteMeasure):
             out.append(mix(base, scheme.direction, t))
     elif scheme.kind == "jitter":
         for k, sigma in enumerate(scheme.sigma_schedule):
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence((scheme.seed, k)))
-            )
-            noise = rng.uniform(-sigma, sigma, size=base.points.shape)
+            noise = _philox((scheme.seed, k)).uniform(-sigma, sigma, size=base.points.shape)
             with np.errstate(over="ignore"):
                 moved = base.points + noise
             out.append(canonicalize_arrays(moved, base.weights))

@@ -22,7 +22,8 @@ one Lipschitz row per ordered pair of atoms, and transport LPs with one
 dense marginal row per atom; on the line also from the LP with Lipschitz
 rows between adjacent atoms only, which ``metrics`` solved before its
 dynamic program.  Trend slopes come from the centred normal
-equations of a least-squares line.
+equations of a least-squares line, and SAA draws from ``rng.choice`` over
+the base atoms (measure_sampler).
 """
 
 import itertools
@@ -42,7 +43,7 @@ from meanrisk.errors import (
     RecourseInfeasible,
     RecourseUnbounded,
 )
-from meanrisk.measure import POINT_TOL, ScalarDistribution, quantile
+from meanrisk.measure import POINT_TOL, DiscreteMeasure, ScalarDistribution, quantile
 
 
 def merge_sorted_oracle(points, weights):
@@ -369,7 +370,7 @@ def qp_kkt_oracle(D, q, A, b):
         return optim.Solution("optimal", best[0], best[1])
     # an infeasible certificate LP, or one whose point violates a row by
     # more than FEAS_TOL, means the feasible set is empty
-    feas = optim.solve_lp(optim.lp(np.zeros(n), A, b, senses="<=", nonneg=(False,) * n))
+    feas = optim.solve_lp(optim.LinearProgram(np.zeros(n), A, b, senses="<=", nonneg=(False,) * n))
     if feas.optimal and not np.any(A @ feas.point > b + optim.FEAS_TOL):
         raise NumericalFailure("feasible convex QP without a detected KKT point")
     return optim.Solution("infeasible")
@@ -632,7 +633,7 @@ def recourse_row_oracle(model, x, z):
             if not np.all(np.isfinite(q if name == "q" else h)):
                 raise OutOfRange(f"non-finite entries in {name}")
         if model.kind == "linear":
-            sol = optim.solve_lp(optim.lp(q, model.A, h))
+            sol = optim.solve_lp(optim.LinearProgram(q, model.A, h))
         elif model.kind == "milp":
             bounds = tuple((max(0.0, lo), hi) for lo, hi in model.integer_bounds)
             sol = milp_bb_oracle(model.q, model.A, h, ("==",) * len(h), (True,) * len(model.q), idx,
@@ -791,7 +792,8 @@ def adjacent_bl_lp_oracle(t, a) -> float:
     m, gaps = len(t), np.diff(t)
     step = scipy.sparse.diags_array([-1.0, 1.0], offsets=[0, 1], shape=(m - 1, m))
     A = scipy.sparse.vstack([step, -step, scipy.sparse.diags_array(np.ones(m))])
-    sol = optim.solve_lp(optim.lp(-a, A, np.concatenate([gaps, gaps, np.full(m, 2.0)]), "<="))
+    b = np.concatenate([gaps, gaps, np.full(m, 2.0)])
+    sol = optim.solve_lp(optim.LinearProgram(-a, A, b, "<="))
     # int f d(mu - nu) = a.g - sum(a) for f = g - 1
     return max(0.0, -sol.value - float(np.sum(a)))
 
@@ -854,6 +856,16 @@ def sorted_matching_wq(x, y, q) -> float:
     the i-th smallest of one is matched with the i-th smallest of the other."""
     x, y = np.sort(np.asarray(x, dtype=float)), np.sort(np.asarray(y, dtype=float))
     return float(np.mean(np.abs(x - y) ** q)) ** (1.0 / q)
+
+
+def measure_sampler(m: DiscreteMeasure):
+    """Sampler drawing i.i.d. atoms of m according to its weights."""
+
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        idx = rng.choice(len(m), size=n, p=m.weights)
+        return m.points[idx]
+
+    return draw
 
 
 def trend_slope_oracle(values) -> float:

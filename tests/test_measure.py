@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from meanrisk import measure as ms
 from meanrisk.errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange
 
-from oracles import merge_sorted_oracle, parse_atoms_oracle, scalar_distribution_oracle
+from oracles import (
+    measure_sampler,
+    merge_sorted_oracle,
+    parse_atoms_oracle,
+    scalar_distribution_oracle,
+)
 
 
 class TestCanonicalize:
@@ -618,11 +623,11 @@ class TestEmpirical:
 
     def test_binomial_concentration(self):
         base = ms.canonicalize([((0,), 0.5), ((1,), 0.5)])
-        m = ms.empirical(ms.measure_sampler(base), 10_000, seed=7)
+        m = ms.empirical(measure_sampler(base), 10_000, seed=7)
         w0 = m.weights[np.isclose(m.points.ravel(), 0.0)][0]
         # direct counting oracle on the same draws
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(7)))
-        draws = ms.measure_sampler(base)(rng, 10_000)
+        draws = measure_sampler(base)(rng, 10_000)
         assert w0 == pytest.approx(np.mean(draws.ravel() == 0.0), abs=1e-12)
         assert abs(w0 - 0.5) < 0.02
 

@@ -272,8 +272,8 @@ class TestTransportPlan:
             calls.clear()
             plan = mt.transport_plan(w_s, w_d, C)
             (prob,) = calls
-            kron = optim.lp(C.reshape(-1), kron_marginal_rows(n_s, n_d),
-                            np.concatenate([w_s, w_d[:-1]]))
+            kron = optim.LinearProgram(C.reshape(-1), kron_marginal_rows(n_s, n_d),
+                                       np.concatenate([w_s, w_d[:-1]]))
             for part in ("data", "indices", "indptr"):
                 new, old = getattr(prob.A, part), getattr(kron.A, part)
                 assert new.dtype == old.dtype and new.tobytes() == old.tobytes()

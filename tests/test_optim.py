@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -65,28 +66,28 @@ def solve_convex_mip(v, g, rhs, *slices) -> optim.Solution:
 class TestLinearProgram:
     def test_shape_validation(self):
         with pytest.raises(DimMismatch):
-            optim.lp([1, 2], [[1, 2, 3]], [1])
+            optim.LinearProgram([1, 2], [[1, 2, 3]], [1])
         with pytest.raises(InvalidSpec):
             optim.LinearProgram(
                 c=[1.0], A=[[1.0]], b=[1.0], senses=(">=",), nonneg=(True,)
             )
 
     def test_simple(self):
-        sol = optim.solve_lp(optim.lp([1, 1], [[1, -1]], [1.5]))
+        sol = optim.solve_lp(optim.LinearProgram([1, 1], [[1, -1]], [1.5]))
         assert sol.optimal
         assert sol.value == pytest.approx(1.5, abs=1e-9)
         assert np.allclose(sol.point, [1.5, 0], atol=1e-9)
 
     def test_infeasible(self):
-        assert optim.solve_lp(optim.lp([0], [[1]], [-1])).status == "infeasible"
+        assert optim.solve_lp(optim.LinearProgram([0], [[1]], [-1])).status == "infeasible"
 
     def test_unbounded(self):
-        assert optim.solve_lp(optim.lp([-1], [[0]], [0])).status == "unbounded"
+        assert optim.solve_lp(optim.LinearProgram([-1], [[0]], [0])).status == "unbounded"
 
     def test_free_variables(self):
         # min x, x <= 3, -x <= 5  (x free) -> -5
         sol = optim.solve_lp(
-            optim.lp([1], [[1], [-1]], [3, 5], senses="<=", nonneg=(False,))
+            optim.LinearProgram([1], [[1], [-1]], [3, 5], senses="<=", nonneg=(False,))
         )
         assert sol.value == pytest.approx(-5.0, abs=1e-9)
 
@@ -102,7 +103,7 @@ class TestLinearProgram:
             slack = np.where([s == "<=" for s in senses], rng.uniform(0, 1, size=m), 0.0)
             b = A @ x_star + slack
             c = rng.uniform(0.05, 2.0, size=n)  # positive costs keep it bounded
-            prob = optim.lp(c, A, b, senses)
+            prob = optim.LinearProgram(c, A, b, senses)
             sol = optim.solve_lp(prob)
             assert sol.optimal
             expect = lp_vertex_oracle(c, A, b, senses, (True,) * n)
@@ -126,13 +127,13 @@ class TestLinearProgram:
         assert lp_vertex_oracle(c, A, rhs, ("==",) * 3, (True, True)) == pytest.approx(
             expect, abs=1e-12
         )
-        sol = optim.solve_lp(optim.lp(c, A, rhs, "=="))
+        sol = optim.solve_lp(optim.LinearProgram(c, A, rhs, "=="))
         assert sol.optimal
         assert sol.value == pytest.approx(expect, abs=1e-9)
         # x0 = 1, 2 x0 = 3: b lies outside the range of A
         A, rhs = [[1.0], [2.0]], [1.0, 3.0]
         assert lp_vertex_oracle([1.0], A, rhs, ("==", "=="), (True,)) is None
-        assert optim.solve_lp(optim.lp([1.0], A, rhs, "==")).status == "infeasible"
+        assert optim.solve_lp(optim.LinearProgram([1.0], A, rhs, "==")).status == "infeasible"
 
     def test_tableau_and_scipy_paths_agree(self):
         rng = np.random.default_rng(67)
@@ -142,7 +143,7 @@ class TestLinearProgram:
             A = rng.normal(size=(m, n))
             b = A @ rng.uniform(0, 2, size=n)
             c = rng.uniform(0.1, 1, size=n)
-            prob = optim.lp(c, A, b)
+            prob = optim.LinearProgram(c, A, b)
             t_sol = optim._tableau_solve(prob)
             s_sol = optim._scipy_solve(prob)
             assert t_sol.status == s_sol.status
@@ -150,7 +151,7 @@ class TestLinearProgram:
                 assert t_sol.value == pytest.approx(s_sol.value, abs=1e-8)
 
     def test_determinism(self):
-        prob = optim.lp([1, 2, 0.5], [[1, 1, 1], [1, -1, 0]], [3, 0.5], ("==", "<="))
+        prob = optim.LinearProgram([1, 2, 0.5], [[1, 1, 1], [1, -1, 0]], [3, 0.5], ("==", "<="))
         a = optim.solve_lp(prob)
         b = optim.solve_lp(prob)
         assert a.value == b.value
@@ -168,7 +169,7 @@ class TestDuals:
             slack = np.where([s == "<=" for s in senses], rng.uniform(0, 1, size=m), 0.0)
             b = A @ rng.uniform(0, 2, size=n) + slack
             c = rng.uniform(0.1, 2, size=n)
-            sol = optim.solve_lp(optim.lp(c, A, b, senses))
+            sol = optim.solve_lp(optim.LinearProgram(c, A, b, senses))
             if not sol.optimal:
                 continue
             # any optimal primal and any optimal dual are complementary
@@ -268,7 +269,7 @@ class TestLpBatch:
 
         def spy(prob):
             solved.append(prob.b.tobytes())
-            return optim._certified(solve(prob), np.array(certificate))
+            return dataclasses.replace(solve(prob), certificate=np.array(certificate))
 
         batch = optim._LpBatch(c, A, senses, nonneg)
         with mock.patch.object(optim, "solve_lp", spy):
@@ -334,7 +335,7 @@ class TestLpBatch:
         M = np.hstack([np.array([s * A[:, j] for j, s in cols]).T, np.eye(len(senses))[:, le]])
         for b in B:
             sol = optim.solve_lp(optim.LinearProgram(c, A, b, senses, nonneg))
-            basis = getattr(sol, "certificate", None)
+            basis = sol.certificate
             if not sol.optimal or basis is None:
                 continue
             assert len(basis) == len(b) == len(set(basis.tolist()))
@@ -359,14 +360,14 @@ class TestLpBatch:
         got = solutions(batch.solve(B))
         assert len(calls) == 3 and batch.rays == [] and batch.bases == []
         for sol, b in zip(got, B):
-            assert same_solution(sol, optim.solve_lp(optim.lp(c, A, b, ("==", "<="))))
+            assert same_solution(sol, optim.solve_lp(optim.LinearProgram(c, A, b, ("==", "<="))))
 
     def test_empty_batch_and_batch_of_one(self):
         c, A, senses = [1.0, 2.0, 0.5], [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]], ("==", "<=")
         assert solutions(optim.solve_lp_batch(c, A, senses, (True,) * 3, np.zeros((0, 2)))) == []
         for b in ([3.0, 0.5], [-1.0, 0.0]):
             got = one(optim.solve_lp_batch(c, A, senses, (True,) * 3, [b]))
-            assert same_solution(got, optim.solve_lp(optim.lp(c, A, b, senses)))
+            assert same_solution(got, optim.solve_lp(optim.LinearProgram(c, A, b, senses)))
 
     def test_bad_right_hand_sides(self):
         args = ([1.0], [[1.0]], ("==",), (True,))
@@ -414,16 +415,16 @@ class TestRows:
 
 class TestMilp:
     def test_ceiling_example(self):
-        sol = solve_milp(optim.lp([0, 1], [[-1, 1]], [1.2]), (1,), ((0, 10),))
+        sol = solve_milp(optim.LinearProgram([0, 1], [[-1, 1]], [1.2]), (1,), ((0, 10),))
         assert sol.value == pytest.approx(2.0, abs=1e-9)
         assert abs(sol.point[1] - round(sol.point[1])) <= 1e-9
 
     def test_negative_rhs(self):
-        sol = solve_milp(optim.lp([0, 1], [[-1, 1]], [-3.0]), (1,), ((0, 10),))
+        sol = solve_milp(optim.LinearProgram([0, 1], [[-1, 1]], [-3.0]), (1,), ((0, 10),))
         assert sol.value == pytest.approx(0.0, abs=1e-9)
 
     def test_no_integers_degenerates_to_lp(self):
-        prob = optim.lp([1, 1], [[1, -1]], [1.5])
+        prob = optim.LinearProgram([1, 1], [[1, -1]], [1.5])
         lp_sol = optim.solve_lp(prob)
         mip_sol = solve_milp(prob, (), ())
         assert mip_sol.value == lp_sol.value
@@ -431,14 +432,15 @@ class TestMilp:
 
     def test_infeasible_lattice(self):
         # x integer in [0,3], 2x == 7 has no solution
-        assert solve_milp(optim.lp([1], [[2]], [7]), (0,), ((0, 3),)).status == "infeasible"
+        sol = solve_milp(optim.LinearProgram([1], [[2]], [7]), (0,), ((0, 3),))
+        assert sol.status == "infeasible"
         assert milp_closed_oracle([1], [[2]], [7], ("==",), [0], ((0, 3),), []) is None
 
     def test_sparse_a_matches_dense(self):
         # min y1 s.t. y1 - y0 = 1.2, y >= 0, y1 integer in [0, 10]
         dense = np.array([[-1.0, 1.0]])
         sols = [
-            solve_milp(optim.lp([0, 1], A, [1.2]), (1,), ((0, 10),))
+            solve_milp(optim.LinearProgram([0, 1], A, [1.2]), (1,), ((0, 10),))
             for A in (scipy.sparse.csr_array(dense), dense)
         ]
         assert sols[0].value == sols[1].value == pytest.approx(2.0, abs=1e-9)
@@ -446,7 +448,7 @@ class TestMilp:
 
     def test_bounds_validation(self):
         with pytest.raises(InvalidSpec):
-            solve_milp(optim.lp([1], [[1]], [1]), (0,), ((0, np.inf),))
+            solve_milp(optim.LinearProgram([1], [[1]], [1]), (0,), ((0, np.inf),))
 
     def test_against_closed_oracle_random(self):
         rng = np.random.default_rng(73)
@@ -469,7 +471,7 @@ class TestMilp:
             cont_idx = list(range(n_int, n))
             nonneg = (False,) * n_int + (True,) * n_cont
             bounds = ((-5, 5),) * n_int
-            sol = solve_milp(optim.lp(c, A, b, senses, nonneg), int_idx, bounds)
+            sol = solve_milp(optim.LinearProgram(c, A, b, senses, nonneg), int_idx, bounds)
             expect = milp_closed_oracle(c, A, b, senses, list(int_idx), bounds, cont_idx)
             if expect is None:
                 assert sol.status == "infeasible"
@@ -478,7 +480,7 @@ class TestMilp:
                 assert sol.value == pytest.approx(expect, abs=1e-9)
 
     def test_determinism_bitwise(self):
-        prob = optim.lp([1, -1.3, 0.2], [[1, 1, 1]], [4.5], "<=", (False, False, True))
+        prob = optim.LinearProgram([1, -1.3, 0.2], [[1, 1, 1]], [4.5], "<=", (False, False, True))
         a = solve_milp(prob, (0, 1), ((-5, 5), (-5, 5)))
         b = solve_milp(prob, (0, 1), ((-5, 5), (-5, 5)))
         assert a.value == b.value and np.array_equal(a.point, b.point)
@@ -539,7 +541,8 @@ class TestMilpBatch:
     def test_milp_is_a_batch_of_one(self):
         args = ([1, -1.3, 0.2], [[1, 1, 1]], [4.5], ("<=",), (False, False, True), (0, 1),
                 ((-5, 5), (-5, 5)))
-        assert same_solution(solve_milp(optim.lp(*args[:5]), *args[5:]), milp_bb_oracle(*args))
+        sol = solve_milp(optim.LinearProgram(*args[:5]), *args[5:])
+        assert same_solution(sol, milp_bb_oracle(*args))
 
     def test_degenerate_roots_share_one_basis(self, monkeypatch):
         # the milp demo's recourse: min y1 over -y0 + y1 = z, y >= 0, y1

@@ -1,8 +1,12 @@
 """Every scalar exponent, order, level, threshold and tolerance goes through
 errors.in_range: a NaN, an infinity, a non-number or a value outside the
 range raises the caller's typed error, and no numpy RuntimeWarning is
-printed on the way."""
+printed on the way.  Every number of an input file is read once, by its
+object's constructor: a numeric string, a boolean or (in an integer field)
+a fraction is refused with a typed error, and by the CLI with exit 2."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from meanrisk import exprs, measure, metrics, risk, stability
+from meanrisk import cli, exprs, measure, metrics, risk, stability
 from meanrisk.errors import (
     DimMismatch,
     GrammarError,
@@ -21,7 +25,7 @@ from meanrisk.errors import (
     OutOfRange,
     in_range,
 )
-from meanrisk.measure import box_sampler, canonicalize
+from meanrisk.measure import DiscreteMeasure, box_sampler, canonicalize
 from meanrisk.objective import Q, DecisionSet, MeanRiskModel
 from meanrisk.recourse import ParamMap, RecourseModel, certify_growth, theoretical_exponent
 
@@ -89,7 +93,7 @@ CASES = {
     "model-inf-gamma": (OutOfRange, lambda: model_with(gamma=INF)),
     "model-inf-p": (OutOfRange, lambda: model_with(p=INF)),
     "model-gauge-overflow": (OutOfRange, lambda: model_with(gamma=1e300, p=1e300)),
-    "decision-inf": (OutOfRange, lambda: DecisionSet.from_points([[INF]])),
+    "decision-inf": (OutOfRange, lambda: DecisionSet([[INF]])),
     "decision-box-inf": (OutOfRange, lambda: DecisionSet.from_box([0.0], [INF], [3])),
     "decision-box-nan": (OutOfRange, lambda: DecisionSet.from_box([NAN], [1.0], [1])),
     "decision-box-span-overflow": (OutOfRange,
@@ -184,3 +188,130 @@ class TestInRange:
     def test_returns_a_float(self):
         got = in_range(np.int64(3), "n", ge=1)
         assert got == 3.0 and type(got) is float
+
+
+def risk_model(risk_spec):
+    data = demo("model_milp_expectation.json")
+    data["risk"] = risk_spec
+    return data
+
+
+def convex_model_doc():
+    # one continuous variable with its box, and a declared gamma_v
+    data = demo("model_convex_expectation.json")
+    data["recourse"].update(m1=1, continuous_box=[[-1.0, 1.0]], gamma_v=2.0)
+    return data
+
+
+# documents whose every number a field of the table below edits; each loads as it is
+DOCS = {
+    "linear": lambda: demo("model_linear_expectation.json"),
+    "milp": lambda: demo("model_milp_expectation.json"),
+    "miqp": lambda: demo("model_miqp_expectation.json"),
+    "convex": convex_model_doc,
+    "avar": lambda: demo("model_linear_avar.json"),
+    "semidev": lambda: risk_model({"kind": "semidev", "a": 0.5, "p": 2.0}),
+    # a parameter the kind does not read is still a number, and is kept in the digest
+    "expectation": lambda: risk_model({"kind": "expectation", "alpha": 0.5}),
+    "target_semidev": lambda: risk_model({"kind": "target_semidev", "a": 0.5, "c": 1.0,
+                                          "p": 2.0}),
+    "measure": lambda: demo("base_measure.json"),
+    "saa": lambda: demo("scheme_saa.json"),
+    "contamination": lambda: demo("scheme_contamination.json"),
+    "jitter": lambda: {"kind": "jitter", "sigma_schedule": [0.5, 0.1], "seed": 0},
+    "discretize": lambda: {"kind": "discretize", "grid_schedule": [10.0, 100.0]},
+}
+SCHEMES = ("saa", "contamination", "jitter", "discretize")
+
+# field: (document, path to one of its numbers, error from the API, integer field)
+FIELDS = {
+    "n_schedule": ("saa", ("n_schedule", 0), InvalidSpec, True),
+    "t_schedule": ("contamination", ("t_schedule", 0), InvalidSpec, False),
+    "sigma_schedule": ("jitter", ("sigma_schedule", 0), InvalidSpec, False),
+    "grid_schedule": ("discretize", ("grid_schedule", 0), InvalidSpec, False),
+    "integer_bounds": ("milp", ("recourse", "integer_bounds", 0, 1), InvalidSpec, False),
+    "continuous_box": ("convex", ("recourse", "continuous_box", 0, 0), InvalidSpec, False),
+    "p": ("milp", ("p",), OutOfRange, False),
+    "gamma": ("milp", ("gamma",), OutOfRange, False),
+    "gamma_v": ("convex", ("recourse", "gamma_v"), InvalidExponent, False),
+    "gamma_K": ("convex", ("recourse", "gamma_K"), InvalidExponent, False),
+    "risk-alpha": ("avar", ("risk", "alpha"), InvalidSpec, False),
+    "risk-a": ("semidev", ("risk", "a"), InvalidSpec, False),
+    "risk-c": ("target_semidev", ("risk", "c"), InvalidSpec, False),
+    "risk-p": ("semidev", ("risk", "p"), InvalidSpec, False),
+    "risk-unread-alpha": ("expectation", ("risk", "alpha"), InvalidSpec, False),
+    "decision-point": ("milp", ("decisions", "points", 1, 0), OutOfRange, False),
+    "A": ("linear", ("recourse", "A", 0, 1), OutOfRange, False),
+    "q": ("milp", ("recourse", "q", 1), OutOfRange, False),
+    "D": ("miqp", ("recourse", "D", 0, 0), OutOfRange, False),
+    "affine-matrix": ("milp", ("recourse", "h_map", "affine", "matrix", 0, 1), OutOfRange, False),
+    "affine-constant": ("milp", ("recourse", "h_map", "affine", "constant", 0), OutOfRange, False),
+    "measure-point": ("measure", ("atoms", 1, "point", 0), ValueError, False),
+    "measure-weight": ("measure", ("atoms", 1, "weight"), ValueError, False),
+    "const-node": ("convex", ("recourse", "h_map", "expr", 0, 2, 1), GrammarError, False),
+    "affine-node-coefficient": ("convex", ("recourse", "v", 1, 1, 0), GrammarError, False),
+    "affine-node-offset": ("convex", ("recourse", "v", 1, 2), GrammarError, False),
+    "var-node": ("convex", ("recourse", "g", 0, 1, 1), GrammarError, True),
+    "pow-node": ("convex", ("recourse", "v", 2), GrammarError, True),
+}
+# how a valid number is made invalid: its digits as a string, a boolean, and
+# for an integer field a fraction (["var", 1.7] must not read variable 1)
+EDITS = {"string": str, "bool": lambda v: True, "fraction": lambda v: v + 1.7}
+TABLE = [(field, edit) for field, (*_, integer) in FIELDS.items()
+         for edit in EDITS if edit != "fraction" or integer]
+
+
+def load(doc_name, data):
+    if doc_name in SCHEMES:
+        return stability.PerturbationScheme.from_dict(data)
+    if doc_name == "measure":
+        return DiscreteMeasure.from_dict(data)
+    return MeanRiskModel.from_dict(data)
+
+
+def edited(field, edit):
+    """The field's document with its number replaced by the edit, and the
+    number it had."""
+    doc_name, path, *_ = FIELDS[field]
+    data = DOCS[doc_name]()
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    valid = parent[path[-1]]
+    parent[path[-1]] = EDITS[edit](valid)
+    return data, valid
+
+
+class TestInputFields:
+    @pytest.mark.parametrize("doc_name", sorted(DOCS))
+    def test_every_document_loads_as_it_is(self, doc_name):
+        load(doc_name, DOCS[doc_name]())
+
+    @pytest.mark.parametrize("field, edit", TABLE)
+    def test_the_api_refuses_with_a_typed_error(self, field, edit):
+        data, valid = edited(field, edit)
+        assert isinstance(valid, (int, float)) and not isinstance(valid, bool)
+        with pytest.raises(FIELDS[field][2]):
+            load(FIELDS[field][0], data)
+
+    @pytest.mark.parametrize("field, edit", TABLE)
+    def test_the_cli_exits_2_with_one_config_error_line(self, field, edit, tmp_path):
+        doc_name = FIELDS[field][0]
+        data, _ = edited(field, edit)
+        files = {"model": demo("model_milp_expectation.json"),
+                 "measure": demo("base_measure.json"), "scheme": demo("scheme_saa.json")}
+        role = "scheme" if doc_name in SCHEMES else "measure" if doc_name == "measure" else "model"
+        files[role] = data
+        paths = {}
+        for name, doc in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        argv = ["stability", "--model", str(paths["model"]), "--measure", str(paths["measure"]),
+                "--scheme", str(paths["scheme"]), "--out", str(tmp_path / "out")]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code == cli.EXIT_CONFIG
+        assert stdout.getvalue() == ""
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:"), lines

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from meanrisk import cli, objective, stability
 from meanrisk.errors import InvalidSpec, OutOfRange
-from meanrisk.measure import canonicalize, canonicalize_arrays, empirical, measure_sampler
+from meanrisk.measure import canonicalize, canonicalize_arrays, empirical
 from meanrisk.metrics import bounded_lipschitz, psi_metric
 from meanrisk.objective import MeanRiskModel
 
-from oracles import trend_slope_oracle
+from oracles import measure_sampler, trend_slope_oracle
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 
