@@ -1,16 +1,16 @@
 """Mean-risk two-stage stochastic programs on finitely supported measures.
 
-The package evaluates risk functionals of push-forward distributions of a
-decision-indexed recourse value function, provides probability metrics for
-weak and gauge-weighted convergence, and ships an experiment harness that
-measures how the optimal value and argmin set respond to perturbations of
-the underlying measure.
+One measure type, DiscreteMeasure, carries the noise measure nu on R^s and
+the image f(x, .)#nu of a decision-indexed recourse value function on the
+line.  The package evaluates risk functionals of those images, provides
+probability metrics for weak and gauge-weighted convergence, and ships an
+experiment harness that measures how the optimal value and argmin set
+respond to perturbations of the underlying measure.
 """
 
 from . import errors, exprs, metrics, optim, recourse, risk, stability
 from .measure import (
     DiscreteMeasure,
-    ScalarDistribution,
     canonicalize,
     dirac,
     empirical,
@@ -51,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteMeasure",
-    "ScalarDistribution",
     "canonicalize",
     "dirac",
     "quantile",

@@ -159,6 +159,8 @@ def _parse_gate(text: str):
 
 def cmd_stability(args) -> int:
     tol = _argmin_tol(args)
+    if args.seed is not None:
+        in_range(args.seed, "--seed", ge=0, error=ConfigError)
     model = _load_model(args.model)
     base = _load_measure(args.measure)
     scheme = _load_scheme(args.scheme)
@@ -210,9 +212,10 @@ def cmd_stability(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    for flag, value in (("--n", args.n), ("--xcount", args.xcount)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    for flag, value, bound in (("--n", args.n, {"ge": 1}), ("--xcount", args.xcount, {"ge": 1}),
+                               ("--seed", args.seed, {"ge": 0}), ("--gamma", args.gamma, {"gt": 0})):
+        if value is not None:
+            in_range(value, flag, error=ConfigError, **bound)
     model = _load_model(args.model)
     try:
         lo, hi = (float(v) for v in args.zbox.split(":"))

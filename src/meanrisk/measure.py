@@ -1,4 +1,4 @@
-"""Finitely supported probability measures on R^d.
+"""Finitely supported probability measures on R^d, one type for all of them.
 
 Atoms are canonicalized: sorted in lexicographic coordinate order, merged,
 and renormalized to total weight one.  The merge walks the sorted rows and
@@ -6,7 +6,9 @@ adds a row to the current atom when every coordinate is within POINT_TOL
 (1e-12) of that atom's first row, its anchor; any other row becomes the next
 anchor.  Closeness is measured against the anchor, not the previous row, so
 it is not transitive: a chain of rows each within 1e-12 of its predecessor
-splits once it drifts more than 1e-12 from the anchor.  All values are
+splits once it drifts more than 1e-12 from the anchor.  A measure on the
+line is also the law of a real quantity, such as the image f(x, .)#nu that
+the risk functionals read (pushforward, canonicalize_rows).  All values are
 immutable after construction and every operation is pure, so concurrent
 reads are safe.
 """
@@ -150,7 +152,8 @@ class DiscreteMeasure:
 
     ``points`` has shape (k, dim), ``weights`` shape (k,); weights are
     nonnegative and sum to one within 1e-12.  Instances should be built via
-    :func:`canonicalize` or the ``from_*`` constructors.
+    :func:`canonicalize` or the ``from_*`` constructors; built directly, they
+    keep their atoms as given (see :func:`canonical_line`).
     """
 
     dim: int
@@ -265,76 +268,56 @@ def dirac(point) -> DiscreteMeasure:
     return canonicalize([(point, 1.0)])
 
 
-@dataclass(frozen=True)
-class ScalarDistribution:
-    """Distribution of a real-valued quantity: sorted atom values with
-    weights and precomputed cumulative weights (last entry pinned to 1)."""
-
-    values: np.ndarray
-    weights: np.ndarray
-    cumulative: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-        object.__setattr__(self, "weights", _freeze(self.weights))
-        object.__setattr__(self, "cumulative", _freeze(self.cumulative))
-
-    @classmethod
-    def from_pairs(cls, values, weights) -> "ScalarDistribution":
-        """Values with their weights, sorted, merged by the anchor rule
-        (module docstring) and renormalized: from_rows of one row."""
-        values = np.atleast_1d(np.asarray(values, dtype=float))
-        weights = np.atleast_1d(np.asarray(weights, dtype=float))
-        if values.ndim != 1 or values.shape != weights.shape:
-            raise DimMismatch(
-                f"values {values.shape} and weights {weights.shape} must be equal-length vectors"
-            )
-        return cls.from_rows(values.reshape(1, -1), weights)[0]
-
-    @classmethod
-    def from_rows(cls, values, weights) -> list:
-        """One distribution per row of a (k, m) value array, every row with
-        the m weights, as from_pairs gives it alone: one stable sort along
-        the rows, one merge of the (row index, value) pairs (indices 1 apart
-        are never within POINT_TOL, so no two rows join), then each row's
-        renormalization and cumulative weights."""
-        values = np.asarray(values, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if values.ndim != 2 or weights.shape != values.shape[1:]:
-            raise DimMismatch(
-                f"values {values.shape} need one weight per column, got {weights.shape}"
-            )
-        _check_atoms(values, weights)
-        k, m = values.shape
-        order = np.argsort(values, axis=1, kind="stable")
-        pairs = np.column_stack([np.repeat(np.arange(k, dtype=float), m),
-                                 np.take_along_axis(values, order, axis=1).ravel()])
-        anchors, sums = _merge_sorted(pairs, weights[order].ravel())
-        vals = anchors[:, 1]
-        bounds = np.searchsorted(anchors[:, 0], np.arange(k + 1))
-        out = []
-        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            wts = _renormalize(sums[a:b])
-            cum = np.cumsum(wts)
-            cum[-1] = 1.0
-            out.append(cls(values=vals[a:b], weights=wts, cumulative=cum))
-        return out
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def mean(self) -> float:
-        return float(self.values @ self.weights)
-
-    def shifted(self, t: float) -> "ScalarDistribution":
-        return ScalarDistribution.from_pairs(self.values + t, self.weights)
-
-    def abs_moment(self, p: float) -> float:
-        return float(np.abs(self.values) ** p @ self.weights)
+def canonicalize_rows(values, weights) -> list:
+    """One measure on the line per row of a (k, m) value array, every row
+    with the m weights, as canonicalize_arrays gives it alone: one stable
+    sort along the rows, one merge of the (row index, value) pairs (indices
+    1 apart are never within POINT_TOL, so no two rows join), then each
+    row's renormalization."""
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.ndim != 2 or weights.shape != values.shape[1:]:
+        raise DimMismatch(f"values {values.shape} need one weight per column, got {weights.shape}")
+    _check_atoms(values, weights)
+    k, m = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    pairs = np.column_stack([np.repeat(np.arange(k, dtype=float), m),
+                             np.take_along_axis(values, order, axis=1).ravel()])
+    anchors, sums = _merge_sorted(pairs, weights[order].ravel())
+    bounds = np.searchsorted(anchors[:, 0], np.arange(k + 1))
+    return [DiscreteMeasure(dim=1, points=anchors[a:b, 1:], weights=_renormalize(sums[a:b]))
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
-def quantile(dist: ScalarDistribution, beta):
-    """Left-continuous quantile: inf{t : F(t) >= beta} for beta in (0,1).
+def line_values(mu: DiscreteMeasure) -> np.ndarray:
+    """The atom values of a measure on the line; DimMismatch for d != 1."""
+    if mu.dim != 1:
+        raise DimMismatch(f"a measure on the line is needed, got dim {mu.dim}")
+    return mu.points[:, 0]
+
+
+def canonical_line(mu: DiscreteMeasure) -> DiscreteMeasure:
+    """The canonical form of a measure on the line, for the readers of atom
+    order (quantile, risk.avar, the 1-D wasserstein): mu itself when its
+    atoms increase by more than POINT_TOL, else canonicalize_arrays of them.
+    DimMismatch for d != 1."""
+    t = line_values(mu)
+    with np.errstate(over="ignore"):  # a gap between atoms near +-1e308 is inf
+        if (np.diff(t) > POINT_TOL).all():
+            return mu
+    return canonicalize_arrays(mu.points, mu.weights)
+
+
+def _cumulative(weights: np.ndarray) -> np.ndarray:
+    """Cumulative weights of a canonical measure on the line, the last pinned to 1."""
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    return cum
+
+
+def quantile(mu: DiscreteMeasure, beta):
+    """Left-continuous quantile of a measure on the line: inf{t : F(t) >= beta}
+    for beta in (0,1).
 
     Accepts a scalar or an array of levels; piecewise constant in beta with
     jumps exactly at the cumulative weights.
@@ -342,13 +325,15 @@ def quantile(dist: ScalarDistribution, beta):
     b = np.asarray(beta, dtype=float)
     if not np.all((b > 0.0) & (b < 1.0)):
         raise OutOfRange("quantile level must lie in (0, 1)")
-    idx = np.searchsorted(dist.cumulative, b, side="left")
-    out = dist.values[idx]
+    mu = canonical_line(mu)
+    idx = np.searchsorted(_cumulative(mu.weights), b, side="left")
+    out = mu.points[idx, 0]
     return float(out) if np.isscalar(beta) or b.ndim == 0 else out
 
 
-def pushforward(nu: DiscreteMeasure, x, f) -> ScalarDistribution:
-    """Image of delta_x (x) nu under the scalar map f: (x, z) -> R.
+def pushforward(nu: DiscreteMeasure, x, f) -> DiscreteMeasure:
+    """Image of delta_x (x) nu under the scalar map f: (x, z) -> R, a
+    measure on the line.
 
     Evaluates f at every atom of nu; total mass is preserved and equal
     images are merged.  Errors raised by f propagate unchanged.
@@ -357,7 +342,7 @@ def pushforward(nu: DiscreteMeasure, x, f) -> ScalarDistribution:
     vals = np.empty(len(nu))
     for i, z in enumerate(nu.points):
         vals[i] = float(f(xv, z))
-    return ScalarDistribution.from_pairs(vals, nu.weights)
+    return canonicalize_arrays(vals.reshape(-1, 1), nu.weights)
 
 
 def moment(mu: DiscreteMeasure, q: float) -> float:

@@ -1,4 +1,6 @@
-"""Probability metrics on discrete measures.
+"""Probability metrics between two DiscreteMeasures of one dimension; on
+the line they compare laws of real quantities, such as the images
+f(x, .)#nu that the risk functionals read, with the same code.
 
 A function with |f| <= 1 and Lip(f) <= 1 is, up to a shift that leaves
 int f d(mu - nu) unchanged, 1-Lipschitz for min(||x - y||, 2); so the
@@ -7,8 +9,9 @@ onto (mu - nu)^- under that truncated distance.  On the line that is a
 flow along the atoms and through a hub one unit from each, solved exactly
 by a slope-trick dynamic program (Johnson, J. Comput. Graph. Stat. 22,
 2013).  The gauge-weighted metric adds the gap of the ||.||^q integrals.
-Wasserstein distances use the quantile coupling in one dimension and a
-transport plan otherwise.  The Fortet-Mourier cost is reduced by all-pairs
+Wasserstein distances use the quantile coupling in one dimension, on the
+canonical form of each measure (measure.canonical_line), and a transport
+plan otherwise.  The Fortet-Mourier cost is reduced by all-pairs
 shortest paths before transporting the positive against the negative part
 of mu - nu; on the line the reduced cost adds up over adjacent atoms, a
 closed form in the CDF gap (Rachev and Roemisch, Math. Oper. Res. 27,
@@ -32,8 +35,8 @@ import numpy as np
 from . import optim
 from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, InvalidSpec, OutOfRange
 from .errors import finite_result, in_range
-from .measure import POINT_TOL, DiscreteMeasure, ScalarDistribution, _merge_sorted
-from .measure import _tail_sums, moment, quantile
+from .measure import DiscreteMeasure, _cumulative, _merge_sorted, _tail_sums, canonical_line
+from .measure import moment, quantile
 
 # largest transport plan (source x target atoms), and largest squared union
 # support for the Fortet-Mourier shortest paths; HiGHS needs about 1 KB per
@@ -198,19 +201,6 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     return TransportPlan.from_matrix(sol.point.reshape(n_s, n_d), C, w_src, w_dst)
 
 
-def _scalar(mu: DiscreteMeasure) -> ScalarDistribution:
-    """A 1-D measure's coordinate; canonical atoms (increasing by more than
-    POINT_TOL) as they are, which is from_pairs bit for bit, else merged."""
-    t = mu.points[:, 0]
-    with np.errstate(over="ignore"):  # a gap between atoms near +-1e308 is inf
-        canonical = bool(np.all(np.diff(t) > POINT_TOL))
-    if not canonical:
-        return ScalarDistribution.from_pairs(t, mu.weights)
-    cum = np.cumsum(mu.weights)
-    cum[-1] = 1.0
-    return ScalarDistribution(values=t, weights=mu.weights, cumulative=cum)
-
-
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     """Order-q Wasserstein distance (min transport cost ||x-y||^q, then the
     q-th root).  In one dimension the quantile coupling integral is exact:
@@ -219,13 +209,13 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     _check_dims(mu, nu)
     in_range(q, "order q", ge=1)
     if mu.dim == 1:
-        du, dv = _scalar(mu), _scalar(nu)
-        cuts = np.union1d(du.cumulative, dv.cumulative)
+        mu, nu = canonical_line(mu), canonical_line(nu)
+        cuts = np.union1d(_cumulative(mu.weights), _cumulative(nu.weights))
         cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
         prev = np.concatenate(([0.0], cuts[:-1]))
         mids = 0.5 * (prev + cuts)
         with np.errstate(over="ignore"):
-            gaps = np.abs(quantile(du, mids) - quantile(dv, mids)) ** q
+            gaps = np.abs(quantile(mu, mids) - quantile(nu, mids)) ** q
         return finite_result(float(gaps @ (cuts - prev)) ** (1.0 / q), "wasserstein", q)
     with np.errstate(over="ignore"):
         C = _distances(mu.points, nu.points) ** q

@@ -2,13 +2,14 @@
 finite decision set, and the epsilon-argmin set.
 
 Q(x, nu) pushes nu forward through the recourse value function at x and
-evaluates the risk functional on the image distribution.  The one cache
+evaluates the risk functional on the image f(x, .)#nu, a DiscreteMeasure
+on the line like any other.  The one cache
 is the model's RecourseCache of recourse values per solver input (the row
 of h(x, z), and of q(x, z) where the cost moves, compared bit for bit).
 Maps compute each row on its own (exprs.affine_rows), so a key is exact
 across batches and an input seen in any earlier call is solved once.
 q_profile evaluates all decisions in one recourse batch and builds their
-image distributions in one pass (ScalarDistribution.from_rows).
+image measures in one pass (measure.canonicalize_rows).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, EmptySupport, OutOfRange, as_int, float_array, in_range
-from .measure import DiscreteMeasure, ScalarDistribution
+from .measure import DiscreteMeasure, canonicalize_rows
 from .recourse import RecourseCache, RecourseModel, default_gamma, eval_recourse_batch
 from .risk import RiskSpec, evaluate_risk
 
@@ -152,8 +153,8 @@ def _profile(model: MeanRiskModel, xs: np.ndarray, nu: DiscreteMeasure) -> np.nd
     """Q at every row of xs (a profile of one is Q); the batch checks dims."""
     f = eval_recourse_batch(model.recourse, np.repeat(xs, len(nu), axis=0),
                             np.tile(nu.points, (len(xs), 1)), model._f_cache)
-    dists = ScalarDistribution.from_rows(f.reshape(len(xs), -1), nu.weights)
-    return np.array([evaluate_risk(model.risk, dist) for dist in dists])
+    images = canonicalize_rows(f.reshape(len(xs), -1), nu.weights)
+    return np.array([evaluate_risk(model.risk, image) for image in images])
 
 
 def phi(model: MeanRiskModel, nu: DiscreteMeasure) -> float:

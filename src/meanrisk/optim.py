@@ -779,6 +779,14 @@ def _kkt_chunk(D, A, Q, B, feasibility, out: Rows):
         raise NumericalFailure("feasible convex QP without a detected KKT point")
 
 
+def _check_positive_definite(D: np.ndarray):
+    """InvalidSpec unless the finite square D is symmetric and positive definite."""
+    if np.max(np.abs(D - D.T), initial=0.0) > 1e-12:
+        raise InvalidSpec("D must be symmetric within 1e-12")
+    if np.min(np.linalg.eigvalsh(D)) <= 1e-10:
+        raise InvalidSpec("D must be positive definite (min eigenvalue > 1e-10)")
+
+
 def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
     """Exact minimum of y'Dy + q.y over A y <= b, y_i integer in the finite
     box (lo, hi) of each i in integer_idx, at every (q, b) = (Q[j], B[j])
@@ -806,10 +814,7 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
             raise OutOfRange(f"non-finite entries in {name}")
     if D.shape != (n, n):
         raise DimMismatch(f"D shape {D.shape} vs {n} variables")
-    if np.max(np.abs(D - D.T), initial=0.0) > 1e-12:
-        raise InvalidSpec("D must be symmetric within 1e-12")
-    if np.min(np.linalg.eigvalsh(D)) <= 1e-10:
-        raise InvalidSpec("D must be positive definite (min eigenvalue > 1e-10)")
+    _check_positive_definite(D)
     if A.ndim != 2 or A.shape[1] != n or B.shape != (k, A.shape[0]):
         raise DimMismatch(f"A shape {A.shape} vs b {B.shape[-1]}")
     idx, bounds = _integer_boxes(integer_idx, bounds, n)

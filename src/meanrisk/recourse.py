@@ -175,9 +175,15 @@ class RecourseModel:
             raise InvalidSpec(f"unknown recourse kind {self.kind!r}")
         for name in ("n", "s", "m1", "m2"):
             object.__setattr__(self, name, as_int(getattr(self, name), f"recourse {name}"))
+        if min(self.m1, self.m2) < 0:
+            raise OutOfRange(f"recourse m1 and m2 must be nonnegative, got {self.m1}, {self.m2}")
+        width = self.m1 + self.m2  # recourse variables y, the continuous ones first
         for name in ("A", "q", "D"):
             if getattr(self, name) is not None:
-                object.__setattr__(self, name, float_array(getattr(self, name), name))
+                arr = float_array(getattr(self, name), name)
+                if not np.all(np.isfinite(arr)):
+                    raise OutOfRange(f"non-finite entries in {name}")
+                object.__setattr__(self, name, arr)
         for name in ("A", "D"):
             M = getattr(self, name)
             if M is not None and M.ndim != 2:
@@ -205,18 +211,19 @@ class RecourseModel:
         elif k == "milp":
             if self.A is None or self.q is None or self.h_map is None:
                 raise InvalidSpec("milp recourse needs A, q, h_map")
-            if self.A.shape[1] != self.m1 + self.m2 or len(self.q) != self.m1 + self.m2:
+            if self.A.shape[1] != width or len(self.q) != width:
                 raise DimMismatch("A/q width must equal m1 + m2")
             if self.h_map.out_dim != self.A.shape[0]:
                 raise DimMismatch("h_map must match the row count of A")
         elif k == "miqp":
             if self.A is None or self.D is None or self.q_map is None or self.h_map is None:
                 raise InvalidSpec("miqp recourse needs A, D, q_map, h_map")
-            if self.A.shape[1] != self.m1 + self.m2:
+            if self.A.shape[1] != width:
                 raise DimMismatch("A width must equal m1 + m2")
-            if self.D.shape != (self.m1 + self.m2,) * 2:
+            if self.D.shape != (width, width):
                 raise DimMismatch(f"D shape {self.D.shape} must be (m1 + m2) x (m1 + m2)")
-            if self.q_map.out_dim != self.m1 + self.m2:
+            optim._check_positive_definite(self.D)
+            if self.q_map.out_dim != width:
                 raise DimMismatch("q_map must produce m1 + m2 outputs")
             if self.h_map.out_dim != self.A.shape[0]:
                 raise DimMismatch("h_map must match the row count of A")
@@ -225,12 +232,16 @@ class RecourseModel:
                 raise InvalidSpec("convex_mip recourse needs v and h_map")
             if self.h_map.out_dim != len(self.g):
                 raise DimMismatch("h_map must produce one rhs per constraint")
-            if max(e.width for e in (self.v, *self.g)) > self.m1 + self.m2:
+            if max(e.width for e in (self.v, *self.g)) > width:
                 raise DimMismatch("v and g must read only the m1 + m2 recourse variables")
-            if len(self.continuous_box) != self.m1:
-                raise DimMismatch("one box pair per continuous variable")
-        if k != "linear" and len(self.integer_bounds) != self.m2:
-            raise DimMismatch("one bounds pair per integer variable")
+            optim._integer_boxes(range(self.m1), self.continuous_box, width, "continuous")
+        if k != "linear":  # the solvers' own check of the boxes, before any solve
+            optim._integer_boxes(range(self.m1, width), self.integer_bounds, width)
+        for lo, hi in self.integer_bounds if k == "milp" else ():
+            # _solve_rows clips milp boxes at y >= 0, which would empty this one
+            if hi < 0.0:
+                raise InvalidSpec(f"milp keeps y >= 0, so integer bounds need hi >= 0, "
+                                  f"got ({lo}, {hi})")
 
     def digest(self) -> str:
         return hashlib.sha256(

@@ -1,9 +1,12 @@
-"""Law-invariant risk functionals evaluated directly on scalar distributions.
+"""Law-invariant risk functionals evaluated directly on measures on the line.
 
-Four functionals are implemented in closed form on finite atom sums:
-expectation, average value at risk, mean upper semideviation of order p,
-and mean upper semideviation of order p from a fixed target.  The last one
-is deliberately not translation-equivariant.
+Four functionals are implemented in closed form on finite atom sums of a
+1-D DiscreteMeasure, the law of the random cost: expectation, average
+value at risk, mean upper semideviation of order p, and mean upper
+semideviation of order p from a fixed target.  The last one is
+deliberately not translation-equivariant.  A measure of any other
+dimension raises DimMismatch.  Only avar reads the atoms in order, so only
+it takes measure.canonical_line of its input.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSpec, in_range
-from .measure import ScalarDistribution
+from .measure import DiscreteMeasure, _cumulative, canonical_line, line_values
 
 KINDS = ("expectation", "avar", "semidev", "target_semidev")
 
@@ -71,7 +74,7 @@ class RiskSpec:
         )
 
 
-def avar(dist: ScalarDistribution, alpha: float) -> float:
+def avar(dist: DiscreteMeasure, alpha: float) -> float:
     """Average value at risk: (1/(1-alpha)) * int_alpha^1 quantile(beta) dbeta.
 
     The quantile function is piecewise constant on the cumulative-weight
@@ -79,36 +82,39 @@ def avar(dist: ScalarDistribution, alpha: float) -> float:
     alpha contributes (cum_i - alpha) * value_i.
     """
     in_range(alpha, "alpha", gt=0, lt=1)
-    cum = dist.cumulative
+    dist = canonical_line(dist)
+    cum = _cumulative(dist.weights)
     prev = np.concatenate(([0.0], cum[:-1]))
     seg = np.clip(np.minimum(cum, 1.0) - np.maximum(prev, alpha), 0.0, None)
-    return float(seg @ dist.values) / (1.0 - alpha)
+    return float(seg @ dist.points[:, 0]) / (1.0 - alpha)
 
 
-def semidev(dist: ScalarDistribution, a: float, p: float) -> float:
+def semidev(dist: DiscreteMeasure, a: float, p: float) -> float:
     """Mean upper semideviation of order p:
     E[Y] + a * (E[((Y - E[Y])^+)^p])^(1/p)."""
     in_range(a, "a", ge=0, le=1, error=InvalidSpec)
     in_range(p, "p", ge=1, error=InvalidSpec)
-    m = dist.mean()
-    dev = np.clip(dist.values - m, 0.0, None)
+    t = line_values(dist)
+    m = float(t @ dist.weights)
+    dev = np.clip(t - m, 0.0, None)
     return m + a * float(dev**p @ dist.weights) ** (1.0 / p)
 
 
-def target_semidev(dist: ScalarDistribution, a: float, c: float, p: float) -> float:
+def target_semidev(dist: DiscreteMeasure, a: float, c: float, p: float) -> float:
     """Mean upper semideviation of order p from the target c:
     E[Y] + a * (E[((Y - c)^+)^p])^(1/p)."""
     in_range(a, "a", ge=0, le=1, error=InvalidSpec)
     in_range(c, "c", gt=0, error=InvalidSpec)
     in_range(p, "p", ge=1, error=InvalidSpec)
-    dev = np.clip(dist.values - c, 0.0, None)
-    return dist.mean() + a * float(dev**p @ dist.weights) ** (1.0 / p)
+    t = line_values(dist)
+    dev = np.clip(t - c, 0.0, None)
+    return float(t @ dist.weights) + a * float(dev**p @ dist.weights) ** (1.0 / p)
 
 
-def evaluate_risk(spec: RiskSpec, dist: ScalarDistribution) -> float:
+def evaluate_risk(spec: RiskSpec, dist: DiscreteMeasure) -> float:
     """Dispatch to the closed form matching the spec."""
     if spec.kind == "expectation":
-        return dist.mean()
+        return float(line_values(dist) @ dist.weights)
     if spec.kind == "avar":
         return avar(dist, spec.alpha)
     if spec.kind == "semidev":
@@ -118,21 +124,19 @@ def evaluate_risk(spec: RiskSpec, dist: ScalarDistribution) -> float:
     raise InvalidSpec(f"unknown risk kind {spec.kind!r}")
 
 
-def stop_loss(dist: ScalarDistribution, t) -> np.ndarray:
+def stop_loss(dist: DiscreteMeasure, t) -> np.ndarray:
     """E[(Y - t)^+] for a scalar or array of thresholds t."""
     tv = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.clip(dist.values[None, :] - tv[:, None], 0.0, None) @ dist.weights
-    return out
+    return np.clip(line_values(dist)[None, :] - tv[:, None], 0.0, None) @ dist.weights
 
 
-def icx_leq(mu: ScalarDistribution, nu: ScalarDistribution, tol: float = 1e-10) -> bool:
+def icx_leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> bool:
     """Decide mu <= nu in the increasing convex order.
 
     Checks the stop-loss inequality E[(X-t)^+] <= E[(Y-t)^+] at every atom
-    value of both distributions; both sides are piecewise linear with kinks
+    value of both measures; both sides are piecewise linear with kinks
     only at atoms and vanish beyond the joint support, so this grid decides
     the ordering.
     """
-    grid = np.union1d(mu.values, nu.values)
+    grid = np.union1d(line_values(mu), line_values(nu))
     return bool(np.all(stop_loss(mu, grid) <= stop_loss(nu, grid) + tol))
-

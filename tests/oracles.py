@@ -43,7 +43,7 @@ from meanrisk.errors import (
     RecourseInfeasible,
     RecourseUnbounded,
 )
-from meanrisk.measure import POINT_TOL, DiscreteMeasure, ScalarDistribution, quantile
+from meanrisk.measure import POINT_TOL, DiscreteMeasure, canonicalize_arrays, quantile
 
 
 def merge_sorted_oracle(points, weights):
@@ -68,11 +68,10 @@ def merge_sorted_oracle(points, weights):
     return np.array(out_pts, dtype=float), np.array(out_wts, dtype=float)
 
 
-def scalar_distribution_oracle(values, weights):
-    """(values, weights, cumulative) of ScalarDistribution.from_pairs by
+def line_oracle(values, weights):
+    """(values, weights) of canonicalize_arrays on the line by
     merge_sorted_oracle: a stable sort of the values, the row-by-row anchor
-    merge, then division by the total unless it is within 1e-12 of one, and
-    cumulative weights with the last pinned to 1."""
+    merge, then division by the total unless it is within 1e-12 of one."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
     order = np.argsort(values, kind="stable")
@@ -80,9 +79,19 @@ def scalar_distribution_oracle(values, weights):
     total = float(wts.sum())
     if abs(total - 1.0) > 1e-12:
         wts = wts / total
-    cum = np.cumsum(wts)
+    return pts[:, 0], wts
+
+
+def line_measure(values, weights) -> DiscreteMeasure:
+    """The canonical measure on the line with these atom values and weights."""
+    return canonicalize_arrays(np.reshape(values, (-1, 1)), weights)
+
+
+def cumulative_weights(mu: DiscreteMeasure) -> np.ndarray:
+    """Running sums of a canonical measure's weights, the last pinned to 1."""
+    cum = np.cumsum(mu.weights)
     cum[-1] = 1.0
-    return pts[:, 0], wts, cum
+    return cum
 
 
 def parse_atoms_oracle(raw_atoms):
@@ -104,7 +113,7 @@ def parse_atoms_oracle(raw_atoms):
     return np.array(pts, dtype=float), np.array(wts, dtype=float)
 
 
-def riemann_avar(dist: ScalarDistribution, alpha: float, n: int = 1_000_000) -> float:
+def riemann_avar(dist: DiscreteMeasure, alpha: float, n: int = 1_000_000) -> float:
     """Midpoint Riemann sum of the quantile function over (alpha, 1)."""
     beta = alpha + (np.arange(n) + 0.5) * (1.0 - alpha) / n
     return float(np.mean(quantile(dist, beta)))
@@ -126,9 +135,10 @@ def direct_target_semidev(values, weights, a, c, p) -> float:
     return m + a * s ** (1.0 / p)
 
 
-def stop_loss_grid(dist: ScalarDistribution, lo: float, hi: float, n: int = 4001):
+def stop_loss_grid(dist: DiscreteMeasure, lo: float, hi: float, n: int = 4001):
     ts = np.linspace(lo, hi, n)
-    vals = np.array([sum(w * max(v - t, 0.0) for v, w in zip(dist.values, dist.weights)) for t in ts])
+    vals = np.array([sum(w * max(v - t, 0.0) for v, w in zip(dist.points[:, 0], dist.weights))
+                     for t in ts])
     return ts, vals
 
 
@@ -711,42 +721,42 @@ def sliver_oracle(w, c, R, a, s0, eps):
     return float(w @ c + s * (w @ a) - abs(w @ perp) * math.sqrt(R * R - s * s))
 
 
-def avar_ru_oracle(dist: ScalarDistribution, alpha: float) -> float:
+def avar_ru_oracle(dist: DiscreteMeasure, alpha: float) -> float:
     """AVaR as min over t of t + E[(Y-t)^+]/(1-alpha) (Rockafellar-Uryasev).
 
     The objective is piecewise linear and convex in t with kinks at the atom
     values, so minimizing over the atom grid is exact."""
-    t = dist.values[:, None]
-    excess = np.clip(dist.values[None, :] - t, 0.0, None) @ dist.weights
-    return float(np.min(dist.values + excess / (1.0 - alpha)))
+    values = dist.points[:, 0]
+    excess = np.clip(values[None, :] - values[:, None], 0.0, None) @ dist.weights
+    return float(np.min(values + excess / (1.0 - alpha)))
 
 
-def comonotone_mixture(mu: ScalarDistribution, nu: ScalarDistribution, lam: float):
-    """Distribution of lam*Q_mu(U) + (1-lam)*Q_nu(U) for a common uniform U,
-    built on the merged cumulative-weight grid of the two inputs."""
-    cuts = np.union1d(mu.cumulative, nu.cumulative)
+def comonotone_mixture(mu: DiscreteMeasure, nu: DiscreteMeasure, lam: float):
+    """Law of lam*Q_mu(U) + (1-lam)*Q_nu(U) for a common uniform U, built
+    on the merged cumulative-weight grid of the two canonical inputs."""
+    cuts = np.union1d(cumulative_weights(mu), cumulative_weights(nu))
     cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
     prev = np.concatenate(([0.0], cuts[:-1]))
     mids = 0.5 * (prev + cuts)
     vals = lam * quantile(mu, mids) + (1.0 - lam) * quantile(nu, mids)
-    return ScalarDistribution.from_pairs(vals, cuts - prev)
+    return line_measure(vals, cuts - prev)
 
 
 def quantized_distribution(rng, max_atoms=50, denom=10_000, value_scale=10.0):
-    """Random distribution whose weights are exact multiples of 1/denom,
+    """Random measure on the line whose weights are exact multiples of 1/denom,
     so cumulative weights land exactly on the Riemann oracle's cell edges."""
     k = int(rng.integers(2, max_atoms + 1))
     cuts = np.sort(rng.choice(np.arange(1, denom), size=k - 1, replace=False))
     counts = np.diff(np.concatenate(([0], cuts, [denom])))
     values = rng.uniform(-value_scale, value_scale, size=k)
-    return ScalarDistribution.from_pairs(values, counts / denom)
+    return line_measure(values, counts / denom)
 
 
 def random_distribution(rng, max_atoms=20, value_scale=5.0):
     k = int(rng.integers(1, max_atoms + 1))
     values = rng.uniform(-value_scale, value_scale, size=k)
     weights = rng.uniform(0.1, 1.0, size=k)
-    return ScalarDistribution.from_pairs(values, weights / weights.sum())
+    return line_measure(values, weights / weights.sum())
 
 
 def _linprog(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)) -> float:

@@ -28,6 +28,11 @@ def write(tmp_path, name, data):
     return str(path)
 
 
+def with_recourse(name, **edits):
+    """A model edit: the recourse of another demo model, with these entries."""
+    return lambda d: d.update(recourse={**demo(name)["recourse"], **edits})
+
+
 def run_eval(model, measure):
     return cli.main(["eval", "--model", model, "--measure", measure, "--all"])
 
@@ -51,9 +56,20 @@ class TestExitCodes:
             lambda d: d.update(p=1e400),
             lambda d: d.update(risk={"kind": "semidev", "a": 0.5, "p": 1e400}),
             lambda d: d["recourse"].update(n=1e400),
+            # the recourse data is refused when it loads, not at the first solve
+            with_recourse("model_milp_expectation.json", integer_bounds=[[5, 0]]),
+            with_recourse("model_milp_expectation.json", m1=-1, m2=3, integer_bounds=[[0, 1]] * 3),
+            with_recourse("model_milp_expectation.json", integer_bounds=[[-5, -1]]),
+            lambda d: d["recourse"].update(A=[[math.inf, -1.0]]),
+            with_recourse("model_milp_expectation.json", q=[math.nan, 1.0]),
+            with_recourse("model_miqp_expectation.json", D=[[math.inf]]),
+            with_recourse("model_miqp_expectation.json", D=[[-1.0]]),
+            with_recourse("model_convex_expectation.json", integer_bounds=[[20.0, -20.0]]),
         ],
         ids=["no-risk", "no-recourse", "no-decisions", "gamma-not-a-number", "p-a-list",
-             "gamma-1e400", "p-1e400", "risk-p-1e400", "n-1e400"],
+             "gamma-1e400", "p-1e400", "risk-p-1e400", "n-1e400", "milp-bounds-reversed",
+             "milp-m1-negative", "milp-bounds-below-zero", "A-inf", "milp-q-nan", "miqp-D-inf",
+             "miqp-D-negative", "convex-bounds-reversed"],
     )
     def test_malformed_model_is_a_config_error(self, tmp_path, capsys, edit):
         data = demo("model_linear_avar.json")
@@ -63,6 +79,7 @@ class TestExitCodes:
         assert run_eval(model, base) == cli.EXIT_CONFIG
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("config error: bad model")
+        assert out.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "text",
@@ -97,23 +114,25 @@ class TestExitCodes:
         assert out.out == "" and out.err.startswith("config error: bad measure")
 
     @pytest.mark.parametrize(
-        "scheme",
+        "scheme, extra",
         [
-            '{"kind": "saa", "n_schedule": "abc", "seed": 0}',
-            '{"kind": "saa", "n_schedule": [100], "seed": "x"}',
-            '{"n_schedule": [100], "seed": 0}',
-            '[1, 2',
-            '{"kind": "saa", "n_schedule": [1e400, 2000], "seed": 0}',
+            ('{"kind": "saa", "n_schedule": "abc", "seed": 0}', ()),
+            ('{"kind": "saa", "n_schedule": [100], "seed": "x"}', ()),
+            ('{"n_schedule": [100], "seed": 0}', ()),
+            ('[1, 2', ()),
+            ('{"kind": "saa", "n_schedule": [1e400, 2000], "seed": 0}', ()),
+            (os.path.join(DEMO, "scheme_saa.json"), ("--seed", "-3")),
         ],
-        ids=["schedule-text", "seed-text", "no-kind", "broken-json", "n-1e400"],
+        ids=["schedule-text", "seed-text", "no-kind", "broken-json", "n-1e400", "seed-flag-negative"],
     )
-    def test_malformed_scheme_is_a_config_error(self, tmp_path, capsys, scheme):
+    def test_malformed_scheme_is_a_config_error(self, tmp_path, capsys, scheme, extra):
         model = write(tmp_path, "m.json", demo("model_milp_expectation.json"))
         base = write(tmp_path, "b.json", demo("base_measure.json"))
         argv = ["stability", "--model", model, "--measure", base, "--scheme", scheme,
-                "--out", str(tmp_path / "out")]
+                "--out", str(tmp_path / "out"), *extra]
         assert cli.main(argv) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error:")
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("config error:") and out.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "doc, path, value, message",
@@ -322,14 +341,18 @@ class TestCertify:
         return cli.main(["certify", "--model", model, "--zbox=-1:1", "--n", "20", *extra])
 
     @pytest.mark.parametrize(
-        "extra",
-        [("--xcount", "0"), ("--xcount", "-1"), ("--n", "0")],
-        ids=["xcount-0", "xcount-neg", "n-0"],
+        "extra, rule",
+        [(("--xcount", "0"), "finite and >= 1"), (("--xcount", "-1"), "finite and >= 1"),
+         (("--n", "0"), "finite and >= 1"),
+         (("--seed", "-1"), "finite and nonnegative"), (("--gamma", "0"), "finite and positive"),
+         (("--gamma", "-1"), "finite and positive"), (("--gamma", "inf"), "finite and positive")],
+        ids=["xcount-0", "xcount-neg", "n-0", "seed-neg", "gamma-0", "gamma-neg", "gamma-inf"],
     )
-    def test_nonpositive_counts_are_config_errors(self, tmp_path, capsys, extra):
+    def test_bad_numeric_flags_are_config_errors(self, tmp_path, capsys, extra, rule):
         assert self.certify(tmp_path, *extra) == cli.EXIT_CONFIG
         out = capsys.readouterr()
-        assert out.out == "" and out.err.startswith(f"config error: {extra[0]} must be >= 1")
+        assert out.out == "" and out.err.startswith(f"config error: {extra[0]} must be {rule}")
+        assert out.err.count("\n") == 1
 
     @pytest.mark.parametrize("zbox", ["-1:inf", "-inf:1", "nan:1", "1:1", "-1e308:1e308"])
     def test_bad_zbox_is_a_config_error(self, tmp_path, capsys, zbox):

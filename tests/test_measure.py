@@ -9,10 +9,12 @@ from meanrisk import measure as ms
 from meanrisk.errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange
 
 from oracles import (
+    cumulative_weights,
+    line_measure,
+    line_oracle,
     measure_sampler,
     merge_sorted_oracle,
     parse_atoms_oracle,
-    scalar_distribution_oracle,
 )
 
 
@@ -341,7 +343,7 @@ class TestCheckAtoms:
         weights = np.array(weights, dtype=float)
         builds = [lambda: ms._check_atoms(points, weights),
                   lambda: ms.canonicalize_arrays(points, weights),
-                  lambda: ms.ScalarDistribution.from_rows(points.T, weights)]
+                  lambda: ms.canonicalize_rows(points.T, weights)]
         if len(weights):
             builds.append(lambda: ms.DiscreteMeasure(dim=points.shape[1], points=points,
                                                      weights=weights))
@@ -367,24 +369,24 @@ class TestCheckAtoms:
 
 class TestQuantile:
     def test_left_continuity_at_jump(self):
-        d = ms.ScalarDistribution.from_pairs([0, 1], [0.5, 0.5])
+        d = line_measure([0, 1], [0.5, 0.5])
         assert ms.quantile(d, 0.5) == 0.0
 
     def test_above_jump(self):
-        d = ms.ScalarDistribution.from_pairs([0, 1], [0.5, 0.5])
+        d = line_measure([0, 1], [0.5, 0.5])
         assert ms.quantile(d, 0.6) == 1.0
 
     def test_quartiles(self):
-        d = ms.ScalarDistribution.from_pairs([1, 2, 3, 4], [0.25] * 4)
+        d = line_measure([1, 2, 3, 4], [0.25] * 4)
         # brute-force inf over a fine t-grid of {t : F(t) >= beta}
         grid = np.linspace(0, 5, 50001)
-        cdf = lambda t: sum(w for v, w in zip(d.values, d.weights) if v <= t)
+        cdf = lambda t: sum(w for v, w in zip(d.points[:, 0], d.weights) if v <= t)
         expected = min(t for t in grid if cdf(t) >= 0.8)
         assert ms.quantile(d, 0.8) == pytest.approx(expected, abs=1e-3)
         assert ms.quantile(d, 0.8) == 4.0
 
     def test_range_validation(self):
-        d = ms.ScalarDistribution.from_pairs([0], [1.0])
+        d = line_measure([0], [1.0])
         for beta in (0.0, 1.0, -0.1, 1.1, np.nan, [0.5, np.nan]):
             with pytest.raises(OutOfRange):
                 ms.quantile(d, beta)
@@ -393,18 +395,17 @@ class TestQuantile:
         rng = np.random.default_rng(3)
         for _ in range(20):
             k = rng.integers(1, 10)
-            d = ms.ScalarDistribution.from_pairs(
-                rng.normal(size=k), rng.uniform(0.1, 1, size=k)
-            )
+            d = line_measure(rng.normal(size=k), rng.uniform(0.1, 1, size=k))
             betas = np.sort(rng.uniform(0.01, 0.99, size=200))
             qs = ms.quantile(d, betas)
             assert np.all(np.diff(qs) >= 0)
             # at non-jump points, stepping back 1e-12 changes nothing
-            away = betas[np.min(np.abs(betas[:, None] - d.cumulative[None, :]), axis=1) > 1e-6]
+            cum = cumulative_weights(d)
+            away = betas[np.min(np.abs(betas[:, None] - cum[None, :]), axis=1) > 1e-6]
             assert np.array_equal(ms.quantile(d, away - 1e-12), ms.quantile(d, away))
 
 
-class TestScalarDistribution:
+class TestLineMeasure:
     @pytest.mark.parametrize(
         "values,weights",
         [
@@ -417,16 +418,16 @@ class TestScalarDistribution:
     )
     def test_non_finite_raises(self, values, weights):
         with pytest.raises(OutOfRange):
-            ms.ScalarDistribution.from_pairs(values, weights)
+            line_measure(values, weights)
 
     @pytest.mark.parametrize(
-        "values, weights",
-        [(np.zeros((3, 2)), np.ones(3)), ([0.0, 1.0], [1.0]), ([0.0, 1.0], np.ones((2, 1)))],
-        ids=["value-matrix", "short-weights", "weight-matrix"],
+        "points, weights",
+        [(np.zeros(3), np.ones(3)), ([[0.0], [1.0]], [1.0]), ([[0.0], [1.0]], np.ones((2, 1)))],
+        ids=["value-vector", "short-weights", "weight-matrix"],
     )
-    def test_malformed_shapes_are_dim_mismatch(self, values, weights):
+    def test_malformed_shapes_are_dim_mismatch(self, points, weights):
         with pytest.raises(DimMismatch):
-            ms.ScalarDistribution.from_pairs(values, weights)
+            ms.canonicalize_arrays(points, weights)
 
     def test_nan_image_raises_instead_of_nan_risk(self):
         nu = ms.canonicalize([((0,), 0.5), ((1,), 0.5)])
@@ -435,12 +436,13 @@ class TestScalarDistribution:
 
 
 def assert_rows_match_oracle(F, weights):
-    """from_rows of F equals scalar_distribution_oracle row by row, bit for bit."""
-    got = ms.ScalarDistribution.from_rows(F, weights)
+    """canonicalize_rows of F equals line_oracle row by row, bit for bit."""
+    got = ms.canonicalize_rows(F, weights)
     assert len(got) == len(F)
     for row, dist in zip(F, got):
-        want = scalar_distribution_oracle(row, weights)
-        for g, w in zip((dist.values, dist.weights, dist.cumulative), want):
+        assert type(dist) is ms.DiscreteMeasure and dist.dim == 1
+        want = line_oracle(row, weights)
+        for g, w in zip((dist.points[:, 0], dist.weights), want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (row, g, w)
 
 
@@ -461,7 +463,7 @@ def value_rows(draw):
     return F, weights
 
 
-class TestFromRows:
+class TestCanonicalizeRows:
     @settings(max_examples=300, deadline=None)
     @given(rows=value_rows())
     def test_byte_equal_to_the_oracle_row_by_row(self, rows):
@@ -472,7 +474,7 @@ class TestFromRows:
         chain = np.arange(12) * 7e-13
         F = np.stack([chain, chain[::-1], np.full(12, 5.0), chain + 1.0])
         assert_rows_match_oracle(F, np.full(12, 1.0 / 12))
-        assert len(ms.ScalarDistribution.from_rows(F, np.ones(12))[0]) == 6
+        assert len(ms.canonicalize_rows(F, np.ones(12))[0]) == 6
 
     def test_signed_zeros_and_zero_weights(self):
         F = np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, 2.0], [-0.0] * 4])
@@ -484,9 +486,9 @@ class TestFromRows:
         rng = np.random.default_rng(4)
         row = rng.integers(0, 5, size=(1, 40)).astype(float)
         assert_rows_match_oracle(row, rng.uniform(size=40))
-        alone = ms.ScalarDistribution.from_pairs(row[0], np.ones(40))
-        (got,) = ms.ScalarDistribution.from_rows(row, np.ones(40))
-        assert alone.values.tobytes() == got.values.tobytes()
+        alone = ms.canonicalize_arrays(row.T, np.ones(40))
+        (got,) = ms.canonicalize_rows(row, np.ones(40))
+        assert alone.points.tobytes() == got.points.tobytes()
         assert alone.weights.tobytes() == got.weights.tobytes()
 
     def test_group_of_fifty_beside_singletons(self):
@@ -498,26 +500,26 @@ class TestFromRows:
     def test_nan_row_raises(self):
         F = np.array([[0.0, 1.0], [np.nan, 1.0]])
         with pytest.raises(OutOfRange):
-            ms.ScalarDistribution.from_rows(F, np.array([0.5, 0.5]))
+            ms.canonicalize_rows(F, np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("values, weights", [(np.zeros(3), np.ones(3)),
                                                  (np.zeros((2, 3)), np.ones(2))])
     def test_malformed_shapes_are_dim_mismatch(self, values, weights):
         with pytest.raises(DimMismatch):
-            ms.ScalarDistribution.from_rows(values, weights)
+            ms.canonicalize_rows(values, weights)
 
 
 class TestPushforward:
     def test_affine_image(self):
         nu = ms.canonicalize([((0,), 0.5), ((1,), 0.5)])
         pf = ms.pushforward(nu, [1.0], lambda x, z: x[0] + z[0])
-        assert np.allclose(pf.values, [1, 2])
+        assert pf.dim == 1 and np.allclose(pf.points[:, 0], [1, 2])
         assert np.allclose(pf.weights, [0.5, 0.5])
 
     def test_images_merge(self):
         nu = ms.canonicalize([((0,), 0.5), ((2,), 0.5)])
         pf = ms.pushforward(nu, [1.0], lambda x, z: abs(x[0] - z[0]))
-        assert np.allclose(pf.values, [1.0])
+        assert np.allclose(pf.points[:, 0], [1.0])
         assert np.allclose(pf.weights, [1.0])
 
     def test_mass_preserved(self):
@@ -536,7 +538,7 @@ class TestPushforward:
             direct = sum(
                 w * abs(f(np.array([1.7]), z)) ** p for z, w in zip(nu.points, nu.weights)
             )
-            assert pf.abs_moment(p) == pytest.approx(direct, abs=1e-10)
+            assert ms.moment(pf, p) == pytest.approx(direct, abs=1e-10)
 
 
 class TestMoments:

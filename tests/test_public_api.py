@@ -2,7 +2,6 @@ import meanrisk
 
 PUBLIC = [
     "DiscreteMeasure",
-    "ScalarDistribution",
     "canonicalize",
     "dirac",
     "quantile",

@@ -64,7 +64,7 @@ def convex_model(**edits):
 
 MU = canonicalize([((0.5,), 0.5), ((2.0,), 0.5)])
 FAR = (canonicalize([((0.0, 0.0), 0.5), ((30.0, 0.0), 0.5)]), canonicalize([((15.0, 0.0), 1.0)]))
-DIST = measure.ScalarDistribution.from_pairs([0.0, 1.0, 4.0], [0.25, 0.5, 0.25])
+DIST = measure.canonicalize_arrays([[0.0], [1.0], [4.0]], [0.25, 0.5, 0.25])
 MILP = model_with().recourse
 REPORT = stability.StabilityReport(
     tuple(stability.StabilityRow(k, float(k), 1.0 / (k + 1), 0, 0, 0, 0) for k in range(3)),

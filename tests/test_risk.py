@@ -4,14 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanrisk import risk as rk
-from meanrisk.errors import InvalidSpec, OutOfRange
-from meanrisk.measure import ScalarDistribution, quantile
+from meanrisk.errors import DimMismatch, InvalidSpec, OutOfRange
+from meanrisk.measure import DiscreteMeasure, canonicalize, quantile
 
 from oracles import (
     avar_ru_oracle,
     comonotone_mixture,
+    direct_mean,
     direct_semidev,
     direct_target_semidev,
+    line_measure,
     random_distribution,
     riemann_avar,
     stop_loss_grid,
@@ -19,7 +21,7 @@ from oracles import (
 
 
 def dist(values, weights):
-    return ScalarDistribution.from_pairs(values, weights)
+    return line_measure(values, weights)
 
 
 TWO_POINT = dist([0, 2], [0.5, 0.5])
@@ -73,7 +75,8 @@ class TestEvaluate:
     def test_semidev_a0_is_mean(self):
         spec = rk.RiskSpec("semidev", a=0.0, p=2.0)
         for d in (TWO_POINT, QUARTERS):
-            assert rk.evaluate_risk(spec, d) == pytest.approx(d.mean(), abs=1e-12)
+            mean = direct_mean(d.points[:, 0], d.weights)
+            assert rk.evaluate_risk(spec, d) == pytest.approx(mean, abs=1e-12)
 
 
 class TestAvar:
@@ -133,7 +136,7 @@ class TestSemidev:
             d = random_distribution(rng)
             a, p = float(rng.uniform(0, 1)), float(rng.uniform(1, 3))
             assert rk.semidev(d, a, p) == pytest.approx(
-                direct_semidev(d.values, d.weights, a, p), abs=1e-12
+                direct_semidev(d.points[:, 0], d.weights, a, p), abs=1e-12
             )
 
 
@@ -150,7 +153,7 @@ class TestTargetSemidev:
 
     def test_below_target_is_mean(self):
         d = dist([-2, 0.5], [0.5, 0.5])
-        assert rk.target_semidev(d, 0.8, 1.0, 2.0) == pytest.approx(d.mean())
+        assert rk.target_semidev(d, 0.8, 1.0, 2.0) == pytest.approx(-0.75)
 
     def test_direct_oracle_random(self):
         rng = np.random.default_rng(37)
@@ -158,7 +161,7 @@ class TestTargetSemidev:
             d = random_distribution(rng)
             a, c, p = float(rng.uniform(0, 1)), float(rng.uniform(0.5, 3)), float(rng.uniform(1, 3))
             assert rk.target_semidev(d, a, c, p) == pytest.approx(
-                direct_target_semidev(d.values, d.weights, a, c, p), abs=1e-12
+                direct_target_semidev(d.points[:, 0], d.weights, a, c, p), abs=1e-12
             )
 
 
@@ -186,8 +189,8 @@ class TestMonotonicity:
         grid = np.linspace(1e-4, 1 - 1e-4, 10_000)
         for _ in range(15):
             d = random_distribution(rng, max_atoms=10)
-            lift = np.abs(rng.normal(size=len(d.values)))
-            dominating = dist(d.values + lift, d.weights)
+            lift = np.abs(rng.normal(size=len(d)))
+            dominating = dist(d.points[:, 0] + lift, d.weights)
             assert np.all(quantile(dominating, grid) >= quantile(d, grid))
             for spec in ALL_SPECS:
                 assert rk.evaluate_risk(spec, dominating) >= rk.evaluate_risk(spec, d) - 1e-10
@@ -215,7 +218,8 @@ class TestTranslation:
             d = random_distribution(rng)
             t = float(rng.normal())
             for spec in EQUIVARIANT_SPECS:
-                assert rk.evaluate_risk(spec, d.shifted(t)) == pytest.approx(
+                shifted = dist(d.points[:, 0] + t, d.weights)
+                assert rk.evaluate_risk(spec, shifted) == pytest.approx(
                     rk.evaluate_risk(spec, d) + t, abs=1e-10
                 )
 
@@ -241,9 +245,9 @@ class TestIcx:
         for _ in range(20):
             mu = random_distribution(rng, max_atoms=6)
             # mean preserving spread of one atom
-            i = int(rng.integers(len(mu.values)))
+            i = int(rng.integers(len(mu)))
             delta = float(rng.uniform(0.5, 2.0))
-            vals = list(mu.values)
+            vals = list(mu.points[:, 0])
             wts = list(mu.weights)
             v, w = vals.pop(i), wts.pop(i)
             vals += [v - delta, v + delta]
@@ -254,9 +258,47 @@ class TestIcx:
                 assert rk.evaluate_risk(spec, mu) <= rk.evaluate_risk(spec, nu) + 1e-10
 
 
+# every reader of a measure on the line, on a measure in the plane
+PLANE = canonicalize([((0.0, 1.0), 0.5), ((2.0, 0.0), 0.5)])
+LINE_READERS = {
+    "evaluate-expectation": lambda m: rk.evaluate_risk(rk.RiskSpec("expectation"), m),
+    "evaluate-avar": lambda m: rk.evaluate_risk(rk.RiskSpec("avar", alpha=0.5), m),
+    "evaluate-semidev": lambda m: rk.evaluate_risk(rk.RiskSpec("semidev", a=0.5, p=2.0), m),
+    "evaluate-target-semidev": lambda m: rk.evaluate_risk(
+        rk.RiskSpec("target_semidev", a=0.5, c=1.0, p=2.0), m),
+    "avar": lambda m: rk.avar(m, 0.5),
+    "semidev": lambda m: rk.semidev(m, 0.5, 2.0),
+    "target-semidev": lambda m: rk.target_semidev(m, 0.5, 1.0, 2.0),
+    "quantile": lambda m: quantile(m, 0.5),
+    "stop-loss": lambda m: rk.stop_loss(m, [0.0, 1.0]),
+    "icx-leq-first": lambda m: rk.icx_leq(m, QUARTERS),
+    "icx-leq-second": lambda m: rk.icx_leq(QUARTERS, m),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(LINE_READERS))
+def test_line_readers_refuse_other_dimensions(reader):
+    with pytest.raises(DimMismatch, match="a measure on the line is needed, got dim 2"):
+        LINE_READERS[reader](PLANE)
+
+
+def test_order_readers_use_the_canonical_form():
+    # DiscreteMeasure(...) keeps the atoms as given: unsorted, with two within
+    # POINT_TOL; canonical, it is 0 (weight 1/2), 1 and 2 (1/4 each)
+    mu = DiscreteMeasure(dim=1, points=np.array([[2.0], [0.0], [1.0], [5e-13]]),
+                         weights=np.array([0.25, 0.25, 0.25, 0.25]))
+    canonical = canonicalize(list(zip(mu.points, mu.weights)))
+    betas = np.linspace(0.05, 0.95, 19)
+    assert np.array_equal(quantile(mu, betas), quantile(canonical, betas))
+    assert quantile(mu, 0.5) == 0.0 and quantile(mu, 0.6) == 1.0
+    for alpha in (0.1, 0.5, 0.6, 0.9):
+        assert rk.avar(mu, alpha) == rk.avar(canonical, alpha)
+    assert rk.avar(mu, 0.5) == pytest.approx(1.5)
+
+
 # Risk axioms as properties of random variables on one finite probability
 # space: ``coupled`` draws weights w and the value vectors of ``count``
-# variables, and each variable's law is from_pairs(values, w).
+# variables, and each variable's law is line_measure(values, w).
 value = st.floats(-50.0, 50.0)
 
 
