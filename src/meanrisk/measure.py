@@ -7,10 +7,9 @@ adds a row to the current atom when every coordinate is within POINT_TOL
 anchor.  Closeness is measured against the anchor, not the previous row, so
 it is not transitive: a chain of rows each within 1e-12 of its predecessor
 splits once it drifts more than 1e-12 from the anchor.  A measure on the
-line is also the law of a real quantity, such as the image f(x, .)#nu that
-the risk functionals read (pushforward, canonicalize_rows).  All values are
-immutable after construction and every operation is pure, so concurrent
-reads are safe.
+line is also the law of a real quantity, such as the image f(x, .)#nu
+(pushforward).  All values are immutable after construction and every
+operation is pure, so concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -268,27 +267,6 @@ def dirac(point) -> DiscreteMeasure:
     return canonicalize([(point, 1.0)])
 
 
-def canonicalize_rows(values, weights) -> list:
-    """One measure on the line per row of a (k, m) value array, every row
-    with the m weights, as canonicalize_arrays gives it alone: one stable
-    sort along the rows, one merge of the (row index, value) pairs (indices
-    1 apart are never within POINT_TOL, so no two rows join), then each
-    row's renormalization."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if values.ndim != 2 or weights.shape != values.shape[1:]:
-        raise DimMismatch(f"values {values.shape} need one weight per column, got {weights.shape}")
-    _check_atoms(values, weights)
-    k, m = values.shape
-    order = np.argsort(values, axis=1, kind="stable")
-    pairs = np.column_stack([np.repeat(np.arange(k, dtype=float), m),
-                             np.take_along_axis(values, order, axis=1).ravel()])
-    anchors, sums = _merge_sorted(pairs, weights[order].ravel())
-    bounds = np.searchsorted(anchors[:, 0], np.arange(k + 1))
-    return [DiscreteMeasure(dim=1, points=anchors[a:b, 1:], weights=_renormalize(sums[a:b]))
-            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-
-
 def line_values(mu: DiscreteMeasure) -> np.ndarray:
     """The atom values of a measure on the line; DimMismatch for d != 1."""
     if mu.dim != 1:
@@ -309,9 +287,10 @@ def canonical_line(mu: DiscreteMeasure) -> DiscreteMeasure:
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:
-    """Cumulative weights of a canonical measure on the line, the last pinned to 1."""
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
+    """Cumulative weights along the last axis (one measure on the line, or
+    one per row), the last pinned to 1."""
+    cum = np.cumsum(weights, axis=-1)
+    cum[..., -1] = 1.0
     return cum
 
 

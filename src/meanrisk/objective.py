@@ -1,15 +1,15 @@
 """Composite mean-risk objective Q(x, nu), its optimal value phi over a
 finite decision set, and the epsilon-argmin set.
 
-Q(x, nu) pushes nu forward through the recourse value function at x and
-evaluates the risk functional on the image f(x, .)#nu, a DiscreteMeasure
-on the line like any other.  The one cache
-is the model's RecourseCache of recourse values per solver input (the row
-of h(x, z), and of q(x, z) where the cost moves, compared bit for bit).
-Maps compute each row on its own (exprs.affine_rows), so a key is exact
-across batches and an input seen in any earlier call is solved once.
-q_profile evaluates all decisions in one recourse batch and builds their
-image measures in one pass (measure.canonicalize_rows).
+Q(x, nu) is the risk of the image f(x, .)#nu, which a law-invariant risk
+reads off the values f(x, z) at the atoms z of nu and their weights: no
+image measure is built, and risk._risk_rows reads each decision's values
+as one row.  The one cache is the model's RecourseCache of recourse values
+per solver input (the row of h(x, z), and of q(x, z) where the cost moves,
+compared bit for bit).  Maps compute each row on its own
+(exprs.affine_rows), so a key is exact across batches and an input seen in
+any earlier call is solved once.  q_profile evaluates all decisions in one
+recourse batch.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimMismatch, EmptySupport, OutOfRange, as_int, float_array, in_range
-from .measure import DiscreteMeasure, canonicalize_rows
+from .measure import DiscreteMeasure
 from .recourse import RecourseCache, RecourseModel, default_gamma, eval_recourse_batch
-from .risk import RiskSpec, evaluate_risk
+from .risk import RiskSpec, _risk_rows
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,16 @@ def q_profile(model: MeanRiskModel, nu: DiscreteMeasure) -> np.ndarray:
 
 
 def _profile(model: MeanRiskModel, xs: np.ndarray, nu: DiscreteMeasure) -> np.ndarray:
-    """Q at every row of xs (a profile of one is Q); the batch checks dims."""
+    """Q at every row of xs (a profile of one is Q); the batch checks dims,
+    and a NaN or inf value is OutOfRange.  A row of values gets the same
+    risk bits in any batch.  Q agrees with evaluate_risk of the merged image
+    measure to 1e-12 relative to max(1, |Q|), plus (1 + 2a) POINT_TOL where
+    the merge moves values within POINT_TOL onto their anchor."""
     f = eval_recourse_batch(model.recourse, np.repeat(xs, len(nu), axis=0),
                             np.tile(nu.points, (len(xs), 1)), model._f_cache)
-    images = canonicalize_rows(f.reshape(len(xs), -1), nu.weights)
-    return np.array([evaluate_risk(model.risk, image) for image in images])
+    if not np.isfinite(f).all():
+        raise OutOfRange("atom points and weights must be finite")
+    return _risk_rows(model.risk, f.reshape(len(xs), -1), nu.weights)
 
 
 def phi(model: MeanRiskModel, nu: DiscreteMeasure) -> float:

@@ -56,8 +56,9 @@ MAX_RECOURSE_ROWS = 500_000
 
 @dataclass(frozen=True)
 class ParamMap:
-    """Map (x, z) -> R^out, either affine in the stacked vector (x, z) or a
-    tuple of expression trees with a user-declared growth exponent."""
+    """Map (x, z) -> R^out, either affine in the stacked vector (x, z), with
+    finite entries, or a tuple of expression trees with a user-declared
+    growth exponent."""
 
     out_dim: int
     matrix: np.ndarray | None = None
@@ -75,6 +76,8 @@ class ParamMap:
             )
             if M.ndim != 2 or M.shape[0] != self.out_dim or c.shape != (self.out_dim,):
                 raise DimMismatch(f"affine map shape {M.shape} vs out_dim {self.out_dim}")
+            if not (np.all(np.isfinite(M)) and np.all(np.isfinite(c))):
+                raise OutOfRange("non-finite entries in an affine map")
             object.__setattr__(self, "matrix", M)
             object.__setattr__(self, "constant", c)
         else:

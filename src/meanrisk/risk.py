@@ -1,12 +1,15 @@
-"""Law-invariant risk functionals evaluated directly on measures on the line.
+"""Law-invariant risk functionals of the law of a random cost.
 
-Four functionals are implemented in closed form on finite atom sums of a
-1-D DiscreteMeasure, the law of the random cost: expectation, average
+Four functionals are implemented in closed form: expectation, average
 value at risk, mean upper semideviation of order p, and mean upper
 semideviation of order p from a fixed target.  The last one is
-deliberately not translation-equivariant.  A measure of any other
-dimension raises DimMismatch.  Only avar reads the atoms in order, so only
-it takes measure.canonical_line of its input.
+deliberately not translation-equivariant.  Each closed form exists once,
+in _risk_rows, which evaluates rho on every row of a (k, m) value array
+with one vector of m weights: a law-invariant rho reads only values and
+weights, so tied values need no merge.  objective reads Q's (decision x
+atom) values that way; the public functions read a 1-D DiscreteMeasure as
+a batch of one (DimMismatch for any other dimension), and avar, the only
+risk reader of measure.canonical_line, reads its canonical form.
 """
 
 from __future__ import annotations
@@ -74,54 +77,56 @@ class RiskSpec:
         )
 
 
-def avar(dist: DiscreteMeasure, alpha: float) -> float:
-    """Average value at risk: (1/(1-alpha)) * int_alpha^1 quantile(beta) dbeta.
+def _risk_rows(spec: RiskSpec, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """rho of every row of a (k, m) value array, each the law with the m
+    weights (nonnegative, summing to one) on its m values, tied or not.
 
-    The quantile function is piecewise constant on the cumulative-weight
-    plateaus, so the integral is summed exactly; the plateau containing
-    alpha contributes (cum_i - alpha) * value_i.
+    Sums are elementwise products reduced along the last axis of C-ordered
+    arrays, never a BLAS product: a row gets the same bits in any batch.
+    avar sorts each row stably; the quantile function is piecewise constant
+    on the cumulative-weight plateaus (the last pinned to 1), so
+    (1/(1-alpha)) int_alpha^1 quantile(beta) dbeta is summed exactly, the
+    plateau containing alpha contributing (cum_i - alpha) * value_i.
     """
-    in_range(alpha, "alpha", gt=0, lt=1)
-    dist = canonical_line(dist)
-    cum = _cumulative(dist.weights)
-    prev = np.concatenate(([0.0], cum[:-1]))
-    seg = np.clip(np.minimum(cum, 1.0) - np.maximum(prev, alpha), 0.0, None)
-    return float(seg @ dist.points[:, 0]) / (1.0 - alpha)
+    if spec.kind == "avar":
+        order = np.argsort(values, axis=1, kind="stable")
+        t = np.take_along_axis(values, order, axis=1)
+        cum = _cumulative(weights[order])
+        prev = np.concatenate([np.zeros((len(cum), 1)), cum[:, :-1]], axis=1)
+        seg = np.clip(np.minimum(cum, 1.0) - np.maximum(prev, spec.alpha), 0.0, None)
+        return (seg * t).sum(axis=1) / (1.0 - spec.alpha)
+    mean = (values * weights).sum(axis=1)
+    if spec.kind == "expectation":
+        return mean
+    center = mean[:, None] if spec.kind == "semidev" else spec.c
+    dev = np.clip(values - center, 0.0, None)
+    return mean + spec.a * (dev**spec.p * weights).sum(axis=1) ** (1.0 / spec.p)
+
+
+def evaluate_risk(spec: RiskSpec, dist: DiscreteMeasure) -> float:
+    """rho(dist) by the closed form matching the spec; avar reads the
+    canonical form of dist (measure.canonical_line)."""
+    if spec.kind == "avar":
+        dist = canonical_line(dist)
+    return float(_risk_rows(spec, line_values(dist)[None, :], dist.weights)[0])
+
+
+def avar(dist: DiscreteMeasure, alpha: float) -> float:
+    """Average value at risk: (1/(1-alpha)) * int_alpha^1 quantile(beta) dbeta."""
+    alpha = in_range(alpha, "alpha", gt=0, lt=1)
+    return evaluate_risk(RiskSpec("avar", alpha=alpha), dist)
 
 
 def semidev(dist: DiscreteMeasure, a: float, p: float) -> float:
     """Mean upper semideviation of order p:
     E[Y] + a * (E[((Y - E[Y])^+)^p])^(1/p)."""
-    in_range(a, "a", ge=0, le=1, error=InvalidSpec)
-    in_range(p, "p", ge=1, error=InvalidSpec)
-    t = line_values(dist)
-    m = float(t @ dist.weights)
-    dev = np.clip(t - m, 0.0, None)
-    return m + a * float(dev**p @ dist.weights) ** (1.0 / p)
+    return evaluate_risk(RiskSpec("semidev", a=a, p=p), dist)
 
 
 def target_semidev(dist: DiscreteMeasure, a: float, c: float, p: float) -> float:
     """Mean upper semideviation of order p from the target c:
     E[Y] + a * (E[((Y - c)^+)^p])^(1/p)."""
-    in_range(a, "a", ge=0, le=1, error=InvalidSpec)
-    in_range(c, "c", gt=0, error=InvalidSpec)
-    in_range(p, "p", ge=1, error=InvalidSpec)
-    t = line_values(dist)
-    dev = np.clip(t - c, 0.0, None)
-    return float(t @ dist.weights) + a * float(dev**p @ dist.weights) ** (1.0 / p)
-
-
-def evaluate_risk(spec: RiskSpec, dist: DiscreteMeasure) -> float:
-    """Dispatch to the closed form matching the spec."""
-    if spec.kind == "expectation":
-        return float(line_values(dist) @ dist.weights)
-    if spec.kind == "avar":
-        return avar(dist, spec.alpha)
-    if spec.kind == "semidev":
-        return semidev(dist, spec.a, spec.p)
-    if spec.kind == "target_semidev":
-        return target_semidev(dist, spec.a, spec.c, spec.p)
-    raise InvalidSpec(f"unknown risk kind {spec.kind!r}")
+    return evaluate_risk(RiskSpec("target_semidev", a=a, c=c, p=p), dist)
 
 
 def stop_loss(dist: DiscreteMeasure, t) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Independent ground-truth oracles used by the test suite.
 
 Everything here deliberately avoids the code paths it checks: risk values
-come from plain sums and dense level grids, LP optima from basis
-enumeration, LP duals from HiGHS, canonical merges from a row-by-row loop,
-parsed atoms from a per-atom conversion loop, mixed-integer optima from
+come from plain sums and dense level grids (and the risk of Q's value rows
+also from each row's merged image measure, the path Q took before it read
+the rows directly), LP optima from basis enumeration, LP duals from
+HiGHS, canonical merges from a row-by-row loop, parsed atoms from a
+per-atom conversion loop, mixed-integer optima from
 closed-form one-variable solves per lattice assignment, mixed-integer LPs
 and QPs from the per-input depth-first branch and bound that ``optim`` ran
 before its batched lockstep form (one tree per input, and per relaxation one
@@ -44,6 +46,7 @@ from meanrisk.errors import (
     RecourseUnbounded,
 )
 from meanrisk.measure import POINT_TOL, DiscreteMeasure, canonicalize_arrays, quantile
+from meanrisk.risk import evaluate_risk
 
 
 def merge_sorted_oracle(points, weights):
@@ -68,23 +71,16 @@ def merge_sorted_oracle(points, weights):
     return np.array(out_pts, dtype=float), np.array(out_wts, dtype=float)
 
 
-def line_oracle(values, weights):
-    """(values, weights) of canonicalize_arrays on the line by
-    merge_sorted_oracle: a stable sort of the values, the row-by-row anchor
-    merge, then division by the total unless it is within 1e-12 of one."""
-    values = np.asarray(values, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    order = np.argsort(values, kind="stable")
-    pts, wts = merge_sorted_oracle(values[order].reshape(-1, 1), weights[order])
-    total = float(wts.sum())
-    if abs(total - 1.0) > 1e-12:
-        wts = wts / total
-    return pts[:, 0], wts
-
-
 def line_measure(values, weights) -> DiscreteMeasure:
     """The canonical measure on the line with these atom values and weights."""
     return canonicalize_arrays(np.reshape(values, (-1, 1)), weights)
+
+
+def image_risk_oracle(spec, values, weights) -> np.ndarray:
+    """rho of each row's image measure, merged first: canonicalize_arrays of
+    the row with the weights, then evaluate_risk, the path Q took before it
+    read the value rows directly."""
+    return np.array([evaluate_risk(spec, line_measure(row, weights)) for row in values])
 
 
 def cumulative_weights(mu: DiscreteMeasure) -> np.ndarray:

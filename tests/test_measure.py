@@ -11,7 +11,6 @@ from meanrisk.errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRang
 from oracles import (
     cumulative_weights,
     line_measure,
-    line_oracle,
     measure_sampler,
     merge_sorted_oracle,
     parse_atoms_oracle,
@@ -342,14 +341,13 @@ class TestCheckAtoms:
         points = np.array(points, dtype=float)
         weights = np.array(weights, dtype=float)
         builds = [lambda: ms._check_atoms(points, weights),
-                  lambda: ms.canonicalize_arrays(points, weights),
-                  lambda: ms.canonicalize_rows(points.T, weights)]
+                  lambda: ms.canonicalize_arrays(points, weights)]
         if len(weights):
             builds.append(lambda: ms.DiscreteMeasure(dim=points.shape[1], points=points,
                                                      weights=weights))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for build in builds[:3] if error is None else builds:
+            for build in builds[:2] if error is None else builds:
                 if error is None:
                     build()
                     continue
@@ -433,80 +431,6 @@ class TestLineMeasure:
         nu = ms.canonicalize([((0,), 0.5), ((1,), 0.5)])
         with pytest.raises(OutOfRange):
             ms.pushforward(nu, [0.0], lambda x, z: np.nan if z[0] else 0.0)
-
-
-def assert_rows_match_oracle(F, weights):
-    """canonicalize_rows of F equals line_oracle row by row, bit for bit."""
-    got = ms.canonicalize_rows(F, weights)
-    assert len(got) == len(F)
-    for row, dist in zip(F, got):
-        assert type(dist) is ms.DiscreteMeasure and dist.dim == 1
-        want = line_oracle(row, weights)
-        for g, w in zip((dist.points[:, 0], dist.weights), want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (row, g, w)
-
-
-@st.composite
-def value_rows(draw):
-    """k rows of m values on a grid moved by multiples of 4e-13 (anchor
-    chains across POINT_TOL), signed zeros among them, and m weights with
-    zeros and negative zeros."""
-    k, m = draw(st.integers(1, 6)), draw(st.integers(1, 30))
-    cell = st.tuples(st.integers(-2, 2), st.integers(-4, 4))
-    F = np.array([[g + j * 4e-13 for g, j in draw(st.lists(cell, min_size=m, max_size=m))]
-                  for _ in range(k)])
-    signs = draw(st.lists(st.booleans(), min_size=k * m, max_size=k * m))
-    F[(F == 0.0) & np.reshape(signs, F.shape)] = -0.0
-    weights = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 0.3]),
-                                     min_size=m, max_size=m)))
-    weights[0] = draw(st.sampled_from([0.1, 1.0 / 3.0]))
-    return F, weights
-
-
-class TestCanonicalizeRows:
-    @settings(max_examples=300, deadline=None)
-    @given(rows=value_rows())
-    def test_byte_equal_to_the_oracle_row_by_row(self, rows):
-        assert_rows_match_oracle(*rows)
-
-    def test_anchor_chains(self):
-        # steps of 7e-13 split every third value from its anchor
-        chain = np.arange(12) * 7e-13
-        F = np.stack([chain, chain[::-1], np.full(12, 5.0), chain + 1.0])
-        assert_rows_match_oracle(F, np.full(12, 1.0 / 12))
-        assert len(ms.canonicalize_rows(F, np.ones(12))[0]) == 6
-
-    def test_signed_zeros_and_zero_weights(self):
-        F = np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, 2.0], [-0.0] * 4])
-        for weights in ([0.0, 0.5, -0.0, 0.5], [0.25] * 4, [-0.0, 0.0, 1.0, 0.0]):
-            assert_rows_match_oracle(F, np.array(weights))
-
-    def test_one_atom_rows_and_one_row(self):
-        assert_rows_match_oracle(np.array([[3.0], [-1.0], [3.0]]), np.array([2.0]))
-        rng = np.random.default_rng(4)
-        row = rng.integers(0, 5, size=(1, 40)).astype(float)
-        assert_rows_match_oracle(row, rng.uniform(size=40))
-        alone = ms.canonicalize_arrays(row.T, np.ones(40))
-        (got,) = ms.canonicalize_rows(row, np.ones(40))
-        assert alone.points.tobytes() == got.points.tobytes()
-        assert alone.weights.tobytes() == got.weights.tobytes()
-
-    def test_group_of_fifty_beside_singletons(self):
-        # 3 rows of one 50-value group and 30 singletons: 93 groups, the
-        # longest of 50, so the sums loop over positions within a group
-        F = np.hstack([np.full((3, 50), 2.0), np.arange(30.0) + np.arange(3)[:, None] * 0.5])
-        assert_rows_match_oracle(F, np.random.default_rng(5).uniform(size=80))
-
-    def test_nan_row_raises(self):
-        F = np.array([[0.0, 1.0], [np.nan, 1.0]])
-        with pytest.raises(OutOfRange):
-            ms.canonicalize_rows(F, np.array([0.5, 0.5]))
-
-    @pytest.mark.parametrize("values, weights", [(np.zeros(3), np.ones(3)),
-                                                 (np.zeros((2, 3)), np.ones(2))])
-    def test_malformed_shapes_are_dim_mismatch(self, values, weights):
-        with pytest.raises(DimMismatch):
-            ms.canonicalize_rows(values, weights)
 
 
 class TestPushforward:

@@ -37,7 +37,7 @@ from meanrisk.recourse import (
     eval_recourse_batch,
 )
 
-from oracles import miqp_bb_oracle, param_map_oracle, recourse_row_oracle
+from oracles import image_risk_oracle, miqp_bb_oracle, param_map_oracle, recourse_row_oracle
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 DEMO_MODELS = sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
@@ -312,6 +312,35 @@ class TestSolveCounts:
         assert np.all(gap <= ROUNDOFF_TOL), (got, want)
         if not name.startswith("model_linear"):
             assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("base", BASES)
+    @pytest.mark.parametrize("name", DEMO_MODELS)
+    def test_q_profile_matches_the_merged_image_oracle(self, name, base):
+        # the risk of each decision's merged image measure, as Q was read
+        # before it read the value rows directly
+        model = MeanRiskModel.from_dict(load(name))
+        nu = DiscreteMeasure.from_dict(load(base))
+        F = np.array([[recourse_row_oracle(model.recourse, x, z) for z in nu.points]
+                      for x in model.decisions])
+        want = image_risk_oracle(model.risk, F, nu.weights)
+        gap = np.abs(q_profile(model, nu) - want) / np.maximum(1.0, np.abs(want))
+        assert np.all(gap <= ROUNDOFF_TOL), (gap.max(), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_value_is_out_of_range(self, monkeypatch, bad):
+        model = MeanRiskModel.from_dict(load("model_linear_avar.json"))
+        nu = DiscreteMeasure.from_dict(load("base_measure.json"))
+        solve = objective.eval_recourse_batch
+
+        def spoiled(*args):
+            values = solve(*args)
+            values[-1] = bad
+            return values
+
+        monkeypatch.setattr(objective, "eval_recourse_batch", spoiled)
+        for call in (lambda: q_profile(model, nu), lambda: Q(model, model.decisions.points[2], nu)):
+            with pytest.raises(OutOfRange, match="must be finite"):
+                call()
 
     def test_model_cache_is_shared_by_q_and_recourse_value(self, count_solves):
         model = MeanRiskModel.from_dict(load("model_miqp_expectation.json"))

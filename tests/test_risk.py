@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from meanrisk import risk as rk
 from meanrisk.errors import DimMismatch, InvalidSpec, OutOfRange
-from meanrisk.measure import DiscreteMeasure, canonicalize, quantile
+from meanrisk.measure import POINT_TOL, DiscreteMeasure, canonicalize, quantile
 
 from oracles import (
     avar_ru_oracle,
@@ -13,6 +13,7 @@ from oracles import (
     direct_mean,
     direct_semidev,
     direct_target_semidev,
+    image_risk_oracle,
     line_measure,
     random_distribution,
     riemann_avar,
@@ -294,6 +295,115 @@ def test_order_readers_use_the_canonical_form():
     for alpha in (0.1, 0.5, 0.6, 0.9):
         assert rk.avar(mu, alpha) == rk.avar(canonical, alpha)
     assert rk.avar(mu, 0.5) == pytest.approx(1.5)
+
+
+@st.composite
+def value_rows(draw):
+    """k rows of m values on a grid moved by multiples of 4e-13 (anchor
+    chains across POINT_TOL), signed zeros among them, and m weights with
+    zeros and negative zeros, normalized; m also above 128, where numpy's
+    pairwise sums split a row into blocks.  The entries come from a seeded
+    generator, so long rows are cheap to draw."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.one_of(st.integers(1, 30), st.integers(129, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = rng.integers(-2, 3, size=(k, m)) + rng.integers(-4, 5, size=(k, m)) * 4e-13
+    F[(F == 0.0) & (rng.random((k, m)) < 0.5)] = -0.0
+    weights = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0, 0.3], size=m)
+    weights[0] = draw(st.sampled_from([0.1, 1.0 / 3.0]))
+    return F, weights / weights.sum()
+
+
+# one spec of each kind, with orders p that are not integers
+ROW_SPECS = [
+    rk.RiskSpec("expectation"),
+    rk.RiskSpec("avar", alpha=0.7),
+    rk.RiskSpec("semidev", a=0.8, p=2.5),
+    rk.RiskSpec("target_semidev", a=0.6, c=0.5, p=1.5),
+]
+
+
+def direct_risk(spec, values, weights) -> float:
+    """rho of the values with the weights by the plain-sum oracles; avar by
+    Rockafellar-Uryasev on the atoms as given, neither sorted nor merged."""
+    if spec.kind == "expectation":
+        return direct_mean(values, weights)
+    if spec.kind == "avar":
+        return avar_ru_oracle(DiscreteMeasure(dim=1, points=values[:, None], weights=weights),
+                              spec.alpha)
+    if spec.kind == "semidev":
+        return direct_semidev(values, weights, spec.a, spec.p)
+    return direct_target_semidev(values, weights, spec.a, spec.c, spec.p)
+
+
+def assert_close(got, want, tol):
+    gap = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert np.all(gap <= tol), (gap.max(), got, want)
+
+
+class TestRiskRows:
+    """_risk_rows, the one closed form of each kind: rho of every row of a
+    value array with one weight vector, as objective reads Q."""
+
+    @pytest.mark.parametrize("spec", ROW_SPECS, ids=lambda s: s.kind)
+    @settings(max_examples=300, deadline=None)
+    @given(rows=value_rows(), data=st.data())
+    def test_a_row_has_the_same_bits_in_any_batch(self, spec, rows, data):
+        F, w = rows
+        whole = rk._risk_rows(spec, F, w)
+        assert whole.shape == (len(F),)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(F)), max_size=3)))
+        split = np.concatenate([rk._risk_rows(spec, part, w) for part in np.split(F, cuts)])
+        alone = np.concatenate([rk._risk_rows(spec, row[None, :], w) for row in F])
+        assert split.tobytes() == whole.tobytes()
+        assert alone.tobytes() == whole.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=value_rows())
+    def test_matches_the_direct_oracles(self, rows):
+        F, w = rows
+        for spec in ROW_SPECS:
+            want = np.array([direct_risk(spec, row, w) for row in F])
+            assert_close(rk._risk_rows(spec, F, w), want, 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=value_rows())
+    def test_matches_the_merged_image_on_exact_ties(self, rows):
+        # rounded to the grid, values are equal or at least 1 apart, so the
+        # merge adds the weights of equal values and moves none
+        F, w = rows
+        F = np.round(F)
+        for spec in ROW_SPECS:
+            assert_close(rk._risk_rows(spec, F, w), image_risk_oracle(spec, F, w), 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=value_rows())
+    def test_a_merge_moves_the_risk_by_at_most_its_shift(self, rows):
+        # the merge moves a value at most POINT_TOL down onto its anchor
+        F, w = rows
+        for spec in ROW_SPECS:
+            got = rk._risk_rows(spec, F, w)
+            want = image_risk_oracle(spec, F, w)
+            bound = (1.0 + 2.0 * (spec.a or 0.0)) * POINT_TOL
+            assert np.all(np.abs(got - want) <= bound + 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_anchor_chain_keeps_its_values(self):
+        # 0 and 7e-13 merge into the atom 0; the row form keeps 7e-13
+        F = np.array([[0.0, 7e-13]])
+        w = np.array([0.5, 0.5])
+        spec = rk.RiskSpec("expectation")
+        assert rk._risk_rows(spec, F, w)[0] == 3.5e-13
+        assert image_risk_oracle(spec, F, w)[0] == 0.0
+
+    def test_public_functions_are_batches_of_one(self):
+        d = dist([3.0, -1.0, 0.5, 2.0], [0.1, 0.4, 0.3, 0.2])
+        t = d.points[:, 0][None, :]
+        for spec in ROW_SPECS:
+            assert rk.evaluate_risk(spec, d) == rk._risk_rows(spec, t, d.weights)[0]
+        assert rk.avar(d, 0.7) == rk._risk_rows(ROW_SPECS[1], t, d.weights)[0]
+        assert rk.semidev(d, 0.8, 2.5) == rk._risk_rows(ROW_SPECS[2], t, d.weights)[0]
+        assert rk.target_semidev(d, 0.6, 0.5, 1.5) == rk._risk_rows(ROW_SPECS[3], t,
+                                                                     d.weights)[0]
 
 
 # Risk axioms as properties of random variables on one finite probability
