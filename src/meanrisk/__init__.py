@@ -16,7 +16,6 @@ from .measure import (
     empirical,
     mix,
     moment,
-    pushforward,
     quantile,
     tail_functional,
 )
@@ -33,7 +32,6 @@ from .recourse import (
     ParamMap,
     RecourseModel,
     certify_growth,
-    eval_recourse,
     map_exponent,
     theoretical_exponent,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "canonicalize",
     "dirac",
     "quantile",
-    "pushforward",
     "moment",
     "tail_functional",
     "mix",
@@ -67,7 +64,6 @@ __all__ = [
     "icx_leq",
     "RecourseModel",
     "ParamMap",
-    "eval_recourse",
     "theoretical_exponent",
     "map_exponent",
     "certify_growth",

@@ -31,9 +31,11 @@ EXIT_MODEL = 3
 EXIT_GATE = 4
 
 # what turning parsed JSON into a package object raises on a malformed
-# document: a missing key or entry, a wrong type or shape, a bad number, or
-# a float too large for an integer field (int(1e400))
-MALFORMED = (MeanRiskError, KeyError, IndexError, TypeError, ValueError, OverflowError)
+# document: a missing key or entry, a wrong type or shape, a bad number, a
+# float too large for an integer field (int(1e400)), or an expression nested
+# deeper than the interpreter's recursion limit
+MALFORMED = (MeanRiskError, KeyError, IndexError, TypeError, ValueError, OverflowError,
+             RecursionError)
 
 
 def _load_json(path: str) -> dict:
@@ -42,7 +44,7 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError as err:
         raise ConfigError(f"missing file: {path}") from err
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, json.JSONDecodeError, RecursionError) as err:
         raise ConfigError(f"cannot parse {path}: {err}") from err
 
 
@@ -70,7 +72,7 @@ def _load_scheme(text: str) -> PerturbationScheme:
     else:
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, RecursionError) as err:
             raise ConfigError(f"scheme is neither a file nor inline JSON: {err}") from err
     try:
         return PerturbationScheme.from_dict(data)
@@ -170,7 +172,10 @@ def cmd_stability(args) -> int:
             data["seed"] = args.seed
         scheme = PerturbationScheme.from_dict(data)
     out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create the output directory: {err}") from err
     report = run_experiment(model, base, scheme, argmin_tol=tol)
 
     _atomic_write(os.path.join(out_dir, "report.csv"), report.to_csv_text())

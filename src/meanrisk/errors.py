@@ -42,7 +42,8 @@ class ConstraintLimitExceeded(MeanRiskError):
     optim.MAX_QP_ROWS rows for KKT subset enumeration, a convex MIP with
     more than optim.MAX_LATTICE_POINTS integer assignments, a transport
     problem with more than metrics.MAX_PLAN_ENTRIES (source, target) pairs,
-    or a recourse batch of more than recourse.MAX_RECOURSE_ROWS rows."""
+    or a recourse batch of more than recourse.MAX_RECOURSE_ROWS rows, and a
+    decision grid (DecisionSet.from_box) of more points than that cap."""
 
 
 def _floats(v) -> list:

@@ -7,9 +7,10 @@ adds a row to the current atom when every coordinate is within POINT_TOL
 anchor.  Closeness is measured against the anchor, not the previous row, so
 it is not transitive: a chain of rows each within 1e-12 of its predecessor
 splits once it drifts more than 1e-12 from the anchor.  A measure on the
-line is also the law of a real quantity, such as the image f(x, .)#nu
-(pushforward).  All values are immutable after construction and every
-operation is pure, so concurrent reads are safe.
+line is also the law of a real quantity, such as the image f(x, .)#nu,
+which canonicalize_arrays builds from a column of values.  All values are
+immutable after construction and every operation is pure, so concurrent
+reads are safe.
 """
 
 from __future__ import annotations
@@ -308,20 +309,6 @@ def quantile(mu: DiscreteMeasure, beta):
     idx = np.searchsorted(_cumulative(mu.weights), b, side="left")
     out = mu.points[idx, 0]
     return float(out) if np.isscalar(beta) or b.ndim == 0 else out
-
-
-def pushforward(nu: DiscreteMeasure, x, f) -> DiscreteMeasure:
-    """Image of delta_x (x) nu under the scalar map f: (x, z) -> R, a
-    measure on the line.
-
-    Evaluates f at every atom of nu; total mass is preserved and equal
-    images are merged.  Errors raised by f propagate unchanged.
-    """
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = np.empty(len(nu))
-    for i, z in enumerate(nu.points):
-        vals[i] = float(f(xv, z))
-    return canonicalize_arrays(vals.reshape(-1, 1), nu.weights)
 
 
 def moment(mu: DiscreteMeasure, q: float) -> float:

@@ -10,8 +10,9 @@ flow along the atoms and through a hub one unit from each, solved exactly
 by a slope-trick dynamic program (Johnson, J. Comput. Graph. Stat. 22,
 2013).  The gauge-weighted metric adds the gap of the ||.||^q integrals.
 Wasserstein distances use the quantile coupling in one dimension, on the
-canonical form of each measure (measure.canonical_line), and a transport
-plan otherwise.  The Fortet-Mourier cost is reduced by all-pairs
+canonical form of each measure (measure.canonical_line), and otherwise the
+cost of an optimal transport plan, which transport_plan returns without the
+plan itself.  The Fortet-Mourier cost is reduced by all-pairs
 shortest paths before transporting the positive against the negative part
 of mu - nu; on the line the reduced cost adds up over adjacent atoms, a
 closed form in the CDF gap (Rachev and Roemisch, Math. Oper. Res. 27,
@@ -119,38 +120,12 @@ def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     if mu.dim == 1:
         return _bl_line(pts[:, 0], a)
     cost = np.minimum(_distances(pts[pos], pts[neg]), 2.0)
-    return max(0.0, transport_plan(a[pos], -a[neg], cost).cost)
+    return max(0.0, transport_plan(a[pos], -a[neg], cost))
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Sparse coupling between two atom lists with prescribed marginals."""
-
-    src_idx: np.ndarray
-    dst_idx: np.ndarray
-    masses: np.ndarray
-    total_mass: float
-    cost: float
-
-    @classmethod
-    def from_matrix(cls, plan: np.ndarray, cost_matrix: np.ndarray, w_src, w_dst):
-        plan = np.where(plan > 1e-14, plan, 0.0)
-        row_err = np.max(np.abs(plan.sum(axis=1) - w_src))
-        col_err = np.max(np.abs(plan.sum(axis=0) - w_dst))
-        if max(row_err, col_err) > 1e-9:
-            raise OutOfRange(f"transport marginals off by {max(row_err, col_err):.2e}")
-        src, dst = np.nonzero(plan)
-        return cls(
-            src_idx=src,
-            dst_idx=dst,
-            masses=plan[src, dst],
-            total_mass=float(plan.sum()),
-            cost=float(np.sum(plan * cost_matrix)),
-        )
-
-
-def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
-    """Minimum-cost coupling of two nonnegative weight vectors of equal mass.
+def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> float:
+    """Cost of an optimal coupling of two nonnegative weight vectors of equal
+    mass.
 
     When both sides have n atoms and every weight on both is the same
     positive float w (two n-atom empirical measures, or the two parts of
@@ -159,9 +134,10 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     Neumann): an optimal assignment (scipy's linear_sum_assignment) is an
     optimal plan, with n entries of mass w.  Any other input is an LP over
     the plan entries with sparse marginal rows; the final target-marginal
-    row is dropped as redundant, which removes the worst degeneracy.  Raises
-    ConstraintLimitExceeded above MAX_PLAN_ENTRIES entries and InvalidSpec
-    on a non-finite cost.
+    row is dropped as redundant, which removes the worst degeneracy; its plan
+    is read with entries up to 1e-14 set to zero, and a marginal off by more
+    than 1e-9 raises OutOfRange.  Raises ConstraintLimitExceeded above
+    MAX_PLAN_ENTRIES entries and InvalidSpec on a non-finite cost.
     """
     w_src = np.asarray(w_src, dtype=float)
     w_dst = np.asarray(w_dst, dtype=float)
@@ -179,10 +155,8 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
         import scipy.optimize
 
         src, dst = scipy.optimize.linear_sum_assignment(C)
-        masses = np.full(n_s, w)
         # fsum: the same value whichever measure is the source
-        cost = math.fsum(masses * C[src, dst])
-        return TransportPlan(src, dst, masses, float(masses.sum()), cost)
+        return math.fsum(w * C[src, dst])
     import scipy.sparse
 
     # rows i < n_s are the source marginals and rows n_s + j the target
@@ -198,7 +172,12 @@ def transport_plan(w_src, w_dst, cost_matrix: np.ndarray) -> TransportPlan:
     sol = optim.solve_lp(optim.LinearProgram(C.reshape(-1), A, b))
     if not sol.optimal:
         raise OutOfRange(f"transport LP came back {sol.status}")
-    return TransportPlan.from_matrix(sol.point.reshape(n_s, n_d), C, w_src, w_dst)
+    plan = sol.point.reshape(n_s, n_d)
+    plan = np.where(plan > 1e-14, plan, 0.0)
+    err = max(np.max(np.abs(plan.sum(axis=1) - w_src)), np.max(np.abs(plan.sum(axis=0) - w_dst)))
+    if err > 1e-9:
+        raise OutOfRange(f"transport marginals off by {err:.2e}")
+    return float(np.sum(plan * C))
 
 
 def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
@@ -223,7 +202,7 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     with np.errstate(over="ignore"):
         C = _distances(mu.points, nu.points) ** q
     finite_result(float(C.max()), "wasserstein cost ||x - y||^q", q)
-    return max(0.0, transport_plan(mu.weights, nu.weights, C).cost) ** (1.0 / q)
+    return max(0.0, transport_plan(mu.weights, nu.weights, C)) ** (1.0 / q)
 
 
 def _floyd_warshall(C: np.ndarray) -> np.ndarray:
@@ -260,7 +239,7 @@ def fortet_mourier(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
         C = _floyd_warshall(_distances(pts, pts) * np.maximum(weight[:, None], weight[None, :]))
     C = C[np.ix_(pos, neg)]
     finite_result(float(C.max()), "fortet_mourier reduced cost", q)
-    return max(0.0, transport_plan(delta[pos], -delta[neg], C).cost)
+    return max(0.0, transport_plan(delta[pos], -delta[neg], C))
 
 
 def psi_metric(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:

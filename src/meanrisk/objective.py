@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimMismatch, EmptySupport, OutOfRange, as_int, float_array, in_range
+from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, OutOfRange, as_int
+from .errors import float_array, in_range
 from .measure import DiscreteMeasure
-from .recourse import RecourseCache, RecourseModel, default_gamma, eval_recourse_batch
+from .recourse import MAX_RECOURSE_ROWS, RecourseCache, RecourseModel, default_gamma
+from .recourse import eval_recourse_batch
 from .risk import RiskSpec, _risk_rows
 
 
@@ -54,7 +57,9 @@ class DecisionSet:
 
     @classmethod
     def from_box(cls, lo, hi, counts) -> "DecisionSet":
-        """Per-axis uniform grid over [lo, hi], expanded in C order."""
+        """Per-axis uniform grid over [lo, hi], expanded in C order.  A grid
+        of more than MAX_RECOURSE_ROWS points, which no profile could
+        evaluate, raises ConstraintLimitExceeded before anything is built."""
         lo = np.atleast_1d(float_array(lo, "box lo"))
         hi = np.atleast_1d(float_array(hi, "box hi"))
         counts = np.atleast_1d(counts).tolist()
@@ -63,6 +68,10 @@ class DecisionSet:
             raise DimMismatch("box bounds and counts must share a dimension")
         if np.any(counts < 1):
             raise OutOfRange("grid counts must be >= 1")
+        size = math.prod(counts.tolist())
+        if size > MAX_RECOURSE_ROWS:
+            raise ConstraintLimitExceeded(
+                f"{size}-point decision grid > MAX_RECOURSE_ROWS = {MAX_RECOURSE_ROWS}")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise OutOfRange("box bounds must be finite")
         # a span past the float range overflows to inf, which the point
@@ -110,7 +119,9 @@ class MeanRiskModel:
         object.__setattr__(self, "gamma", gamma)
 
     def recourse_value(self, x, z) -> float:
-        """f(x, z) through the model's solver-input cache."""
+        """f(x, z) through the model's solver-input cache.  Nothing in the
+        package calls it; it stays only because the benchmark tracer
+        (bench/spans.py) wraps it by name, until that tracer is replaced."""
         return float(eval_recourse_batch(self.recourse, x, [np.ravel(z)], self._f_cache)[0])
 
     def digest(self) -> str:

@@ -518,15 +518,15 @@ def _box_rhs(b, lo, hi) -> np.ndarray:
     return b2
 
 
-def _branch_positions(P: np.ndarray, idx) -> np.ndarray:
-    """Per row of P, the position in idx of its most fractional integer
-    coordinate, scanned column by column so that a later one wins only by
-    more than 1e-15 (ties go to the lowest index); -1 where all are
-    integral within 1e-9."""
+def _branch_positions(P: np.ndarray) -> np.ndarray:
+    """Per row of P (the integer coordinates of points), the column of its
+    most fractional entry, scanned column by column so that a later one
+    wins only by more than 1e-15 (ties go to the lowest index); -1 where
+    all are integral within 1e-9."""
     best = np.full(len(P), -1)
     score = np.full(len(P), 1e-9)
-    for pos, i in enumerate(idx):
-        frac = np.abs(P[:, i] - np.round(P[:, i]))
+    for pos in range(P.shape[1]):
+        frac = np.abs(P[:, pos] - np.round(P[:, pos]))
         better = frac > score + 1e-15
         best[better] = pos
         score[better] = frac[better]
@@ -566,7 +566,11 @@ def _branch_and_bound(relax, idx, lo0, hi0, roots: Rows) -> Rows:
             top[active] = below[v]
             live = np.flatnonzero(val[v] < best[active] - 1e-12)
             t, v = active[live], v[live]
-            pos = _branch_positions(pt[v], idx)
+            # a relaxation may leave its box by up to the LP's feasibility
+            # tolerance; branching on such a coordinate unclipped would give
+            # a child with its parent's box, relaxed again without end
+            inside = np.minimum(np.maximum(pt[v[:, None], cols], lo[v]), hi[v])
+            pos = _branch_positions(inside)
             leaf = pos < 0
             new = leaf & (val[v] < best[t] - 1e-15)
             t_new, v_new = t[new], v[new]
@@ -574,9 +578,9 @@ def _branch_and_bound(relax, idx, lo0, hi0, roots: Rows) -> Rows:
             point = pt[v_new]
             point[:, cols] = np.round(point[:, cols]) + 0.0  # +0.0 where it rounds to zero
             out.put(t_new, val[v_new], point)
-            t, v, pos = t[~leaf], v[~leaf], pos[~leaf]
+            t, v, pos, inside = t[~leaf], v[~leaf], pos[~leaf], inside[~leaf]
             rows = np.arange(len(v))
-            split = np.floor(pt[v, cols[pos]] + 1e-9)
+            split = np.floor(inside[rows, pos] + 1e-9)
             up, down = split + 1.0 <= hi[v, pos], lo[v, pos] <= split
             ceil_lo, floor_hi = lo[v], hi[v]
             ceil_lo[rows, pos] = split + 1.0

@@ -12,8 +12,8 @@ optim.solve_milp_batch for milp, optim.solve_miqp_batch for miqp and
 optim.solve_convex_mip_batch for convex_mip; this module holds no solver
 logic of its own.  eval_recourse_batch solves every distinct input of a
 batch of rows (x, z) that way, in one optim.Rows of status codes, values
-and points, and checks the statuses in one pass; eval_recourse is a batch
-of one.  A batch holds at most MAX_RECOURSE_ROWS rows.
+and points, and checks the statuses in one pass; f(x, z) at one point is
+a batch of one row.  A batch holds at most MAX_RECOURSE_ROWS rows.
 
 Infeasibility or unboundedness at a point signals a violated model
 assumption for that instance and is raised, never silently absorbed.
@@ -291,11 +291,6 @@ class RecourseModel:
             kwargs["v"] = exprs.from_prefix(data["v"])
             kwargs["g"] = tuple(exprs.from_prefix(e) for e in data["g"])
         return cls(kind=kind, n=data["n"], s=data["s"], **kwargs)
-
-
-def eval_recourse(model: RecourseModel, x, z) -> float:
-    """Optimal value f(x, z) of the recourse problem (a batch of one)."""
-    return float(eval_recourse_batch(model, x, np.reshape(z, (1, -1)))[0])
 
 
 def _check_rows(count: int):

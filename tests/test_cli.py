@@ -40,6 +40,14 @@ def miqp_with_constant(entry, value):
     return recourse
 
 
+def nested_sum(levels):
+    """The convex demo's v inside `levels` nested one-term sums."""
+    v = demo("model_convex_expectation.json")["recourse"]["v"]
+    for _ in range(levels):
+        v = ["sum", v]
+    return v
+
+
 def run_eval(model, measure):
     return cli.main(["eval", "--model", model, "--measure", measure, "--all"])
 
@@ -74,11 +82,17 @@ class TestExitCodes:
             with_recourse("model_convex_expectation.json", integer_bounds=[[20.0, -20.0]]),
             lambda d: d.update(recourse=miqp_with_constant("q_map", math.inf)),
             lambda d: d.update(recourse=miqp_with_constant("h_map", math.inf)),
+            # refused before the grid is built: no command can evaluate it
+            lambda d: d.update(decisions={"box": {"lo": [0.0], "hi": [1.0], "counts": [10**12]}}),
+            lambda d: d.update(decisions={"box": {"lo": [0.0], "hi": [1.0], "counts": [10**8]}}),
+            # deeper than the interpreter's recursion limit
+            with_recourse("model_convex_expectation.json", v=nested_sum(500)),
         ],
         ids=["no-risk", "no-recourse", "no-decisions", "gamma-not-a-number", "p-a-list",
              "gamma-1e400", "p-1e400", "risk-p-1e400", "n-1e400", "milp-bounds-reversed",
              "milp-m1-negative", "milp-bounds-below-zero", "A-inf", "milp-q-nan", "miqp-D-inf",
-             "miqp-D-negative", "convex-bounds-reversed", "miqp-q-map-inf", "miqp-h-map-inf"],
+             "miqp-D-negative", "convex-bounds-reversed", "miqp-q-map-inf", "miqp-h-map-inf",
+             "box-1e12-points", "box-1e8-points", "v-500-levels"],
     )
     def test_malformed_model_is_a_config_error(self, tmp_path, capsys, edit):
         data = demo("model_linear_avar.json")
@@ -283,6 +297,33 @@ class TestExitCodes:
         # v overflows inside the solver, whose replayed error names the row
         tail = " at x=[0.0], z=[0.0]" if entry == "v" else ""
         assert out.err.endswith(f"is inf: not finite{tail}\n") and out.err.count("\n") == 1
+
+    def test_json_deeper_than_the_recursion_limit_is_a_config_error(self, tmp_path, capsys):
+        deep = "[" * 5000 + "]" * 5000
+        model = write(tmp_path, "m.json", demo("model_milp_expectation.json"))
+        base = write(tmp_path, "b.json", demo("base_measure.json"))
+        for argv in (["eval", "--model", write(tmp_path, "deep.json", deep), "--measure", base,
+                      "--all"],
+                     ["stability", "--model", model, "--measure", base, "--scheme", deep,
+                      "--out", str(tmp_path / "out")]):
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            out = capsys.readouterr()
+            assert out.out == "" and out.err.startswith("config error:")
+            assert out.err.count("\n") == 1 and "recursion" in out.err
+
+    def test_out_on_an_existing_file_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_experiment", no_solve)
+        model = write(tmp_path, "m.json", demo("model_milp_expectation.json"))
+        base = write(tmp_path, "b.json", demo("base_measure.json"))
+        argv = ["stability", "--model", model, "--measure", base, "--out", base,
+                "--scheme", os.path.join(DEMO, "scheme_saa.json")]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("config error: cannot create the output directory: ")
 
     def test_missing_file(self, tmp_path, capsys):
         model = write(tmp_path, "m.json", demo("model_linear_avar.json"))

@@ -428,28 +428,34 @@ class TestLineMeasure:
             ms.canonicalize_arrays(points, weights)
 
     def test_nan_image_raises_instead_of_nan_risk(self):
-        nu = ms.canonicalize([((0,), 0.5), ((1,), 0.5)])
         with pytest.raises(OutOfRange):
-            ms.pushforward(nu, [0.0], lambda x, z: np.nan if z[0] else 0.0)
+            ms.canonicalize_arrays(np.array([[0.0], [np.nan]]), [0.5, 0.5])
 
 
-class TestPushforward:
+class TestLineImages:
+    """The image f(x, .)#nu of a column of values f(x, z_i) with nu's weights."""
+
+    @staticmethod
+    def image(nu, x, f):
+        values = [[f(np.asarray(x, dtype=float), z)] for z in nu.points]
+        return ms.canonicalize_arrays(values, nu.weights)
+
     def test_affine_image(self):
         nu = ms.canonicalize([((0,), 0.5), ((1,), 0.5)])
-        pf = ms.pushforward(nu, [1.0], lambda x, z: x[0] + z[0])
+        pf = self.image(nu, [1.0], lambda x, z: x[0] + z[0])
         assert pf.dim == 1 and np.allclose(pf.points[:, 0], [1, 2])
         assert np.allclose(pf.weights, [0.5, 0.5])
 
     def test_images_merge(self):
         nu = ms.canonicalize([((0,), 0.5), ((2,), 0.5)])
-        pf = ms.pushforward(nu, [1.0], lambda x, z: abs(x[0] - z[0]))
+        pf = self.image(nu, [1.0], lambda x, z: abs(x[0] - z[0]))
         assert np.allclose(pf.points[:, 0], [1.0])
         assert np.allclose(pf.weights, [1.0])
 
     def test_mass_preserved(self):
         rng = np.random.default_rng(5)
         nu = ms.canonicalize([(rng.normal(size=2), rng.uniform(0.1, 1)) for _ in range(7)])
-        pf = ms.pushforward(nu, [0.3, 0.4], lambda x, z: float(np.dot(x, z)))
+        pf = self.image(nu, [0.3, 0.4], lambda x, z: float(np.dot(x, z)))
         assert pf.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_fubini_consistency(self):
@@ -458,7 +464,7 @@ class TestPushforward:
         nu = ms.canonicalize([(rng.normal(size=1), rng.uniform(0.1, 1)) for _ in range(9)])
         f = lambda x, z: x[0] * z[0] + np.sin(z[0])
         for p in (1.0, 2.0, 3.5):
-            pf = ms.pushforward(nu, [1.7], f)
+            pf = self.image(nu, [1.7], f)
             direct = sum(
                 w * abs(f(np.array([1.7]), z)) ** p for z, w in zip(nu.points, nu.weights)
             )

@@ -233,18 +233,25 @@ class TestWasserstein:
 
 
 class TestTransportPlan:
-    def test_matches_dense_lp_and_marginals(self):
+    def test_matches_dense_lp(self):
         rng = np.random.default_rng(3)
         for n_s, n_d in [(1, 1), (1, 4), (4, 1), (3, 5), (12, 9), (20, 30)]:
             w_s, w_d = rng.uniform(0.1, 1.0, n_s), rng.uniform(0.1, 1.0, n_d)
             w_d *= w_s.sum() / w_d.sum()
             C = rng.uniform(0.0, 3.0, (n_s, n_d))
-            plan = mt.transport_plan(w_s, w_d, C)
-            assert plan.cost == pytest.approx(dense_transport_oracle(w_s, w_d, C), abs=1e-9)
-            P = np.zeros((n_s, n_d))
-            P[plan.src_idx, plan.dst_idx] = plan.masses
-            assert np.allclose(P.sum(axis=1), w_s, atol=1e-9)
-            assert np.allclose(P.sum(axis=0), w_d, atol=1e-9)
+            cost = mt.transport_plan(w_s, w_d, C)
+            assert cost == pytest.approx(dense_transport_oracle(w_s, w_d, C), abs=1e-9)
+
+    def test_a_plan_off_its_marginals_is_out_of_range(self, monkeypatch):
+        solve = optim.solve_lp
+
+        def scaled(prob):
+            sol = solve(prob)
+            return optim.Solution("optimal", sol.value, sol.point * (1.0 + 1e-6))
+
+        monkeypatch.setattr(optim, "solve_lp", scaled)
+        with pytest.raises(OutOfRange, match="^transport marginals off by 7.00e-07$"):
+            mt.transport_plan([0.5, 0.5], [0.3, 0.7], np.ones((2, 2)))
 
     def test_unequal_masses_rejected(self):
         with pytest.raises(OutOfRange):
@@ -265,7 +272,7 @@ class TestTransportPlan:
                 w_d = np.nextafter(w_s, 2.0)  # unequal weights keep the LP
             C = rng.uniform(0.0, 3.0, (n_s, n_d))
             calls.clear()
-            plan = mt.transport_plan(w_s, w_d, C)
+            cost = mt.transport_plan(w_s, w_d, C)
             (prob,) = calls
             kron = optim.LinearProgram(C.reshape(-1), kron_marginal_rows(n_s, n_d),
                                        np.concatenate([w_s, w_d[:-1]]))
@@ -275,10 +282,8 @@ class TestTransportPlan:
             assert prob.c.tobytes() == kron.c.tobytes() and prob.b.tobytes() == kron.b.tobytes()
             got, want = solve(prob), solve(kron)
             assert got.value == want.value and got.point.tobytes() == want.point.tobytes()
-            ref = mt.TransportPlan.from_matrix(want.point.reshape(n_s, n_d), C, w_s, w_d)
-            for field in ("src_idx", "dst_idx", "masses"):
-                assert getattr(plan, field).tobytes() == getattr(ref, field).tobytes()
-            assert (plan.cost, plan.total_mass) == (ref.cost, ref.total_mass)
+            plan = want.point.reshape(n_s, n_d)
+            assert cost == float(np.sum(np.where(plan > 1e-14, plan, 0.0) * C))
 
 
 def empirical(points):
@@ -297,17 +302,13 @@ class TestAssignment:
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("n", [1, 2, 7, 16, 60])
-    def test_matches_dense_lp_with_exact_marginals(self, n, dim):
+    def test_matches_dense_lp(self, n, dim):
         rng = np.random.default_rng(10 * n + dim)
         mu, nu = empirical(rng.normal(size=(n, dim))), empirical(rng.normal(size=(n, dim)))
         C = mt._distances(mu.points, nu.points) ** 2
-        plan = mt.transport_plan(mu.weights, nu.weights, C)
-        assert plan.cost == pytest.approx(dense_transport_oracle(mu.weights, nu.weights, C),
-                                          rel=1e-12, abs=0.0)
-        assert np.array_equal(np.sort(plan.src_idx), np.arange(n))
-        assert np.array_equal(np.sort(plan.dst_idx), np.arange(n))
-        assert np.array_equal(np.bincount(plan.src_idx, plan.masses, n), mu.weights)
-        assert np.array_equal(np.bincount(plan.dst_idx, plan.masses, n), nu.weights)
+        cost = mt.transport_plan(mu.weights, nu.weights, C)
+        assert cost == pytest.approx(dense_transport_oracle(mu.weights, nu.weights, C),
+                                     rel=1e-12, abs=0.0)
 
     def test_lp_only_when_weights_differ(self, lp_calls):
         rng = np.random.default_rng(4)
@@ -323,9 +324,9 @@ class TestAssignment:
         ]
         for w_s, w_d, cost in cases:
             lp_calls.clear()
-            plan = mt.transport_plan(w_s, w_d, cost)
+            got = mt.transport_plan(w_s, w_d, cost)
             assert len(lp_calls) == 1
-            assert plan.cost == pytest.approx(dense_transport_oracle(w_s, w_d, cost), abs=1e-9)
+            assert got == pytest.approx(dense_transport_oracle(w_s, w_d, cost), abs=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_disjoint_empirical_pairs_match_their_oracles(self, dim, lp_calls):

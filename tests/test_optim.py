@@ -561,6 +561,26 @@ class TestMilpBatch:
             assert sol.value == want.value == 0.0
             assert np.array_equal(sol.point, [-b[0], 0.0])
 
+    def test_a_relaxation_just_outside_its_box_is_read_clipped(self, monkeypatch):
+        # the same recourse at z = 1 + 1e-8: the floor child y1 <= 1 comes
+        # back feasible within the LP's tolerance at y1 = z, just outside its
+        # box; read unclipped, it was split into a child with its own box,
+        # round after round, while the node store doubled
+        A, q, bounds = [[-1.0, 1.0]], [0.0, 1.0], ((0.0, 1100.0),)
+        rounds = []
+        scan = optim._branch_positions
+
+        def counted(P):
+            rounds.append(len(P))
+            assert len(rounds) < 50, "branch and bound does not end"
+            return scan(P)
+
+        monkeypatch.setattr(optim, "_branch_positions", counted)
+        z = 1.0 + 1e-8
+        (sol,) = solutions(optim.solve_milp_batch(q, A, ("==",), (True, True), [[z]], (1,), bounds))
+        assert sol.value == pytest.approx(z, rel=1e-12)
+        assert np.array_equal(sol.point, [0.0, 1.0])
+
 
 class TestQp:
     def test_validation(self):

@@ -5,7 +5,6 @@ PUBLIC = [
     "canonicalize",
     "dirac",
     "quantile",
-    "pushforward",
     "moment",
     "tail_functional",
     "mix",
@@ -18,7 +17,6 @@ PUBLIC = [
     "icx_leq",
     "RecourseModel",
     "ParamMap",
-    "eval_recourse",
     "theoretical_exponent",
     "map_exponent",
     "certify_growth",

@@ -19,7 +19,7 @@ from meanrisk import cli, exprs
 from meanrisk.errors import DimMismatch, EmptySet, RecourseInfeasible
 from meanrisk.measure import canonicalize, canonicalize_arrays
 from meanrisk.objective import MeanRiskModel, Q, argmin_set, phi, q_profile
-from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse
+from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse_batch
 from meanrisk.stability import argmin_excess
 
 from oracles import avar_ru_oracle, convex_grid_oracle
@@ -67,9 +67,9 @@ class TestRecourseValues:
         model = load(name)
         f = CLOSED[name]
         for x in model.decisions:
-            for z in Z:
-                got = eval_recourse(model.recourse, x, [z])
-                assert got == pytest.approx(f(x[0], z), abs=1e-9), (x, z)
+            got = eval_recourse_batch(model.recourse, x, Z[:, None])
+            for z, value in zip(Z, got):
+                assert value == pytest.approx(f(x[0], z), abs=1e-9), (x, z)
 
     def test_convex_mip_against_grid_oracle(self):
         # v = (y - c)^2 + k |y - e|, |y - d| <= z on a continuous y in
@@ -98,7 +98,7 @@ class TestRecourseValues:
                 gamma_K=1.0,
             )
             expect = convex_grid_oracle(v, (g,), [z], -5.0, 5.0)
-            assert eval_recourse(model, [0.0], [z]) == pytest.approx(expect, abs=1e-5)
+            assert eval_recourse_batch(model, [0.0], [[z]])[0] == pytest.approx(expect, abs=1e-5)
 
     def test_convex_mip_infeasibility_is_certified(self):
         # |y| <= z - 5 is empty at z = 0
@@ -113,11 +113,11 @@ class TestRecourseValues:
         )
         continuous = RecourseModel(m1=1, continuous_box=((-10.0, 10.0),), **common)
         with pytest.raises(RecourseInfeasible, match="certified: the cutting-plane LP") as err:
-            eval_recourse(continuous, [0.0], [0.0])
+            eval_recourse_batch(continuous, [0.0], [[0.0]])
         assert "not certified" not in str(err.value)
         integer = RecourseModel(m2=1, integer_bounds=((-3.0, 3.0),), **common)
         with pytest.raises(RecourseInfeasible) as err:
-            eval_recourse(integer, [0.0], [0.0])
+            eval_recourse_batch(integer, [0.0], [[0.0]])
         assert "certified" not in str(err.value)
 
 
@@ -173,8 +173,9 @@ class TestRoundTrip:
         rec = RecourseModel.from_dict(json.loads(json.dumps(model.recourse.to_dict())))
         assert rec.to_dict() == model.recourse.to_dict()
         assert rec.digest() == model.recourse.digest()
-        for z in (-2.7, 0.0, 1.1):
-            assert eval_recourse(rec, [0.5], [z]) == eval_recourse(model.recourse, [0.5], [z])
+        Z = [[-2.7], [0.0], [1.1]]
+        got = eval_recourse_batch(rec, [0.5], Z)
+        assert got.tobytes() == eval_recourse_batch(model.recourse, [0.5], Z).tobytes()
 
 
 class TestMatrixShapes:

@@ -28,12 +28,11 @@ from meanrisk.errors import (
     RecourseUnbounded,
 )
 from meanrisk.measure import DiscreteMeasure, canonicalize
-from meanrisk.objective import MeanRiskModel, Q, argmin_set, q_profile
+from meanrisk.objective import DecisionSet, MeanRiskModel, Q, argmin_set, q_profile
 from meanrisk.recourse import (
     ParamMap,
     RecourseCache,
     RecourseModel,
-    eval_recourse,
     eval_recourse_batch,
 )
 
@@ -134,12 +133,12 @@ class TestDemoModels:
                 assert_matches_oracle(model.recourse, x, Z, cache, bitwise=bitwise)
 
     @pytest.mark.parametrize("name", DEMO_MODELS)
-    def test_eval_recourse_is_a_batch_of_one(self, name):
+    def test_a_batch_of_one_equals_the_row_oracle(self, name):
         # one row is never bunched, so linear is bit for bit here too
         model = MeanRiskModel.from_dict(load(name))
         for x in model.decisions.points:
             for z in (-2.7, 0.0, 0.3, 1.1, 6.9):
-                assert eval_recourse(model.recourse, x, [z]) == recourse_row_oracle(
+                assert eval_recourse_batch(model.recourse, x, [[z]])[0] == recourse_row_oracle(
                     model.recourse, x, [z])
 
     def test_miqp_equals_the_branch_and_bound_oracle(self):
@@ -512,7 +511,7 @@ class TestErrors:
 
         monkeypatch.setattr(optim, "_stacked_solve", no_solve)
         with pytest.raises(ConstraintLimitExceeded) as want:
-            eval_recourse(model, [0.0], [0.5])
+            eval_recourse_batch(model, [0.0], [[0.5]])
         assert str(want.value) == "21 rows > 20"
         assert_matches_oracle(model, [0.0], np.array([[0.5], [1.5]]))
 
@@ -590,7 +589,7 @@ class TestLatticeCap:
         data["integer_bounds"] = [[-1e7, 1e7]]
         model = RecourseModel.from_dict(data)
         with pytest.raises(ConstraintLimitExceeded):
-            eval_recourse(model, [0.0], [0.5])
+            eval_recourse_batch(model, [0.0], [[0.5]])
         with pytest.raises(ConstraintLimitExceeded):
             eval_recourse_batch(model, [0.0], np.array([[0.5], [1.5]]))
 
@@ -656,6 +655,22 @@ class TestRecourseRowCap:
         assert out.out == ""
         assert re.fullmatch(r"model error: ConstraintLimitExceeded: \d+ rows > "
                             r"MAX_RECOURSE_ROWS = 10\n", out.err)
+
+
+class TestDecisionGridCap:
+    def test_a_grid_above_the_cap_is_refused_before_it_is_built(self, monkeypatch):
+        cap = recourse.MAX_RECOURSE_ROWS
+        assert len(DecisionSet.from_box([0.0, 0.0], [1.0, 1.0], [cap // 1000, 1000])) == cap
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("built the grid before its size was checked")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        with pytest.raises(ConstraintLimitExceeded,
+                           match=f"^{cap + 1000}-point decision grid > MAX_RECOURSE_ROWS = {cap}$"):
+            DecisionSet.from_box([0.0, 0.0], [1.0, 1.0], [cap // 1000 + 1, 1000])
+        with pytest.raises(ConstraintLimitExceeded, match="^1000000000000000000000000-point"):
+            DecisionSet.from_box([0.0] * 4, [1.0] * 4, [10**6] * 4)
 
 
 class TestTolerance:
