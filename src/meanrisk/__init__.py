@@ -1,11 +1,12 @@
 """Mean-risk two-stage stochastic programs on finitely supported measures.
 
-One measure type, DiscreteMeasure, carries the noise measure nu on R^s and
-the image f(x, .)#nu of a decision-indexed recourse value function on the
-line.  The package evaluates risk functionals of those images, provides
-probability metrics for weak and gauge-weighted convergence, and ships an
-experiment harness that measures how the optimal value and argmin set
-respond to perturbations of the underlying measure.
+One measure type, DiscreteMeasure, canonical by construction, carries the
+noise measure nu on R^s and any law on the line.  The package evaluates the
+mean-risk objective Q(x, nu) = rho(f(x, .)#nu) from the recourse values
+f(x, z) at nu's atoms, provides probability metrics for weak and
+gauge-weighted convergence, and ships an experiment harness that measures
+how the optimal value and argmin set respond to perturbations of the
+underlying measure.
 """
 
 from . import errors, exprs, metrics, optim, recourse, risk, stability

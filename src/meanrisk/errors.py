@@ -130,12 +130,15 @@ def in_range(value, name: str, *, gt=None, ge=None, lt=None, le=None, error=OutO
     return v
 
 
-def as_int(value, name: str, error=OutOfRange) -> int:
+def as_int(value, name: str, error=OutOfRange, ge=None) -> int:
     """int(value) when value is an integral number (2 or 2.0, but not 1.9,
-    inf, True or "2"); otherwise raise ``error`` naming the field."""
-    if _real(type(value)) and (isinstance(value, Integral) or float(value).is_integer()):
-        return int(value)
-    raise error(f"{name} must be an integer, got {value!r}")
+    inf, True or "2"), at least ge when given; otherwise raise ``error``
+    naming the field."""
+    if not (_real(type(value)) and (isinstance(value, Integral) or float(value).is_integer())):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if ge is not None and value < ge:
+        raise error(f"{name} must be an integer >= {ge}, got {value!r}")
+    return int(value)
 
 
 def float_array(value, name: str, error=OutOfRange) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Finitely supported probability measures on R^d, one type for all of them.
 
-Atoms are canonicalized: sorted in lexicographic coordinate order, merged,
-and renormalized to total weight one.  The merge walks the sorted rows and
+A DiscreteMeasure is canonical by construction: its atoms are sorted in
+lexicographic coordinate order, merged, and renormalized to total weight
+one, so equal laws are equal arrays.  The merge walks the sorted rows and
 adds a row to the current atom when every coordinate is within POINT_TOL
 (1e-12) of that atom's first row, its anchor; any other row becomes the next
 anchor.  Closeness is measured against the anchor, not the previous row, so
 it is not transitive: a chain of rows each within 1e-12 of its predecessor
-splits once it drifts more than 1e-12 from the anchor.  A measure on the
-line is also the law of a real quantity, such as the image f(x, .)#nu,
-which canonicalize_arrays builds from a column of values.  All values are
+splits once it drifts more than 1e-12 from the anchor.  All values are
 immutable after construction and every operation is pure, so concurrent
 reads are safe.
 """
@@ -150,28 +149,33 @@ def _renormalize(weights: np.ndarray) -> np.ndarray:
 class DiscreteMeasure:
     """Finitely supported Borel probability measure on R^d.
 
-    ``points`` has shape (k, dim), ``weights`` shape (k,); weights are
-    nonnegative and sum to one within 1e-12.  Instances should be built via
-    :func:`canonicalize` or the ``from_*`` constructors; built directly, they
-    keep their atoms as given (see :func:`canonical_line`).
+    Built from an (n, d) point array with d >= 1 and n nonnegative weights
+    of finite positive total: the atoms are validated, sorted, merged by the
+    anchor rule (module docstring) and renormalized, so ``points`` holds k
+    distinct anchors in lexicographic order and ``weights`` sums to one
+    within 1e-12.  Malformed shapes raise DimMismatch.  Rebuilding a measure
+    from its own arrays gives the same bits.
     """
 
-    dim: int
     points: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DimMismatch(f"points shape {pts.shape} vs dim {self.dim}")
-        if len(pts) != len(wts) or len(pts) == 0:
-            raise EmptySupport("measure needs at least one atom")
-        total = _check_atoms(pts, wts)
-        if abs(total - 1.0) > 1e-12:
-            raise OutOfRange(f"weights sum to {total}, expected 1")
-        object.__setattr__(self, "points", _freeze(pts))
-        object.__setattr__(self, "weights", _freeze(wts))
+        points = np.asarray(self.points, dtype=float)
+        weights = np.asarray(self.weights, dtype=float)
+        if points.ndim != 2 or points.shape[1] == 0:
+            raise DimMismatch(f"points must have shape (n, d) with d >= 1, got {points.shape}")
+        if weights.shape != (len(points),):
+            raise DimMismatch(f"weights of shape {weights.shape} for {len(points)} points")
+        _check_atoms(points, weights)
+        order = np.lexsort(points.T[::-1])
+        points, weights = _merge_sorted(points[order], weights[order])
+        object.__setattr__(self, "points", _freeze(points))
+        object.__setattr__(self, "weights", _freeze(_renormalize(weights)))
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -227,10 +231,8 @@ def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
     numbers (not both in one call); any other shape is a DimMismatch, and
     an entry that is not a real number (a string, a bool, None) is a
     ValueError.  The pairs are parsed here, into one point array and one
-    weight array; :func:`canonicalize_arrays` does the rest.
+    weight array; the DiscreteMeasure constructor does the rest.
     """
-    if len(raw_atoms) == 0:
-        raise EmptySupport("no atoms")
     points = [p for p, _ in raw_atoms]
     weights = float_array([w for _, w in raw_atoms], "atom weights", ValueError)
     try:
@@ -244,24 +246,7 @@ def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
         pts = pts.reshape(-1, 1)
     elif pts.ndim != 2:
         raise DimMismatch("atom points must be vectors")
-    return canonicalize_arrays(pts, weights)
-
-
-def canonicalize_arrays(points, weights) -> DiscreteMeasure:
-    """Array form of :func:`canonicalize`: an (n, d) point array with
-    d >= 1 and n weights, sorted, merged by the same anchor rule and
-    renormalized.  Malformed shapes raise DimMismatch."""
-    points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if points.ndim != 2 or points.shape[1] == 0:
-        raise DimMismatch(f"points must have shape (n, d) with d >= 1, got {points.shape}")
-    if weights.shape != (len(points),):
-        raise DimMismatch(f"weights of shape {weights.shape} for {len(points)} points")
-    _check_atoms(points, weights)
-    order = np.lexsort(points.T[::-1])
-    points, weights = _merge_sorted(points[order], weights[order])
-    weights = _renormalize(weights)
-    return DiscreteMeasure(dim=points.shape[1], points=points, weights=weights)
+    return DiscreteMeasure(pts, weights)
 
 
 def dirac(point) -> DiscreteMeasure:
@@ -273,18 +258,6 @@ def line_values(mu: DiscreteMeasure) -> np.ndarray:
     if mu.dim != 1:
         raise DimMismatch(f"a measure on the line is needed, got dim {mu.dim}")
     return mu.points[:, 0]
-
-
-def canonical_line(mu: DiscreteMeasure) -> DiscreteMeasure:
-    """The canonical form of a measure on the line, for the readers of atom
-    order (quantile, risk.avar, the 1-D wasserstein): mu itself when its
-    atoms increase by more than POINT_TOL, else canonicalize_arrays of them.
-    DimMismatch for d != 1."""
-    t = line_values(mu)
-    with np.errstate(over="ignore"):  # a gap between atoms near +-1e308 is inf
-        if (np.diff(t) > POINT_TOL).all():
-            return mu
-    return canonicalize_arrays(mu.points, mu.weights)
 
 
 def _cumulative(weights: np.ndarray) -> np.ndarray:
@@ -305,9 +278,7 @@ def quantile(mu: DiscreteMeasure, beta):
     b = np.asarray(beta, dtype=float)
     if not np.all((b > 0.0) & (b < 1.0)):
         raise OutOfRange("quantile level must lie in (0, 1)")
-    mu = canonical_line(mu)
-    idx = np.searchsorted(_cumulative(mu.weights), b, side="left")
-    out = mu.points[idx, 0]
+    out = line_values(mu)[np.searchsorted(_cumulative(mu.weights), b, side="left")]
     return float(out) if np.isscalar(beta) or b.ndim == 0 else out
 
 
@@ -348,33 +319,36 @@ def mix(mu: DiscreteMeasure, nu: DiscreteMeasure, t: float) -> DiscreteMeasure:
         return mu
     if t == 1.0:
         return nu
-    return canonicalize_arrays(
+    return DiscreteMeasure(
         np.vstack([mu.points, nu.points]),
         np.concatenate([(1.0 - t) * mu.weights, t * nu.weights]),
     )
 
 
 def _philox(seed) -> np.random.Generator:
-    """The counter-based Philox generator keyed by seed (an int or a tuple of
-    ints), which every sampled step of the package draws from."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    """The counter-based Philox generator keyed by seed (an integer >= 0 or
+    a tuple of them, each read through as_int), which every sampled step of
+    the package draws from; any other seed is OutOfRange."""
+    # SeedSequence(s) and SeedSequence((s,)) give one state
+    key = tuple(as_int(s, "seed", ge=0) for s in (seed if isinstance(seed, tuple) else (seed,)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def empirical(sampler: Sampler, n: int, seed) -> DiscreteMeasure:
     """Empirical measure of n i.i.d. draws, each with weight 1/n.
 
-    The generator is the counter-based Philox keyed by ``seed`` (an int or a
-    tuple of ints), so draw i occupies counter slot i independently of
-    evaluation order; identical (sampler, n, seed) give identical output.
+    The generator is the counter-based Philox keyed by ``seed`` (an integer
+    >= 0 or a tuple of them), so draw i occupies counter slot i
+    independently of evaluation order; identical (sampler, n, seed) give
+    identical output.  n is an integer >= 1.
     """
-    if n < 1:
-        raise OutOfRange("sample count must be >= 1")
+    n = as_int(n, "sample count", ge=1)
     draws = np.asarray(sampler(_philox(seed), n), dtype=float)
     if draws.ndim == 1:
         draws = draws.reshape(-1, 1)
     if draws.ndim != 2 or len(draws) != n:
         raise DimMismatch(f"sampler returned shape {draws.shape}, expected {n} rows")
-    return canonicalize_arrays(draws, np.full(n, 1.0 / n))
+    return DiscreteMeasure(draws, np.full(n, 1.0 / n))
 
 
 def box_sampler(lo, hi) -> Sampler:

@@ -1,6 +1,4 @@
-"""Probability metrics between two DiscreteMeasures of one dimension; on
-the line they compare laws of real quantities, such as the images
-f(x, .)#nu that the risk functionals read, with the same code.
+"""Probability metrics between two DiscreteMeasures of one dimension.
 
 A function with |f| <= 1 and Lip(f) <= 1 is, up to a shift that leaves
 int f d(mu - nu) unchanged, 1-Lipschitz for min(||x - y||, 2); so the
@@ -9,17 +7,17 @@ onto (mu - nu)^- under that truncated distance.  On the line that is a
 flow along the atoms and through a hub one unit from each, solved exactly
 by a slope-trick dynamic program (Johnson, J. Comput. Graph. Stat. 22,
 2013).  The gauge-weighted metric adds the gap of the ||.||^q integrals.
-Wasserstein distances use the quantile coupling in one dimension, on the
-canonical form of each measure (measure.canonical_line), and otherwise the
-cost of an optimal transport plan, which transport_plan returns without the
-plan itself.  The Fortet-Mourier cost is reduced by all-pairs
-shortest paths before transporting the positive against the negative part
-of mu - nu; on the line the reduced cost adds up over adjacent atoms, a
-closed form in the CDF gap (Rachev and Roemisch, Math. Oper. Res. 27,
-2002).  Between two lists of n atoms that all carry the same weight, as two
-n-atom empirical measures or the two parts of their difference do, every
-vertex of the coupling polytope is a permutation (Birkhoff-von Neumann), so
-the plan is an assignment solved without an LP.  Other plans are LPs built
+Wasserstein distances use the quantile coupling in one dimension, read off
+the sorted atoms of each measure, and otherwise the cost of an optimal
+transport plan, which transport_plan returns without the plan itself.  The
+Fortet-Mourier cost is reduced by all-pairs shortest paths before
+transporting the positive against the negative part of mu - nu; on the
+line the reduced cost adds up over adjacent atoms, a closed form in the
+CDF gap (Rachev and Roemisch, Math. Oper. Res. 27, 2002).  Between two
+lists of n atoms that all carry the same weight, as two n-atom empirical
+measures or the two parts of their difference do, every vertex of the
+coupling polytope is a permutation (Birkhoff-von Neumann), so the plan is
+an assignment solved without an LP.  Other plans are LPs built
 sparse, one variable per (source, target) pair.  Both are refused with
 ConstraintLimitExceeded above MAX_PLAN_ENTRIES pairs before anything of that
 size is allocated.
@@ -36,8 +34,7 @@ import numpy as np
 from . import optim
 from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, InvalidSpec, OutOfRange
 from .errors import finite_result, in_range
-from .measure import DiscreteMeasure, _cumulative, _merge_sorted, _tail_sums, canonical_line
-from .measure import moment
+from .measure import DiscreteMeasure, _cumulative, _merge_sorted, _tail_sums, moment
 
 # largest transport plan (source x target atoms), and largest squared union
 # support for the Fortet-Mourier shortest paths; HiGHS needs about 1 KB per
@@ -188,7 +185,6 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     _check_dims(mu, nu)
     in_range(q, "order q", ge=1)
     if mu.dim == 1:
-        mu, nu = canonical_line(mu), canonical_line(nu)
         cums = [_cumulative(mu.weights), _cumulative(nu.weights)]
         cuts = np.union1d(*cums)
         cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
@@ -277,6 +273,7 @@ def diagnose_uniform_integrability(
     if len(dims) != 1:
         raise DimMismatch(f"family carries dims {sorted(dims)}")
     q = in_range(q, "tail exponent q", gt=0)
+    eps = in_range(eps, "tolerance eps", ge=0)
     grid = np.sort(np.asarray(a_grid, dtype=float))
     for a in grid:
         in_range(a, "thresholds", ge=0)
@@ -290,6 +287,6 @@ def diagnose_uniform_integrability(
         tails=tails,
         sup_tails=sup_tails,
         verdict=verdict,
-        eps=float(eps),
+        eps=eps,
     )
 

@@ -63,11 +63,9 @@ class DecisionSet:
         lo = np.atleast_1d(float_array(lo, "box lo"))
         hi = np.atleast_1d(float_array(hi, "box hi"))
         counts = np.atleast_1d(counts).tolist()
-        counts = np.array([as_int(c, "box counts") for c in counts], dtype=int)
+        counts = np.array([as_int(c, "box counts", ge=1) for c in counts], dtype=int)
         if not (len(lo) == len(hi) == len(counts)):
             raise DimMismatch("box bounds and counts must share a dimension")
-        if np.any(counts < 1):
-            raise OutOfRange("grid counts must be >= 1")
         size = math.prod(counts.tolist())
         if size > MAX_RECOURSE_ROWS:
             raise ConstraintLimitExceeded(

@@ -49,6 +49,9 @@ from .errors import (
 )
 
 FEAS_TOL = 1e-9
+# phase 1 of the tableau calls a program infeasible when its artificial sum
+# ends above this; a program infeasible by less is solved as optimal (solve_lp)
+PHASE1_TOL = 1e-7
 PIVOT_CAP = 1_000_000
 # beyond this size the tableau's dense O(m*n) pivots stop paying off
 TABLEAU_LIMIT = 80
@@ -254,7 +257,7 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
     An optimal Solution carries its final basis (columns of M) as its
     certificate, unless phase 1 dropped a redundant row.  An infeasible one
     carries the Farkas ray lam = -y of the phase-1 duals y = B1^-T c1, on the
-    original rows: M'lam >= -FEAS_TOL and lam.b < -1e-7."""
+    original rows: M'lam >= -FEAS_TOL and lam.b < -PHASE1_TOL."""
     std = _Standard(prob)
     m, n_std = std.M.shape
     if m == 0:
@@ -286,7 +289,7 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
         status = _run_simplex(T, basis, n_all, budget)
         if status != "optimal":
             raise NumericalFailure("phase 1 unbounded")
-        if -T[-1, -1] > 1e-7:
+        if -T[-1, -1] > PHASE1_TOL:
             # row i started on the unit column start[i], whose reduced cost
             # is c1 - y_i
             y = c1[start] - T[-1, start]
@@ -310,19 +313,19 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
             basis = [basis[i] for i in np.nonzero(keep)[0]]
             m = len(basis)
 
-    # phase 2 on structural + slack columns only
-    T2 = np.zeros((m + 1, n_std + 1))
-    T2[:m, :n_std] = T[:m, :n_std]
-    T2[:m, -1] = T[:m, -1]
-    T2[-1, :n_std] = std.cost
+    # phase 2 on the same tableau, entering structural and slack columns
+    # only; row operations are elementwise, so the artificial columns
+    # carried along change no bit of the others
+    T[-1] = 0.0
+    T[-1, :n_std] = std.cost
     for i in range(m):
         if std.cost[basis[i]] != 0.0:
-            T2[-1] -= std.cost[basis[i]] * T2[i]
-    status = _run_simplex(T2, basis, n_std, budget)
+            T[-1] -= std.cost[basis[i]] * T[i]
+    status = _run_simplex(T, basis, n_std, budget)
     if status == "unbounded":
         return Solution("unbounded")
     w = np.zeros(n_std)
-    w[basis] = T2[:m, -1]
+    w[basis] = T[:m, -1]
     x = w @ std.P
     cert = np.array(basis) if m == prob.n_rows else None
     return Solution("optimal", float(prob.c @ x), x, certificate=cert)
@@ -358,7 +361,11 @@ def solve_lp(prob: LinearProgram) -> Solution:
     """Solve a linear program, certifying infeasibility and unboundedness.
 
     Up to TABLEAU_LIMIT rows and columns the dense tableau solves it (a
-    sparse A is densified); larger instances go to HiGHS, sparse A as is."""
+    sparse A is densified); larger instances go to HiGHS, sparse A as is.
+    The tableau reports a program infeasible by less than PHASE1_TOL as
+    optimal, with a point off its rows by up to PHASE1_TOL (more than
+    FEAS_TOL): LinearProgram([0, 1], [[-1, 1], [0, 1]], [1 + 1e-8, 1],
+    ('==', '<=')) is optimal with value 1 + 1e-8 at y = [0, 1 + 1e-8]."""
     if max(prob.n_rows, prob.n_vars) <= TABLEAU_LIMIT:
         return _tableau_solve(prob)
     return _scipy_solve(prob)
@@ -369,7 +376,7 @@ def solve_lp(prob: LinearProgram) -> Solution:
 # ---------------------------------------------------------------------------
 
 # A Farkas ray lam with ||lam||_inf = 1 certifies b only when lam.b is below
-# -RAY_MARGIN: phase 1 on b would then end above its 1e-7 threshold.
+# -RAY_MARGIN: phase 1 on b would then end above PHASE1_TOL.
 RAY_MARGIN = 1e-6
 # sign conditions a ray must meet before it is stored
 RAY_TOL = 1e-12
@@ -711,9 +718,9 @@ def _kkt_sweep(D, A, Q, B, feasibility) -> Rows:
     over A y <= b with y free whose rays and bases (the tableau's phase-1
     rays and final bases) the caller keeps across sweeps: a ray certifies
     an input infeasible, and an LP either does too or returns a point
-    violating A y <= b + FEAS_TOL (a set empty up to the tableau's phase-1
-    tolerance).  A point that passes, from an LP or a basis, raises
-    NumericalFailure.  Inputs are swept in chunks of KKT_CHUNK, which
+    violating A y <= b + FEAS_TOL (a set empty up to PHASE1_TOL, the
+    tableau's phase-1 tolerance).  A point that passes, from an LP or a
+    basis, raises NumericalFailure.  Inputs are swept in chunks of KKT_CHUNK, which
     bounds the working arrays of a large branch-and-bound round; every
     input's arithmetic is its own, so the Rows do not depend on the
     chunking.  Raises ConstraintLimitExceeded for more than MAX_QP_ROWS

@@ -542,13 +542,11 @@ def certify_growth(
     OutOfRange when ||z||^gamma overflows on the sample.  The (x, z) pairs are
     one recourse batch: ConstraintLimitExceeded above MAX_RECOURSE_ROWS, before sampling."""
     in_range(gamma, "gamma", gt=0, error=InvalidExponent)
-    if n < 1:
-        raise OutOfRange("sample count must be >= 1")
-    if seed < 0:
-        raise OutOfRange(f"seed must be a nonnegative integer, got {seed}")
+    n = as_int(n, "sample count", ge=1)
+    rng = _philox(seed)
     xs = np.atleast_2d(np.asarray(x_set, dtype=float))
     _check_rows(n * len(xs))
-    zs = np.asarray(z_sampler(_philox(seed), n), dtype=float).reshape(n, -1)
+    zs = np.asarray(z_sampler(rng, n), dtype=float).reshape(n, -1)
     with np.errstate(over="ignore"):
         denom = np.linalg.norm(zs, axis=1) ** gamma + 1.0
     finite_result(float(denom.max()), "||z||^gamma + 1 on the sample", gamma)

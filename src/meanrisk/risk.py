@@ -7,9 +7,8 @@ deliberately not translation-equivariant.  Each closed form exists once,
 in _risk_rows, which evaluates rho on every row of a (k, m) value array
 with one vector of m weights: a law-invariant rho reads only values and
 weights, so tied values need no merge.  objective reads Q's (decision x
-atom) values that way; the public functions read a 1-D DiscreteMeasure as
-a batch of one (DimMismatch for any other dimension), and avar, the only
-risk reader of measure.canonical_line, reads its canonical form.
+atom) values that way; the public functions read the atoms of a 1-D
+DiscreteMeasure as a batch of one (DimMismatch for any other dimension).
 """
 
 from __future__ import annotations
@@ -18,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, in_range
-from .measure import DiscreteMeasure, _cumulative, canonical_line, line_values
+from .errors import InvalidSpec, OutOfRange, float_array, in_range
+from .measure import DiscreteMeasure, _cumulative, line_values
 
 KINDS = ("expectation", "avar", "semidev", "target_semidev")
 
@@ -104,10 +103,7 @@ def _risk_rows(spec: RiskSpec, values: np.ndarray, weights: np.ndarray) -> np.nd
 
 
 def evaluate_risk(spec: RiskSpec, dist: DiscreteMeasure) -> float:
-    """rho(dist) by the closed form matching the spec; avar reads the
-    canonical form of dist (measure.canonical_line)."""
-    if spec.kind == "avar":
-        dist = canonical_line(dist)
+    """rho(dist) by the closed form matching the spec, on dist's atoms."""
     return float(_risk_rows(spec, line_values(dist)[None, :], dist.weights)[0])
 
 
@@ -130,8 +126,11 @@ def target_semidev(dist: DiscreteMeasure, a: float, c: float, p: float) -> float
 
 
 def stop_loss(dist: DiscreteMeasure, t) -> np.ndarray:
-    """E[(Y - t)^+] for a scalar or array of thresholds t."""
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
+    """E[(Y - t)^+] for a scalar or array of thresholds t, each finite
+    (OutOfRange otherwise)."""
+    tv = np.atleast_1d(float_array(t, "stop-loss thresholds"))
+    if not np.all(np.isfinite(tv)):
+        raise OutOfRange(f"stop-loss thresholds must be finite, got {tv}")
     return np.clip(line_values(dist)[None, :] - tv[:, None], 0.0, None) @ dist.weights
 
 
@@ -141,7 +140,8 @@ def icx_leq(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> boo
     Checks the stop-loss inequality E[(X-t)^+] <= E[(Y-t)^+] at every atom
     value of both measures; both sides are piecewise linear with kinks
     only at atoms and vanish beyond the joint support, so this grid decides
-    the ordering.
+    the ordering.  tol is finite and nonnegative (OutOfRange otherwise).
     """
+    tol = in_range(tol, "tolerance tol", ge=0)
     grid = np.union1d(line_values(mu), line_values(nu))
     return bool(np.all(stop_loss(mu, grid) <= stop_loss(nu, grid) + tol))

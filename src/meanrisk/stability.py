@@ -25,7 +25,7 @@ from .errors import (
     as_int,
     in_range,
 )
-from .measure import DiscreteMeasure, _philox, canonicalize_arrays, mix, moment
+from .measure import DiscreteMeasure, _philox, mix, moment
 from .metrics import bounded_lipschitz, diagnose_uniform_integrability
 from .objective import MeanRiskModel, _argmin, q_profile
 
@@ -69,9 +69,7 @@ class PerturbationScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise InvalidSpec(f"unknown scheme kind {self.kind!r}")
-        object.__setattr__(self, "seed", as_int(self.seed, "seed", InvalidSpec))
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be a nonnegative integer, got {self.seed}")
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", InvalidSpec, ge=0))
         if self.kind == "contamination" and self.direction is None:
             raise InvalidSpec("contamination needs a direction")
         name, bounds, sign = _SCHEDULES[self.kind]
@@ -140,10 +138,10 @@ def _saa_step(base: DiscreteMeasure, n: int, seed) -> DiscreteMeasure:
     kept = np.flatnonzero(counts)
     sums = np.full(int(counts.max()), 1.0 / n)
     np.cumsum(sums, out=sums)
-    step = canonicalize_arrays(base.points[kept], sums[counts[kept] - 1])
+    step = DiscreteMeasure(base.points[kept], sums[counts[kept] - 1])
     if len(step) < len(kept):
         # kept atoms merged: add their draws up in sorted order, as empirical does
-        step = canonicalize_arrays(np.repeat(base.points, counts, axis=0), np.full(n, 1.0 / n))
+        step = DiscreteMeasure(np.repeat(base.points, counts, axis=0), np.full(n, 1.0 / n))
     return step
 
 
@@ -177,12 +175,12 @@ def generate_sequence(scheme: PerturbationScheme, base: DiscreteMeasure):
             noise = _philox((scheme.seed, k)).uniform(-sigma, sigma, size=base.points.shape)
             with np.errstate(over="ignore"):
                 moved = base.points + noise
-            out.append(canonicalize_arrays(moved, base.weights))
+            out.append(DiscreteMeasure(moved, base.weights))
     else:
         for res in scheme.grid_schedule:
             with np.errstate(over="ignore"):
                 snapped = np.round(base.points * res) / res
-            out.append(canonicalize_arrays(snapped, base.weights))
+            out.append(DiscreteMeasure(snapped, base.weights))
     return out
 
 

@@ -45,7 +45,7 @@ from meanrisk.errors import (
     RecourseInfeasible,
     RecourseUnbounded,
 )
-from meanrisk.measure import POINT_TOL, DiscreteMeasure, canonicalize_arrays, quantile
+from meanrisk.measure import POINT_TOL, DiscreteMeasure, quantile
 from meanrisk.risk import evaluate_risk
 
 
@@ -73,11 +73,11 @@ def merge_sorted_oracle(points, weights):
 
 def line_measure(values, weights) -> DiscreteMeasure:
     """The canonical measure on the line with these atom values and weights."""
-    return canonicalize_arrays(np.reshape(values, (-1, 1)), weights)
+    return DiscreteMeasure(np.reshape(values, (-1, 1)), weights)
 
 
 def image_risk_oracle(spec, values, weights) -> np.ndarray:
-    """rho of each row's image measure, merged first: canonicalize_arrays of
+    """rho of each row's image measure, merged first: the DiscreteMeasure of
     the row with the weights, then evaluate_risk, the path Q took before it
     read the value rows directly."""
     return np.array([evaluate_risk(spec, line_measure(row, weights)) for row in values])
@@ -717,13 +717,15 @@ def sliver_oracle(w, c, R, a, s0, eps):
     return float(w @ c + s * (w @ a) - abs(w @ perp) * math.sqrt(R * R - s * s))
 
 
-def avar_ru_oracle(dist: DiscreteMeasure, alpha: float) -> float:
-    """AVaR as min over t of t + E[(Y-t)^+]/(1-alpha) (Rockafellar-Uryasev).
+def avar_ru_oracle(values, weights, alpha: float) -> float:
+    """AVaR of the law with these weights on these values, as given (neither
+    sorted nor merged), as min over t of t + E[(Y-t)^+]/(1-alpha)
+    (Rockafellar-Uryasev).
 
     The objective is piecewise linear and convex in t with kinks at the atom
     values, so minimizing over the atom grid is exact."""
-    values = dist.points[:, 0]
-    excess = np.clip(values[None, :] - values[:, None], 0.0, None) @ dist.weights
+    values = np.asarray(values, dtype=float)
+    excess = np.clip(values[None, :] - values[:, None], 0.0, None) @ np.asarray(weights)
     return float(np.min(values + excess / (1.0 - alpha)))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestCanonicalize:
         points = np.array([p for p, _ in raw], dtype=float)
         weights = np.array([w for _, w in raw], dtype=float)
         with pytest.raises(OutOfRange):
-            ms.DiscreteMeasure(dim=points.shape[1], points=points, weights=weights / len(raw))
+            ms.DiscreteMeasure(points, weights)
 
     def test_mixed_dims_raise(self):
         with pytest.raises(DimMismatch):
@@ -118,7 +119,7 @@ class TestParseAtoms:
         weights = rng.uniform(0.01, 1, size=k)
         raw = [(POINT_FORMS[form](p), WEIGHT_FORMS[weight_form](w)) for p, w in zip(points, weights)]
         pts, wts = parse_atoms_oracle(raw)
-        assert ms.canonicalize(raw).digest() == ms.canonicalize_arrays(pts, wts).digest()
+        assert ms.canonicalize(raw).digest() == ms.DiscreteMeasure(pts, wts).digest()
 
     @pytest.mark.parametrize(
         "raw, error",
@@ -140,7 +141,7 @@ class TestParseAtoms:
         with pytest.raises(error):
             ms.canonicalize(raw)
         with pytest.raises(error):
-            ms.canonicalize_arrays(*parse_atoms_oracle(raw))
+            ms.DiscreteMeasure(*parse_atoms_oracle(raw))
 
     def test_bare_and_list_points_do_not_mix(self):
         raw = [(0.0, 0.5), ((1.0,), 0.5)]
@@ -149,16 +150,41 @@ class TestParseAtoms:
             ms.canonicalize(raw)
 
 
-class TestCanonicalizeArrays:
+class TestConstructor:
+    """DiscreteMeasure(points, weights) is the one array constructor, and
+    canonical by construction."""
+
+    def test_fields_are_points_and_weights(self):
+        assert [f.name for f in dataclasses.fields(ms.DiscreteMeasure)] == ["points", "weights"]
+        m = ms.DiscreteMeasure(np.zeros((3, 2)), np.ones(3))
+        assert m.dim == 2 and m.points.shape == (1, 2)
+        with pytest.raises(TypeError):
+            ms.DiscreteMeasure(dim=2, points=np.zeros((3, 2)), weights=np.ones(3))
+
     def test_matches_list_form_exactly(self):
+        # unsorted rows, ties within POINT_TOL, weights that do not sum to one
         rng = np.random.default_rng(13)
         for _ in range(20):
             k = int(rng.integers(1, 30))
             points = rng.integers(-2, 3, size=(k, 2)) + rng.integers(-3, 4, size=(k, 2)) * 4e-13
             weights = rng.uniform(0.01, 1, size=k)
-            a = ms.canonicalize_arrays(points, weights)
+            a = ms.DiscreteMeasure(points, weights)
             b = ms.canonicalize(list(zip(points, weights)))
+            assert a.points.tobytes() == b.points.tobytes()
+            assert a.weights.tobytes() == b.weights.tobytes()
             assert a.digest() == b.digest()
+            again = ms.DiscreteMeasure(a.points, a.weights)
+            assert again.points.tobytes() == a.points.tobytes()
+            assert again.weights.tobytes() == a.weights.tobytes()
+
+    def test_inputs_are_not_frozen_or_changed(self):
+        points, weights = np.array([[1.0], [0.0]]), np.array([1.0, 3.0])
+        m = ms.DiscreteMeasure(points, weights)
+        assert np.array_equal(m.points[:, 0], [0.0, 1.0])
+        assert np.array_equal(m.weights, [0.75, 0.25])
+        assert np.array_equal(points[:, 0], [1.0, 0.0]) and points.flags.writeable
+        assert np.array_equal(weights, [1.0, 3.0]) and weights.flags.writeable
+        assert not (m.points.flags.writeable or m.weights.flags.writeable)
 
     @pytest.mark.parametrize(
         "points, weights",
@@ -173,7 +199,7 @@ class TestCanonicalizeArrays:
     )
     def test_malformed_shapes_are_dim_mismatch(self, points, weights):
         with pytest.raises(DimMismatch):
-            ms.canonicalize_arrays(points, weights)
+            ms.DiscreteMeasure(points, weights)
 
     def test_zero_coordinate_point_is_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -185,7 +211,7 @@ class TestCanonicalizeArrays:
 
     def test_empty_is_empty_support(self):
         with pytest.raises(EmptySupport):
-            ms.canonicalize_arrays(np.zeros((0, 2)), np.zeros(0))
+            ms.DiscreteMeasure(np.zeros((0, 2)), np.zeros(0))
 
 
 @st.composite
@@ -276,8 +302,8 @@ def canonical_oracle(points, weights):
 
 
 class TestCanonicalForm:
-    """canonicalize_arrays and from_dict give the oracles' measure bit for
-    bit, whether or not any two rows merge."""
+    """The constructor and from_dict give the oracles' measure bit for bit,
+    whether or not any two rows merge."""
 
     @settings(max_examples=300, deadline=None)
     @given(raw=raw_measures())
@@ -286,7 +312,7 @@ class TestCanonicalForm:
         doc = {"dim": points.shape[1], "atoms": [
             {"point": [float(v) for v in p], "weight": float(w)} for p, w in zip(points, weights)]}
         want = canonical_oracle(*parse_atoms_oracle([(a["point"], a["weight"]) for a in doc["atoms"]]))
-        for m in (ms.canonicalize_arrays(points, weights), ms.DiscreteMeasure.from_dict(doc)):
+        for m in (ms.DiscreteMeasure(points, weights), ms.DiscreteMeasure.from_dict(doc)):
             for g, w in zip((m.points, m.weights), want):
                 assert g.shape == w.shape and g.dtype == w.dtype
                 assert g.tobytes() == w.tobytes()
@@ -341,13 +367,10 @@ class TestCheckAtoms:
         points = np.array(points, dtype=float)
         weights = np.array(weights, dtype=float)
         builds = [lambda: ms._check_atoms(points, weights),
-                  lambda: ms.canonicalize_arrays(points, weights)]
-        if len(weights):
-            builds.append(lambda: ms.DiscreteMeasure(dim=points.shape[1], points=points,
-                                                     weights=weights))
+                  lambda: ms.DiscreteMeasure(points, weights)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for build in builds[:2] if error is None else builds:
+            for build in builds:
                 if error is None:
                     build()
                     continue
@@ -360,7 +383,7 @@ class TestCheckAtoms:
         assert ms._check_atoms(np.zeros((3, 2)), weights) == float(weights.sum())
 
     def test_far_points_keep_their_bits(self):
-        m = ms.canonicalize_arrays(np.array(FAR), np.array([0.25, 0.25, 0.5]))
+        m = ms.DiscreteMeasure(np.array(FAR), np.array([0.25, 0.25, 0.5]))
         assert np.array_equal(m.points.ravel(), [-1e308, 1e308, 1.5e308])
         assert np.array_equal(m.weights, [0.5, 0.25, 0.25])
 
@@ -425,11 +448,11 @@ class TestLineMeasure:
     )
     def test_malformed_shapes_are_dim_mismatch(self, points, weights):
         with pytest.raises(DimMismatch):
-            ms.canonicalize_arrays(points, weights)
+            ms.DiscreteMeasure(points, weights)
 
     def test_nan_image_raises_instead_of_nan_risk(self):
         with pytest.raises(OutOfRange):
-            ms.canonicalize_arrays(np.array([[0.0], [np.nan]]), [0.5, 0.5])
+            ms.DiscreteMeasure(np.array([[0.0], [np.nan]]), [0.5, 0.5])
 
 
 class TestLineImages:
@@ -438,7 +461,7 @@ class TestLineImages:
     @staticmethod
     def image(nu, x, f):
         values = [[f(np.asarray(x, dtype=float), z)] for z in nu.points]
-        return ms.canonicalize_arrays(values, nu.weights)
+        return ms.DiscreteMeasure(values, nu.weights)
 
     def test_affine_image(self):
         nu = ms.canonicalize([((0,), 0.5), ((1,), 0.5)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from meanrisk import cli, optim
 from meanrisk import metrics as mt
 from meanrisk.errors import ConstraintLimitExceeded, DimMismatch, InvalidSpec, OutOfRange
-from meanrisk.measure import POINT_TOL, DiscreteMeasure, canonical_line, canonicalize, moment
+from meanrisk.measure import POINT_TOL, DiscreteMeasure, canonicalize, moment
 from meanrisk.measure import tail_functional
 
 from oracles import (
@@ -193,37 +193,39 @@ class TestWasserstein:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
            scale=st.sampled_from([1e-11, 1.0, 1e300]), uniform=st.booleans())
-    def test_canonical_measure_is_its_own_canonical_line(self, seed, n, scale, uniform):
+    def test_a_measure_rebuilt_from_its_arrays_keeps_its_bits(self, seed, n, scale, uniform):
         # near-ties at 1e-11, spread atoms, and gaps that overflow near 1e308
         rng = np.random.default_rng(seed)
         weights = np.ones(n) if uniform else rng.uniform(0.1, 1.0, n)
         mu = canonicalize(list(zip(rng.normal(size=n) * scale, weights)))
-        assert canonical_line(mu) is mu
+        again = DiscreteMeasure(mu.points, mu.weights)
+        assert again.points.tobytes() == mu.points.tobytes()
+        assert again.weights.tobytes() == mu.weights.tobytes()
+        assert mt.wasserstein(again, mu, 1.0) == 0.0
 
     def test_hand_built_unsorted_measure(self):
-        # DiscreteMeasure(...) keeps the atoms as given: unsorted, with two within
-        # POINT_TOL, so canonical_line must merge them as canonicalize does
-        mu = DiscreteMeasure(dim=1, points=np.array([[2.0], [0.0], [1.0], [5e-13]]),
-                             weights=np.array([0.25, 0.25, 0.25, 0.25]))
-        got = canonical_line(mu)
-        assert np.array_equal(got.points[:, 0], [0.0, 1.0, 2.0])
-        assert np.array_equal(got.weights, [0.5, 0.25, 0.25])
+        # unsorted, with two atoms within POINT_TOL: the constructor merges
+        # them as canonicalize does, and renormalizes the weights
+        points, weights = np.array([[2.0], [0.0], [1.0], [5e-13]]), np.ones(4)
+        mu = DiscreteMeasure(points, weights)
+        assert np.array_equal(mu.points[:, 0], [0.0, 1.0, 2.0])
+        assert np.array_equal(mu.weights, [0.5, 0.25, 0.25])
+        assert mu.digest() == canonicalize(list(zip(points, weights))).digest()
         nu = canonicalize([((0.0,), 1.0)])
         assert mt.wasserstein(mu, nu, 1.0) == pytest.approx(0.75, rel=1e-15)
-        assert mt.wasserstein(mu, canonicalize(list(zip(mu.points, mu.weights))), 1.0) == 0.0
+        assert mt.wasserstein(nu, mu, 1.0) == pytest.approx(0.75, rel=1e-15)
         # sorted, but two atoms within POINT_TOL: still merged
-        mu = DiscreteMeasure(dim=1, points=np.array([[0.0], [5e-13], [1.0]]),
-                             weights=np.array([0.25, 0.25, 0.5]))
-        assert np.array_equal(canonical_line(mu).points[:, 0], [0.0, 1.0])
-        assert np.array_equal(canonical_line(mu).weights, [0.5, 0.5])
+        mu = DiscreteMeasure(np.array([[0.0], [5e-13], [1.0]]), np.array([0.25, 0.25, 0.5]))
+        assert np.array_equal(mu.points[:, 0], [0.0, 1.0])
+        assert np.array_equal(mu.weights, [0.5, 0.5])
 
     def test_far_atoms_gap_overflow_is_quiet(self):
         mu = canonicalize([(-1e308, 0.5), (1e308, 0.25), (1.5e308, 0.25)])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = canonical_line(mu)
+            again = DiscreteMeasure(mu.points, mu.weights)
             assert mt.wasserstein(mu, mu, 1.0) == 0.0
-        assert got is mu
+        assert again.digest() == mu.digest()
 
     @pytest.mark.parametrize("dim,q", [(1, 1.0), (1, 2.0), (2, 1.0), (2, 2.0), (3, 2.0)])
     def test_matches_dense_transport(self, dim, q):

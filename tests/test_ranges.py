@@ -64,7 +64,7 @@ def convex_model(**edits):
 
 MU = canonicalize([((0.5,), 0.5), ((2.0,), 0.5)])
 FAR = (canonicalize([((0.0, 0.0), 0.5), ((30.0, 0.0), 0.5)]), canonicalize([((15.0, 0.0), 1.0)]))
-DIST = measure.canonicalize_arrays([[0.0], [1.0], [4.0]], [0.25, 0.5, 0.25])
+DIST = DiscreteMeasure([[0.0], [1.0], [4.0]], [0.25, 0.5, 0.25])
 MILP = model_with().recourse
 REPORT = stability.StabilityReport(
     tuple(stability.StabilityRow(k, float(k), 1.0 / (k + 1), 0, 0, 0, 0) for k in range(3)),
@@ -109,6 +109,23 @@ CASES = {
                          lambda: certify_growth(MILP, [[0.0]], box_sampler(5, 6), 700.0, 5, 0)),
     "certify-negative-seed": (OutOfRange,
                               lambda: certify_growth(MILP, [[0.0]], box_sampler(0, 1), 1.0, 5, -1)),
+    "certify-fractional-n": (OutOfRange, lambda: certify_growth(
+        MILP, [[0.0]], box_sampler(0, 1), 1.0, 2.5, 0)),
+    "certify-bool-seed": (OutOfRange,
+                          lambda: certify_growth(MILP, [[0.0]], box_sampler(0, 1), 1.0, 5, True)),
+    "empirical-fractional-n": (OutOfRange, lambda: measure.empirical(box_sampler(0, 1), 2.5, 0)),
+    "empirical-negative-seed": (OutOfRange, lambda: measure.empirical(box_sampler(0, 1), 5, -1)),
+    "empirical-fractional-seed": (OutOfRange,
+                                  lambda: measure.empirical(box_sampler(0, 1), 5, 1.5)),
+    "empirical-negative-seed-entry": (OutOfRange,
+                                      lambda: measure.empirical(box_sampler(0, 1), 5, (0, -1))),
+    "ui-nan-eps": (OutOfRange,
+                   lambda: metrics.diagnose_uniform_integrability([MU], 1.0, [1.0], eps=NAN)),
+    "ui-negative-eps": (OutOfRange,
+                        lambda: metrics.diagnose_uniform_integrability([MU], 1.0, [1.0], eps=-1)),
+    "icx-nan-tol": (OutOfRange, lambda: risk.icx_leq(DIST, DIST, tol=NAN)),
+    "stop-loss-nan": (OutOfRange, lambda: risk.stop_loss(DIST, NAN)),
+    "stop-loss-inf-entry": (OutOfRange, lambda: risk.stop_loss(DIST, [0.0, -INF])),
     "trend-inf-factor": (OutOfRange, lambda: stability.trend_check(REPORT, "d_bl", INF)),
     "jitter-nan-sigma": (InvalidSpec,
                          lambda: stability.PerturbationScheme("jitter", sigma_schedule=(NAN,))),

@@ -17,7 +17,7 @@ import pytest
 
 from meanrisk import cli, exprs
 from meanrisk.errors import DimMismatch, EmptySet, RecourseInfeasible
-from meanrisk.measure import canonicalize, canonicalize_arrays
+from meanrisk.measure import canonicalize
 from meanrisk.objective import MeanRiskModel, Q, argmin_set, phi, q_profile
 from meanrisk.recourse import ParamMap, RecourseModel, eval_recourse_batch
 from meanrisk.stability import argmin_excess
@@ -131,7 +131,7 @@ class TestObjective:
         else:
             expect = np.array(
                 [
-                    avar_ru_oracle(canonicalize_arrays(row[:, None], nu.weights), model.risk.alpha)
+                    avar_ru_oracle(row, nu.weights, model.risk.alpha)
                     for row in F
                 ]
             )

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from meanrisk import cli, objective, stability
 from meanrisk.errors import InvalidSpec, OutOfRange
-from meanrisk.measure import canonicalize, canonicalize_arrays, empirical
+from meanrisk.measure import DiscreteMeasure, canonicalize, empirical
 from meanrisk.metrics import bounded_lipschitz, psi_metric
 from meanrisk.objective import MeanRiskModel
 
-from oracles import measure_sampler, trend_slope_oracle
+from oracles import measure_sampler, trend_slope_oracle, wasserstein_transport_oracle
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 
@@ -113,7 +113,7 @@ class TestSaaSteps:
     def test_steps_are_empirical_measures(self, dim):
         rng = np.random.default_rng(dim)
         # rounded points, so some atoms share coordinates
-        base = canonicalize_arrays(rng.normal(size=(40, dim)).round(1), rng.uniform(0.1, 1.0, 40))
+        base = DiscreteMeasure(rng.normal(size=(40, dim)).round(1), rng.uniform(0.1, 1.0, 40))
         schedule = (1, 7, 100, 1000, 100_000)
         for seed in range(5):
             for k, (n, step) in enumerate(zip(schedule, saa_steps(base, schedule, seed))):
@@ -132,12 +132,12 @@ class TestSaaSteps:
                 idx = rng.choice(3, size=n, p=MERGING_BASE.weights)
                 sums = np.bincount(idx, weights=np.full(n, 1.0 / n), minlength=3)
                 kept = np.flatnonzero(sums)
-                counted = canonicalize_arrays(MERGING_BASE.points[kept], sums[kept])
+                counted = DiscreteMeasure(MERGING_BASE.points[kept], sums[kept])
                 summed_apart += not same_bits(counted, oracle)
         assert summed_apart > 0
 
     def test_merging_atoms_beside_a_separate_one(self):
-        base = canonicalize_arrays(np.vstack([MERGING_BASE.points, [[2.0, 0.0]]]), [1, 2, 3, 4])
+        base = DiscreteMeasure(np.vstack([MERGING_BASE.points, [[2.0, 0.0]]]), [1, 2, 3, 4])
         merged = 0
         for seed in range(100):
             for k, (n, step) in enumerate(zip((3, 6), saa_steps(base, (3, 6), seed))):
@@ -152,7 +152,7 @@ class TestSaaSteps:
     def test_zero_weight_atoms_are_never_drawn(self, zeros):
         weights = np.linspace(1.0, 2.0, 8)
         weights[list(zeros)] = 0.0
-        base = canonicalize_arrays(np.arange(8.0).reshape(-1, 1), weights)
+        base = DiscreteMeasure(np.arange(8.0).reshape(-1, 1), weights)
         schedule = (1, 2, 50, 10_000)
         for seed in range(10):
             for k, (n, step) in enumerate(zip(schedule, saa_steps(base, schedule, seed))):
@@ -169,7 +169,7 @@ class TestSaaSteps:
 
     def test_one_draw(self):
         rng = np.random.default_rng(9)
-        base = canonicalize_arrays(rng.normal(size=(25, 2)), rng.uniform(0.0, 1.0, 25))
+        base = DiscreteMeasure(rng.normal(size=(25, 2)), rng.uniform(0.0, 1.0, 25))
         for seed in range(50):
             (step,) = saa_steps(base, (1,), seed)
             assert len(step) == 1 and step.weights[0] == 1.0
@@ -185,7 +185,7 @@ class TestSaaSteps:
     )
     def test_steps_are_empirical_for_any_weights(self, weights, dim, n, seed):
         points = np.random.default_rng(seed).integers(-3, 4, size=(len(weights), dim))
-        base = canonicalize_arrays(points, weights)
+        base = DiscreteMeasure(points, weights)
         (step,) = saa_steps(base, (n,), seed)
         assert same_bits(step, empirical(measure_sampler(base), n, seed=(seed, 0)))
 
@@ -209,6 +209,60 @@ class TestSaaSteps:
         stability.PerturbationScheme(kind="saa", n_schedule=(stability.MAX_SAA_DRAWS,))
         with pytest.raises(InvalidSpec, match="n_schedule entry"):
             stability.PerturbationScheme(kind="saa", n_schedule=(stability.MAX_SAA_DRAWS + 1,))
+
+
+def moved_step_oracle(base, move):
+    """canonicalize of the base atoms moved one at a time, each coordinate by
+    move(i, j, value), with the base weights."""
+    return canonicalize([([move(i, j, float(v)) for j, v in enumerate(p)], float(w))
+                         for i, (p, w) in enumerate(zip(base.points, base.weights))])
+
+
+def step_bases():
+    """A 1-D and a 2-D base (one on a coarse grid, so snapped atoms merge)
+    and a 3-D one with unequal weights."""
+    rng = np.random.default_rng(29)
+    return [
+        canonicalize([((v,), w) for v, w in zip(rng.normal(size=9), rng.uniform(0.1, 1.0, 9))]),
+        DiscreteMeasure(rng.integers(-4, 5, size=(12, 2)) * 0.25 + rng.normal(size=(12, 2)) * 0.01,
+                        np.ones(12)),
+        DiscreteMeasure(rng.normal(size=(7, 3)) * 3.0, rng.uniform(0.1, 1.0, 7)),
+    ]
+
+
+class TestJitterAndDiscretizeSteps:
+    """A jitter or discretize step is bit for bit the base with every atom
+    moved on its own, and within its transport bound of the base."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_jitter_steps_move_each_atom_by_its_draws(self, seed):
+        sigmas = (2.0, 0.3, 1e-3, 1e-13)
+        scheme = stability.PerturbationScheme(kind="jitter", sigma_schedule=sigmas, seed=seed)
+        for base in step_bases():
+            steps = stability.generate_sequence(scheme, base)
+            assert len(steps) == len(sigmas)
+            for k, (sigma, step) in enumerate(zip(sigmas, steps)):
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
+                # one scalar draw per coordinate, atom by atom
+                noise = [[rng.uniform(-sigma, sigma) for _ in range(base.dim)]
+                         for _ in range(len(base))]
+                assert same_bits(step, moved_step_oracle(base, lambda i, j, v: v + noise[i][j]))
+                bound = sigma * math.sqrt(base.dim)
+                assert wasserstein_transport_oracle(step, base, 1.0) <= bound + 1e-12
+
+    def test_discretize_steps_snap_each_atom(self):
+        resolutions = (0.5, 1.0, 4.0, 1000.0)
+        scheme = stability.PerturbationScheme(kind="discretize", grid_schedule=resolutions)
+        for base in step_bases():
+            steps = stability.generate_sequence(scheme, base)
+            assert len(steps) == len(resolutions)
+            for res, step in zip(resolutions, steps):
+                snapped = moved_step_oracle(base, lambda i, j, v: round(v * res, 0) / res)
+                assert same_bits(step, snapped)
+                bound = math.sqrt(base.dim) / (2.0 * res)
+                assert wasserstein_transport_oracle(step, base, 1.0) <= bound + 1e-12
+        # the coarse grid merges atoms of the 2-D base
+        assert len(stability.generate_sequence(scheme, step_bases()[1])[0]) < len(step_bases()[1])
 
 
 def run_stability(tmp_path, scheme, atoms):
