@@ -9,6 +9,7 @@ files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -22,7 +23,7 @@ from .errors import ConfigError, MeanRiskError, in_range
 from .measure import DiscreteMeasure, box_sampler
 from .objective import MeanRiskModel, Q, _argmin, q_profile
 from .recourse import certify_growth
-from .stability import PerturbationScheme, run_experiment, trend_check
+from .stability import SEEDED_KINDS, PerturbationScheme, run_experiment, trend_check
 from .svgchart import render_loglog_chart
 
 EXIT_OK = 0
@@ -166,11 +167,8 @@ def cmd_stability(args) -> int:
     model = _load_model(args.model)
     base = _load_measure(args.measure)
     scheme = _load_scheme(args.scheme)
-    if args.seed is not None:
-        data = scheme.to_dict()
-        if "seed" in data:
-            data["seed"] = args.seed
-        scheme = PerturbationScheme.from_dict(data)
+    if args.seed is not None and scheme.kind in SEEDED_KINDS:
+        scheme = dataclasses.replace(scheme, seed=args.seed)
     out_dir = args.out
     try:
         os.makedirs(out_dir, exist_ok=True)

@@ -145,7 +145,7 @@ def _renormalize(weights: np.ndarray) -> np.ndarray:
     return weights / total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure:
     """Finitely supported Borel probability measure on R^d.
 
@@ -154,7 +154,8 @@ class DiscreteMeasure:
     anchor rule (module docstring) and renormalized, so ``points`` holds k
     distinct anchors in lexicographic order and ``weights`` sums to one
     within 1e-12.  Malformed shapes raise DimMismatch.  Rebuilding a measure
-    from its own arrays gives the same bits.
+    from its own arrays gives the same bits, so equal laws are compared by
+    ``digest()``; ``==`` and ``hash`` are those of object identity.
     """
 
     points: np.ndarray

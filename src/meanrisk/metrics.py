@@ -247,7 +247,7 @@ def psi_metric(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     return bounded_lipschitz(mu, nu) + abs(moment(mu, q) - moment(nu, q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UniformIntegrabilityReport:
     """Family-sup tail integrals over a threshold grid, with a verdict.
 

@@ -29,7 +29,7 @@ from .recourse import eval_recourse_batch
 from .risk import RiskSpec, _risk_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionSet:
     """Nonempty finite list of decision vectors; compactness for free."""
 
@@ -94,7 +94,7 @@ class DecisionSet:
         return cls.from_box(box["lo"], box["hi"], box["counts"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeanRiskModel:
     recourse: RecourseModel
     risk: RiskSpec
@@ -102,7 +102,7 @@ class MeanRiskModel:
     p: float = 1.0
     gamma: float | None = None
     # recourse values keyed on solver inputs (see eval_recourse_batch)
-    _f_cache: RecourseCache = field(default_factory=RecourseCache, compare=False, repr=False)
+    _f_cache: RecourseCache = field(default_factory=RecourseCache, repr=False)
 
     def __post_init__(self):
         p = in_range(self.p, "p", ge=1)

@@ -66,7 +66,7 @@ OPTIMAL, INFEASIBLE, UNBOUNDED = 0, 1, 2
 STATUSES = ("optimal", "infeasible", "unbounded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Solution:
     """The result of solve_lp: one of STATUSES, and a value and point when
     optimal."""
@@ -75,7 +75,7 @@ class Solution:
     value: float | None = None
     point: np.ndarray | None = None
     # the tableau's optimal basis or Farkas ray (see _LpBatch._store)
-    certificate: np.ndarray | None = field(default=None, compare=False, repr=False)
+    certificate: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.status not in STATUSES:
@@ -124,7 +124,7 @@ def _issparse(A) -> bool:
     return sparse is not None and sparse.issparse(A)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """min c.x  s.t.  A x (= | <=) b,  x_j >= 0 where nonneg[j] else free.
 
@@ -260,12 +260,6 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
     original rows: M'lam >= -FEAS_TOL and lam.b < -PHASE1_TOL."""
     std = _Standard(prob)
     m, n_std = std.M.shape
-    if m == 0:
-        # unconstrained: bounded iff no improving direction exists
-        if np.any(std.cost < -FEAS_TOL):
-            return Solution("unbounded")
-        x = np.zeros(prob.n_vars)
-        return Solution("optimal", float(prob.c @ x), x)
     budget = [PIVOT_CAP]
     sign = np.where(prob.b < 0, -1.0, 1.0)
 
@@ -327,7 +321,7 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
     w = np.zeros(n_std)
     w[basis] = T[:m, -1]
     x = w @ std.P
-    cert = np.array(basis) if m == prob.n_rows else None
+    cert = np.array(basis, dtype=np.intp) if m == prob.n_rows else None
     return Solution("optimal", float(prob.c @ x), x, certificate=cert)
 
 

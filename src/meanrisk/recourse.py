@@ -54,7 +54,7 @@ KINDS = ("linear", "milp", "miqp", "convex_mip")
 MAX_RECOURSE_ROWS = 500_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamMap:
     """Map (x, z) -> R^out, either affine in the stacked vector (x, z), with
     finite entries, or a tuple of expression trees with a user-declared
@@ -148,7 +148,7 @@ def map_exponent(pm: ParamMap) -> float:
     return pm.declared_exponent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecourseModel:
     """One of the four recourse problem classes with its data.
 
@@ -504,7 +504,7 @@ def default_gamma(model: RecourseModel) -> float:
     return theoretical_exponent(model, gamma_h=gh, gamma_v=gv, gamma_K=model.gamma_K)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthCertificate:
     """Empirical witness that |f(x,z)| <= eta_hat(x) * (||z||^gamma + 1) over
     the drawn sample.  A falsification device, not a proof: eta_hat is the

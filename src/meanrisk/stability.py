@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,16 +30,17 @@ from .measure import DiscreteMeasure, _philox, mix, moment
 from .metrics import bounded_lipschitz, diagnose_uniform_integrability
 from .objective import MeanRiskModel, _argmin, q_profile
 
-COLUMNS = ("step", "param", "d_bl", "d_psi", "delta_phi_abs", "sup_delta_q", "argmin_excess", "error")
-
 SCHEME_KINDS = ("saa", "contamination", "jitter", "discretize")
+# the kinds whose steps draw, keyed by the seed; only these store one
+SEEDED_KINDS = ("saa", "jitter")
 # draws of one SAA step; outside the d >= 2 merge fallback a step holds 8 B
 # per draw at its peak (the sorted float64 uniforms, freed before the
 # weights' running sums of 8 B per draw of the most-drawn atom), so 80 MB
 # at the cap
 MAX_SAA_DRAWS = 10_000_000
-# per kind: its schedule, the range of every entry (an integer for saa), and
-# +1 when the schedule strictly increases or -1 when it strictly decreases
+# per kind: the JSON key of its schedule, the range of every entry (an
+# integer for saa), and +1 when the schedule strictly increases or -1 when
+# it strictly decreases
 _SCHEDULES = {
     "saa": ("n_schedule", {"ge": 1, "le": MAX_SAA_DRAWS}, 1),
     "contamination": ("t_schedule", {"ge": 0, "le": 1}, -1),
@@ -49,22 +51,19 @@ _SCHEDULES = {
 
 @dataclass(frozen=True)
 class PerturbationScheme:
-    """One of four perturbation families, each with a nonempty schedule of
-    finite entries (ranges and directions in _SCHEDULES):
+    """One of four perturbation families, each indexed by one nonempty
+    schedule of finite entries (JSON key, range, direction in _SCHEDULES):
 
-    saa            empirical measures of the base, sizes n_schedule
-    contamination  (1-t) base + t direction, t_schedule decreasing
-    jitter         coordinate-wise uniform noise of half-width sigma
+    saa            seeded empirical measures of the base, of the schedule's sizes
+    contamination  (1-t) base + t direction, t decreasing
+    jitter         seeded coordinate-wise uniform noise of half-width sigma
     discretize     atoms snapped to a grid of increasing resolution
     """
 
     kind: str
-    n_schedule: tuple = ()
+    schedule: tuple
     seed: int = 0
     direction: DiscreteMeasure | None = None
-    t_schedule: tuple = ()
-    sigma_schedule: tuple = ()
-    grid_schedule: tuple = ()
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
@@ -74,7 +73,7 @@ class PerturbationScheme:
             raise InvalidSpec("contamination needs a direction")
         name, bounds, sign = _SCHEDULES[self.kind]
         entry, values = f"{name} entry", []
-        for v in getattr(self, name):
+        for v in self.schedule:
             if self.kind == "saa":
                 v = as_int(v, entry, InvalidSpec)
                 in_range(v, entry, error=InvalidSpec, **bounds)
@@ -86,17 +85,13 @@ class PerturbationScheme:
             values.append(v)
         if not values:
             raise InvalidSpec(f"{self.kind} needs a nonempty {name}")
-        object.__setattr__(self, name, tuple(values))
+        object.__setattr__(self, "schedule", tuple(values))
         if any(sign * (b - a) <= 0 for a, b in zip(values, values[1:])):
             raise InvalidSpec(f"{name} must strictly {'increase' if sign > 0 else 'decrease'}")
 
-    @property
-    def params(self) -> tuple:
-        return getattr(self, _SCHEDULES[self.kind][0])
-
     def to_dict(self) -> dict:
-        out = {"kind": self.kind, _SCHEDULES[self.kind][0]: list(self.params)}
-        if self.kind in ("saa", "jitter"):
+        out = {"kind": self.kind, _SCHEDULES[self.kind][0]: list(self.schedule)}
+        if self.kind in SEEDED_KINDS:
             out["seed"] = self.seed
         if self.kind == "contamination":
             out["direction"] = self.direction.to_dict()
@@ -104,13 +99,15 @@ class PerturbationScheme:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PerturbationScheme":
+        kind = data["kind"]
         return cls(
-            kind=data["kind"],
+            kind=kind,
+            # an unknown kind reads no schedule and is refused by the constructor
+            schedule=tuple(data.get(_SCHEDULES[kind][0], ()) if kind in SCHEME_KINDS else ()),
             seed=data.get("seed", 0),
             direction=(
                 DiscreteMeasure.from_dict(data["direction"]) if "direction" in data else None
             ),
-            **{name: tuple(data.get(name, ())) for name, *_ in _SCHEDULES.values()},
         )
 
 
@@ -165,27 +162,28 @@ def generate_sequence(scheme: PerturbationScheme, base: DiscreteMeasure):
     refused by canonicalization (OutOfRange)."""
     out = []
     if scheme.kind == "saa":
-        for k, n in enumerate(scheme.n_schedule):
+        for k, n in enumerate(scheme.schedule):
             out.append(_saa_step(base, n, (scheme.seed, k)))
     elif scheme.kind == "contamination":
-        for t in scheme.t_schedule:
+        for t in scheme.schedule:
             out.append(mix(base, scheme.direction, t))
     elif scheme.kind == "jitter":
-        for k, sigma in enumerate(scheme.sigma_schedule):
+        for k, sigma in enumerate(scheme.schedule):
             noise = _philox((scheme.seed, k)).uniform(-sigma, sigma, size=base.points.shape)
             with np.errstate(over="ignore"):
                 moved = base.points + noise
             out.append(DiscreteMeasure(moved, base.weights))
     else:
-        for res in scheme.grid_schedule:
+        for res in scheme.schedule:
             with np.errstate(over="ignore"):
                 snapped = np.round(base.points * res) / res
             out.append(DiscreteMeasure(snapped, base.weights))
     return out
 
 
-@dataclass(frozen=True)
-class StabilityRow:
+class StabilityRow(NamedTuple):
+    """One step of a run, its fields in report column order."""
+
     step: int
     param: float
     d_bl: float
@@ -195,17 +193,8 @@ class StabilityRow:
     argmin_excess: float
     error: str = ""
 
-    def as_list(self):
-        return [
-            self.step,
-            self.param,
-            self.d_bl,
-            self.d_psi,
-            self.delta_phi_abs,
-            self.sup_delta_q,
-            self.argmin_excess,
-            self.error,
-        ]
+
+COLUMNS = StabilityRow._fields
 
 
 @dataclass(frozen=True)
@@ -224,16 +213,13 @@ class StabilityReport:
     def to_csv_text(self) -> str:
         lines = [",".join(COLUMNS)]
         for r in self.rows:
-            vals = r.as_list()
-            lines.append(
-                ",".join(str(v) if isinstance(v, (int, str)) else repr(v) for v in vals)
-            )
+            lines.append(",".join(str(v) if isinstance(v, (int, str)) else repr(v) for v in r))
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
             "columns": list(COLUMNS),
-            "rows": [r.as_list() for r in self.rows],
+            "rows": [list(r) for r in self.rows],
             "uniform_integrability": {
                 "verdict": bool(self.ui_verdict),
                 "grid": list(self.ui_grid),
@@ -275,19 +261,20 @@ def run_experiment(
     argmin_tol: float = 1e-8,
 ) -> StabilityReport:
     """Measure stability of phi and the argmin map along a perturbation
-    path, from one Q profile per measure.  Either a scheme or an explicit
-    measure sequence (steps 1, 2, ...) must be given; a bad argmin_tol
-    raises OutOfRange before any solve.  A step whose metrics or evaluation
-    fail carries NaN in the values it could not compute and an error naming
-    the step instead of aborting the run."""
+    path, from one Q profile per measure.  The path is a scheme's (params
+    its schedule) or an explicit measure sequence (params 1, 2, ...), not
+    both; giving both or neither, or a bad argmin_tol, raises before any
+    solve.  A step whose metrics or evaluation fail carries NaN in the
+    values it could not compute and in all three deviations, and an error
+    naming the step, instead of aborting the run."""
     argmin_tol = in_range(argmin_tol, "tolerance", ge=0)
+    if (scheme is None) == (sequence is None):
+        raise InvalidSpec("need a scheme or an explicit sequence, not both")
     if sequence is None:
-        if scheme is None:
-            raise InvalidSpec("need a scheme or an explicit sequence")
         sequence = generate_sequence(scheme, base)
-        params = list(scheme.params)
+        params = scheme.schedule
     else:
-        params = list(range(1, len(sequence) + 1))
+        params = range(1, len(sequence) + 1)
 
     qp = model.gamma * model.p
     base_q = q_profile(model, base)
@@ -297,25 +284,19 @@ def run_experiment(
 
     rows = []
     for k, (nu, par) in enumerate(zip(sequence, params)):
-        d_bl = d_psi = float("nan")
+        d_bl = d_psi = dphi = sup_dq = exc = float("nan")
+        error = ""
         try:
             d_bl = bounded_lipschitz(nu, base)
             # psi_metric(nu, base, qp), reusing d_bl and the base moment
             d_psi = d_bl + abs(moment(nu, qp) - base_moment)
             qk = q_profile(model, nu)
-            sup_dq = float(np.max(np.abs(qk - base_q)))
-            dphi = abs(float(np.min(qk)) - base_phi)
+            # the one deviation that can fail goes first, so a failed step has none
             exc = argmin_excess(_argmin(model, qk, argmin_tol), base_arg)
-            rows.append(
-                StabilityRow(k, float(par), d_bl, d_psi, dphi, sup_dq, exc)
-            )
+            dphi, sup_dq = abs(float(np.min(qk)) - base_phi), float(np.max(np.abs(qk - base_q)))
         except MeanRiskError as err:
-            rows.append(
-                StabilityRow(
-                    k, float(par), d_bl, d_psi, float("nan"), float("nan"), float("nan"),
-                    error=f"step {k}: {type(err).__name__}: {err}",
-                )
-            )
+            error = f"step {k}: {type(err).__name__}: {err}"
+        rows.append(StabilityRow(k, float(par), d_bl, d_psi, dphi, sup_dq, exc, error))
 
     ui = diagnose_uniform_integrability(list(sequence) + [base], qp, _default_ui_grid(base, qp))
 

@@ -338,6 +338,37 @@ class TestExitCodes:
         assert (tmp_path / "out" / "report.csv").exists()
 
 
+class TestSeedFlag:
+    """--seed replaces the seed of the schemes that draw (saa, jitter) and
+    leaves the others as they are."""
+
+    SCHEMES = {
+        "saa": {"kind": "saa", "n_schedule": [10, 100], "seed": 0},
+        "jitter": {"kind": "jitter", "sigma_schedule": [0.5, 0.1], "seed": 0},
+        "contamination": demo("scheme_contamination.json"),
+        "discretize": {"kind": "discretize", "grid_schedule": [10.0, 100.0]},
+    }
+
+    def run(self, tmp_path, kind, *extra):
+        out = tmp_path / f"{kind}{''.join(extra)}"
+        argv = ["stability", "--model", os.path.join(DEMO, "model_milp_expectation.json"),
+                "--measure", os.path.join(DEMO, "base_measure.json"),
+                "--scheme", json.dumps(self.SCHEMES[kind]), "--out", str(out), *extra]
+        assert cli.main(argv) == cli.EXIT_OK
+        return {name: (out / name).read_bytes()
+                for name in ("report.csv", "report.json", "report.svg")}
+
+    @pytest.mark.parametrize("kind", ["saa", "jitter"])
+    def test_sets_the_seed_of_drawing_schemes(self, tmp_path, capsys, kind):
+        metadata = json.loads(self.run(tmp_path, kind, "--seed", "7")["report.json"])["metadata"]
+        assert metadata["seed"] == 7
+        assert metadata["scheme"] == {**self.SCHEMES[kind], "seed": 7}
+
+    @pytest.mark.parametrize("kind", ["contamination", "discretize"])
+    def test_leaves_other_schemes_unchanged(self, tmp_path, capsys, kind):
+        assert self.run(tmp_path, kind, "--seed", "7") == self.run(tmp_path, kind)
+
+
 class TestParserReuse:
     """main builds its parser once per process; the reused parser answers
     like a fresh one, also after a parse error."""

@@ -135,6 +135,25 @@ class TestLinearProgram:
         assert lp_vertex_oracle([1.0], A, rhs, ("==", "=="), (True,)) is None
         assert optim.solve_lp(optim.LinearProgram([1.0], A, rhs, "==")).status == "infeasible"
 
+    @pytest.mark.parametrize("c, nonneg, status", [
+        ([1.0, 2.0], (True, True), "optimal"),
+        ([1.0, 2.0], (False, True), "unbounded"),
+        ([1.0, -2.0], (True, True), "unbounded"),
+        ([1.0, -2.0], (False, True), "unbounded"),
+        ([0.0, 0.0], (True, True), "optimal"),
+        ([0.0, 0.0], (False, True), "optimal"),
+    ])
+    def test_zero_rows(self, c, nonneg, status):
+        # bounded iff no cost leads off along a free or nonnegative axis,
+        # and then optimal at 0; the batch stores the empty basis
+        A = np.zeros((0, 2))
+        single = optim.solve_lp(optim.LinearProgram(c, A, np.zeros(0), (), nonneg))
+        batch = solutions(optim.solve_lp_batch(c, A, (), nonneg, np.zeros((3, 0))))
+        for sol in [single] + batch:
+            assert sol.status == status
+            if sol.optimal:
+                assert sol.value == 0.0 and np.array_equal(sol.point, np.zeros(2))
+
     def test_tableau_and_scipy_paths_agree(self):
         rng = np.random.default_rng(67)
         for _ in range(20):

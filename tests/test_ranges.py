@@ -128,9 +128,9 @@ CASES = {
     "stop-loss-inf-entry": (OutOfRange, lambda: risk.stop_loss(DIST, [0.0, -INF])),
     "trend-inf-factor": (OutOfRange, lambda: stability.trend_check(REPORT, "d_bl", INF)),
     "jitter-nan-sigma": (InvalidSpec,
-                         lambda: stability.PerturbationScheme("jitter", sigma_schedule=(NAN,))),
+                         lambda: stability.PerturbationScheme("jitter", schedule=(NAN,))),
     "saa-negative-seed": (InvalidSpec,
-                          lambda: stability.PerturbationScheme("saa", n_schedule=(5,), seed=-1)),
+                          lambda: stability.PerturbationScheme("saa", schedule=(5,), seed=-1)),
     "scale-nan": (GrammarError, lambda: exprs.scale(NAN, exprs.var(0))),
     "affine-inf": (GrammarError, lambda: exprs.affine([INF])),
     "expression-reads-past-m2": (DimMismatch, lambda: convex_recourse(v=["var", 1])),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -85,17 +86,77 @@ class TestRunExperiment:
         assert len(report.rows) == 3
         bad = report.rows[1]
         assert bad.error.startswith("step 1: OutOfRange: planted metric failure")
-        assert all(math.isnan(v) for v in bad.as_list()[2:7])
+        assert all(math.isnan(v) for v in bad[2:7])
         assert report.rows[0].error == "" and report.rows[2].error == ""
         assert report.rows[2].d_bl == 0.0
+
+    def test_failure_after_a_deviation_keeps_all_three_nan(self, model, base, monkeypatch):
+        seq = sequence(base)
+
+        def flaky(candidate, reference):
+            raise OutOfRange("planted argmin failure")
+
+        monkeypatch.setattr(stability, "argmin_excess", flaky)
+        report = stability.run_experiment(model, base, sequence=seq)
+        for row in report.rows:
+            assert row.error.endswith("OutOfRange: planted argmin failure")
+            assert not math.isnan(row.d_bl) and not math.isnan(row.d_psi)
+            assert all(math.isnan(v) for v in row[4:7])
+
+    def test_needs_a_scheme_or_a_sequence_but_not_both(self, model, base, monkeypatch):
+        solves = []
+        monkeypatch.setattr(stability, "q_profile", lambda *args: solves.append(args))
+        scheme = stability.PerturbationScheme("saa", (10,))
+        for kwargs in ({"scheme": scheme, "sequence": [base]}, {}):
+            with pytest.raises(InvalidSpec, match="need a scheme or an explicit sequence"):
+                stability.run_experiment(model, base, **kwargs)
+        assert solves == []
+
+
+# a scheme document of each kind, as to_dict writes it
+SCHEME_DOCS = {
+    "saa": {"kind": "saa", "n_schedule": [10, 100], "seed": 3},
+    "contamination": {"kind": "contamination", "t_schedule": [0.5, 0.25],
+                      "direction": {"dim": 1, "atoms": [{"point": [2.0], "weight": 1.0}]}},
+    "jitter": {"kind": "jitter", "sigma_schedule": [0.5, 0.1], "seed": 7},
+    "discretize": {"kind": "discretize", "grid_schedule": [10.0, 100.0]},
+}
+
+
+class TestSchemeRecord:
+    def test_fields(self):
+        fields = [f.name for f in dataclasses.fields(stability.PerturbationScheme)]
+        assert fields == ["kind", "schedule", "seed", "direction"]
+        assert stability.COLUMNS == stability.StabilityRow._fields
+
+    @pytest.mark.parametrize("kind", stability.SCHEME_KINDS)
+    def test_documents_round_trip(self, kind):
+        scheme = stability.PerturbationScheme.from_dict(SCHEME_DOCS[kind])
+        assert scheme.schedule == tuple(SCHEME_DOCS[kind][stability._SCHEDULES[kind][0]])
+        assert scheme.to_dict() == SCHEME_DOCS[kind]
+        again = stability.PerturbationScheme.from_dict(scheme.to_dict())
+        assert again.schedule == scheme.schedule and again.to_dict() == scheme.to_dict()
+
+    @pytest.mark.parametrize("kind", stability.SCHEME_KINDS)
+    def test_other_kinds_schedules_are_ignored(self, kind):
+        others = {key: ["x", None] for key, *_ in stability._SCHEDULES.values()}
+        scheme = stability.PerturbationScheme.from_dict({**others, **SCHEME_DOCS[kind]})
+        assert scheme.to_dict() == SCHEME_DOCS[kind]
+        assert vars(scheme).keys() == {"kind", "schedule", "seed", "direction"}
+
+    @pytest.mark.parametrize("kind", ["walk", ["saa"]])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(InvalidSpec, match="unknown scheme kind") as err:
+            stability.PerturbationScheme.from_dict({"kind": kind, "n_schedule": [10]})
+        assert str(err.value) == f"unknown scheme kind {kind!r}"
 
 
 def same_bits(mu, nu):
     return (mu.points.tobytes(), mu.weights.tobytes()) == (nu.points.tobytes(), nu.weights.tobytes())
 
 
-def saa_steps(base, n_schedule, seed):
-    scheme = stability.PerturbationScheme(kind="saa", n_schedule=n_schedule, seed=seed)
+def saa_steps(base, schedule, seed):
+    scheme = stability.PerturbationScheme(kind="saa", schedule=schedule, seed=seed)
     return stability.generate_sequence(scheme, base)
 
 
@@ -206,9 +267,9 @@ class TestSaaSteps:
         assert calls == [1]
 
     def test_draw_cap(self):
-        stability.PerturbationScheme(kind="saa", n_schedule=(stability.MAX_SAA_DRAWS,))
+        stability.PerturbationScheme(kind="saa", schedule=(stability.MAX_SAA_DRAWS,))
         with pytest.raises(InvalidSpec, match="n_schedule entry"):
-            stability.PerturbationScheme(kind="saa", n_schedule=(stability.MAX_SAA_DRAWS + 1,))
+            stability.PerturbationScheme(kind="saa", schedule=(stability.MAX_SAA_DRAWS + 1,))
 
 
 def moved_step_oracle(base, move):
@@ -237,7 +298,7 @@ class TestJitterAndDiscretizeSteps:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_jitter_steps_move_each_atom_by_its_draws(self, seed):
         sigmas = (2.0, 0.3, 1e-3, 1e-13)
-        scheme = stability.PerturbationScheme(kind="jitter", sigma_schedule=sigmas, seed=seed)
+        scheme = stability.PerturbationScheme(kind="jitter", schedule=sigmas, seed=seed)
         for base in step_bases():
             steps = stability.generate_sequence(scheme, base)
             assert len(steps) == len(sigmas)
@@ -252,7 +313,7 @@ class TestJitterAndDiscretizeSteps:
 
     def test_discretize_steps_snap_each_atom(self):
         resolutions = (0.5, 1.0, 4.0, 1000.0)
-        scheme = stability.PerturbationScheme(kind="discretize", grid_schedule=resolutions)
+        scheme = stability.PerturbationScheme(kind="discretize", schedule=resolutions)
         for base in step_bases():
             steps = stability.generate_sequence(scheme, base)
             assert len(steps) == len(resolutions)
@@ -287,9 +348,9 @@ class TestSchemeRefusals:
 
     def test_widest_jitter_is_accepted(self):
         sigma = float(np.finfo(float).max / 2)
-        stability.PerturbationScheme(kind="jitter", sigma_schedule=(sigma,))
+        stability.PerturbationScheme(kind="jitter", schedule=(sigma,))
         with pytest.raises(InvalidSpec):
-            stability.PerturbationScheme(kind="jitter", sigma_schedule=(np.nextafter(sigma, np.inf),))
+            stability.PerturbationScheme(kind="jitter", schedule=(np.nextafter(sigma, np.inf),))
 
     @pytest.mark.parametrize("scheme, atoms", [
         ({"kind": "discretize", "grid_schedule": [1e308]}, [0.0, 3.0]),
