@@ -1,4 +1,8 @@
+import json
+import os
+
 import meanrisk
+from meanrisk import measure, metrics, objective, optim, recourse
 
 PUBLIC = [
     "DiscreteMeasure",
@@ -55,11 +59,6 @@ def test_every_public_name_resolves():
 def array_records():
     """One instance of each frozen record that holds an ndarray, built
     afresh on every call from the same values."""
-    import json
-    import os
-
-    from meanrisk import measure, metrics, objective, optim, recourse
-
     path = os.path.join(os.path.dirname(__file__), os.pardir, "demo", "model_linear_expectation.json")
     with open(path, encoding="utf-8") as fh:
         model = objective.MeanRiskModel.from_dict(json.load(fh))
