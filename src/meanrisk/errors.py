@@ -39,10 +39,10 @@ class NumericalFailure(MeanRiskError):
 
 class ConstraintLimitExceeded(MeanRiskError):
     """A problem exceeds a documented size cap: a QP with more than
-    optim.MAX_QP_ROWS rows for KKT subset enumeration, a convex MIP with
-    more than optim.MAX_LATTICE_POINTS integer assignments, a transport
-    problem with more than metrics.MAX_PLAN_ENTRIES (source, target) pairs,
-    or a recourse batch of more than recourse.MAX_RECOURSE_ROWS rows, and a
+    optim.MAX_QP_ROWS rows, boxes included, a convex MIP with more than
+    optim.MAX_LATTICE_POINTS integer assignments, a transport problem with
+    more than metrics.MAX_PLAN_ENTRIES (source, target) pairs, or a
+    recourse batch of more than recourse.MAX_RECOURSE_ROWS rows, and a
     decision grid (DecisionSet.from_box) of more points than that cap."""
 
 

@@ -17,23 +17,23 @@ many inputs in lockstep over one array store of nodes; only the relaxation
 differs (an LP or a convex QP), and both append the integer boxes as rows.
 The boxed rows are the same at every node, so each round's relaxations are
 one batch: for MILPs one solve_lp_batch, whose bases and rays serve every
-round; for MIQPs one KKT sweep (per active set, one matrix for all pending
-relaxations, with per-input arithmetic, so a batch is bit-identical to its
-rows solved alone), whose infeasibility certificates share one store of
-rays and bases.  The fixed branching order (lowest-index most-fractional,
-floor branch first) keeps identical inputs producing identical outputs.
-Convex QPs are solved exactly by KKT subset enumeration, which is sound for
-positive definite objectives at the row counts used here.  Mixed-integer
-convex programs enumerate the integer lattice.  A batch of pure-integer
-programs that differ only in their right-hand sides shares one table of
-the objective and constraint values on the lattice; continuous slices are
-solved by Kelley's cutting planes, one small LP per round, so their
-infeasibility is certified.  scipy is imported only when HiGHS runs.
+round; for MIQPs one QP sweep, whose infeasibility certificates share one
+store of rays and bases.  The fixed branching order (lowest-index
+most-fractional, floor branch first) keeps identical inputs producing
+identical outputs.  Convex QPs are solved by the dual active-set method of
+Goldfarb and Idnani (meanrisk.qp), all inputs of a sweep in lockstep, each
+with its own factors and arithmetic, so a batch is bit-identical to its
+rows solved alone; each point is accepted by the checks of a KKT point
+(residuals within 1e-7, multipliers above -1e-9, rows within FEAS_TOL).
+Mixed-integer convex programs enumerate the integer lattice.  A batch of
+pure-integer programs that differ only in their right-hand sides shares one
+table of the objective and constraint values on the lattice; continuous
+slices are solved by Kelley's cutting planes, one small LP per round, so
+their infeasibility is certified.  scipy is imported only when HiGHS runs.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -47,6 +47,7 @@ from .errors import (
     NumericalFailure,
     OutOfRange,
 )
+from .qp import dual_active_set
 
 FEAS_TOL = 1e-9
 # phase 1 of the tableau calls a program infeasible when its artificial sum
@@ -679,10 +680,14 @@ def solve_milp_batch(c, A, senses, nonneg, B, integer_idx=(), bounds=()) -> Rows
 # convex quadratic programs and their mixed-integer extension
 # ---------------------------------------------------------------------------
 
-# rows a convex QP may have: KKT enumeration tries every active set
+# rows a convex QP may have, boxes included (ConstraintLimitExceeded above
+# it); QP_STEP_CAP bounds the dual method's work, and this cap keeps every
+# allowed size within reach of the active-set enumeration that checks it
 MAX_QP_ROWS = 20
-# inputs per chunk of a KKT sweep, which bounds the sweep's working arrays
-KKT_CHUNK = 8192
+# inputs per chunk of a QP sweep, which bounds the sweep's working arrays
+QP_CHUNK = 8192
+# steps of the dual active-set method (each adds or drops one row) per input
+QP_STEP_CAP = 10_000
 
 
 def _quad_values(D, Y, Q) -> np.ndarray:
@@ -698,40 +703,40 @@ def _stacked_solve(K, R) -> np.ndarray:
     return np.linalg.solve(np.broadcast_to(K, (len(R),) + K.shape), R[..., None])[..., 0]
 
 
-def _kkt_sweep(D, A, Q, B, feasibility) -> Rows:
+def _qp_sweep(D, J0, A, Q, B, feasibility) -> Rows:
     """Exact minimum of y'Dy + Q[j].y over A y <= B[j], one row of Rows per
-    j, for positive definite D.
+    j, for positive definite D, with J0 = L^-T of 2D = LL'.
 
-    Enumerates KKT active sets of size at most n (conic Caratheodory
-    guarantees one exists at the optimum) in itertools.combinations order.
-    Every active set S has one KKT matrix K_S for all inputs, so each is
-    solved once for all inputs still without a free minimum: one vector
-    solve per input, so values are those of a per-input enumeration.  An
-    input without a KKT point must have an empty feasible set.  All such
-    inputs of a chunk go to one feasibility.solve, an _LpBatch of min 0
-    over A y <= b with y free whose rays and bases (the tableau's phase-1
+    An input whose unconstrained minimum (one vector solve each) is within
+    FEAS_TOL of every row keeps it; the others go to the dual active-set
+    method (qp.dual_active_set), which keeps a point that passes the checks
+    of a KKT point (residuals within 1e-7, multipliers above -1e-9, rows
+    within FEAS_TOL) at a finite value.  An input without such a point must
+    have an empty feasible set.  All
+    such inputs of a chunk go to one feasibility.solve, an _LpBatch of min
+    0 over A y <= b with y free whose rays and bases (the tableau's phase-1
     rays and final bases) the caller keeps across sweeps: a ray certifies
     an input infeasible, and an LP either does too or returns a point
     violating A y <= b + FEAS_TOL (a set empty up to PHASE1_TOL, the
     tableau's phase-1 tolerance).  A point that passes, from an LP or a
-    basis, raises NumericalFailure.  Inputs are swept in chunks of KKT_CHUNK, which
-    bounds the working arrays of a large branch-and-bound round; every
-    input's arithmetic is its own, so the Rows do not depend on the
-    chunking.  Raises ConstraintLimitExceeded for more than MAX_QP_ROWS
-    rows.
+    basis, raises NumericalFailure.  Inputs are swept in chunks of
+    QP_CHUNK, which bounds the working arrays of a large branch-and-bound
+    round; every input's arithmetic is its own, so the Rows do not depend
+    on the chunking.  Raises ConstraintLimitExceeded for more than
+    MAX_QP_ROWS rows.
     """
     m = A.shape[0]
     if m > MAX_QP_ROWS:
         raise ConstraintLimitExceeded(f"{m} rows > {MAX_QP_ROWS}")
     out = Rows.infeasible(*Q.shape)
-    for i in range(0, len(Q), KKT_CHUNK):
-        part = slice(i, i + KKT_CHUNK)
-        _kkt_chunk(D, A, Q[part], B[part], feasibility, Rows(*(a[part] for a in out)))
+    for i in range(0, len(Q), QP_CHUNK):
+        part = slice(i, i + QP_CHUNK)
+        _qp_chunk(D, J0, A, Q[part], B[part], feasibility, Rows(*(a[part] for a in out)))
     return out
 
 
-def _kkt_chunk(D, A, Q, B, feasibility, out: Rows):
-    """The sweep of _kkt_sweep on the inputs (Q, B), written into out."""
+def _qp_chunk(D, J0, A, Q, B, feasibility, out: Rows):
+    """The sweep of _qp_sweep on the inputs (Q, B), written into out."""
     k, n = Q.shape
     m = A.shape[0]
     Y = _stacked_solve(2.0 * D, -Q)
@@ -743,40 +748,17 @@ def _kkt_chunk(D, A, Q, B, feasibility, out: Rows):
     rest = np.flatnonzero(~free)
     if not len(rest):
         return
-    Q_rest, B_rest = Q[rest], B[rest]
-    best_val = np.full(len(rest), np.inf)
-    best_y = np.zeros((len(rest), n))
-    found = np.zeros(len(rest), dtype=bool)
-    for size in range(1, min(n, m) + 1):
-        for S in itertools.combinations(range(m), size):
-            As = A[list(S)]
-            K = np.zeros((n + size, n + size))
-            K[:n, :n] = 2.0 * D
-            K[:n, n:] = As.T
-            K[n:, :n] = As
-            R = np.concatenate([-Q_rest, B_rest[:, list(S)]], axis=1)
-            try:
-                sol = _stacked_solve(K, R)
-            except np.linalg.LinAlgError:
-                continue
-            # the checks of a single KKT point, each on the inputs that
-            # passed the one before
-            j = np.flatnonzero(np.all(np.isfinite(sol), axis=1))
-            resid = (K @ sol[j, :, None])[:, :, 0] - R[j]
-            j = j[~(np.max(np.abs(resid), axis=1) > 1e-7)]
-            j = j[~np.any(sol[j, n:] < -1e-9, axis=1)]
-            y = sol[j, :n]
-            j_ok = ~np.any((A @ y[:, :, None])[:, :, 0] > B_rest[j] + FEAS_TOL, axis=1)
-            j, y = j[j_ok], y[j_ok]
-            val = _quad_values(D, y, Q_rest[j])
-            better = ~found[j] | (val < best_val[j] - 1e-15)
-            best_val[j[better]] = val[better]
-            best_y[j[better]] = y[better]
-            found[j[better]] = True
-    out.put(rest[found], best_val[found], best_y[found])
+    # overflow and 0/0 in a step show up as a point that fails its checks
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kkt, points = dual_active_set(D, J0, A, Q[rest], B[rest], Y[rest], FEAS_TOL, QP_STEP_CAP)
+        values = _quad_values(D, points, Q[rest])
+    solved = kkt & np.isfinite(values)
+    out.put(rest[solved], values[solved], points[solved])
     # no KKT point: the feasible set must be empty, which a ray or an LP
     # certifies, or else the LP's point violates a row by > FEAS_TOL
-    empty = rest[~found]
+    empty = rest[~solved]
+    if not len(empty):
+        return
     feas = feasibility.solve(B[empty])
     ok = feas.status == OPTIMAL
     P = feas.point[ok]
@@ -797,12 +779,18 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
     box (lo, hi) of each i in integer_idx, at every (q, b) = (Q[j], B[j])
     with one positive definite D and one A: one row of Rows per program,
     bit-identical to solving each row alone.  Without integers it is one
-    KKT sweep (_kkt_sweep); with them the trees run in lockstep, and each
-    round's relaxations share one KKT sweep, since the boxed rows (and so
-    every K_S) are the same for all nodes of all trees.  Raises OutOfRange
-    on non-finite data and ConstraintLimitExceeded for more than
-    MAX_QP_ROWS rows, boxes included.  Errors are raised for the batch,
-    with the message a single row would give."""
+    QP sweep (_qp_sweep); with them the trees run in lockstep, and each
+    round's relaxations share one QP sweep, since the boxed rows (and so
+    the Cholesky factor and the feasibility LPs) are the same for all nodes
+    of all trees.  A relaxation is a KKT point within the sweep's
+    tolerances (1e-7 on the residuals, 1e-9 on the multipliers and
+    FEAS_TOL on the rows), so a value agrees with any other exact method
+    to round-off, or to a multiplier times FEAS_TOL where a relaxation lies
+    within FEAS_TOL of a row.  Raises OutOfRange on non-finite data,
+    ConstraintLimitExceeded for more than MAX_QP_ROWS rows, boxes included,
+    and NumericalFailure for a relaxation of more than QP_STEP_CAP steps.
+    Errors are raised for the batch, with the message a single row would
+    give."""
     D = np.asarray(D, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
@@ -828,11 +816,12 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
     # every relaxation has the same rows, so one store of certificates
     # serves the feasibility LPs of every sweep
     feasibility = _LpBatch(np.zeros(n), A, ("<=",) * len(A), (False,) * n)
+    J0 = np.linalg.inv(np.linalg.cholesky(2.0 * D)).T
     if not idx:
-        return _kkt_sweep(D, A, Q, B, feasibility)
+        return _qp_sweep(D, J0, A, Q, B, feasibility)
 
     def relax(trees, lo, hi):
-        return _kkt_sweep(D, A, Q[trees], _box_rhs(B[trees], lo, hi), feasibility)
+        return _qp_sweep(D, J0, A, Q[trees], _box_rhs(B[trees], lo, hi), feasibility)
 
     lo0, hi0 = _box_arrays(bounds)
     roots = relax(np.arange(len(B)), lo0, hi0)

@@ -58,18 +58,25 @@ class PerturbationScheme:
     contamination  (1-t) base + t direction, t decreasing
     jitter         seeded coordinate-wise uniform noise of half-width sigma
     discretize     atoms snapped to a grid of increasing resolution
+
+    A field the kind does not read is set to None: the seed of a kind that
+    does not draw (not in SEEDED_KINDS), and the direction of a kind other
+    than contamination.
     """
 
     kind: str
     schedule: tuple
-    seed: int = 0
+    seed: int | None = 0
     direction: DiscreteMeasure | None = None
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise InvalidSpec(f"unknown scheme kind {self.kind!r}")
-        object.__setattr__(self, "seed", as_int(self.seed, "seed", InvalidSpec, ge=0))
-        if self.kind == "contamination" and self.direction is None:
+        seed = as_int(self.seed, "seed", InvalidSpec, ge=0) if self.kind in SEEDED_KINDS else None
+        object.__setattr__(self, "seed", seed)
+        if self.kind != "contamination":
+            object.__setattr__(self, "direction", None)
+        elif self.direction is None:
             raise InvalidSpec("contamination needs a direction")
         name, bounds, sign = _SCHEDULES[self.kind]
         entry, values = f"{name} entry", []
@@ -91,9 +98,9 @@ class PerturbationScheme:
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, _SCHEDULES[self.kind][0]: list(self.schedule)}
-        if self.kind in SEEDED_KINDS:
+        if self.seed is not None:
             out["seed"] = self.seed
-        if self.kind == "contamination":
+        if self.direction is not None:
             out["direction"] = self.direction.to_dict()
         return out
 
@@ -105,9 +112,9 @@ class PerturbationScheme:
             # an unknown kind reads no schedule and is refused by the constructor
             schedule=tuple(data.get(_SCHEDULES[kind][0], ()) if kind in SCHEME_KINDS else ()),
             seed=data.get("seed", 0),
-            direction=(
-                DiscreteMeasure.from_dict(data["direction"]) if "direction" in data else None
-            ),
+            # only contamination reads a direction
+            direction=(DiscreteMeasure.from_dict(data["direction"])
+                       if kind == "contamination" and "direction" in data else None),
         )
 
 
@@ -304,7 +311,7 @@ def run_experiment(
         "model_hash": model.digest(),
         "base_hash": base.digest(),
         "scheme": scheme.to_dict() if scheme is not None else {"kind": "explicit"},
-        "seed": int(scheme.seed) if scheme is not None else None,
+        "seed": scheme.seed if scheme is not None else None,
         "gauge_exponent": qp,
         "argmin_tol": argmin_tol,
     }

@@ -338,8 +338,9 @@ def miqp_closed_oracle(D, q, A, b, int_idx, bounds, cont_idx):
 
 def qp_kkt_oracle(D, q, A, b):
     """Minimum of y'Dy + q.y over A y <= b for positive definite D, by KKT
-    active-set enumeration, one input at a time: the reference the batched
-    optim sweep must match bit for bit, including its errors."""
+    active-set enumeration, one input at a time, as optim solved it before
+    its dual active-set method: the reference the batched optim sweep must
+    match in statuses and errors, and in values within miqp_value_tol."""
     n = len(q)
     m = len(b)
     if m > 20:
@@ -438,6 +439,18 @@ def miqp_bb_oracle(D, q, A, b, int_idx, bounds):
     if best_pt is None:
         return optim.Solution("infeasible")
     return optim.Solution("optimal", best_val, best_pt)
+
+
+def miqp_value_tol(value, A, b, *points) -> float:
+    """How far a solve_miqp_batch value may lie from miqp_bb_oracle's value:
+    1e-12 (1 + |value|), the round-off between the dual active-set method
+    and this enumeration.  Where an optimal point lies within FEAS_TOL of a
+    row of A y <= b, either method may have taken a relaxation outside that
+    row by up to FEAS_TOL (the enumeration keeps the least value among its
+    KKT points that pass), at a value up to a multiplier times FEAS_TOL
+    from the other's, so the band is then 10 FEAS_TOL (1 + |value|)."""
+    near = any(np.any(np.abs(A @ p - b) <= optim.FEAS_TOL) for p in points)
+    return (10 * optim.FEAS_TOL if near else 1e-12) * (1.0 + abs(value))
 
 
 def milp_bb_oracle(c, A, b, senses, nonneg, idx, bounds):

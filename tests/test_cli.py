@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanrisk import cli
+from meanrisk import cli, optim
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 
@@ -38,6 +39,21 @@ def miqp_with_constant(entry, value):
     recourse = demo("model_miqp_expectation.json")["recourse"]
     recourse[entry]["affine"]["constant"] = [value]
     return recourse
+
+
+# three recourse variables, the last two integer in [-3, 3], and four rows:
+# relaxations that add rows by rotations and drop them (the demo's QPs have
+# one variable)
+MIQP3 = {
+    "m1": 1, "m2": 2,
+    "D": [[2.0, 0.5, 0.0], [0.5, 1.5, 0.3], [0.0, 0.3, 1.0]],
+    "A": [[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [-1.0, 0.0, 2.0], [0.0, -1.0, -1.0]],
+    "integer_bounds": [[-3.0, 3.0], [-3.0, 3.0]],
+    "h_map": {"affine": {"matrix": [[0.0, 0.5], [0.25, 0.0], [0.0, 0.3], [0.0, 0.0]],
+                         "constant": [2.0, 1.5, 1.0, 2.5]}},
+    "q_map": {"affine": {"matrix": [[4.0, -3.0], [0.0, 6.0], [-2.0, -5.0]],
+                         "constant": [0.5, -3.0, -1.5]}},
+}
 
 
 def nested_sum(levels):
@@ -261,6 +277,26 @@ class TestExitCodes:
         assert out.err == ("model error: NumericalFailure: feasible convex QP without a detected"
                            " KKT point at x=[0.0], z=[1e+308]\n")
 
+    def test_qp_step_cap_is_a_model_error(self, tmp_path, capsys, monkeypatch):
+        model = write(tmp_path, "m.json", demo("model_miqp_expectation.json"))
+        base = write(tmp_path, "b.json", demo("base_measure.json"))
+        assert run_eval(model, base) == cli.EXIT_OK
+        data = demo("model_miqp_expectation.json")
+        data["recourse"].update(MIQP3)
+        model = write(tmp_path, "m3.json", data)
+        assert run_eval(model, base) == cli.EXIT_OK
+        capsys.readouterr()
+        # one step per relaxation serves the demo, not the three-variable model
+        monkeypatch.setattr(optim, "QP_STEP_CAP", 1)
+        assert run_eval(write(tmp_path, "m.json", demo("model_miqp_expectation.json")),
+                        base) == cli.EXIT_OK
+        capsys.readouterr()
+        assert run_eval(model, base) == cli.EXIT_MODEL
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert re.fullmatch(r"model error: NumericalFailure: dual active-set step cap exceeded"
+                            r" at x=\[[^]]*\], z=\[[^]]*\]\n", out.err)
+
     @pytest.mark.parametrize("entry", ["q_map", "h_map"])
     def test_affine_map_width_is_a_config_error(self, tmp_path, capsys, entry):
         # n + s = 2 inputs (x, z), three columns
@@ -366,7 +402,16 @@ class TestSeedFlag:
 
     @pytest.mark.parametrize("kind", ["contamination", "discretize"])
     def test_leaves_other_schemes_unchanged(self, tmp_path, capsys, kind):
-        assert self.run(tmp_path, kind, "--seed", "7") == self.run(tmp_path, kind)
+        report = self.run(tmp_path, kind)
+        assert self.run(tmp_path, kind, "--seed", "7") == report
+        assert json.loads(report["report.json"])["metadata"]["seed"] is None
+
+    def test_a_seed_in_a_scheme_that_does_not_draw_is_not_read(self, tmp_path, capsys,
+                                                                monkeypatch):
+        report = self.run(tmp_path, "contamination")
+        monkeypatch.setitem(self.SCHEMES, "contamination",
+                            {**demo("scheme_contamination.json"), "seed": 5})
+        assert self.run(tmp_path, "contamination") == report
 
 
 class TestParserReuse:

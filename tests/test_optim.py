@@ -8,12 +8,13 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanrisk import exprs, optim
+from meanrisk import exprs, optim, qp
 from meanrisk.errors import (
     ConstraintLimitExceeded,
     DimMismatch,
     InvalidSpec,
     MeanRiskError,
+    NumericalFailure,
     OutOfRange,
 )
 
@@ -27,7 +28,9 @@ from oracles import (
     milp_closed_oracle,
     miqp_bb_oracle,
     miqp_closed_oracle,
+    miqp_value_tol,
     polyhedral_slice_oracle,
+    qp_kkt_oracle,
     sliver_oracle,
 )
 
@@ -678,6 +681,25 @@ def same_solution(got, want) -> bool:
             and got.point.tobytes() == want.point.tobytes())
 
 
+def close_solution(got, want, A, b, idx=()) -> bool:
+    """The status of the oracle's solution want and, when optimal, its
+    integer coordinates bit for bit and its value within miqp_value_tol of
+    the rows A y <= b."""
+    if got.status != want.status:
+        return False
+    if not want.optimal:
+        return True
+    cols = list(idx)
+    return (got.point[cols].tobytes() == want.point[cols].tobytes()
+            and abs(got.value - want.value) <= miqp_value_tol(want.value, A, b, got.point,
+                                                              want.point))
+
+
+def same_rows(got, want) -> bool:
+    """Two Rows bit for bit."""
+    return all(g.dtype == w.dtype and g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 real = st.floats(-3.0, 3.0, allow_subnormal=False)
 
 
@@ -702,7 +724,9 @@ def miqp_batches(draw):
 
 class TestMiqpBatch:
     """solve_miqp_batch against the per-input KKT enumeration and branch and
-    bound in tests/oracles.py, bit for bit."""
+    bound in tests/oracles.py (statuses, errors and integer coordinates
+    exactly, values within miqp_value_tol), and against itself bit for bit
+    in any order or split."""
 
     def check(self, D, Q, A, B, idx, bounds):
         try:
@@ -714,22 +738,21 @@ class TestMiqpBatch:
             return None
         got = solutions(optim.solve_miqp_batch(D, Q, A, B, idx, bounds))
         assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert same_solution(g, w), (g, w)
+        for g, w, b in zip(got, want, B):
+            assert close_solution(g, w, A, b, idx), (g, w)
         return want
 
     @settings(max_examples=150, deadline=None)
     @given(case=miqp_batches(), data=st.data())
     def test_rows_match_the_oracle_in_any_order(self, case, data):
         D, Q, A, B, idx, bounds = case
-        want = self.check(D, Q, A, B, idx, bounds)
-        if want is None:
+        if self.check(D, Q, A, B, idx, bounds) is None:
             return
+        whole = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
         order = data.draw(st.permutations(range(len(Q))))
         for perm in (order, order[::-1]):
-            got = solutions(optim.solve_miqp_batch(D, Q[perm], A, B[perm], idx, bounds))
-            for g, i in zip(got, perm):
-                assert same_solution(g, want[i])
+            got = optim.solve_miqp_batch(D, Q[perm], A, B[perm], idx, bounds)
+            assert same_rows(got, [part[perm] for part in whole])
 
     def test_infeasible_children_and_roots(self):
         # y0 + y1 <= b0, -y0 + y1 <= b1 with y integer in [-2, 2] x [-2, 2]:
@@ -744,10 +767,12 @@ class TestMiqpBatch:
     def test_qp_and_miqp_are_batches_of_one(self):
         D = np.array([[2.0, 0.5], [0.5, 1.0]])
         q, A, b = np.array([0.3, -1.7]), np.array([[1.0, 2.0], [-1.0, 0.5]]), np.array([0.7, 0.2])
-        want = miqp_bb_oracle(D, q, A, b, (), ())
-        assert same_solution(solve_miqp(D, q, A, b), want)
-        want = miqp_bb_oracle(D, q, A, b, (1,), ((-3.0, 3.0),))
-        assert same_solution(solve_miqp(D, q, A, b, (1,), ((-3.0, 3.0),)), want)
+        Q, B = np.array([[1.0, 1.0], q, [-2.0, 0.5]]), np.array([[0.1, 0.1], b, [1.0, -0.3]])
+        for idx, bounds in (((), ()), ((1,), ((-3.0, 3.0),))):
+            got = solve_miqp(D, q, A, b, idx, bounds)
+            assert close_solution(got, miqp_bb_oracle(D, q, A, b, idx, bounds), A, b, idx)
+            # the row in a batch of three is the batch of one, bit for bit
+            assert same_solution(solutions(optim.solve_miqp_batch(D, Q, A, B, idx, bounds))[1], got)
 
     def test_integer_coordinate_rounding_to_zero_from_below_is_plus_zero(self):
         # min y^2 + 2e-12 y: the relaxed minimum y = -1e-12 is integral within
@@ -791,10 +816,9 @@ class TestMiqpBatch:
             whole = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
         except MeanRiskError:
             return
-        with mock.patch.object(optim, "KKT_CHUNK", chunk):
+        with mock.patch.object(optim, "QP_CHUNK", chunk):
             parts = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
-        for got, want in zip(parts, whole):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert same_rows(parts, whole)
 
     def test_large_round_is_swept_in_chunks(self, monkeypatch):
         # 300 inputs, each round swept 7 at a time: the same Rows, bit for bit
@@ -805,14 +829,14 @@ class TestMiqpBatch:
         args = (D, Q, A, B, (0, 1), ((-2.0, 2.0), (-2.0, 2.0)))
         whole = optim.solve_miqp_batch(*args)
         sizes = []
-        sweep = optim._kkt_chunk
-        monkeypatch.setattr(optim, "KKT_CHUNK", 7)
-        monkeypatch.setattr(optim, "_kkt_chunk",
-                            lambda D, A, Q, *rest: sizes.append(len(Q)) or sweep(D, A, Q, *rest))
+        sweep = optim._qp_chunk
+        monkeypatch.setattr(optim, "QP_CHUNK", 7)
+        monkeypatch.setattr(optim, "_qp_chunk",
+                            lambda D, J0, A, Q, *rest: sizes.append(len(Q))
+                            or sweep(D, J0, A, Q, *rest))
         parts = optim.solve_miqp_batch(*args)
         assert max(sizes) == 7 and len(sizes) > 300 // 7
-        for got, want in zip(parts, whole):
-            assert got.tobytes() == want.tobytes()
+        assert same_rows(parts, whole)
         assert np.mean(whole.status == optim.OPTIMAL) > 0.5
 
     def test_row_cap_is_checked_before_any_solve(self, monkeypatch):
@@ -825,6 +849,88 @@ class TestMiqpBatch:
         with pytest.raises(ConstraintLimitExceeded, match="^21 rows > 20$"):
             optim.solve_miqp_batch(np.eye(n), np.zeros((3, n)), np.ones((1, n)),
                                    np.ones((3, 1)), tuple(range(n)), ((0.0, 1.0),) * n)
+
+
+class TestDualActiveSet:
+    """The QP sweep's dual active-set method on degenerate rows, drops and a
+    larger program, against qp_kkt_oracle: statuses exactly, values within
+    miqp_value_tol."""
+
+    # min |y - c|^2 (D = I, q = -2c) for targets c on every side of the rows
+    TARGETS = np.array([[3.0, 1.0], [-2.0, 4.0], [0.5, 0.5], [2.0, -3.0], [-1.0, -1.0],
+                        [4.0, 4.0]])
+    # rows a drop leaves upper Hessenberg at target (-4, -3): two rows become
+    # active, and the first of them is dropped
+    DROPS = (np.array([[2.0, -2.0], [0.0, -2.0], [-1.0, 0.0]]), np.array([0.0, 0.0, -2.0]))
+
+    def check(self, D, Q, A, B) -> optim.Rows:
+        rows = optim.solve_miqp_batch(D, Q, A, B)
+        for got, q, b in zip(solutions(rows), Q, B):
+            assert close_solution(got, qp_kkt_oracle(D, q, A, b), A, b), (got, q, b)
+        return rows
+
+    @pytest.mark.parametrize("A, b", [
+        ([[1, 1], [1, 1], [-1, 2]], [1, 1, 2]),
+        ([[1, 1], [2, 2], [3, 3], [-1, 2]], [1, 2, 6, 2]),
+        ([[2, 2], [1, 1], [-1, 2]], [3, 1, 2]),
+        ([[1, -1], [-1, 1], [1, 1]], [0.5, -0.5, 2]),
+        ([[0, 0], [1, 1], [0, 0]], [0, 1, 3]),
+    ], ids=["duplicate row", "parallel rows", "a looser parallel row added first",
+            "equality as two rows", "zero rows, b >= 0"])
+    def test_degenerate_rows(self, A, b):
+        A, B = np.array(A, dtype=float), np.tile(np.array(b, dtype=float), (len(self.TARGETS), 1))
+        rows = self.check(np.eye(2), -2.0 * self.TARGETS, A, B)
+        assert np.all(rows.status == optim.OPTIMAL)
+
+    def test_zero_row_with_negative_b_is_infeasible(self):
+        A = np.array([[1.0, 1.0], [0.0, 0.0]])
+        B = np.tile([1.0, -1e-3], (len(self.TARGETS), 1))
+        rows = self.check(np.eye(2), -2.0 * self.TARGETS, A, B)
+        assert np.all(rows.status == optim.INFEASIBLE)
+
+    def test_vertex_with_a_zero_multiplier(self):
+        # targets (c, 0) with c > 1/2 have the minimum (1/2, 0), where both
+        # rows are active and y0 + y1 <= 1/2 has multiplier 0; that row is
+        # added first, the other at its multiplier's zero
+        A, b = np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([0.5, 0.5])
+        Q = np.array([[-2.0, 0.0], [-4.0, 0.0], [-7.0, 0.0]])
+        rows = self.check(np.eye(2), Q, A, np.tile(b, (3, 1)))
+        assert rows.point.tobytes() == np.tile([0.5, 0.0], (3, 1)).tobytes()
+
+    def test_six_variables_sixteen_rows(self):
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(6, 6))
+        D, A = M @ M.T + np.eye(6), rng.normal(size=(16, 6))
+        Q, B = 10.0 * rng.normal(size=(3, 6)), rng.uniform(0.5, 3.0, size=(3, 16))
+        rows = self.check(D, Q, A, B)
+        assert np.all(rows.status == optim.OPTIMAL)
+        assert not np.any(np.all(A @ np.linalg.solve(2.0 * D, -Q.T) <= B.T, axis=0))
+
+    def test_drops_give_the_same_bits_in_any_split_or_order(self, monkeypatch):
+        A, b = self.DROPS
+        Q = -2.0 * np.array([[-4.0, -3.0], [-4.5, -3.0], [-3.0, -4.0], [1.0, -3.0], [-4.0, -2.5]])
+        B = np.tile(b, (len(Q), 1))
+        axes = []
+        givens = qp._givens
+        monkeypatch.setattr(qp, "_givens", lambda a, b, on, *targets: axes.extend(
+            axis for *_, axis in targets) or givens(a, b, on, *targets))
+        whole = self.check(np.eye(2), Q, A, B)
+        assert 1 in axes  # a drop that rotates the rows of R back to triangular
+        for perm in (np.arange(len(Q))[::-1], np.array([2, 0, 4, 1, 3])):
+            for chunk in (1, 2, 3):
+                monkeypatch.setattr(optim, "QP_CHUNK", chunk)
+                got = optim.solve_miqp_batch(np.eye(2), Q[perm], A, B[perm])
+                assert same_rows(got, [part[perm] for part in whole])
+
+    def test_step_cap(self, monkeypatch):
+        # target (-4, -3) takes four steps: two adds, a drop and an add
+        A, b = self.DROPS
+        args = (np.eye(2), np.array([[8.0, 6.0]]), A, b[None])
+        monkeypatch.setattr(optim, "QP_STEP_CAP", 4)
+        assert optim.solve_miqp_batch(*args).status[0] == optim.OPTIMAL
+        monkeypatch.setattr(optim, "QP_STEP_CAP", 3)
+        with pytest.raises(NumericalFailure, match="^dual active-set step cap exceeded$"):
+            optim.solve_miqp_batch(*args)
 
 
 @st.composite

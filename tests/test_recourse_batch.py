@@ -1,10 +1,12 @@
 """eval_recourse_batch against the per-row oracle of tests/oracles.py.
 
-The batch must equal recourse_row_oracle row by row: bit for bit for miqp
-and convex_mip, and for milp on the demo models; elsewhere within 1e-12
-(relative to max(1, |f|)) for linear and milp, whose rows or nodes a
+The batch must equal recourse_row_oracle row by row: bit for bit for
+convex_mip, and for milp and miqp on the demo models; elsewhere within
+1e-12 (relative to max(1, |f|)) for linear and milp, whose rows or nodes a
 stored basis answers with a basis solve instead of the tableau (the oracle
-solves every milp node by its own tableau LP).  On an infeasible,
+solves every milp node by its own tableau LP), and within miqp_value_tol
+for miqp, whose relaxations the dual active-set method solves (the oracle
+enumerates active sets).  On an infeasible,
 unbounded or invalid row it must raise what the oracle raises at the first
 such row.
 """
@@ -36,7 +38,13 @@ from meanrisk.recourse import (
     eval_recourse_batch,
 )
 
-from oracles import image_risk_oracle, miqp_bb_oracle, param_map_oracle, recourse_row_oracle
+from oracles import (
+    image_risk_oracle,
+    miqp_bb_oracle,
+    miqp_value_tol,
+    param_map_oracle,
+    recourse_row_oracle,
+)
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "demo")
 DEMO_MODELS = sorted(f for f in os.listdir(DEMO) if f.startswith("model_"))
@@ -812,13 +820,21 @@ def miqp_instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=miqp_instances(), data=st.data())
 def test_random_miqp_matches_the_branch_and_bound_oracle(case, data):
-    # values bit for bit, and the first infeasible row named, in any row order
+    # values within miqp_value_tol of the oracle's, the solver's rows bit for
+    # bit, and the first infeasible row named, in any row order
     model, x, Z = case
     xv = np.array([x])
     idx = tuple(range(model.m1, model.m1 + model.m2))
-    want = [miqp_bb_oracle(model.D, param_map_oracle(model.q_map, xv, z), model.A,
-                           param_map_oracle(model.h_map, xv, z), idx, model.integer_bounds)
-            for z in Z]
+    Q = np.array([param_map_oracle(model.q_map, xv, z) for z in Z])
+    H = np.array([param_map_oracle(model.h_map, xv, z) for z in Z])
+    want = [miqp_bb_oracle(model.D, q, model.A, h, idx, model.integer_bounds)
+            for q, h in zip(Q, H)]
+    rows = optim.solve_miqp_batch(model.D, Q, model.A, H, idx, model.integer_bounds)
+    for w, status, value, point, h in zip(want, *rows, H):
+        assert optim.STATUSES[status] == w.status
+        if w.optimal:
+            assert point[list(idx)].tobytes() == w.point[list(idx)].tobytes()
+            assert abs(value - w.value) <= miqp_value_tol(w.value, model.A, h, point, w.point)
     order = np.arange(len(Z))
     for perm in (order, order[::-1], np.array(data.draw(st.permutations(order)))):
         failing = [i for i in perm if not want[i].optimal]
@@ -828,8 +844,7 @@ def test_random_miqp_matches_the_branch_and_bound_oracle(case, data):
             assert str(err.value) == str(RecourseInfeasible(xv, Z[failing[0]]))
         else:
             got = eval_recourse_batch(model, xv, Z[perm])
-            assert got.tobytes() == np.array([want[i].value for i in perm]).tobytes()
-    assert_matches_oracle(model, xv, Z)
+            assert got.tobytes() == rows.value[perm].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

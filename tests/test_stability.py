@@ -144,6 +144,21 @@ class TestSchemeRecord:
         assert scheme.to_dict() == SCHEME_DOCS[kind]
         assert vars(scheme).keys() == {"kind", "schedule", "seed", "direction"}
 
+    @pytest.mark.parametrize("kind", stability.SCHEME_KINDS)
+    def test_fields_the_kind_does_not_read_are_none(self, kind):
+        direction = DiscreteMeasure.from_dict(SCHEME_DOCS["contamination"]["direction"])
+        scheme = stability.PerturbationScheme(kind, SCHEME_DOCS[kind][stability._SCHEDULES[kind][0]],
+                                              seed=5, direction=direction)
+        assert scheme.seed == (5 if kind in stability.SEEDED_KINDS else None)
+        assert (scheme.direction is direction) == (kind == "contamination")
+        # an unread seed or direction is not checked either
+        doc = {**SCHEME_DOCS[kind], "seed": -1, "direction": "x"}
+        if kind in stability.SEEDED_KINDS:
+            with pytest.raises(InvalidSpec, match="seed"):
+                stability.PerturbationScheme.from_dict(doc)
+        elif kind != "contamination":
+            assert stability.PerturbationScheme.from_dict(doc).to_dict() == SCHEME_DOCS[kind]
+
     @pytest.mark.parametrize("kind", ["walk", ["saa"]])
     def test_unknown_kind(self, kind):
         with pytest.raises(InvalidSpec, match="unknown scheme kind") as err:
