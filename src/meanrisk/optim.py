@@ -17,14 +17,13 @@ many inputs in lockstep over one array store of nodes; only the relaxation
 differs (an LP or a convex QP), and both append the integer boxes as rows.
 The boxed rows are the same at every node, so each round's relaxations are
 one batch: for MILPs one solve_lp_batch, whose bases and rays serve every
-round; for MIQPs one QP sweep, whose infeasibility certificates share one
-store of rays and bases.  The fixed branching order (lowest-index
+round; for MIQPs one QP sweep.  The fixed branching order (lowest-index
 most-fractional, floor branch first) keeps identical inputs producing
 identical outputs.  Convex QPs are solved by the dual active-set method of
-Goldfarb and Idnani (meanrisk.qp), all inputs of a sweep in lockstep, each
-with its own factors and arithmetic, so a batch is bit-identical to its
-rows solved alone; each point is accepted by the checks of a KKT point
-(residuals within 1e-7, multipliers above -1e-9, rows within FEAS_TOL).
+Goldfarb and Idnani (meanrisk.qp) alone, all inputs of a sweep in
+lockstep, each with its own factors and arithmetic, so a batch is
+bit-identical to its rows solved alone; a point is accepted by the checks
+of a KKT point, and an empty set by the checks of the method's Farkas ray.
 Mixed-integer convex programs enumerate the integer lattice.  A batch of
 pure-integer programs that differ only in their right-hand sides shares one
 table of the objective and constraint values on the lattice; continuous
@@ -393,7 +392,8 @@ class _LpBatch:
     batches an LP of that size."""
 
     def __init__(self, c, A, senses, nonneg):
-        rows = np.shape(A)[0] if np.ndim(A) == 2 else 0
+        # as LinearProgram reads A: a nonempty 1-D A is one row
+        rows = np.shape(A)[0] if np.ndim(A) == 2 else int(np.size(A) > 0)
         self.prob = LinearProgram(c, A, np.zeros(rows), senses, nonneg)
         self.std = None  # prob's _Standard, built on the first store
         self.rays = []  # one lam per ray
@@ -703,7 +703,7 @@ def _stacked_solve(K, R) -> np.ndarray:
     return np.linalg.solve(np.broadcast_to(K, (len(R),) + K.shape), R[..., None])[..., 0]
 
 
-def _qp_sweep(D, J0, A, Q, B, feasibility) -> Rows:
+def _qp_sweep(D, J0, A, Q, B) -> Rows:
     """Exact minimum of y'Dy + Q[j].y over A y <= B[j], one row of Rows per
     j, for positive definite D, with J0 = L^-T of 2D = LL'.
 
@@ -711,19 +711,13 @@ def _qp_sweep(D, J0, A, Q, B, feasibility) -> Rows:
     FEAS_TOL of every row keeps it; the others go to the dual active-set
     method (qp.dual_active_set), which keeps a point that passes the checks
     of a KKT point (residuals within 1e-7, multipliers above -1e-9, rows
-    within FEAS_TOL) at a finite value.  An input without such a point must
-    have an empty feasible set.  All
-    such inputs of a chunk go to one feasibility.solve, an _LpBatch of min
-    0 over A y <= b with y free whose rays and bases (the tableau's phase-1
-    rays and final bases) the caller keeps across sweeps: a ray certifies
-    an input infeasible, and an LP either does too or returns a point
-    violating A y <= b + FEAS_TOL (a set empty up to PHASE1_TOL, the
-    tableau's phase-1 tolerance).  A point that passes, from an LP or a
-    basis, raises NumericalFailure.  Inputs are swept in chunks of
-    QP_CHUNK, which bounds the working arrays of a large branch-and-bound
-    round; every input's arithmetic is its own, so the Rows do not depend
-    on the chunking.  Raises ConstraintLimitExceeded for more than
-    MAX_QP_ROWS rows.
+    within FEAS_TOL) at a finite value, or else a Farkas ray that passes
+    its checks (qp.FARKAS_TOL): A y <= b + FEAS_TOL is then empty and the
+    input infeasible.  An input with neither raises NumericalFailure.
+    Inputs are swept in chunks of QP_CHUNK, which bounds the working arrays
+    of a large branch-and-bound round; every input's arithmetic is its own,
+    so the Rows do not depend on the chunking.  Raises
+    ConstraintLimitExceeded for more than MAX_QP_ROWS rows.
     """
     m = A.shape[0]
     if m > MAX_QP_ROWS:
@@ -731,39 +725,28 @@ def _qp_sweep(D, J0, A, Q, B, feasibility) -> Rows:
     out = Rows.infeasible(*Q.shape)
     for i in range(0, len(Q), QP_CHUNK):
         part = slice(i, i + QP_CHUNK)
-        _qp_chunk(D, J0, A, Q[part], B[part], feasibility, Rows(*(a[part] for a in out)))
+        _qp_chunk(D, J0, A, Q[part], B[part], Rows(*(a[part] for a in out)))
     return out
 
 
-def _qp_chunk(D, J0, A, Q, B, feasibility, out: Rows):
+def _qp_chunk(D, J0, A, Q, B, out: Rows):
     """The sweep of _qp_sweep on the inputs (Q, B), written into out."""
-    k, n = Q.shape
-    m = A.shape[0]
     Y = _stacked_solve(2.0 * D, -Q)
-    free = np.ones(k, dtype=bool) if m == 0 else np.all(
-        (A @ Y[:, :, None])[:, :, 0] <= B + FEAS_TOL, axis=1
-    )
+    free = np.all((A @ Y[:, :, None])[:, :, 0] <= B + FEAS_TOL, axis=1)
     j = np.flatnonzero(free)
     out.put(j, _quad_values(D, Y[j], Q[j]), Y[j])
     rest = np.flatnonzero(~free)
     if not len(rest):
         return
-    # overflow and 0/0 in a step show up as a point that fails its checks
+    # overflow and 0/0 in a step show up as a point or a ray that fails its checks
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        kkt, points = dual_active_set(D, J0, A, Q[rest], B[rest], Y[rest], FEAS_TOL, QP_STEP_CAP)
+        kkt, empty, points = dual_active_set(D, J0, A, Q[rest], B[rest], Y[rest], FEAS_TOL,
+                                             QP_STEP_CAP)
         values = _quad_values(D, points, Q[rest])
     solved = kkt & np.isfinite(values)
     out.put(rest[solved], values[solved], points[solved])
-    # no KKT point: the feasible set must be empty, which a ray or an LP
-    # certifies, or else the LP's point violates a row by > FEAS_TOL
-    empty = rest[~solved]
-    if not len(empty):
-        return
-    feas = feasibility.solve(B[empty])
-    ok = feas.status == OPTIMAL
-    P = feas.point[ok]
-    if not np.all(np.any((A @ P[:, :, None])[:, :, 0] > B[empty[ok]] + FEAS_TOL, axis=1)):
-        raise NumericalFailure("feasible convex QP without a detected KKT point")
+    if not np.all(solved | empty):
+        raise NumericalFailure("convex QP without a detected KKT point")
 
 
 def _check_positive_definite(D: np.ndarray):
@@ -781,12 +764,12 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
     bit-identical to solving each row alone.  Without integers it is one
     QP sweep (_qp_sweep); with them the trees run in lockstep, and each
     round's relaxations share one QP sweep, since the boxed rows (and so
-    the Cholesky factor and the feasibility LPs) are the same for all nodes
-    of all trees.  A relaxation is a KKT point within the sweep's
-    tolerances (1e-7 on the residuals, 1e-9 on the multipliers and
-    FEAS_TOL on the rows), so a value agrees with any other exact method
-    to round-off, or to a multiplier times FEAS_TOL where a relaxation lies
-    within FEAS_TOL of a row.  Raises OutOfRange on non-finite data,
+    the Cholesky factor) are the same for all nodes of all trees; no LP is
+    solved.  A relaxation is a KKT point within the sweep's tolerances
+    (1e-7 on the residuals, 1e-9 on the multipliers and FEAS_TOL on the
+    rows), or infeasible by a Farkas ray, so a value agrees with any other
+    exact method to round-off, or to a multiplier times FEAS_TOL where a
+    relaxation lies within FEAS_TOL of a row.  Raises OutOfRange on non-finite data,
     ConstraintLimitExceeded for more than MAX_QP_ROWS rows, boxes included,
     and NumericalFailure for a relaxation of more than QP_STEP_CAP steps.
     Errors are raised for the batch, with the message a single row would
@@ -813,15 +796,12 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
     idx, bounds = _integer_boxes(integer_idx, bounds, n)
     if idx:
         A = _box_rows(A, idx)
-    # every relaxation has the same rows, so one store of certificates
-    # serves the feasibility LPs of every sweep
-    feasibility = _LpBatch(np.zeros(n), A, ("<=",) * len(A), (False,) * n)
     J0 = np.linalg.inv(np.linalg.cholesky(2.0 * D)).T
     if not idx:
-        return _qp_sweep(D, J0, A, Q, B, feasibility)
+        return _qp_sweep(D, J0, A, Q, B)
 
     def relax(trees, lo, hi):
-        return _qp_sweep(D, J0, A, Q[trees], _box_rhs(B[trees], lo, hi), feasibility)
+        return _qp_sweep(D, J0, A, Q[trees], _box_rhs(B[trees], lo, hi))
 
     lo0, hi0 = _box_arrays(bounds)
     roots = relax(np.arange(len(B)), lo0, hi0)

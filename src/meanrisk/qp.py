@@ -9,10 +9,11 @@ step takes the most violated row (the largest A y - (b + feas_tol), the
 lowest index on ties) and either adds it after a full primal-dual step,
 by Givens rotations, or drops the active row whose multiplier reaches
 zero first after a partial step; a row dependent on the active ones
-(DEPENDENT) takes a dual step only.  An input whose violated row allows no step is left
-unsolved: its feasible set is empty, or it lost numerical control.  Every
-input does its own arithmetic in elementwise ufuncs (_sum_products), so a
-row's bits do not depend on the batch that holds it.
+(DEPENDENT) takes a dual step only.  A violated row p that allows no step
+has n_p = N r with every r <= 0, and the input stops at the Farkas ray of
+multipliers 1 on p and -r on the active rows.  Every input does its own
+arithmetic in elementwise ufuncs (_sum_products), so a row's bits do not
+depend on the batch that holds it.
 """
 
 import numpy as np
@@ -22,6 +23,9 @@ from .errors import NumericalFailure
 # a violated row counts as linearly dependent on the active rows when the
 # part of d = J'n off the active columns has |d2|^2 <= DEPENDENT |d|^2
 DEPENDENT = 1e-24
+# lam'A of a Farkas ray lam is zero but for round-off, a few eps of the sum of
+# lam_i ||a_i||_inf; nearly parallel rows with more off-part may meet far out
+FARKAS_TOL = 64 * np.finfo(float).eps
 
 
 def _sum_products(X, V) -> np.ndarray:
@@ -64,12 +68,17 @@ def dual_active_set(D, J0, A, Q, B, Y, feas_tol, step_cap) -> tuple:
     """Minimum of y'Dy + Q[j].y over A y <= B[j] for positive definite D,
     from the unconstrained minimum Y[j], with J0 = L^-T of 2D = LL'.
 
-    Returns (ok, points): the points the steps accumulated, and ok where
-    the method stopped with every row within feas_tol and, with the active
+    Returns (ok, empty, points): the points the steps accumulated; ok where
+    the method ended with every row within feas_tol and, with the active
     rows' multipliers taken from the factors (u = R^-1 J1'(2Dy + q)), the
     stationarity and active-row residuals are at most 1e-7 and u >= -1e-9,
-    as for a KKT point.  An input that needs more than step_cap steps
-    raises NumericalFailure."""
+    as for a KKT point; and empty where it stopped at a Farkas ray lam >= 0
+    with lam.(b + feas_tol) < 0 and |lam'A| <= FARKAS_TOL sum_i lam_i
+    ||a_i||_inf: A y <= b + feas_tol has no solution but for the round-off
+    in lam'A.  A q far above b can lose the point, and so the ray, to
+    cancellation: an input with q != 0 whose ray fails is decided again on
+    its rows alone, from y = 0 with q = 0.  An input that needs more than
+    step_cap steps raises NumericalFailure."""
     k, n = Y.shape
     cols, Y = np.arange(n + 1), Y.copy()
     J = np.repeat(J0[None], k, axis=0)
@@ -97,12 +106,10 @@ def dual_active_set(D, J0, A, Q, B, Y, feas_tol, step_cap) -> tuple:
         d = _sum_products(Js.transpose(0, 2, 1), N[:, None, :])  # J'n
         inact = cols[:n] >= q[:, None]
         z = _sum_products(Js, np.where(inact, d, 0.0)[:, None, :])  # the primal step J2 d2
-        active = q.any()  # else r = 0 on the (no) active rows, and no partial step
-        r = _back_substitute(R[live], np.where(inact, 0.0, d), q) if active else (
-            np.zeros((len(live), n + 1)))
+        r = _back_substitute(R[live], np.where(inact, 0.0, d), q)
         r[rows, q] = -1.0  # so U -= t r is the dual step, +t on the row being added
         l, t1 = np.zeros(len(live), dtype=np.intp), np.full(len(live), np.inf)
-        if active:
+        if q.any():  # else no row is active, and there is no partial step
             ratio = np.where(r > 0.0, U[live] / r, np.inf)
             l = np.argmin(ratio, axis=1)
             t1 = ratio[rows, l]  # the partial step that zeroes u_l
@@ -111,16 +118,19 @@ def dual_active_set(D, J0, A, Q, B, Y, feas_tol, step_cap) -> tuple:
         slack = B[live, p] - _sum_products(A[p], Yl)
         t2 = np.where(indep, np.maximum(-slack / zn, 0.0), np.inf)  # the full step
         t = np.minimum(t1, t2)
-        go = t < np.inf  # else the input stops unsolved
+        over = indep & (t == np.inf)  # a full step that overflowed, taken as -slack z/zn
+        go = (t < np.inf) | over  # else row p is dependent on the active rows, with r <= 0
         if steps == step_cap and go.any():
             raise NumericalFailure("dual active-set step cap exceeded")
         steps += 1
         full = indep & (t2 <= t)
+        Yl = np.where(over[:, None], Yl - slack[:, None] * (z / zn[:, None]),
+                      np.where(indep[:, None], Yl + t[:, None] * z, Yl))
         if not go.all():
-            live, q, l, t, indep, full, Js, d, z, r, Yl = (
-                a[go] for a in (live, q, l, t, indep, full, Js, d, z, r, Yl))
-        Y[live] = np.where(indep[:, None], Yl + t[:, None] * z, Yl)
-        U[live] -= t[:, None] * r
+            U[live[~go]] = -r[~go]  # a stopped input's Farkas ray: 1 on p, -r on the active rows
+            live, q, l, t, full, Js, d, r, Yl = (a[go] for a in (live, q, l, t, full, Js, d, r, Yl))
+        Y[live] = Yl
+        U[live] = np.where(r != 0.0, U[live] - t[:, None] * r, U[live])  # inf * 0 is NaN
         add, drop = live[full], live[~full]
         if len(add):
             Ja, Ra, qa, da = Js[full], R[add], q[full], d[full]
@@ -150,15 +160,25 @@ def dual_active_set(D, J0, A, Q, B, Y, feas_tol, step_cap) -> tuple:
                     Rd[:, j + 1, j] = np.where(rot, 0.0, Rd[:, j + 1, j])
             J[drop], R[drop] = Jd, Rd
             nact[drop] -= 1
-    # the checks of a KKT point, on the inputs where the method stopped
-    j = np.flatnonzero(done)
-    q, As, on = nact[j], A[act[j]], cols < nact[j][:, None]
-    grad = _sum_products(2.0 * D, Y[j, None, :]) + Q[j]
-    Jg = _sum_products(J[j].transpose(0, 2, 1), grad[:, None, :])  # J'(2Dy + q)
-    u = _back_substitute(R[j], np.where(on[:, :n], Jg, 0.0), q)
+    # the checks of a KKT point where the method ended, of a Farkas ray lam = U where it stopped
+    As, gap, on = A[act], np.take_along_axis(B, act, 1), cols < nact[:, None]
+    grad = _sum_products(2.0 * D, Y[:, None, :]) + Q
+    Jg = _sum_products(J.transpose(0, 2, 1), grad[:, None, :])  # J'(2Dy + q)
+    u = _back_substitute(R, np.where(on[:, :n], Jg, 0.0), nact)
     stat = grad + _sum_products(As.transpose(0, 2, 1), u[:, None, :])
-    resid = np.where(on, _sum_products(As, Y[j, None, :]) - B[j[:, None], act[j]], 0.0)
-    ok = np.zeros(k, dtype=bool)
-    ok[j] = (np.all(np.abs(stat) <= 1e-7, axis=1) & np.all(np.abs(resid) <= 1e-7, axis=1)
-             & np.all(~on | (u >= -1e-9), axis=1))
-    return ok, Y
+    resid = np.where(on, _sum_products(As, Y[:, None, :]) - gap, 0.0)
+    ok = done & (np.all(np.abs(stat) <= 1e-7, axis=1) & np.all(np.abs(resid) <= 1e-7, axis=1)
+                 & np.all(~on | (u >= -1e-9), axis=1))
+    # the round-off in r leaves entries of about eps on rows outside the ray
+    lam = np.where(np.abs(U) > FARKAS_TOL * np.max(np.abs(U), axis=1)[:, None], U, 0.0)
+    lamA = _sum_products(As.transpose(0, 2, 1), lam[:, None, :])
+    size = _sum_products(lam, np.max(np.abs(As), axis=2))  # the sum of lam_i ||a_i||
+    empty = ~done & (np.all(lam >= 0.0, axis=1) & (_sum_products(lam, gap + feas_tol) < 0.0)
+                     & np.all(np.abs(lamA) <= FARKAS_TOL * size[:, None], axis=1))
+    # decided again on the rows alone, one at a time (it is rare): b and feas_tol
+    # scaled alike to |b| near 1, the tolerance no finer than round-off there
+    for i in np.flatnonzero(~done & ~empty & np.any(Q != 0.0, axis=1)):
+        s, z = np.ldexp(1.0, -np.frexp(np.max(np.abs(B[i])))[1]), np.zeros((1, n))
+        tol = max(s * feas_tol, FARKAS_TOL)
+        empty[i] = dual_active_set(D, J0, A, z, s * B[i:i + 1], z, tol, step_cap)[1][0]
+    return ok, empty, Y

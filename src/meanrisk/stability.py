@@ -255,9 +255,10 @@ def argmin_excess(candidate, reference) -> float:
 def _default_ui_grid(base: DiscreteMeasure, q: float) -> np.ndarray:
     """Threshold grid topping out at 1e3 times the base measure's own
     gauge scale, so families escaping far beyond the base fail the verdict
-    while compactly supported perturbations pass."""
+    while compactly supported perturbations pass.  The top is capped at
+    1e308, where 1e3 times the scale overflows."""
     scale = max(1.0, float(np.max(base.norms()) ** q))
-    return np.logspace(0.0, np.log10(1e3 * scale), 25)
+    return np.logspace(0.0, np.log10(min(1e3 * scale, 1e308)), 25)
 
 
 def run_experiment(

@@ -379,7 +379,7 @@ def qp_kkt_oracle(D, q, A, b):
     # more than FEAS_TOL, means the feasible set is empty
     feas = optim.solve_lp(optim.LinearProgram(np.zeros(n), A, b, senses="<=", nonneg=(False,) * n))
     if feas.optimal and not np.any(A @ feas.point > b + optim.FEAS_TOL):
-        raise NumericalFailure("feasible convex QP without a detected KKT point")
+        raise NumericalFailure("convex QP without a detected KKT point")
     return optim.Solution("infeasible")
 
 

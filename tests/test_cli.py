@@ -274,7 +274,7 @@ class TestExitCodes:
             assert run_eval(model, write(tmp_path, "b.json", far)) == cli.EXIT_MODEL
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == ("model error: NumericalFailure: feasible convex QP without a detected"
+        assert out.err == ("model error: NumericalFailure: convex QP without a detected"
                            " KKT point at x=[0.0], z=[1e+308]\n")
 
     def test_qp_step_cap_is_a_model_error(self, tmp_path, capsys, monkeypatch):

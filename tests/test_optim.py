@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -281,6 +282,14 @@ class TestLpBatch:
         assert [sol.value for sol in got[:5]] == [2.0, 3.0, 1.0, 4.0, 0.5]
         assert [sol.status for sol in got[5:]] == ["infeasible"] * 3
         assert solved == [B[0].tobytes(), B[2].tobytes(), B[5].tobytes()]
+
+    def test_a_one_dimensional_A_is_one_row(self):
+        # as LinearProgram reads it, in both batch entries
+        B = np.array([[1.0], [-1.0], [3.0]])
+        for solve in (optim.solve_lp_batch, optim.solve_milp_batch):
+            flat = solve([1.0, -1.0], [1.0, 1.0], "<=", (True, True), B)
+            assert same_rows(flat, solve([1.0, -1.0], [[1.0, 1.0]], "<=", (True, True), B))
+            assert list(flat.status) == [optim.OPTIMAL, optim.INFEASIBLE, optim.OPTIMAL]
 
     @staticmethod
     def solve_with(certificate, c, A, senses, nonneg, B):
@@ -783,30 +792,36 @@ class TestMiqpBatch:
         assert rows.point.tobytes() == np.array([[0.0]]).tobytes() == want[0].point.tobytes()
         assert np.signbit(np.round(-1e-12))
 
+    # the ceil child y >= 0 against y <= -5.96e-8 has no KKT point within
+    # FEAS_TOL, and the dual method's Farkas ray certifies it empty
+    VIOLATED = (np.array([[10.7575]]), np.array([0.0]), np.array([[0.0], [1.0], [-1.0]]),
+                np.array([0.451, -5.96e-8, 0.0267]))
+
     def test_certificate_point_violating_a_row_is_infeasible(self):
-        # the ceil child y >= 0 against y <= -5.96e-8 has no KKT point within
-        # FEAS_TOL, and the tableau's phase 1 (tolerance 1e-7) returns y = 0
-        D, q, A = np.array([[10.7575]]), np.array([0.0]), np.array([[0.0], [1.0], [-1.0]])
-        b = np.array([0.451, -5.96e-8, 0.0267])
+        D, q, A, b = self.VIOLATED
         assert solve_miqp(D, q, A, b, (0,), ((-0.5, 2.0),)).status == "infeasible"
         assert miqp_bb_oracle(D, q, A, b, (0,), ((-0.5, 2.0),)).status == "infeasible"
         child = solve_miqp(D, q, np.vstack([A, [[-1.0]]]), np.append(b, 0.0))
         assert child.status == "infeasible"
 
-    def test_certificate_lps_share_one_store(self, monkeypatch):
+    def test_miqp_batch_makes_no_lp_call(self, monkeypatch):
         # min y^2 + (2 b + 1) y over integers y >= -b: the relaxed minimum
         # sits on the bound y = -b, so at every fractional b the floor child
-        # y <= floor(-b) is empty, and the phase-1 ray of the first such LP
-        # certifies all of them
+        # y <= floor(-b) is empty, and a Farkas ray certifies each one
         B = np.linspace(0.05, 2.95, 30)[:, None]
         args = (np.eye(1), 2.0 * B + 1.0, -np.eye(1), B, (0,), ((-5.0, 5.0),))
         want = self.check(*args)
         assert all(w.optimal for w in want)
-        calls = []
-        solve = optim.solve_lp
-        monkeypatch.setattr(optim, "solve_lp", lambda prob: calls.append(prob) or solve(prob))
-        optim.solve_miqp_batch(*args)
-        assert len(calls) == 1  # the first empty child's LP
+        whole = optim.solve_miqp_batch(*args)
+
+        def no_lp(*args):
+            raise AssertionError("a MIQP batch reached the LP code")
+
+        for name in ("solve_lp", "_tableau_solve", "_LpBatch"):
+            monkeypatch.setattr(optim, name, no_lp)
+        assert same_rows(optim.solve_miqp_batch(*args), whole)
+        D, q, A, b = self.VIOLATED
+        assert solve_miqp(D, q, A, b, (0,), ((-0.5, 2.0),)).status == "infeasible"
 
     @settings(max_examples=60, deadline=None)
     @given(case=miqp_batches(), chunk=st.integers(1, 3))
@@ -887,6 +902,94 @@ class TestDualActiveSet:
         B = np.tile([1.0, -1e-3], (len(self.TARGETS), 1))
         rows = self.check(np.eye(2), -2.0 * self.TARGETS, A, B)
         assert np.all(rows.status == optim.INFEASIBLE)
+
+    @staticmethod
+    def interval(A, b):
+        """The exact set {y : a_i y <= b_i} of one variable, as (lo, hi)."""
+        ends = [Fraction(bi) / Fraction(ai) for ai, bi in zip(A[:, 0], b)]
+        return (max(e for e, a in zip(ends, A[:, 0]) if a < 0.0),
+                min(e for e, a in zip(ends, A[:, 0]) if a > 0.0))
+
+    def test_thin_set_is_not_called_infeasible(self):
+        # -y <= -1.5e-9 and y <= 0 have no common point, but y = 7.5e-10 is
+        # within FEAS_TOL of both, and the ray (1, 1) has lam.(b + FEAS_TOL) =
+        # 5e-10 > 0: no certificate, and no KKT point within FEAS_TOL found
+        A, b = np.array([[-1.0], [1.0]]), np.array([-1.5e-9, 0.0])
+        assert np.all(A @ [7.5e-10] <= b + optim.FEAS_TOL)
+        for q in (10.0, -10.0, 0.0):
+            with pytest.raises(NumericalFailure, match="^convex QP without a detected KKT point$"):
+                solve_miqp(np.eye(1), [q], A, b)
+
+    def test_q_far_above_b_is_decided_on_the_rows_alone(self):
+        # the first full step from y = 4.4e192 cancels to y = -5e176, and the
+        # method stops at two compatible rows; from y = 0 with q = 0 a ray
+        # certifies the set empty
+        A = np.array([[-3.0736516877177977], [0.6002562280980226], [0.7177623625051149],
+                      [-0.23577500945198013], [0.455151022272704], [0.8591486187933196]])
+        b = np.array([4.777162564488858e+88, 5.060980272756817e+88, 4.213909517358653e+88,
+                      1.4567234953232701e+88, -5.523380382788728e+88, 1.9204756343991116e+88])
+        lo, hi = self.interval(A, b)
+        assert lo > hi
+        got = solve_miqp(np.array([[0.100779517688657]]), [-8.854641959527347e+191], A, b)
+        assert got.status == "infeasible"
+
+    def test_a_set_far_out_that_is_not_empty_raises(self):
+        # y in [2.45e84, 6.0e84], with q = -5.4e299: the KKT checks cannot pass
+        # at this scale, but no ray certifies the set empty either
+        A = np.array([[0.44808764250117405], [0.36388146067947263], [-0.7288592220573591],
+                      [0.24736173414275014], [-1.4577184441147182], [-0.519560515195863],
+                      [-1.3461411477556446]])
+        b = np.array([2.687406081424099e+84, 2.826683110817944e+84, -1.3090325803504204e+84,
+                      1.6108727400583432e+84, -4.963404448701342e+82, 2.73733344844938e+84,
+                      -3.301366652202697e+84])
+        lo, hi = self.interval(A, b)
+        assert lo < hi
+        with pytest.raises(NumericalFailure, match="^convex QP without a detected KKT point$"):
+            solve_miqp(np.array([[0.16326830645593854]]), [-5.3522683927659976e+299], A, b)
+
+    def test_round_off_in_a_ray_does_not_meet_a_far_b(self):
+        # a node stops at the ray of the two box rows of y3 (lam.b = hi - lo >
+        # 0), whose entries of about 1e-16 on other rows meet b near 1e225
+        # there: with them lam.b is -6.9e208, and the set, which holds the
+        # point y below, was called empty
+        D = np.array([[8.613837693078949, -0.4675869505351321, 3.524147025578371,
+                       2.963569179833055],
+                      [-0.4675869505351321, 2.4382528524513813, 3.188405380295291,
+                       -3.069429201727621],
+                      [3.524147025578371, 3.188405380295291, 7.064709290679219,
+                       -3.3421919832949],
+                      [2.963569179833055, -3.069429201727621, -3.3421919832949,
+                       5.146457055808445]])
+        q = [-2.8941239081464322e+23, 4.0522837351155165e+23, -8.757716304113759e+23,
+             1.2975178995690164e+23]
+        A = np.array([
+            [-0.8978477203484704, -0.10912310243417223, 1.3827456276451446, 1.335055144734255],
+            [-2.8965922236964627, -1.4570437917134211, -0.06853951028076645,
+             -0.26736729523926084],
+            [-0.827717753555873, -0.07852271938203438, -0.49841317768702365,
+             -1.8906632302888178],
+            [-0.791308539472446, -0.17191336880117625, 0.02085515304437429, 0.7945973995062375],
+            [0.7283117022424305, -0.3246980645518643, -3.33003542318923, -1.1200681605296263],
+            [0.9000394473473907, -0.9326006720945199, -0.26311948091085596,
+             -0.3808046908143844],
+            [-0.7293122974652738, 0.7909803504986254, -0.6996494701869534, 0.12776869853831335]])
+        b = np.array([1.865110577294171e+225, 3.5721854713590913e+225, 1.0739938896780014e+224,
+                      1.2238064107639323e+225, -4.905908914360142e+224, 1.0476462488605554e+224,
+                      3.3800396843131914e+225])
+        y = [-2.0, 3.763805337449314e+225, -2.0, -3.0]
+        assert all(sum(Fraction(a) * Fraction(v) for a, v in zip(row, y)) <= Fraction(bi)
+                   for row, bi in zip(A, b))
+        with pytest.raises(NumericalFailure, match="^convex QP without a detected KKT point$"):
+            solve_miqp(D, q, A, b, (0, 2, 3), ((-2.0, 3.0), (-2.0, 2.0), (-3.0, 1.0)))
+
+    @pytest.mark.parametrize("off", [1e-12, 1e-13])
+    def test_nearly_parallel_rows_meeting_far_out_raise(self, off):
+        # y0 <= -1 and -y0 + off y1 <= 0 meet at y1 <= -1/off; the second row
+        # counts as dependent on the first (DEPENDENT), and the ray (1, 1)
+        # leaves off in lam'A, far above FARKAS_TOL, so the set is not empty
+        A = np.array([[1.0, 0.0], [-1.0, off]])
+        with pytest.raises(NumericalFailure, match="^convex QP without a detected KKT point$"):
+            solve_miqp(np.eye(2), [0.0, 0.0], A, [-1.0, 0.0])
 
     def test_vertex_with_a_zero_multiplier(self):
         # targets (c, 0) with c > 1/2 have the minimum (1/2, 0), where both

@@ -341,16 +341,31 @@ class TestJitterAndDiscretizeSteps:
         assert len(stability.generate_sequence(scheme, step_bases()[1])[0]) < len(step_bases()[1])
 
 
-def run_stability(tmp_path, scheme, atoms):
+def run_stability(tmp_path, scheme, atoms, model="model_milp_expectation.json"):
     """cli.main on a scheme over a 1-D base, numpy warnings as errors."""
     base = tmp_path / "base.json"
     base.write_text(json.dumps({"dim": 1, "atoms": [
         {"point": [p], "weight": 1.0} for p in atoms]}))
-    argv = ["stability", "--model", os.path.join(DEMO, "model_milp_expectation.json"),
+    argv = ["stability", "--model", os.path.join(DEMO, model),
             "--measure", str(base), "--scheme", json.dumps(scheme), "--out", str(tmp_path / "out")]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         return cli.main(argv)
+
+
+def test_grid_whose_top_overflows_ends_at_1e308(tmp_path, capsys):
+    # gauge exponent 2 on an atom at 1e153: the moment 5e305 is finite, and
+    # 1e3 times the gauge scale 1e306 is not
+    with open(os.path.join(DEMO, "scheme_contamination.json"), encoding="utf-8") as fh:
+        scheme = json.load(fh)
+    assert run_stability(tmp_path, scheme, [1e153, 0.0],
+                         "model_linear_expectation.json") == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "out" / "report.json", encoding="utf-8") as fh:
+        grid = json.load(fh)["uniform_integrability"]["grid"]
+    assert grid[-1] == 1e308 and np.all(np.diff(grid) > 0)
+    base = canonicalize([((1e3,), 1.0)])
+    assert stability._default_ui_grid(base, 1.0).tobytes() == np.logspace(0.0, 6.0, 25).tobytes()
 
 
 class TestSchemeRefusals:
