@@ -2,6 +2,7 @@
 parameter's range, as_int for integer fields, float_array for arrays of
 data, finite_result for computed values."""
 
+import itertools
 import math
 import operator
 from numbers import Integral, Real
@@ -141,13 +142,39 @@ def as_int(value, name: str, error=OutOfRange, ge=None) -> int:
     return int(value)
 
 
+# the entry types float_array converts with one np.array call: exactly these,
+# so bool (an int subclass) and numpy scalars take the object-array path
+_PLAIN = {float, int}
+
+
 def float_array(value, name: str, error=OutOfRange) -> np.ndarray:
     """value as a float array: a numeric array, or numbers nested in lists or
     tuples.  An entry that is not a real number (a string, a bool, None, or
     the list left where a nesting is ragged) raises ``error``; finiteness
-    and shape are the caller's to check."""
+    and shape are the caller's to check.
+
+    A nonempty list of plain floats and ints, or of nonempty lists of them
+    all of one length (the points and weights of a measure file), is
+    converted by one ``np.array(..., dtype=float)`` of its entries, which
+    is exact: each entry gets the bits of ``float(entry)``.  Any other
+    input, and one that call cannot convert (an int beyond the float
+    range), goes through an object array whose entry types are checked
+    first, so every error and message is the same on both paths."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         return value.astype(float, copy=False)
+    if type(value) is list and value:
+        flat, shape = value, (len(value),)
+        kinds = set(map(type, value))
+        if kinds == {list} and value[0] and len(set(map(len, value))) == 1:
+            # numpy reads one flat list several times faster than nested ones
+            flat = list(itertools.chain.from_iterable(value))
+            shape = (len(value), len(value[0]))
+            kinds = set(map(type, flat))
+        if kinds <= _PLAIN:
+            try:
+                return np.array(flat, dtype=float).reshape(shape)
+            except OverflowError:
+                pass
     entries = np.array(value, dtype=object)
     if not all(map(_real, set(map(type, entries.flat)))):
         bad = next(v for v in entries.flat if not _real(type(v)))

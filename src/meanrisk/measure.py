@@ -202,9 +202,21 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DiscreteMeasure":
+        """The measure of a ``{"dim": d, "atoms": [{"point": p, "weight":
+        w}, ...]}`` document, as ``canonicalize`` builds it from the (p, w)
+        pairs.  The atoms are read into one list of points and one of
+        weights, which ``_parse_atoms`` turns into arrays (exactly, see
+        ``errors.float_array``); no pair is built per atom."""
         dim = as_int(data["dim"], "dim")
-        raw = [(a["point"], a["weight"]) for a in data["atoms"]]
-        m = canonicalize(raw)
+        atoms = data["atoms"]
+        try:
+            points = [a["point"] for a in atoms]
+            weights = [a["weight"] for a in atoms]
+        except (LookupError, TypeError):
+            for a in atoms:  # the first malformed atom's error, point before weight
+                a["point"], a["weight"]
+            raise
+        m = _parse_atoms(points, weights)
         if m.dim != dim:
             raise DimMismatch(f"declared dim {dim} vs atom dim {m.dim}")
         return m
@@ -231,11 +243,19 @@ def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
     permutation.  Points are vectors of one length or, for d = 1, bare
     numbers (not both in one call); any other shape is a DimMismatch, and
     an entry that is not a real number (a string, a bool, None) is a
-    ValueError.  The pairs are parsed here, into one point array and one
-    weight array; the DiscreteMeasure constructor does the rest.
+    ValueError.  The pairs are split into a point list and a weight list,
+    which ``_parse_atoms`` parses; the DiscreteMeasure constructor does the
+    rest.
     """
-    points = [p for p, _ in raw_atoms]
-    weights = float_array([w for _, w in raw_atoms], "atom weights", ValueError)
+    return _parse_atoms([p for p, _ in raw_atoms], [w for _, w in raw_atoms])
+
+
+def _parse_atoms(points: list, weights: list) -> DiscreteMeasure:
+    """The measure of a list of points and a list of weights, each parsed
+    into one array by ``errors.float_array``: one ``np.array`` call when
+    they hold plain floats and ints (exact), else the per-entry checked
+    path.  Errors as ``canonicalize`` documents them."""
+    weights = float_array(weights, "atom weights", ValueError)
     try:
         pts = float_array(points, "atom points", ValueError)
     except ValueError as err:

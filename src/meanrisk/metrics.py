@@ -4,9 +4,11 @@ A function with |f| <= 1 and Lip(f) <= 1 is, up to a shift that leaves
 int f d(mu - nu) unchanged, 1-Lipschitz for min(||x - y||, 2); so the
 bounded-Lipschitz (weak) metric is the cost of transporting (mu - nu)^+
 onto (mu - nu)^- under that truncated distance.  On the line that is a
-flow along the atoms and through a hub one unit from each, solved exactly
-by a slope-trick dynamic program (Johnson, J. Comput. Graph. Stat. 22,
-2013).  The gauge-weighted metric adds the gap of the ||.||^q integrals.
+flow along the atoms and through a hub one unit from each: a weighted L1
+total-variation denoising of the partial sums of mu - nu on a chain, solved
+exactly by its message-passing form (Kolmogorov, Pock and Rolinek, "Total
+variation on a tree", SIAM J. Imaging Sci. 9, 2016) in O(m log m).  The
+gauge-weighted metric adds the gap of the ||.||^q integrals.
 Wasserstein distances use the quantile coupling in one dimension, read off
 the sorted atoms of each measure, and otherwise the cost of an optimal
 transport plan, which transport_plan returns without the plan itself.  The
@@ -25,9 +27,9 @@ size is allocated.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -75,30 +77,78 @@ def _signed_parts(delta: np.ndarray):
 
 def _bl_line(t: np.ndarray, a: np.ndarray) -> float:
     """BL of the signed weight a on sorted atoms t.  The hub flow sums H
-    (H_0 = 0, H_m = A_m, A the partial sums of a) minimize the sum over i
-    of |H_i - H_(i-1)| + w_i |A_i - H_i|, w_i = min(t_(i+1) - t_i, 2) and
-    w_m = 1.  Slope trick: the cost-to-go is ``low`` plus [position, slope]
-    breakpoints left (``lo``, in H) and right (``hi``, in -H) of its minimum,
-    inner end last, each side of total slope 1 after each hub step."""
-    low, lo, hi = 0.0, [[0.0, 1.0]], [[0.0, 1.0]]
+    (H_0 = 0, H_m = A_m, A the partial sums of a) minimize the sum over
+    i < m of |H_i - H_(i-1)| + w_i |A_i - H_i|, plus |H_m - H_(m-1)|, with
+    w_i = min(t_(i+1) - t_i, 2).  The cost of H_i, minimized over the
+    earlier H and with the step |H_(i+1) - H_i| taken in, is convex and
+    piecewise linear with slopes in [-1, 1]: the forward pass keeps its
+    breakpoints (position -> slope jump, merged by position) and reads both
+    ends through two heaps with lazy deletion.  Step i adds A_i with jump
+    2 w_i and trims w_i of slope from each end; where each trim stops is a
+    clamp point, and the backward pass H_i = clamp(H_(i+1), lo_i, hi_i)
+    reads the minimizer off them.  Each step pushes at most one entry on
+    each heap, and each entry is popped at most once, so this is
+    O(m log m) on any data.  The value, one numpy sum over the minimizer,
+    agrees with the fragment-list program it replaced
+    (``tests/oracles.py::bl_line_oracle``) within 1e-12 relative."""
     with np.errstate(over="ignore"):  # an inf gap between far atoms costs 2
         gaps = np.minimum(np.diff(t), 2.0)
-    for x, w in zip(np.cumsum(a).tolist(), gaps.tolist() + [1.0]):
-        near, far, y = (hi, lo, -x) if -x < hi[-1][0] else (lo, hi, x)
-        bisect.insort(near, [y, 2.0 * w])
+    A = np.cumsum(a)
+    jump = {0.0: 2.0}  # H_1's cost-to-go |H_1| before the first step
+    get = jump.get
+    left, right = [0.0], [-0.0]  # positions, and negated positions
+    lo, hi = [], []
+    for x, w in zip(A[:-1].tolist(), gaps.tolist()):
+        v = get(x)
+        if v is None:
+            jump[x] = 2.0 * w
+            heappush(left, x)
+            heappush(right, -x)
+        else:
+            jump[x] = v + 2.0 * w
+        # a trim keeps the last breakpoint, whatever round-off did to the jumps
         rest = w
-        while rest > 0.0:
-            p, v = near.pop()
-            if v > rest:
-                near.append([p, v - rest])
-            far.append([-p, min(v, rest)])
-            low += min(v, rest) * (p - y)
-            rest -= v
-        for side in lo, hi:
-            side[0][1] -= w
-            while side[0][1] <= 0.0:
-                side[1][1] += side.pop(0)[1]
-    return low
+        while True:
+            p = left[0]
+            v = get(p)
+            if v is None:
+                heappop(left)
+            elif v > rest or len(jump) == 1:
+                jump[p] = v - rest
+                break
+            else:
+                del jump[p]
+                heappop(left)
+                rest -= v
+                if rest <= 0.0:
+                    break
+        lo.append(p)
+        rest = w
+        while True:
+            p = -right[0]
+            v = get(p)
+            if v is None:
+                heappop(right)
+            elif v > rest or len(jump) == 1:
+                jump[p] = v - rest
+                break
+            else:
+                del jump[p]
+                heappop(right)
+                rest -= v
+                if rest <= 0.0:
+                    break
+        hi.append(p)
+    h = float(A[-1])
+    H = [h]
+    for low, high in zip(reversed(lo), reversed(hi)):
+        if h < low:
+            h = low
+        elif h > high:
+            h = high
+        H.append(h)
+    H = np.array(H[::-1])
+    return float(np.abs(np.diff(H, prepend=0.0)).sum() + gaps @ np.abs(A[:-1] - H[:-1]))
 
 
 def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

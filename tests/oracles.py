@@ -23,11 +23,13 @@ solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
 one Lipschitz row per ordered pair of atoms, and transport LPs with one
 dense marginal row per atom; on the line also from the LP with Lipschitz
 rows between adjacent atoms only, which ``metrics`` solved before its
-dynamic program.  Trend slopes come from the centred normal
-equations of a least-squares line, and SAA draws from ``rng.choice`` over
-the base atoms (measure_sampler).
+dynamic program, and from that program's first form, whose breakpoint
+fragments multiply on near-cancelling data.  Trend slopes come from the
+centred normal equations of a least-squares line, and SAA draws from
+``rng.choice`` over the base atoms (measure_sampler).
 """
 
+import bisect
 import itertools
 import math
 
@@ -803,6 +805,37 @@ def pairwise_bl_oracle(mu, nu) -> float:
     if not rows:
         return 0.0
     return -_linprog(-a, np.array(rows), np.array(rhs), bounds=(-1.0, 1.0))
+
+
+def bl_line_oracle(t, a) -> float:
+    """BL of the signed weight a on sorted atoms t, by the slope-trick
+    program ``metrics._bl_line`` ran before its heap form.  The hub flow
+    sums H (H_0 = 0, H_m = A_m, A the partial sums of a) minimize the sum over i
+    of |H_i - H_(i-1)| + w_i |A_i - H_i|, w_i = min(t_(i+1) - t_i, 2) and
+    w_m = 1.  Slope trick: the cost-to-go is ``low`` plus [position, slope]
+    breakpoints left (``lo``, in H) and right (``hi``, in -H) of its minimum,
+    inner end last, each side of total slope 1 after each hub step.  Each
+    step moves slope w across the minimum one fragment at a time, so
+    near-cancelling data (jitter pairs) multiply the fragments."""
+    low, lo, hi = 0.0, [[0.0, 1.0]], [[0.0, 1.0]]
+    with np.errstate(over="ignore"):  # an inf gap between far atoms costs 2
+        gaps = np.minimum(np.diff(t), 2.0)
+    for x, w in zip(np.cumsum(a).tolist(), gaps.tolist() + [1.0]):
+        near, far, y = (hi, lo, -x) if -x < hi[-1][0] else (lo, hi, x)
+        bisect.insort(near, [y, 2.0 * w])
+        rest = w
+        while rest > 0.0:
+            p, v = near.pop()
+            if v > rest:
+                near.append([p, v - rest])
+            far.append([-p, min(v, rest)])
+            low += min(v, rest) * (p - y)
+            rest -= v
+        for side in lo, hi:
+            side[0][1] -= w
+            while side[0][1] <= 0.0:
+                side[1][1] += side.pop(0)[1]
+    return low
 
 
 def adjacent_bl_lp_oracle(t, a) -> float:

@@ -152,6 +152,44 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("config error: bad measure")
 
+    @pytest.mark.parametrize("atoms, line", [
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [true], "weight": 0.5}]',
+         "ValueError: atom point must hold only numbers, got True"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [null], "weight": 0.5}]',
+         "ValueError: atom point must hold only numbers, got None"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": ["1.5"], "weight": 0.5}]',
+         "ValueError: atom point must hold only numbers, got '1.5'"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [1.0, 2.0], "weight": 0.5}]',
+         "DimMismatch: atom points must be vectors of one length"),
+        ('[{"point": [[0.0]], "weight": 0.5}, {"point": [[1.0]], "weight": 0.5}]',
+         "DimMismatch: atom points must be vectors"),
+        ("[]", "EmptySupport: no atoms"),
+        ('[{"point": [], "weight": 1.0}]',
+         "DimMismatch: points must have shape (n, d) with d >= 1, got (1, 0)"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [1%s], "weight": 0.5}]' % ("0" * 400),
+         "OverflowError: int too large to convert to float"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [1.0], "weight": true}]',
+         "ValueError: atom weights must hold only numbers, got True"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [1.0], "weight": null}]',
+         "ValueError: atom weights must hold only numbers, got None"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [1.0], "weight": "0.5"}]',
+         "ValueError: atom weights must hold only numbers, got '0.5'"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [1.0], "weight": [0.5]}]',
+         "ValueError: atom weights must hold only numbers, got [0.5]"),
+        ('[{"point": [0.0], "weight": 0.5}, {"point": [1.0], "weight": 1%s}]' % ("0" * 400),
+         "OverflowError: int too large to convert to float"),
+    ], ids=["bool-point", "null-point", "text-point", "ragged-points", "deeper-points",
+            "no-atoms", "empty-point", "point-beyond-floats", "bool-weight", "null-weight",
+            "text-weight", "list-weight", "weight-beyond-floats"])
+    def test_measure_parse_errors_keep_their_line(self, tmp_path, capsys, atoms, line):
+        # the lines the per-entry parser printed before lists of plain numbers
+        # were read by one np.array call
+        bad = write(tmp_path, "bad.json", '{"dim": 1, "atoms": %s}' % atoms)
+        dirac = os.path.join(DEMO, "measure_dirac1.json")
+        assert cli.main(["metrics", "--measure", bad, "--measure2", dirac, "--kind", "bl"]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", f"config error: bad measure in {bad}: {line}\n")
+
     @pytest.mark.parametrize(
         "scheme, extra",
         [

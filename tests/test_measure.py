@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meanrisk import measure as ms
-from meanrisk.errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange
+from meanrisk.errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange, float_array
 
 from oracles import (
     cumulative_weights,
@@ -148,6 +148,134 @@ class TestParseAtoms:
         parse_atoms_oracle(raw)
         with pytest.raises(DimMismatch):
             ms.canonicalize(raw)
+
+
+BEYOND = 10**400  # an int too large for a float
+FLOAT_MAX = 2**1024 - 2**971  # the largest float, as an int
+
+# float_array(entries, "atom points", ValueError) as the object-array parser
+# returned it, recorded as float literals: lists of plain floats and ints
+# (one np.array call now), then inputs that still take the object path
+FLOAT_ARRAYS = {
+    "flat": ([0.5, -1.25, 3, 7], [0.5, -1.25, 3.0, 7.0]),
+    "d=1": ([[0.5], [2]], [[0.5], [2.0]]),
+    "d=2": ([[0.5, 1], [2, -3.5]], [[0.5, 1.0], [2.0, -3.5]]),
+    "d=3": ([[1, 2, 3], [4.5, 5, 6]], [[1.0, 2.0, 3.0], [4.5, 5.0, 6.0]]),
+    "ints above 2**53": ([2**53 + 1, 2**63 + 1, 2**64 + 3, -(2**70) - 1, 10**300 + 7],
+                         [9007199254740992.0, 9.223372036854776e18, 1.8446744073709552e19,
+                          -1.1805916207174113e21, 1e300]),
+    "rows of ints above 2**53": ([[2**53 + 1, 3], [-(2**64) - 3, 2**53 + 3]],
+                                 [[9007199254740992.0, 3.0],
+                                  [-1.8446744073709552e19, 9007199254740996.0]]),
+    "near the float maximum": ([1.7976931348623157e308, -1.7976931348623157e308, FLOAT_MAX,
+                                FLOAT_MAX + 2**969],
+                               [1.7976931348623157e308, -1.7976931348623157e308,
+                                1.7976931348623157e308, 1.7976931348623157e308]),
+    "numpy scalars": ([np.float64(1.5), 2.0], [1.5, 2.0]),
+    "tuple": ((1.0, 2.0), [1.0, 2.0]),
+    "tuple points": ([(1.0,), (2.0,)], [[1.0], [2.0]]),
+    "deeper nesting": ([[[1.0]], [[2.0]]], [[[1.0]], [[2.0]]]),
+    "empty": ([], np.zeros(0)),
+    "empty row": ([[]], np.zeros((1, 0))),
+}
+
+# the same call's exception type and message on entries it refuses
+FLOAT_ARRAY_ERRORS = {
+    "bool": ([1.0, True], ValueError, "atom points must hold only numbers, got True"),
+    "bool in a row": ([[1.0], [False]], ValueError,
+                      "atom points must hold only numbers, got False"),
+    "None": ([None, 1.0], ValueError, "atom points must hold only numbers, got None"),
+    "str": (["1.5", 2.0], ValueError, "atom points must hold only numbers, got '1.5'"),
+    "numpy scalar and None": ([np.float64(1.5), None], ValueError,
+                              "atom points must hold only numbers, got None"),
+    "ragged": ([[1.0], [1.0, 2.0]], ValueError, "atom points must hold only numbers, got [1.0]"),
+    "int beyond the floats": ([BEYOND, 1.0], OverflowError, "int too large to convert to float"),
+    "int beyond the floats in a row": ([[1.0], [BEYOND]], OverflowError,
+                                       "int too large to convert to float"),
+    "int rounding past the float maximum": ([FLOAT_MAX + 2**970], OverflowError,
+                                            "int too large to convert to float"),
+}
+
+# canonicalize(list(zip(points, weights))) on refused entries: the parser's
+# exception type and message, as recorded
+CANONICALIZE_ERRORS = {
+    "bool point": ([[0.0], [True]], [0.5, 0.5], ValueError,
+                   "atom point must hold only numbers, got True"),
+    "None point": ([[0.0], [None]], [0.5, 0.5], ValueError,
+                   "atom point must hold only numbers, got None"),
+    "str point": ([[0.0], ["1.5"]], [0.5, 0.5], ValueError,
+                  "atom point must hold only numbers, got '1.5'"),
+    "ragged points": ([[0.0], [1.0, 2.0]], [0.5, 0.5], DimMismatch,
+                      "atom points must be vectors of one length"),
+    "deeper points": ([[[0.0]], [[1.0]]], [0.5, 0.5], DimMismatch, "atom points must be vectors"),
+    "no atoms": ([], [], EmptySupport, "no atoms"),
+    "empty point": ([[]], [1.0], DimMismatch,
+                    "points must have shape (n, d) with d >= 1, got (1, 0)"),
+    "point beyond the floats": ([[0.0], [BEYOND]], [0.5, 0.5], OverflowError,
+                                "int too large to convert to float"),
+    "bool weight": ([[0.0], [1.0]], [0.5, True], ValueError,
+                    "atom weights must hold only numbers, got True"),
+    "None weight": ([[0.0], [1.0]], [0.5, None], ValueError,
+                    "atom weights must hold only numbers, got None"),
+    "str weight": ([[0.0], [1.0]], [0.5, "0.5"], ValueError,
+                   "atom weights must hold only numbers, got '0.5'"),
+    "numpy scalar and str weight": ([[0.0], [1.0]], [np.float64(0.5), "0.5"], ValueError,
+                                    "atom weights must hold only numbers, got '0.5'"),
+    "list weight": ([[0.0], [1.0]], [0.5, [0.5]], ValueError,
+                    "atom weights must hold only numbers, got [0.5]"),
+    "tuple weights": ([[0.0], [1.0]], [(0.5,), (0.5,)], DimMismatch,
+                      "weights of shape (2, 1) for 2 points"),
+    "weight beyond the floats": ([[0.0], [1.0]], [0.5, BEYOND], OverflowError,
+                                 "int too large to convert to float"),
+}
+
+
+class TestFloatArray:
+    """errors.float_array reads lists of plain floats and ints with one
+    np.array call: the parent's arrays bit for bit, and its errors and
+    messages on everything else."""
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_ARRAYS))
+    def test_arrays_keep_their_bits(self, name):
+        entries, expected = FLOAT_ARRAYS[name]
+        got = float_array(entries, "atom points", ValueError)
+        expected = np.array(expected, dtype=float)
+        assert got.dtype == float and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_ARRAY_ERRORS))
+    def test_errors_keep_their_type_and_message(self, name):
+        entries, error, message = FLOAT_ARRAY_ERRORS[name]
+        with pytest.raises(error) as info:
+            float_array(entries, "atom points", ValueError)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("name", ["d=1", "d=2", "d=3", "rows of ints above 2**53"])
+    def test_canonicalize_keeps_the_bits(self, name):
+        entries, expected = FLOAT_ARRAYS[name]
+        weights = [1, 2**53 + 1][: len(entries)]
+        m = ms.canonicalize(list(zip(entries, weights)))
+        assert m.digest() == ms.DiscreteMeasure(np.array(expected), np.array(
+            [1.0, 9007199254740992.0][: len(entries)])).digest()
+
+    @pytest.mark.parametrize("name", sorted(CANONICALIZE_ERRORS))
+    def test_canonicalize_keeps_its_errors(self, name):
+        points, weights, error, message = CANONICALIZE_ERRORS[name]
+        with pytest.raises(error) as info:
+            ms.canonicalize(list(zip(points, weights)))
+        assert type(info.value) is error and str(info.value) == message
+        doc = {"dim": 1, "atoms": [{"point": p, "weight": w} for p, w in zip(points, weights)]}
+        with pytest.raises(error) as info:
+            ms.DiscreteMeasure.from_dict(doc)
+        assert type(info.value) is error and str(info.value) == message
+
+    def test_from_dict_raises_the_first_bad_atoms_error(self):
+        # the first atom lacks its weight and the second its point
+        doc = {"dim": 1, "atoms": [{"point": [0.0]}, {"weight": 1.0}]}
+        with pytest.raises(KeyError, match="weight"):
+            ms.DiscreteMeasure.from_dict(doc)
+        with pytest.raises(TypeError, match="not subscriptable"):
+            ms.DiscreteMeasure.from_dict({"dim": 1, "atoms": [{"point": [0.0], "weight": 1.0}, 3]})
 
 
 class TestConstructor:

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meanrisk import cli, optim
@@ -14,6 +14,7 @@ from meanrisk.measure import tail_functional
 
 from oracles import (
     adjacent_bl_lp_oracle,
+    bl_line_oracle,
     dense_transport_oracle,
     fortet_mourier_oracle,
     kron_marginal_rows,
@@ -118,8 +119,9 @@ def line_pairs(seed, count):
 
 
 class TestLineProgram:
-    """The slope-trick program of ``_bl_line`` against the adjacent-row LP
-    it replaced and the dense pairwise LP, on 360 seeded 1-D pairs."""
+    """The heap program of ``_bl_line`` against the fragment-list program it
+    replaced, the adjacent-row LP and the dense pairwise LP, on 360 seeded
+    1-D pairs."""
 
     @pytest.fixture(scope="class")
     def cases(self):
@@ -131,10 +133,10 @@ class TestLineProgram:
 
     def test_matches_lp_oracles(self, cases):
         for kind, mu, nu, t, a in cases:
-            dp = mt._bl_line(t, a)
-            assert dp == pytest.approx(adjacent_bl_lp_oracle(t, a), abs=1e-12), kind
-            assert dp == pytest.approx(pairwise_bl_oracle(mu, nu), abs=1e-12), kind
-            assert mt.bounded_lipschitz(mu, nu) == pytest.approx(dp, abs=1e-15), kind
+            bl = mt.bounded_lipschitz(mu, nu)
+            assert bl == pytest.approx(adjacent_bl_lp_oracle(t, a), abs=1e-12), kind
+            assert bl == pytest.approx(pairwise_bl_oracle(mu, nu), abs=1e-12), kind
+            assert bl == pytest.approx(bl_line_oracle(t, a), rel=1e-12, abs=1e-15), kind
 
     def test_special_kinds(self, cases):
         kinds = {kind for kind, *_ in cases}
@@ -143,7 +145,7 @@ class TestLineProgram:
             if kind == "identical":
                 assert mt.bounded_lipschitz(mu, nu) == 0.0
             elif kind == "far":
-                assert mt._bl_line(t, a) == pytest.approx(np.abs(a).sum(), abs=1e-15)
+                assert mt.bounded_lipschitz(mu, nu) == pytest.approx(np.abs(a).sum(), abs=1e-15)
             elif kind == "ties":
                 assert len(t) < len(mu) + len(nu)
             elif kind == "round-off":
@@ -154,6 +156,45 @@ class TestLineProgram:
     def test_symmetric(self, cases):
         for kind, mu, nu, *_ in cases:
             assert abs(mt.bounded_lipschitz(mu, nu) - mt.bounded_lipschitz(nu, mu)) <= 1e-15, kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 20), n2=st.integers(1, 20),
+           kind=st.sampled_from(["random", "zero weights", "equal gaps", "gaps above 2",
+                                 "jitter"]))
+    @example(seed=4, n=4000, n2=4000, kind="jitter")
+    def test_matches_both_line_oracles_both_ways_round(self, seed, n, n2, kind):
+        # 2-40 union atoms: some of zero weight, all on one grid (shared
+        # atoms merge), every gap above 2, or a jitter pair: n equal-weight
+        # atoms and each moved by up to 0.004, the near-cancelling case where
+        # the fragment-list program piled up breakpoints
+        rng = np.random.default_rng(seed)
+        w1, w2 = rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, n2)
+        if kind == "equal gaps":
+            grid = np.arange(n + n2) * rng.choice([1e-3, 0.3, 1.0, 2.0])
+            p1, p2 = grid[:n], rng.permutation(grid)[:n2]
+        elif kind == "gaps above 2":
+            grid = np.cumsum(rng.uniform(2.0, 5.0, n + n2))
+            p1, p2 = grid[:n], rng.permutation(grid)[:n2]
+        elif kind == "jitter":
+            p1 = rng.normal(size=n)
+            p2 = p1 + rng.uniform(-0.004, 0.004, n)
+            w1 = w2 = np.ones(n)
+        else:
+            p1, p2 = rng.normal(size=n), rng.normal(size=n2)
+        if kind == "zero weights":
+            w1[rng.random(n) < 0.3] = 0.0
+            w2[rng.random(n2) < 0.3] = 0.0
+            w1[0] = w2[0] = 0.5
+        mu, nu = DiscreteMeasure(p1[:, None], w1), DiscreteMeasure(p2[:, None], w2)
+        bl = mt.bounded_lipschitz(mu, nu)
+        assert mt.bounded_lipschitz(nu, mu) == pytest.approx(bl, rel=1e-12, abs=1e-15)
+        pts, v1, v2 = mt._union_support(mu, nu)
+        t, a = pts[:, 0], v1 - v2
+        if not (np.any(a > 1e-15) and np.any(a < -1e-15)):
+            assert bl == 0.0
+            return
+        assert bl == pytest.approx(bl_line_oracle(t, a), rel=1e-12, abs=1e-15)
+        assert bl == pytest.approx(adjacent_bl_lp_oracle(t, a), rel=1e-12, abs=1e-13)
 
 
 class TestFortetMourier:
