@@ -243,11 +243,12 @@ def canonicalize(raw_atoms: Sequence) -> DiscreteMeasure:
     permutation.  Points are vectors of one length or, for d = 1, bare
     numbers (not both in one call); any other shape is a DimMismatch, and
     an entry that is not a real number (a string, a bool, None) is a
-    ValueError.  The pairs are split into a point list and a weight list,
-    which ``_parse_atoms`` parses; the DiscreteMeasure constructor does the
-    rest.
+    ValueError.  The pairs, any iterable of them (read once), are split into
+    a point list and a weight list, which ``_parse_atoms`` parses; the
+    DiscreteMeasure constructor does the rest.
     """
-    return _parse_atoms([p for p, _ in raw_atoms], [w for _, w in raw_atoms])
+    pairs = list(raw_atoms)
+    return _parse_atoms([p for p, _ in pairs], [w for _, w in pairs])
 
 
 def _parse_atoms(points: list, weights: list) -> DiscreteMeasure:
@@ -294,9 +295,10 @@ def quantile(mu: DiscreteMeasure, beta):
     for beta in (0,1).
 
     Accepts a scalar or an array of levels; piecewise constant in beta with
-    jumps exactly at the cumulative weights.
+    jumps exactly at the cumulative weights.  A level that is not a real
+    number (a string, a bool, None) is OutOfRange, as one outside (0, 1) is.
     """
-    b = np.asarray(beta, dtype=float)
+    b = float_array(beta, "quantile level")
     if not np.all((b > 0.0) & (b < 1.0)):
         raise OutOfRange("quantile level must lie in (0, 1)")
     out = line_values(mu)[np.searchsorted(_cumulative(mu.weights), b, side="left")]

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import optim
 from .errors import ConstraintLimitExceeded, DimMismatch, EmptySupport, InvalidSpec, OutOfRange
-from .errors import finite_result, in_range
+from .errors import finite_result, float_array, in_range
 from .measure import DiscreteMeasure, _cumulative, _merge_sorted, _tail_sums, moment
 
 # largest transport plan (source x target atoms), and largest squared union
@@ -324,7 +324,7 @@ def diagnose_uniform_integrability(
         raise DimMismatch(f"family carries dims {sorted(dims)}")
     q = in_range(q, "tail exponent q", gt=0)
     eps = in_range(eps, "tolerance eps", ge=0)
-    grid = np.sort(np.asarray(a_grid, dtype=float))
+    grid = np.sort(float_array(a_grid, "thresholds"))
     for a in grid:
         in_range(a, "thresholds", ge=0)
     tails = np.array([_tail_sums(m, q, grid) for m in family])

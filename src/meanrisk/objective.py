@@ -6,7 +6,8 @@ reads off the values f(x, z) at the atoms z of nu and their weights: no
 image measure is built, and risk._risk_rows reads each decision's values
 as one row.  The one cache is the model's RecourseCache of recourse values
 per solver input (the row of h(x, z), and of q(x, z) where the cost moves,
-compared bit for bit).  Maps compute each row on its own
+compared bit for bit as int64 words), kept in the order of one stable
+lexsort and re-sorted with each batch.  Maps compute each row on its own
 (exprs.affine_rows), so a key is exact across batches and an input seen in
 any earlier call is solved once.  q_profile evaluates all decisions in one
 recourse batch.

@@ -14,6 +14,9 @@ logic of its own.  eval_recourse_batch solves every distinct input of a
 batch of rows (x, z) that way, in one optim.Rows of status codes, values
 and points, and checks the statuses in one pass; f(x, z) at one point is
 a batch of one row.  A batch holds at most MAX_RECOURSE_ROWS rows.
+Solver inputs are keyed one way: as int64 rows, ordered by one stable
+lexsort (_runs) that finds a batch's cache hits and distinct misses and
+linear's cost groups; the cache is re-sorted with each batch.
 
 Infeasibility or unboundedness at a point signals a violated model
 assumption for that instance and is raised, never silently absorbed.
@@ -49,7 +52,7 @@ from .measure import Sampler, _philox
 
 KINDS = ("linear", "milp", "miqp", "convex_mip")
 # (x, z) rows of one recourse batch; at the peak of a 100,000-row certify a
-# row holds about 1.1 KB for miqp, 0.45 KB for linear and under 0.2 KB for
+# row holds about 0.73 KB for miqp, 0.26 KB for linear and under 0.2 KB for
 # milp and convex_mip
 MAX_RECOURSE_ROWS = 500_000
 
@@ -304,42 +307,29 @@ class RecourseCache:
     eval_recourse_batch to keep across calls.
 
     A key is one row of [h | q] read as int64 words, so inputs are compared
-    bit for bit (0.0 and -0.0 are distinct keys), and the keys are kept as
-    one sorted array of fixed-width byte strings with the values in the same
-    order: a batch looks up its rows with one searchsorted.
+    bit for bit (0.0 and -0.0 are distinct keys).  keys holds the distinct
+    key rows in _runs order and values their recourse values; each batch
+    re-sorts them together with its own rows.
     """
 
     def __init__(self):
-        self.keys = None
+        self.keys = np.empty((0, 0), dtype=np.int64)
         self.values = np.empty(0)
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def find(self, words: np.ndarray):
-        """For every key row of words (int64, C order): its position in the
-        sorted keys, and whether the key stored there is that row."""
-        keys = _as_keys(words)
-        if not len(self):
-            return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), dtype=bool)
-        pos = np.minimum(np.searchsorted(self.keys, keys), len(self) - 1)
-        stored = self.keys[pos].view(np.int64).reshape(words.shape)
-        return pos, np.all(stored == words, axis=1)
 
-    def add(self, words: np.ndarray, values: np.ndarray):
-        """Store key rows that are new, distinct and in key order, with their values."""
-        keys = _as_keys(words)
-        if not len(self):
-            self.keys, self.values = keys, values
-            return
-        at = np.searchsorted(self.keys, keys)
-        self.keys = np.insert(self.keys, at, keys)
-        self.values = np.insert(self.values, at, values)
-
-
-def _as_keys(words: np.ndarray) -> np.ndarray:
-    """The int64 rows of words as one byte string each (a void view)."""
-    return words.view(np.dtype((np.void, words.itemsize * words.shape[1]))).ravel()
+def _runs(keys: np.ndarray):
+    """The rows of an int64 key array in the order of one stable lexsort
+    (the first column first), and a mask over that order marking where each
+    run of equal rows starts: the rows of a run keep their row order.  With
+    no column there is one key, shared by every row."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    ordered = keys[order]
+    start = np.ones(len(keys), dtype=bool)
+    start[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    return order, start
 
 
 def eval_recourse_batch(model: RecourseModel, X, Z,
@@ -347,17 +337,20 @@ def eval_recourse_batch(model: RecourseModel, X, Z,
     """f(x, z) at every row z of Z, with X one x for all rows or one per row.
 
     Rows are keyed on what the solver sees: h(x, z), and q(x, z) for linear
-    and miqp, bit for bit.  The maps compute each row's bits on their own
-    (exprs.affine_rows, and expression trees node by node), so a key does
-    not depend on the batch that holds its row: a row seen in any earlier
-    call hits.  Each key not yet in `cache` (a RecourseCache the caller may
-    keep across calls for one model; a fresh one by default) is solved
-    once, so rows that differ only where the solver does not look share a
-    solve.  All misses go to their kind's solver in one _solve_rows call, in
-    the order of their first rows, and are then added to the cache.  The
-    miqp and convex_mip batches give each row what they give it alone; a
-    linear row or milp node that a stored basis answers agrees with its own
-    LP to round-off (1e-12 relative in the tests).
+    and miqp, bit for bit, as one int64 row each.  The maps compute each
+    row's bits on their own (exprs.affine_rows, and expression trees node
+    by node), so a key does not depend on the batch that holds its row: a
+    row seen in any earlier call hits.  The keys of `cache` (a RecourseCache
+    the caller may keep across calls for one model; a fresh one by default)
+    and of the batch are ordered by one stable lexsort (_runs): a run of
+    equal keys that starts with a cached key is a hit, and every other run
+    is one solve, so rows that differ only where the solver does not look
+    share it.  All misses go to their kind's solver in one _solve_rows
+    call, in the order of their first rows, and the runs' first keys with
+    their values, already in order, become the cache.  The miqp and
+    convex_mip batches give each row what they give it alone; a linear row
+    or milp node that a stored basis answers agrees with its own LP to
+    round-off (1e-12 relative in the tests).
 
     More than MAX_RECOURSE_ROWS rows raise ConstraintLimitExceeded before
     any map is evaluated.  A map overflow (OutOfRange) is raised before any
@@ -380,21 +373,17 @@ def eval_recourse_batch(model: RecourseModel, X, Z,
     with np.errstate(invalid="ignore", over="ignore"):
         H = model.h_map.rows(Xv, Zv)
         C = model.q_map.rows(Xv, Zv) if model.kind in ("linear", "miqp") else np.zeros((len(Zv), 0))
+    cached = len(cache)
     words = np.hstack([H, C]).view(np.int64)
-    if not words.shape[1]:  # no input at all: one key for every row
-        words = np.zeros((len(Zv), 1), dtype=np.int64)
-    pos, hit = cache.find(words)
-    out = np.zeros(len(words))
-    out[hit] = cache.values[pos[hit]]
-    miss = np.flatnonzero(~hit)
-    if len(miss):
-        # the missed rows in key order, each key's rows in row order
-        order = miss[np.argsort(_as_keys(words[miss]), kind="stable")]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = np.any(words[order[1:]] != words[order[:-1]], axis=1)
-        firsts = order[new]
-        by_row = np.argsort(firsts)
-        rows = firsts[by_row]  # each new key's first row, in row order
+    keys = np.concatenate([cache.keys, words]) if cached else words
+    order, start = _runs(keys)
+    run = np.empty(len(keys), dtype=np.intp)
+    run[order] = np.cumsum(start) - 1  # the run of every key row
+    heads = order[start]  # each run's first key row: a cached key where it has one
+    values = np.empty(len(heads))
+    values[run[:cached]] = cache.values
+    rows = np.sort(heads[heads >= cached]) - cached  # each new key's first row, in row order
+    if len(rows):
         try:
             solved = _solve_rows(model, H[rows], C[rows])
         except MeanRiskError:
@@ -407,11 +396,9 @@ def eval_recourse_batch(model: RecourseModel, X, Z,
                     raise
                 _values(model, Xv[[j]], Zv[[j]], one)
             raise
-        values = np.empty(len(rows))
-        values[by_row] = _values(model, Xv[rows], Zv[rows], solved)
-        cache.add(words[firsts], values)
-        out[order] = values[np.cumsum(new) - 1]
-    return out
+        values[run[cached + rows]] = _values(model, Xv[rows], Zv[rows], solved)
+    cache.keys, cache.values = keys[heads], values
+    return values[run[cached:]]
 
 
 def _solve_rows(model: RecourseModel, H, C) -> optim.Rows:
@@ -422,12 +409,13 @@ def _solve_rows(model: RecourseModel, H, C) -> optim.Rows:
         m, width = model.A.shape
         eq, nonneg = ("==",) * m, (True,) * width
     if model.kind == "linear":
-        # one LP batch, and so one store of bases, per distinct cost
+        # one LP batch, and so one store of bases, per distinct cost, in the
+        # order of the costs' first rows
         out = optim.Rows.infeasible(len(H), width)
-        same_q = {}
-        for i, c in enumerate(C):
-            same_q.setdefault(c.tobytes(), []).append(i)
-        for rows in same_q.values():
+        order, start = _runs(C.view(np.int64))
+        bounds = np.append(np.flatnonzero(start), len(C))
+        for k in np.argsort(order[start]):
+            rows = order[bounds[k]:bounds[k + 1]]  # in row order: the sort is stable
             solved = optim.solve_lp_batch(C[rows[0]], model.A, eq, nonneg, H[rows])
             for part, got in zip(out, solved):
                 part[rows] = got

@@ -254,9 +254,12 @@ class TestFloatArray:
     def test_canonicalize_keeps_the_bits(self, name):
         entries, expected = FLOAT_ARRAYS[name]
         weights = [1, 2**53 + 1][: len(entries)]
-        m = ms.canonicalize(list(zip(entries, weights)))
-        assert m.digest() == ms.DiscreteMeasure(np.array(expected), np.array(
+        want = ms.DiscreteMeasure(np.array(expected), np.array(
             [1.0, 9007199254740992.0][: len(entries)])).digest()
+        # the pairs as a list, a zip and a generator, each read once
+        for pairs in (list(zip(entries, weights)), zip(entries, weights),
+                      (pair for pair in zip(entries, weights))):
+            assert ms.canonicalize(pairs).digest() == want
 
     @pytest.mark.parametrize("name", sorted(CANONICALIZE_ERRORS))
     def test_canonicalize_keeps_its_errors(self, name):

@@ -81,6 +81,19 @@ CASES = {
     "ui-nan-q": (OutOfRange, lambda: metrics.diagnose_uniform_integrability([MU], NAN, [1.0])),
     "ui-inf-threshold": (OutOfRange,
                          lambda: metrics.diagnose_uniform_integrability([MU], 1.0, [INF])),
+    "ui-text-threshold": (OutOfRange,
+                          lambda: metrics.diagnose_uniform_integrability([MU], 1, ["a"])),
+    "ui-numeric-text-threshold": (OutOfRange, lambda: metrics.diagnose_uniform_integrability(
+        [MU], 1.0, [1.0, "2.0"])),
+    "ui-bool-threshold": (OutOfRange,
+                          lambda: metrics.diagnose_uniform_integrability([MU], 1.0, [True])),
+    "ui-none-threshold": (OutOfRange,
+                          lambda: metrics.diagnose_uniform_integrability([MU], 1.0, None)),
+    "quantile-text": (OutOfRange, lambda: measure.quantile(MU, "a")),
+    "quantile-numeric-text-entry": (OutOfRange, lambda: measure.quantile(MU, [0.2, "0.5"])),
+    "quantile-bool": (OutOfRange, lambda: measure.quantile(MU, True)),
+    "quantile-none": (OutOfRange, lambda: measure.quantile(MU, None)),
+    "quantile-nan": (OutOfRange, lambda: measure.quantile(MU, [0.5, NAN])),
     "wasserstein-2d-overflow": (OutOfRange, lambda: metrics.wasserstein(*FAR, 1000.0)),
     "fm-2d-overflow": (OutOfRange, lambda: metrics.fortet_mourier(*FAR, 1000.0)),
     "psi-2d-overflow": (OutOfRange, lambda: metrics.psi_metric(*FAR, 1000.0)),

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from meanrisk import cli, exprs, objective, optim, recourse, stability
 from meanrisk.errors import (
     ConstraintLimitExceeded,
+    DimMismatch,
     MeanRiskError,
     OutOfRange,
     RecourseInfeasible,
@@ -292,20 +293,106 @@ class TestSolveCounts:
         capsys.readouterr()
         assert len(count_lps) == 2
 
-    @pytest.mark.parametrize("name", ["model_milp_expectation.json", "model_miqp_expectation.json"])
-    def test_duplicated_shuffled_rows_solve_each_input_once(self, name, count_solves):
+    @pytest.mark.parametrize("calls", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["model_milp_expectation.json", "model_miqp_expectation.json",
+                                      "model_convex_expectation.json"])
+    def test_duplicated_shuffled_rows_solve_each_input_once(self, name, calls, count_solves,
+                                                             monkeypatch):
+        # the rows split across calls with one cache: each call solves the
+        # keys new to the cache, once each and in the order of their first
+        # rows (milp's h ignores x, and convex's h = |z| + 1 ignores x and
+        # the sign of z, so rows share keys beyond their (x, z))
         model = MeanRiskModel.from_dict(load(name)).recourse
-        X = np.array([[0.0], [0.5], [0.0], [1.0], [0.5], [0.0]])
-        Z = np.array([[1.5], [-0.5], [1.5], [2.0], [-0.5], [0.25]])
-        distinct = {(x.tobytes(), z.tobytes()) for x, z in zip(X, Z)}
+        X = np.array([[0.0], [0.5], [1.0], [1.0], [0.5], [0.0]])
+        Z = np.array([[1.5], [-0.5], [1.5], [2.0], [-0.5], [-1.5]])
         perm = np.random.default_rng(3).permutation(24)
         Xs, Zs = np.tile(X, (4, 1))[perm], np.tile(Z, (4, 1))[perm]
-        got = eval_recourse_batch(model, Xs, Zs)
-        # milp's h ignores x, so its inputs are the distinct z
-        assert len(count_solves) == (len({z.tobytes() for z in Z}) if model.kind == "milp"
-                                     else len(distinct))
-        want = [recourse_row_oracle(model, x, z) for x, z in zip(Xs, Zs)]
-        assert got.tobytes() == np.array(want).tobytes()
+        seen = []
+        solve_rows = recourse._solve_rows
+
+        def spy(model, H, C):
+            seen.append((H.copy(), C.copy()))
+            return solve_rows(model, H, C)
+
+        monkeypatch.setattr(recourse, "_solve_rows", spy)
+        cache = RecourseCache()
+        known = set()
+        for part in np.array_split(np.arange(24), calls):
+            H = model.h_map.rows(Xs[part], Zs[part])
+            C = (model.q_map.rows(Xs[part], Zs[part]) if model.kind == "miqp"
+                 else np.zeros((len(part), 0)))
+            new = {}  # each key new to the cache, at its first row
+            for j, key in enumerate(np.hstack([H, C])):
+                if key.tobytes() not in known:
+                    new.setdefault(key.tobytes(), j)
+            solved = len(count_solves)
+            got = eval_recourse_batch(model, Xs[part], Zs[part], cache)
+            want = [recourse_row_oracle(model, x, z) for x, z in zip(Xs[part], Zs[part])]
+            assert got.tobytes() == np.array(want).tobytes()
+            assert len(count_solves) - solved == len(new)
+            if new:
+                rows = list(new.values())
+                H_seen, C_seen = seen.pop()
+                assert H_seen.tobytes() == H[rows].tobytes()
+                assert C_seen.tobytes() == C[rows].tobytes()
+            assert not seen
+            known |= new.keys()
+            assert len(cache) == len(known)
+        # 5 distinct (x, z), 4 distinct z and 3 distinct |z|
+        assert len(known) == {"milp": 4, "miqp": 5, "convex_mip": 3}[model.kind]
+
+    def test_linear_costs_are_lp_batches_in_first_occurrence_order(self, monkeypatch):
+        # q = (1 + 0.1 z, 1 - 0.1 z) on rows that interleave three costs, each
+        # at several h = x - z; the costs sort as z = -1, 0.5, 2 but first
+        # occur as z = 2, -1, 0.5
+        data = load("model_linear_expectation.json")["recourse"]
+        data["q_map"]["affine"]["matrix"] = [[0.0, 0.1], [0.0, -0.1]]
+        model = RecourseModel.from_dict(data)
+        X = np.array([[0.0], [0.5], [1.0], [0.25], [0.75], [0.5], [1.0], [0.0]])
+        Z = np.array([[2.0], [-1.0], [2.0], [0.5], [-1.0], [2.0], [0.5], [-1.0]])
+        H, C = model.h_map.rows(X, Z), model.q_map.rows(X, Z)
+        groups = {}  # each cost's rows, the costs in first-occurrence order
+        for j, c in enumerate(C):
+            groups.setdefault(c.tobytes(), []).append(j)
+        assert list(groups.values()) == [[0, 2, 5], [1, 4, 7], [3, 6]]
+        solve = optim.solve_lp_batch
+        want = optim.Rows.infeasible(len(H), 2)
+        for rows in groups.values():
+            for part, got in zip(want, solve(C[rows[0]], model.A, ("==",), (True, True), H[rows])):
+                part[rows] = got
+        calls = []
+
+        def spy(c, A, senses, nonneg, B):
+            calls.append((c.tobytes(), B.tobytes()))
+            return solve(c, A, senses, nonneg, B)
+
+        monkeypatch.setattr(optim, "solve_lp_batch", spy)
+        got = recourse._solve_rows(model, H, C)
+        assert calls == [(C[rows[0]].tobytes(), H[rows].tobytes()) for rows in groups.values()]
+        for part, expected in zip(got, want):
+            assert part.tobytes() == expected.tobytes()
+
+    def test_linear_cost_of_zero_width_is_a_dim_mismatch(self):
+        model = RecourseModel(kind="linear", n=1, s=1, A=np.zeros((1, 0)),
+                              h_map=ParamMap(out_dim=1, matrix=[[0.0, 1.0]]),
+                              q_map=ParamMap(out_dim=0, matrix=np.zeros((0, 2))))
+        with pytest.raises(DimMismatch, match=re.escape("A shape (0, 0) vs b 1, c 0")):
+            eval_recourse_batch(model, [0.0], np.array([[1.0], [2.0]]))
+
+    def test_no_constraint_is_one_key_for_every_row(self, count_solves):
+        # min y over the integers in [-2, 2]: h has no output, so every row
+        # hands the solver the same empty input
+        model = RecourseModel(kind="convex_mip", n=1, s=1, v=exprs.var(0), g=(),
+                              h_map=ParamMap(out_dim=0, matrix=np.zeros((0, 2))),
+                              m2=1, integer_bounds=((-2.0, 2.0),), gamma_K=1.0)
+        cache = RecourseCache()
+        for Z in (np.array([[0.5], [-3.0], [0.5]]), np.array([[7.0]]), np.array([[1.0], [2.0]])):
+            got = eval_recourse_batch(model, [0.0], Z, cache)
+            assert got.tobytes() == np.array([recourse_row_oracle(model, [0.0], z)
+                                              for z in Z]).tobytes()
+            assert got.tolist() == [-2.0] * len(Z)
+            assert len(count_solves) == 1
+            assert len(cache) == 1
 
     @pytest.mark.parametrize("base", BASES)
     @pytest.mark.parametrize("name", DEMO_MODELS)
