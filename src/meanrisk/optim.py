@@ -11,7 +11,7 @@ differ only in their right-hand sides: the tableau returns its final basis
 with an optimal solution and its phase-1 Farkas ray with an infeasible one;
 the basis answers every right-hand side it stays primal feasible for
 (bunching) and the ray every one it separates, so only the rows no stored
-certificate covers reach solve_lp.  Mixed-integer linear and quadratic
+certificate covers reach the tableau.  Mixed-integer linear and quadratic
 programs share one depth-first branch and bound, which runs the trees of
 many inputs in lockstep over one array store of nodes; only the relaxation
 differs (an LP or a convex QP), and both append the integer boxes as rows.
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -59,6 +60,9 @@ TABLEAU_LIMIT = 80
 KELLEY_ROUNDS = 500
 # integer assignments a convex MIP may enumerate
 MAX_LATTICE_POINTS = 1_000_000
+# (lattice point, right-hand side) pairs a pure-integer convex-MIP batch
+# scans at once; above MAX_LATTICE_POINTS, so that one row always fits
+LATTICE_BLOCK = 1 << 20
 
 
 # Rows.status codes, and the Solution status each stands for
@@ -205,6 +209,7 @@ class _Standard:
         self.cost[:k] = prob.c[cols] * signs
         self.P = np.zeros((k + len(le), prob.n_vars))
         self.P[np.arange(k), cols] = signs
+        self.c = prob.c
 
 
 def _pivot(T: np.ndarray, basis: list, row: int, col: int):
@@ -251,17 +256,16 @@ def _run_simplex(T: np.ndarray, basis: list, n_cols: int, budget: list) -> str:
             raise NumericalFailure("simplex pivot cap exceeded")
 
 
-def _tableau_solve(prob: LinearProgram) -> Solution:
-    """Two-phase simplex on the standard form, its rows with b < 0 negated.
+def _tableau_solve(std: _Standard, b: np.ndarray) -> Solution:
+    """Two-phase simplex on std at the right-hand side b, rows with b < 0 negated.
 
     An optimal Solution carries its final basis (columns of M) as its
     certificate, unless phase 1 dropped a redundant row.  An infeasible one
     carries the Farkas ray lam = -y of the phase-1 duals y = B1^-T c1, on the
     original rows: M'lam >= -FEAS_TOL and lam.b < -PHASE1_TOL."""
-    std = _Standard(prob)
     m, n_std = std.M.shape
     budget = [PIVOT_CAP]
-    sign = np.where(prob.b < 0, -1.0, 1.0)
+    sign = np.where(b < 0, -1.0, 1.0)
 
     # phase 1: artificial basis, reusing unit slack columns where possible
     basis = [std.slack_of_row.get(i, -1) if sign[i] > 0 else -1 for i in range(m)]
@@ -273,7 +277,7 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
     T = np.zeros((m + 1, n_all + 1))
     T[:m, :n_std] = std.M * sign[:, None]
     T[art_rows, n_std:n_all] = np.eye(len(art_rows))
-    T[:m, -1] = prob.b * sign
+    T[:m, -1] = b * sign
     if art_rows:
         c1 = np.zeros(n_all)
         c1[n_std:] = 1.0
@@ -321,8 +325,8 @@ def _tableau_solve(prob: LinearProgram) -> Solution:
     w = np.zeros(n_std)
     w[basis] = T[:m, -1]
     x = w @ std.P
-    cert = np.array(basis, dtype=np.intp) if m == prob.n_rows else None
-    return Solution("optimal", float(prob.c @ x), x, certificate=cert)
+    cert = np.array(basis, dtype=np.intp) if m == len(b) else None
+    return Solution("optimal", float(std.c @ x), x, certificate=cert)
 
 
 def _scipy_solve(prob: LinearProgram) -> Solution:
@@ -354,14 +358,14 @@ def _scipy_solve(prob: LinearProgram) -> Solution:
 def solve_lp(prob: LinearProgram) -> Solution:
     """Solve a linear program, certifying infeasibility and unboundedness.
 
-    Up to TABLEAU_LIMIT rows and columns the dense tableau solves it (a
-    sparse A is densified); larger instances go to HiGHS, sparse A as is.
+    Up to TABLEAU_LIMIT rows and columns the tableau entry of _LpBatch
+    solves it (a sparse A is densified); larger ones go to HiGHS as they are.
     The tableau reports a program infeasible by less than PHASE1_TOL as
     optimal, with a point off its rows by up to PHASE1_TOL (more than
     FEAS_TOL): LinearProgram([0, 1], [[-1, 1], [0, 1]], [1 + 1e-8, 1],
     ('==', '<=')) is optimal with value 1 + 1e-8 at y = [0, 1 + 1e-8]."""
     if max(prob.n_rows, prob.n_vars) <= TABLEAU_LIMIT:
-        return _tableau_solve(prob)
+        return _tableau_solve(_Standard(prob), prob.b)
     return _scipy_solve(prob)
 
 
@@ -380,12 +384,14 @@ class _LpBatch:
     """min c.x  s.t.  A x (senses) b,  x_j >= 0 where nonneg[j], for many b,
     with the optimal bases and Farkas rays found so far.
 
-    Certificates are the tableau's own (_tableau_solve), in the standard
-    form M w = b, w >= 0 of _Standard, which the batch builds once, on
-    first use.  A basis is a final tableau basis, degenerate or not, whose
-    reduced costs recomputed from M are >= -FEAS_TOL; it answers every b
-    with B^-1 b >= 0 (bunching: Wets 1974; Birge & Louveaux, ch. 5).  A ray
-    is the tableau's phase-1 dual scaled to ||lam||_inf = 1, kept when
+    A cold row goes to the tableau (_tableau_solve) on the batch's one
+    standard form M w = b, w >= 0 (_Standard), built on the first cold
+    solve; certificates are the tableau's own.  A basis is a final tableau
+    basis, degenerate or not, stored with its factor B^-1 and its rows of P
+    when B B^-1 b is within FEAS_TOL relative of its own row b and its
+    reduced costs are >= -FEAS_TOL; it answers every b with B^-1 b >= 0, one
+    product each (bunching: Wets 1974; Birge & Louveaux, ch. 5).  A ray is
+    the tableau's phase-1 dual scaled to ||lam||_inf = 1, kept when
     M'lam >= -RAY_TOL and lam.b < -RAY_MARGIN at its own row; it answers
     every b with lam.b < -RAY_MARGIN as infeasible (Farkas).  A row above
     TABLEAU_LIMIT goes to HiGHS and stores nothing; no recourse model
@@ -395,9 +401,12 @@ class _LpBatch:
         # as LinearProgram reads A: a nonempty 1-D A is one row
         rows = np.shape(A)[0] if np.ndim(A) == 2 else int(np.size(A) > 0)
         self.prob = LinearProgram(c, A, np.zeros(rows), senses, nonneg)
-        self.std = None  # prob's _Standard, built on the first store
         self.rays = []  # one lam per ray
-        self.bases = []  # the columns of M of each basis
+        self.bases = []  # (B^-1, the rows of P of its columns) per basis
+
+    @cached_property
+    def std(self) -> _Standard:
+        return _Standard(self.prob)
 
     def _store(self, sol, b) -> bool:
         """Store the certificate the tableau gave sol, the solution of row
@@ -405,19 +414,19 @@ class _LpBatch:
         cert = sol.certificate
         if cert is None:
             return False
-        if self.std is None:
-            self.std = _Standard(self.prob)
         M, cost = self.std.M, self.std.cost
         # a nearly singular basis may overflow here; NaN fails the checks
         with np.errstate(over="ignore", invalid="ignore"):
             if sol.optimal:
                 try:
-                    duals = np.linalg.solve(M[:, cert].T, cost[cert])
+                    inv = np.linalg.inv(M[:, cert])
                 except np.linalg.LinAlgError:
                     return False
-                if not np.all(cost - M.T @ duals >= -FEAS_TOL):
+                resid = np.abs(M[:, cert] @ (inv @ b) - b)
+                if not (np.all(resid <= FEAS_TOL * np.maximum(1.0, np.abs(b)))
+                        and np.all(cost - M.T @ (cost[cert] @ inv) >= -FEAS_TOL)):
                     return False
-                self.bases.append(cert)
+                self.bases.append((inv, self.std.P[cert]))
                 return True
             lam = cert / np.max(np.abs(cert))
             if not (lam @ b < -RAY_MARGIN and np.all(M.T @ lam >= -RAY_TOL)):
@@ -432,13 +441,13 @@ class _LpBatch:
             hit = np.any(np.array(rays) @ B[todo].T < -RAY_MARGIN, axis=0)
             out.status[todo[hit]] = INFEASIBLE
             todo = todo[~hit]
-        for cols in bases:
+        for inv, P in bases:
             if not len(todo):
                 break
             with np.errstate(over="ignore", invalid="ignore"):
-                W = np.linalg.solve(self.std.M[:, cols], B[todo].T)
+                W = inv @ B[todo].T
                 ok = np.all(W >= 0.0, axis=0) & np.all(np.isfinite(W), axis=0)
-                X = W[:, ok].T @ self.std.P[cols]
+                X = W[:, ok].T @ P
             out.put(todo[ok], X @ self.prob.c, X)
             todo = todo[~ok]
         return todo
@@ -460,7 +469,8 @@ class _LpBatch:
         todo = self._cover(B, np.arange(len(B)), out, self.rays, self.bases)
         while len(todo):
             j, todo = todo[0], todo[1:]
-            sol = solve_lp(replace(self.prob, b=B[j]))
+            sol = (_tableau_solve(self.std, B[j]) if max(self.prob.A.shape) <= TABLEAU_LIMIT
+                   else solve_lp(replace(self.prob, b=B[j])))
             out.status[j] = STATUSES.index(sol.status)
             if sol.optimal:
                 out.put(j, sol.value, sol.point)
@@ -477,13 +487,14 @@ def solve_lp_batch(c, A, senses, nonneg, B) -> Rows:
 
     A row is first checked against the Farkas rays and then against the
     optimal bases stored so far in this call, each check one matrix product
-    or solve over all open rows; only a row that neither covers goes to
-    solve_lp.  Each solved row that leaves rows open stores the certificate
-    the tableau returned with it, if it passes its check: the final basis of
-    an optimal row, degenerate or not, or the phase-1 Farkas ray of an
-    infeasible one.  Statuses are solve_lp's; a value from a basis agrees
-    with the tableau's to round-off.  Errors are raised for the batch, with
-    the message a single row would give."""
+    over all open rows (a basis is factored when stored); only a row that
+    neither covers is solved cold, on the batch's one standard form.  Each
+    solved row that leaves rows open stores the certificate the tableau
+    returned with it, if it passes its check: the final basis of an optimal
+    row, degenerate or not, or the phase-1 Farkas ray of an infeasible one.
+    Statuses are solve_lp's; a value from a basis agrees with the tableau's
+    to round-off.  Errors are raised for the batch, with the message a
+    single row would give."""
     return _LpBatch(c, A, senses, nonneg).solve(B)
 
 
@@ -885,14 +896,17 @@ def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=
     Integer assignments are enumerated in lattice_points order and the best
     feasible slice is kept (an improvement must exceed 1e-15).  Without
     continuous coordinates a slice is one point: v and every g_i are
-    evaluated once on the lattice for all rows, and each point is checked
-    against g_i <= rhs_i + FEAS_TOL (the violation max_i(g_i - rhs_i) taken
-    left to right, as Python's max takes it).  A continuous slice is solved
-    per row by Kelley's cutting planes (_kelley_slice): its value is within
-    a relative 1e-10 of an LP lower bound, and it is reported infeasible
-    only when the cut LP is, which proves it.  NumericalFailure is raised
-    when a slice does not close its gap within KELLEY_ROUNDS rounds.  More
-    than MAX_LATTICE_POINTS integer assignments raise
+    evaluated once on the lattice for all rows, which are scanned as arrays
+    in blocks of at most LATTICE_BLOCK (point, row) pairs: each point is
+    checked against g_i <= rhs_i + FEAS_TOL (the violation max_i(g_i -
+    rhs_i) taken left to right, as Python's max takes it) and the first
+    minimum kept (argmin), but a row with another feasible value not 1e-15
+    above its minimum is scanned again point by point.  A continuous slice
+    is solved per row by Kelley's cutting planes (_kelley_slice): its value
+    is within a relative 1e-10 of an LP lower bound, and it is reported
+    infeasible only when the cut LP is, which proves it.  NumericalFailure
+    is raised when a slice does not close its gap within KELLEY_ROUNDS
+    rounds.  More than MAX_LATTICE_POINTS integer assignments raise
     ConstraintLimitExceeded before any is tried.  Errors are raised for the
     batch, with the message a single row would give."""
     g = tuple(g)
@@ -922,18 +936,27 @@ def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=
             if best_pt is not None:
                 out.put(j, best_val, best_pt)
         return out
-    V = v.values(Y)
+    if not len(Y):
+        return out
+    V = v.values(Y)  # finite: values raises OutOfRange on overflow
     G = np.array([gi.values(Y) for gi in g]).reshape(len(g), len(Y))
-    best = np.full(len(R), np.inf)
-    arg = np.full(len(R), -1)
-    for l, val in enumerate(V):
-        viol = np.full(len(R), -np.inf)
+    step = max(1, LATTICE_BLOCK // len(Y))
+    for j in range(0, len(R), step):
+        rows = np.arange(j, min(j + step, len(R)))
+        viol = np.full((len(Y), len(rows)), -np.inf)
         for i in range(len(g)):
-            d = G[i, l] - R[:, i]
+            d = G[i][:, None] - R[rows, i]
             viol = d if i == 0 else np.where(d > viol, d, viol)
-        better = (viol <= FEAS_TOL) & (val < best - 1e-15)
-        best[better] = val
-        arg[better] = l
-    hit = arg >= 0
-    out.put(hit, best[hit], Y[arg[hit]])
+        W = np.where(viol <= FEAS_TOL, V[:, None], np.inf)
+        arg = np.argmin(W, axis=0)
+        best = W[arg, np.arange(len(rows))]
+        # a later point must improve by more than 1e-15: where a feasible value
+        # lies above the minimum by no more, rescan its strict prefix minima
+        for col in np.flatnonzero(np.any((W > best) & (W - 1e-15 <= best), axis=0)):
+            w, best[col] = W[:, col], np.inf
+            for l in np.flatnonzero(w < np.minimum.accumulate(np.append(np.inf, w[:-1]))):
+                if w[l] < best[col] - 1e-15:
+                    arg[col], best[col] = l, w[l]
+        hit = best < np.inf
+        out.put(rows[hit], V[arg[hit]], Y[arg[hit]])
     return out

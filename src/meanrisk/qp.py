@@ -161,20 +161,24 @@ def dual_active_set(D, J0, A, Q, B, Y, feas_tol, step_cap) -> tuple:
             J[drop], R[drop] = Jd, Rd
             nact[drop] -= 1
     # the checks of a KKT point where the method ended, of a Farkas ray lam = U where it stopped
-    As, gap, on = A[act], np.take_along_axis(B, act, 1), cols < nact[:, None]
-    grad = _sum_products(2.0 * D, Y[:, None, :]) + Q
-    Jg = _sum_products(J.transpose(0, 2, 1), grad[:, None, :])  # J'(2Dy + q)
-    u = _back_substitute(R, np.where(on[:, :n], Jg, 0.0), nact)
+    end, stop = np.flatnonzero(done), np.flatnonzero(~done)
+    ok, empty = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+    As, gap, on = A[act[end]], np.take_along_axis(B[end], act[end], 1), cols < nact[end, None]
+    grad = _sum_products(2.0 * D, Y[end, None, :]) + Q[end]
+    Jg = _sum_products(J[end].transpose(0, 2, 1), grad[:, None, :])  # J'(2Dy + q)
+    u = _back_substitute(R[end], np.where(on[:, :n], Jg, 0.0), nact[end])
     stat = grad + _sum_products(As.transpose(0, 2, 1), u[:, None, :])
-    resid = np.where(on, _sum_products(As, Y[:, None, :]) - gap, 0.0)
-    ok = done & (np.all(np.abs(stat) <= 1e-7, axis=1) & np.all(np.abs(resid) <= 1e-7, axis=1)
-                 & np.all(~on | (u >= -1e-9), axis=1))
-    # the round-off in r leaves entries of about eps on rows outside the ray
-    lam = np.where(np.abs(U) > FARKAS_TOL * np.max(np.abs(U), axis=1)[:, None], U, 0.0)
-    lamA = _sum_products(As.transpose(0, 2, 1), lam[:, None, :])
-    size = _sum_products(lam, np.max(np.abs(As), axis=2))  # the sum of lam_i ||a_i||
-    empty = ~done & (np.all(lam >= 0.0, axis=1) & (_sum_products(lam, gap + feas_tol) < 0.0)
-                     & np.all(np.abs(lamA) <= FARKAS_TOL * size[:, None], axis=1))
+    resid = np.where(on, _sum_products(As, Y[end, None, :]) - gap, 0.0)
+    ok[end] = (np.all(np.abs(stat) <= 1e-7, axis=1) & np.all(np.abs(resid) <= 1e-7, axis=1)
+               & np.all(~on | (u >= -1e-9), axis=1))
+    if len(stop):
+        As, gap, Us = A[act[stop]], np.take_along_axis(B[stop], act[stop], 1), U[stop]
+        # the round-off in r leaves entries of about eps on rows outside the ray
+        lam = np.where(np.abs(Us) > FARKAS_TOL * np.max(np.abs(Us), axis=1)[:, None], Us, 0.0)
+        lamA = _sum_products(As.transpose(0, 2, 1), lam[:, None, :])
+        size = _sum_products(lam, np.max(np.abs(As), axis=2))  # the sum of lam_i ||a_i||
+        empty[stop] = (np.all(lam >= 0.0, axis=1) & (_sum_products(lam, gap + feas_tol) < 0.0)
+                       & np.all(np.abs(lamA) <= FARKAS_TOL * size[:, None], axis=1))
     # decided again on the rows alone, one at a time (it is rare): b and feas_tol
     # scaled alike to |b| near 1, the tolerance no finer than round-off there
     for i in np.flatnonzero(~done & ~empty & np.any(Q != 0.0, axis=1)):

@@ -167,7 +167,7 @@ class TestLinearProgram:
             b = A @ rng.uniform(0, 2, size=n)
             c = rng.uniform(0.1, 1, size=n)
             prob = optim.LinearProgram(c, A, b)
-            t_sol = optim._tableau_solve(prob)
+            t_sol = optim._tableau_solve(optim._Standard(prob), prob.b)
             s_sol = optim._scipy_solve(prob)
             assert t_sol.status == s_sol.status
             if t_sol.optimal:
@@ -242,13 +242,13 @@ class TestLpBatch:
     def solve_logged(self, c, A, senses, nonneg, B):
         """solve_lp_batch, and the right-hand sides of the row LPs it solved."""
         solved = []
-        solve = optim.solve_lp
+        solve = optim._tableau_solve
 
-        def spy(prob):
-            solved.append(prob.b.tobytes())
-            return solve(prob)
+        def spy(std, b):
+            solved.append(b.tobytes())
+            return solve(std, b)
 
-        with mock.patch.object(optim, "solve_lp", spy):
+        with mock.patch.object(optim, "_tableau_solve", spy):
             return solutions(optim.solve_lp_batch(c, A, senses, nonneg, B)), solved
 
     @settings(max_examples=200, deadline=None)
@@ -283,6 +283,31 @@ class TestLpBatch:
         assert [sol.status for sol in got[5:]] == ["infeasible"] * 3
         assert solved == [B[0].tobytes(), B[2].tobytes(), B[5].tobytes()]
 
+    def test_one_standard_form_and_one_factor_per_stored_basis(self, monkeypatch):
+        # the rows of test_certificates_answer_rows_without_an_lp, in two
+        # calls on one batch: the batch builds its _Standard once, factors
+        # each of its two bases once when it stores it, and answers every
+        # basis check with a product, not a solve
+        built, factored = [], []
+        standard, inv = optim._Standard, np.linalg.inv
+        monkeypatch.setattr(optim, "_Standard", lambda prob: built.append(prob) or standard(prob))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: factored.append(a) or inv(a))
+
+        def no_solve(*args):
+            raise AssertionError("a basis check solved a system")
+
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        A = np.array([[1.0, -1.0], [1.0, 1.0]])
+        B = np.array([[2.0, 5.0], [3.0, 5.0], [-1.0, 5.0], [-4.0, 5.0], [0.5, 9.0],
+                      [1.0, -1.0], [2.0, -3.0], [0.0, -2.0]])
+        batch = optim._LpBatch([1.0, 1.0], A, ("==", "<="), (True, True))
+        first = batch.solve(B)
+        assert len(built) == 1 and len(factored) == len(batch.bases) == 2
+        again = batch.solve(B[::-1])
+        assert len(built) == 1 and len(factored) == 2
+        assert same_rows(optim.Rows(*(a[::-1] for a in again)), first)
+        assert first.value[:5].tolist() == [2.0, 3.0, 1.0, 4.0, 0.5]
+
     def test_a_one_dimensional_A_is_one_row(self):
         # as LinearProgram reads it, in both batch entries
         B = np.array([[1.0], [-1.0], [3.0]])
@@ -296,14 +321,14 @@ class TestLpBatch:
         """An _LpBatch over B whose row LPs carry `certificate` in place of
         the tableau's own, and the right-hand sides of the LPs it solved."""
         solved = []
-        solve = optim.solve_lp
+        solve = optim._tableau_solve
 
-        def spy(prob):
-            solved.append(prob.b.tobytes())
-            return dataclasses.replace(solve(prob), certificate=np.array(certificate))
+        def spy(std, b):
+            solved.append(b.tobytes())
+            return dataclasses.replace(solve(std, b), certificate=np.array(certificate))
 
         batch = optim._LpBatch(c, A, senses, nonneg)
-        with mock.patch.object(optim, "solve_lp", spy):
+        with mock.patch.object(optim, "_tableau_solve", spy):
             return batch, solutions(batch.solve(B)), solved
 
     def test_a_ray_breaking_its_sign_conditions_is_not_stored(self):
@@ -331,6 +356,17 @@ class TestLpBatch:
         batch, got, solved = self.solve_with([0], *args)
         assert [sol.value for sol in got] == [2.0, 3.0]
         assert len(batch.bases) == 1 and solved == [args[4][0].tobytes()]
+
+    def test_a_basis_whose_factor_fails_its_own_row_is_not_stored(self):
+        # min x0 + x1 over 0.1 x0 + 0.3 x1 = b0, 0.3 x0 + 0.9 x1 = b1, x >= 0:
+        # the columns are singular but for round-off, and their inverse maps
+        # b = (1, 3) and (2, 6) to w = 0, which passes the reduced costs;
+        # stored, the basis would answer b = (2, 6) with x = 0 at value 0
+        args = ([1.0, 1.0], [[0.1, 0.3], [0.3, 0.9]], ("==", "=="), (True, True),
+                np.array([[1.0, 3.0], [2.0, 6.0]]))
+        batch, got, solved = self.solve_with([0, 1], *args)
+        assert batch.bases == [] and len(solved) == 2
+        assert [sol.value for sol in got] == pytest.approx([10.0 / 3.0, 20.0 / 3.0], rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(case=lp_batches())
@@ -583,8 +619,9 @@ class TestMilpBatch:
         A, q, bounds = [[-1.0, 1.0]], [0.0, 1.0], ((0.0, 1100.0),)
         B = np.array([[-0.5], [-2.0], [-1.25], [-7.0], [-0.01]])
         calls = []
-        solve = optim.solve_lp
-        monkeypatch.setattr(optim, "solve_lp", lambda prob: calls.append(prob) or solve(prob))
+        solve = optim._tableau_solve
+        monkeypatch.setattr(optim, "_tableau_solve",
+                            lambda std, b: calls.append(b) or solve(std, b))
         got = solutions(optim.solve_milp_batch(q, A, ("==",), (True, True), B, (1,), bounds))
         assert len(calls) == 1
         for sol, b in zip(got, B):
@@ -1068,16 +1105,76 @@ class TestConvexMipBatch:
     tests/oracles.py, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=convex_batches(), data=st.data())
-    def test_rows_match_the_loop_in_any_order(self, case, data):
+    @given(case=convex_batches(), data=st.data(), per_block=st.integers(1, 4))
+    def test_rows_match_the_loop_in_any_order(self, case, data, per_block):
+        # the reversed order is scanned per_block rows at a time
         v, g, R, idx, bounds = case
         want = [convex_mip_loop_oracle(v, g, r, idx, bounds) for r in R]
         order = np.array(data.draw(st.permutations(range(len(R)))), dtype=int)
-        for perm in (np.arange(len(R)), order, order[::-1]):
-            got = solutions(optim.solve_convex_mip_batch(v, g, R[perm], idx, bounds))
+        block = per_block * max(1, len(optim.lattice_points(bounds)))
+        for perm, budget in ((np.arange(len(R)), optim.LATTICE_BLOCK),
+                             (order, optim.LATTICE_BLOCK), (order[::-1], block)):
+            with mock.patch.object(optim, "LATTICE_BLOCK", budget):
+                got = solutions(optim.solve_convex_mip_batch(v, g, R[perm], idx, bounds))
             assert len(got) == len(perm)
             for sol, i in zip(got, perm):
                 assert same_solution(sol, want[i]), (sol, want[i])
+
+    def loop_rows(self, v, g, R, bounds, block=None):
+        """The batch at the block budget block (the default if None), checked
+        row by row against the loop oracle bit for bit."""
+        idx = tuple(range(len(bounds)))
+        with mock.patch.object(optim, "LATTICE_BLOCK", block or optim.LATTICE_BLOCK):
+            got = solutions(optim.solve_convex_mip_batch(v, g, R, idx, bounds))
+        for sol, r in zip(got, R):
+            assert same_solution(sol, convex_mip_loop_oracle(v, g, r, idx, bounds)), (sol, r)
+        return got
+
+    def test_exact_ties_keep_the_first_point(self):
+        # the convex demo: v = (y + 7)^2 over |y| <= rhs, y in [-20, 20], takes
+        # 1 at y = -8 and y = -6; (y + 6.5)^2 ties its minimum 0.25 at y = -7
+        # and y = -6, and (y0 + 7)^2 + (y1 + 7)^2 over y0 + y1 >= -13 ties 1 at
+        # (-7, -6) and (-6, -7)
+        g = (exprs.vabs(exprs.var(0)),)
+        R = np.array([[20.0], [6.0], [7.0], [8.0], [0.5], [-1.0]])
+        for shift in (7.0, 6.5):
+            v = exprs.even_power(exprs.affine([1.0], shift), 2)
+            got = self.loop_rows(v, g, R, ((-20.0, 20.0),))
+            assert [sol.point[0] for sol in got[:5]] == [-7.0, -6.0, -7.0, -7.0, 0.0]
+            assert got[5].status == "infeasible"
+        v = exprs.vsum(*(exprs.even_power(exprs.affine(e, 7.0), 2)
+                         for e in ([1.0, 0.0], [0.0, 1.0])))
+        got = self.loop_rows(v, (exprs.affine([-1.0, -1.0]),), np.array([[13.0], [14.0]]),
+                             ((-10.0, 0.0), (-10.0, 0.0)))
+        assert [sol.point.tolist() for sol in got] == [[-7.0, -6.0], [-7.0, -7.0]]
+
+    def test_a_near_tie_keeps_the_earlier_point(self):
+        # v = -6e-16 y on y in [0, 5] falls by 6e-16 a point: the scan keeps y =
+        # 0, then y = 2 (1.2e-15 below it), then y = 4 (1.2e-15 below y = 2);
+        # y = 3 and y = 5 improve by only 6e-16, so the minimum y = 5 is not kept
+        v = exprs.affine([-6e-16], 0.0)
+        g = (exprs.var(0),)
+        got = self.loop_rows(v, g, np.array([[5.0], [1.0], [3.0]]), ((0.0, 5.0),))
+        assert [sol.point[0] for sol in got] == [4.0, 0.0, 2.0]
+        assert got[0].value > float(v.values(np.array([[5.0]]))[0])
+
+    def test_a_block_of_one_row_gives_the_same_rows(self):
+        # a two-coordinate lattice (y0 in the demo's box) scanned one row per
+        # block: the loop oracle's rows, and bit for bit the one-block Rows
+        v = exprs.vsum(exprs.even_power(exprs.affine([1.0, -0.5], 7.0), 2),
+                       exprs.vabs(exprs.affine([0.0, 1.0], -1.5)))
+        g = (exprs.vabs(exprs.var(0)), exprs.vmax(exprs.affine([0.5, 1.0]), exprs.var(1)))
+        R = np.array([[20.0, 3.0], [6.0, -1.0], [7.5, 0.0], [0.5, -4.0], [3.0, 3.0]])
+        bounds = ((-20.0, 20.0), (-3.0, 3.0))
+        whole = optim.solve_convex_mip_batch(v, g, R, (0, 1), bounds)
+        self.loop_rows(v, g, R, bounds, block=1)
+        with mock.patch.object(optim, "LATTICE_BLOCK", 1):
+            assert same_rows(optim.solve_convex_mip_batch(v, g, R, (0, 1), bounds), whole)
+
+    def test_a_box_without_integer_points_leaves_every_row_infeasible(self):
+        g = (exprs.vabs(exprs.var(0)),)
+        got = self.loop_rows(exprs.var(0), g, np.array([[1.0], [2.0]]), ((0.2, 0.8),))
+        assert [sol.status for sol in got] == ["infeasible"] * 2
 
     def test_continuous_slices_match_the_loop(self):
         # the mixed program of TestConvexMip, at three right-hand sides

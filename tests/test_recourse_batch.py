@@ -115,15 +115,16 @@ def count_solves(monkeypatch):
 
 @pytest.fixture
 def count_lps(monkeypatch):
-    """Counter of every optim.solve_lp call, inside the solvers too."""
+    """Counter of every tableau LP (optim._tableau_solve), inside the solvers
+    too: the cold rows of an LP batch and every solve_lp below TABLEAU_LIMIT."""
     calls = []
-    solve = optim.solve_lp
+    solve = optim._tableau_solve
 
-    def counted(prob):
-        calls.append(prob)
-        return solve(prob)
+    def counted(std, b):
+        calls.append(b)
+        return solve(std, b)
 
-    monkeypatch.setattr(optim, "solve_lp", counted)
+    monkeypatch.setattr(optim, "_tableau_solve", counted)
     return calls
 
 
@@ -283,6 +284,29 @@ class TestSolveCounts:
             counts.append(len(count_lps))
         capsys.readouterr()
         assert counts[0] == counts[1] <= 8
+
+    def test_eval_all_builds_one_standard_form_per_batch(self, count_lps, monkeypatch, tmp_path,
+                                                          capsys):
+        # the benchmark's eval-recourse measure at seed 0, 100 atoms uniform on
+        # [-2, 3]: its milp batch solved 4 rows cold and built 5 standard
+        # forms, one per cold solve and one for its certificates; the linear
+        # batch 2 and 3
+        built = []
+        standard = optim._Standard
+        monkeypatch.setattr(optim, "_Standard", lambda prob: built.append(prob) or standard(prob))
+        rng = np.random.default_rng(0)
+        points, weights = rng.uniform(-2.0, 3.0, size=100), rng.uniform(0.5, 1.5, size=100)
+        atoms = [{"point": [p], "weight": w} for p, w in zip(points, weights / weights.sum())]
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps({"dim": 1, "atoms": atoms}))
+        for name, cold in (("model_milp_expectation.json", 4), ("model_linear_avar.json", 2)):
+            count_lps.clear()
+            built.clear()
+            argv = ["eval", "--model", os.path.join(DEMO, name), "--measure", str(measure),
+                    "--all"]
+            assert cli.main(argv) == cli.EXIT_OK
+            assert (len(count_lps), len(built)) == (cold, 1), name
+        capsys.readouterr()
 
     def test_linear_certify_is_one_batch(self, count_lps, capsys):
         # the two bases of f = |x - z| serve all five decisions (10 LPs with
