@@ -39,12 +39,12 @@ class NumericalFailure(MeanRiskError):
 
 
 class ConstraintLimitExceeded(MeanRiskError):
-    """A problem exceeds a documented size cap: a QP with more than
-    optim.MAX_QP_ROWS rows, boxes included, a convex MIP with more than
-    optim.MAX_LATTICE_POINTS integer assignments, a transport problem with
-    more than metrics.MAX_PLAN_ENTRIES (source, target) pairs, or a
-    recourse batch of more than recourse.MAX_RECOURSE_ROWS rows, and a
-    decision grid (DecisionSet.from_box) of more points than that cap."""
+    """A problem exceeds a documented size cap: a QP one input of which,
+    boxes included, needs more than optim.SWEEP_BYTES (optim._qp_bytes), a
+    convex MIP with more than optim.MAX_LATTICE_POINTS integer assignments,
+    a transport problem with more than metrics.MAX_PLAN_ENTRIES (source,
+    target) pairs, or a recourse batch of more than recourse.MAX_RECOURSE_ROWS
+    rows, and a decision grid (DecisionSet.from_box) of more points than it."""
 
 
 def _floats(v) -> list:

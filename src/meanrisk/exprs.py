@@ -68,7 +68,7 @@ class ConvexExpr:
         """Return (value, subgradient) at the point y; OutOfRange, naming the
         expression and the point, when either overflows."""
         with np.errstate(over="ignore", invalid="ignore"):
-            (v,), (g,) = self._eval(np.asarray([y], dtype=float))
+            (v,), (g,) = self._eval(np.asarray([y], dtype=float), len(y))
         if not (math.isfinite(v) and np.all(np.isfinite(g))):
             finite_result(float(v), self._at(y))
             finite_result(float(np.max(np.abs(g))), f"the subgradient of {self._at(y)}")
@@ -77,28 +77,28 @@ class ConvexExpr:
     def _at(self, y) -> str:
         return f"expression {self.to_prefix()} at y = {[float(c) for c in y]}"
 
-    def _eval(self, Y: np.ndarray):
-        """(values, subgradients) at the rows of Y, each as for a point alone."""
-        k = self.kind
-        rows, d = Y.shape
+    def _eval(self, Y: np.ndarray, d: int):
+        """(values, subgradients) at the rows of Y, each as for a point alone:
+        the subgradients keep their first d columns (none for values alone)."""
+        k, rows = self.kind, len(Y)
         G = np.zeros((rows, d))
         if k == "const":
             return np.full(rows, self.value0), G
         if k == "var":
-            G[:, self.index] = 1.0
+            G[:, self.index:self.index + 1] = 1.0
             return Y[:, self.index].copy(), G
         if k == "affine":
             a = np.asarray(self.coeffs, dtype=float)
-            G[:, : len(a)] = a
+            G[:, : len(a)] = a[:d]
             return affine_rows(Y, a[None, :], self.value0)[:, 0], G
         if k in ("scale", "abs", "pow"):
-            v, g = self.children[0]._eval(Y)
+            v, g = self.children[0]._eval(Y, d)
             if k == "scale":
                 return self.value0 * v, self.value0 * g
             if k == "abs":
                 return np.abs(v), np.sign(v)[:, None] * g
             return v**self.exponent, (self.exponent * v ** (self.exponent - 1))[:, None] * g
-        parts = [c._eval(Y) for c in self.children]
+        parts = [c._eval(Y, d) for c in self.children]
         if k == "max":  # the first strict maximum
             best = np.full(rows, -np.inf)
             for v, g in parts:
@@ -168,7 +168,7 @@ def table(trees, Y) -> np.ndarray:
     first row, then tree, that overflows, naming both."""
     Y = np.asarray(Y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        V = np.array([t._eval(Y)[0] for t in trees]).reshape(len(trees), len(Y)).T
+        V = np.array([t._eval(Y, 0)[0] for t in trees]).reshape(len(trees), len(Y)).T
     bad = ~np.isfinite(V)
     if bad.any():  # the message is built only on failure
         i, j = divmod(int(np.argmax(bad)), len(trees))

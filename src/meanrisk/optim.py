@@ -20,15 +20,16 @@ one batch: for MILPs one solve_lp_batch, whose bases and rays serve every
 round; for MIQPs one QP sweep.  The fixed branching order (lowest-index
 most-fractional, floor branch first) keeps identical inputs producing
 identical outputs.  Convex QPs are solved by the dual active-set method of
-Goldfarb and Idnani (meanrisk.qp) alone, all inputs of a sweep in
-lockstep, each with its own factors and arithmetic, so a batch is
-bit-identical to its rows solved alone; a point is accepted by the checks
-of a KKT point, and an empty set by the checks of the method's Farkas ray.
-Mixed-integer convex programs enumerate the integer lattice.  A batch of
-pure-integer programs that differ only in their right-hand sides shares one
-table of the objective and constraint values on the lattice; continuous
-slices are solved by Kelley's cutting planes, one small LP per round, so
-their infeasibility is certified.  scipy is imported only when HiGHS runs.
+Goldfarb and Idnani (meanrisk.qp) alone, all inputs of a sweep in lockstep,
+each with its own factors and arithmetic, so a batch is bit-identical to
+its rows solved alone; a point is accepted by the checks of a KKT point,
+and an empty set by the checks of the method's Farkas ray.  Mixed-integer
+convex programs enumerate the integer lattice.  A batch of pure-integer
+programs that differ only in their right-hand sides shares one table of the
+objective and constraint values on the lattice; continuous slices are
+solved by Kelley's cutting planes, one small LP per round, so their
+infeasibility is certified.  QP sweeps and lattice scans run in blocks of
+SWEEP_BYTES working bytes.  scipy is imported only when HiGHS runs.
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ TABLEAU_LIMIT = 80
 KELLEY_ROUNDS = 500
 # integer assignments a convex MIP may enumerate
 MAX_LATTICE_POINTS = 1_000_000
-# (lattice point, right-hand side) pairs a pure-integer convex-MIP batch
-# scans at once; above MAX_LATTICE_POINTS, so that one row always fits
-LATTICE_BLOCK = 1 << 20
+# the working bytes of one block of a sweep: 8 (8n^2 + 16n + 5m + 25) B per QP
+# input (_qp_bytes; tracemalloc peaks 445 B at n = 1, m = 3, 5.2 KB at n = 8,
+# m = 20, 98.5 KB at n = 40, m = 200, 1.46 MB at n = 160, m = 20), and 34 B per
+# (point, right-hand side) pair of a convex-MIP lattice scan (26 B under two g_i)
+SWEEP_BYTES = 1 << 22
 
 
 # Rows.status codes, and the Solution status each stands for
@@ -691,12 +694,6 @@ def solve_milp_batch(c, A, senses, nonneg, B, integer_idx=(), bounds=()) -> Rows
 # convex quadratic programs and their mixed-integer extension
 # ---------------------------------------------------------------------------
 
-# rows a convex QP may have, boxes included (ConstraintLimitExceeded above
-# it); QP_STEP_CAP bounds the dual method's work, and this cap keeps every
-# allowed size within reach of the active-set enumeration that checks it
-MAX_QP_ROWS = 20
-# inputs per chunk of a QP sweep, which bounds the sweep's working arrays
-QP_CHUNK = 8192
 # steps of the dual active-set method (each adds or drops one row) per input
 QP_STEP_CAP = 10_000
 
@@ -714,6 +711,12 @@ def _stacked_solve(K, R) -> np.ndarray:
     return np.linalg.solve(np.broadcast_to(K, (len(R),) + K.shape), R[..., None])[..., 0]
 
 
+def _qp_bytes(m, n) -> int:
+    """The bytes one QP sweep input over m rows and n variables holds (see
+    SWEEP_BYTES): up to seven n x n arrays (J, R and step copies), five m-vectors."""
+    return 8 * (8 * n * n + 16 * n + 5 * m + 25)
+
+
 def _qp_sweep(D, J0, A, Q, B) -> Rows:
     """Exact minimum of y'Dy + Q[j].y over A y <= B[j], one row of Rows per
     j, for positive definite D, with J0 = L^-T of 2D = LL'.
@@ -725,17 +728,12 @@ def _qp_sweep(D, J0, A, Q, B) -> Rows:
     within FEAS_TOL) at a finite value, or else a Farkas ray that passes
     its checks (qp.FARKAS_TOL): A y <= b + FEAS_TOL is then empty and the
     input infeasible.  An input with neither raises NumericalFailure.
-    Inputs are swept in chunks of QP_CHUNK, which bounds the working arrays
-    of a large branch-and-bound round; every input's arithmetic is its own,
-    so the Rows do not depend on the chunking.  Raises
-    ConstraintLimitExceeded for more than MAX_QP_ROWS rows.
-    """
-    m = A.shape[0]
-    if m > MAX_QP_ROWS:
-        raise ConstraintLimitExceeded(f"{m} rows > {MAX_QP_ROWS}")
-    out = Rows.infeasible(*Q.shape)
-    for i in range(0, len(Q), QP_CHUNK):
-        part = slice(i, i + QP_CHUNK)
+    Inputs are swept SWEEP_BYTES // _qp_bytes(m, n) at a time (one at least:
+    solve_miqp_batch checks); each input's arithmetic is its own, so the Rows
+    do not depend on the chunking."""
+    out, step = Rows.infeasible(*Q.shape), SWEEP_BYTES // _qp_bytes(*A.shape)
+    for i in range(0, len(Q), step):
+        part = slice(i, i + step)
         _qp_chunk(D, J0, A, Q[part], B[part], Rows(*(a[part] for a in out)))
     return out
 
@@ -776,15 +774,14 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
     QP sweep (_qp_sweep); with them the trees run in lockstep, and each
     round's relaxations share one QP sweep, since the boxed rows (and so
     the Cholesky factor) are the same for all nodes of all trees; no LP is
-    solved.  A relaxation is a KKT point within the sweep's tolerances
-    (1e-7 on the residuals, 1e-9 on the multipliers and FEAS_TOL on the
-    rows), or infeasible by a Farkas ray, so a value agrees with any other
-    exact method to round-off, or to a multiplier times FEAS_TOL where a
-    relaxation lies within FEAS_TOL of a row.  Raises OutOfRange on non-finite data,
-    ConstraintLimitExceeded for more than MAX_QP_ROWS rows, boxes included,
-    and NumericalFailure for a relaxation of more than QP_STEP_CAP steps.
-    Errors are raised for the batch, with the message a single row would
-    give."""
+    solved.  A relaxation is decided by the sweep's checks of a KKT point or
+    a Farkas ray (_qp_sweep), so a value agrees with any other exact method
+    to round-off, or to a multiplier times FEAS_TOL where a relaxation lies
+    within FEAS_TOL of a row.  Raises OutOfRange on non-finite data,
+    ConstraintLimitExceeded before any solve when one input, boxes included,
+    needs more than SWEEP_BYTES (see _qp_bytes), and NumericalFailure for a
+    relaxation of more than QP_STEP_CAP steps.  Errors are raised for the
+    batch, with the message a single row would give."""
     D = np.asarray(D, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2:
@@ -801,12 +798,15 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
             raise OutOfRange(f"non-finite entries in {name}")
     if D.shape != (n, n):
         raise DimMismatch(f"D shape {D.shape} vs {n} variables")
-    _check_positive_definite(D)
     if A.ndim != 2 or A.shape[1] != n or B.shape != (k, A.shape[0]):
         raise DimMismatch(f"A shape {A.shape} vs b {B.shape[-1]}")
     idx, bounds = _integer_boxes(integer_idx, bounds, n)
     if idx:
         A = _box_rows(A, idx)
+    if _qp_bytes(*A.shape) > SWEEP_BYTES:
+        raise ConstraintLimitExceeded(f"{n} variables and {len(A)} rows: {_qp_bytes(*A.shape)} B "
+                                      f"per QP input > SWEEP_BYTES = {SWEEP_BYTES}")
+    _check_positive_definite(D)
     J0 = np.linalg.inv(np.linalg.cholesky(2.0 * D)).T
     if not idx:
         return _qp_sweep(D, J0, A, Q, B)
@@ -897,7 +897,7 @@ def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=
     feasible slice is kept (an improvement must exceed 1e-15).  Without
     continuous coordinates a slice is one point: v and every g_i are
     evaluated once on the lattice for all rows, which are scanned as arrays
-    in blocks of at most LATTICE_BLOCK (point, row) pairs: each point is
+    in blocks of max(1, SWEEP_BYTES // (34 B x points)) rows: each point is
     checked against g_i <= rhs_i + FEAS_TOL (the violation max_i(g_i -
     rhs_i) taken left to right, as Python's max takes it) and the first
     minimum kept (argmin), but a row with another feasible value not 1e-15
@@ -940,7 +940,7 @@ def solve_convex_mip_batch(v, g, R, integer_idx, integer_bounds, continuous_idx=
         return out
     V = v.values(Y)  # finite: values raises OutOfRange on overflow
     G = np.array([gi.values(Y) for gi in g]).reshape(len(g), len(Y))
-    step = max(1, LATTICE_BLOCK // len(Y))
+    step = max(1, SWEEP_BYTES // (34 * len(Y)))
     for j in range(0, len(R), step):
         rows = np.arange(j, min(j + step, len(R)))
         viol = np.full((len(Y), len(rows)), -np.inf)

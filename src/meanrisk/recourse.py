@@ -52,7 +52,7 @@ from .measure import Sampler, _philox
 
 KINDS = ("linear", "milp", "miqp", "convex_mip")
 # (x, z) rows of one recourse batch; at the peak of a 100,000-row certify a
-# row holds about 0.73 KB for miqp, 0.26 KB for linear and under 0.2 KB for
+# row holds about 0.69 KB for miqp, 0.26 KB for linear and under 0.2 KB for
 # milp and convex_mip
 MAX_RECOURSE_ROWS = 500_000
 

@@ -15,9 +15,11 @@ per-program lattice loop that ``optim`` ran before its batched table,
 expression values and subgradients from the per-point tree walk that
 ``exprs`` ran before it evaluated rows, parameter maps one point at a time,
 recourse values from one solve per (x, z) with no batching, bunching or
-stored certificates, one-dimensional convex minima from dense grids,
-polyhedral convex slices from one ``scipy.optimize.linprog`` LP, and
-disc-slab slivers in closed form.
+stored certificates, QP optima too large to enumerate from a KKT
+certificate whose multipliers come from ``scipy.optimize.nnls``,
+one-dimensional convex minima from dense grids, polyhedral convex slices
+from one ``scipy.optimize.linprog`` LP, and disc-slab slivers in closed
+form.
 Metric values come from the dense formulations,
 solved by ``scipy.optimize.linprog`` directly: the bounded-Lipschitz LP with
 one Lipschitz row per ordered pair of atoms, and transport LPs with one
@@ -383,6 +385,26 @@ def qp_kkt_oracle(D, q, A, b):
     if feas.optimal and not np.any(A @ feas.point > b + optim.FEAS_TOL):
         raise NumericalFailure("convex QP without a detected KKT point")
     return optim.Solution("infeasible")
+
+
+def qp_kkt_certificate(D, q, A, b, y, tol=1e-7) -> bool:
+    """Whether y is the minimum of y'Dy + q.y over A y <= b for positive
+    definite D, by the KKT conditions, for programs too large for
+    qp_kkt_oracle's enumeration: every row within FEAS_TOL, multipliers
+    lam >= 0 from scipy.optimize.nnls on the rows within tol (1 + |b_i|) of
+    equality, stationarity |2Dy + q + A_act'lam| <= tol (1 + |2Dy + q|), and
+    complementary slackness |lam_i (b_i - a_i.y)| <= tol on those rows; the
+    program is strictly convex, so a KKT point is its minimum."""
+    D, q, A, b, y = (np.asarray(v, dtype=float) for v in (D, q, A, b, y))
+    slack = b - A @ y
+    if np.any(slack < -optim.FEAS_TOL):
+        return False
+    act = np.abs(slack) <= tol * (1.0 + np.abs(b))
+    grad = 2.0 * D @ y + q
+    lam = scipy.optimize.nnls(A[act].T, -grad)[0] if act.any() else np.zeros(0)
+    stat = grad + A[act].T @ lam
+    return bool(np.max(np.abs(stat), initial=0.0) <= tol * (1.0 + np.max(np.abs(grad)))
+                and np.all(np.abs(lam * slack[act]) <= tol))
 
 
 def miqp_bb_oracle(D, q, A, b, int_idx, bounds):

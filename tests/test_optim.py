@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -31,6 +33,7 @@ from oracles import (
     miqp_closed_oracle,
     miqp_value_tol,
     polyhedral_slice_oracle,
+    qp_kkt_certificate,
     qp_kkt_oracle,
     sliver_oracle,
 )
@@ -673,10 +676,26 @@ class TestQp:
         assert sol.value == pytest.approx(4.0, abs=1e-9)
 
     def test_constraint_cap(self):
-        n = 2
-        A = np.vstack([np.eye(n)] * 11)  # 22 rows
-        with pytest.raises(ConstraintLimitExceeded):
-            solve_miqp(np.eye(n), np.zeros(n), A, np.ones(22))
+        # at the default budget one input of 255 variables and a row needs more
+        # than SWEEP_BYTES, and is refused before its working arrays exist and
+        # before D is factored or even copied; 22 rows on 2 variables are solved
+        n = 255
+        assert optim._qp_bytes(1, n - 1) <= optim.SWEEP_BYTES < optim._qp_bytes(1, n)
+        D, q, A, b = np.eye(n), np.zeros(n), np.ones((1, n)), np.ones(1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConstraintLimitExceeded,
+                               match=f"^{n} variables and 1 rows: {optim._qp_bytes(1, n)} B per "
+                                     f"QP input > SWEEP_BYTES = {optim.SWEEP_BYTES}$"):
+                solve_miqp(D, q, A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < D.nbytes
+        A, b = np.vstack([np.eye(2)] * 11), np.ones(22)
+        sol = solve_miqp(np.eye(2), [-4.0, 2.0], A, b)  # the minimum (1, -1) of |y - (2, -1)|^2 - 5
+        assert sol.optimal and qp_kkt_certificate(np.eye(2), [-4.0, 2.0], A, b, sol.point)
+        assert sol.value == pytest.approx(-4.0, abs=1e-12)
 
     def test_infeasible(self):
         assert solve_miqp([[1.0]], [0.0], [[1.0], [-1.0]], [-1.0, -1.0]).status == "infeasible"
@@ -766,6 +785,12 @@ def miqp_batches(draw):
     Q = np.array([[4.0 / 3.0 * draw(real) for _ in range(n)] for _ in range(k)])
     B = np.array([[draw(real) for _ in range(m)] for _ in range(k)]).reshape(k, m)
     return D, Q, A.reshape(m, n), B, idx, bounds
+
+
+def sweep_budget(inputs, A, idx) -> int:
+    """The SWEEP_BYTES that sweeps inputs inputs of a QP over the rows A and
+    the boxes of idx at a time."""
+    return inputs * optim._qp_bytes(len(A) + 2 * len(idx), A.shape[1])
 
 
 class TestMiqpBatch:
@@ -868,7 +893,7 @@ class TestMiqpBatch:
             whole = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
         except MeanRiskError:
             return
-        with mock.patch.object(optim, "QP_CHUNK", chunk):
+        with mock.patch.object(optim, "SWEEP_BYTES", sweep_budget(chunk, A, idx)):
             parts = optim.solve_miqp_batch(D, Q, A, B, idx, bounds)
         assert same_rows(parts, whole)
 
@@ -882,7 +907,7 @@ class TestMiqpBatch:
         whole = optim.solve_miqp_batch(*args)
         sizes = []
         sweep = optim._qp_chunk
-        monkeypatch.setattr(optim, "QP_CHUNK", 7)
+        monkeypatch.setattr(optim, "SWEEP_BYTES", sweep_budget(7, A, (0, 1)))
         monkeypatch.setattr(optim, "_qp_chunk",
                             lambda D, J0, A, Q, *rest: sizes.append(len(Q))
                             or sweep(D, J0, A, Q, *rest))
@@ -891,16 +916,52 @@ class TestMiqpBatch:
         assert same_rows(parts, whole)
         assert np.mean(whole.status == optim.OPTIMAL) > 0.5
 
-    def test_row_cap_is_checked_before_any_solve(self, monkeypatch):
+    def test_budget_is_checked_before_any_solve(self, monkeypatch):
+        # 1 base row + 2 box rows for each of 10 integer coordinates, with the
+        # budget one byte short of one input: refused before any solve, having
+        # held less than one input's working bytes; at one input per chunk it
+        # solves
+        n, need = 10, optim._qp_bytes(21, 10)
+        args = (np.eye(n), np.zeros((3, n)), np.ones((1, n)), np.ones((3, 1)), tuple(range(n)),
+                ((0.0, 1.0),) * n)
+        solve = optim._stacked_solve
+
         def no_solve(*args):
-            raise AssertionError("solved before the row cap was checked")
+            raise AssertionError("solved before the budget was checked")
 
         monkeypatch.setattr(optim, "_stacked_solve", no_solve)
-        # 1 base row + 2 box rows for each of 10 integer coordinates
-        n = 10
-        with pytest.raises(ConstraintLimitExceeded, match="^21 rows > 20$"):
-            optim.solve_miqp_batch(np.eye(n), np.zeros((3, n)), np.ones((1, n)),
-                                   np.ones((3, 1)), tuple(range(n)), ((0.0, 1.0),) * n)
+        monkeypatch.setattr(optim, "SWEEP_BYTES", need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConstraintLimitExceeded,
+                               match=f"^10 variables and 21 rows: {need} B per QP input > "
+                                     f"SWEEP_BYTES = {need - 1}$"):
+                optim.solve_miqp_batch(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < need
+        monkeypatch.setattr(optim, "_stacked_solve", solve)
+        monkeypatch.setattr(optim, "SWEEP_BYTES", need)
+        rows = optim.solve_miqp_batch(*args)
+        assert rows.value.tolist() == [0.0] * 3 and not rows.point.any()
+
+    def test_24_rows_match_brute_force(self):
+        # 4 integers in [-3, 3] under 16 rows, 24 with the boxes: the minimum
+        # over the 2,401 lattice points
+        rng = np.random.default_rng(7)
+        M = rng.normal(size=(4, 4))
+        D, A = M @ M.T + np.eye(4), rng.normal(size=(16, 4))
+        Q, B = 10.0 * rng.normal(size=(20, 4)), rng.uniform(0.5, 3.0, size=(20, 16))
+        pts = np.array(list(itertools.product(range(-3, 4), repeat=4)), dtype=float)
+        rows = optim.solve_miqp_batch(D, Q, A, B, (0, 1, 2, 3), ((-3.0, 3.0),) * 4)
+        assert np.all(rows.status == optim.OPTIMAL)
+        for q, b, value, point in zip(Q, B, rows.value, rows.point):
+            vals = np.array([y @ D @ y + q @ y for y in pts])
+            vals[np.any(pts @ A.T > b + optim.FEAS_TOL, axis=1)] = np.inf
+            best = np.argmin(vals)
+            assert point.tolist() == pts[best].tolist()
+            assert abs(value - vals[best]) <= 1e-12 * (1.0 + abs(vals[best]))
 
 
 class TestDualActiveSet:
@@ -1037,6 +1098,22 @@ class TestDualActiveSet:
         rows = self.check(np.eye(2), Q, A, np.tile(b, (3, 1)))
         assert rows.point.tobytes() == np.tile([0.5, 0.0], (3, 1)).tobytes()
 
+    def test_forty_variables_two_hundred_rows(self):
+        # 100 inputs, too many rows for qp_kkt_oracle, each certified by its KKT
+        # conditions, and bit for bit one input per chunk
+        rng = np.random.default_rng(11)
+        M = rng.normal(size=(40, 40))
+        D, A = M @ M.T + np.eye(40), rng.normal(size=(200, 40))
+        Q, B = 10.0 * rng.normal(size=(100, 40)), rng.uniform(0.5, 3.0, size=(100, 200))
+        rows = optim.solve_miqp_batch(D, Q, A, B)
+        assert np.all(rows.status == optim.OPTIMAL)
+        assert not np.any(np.all(A @ np.linalg.solve(2.0 * D, -Q.T) <= B.T, axis=0))
+        for q, b, value, y in zip(Q, B, rows.value, rows.point):
+            assert qp_kkt_certificate(D, q, A, b, y)
+            assert abs(value - (y @ D @ y + q @ y)) <= 1e-12 * (1.0 + abs(value))
+        with mock.patch.object(optim, "SWEEP_BYTES", sweep_budget(1, A, ())):
+            assert same_rows(optim.solve_miqp_batch(D, Q[:5], A, B[:5]), [r[:5] for r in rows])
+
     def test_six_variables_sixteen_rows(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(6, 6))
@@ -1058,7 +1135,7 @@ class TestDualActiveSet:
         assert 1 in axes  # a drop that rotates the rows of R back to triangular
         for perm in (np.arange(len(Q))[::-1], np.array([2, 0, 4, 1, 3])):
             for chunk in (1, 2, 3):
-                monkeypatch.setattr(optim, "QP_CHUNK", chunk)
+                monkeypatch.setattr(optim, "SWEEP_BYTES", sweep_budget(chunk, A, ()))
                 got = optim.solve_miqp_batch(np.eye(2), Q[perm], A, B[perm])
                 assert same_rows(got, [part[perm] for part in whole])
 
@@ -1107,24 +1184,25 @@ class TestConvexMipBatch:
     @settings(max_examples=150, deadline=None)
     @given(case=convex_batches(), data=st.data(), per_block=st.integers(1, 4))
     def test_rows_match_the_loop_in_any_order(self, case, data, per_block):
-        # the reversed order is scanned per_block rows at a time
+        # the reversed order is scanned per_block rows at a time (34 B per
+        # lattice point and row, as optim sizes its blocks)
         v, g, R, idx, bounds = case
         want = [convex_mip_loop_oracle(v, g, r, idx, bounds) for r in R]
         order = np.array(data.draw(st.permutations(range(len(R)))), dtype=int)
-        block = per_block * max(1, len(optim.lattice_points(bounds)))
-        for perm, budget in ((np.arange(len(R)), optim.LATTICE_BLOCK),
-                             (order, optim.LATTICE_BLOCK), (order[::-1], block)):
-            with mock.patch.object(optim, "LATTICE_BLOCK", budget):
+        block = 34 * per_block * max(1, len(optim.lattice_points(bounds)))
+        for perm, budget in ((np.arange(len(R)), optim.SWEEP_BYTES),
+                             (order, optim.SWEEP_BYTES), (order[::-1], block)):
+            with mock.patch.object(optim, "SWEEP_BYTES", budget):
                 got = solutions(optim.solve_convex_mip_batch(v, g, R[perm], idx, bounds))
             assert len(got) == len(perm)
             for sol, i in zip(got, perm):
                 assert same_solution(sol, want[i]), (sol, want[i])
 
     def loop_rows(self, v, g, R, bounds, block=None):
-        """The batch at the block budget block (the default if None), checked
-        row by row against the loop oracle bit for bit."""
+        """The batch at the budget block (SWEEP_BYTES if None), checked row by
+        row against the loop oracle bit for bit."""
         idx = tuple(range(len(bounds)))
-        with mock.patch.object(optim, "LATTICE_BLOCK", block or optim.LATTICE_BLOCK):
+        with mock.patch.object(optim, "SWEEP_BYTES", block or optim.SWEEP_BYTES):
             got = solutions(optim.solve_convex_mip_batch(v, g, R, idx, bounds))
         for sol, r in zip(got, R):
             assert same_solution(sol, convex_mip_loop_oracle(v, g, r, idx, bounds)), (sol, r)
@@ -1168,7 +1246,7 @@ class TestConvexMipBatch:
         bounds = ((-20.0, 20.0), (-3.0, 3.0))
         whole = optim.solve_convex_mip_batch(v, g, R, (0, 1), bounds)
         self.loop_rows(v, g, R, bounds, block=1)
-        with mock.patch.object(optim, "LATTICE_BLOCK", 1):
+        with mock.patch.object(optim, "SWEEP_BYTES", 1):
             assert same_rows(optim.solve_convex_mip_batch(v, g, R, (0, 1), bounds), whole)
 
     def test_a_box_without_integer_points_leaves_every_row_infeasible(self):

@@ -14,6 +14,7 @@ such row.
 import json
 import os
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -621,29 +622,50 @@ class TestErrors:
             with pytest.raises(error):
                 eval_recourse_batch(model, [0.0], np.array(Z))
 
-    def test_miqp_row_cap_before_any_solve(self, monkeypatch):
-        # 1 base row + 2 box rows for each of 10 integer coordinates
+    # 1 base row + 2 box rows for each of 10 integer coordinates: one input
+    # of the sweep needs optim._qp_bytes(21, 10) bytes
+    NEED = optim._qp_bytes(21, 10)
+
+    def test_miqp_budget_before_any_solve(self, monkeypatch):
         model = self.miqp(m2=10)
 
         def no_solve(*args):
-            raise AssertionError("solved before the row cap was checked")
+            raise AssertionError("solved before the budget was checked")
 
         monkeypatch.setattr(optim, "_stacked_solve", no_solve)
-        with pytest.raises(ConstraintLimitExceeded) as want:
-            eval_recourse_batch(model, [0.0], [[0.5]])
-        assert str(want.value) == "21 rows > 20"
-        assert_matches_oracle(model, [0.0], np.array([[0.5], [1.5]]))
+        monkeypatch.setattr(optim, "SWEEP_BYTES", self.NEED - 1)
+        # 1,000 distinct rows, refused holding under a tenth of the bytes their
+        # inputs would take in a sweep
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConstraintLimitExceeded) as want:
+                eval_recourse_batch(model, [0.0], np.linspace(-3.0, 3.0, 1000)[:, None])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(want.value) == (f"10 variables and 21 rows: {self.NEED} B per QP input > "
+                                   f"SWEEP_BYTES = {self.NEED - 1}")
+        assert peak < 1000 * self.NEED / 10
+        # at the default budget: min sum_i y_i^2 + (x - z) y_i over y_0 >= -z
+        # and the boxes, coordinate by coordinate over the integers of its box
+        monkeypatch.undo()
+        Z = np.array([0.5, 1.5, -2.5])
+        t = np.arange(-600.0, 1101.0)
+        want = [np.min(t[t >= -z] ** 2 - z * t[t >= -z]) + 9 * np.min(t**2 - z * t) for z in Z]
+        assert eval_recourse_batch(model, [0.0], Z[:, None]) == pytest.approx(want, rel=1e-12)
 
-    def test_miqp_row_cap_cli_exit_code(self, tmp_path, capsys):
+    def test_miqp_budget_cli_exit_code(self, tmp_path, capsys, monkeypatch):
         data = load("model_miqp_expectation.json")
         data["recourse"] = self.miqp(m2=10).to_dict()
         model = tmp_path / "m.json"
         model.write_text(json.dumps(data))
         argv = ["eval", "--model", str(model), "--measure", os.path.join(DEMO, BASES[0]), "--all"]
+        monkeypatch.setattr(optim, "SWEEP_BYTES", self.NEED - 1)
         assert cli.main(argv) == cli.EXIT_MODEL
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "model error: ConstraintLimitExceeded: 21 rows > 20\n"
+        assert out.err == (f"model error: ConstraintLimitExceeded: 10 variables and 21 rows: "
+                           f"{self.NEED} B per QP input > SWEEP_BYTES = {self.NEED - 1}\n")
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3], [0, 2, 1, 3], [3, 2, 1, 0]])
     def test_first_bad_row_is_named_among_infeasible_and_unbounded(self, order):

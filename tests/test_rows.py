@@ -13,6 +13,8 @@ is one fold per row (exprs.affine_rows), so a batch must equal, bit for
 bit, the same rows evaluated in any split into smaller batches.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,28 @@ def test_values_and_subgradients_equal_the_point_oracle(case):
         if mode != "huge":
             assert agree(got_v, v, mode) and agree(got_g, g, mode), (got_g, g)
             assert got_v == e.value(y)
+
+
+@pytest.mark.parametrize("d", [3, 30])
+def test_values_hold_no_subgradients(d):
+    # 200,000 points: a (rows x d) subgradient array per node would make the
+    # peak 22 vectors of values at d = 3 (the lattice scan's objective) and
+    # grow with d; the values path holds at most six, and the bits of the
+    # subgradient path
+    v = exprs.vsum(exprs.even_power(exprs.affine([1.0, 0.5, -0.25], 0.3), 2),
+                   exprs.scale(0.5, exprs.vabs(exprs.affine([1.0, 0.0, 0.0], -2.0))))
+    n = exprs.vmax(exprs.norm(exprs.var(0), exprs.affine([1.0, 2.0], -1.0)),
+                   exprs.vabs(exprs.var(2)), exprs.const(1.0))
+    Y = np.random.default_rng(0).normal(size=(200_000, d))
+    for e in (v, n):
+        tracemalloc.start()
+        try:
+            got = e.values(Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * got.nbytes
+        assert got[:50].tobytes() == np.array([e.eval_with_subgradient(y)[0] for y in Y[:50]]).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
