@@ -46,7 +46,7 @@ MAX_PLAN_ENTRIES = 1_000_000
 
 def _union_support(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """Merged support of two measures with both weight vectors aligned on it."""
-    pts = np.vstack([mu.points, nu.points])
+    pts = np.concatenate([mu.points, nu.points])
     w = np.zeros((len(pts), 2))
     w[: len(mu), 0] = mu.weights
     w[len(mu) :, 1] = nu.weights
@@ -67,7 +67,7 @@ def _check_plan_size(n_src: int, n_dst: int):
 
 def _distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     _check_plan_size(len(X), len(Y))
-    return np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2)
+    return np.sqrt(np.add.reduce(np.square(X[:, None, :] - Y[None, :, :]), axis=2))
 
 
 def _signed_parts(delta: np.ndarray):
@@ -92,7 +92,7 @@ def _bl_line(t: np.ndarray, a: np.ndarray) -> float:
     agrees with the fragment-list program it replaced
     (``tests/oracles.py::bl_line_oracle``) within 1e-12 relative."""
     with np.errstate(over="ignore"):  # an inf gap between far atoms costs 2
-        gaps = np.minimum(np.diff(t), 2.0)
+        gaps = np.minimum(t[1:] - t[:-1], 2.0)
     A = np.cumsum(a)
     jump = {0.0: 2.0}  # H_1's cost-to-go |H_1| before the first step
     get = jump.get
@@ -147,8 +147,9 @@ def _bl_line(t: np.ndarray, a: np.ndarray) -> float:
         elif h > high:
             h = high
         H.append(h)
-    H = np.array(H[::-1])
-    return float(np.abs(np.diff(H, prepend=0.0)).sum() + gaps @ np.abs(A[:-1] - H[:-1]))
+    H.append(0.0)
+    H = np.array(H[::-1])  # H_0 = 0, H_1, ..., H_m
+    return float(np.abs(H[1:] - H[:-1]).sum() + gaps @ np.abs(A[:-1] - H[1:-1]))
 
 
 def bounded_lipschitz(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
@@ -236,8 +237,11 @@ def wasserstein(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     in_range(q, "order q", ge=1)
     if mu.dim == 1:
         cums = [_cumulative(mu.weights), _cumulative(nu.weights)]
-        cuts = np.union1d(*cums)
-        cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
+        cuts = np.concatenate(cums)
+        cuts.sort()  # and the first of each run of equal cuts, as np.union1d
+        keep = (cuts > 0.0) & (cuts <= 1.0)
+        keep[1:] &= cuts[1:] != cuts[:-1]
+        cuts = cuts[keep]
         prev = np.concatenate(([0.0], cuts[:-1]))
         mids = 0.5 * (prev + cuts)
         # the quantiles at mids, read as measure.quantile reads them
@@ -278,9 +282,9 @@ def fortet_mourier(mu: DiscreteMeasure, nu: DiscreteMeasure, q: float) -> float:
     if len(pos) == 0 or len(neg) == 0:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.maximum(1.0, np.linalg.norm(pts, axis=1) ** (q - 1.0))
+        weight = np.maximum(1.0, np.sqrt(np.add.reduce(pts * pts, axis=1)) ** (q - 1.0))
         if mu.dim == 1:
-            seg = np.diff(pts[:, 0]) * np.maximum(weight[:-1], weight[1:])
+            seg = (pts[1:, 0] - pts[:-1, 0]) * np.maximum(weight[:-1], weight[1:])
             return finite_result(float(np.abs(np.cumsum(delta)[:-1]) @ seg), "fortet_mourier", q)
         C = _floyd_warshall(_distances(pts, pts) * np.maximum(weight[:, None], weight[None, :]))
     C = C[np.ix_(pos, neg)]
@@ -331,12 +335,6 @@ def diagnose_uniform_integrability(
     sup_tails = tails.max(axis=0)
     below = sup_tails <= eps
     verdict = bool(np.any(below) and np.all(below[int(np.argmax(below)) :]))
-    return UniformIntegrabilityReport(
-        q=q,
-        a_grid=grid,
-        tails=tails,
-        sup_tails=sup_tails,
-        verdict=verdict,
-        eps=eps,
-    )
+    return UniformIntegrabilityReport(q=q, a_grid=grid, tails=tails, sup_tails=sup_tails,
+                                      verdict=verdict, eps=eps)
 

@@ -717,11 +717,11 @@ def _qp_bytes(m, n) -> int:
     return 8 * (8 * n * n + 16 * n + 5 * m + 25)
 
 
-def _qp_sweep(D, J0, A, Q, B) -> Rows:
+def _qp_sweep(D, J0, A, Q, B, Y0) -> Rows:
     """Exact minimum of y'Dy + Q[j].y over A y <= B[j], one row of Rows per
     j, for positive definite D, with J0 = L^-T of 2D = LL'.
 
-    An input whose unconstrained minimum (one vector solve each) is within
+    An input whose unconstrained minimum Y0[j] (2D y = -Q[j]) is within
     FEAS_TOL of every row keeps it; the others go to the dual active-set
     method (qp.dual_active_set), which keeps a point that passes the checks
     of a KKT point (residuals within 1e-7, multipliers above -1e-9, rows
@@ -734,13 +734,12 @@ def _qp_sweep(D, J0, A, Q, B) -> Rows:
     out, step = Rows.infeasible(*Q.shape), SWEEP_BYTES // _qp_bytes(*A.shape)
     for i in range(0, len(Q), step):
         part = slice(i, i + step)
-        _qp_chunk(D, J0, A, Q[part], B[part], Rows(*(a[part] for a in out)))
+        _qp_chunk(D, J0, A, Q[part], B[part], Y0[part], Rows(*(a[part] for a in out)))
     return out
 
 
-def _qp_chunk(D, J0, A, Q, B, out: Rows):
-    """The sweep of _qp_sweep on the inputs (Q, B), written into out."""
-    Y = _stacked_solve(2.0 * D, -Q)
+def _qp_chunk(D, J0, A, Q, B, Y, out: Rows):
+    """The sweep of _qp_sweep on the inputs (Q, B) from their minima Y, written into out."""
     free = np.all((A @ Y[:, :, None])[:, :, 0] <= B + FEAS_TOL, axis=1)
     j = np.flatnonzero(free)
     out.put(j, _quad_values(D, Y[j], Q[j]), Y[j])
@@ -808,11 +807,12 @@ def solve_miqp_batch(D, Q, A, B, integer_idx=(), bounds=()) -> Rows:
                                       f"per QP input > SWEEP_BYTES = {SWEEP_BYTES}")
     _check_positive_definite(D)
     J0 = np.linalg.inv(np.linalg.cholesky(2.0 * D)).T
+    Y0 = _stacked_solve(2.0 * D, -Q)  # every node of a tree has its q
     if not idx:
-        return _qp_sweep(D, J0, A, Q, B)
+        return _qp_sweep(D, J0, A, Q, B, Y0)
 
     def relax(trees, lo, hi):
-        return _qp_sweep(D, J0, A, Q[trees], _box_rhs(B[trees], lo, hi))
+        return _qp_sweep(D, J0, A, Q[trees], _box_rhs(B[trees], lo, hi), Y0[trees])
 
     lo0, hi0 = _box_arrays(bounds)
     roots = relax(np.arange(len(B)), lo0, hi0)

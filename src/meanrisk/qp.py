@@ -106,6 +106,7 @@ def dual_active_set(D, J0, A, Q, B, Y, feas_tol, step_cap) -> tuple:
         d = _sum_products(Js.transpose(0, 2, 1), N[:, None, :])  # J'n
         inact = cols[:n] >= q[:, None]
         z = _sum_products(Js, np.where(inact, d, 0.0)[:, None, :])  # the primal step J2 d2
+        del Js  # the add and drop paths gather their own rows of J, which no step changes
         r = _back_substitute(R[live], np.where(inact, 0.0, d), q)
         r[rows, q] = -1.0  # so U -= t r is the dual step, +t on the row being added
         l, t1 = np.zeros(len(live), dtype=np.intp), np.full(len(live), np.inf)
@@ -128,27 +129,26 @@ def dual_active_set(D, J0, A, Q, B, Y, feas_tol, step_cap) -> tuple:
                       np.where(indep[:, None], Yl + t[:, None] * z, Yl))
         if not go.all():
             U[live[~go]] = -r[~go]  # a stopped input's Farkas ray: 1 on p, -r on the active rows
-            live, q, l, t, full, Js, d, r, Yl = (a[go] for a in (live, q, l, t, full, Js, d, r, Yl))
+            live, q, l, t, full, d, r, Yl = (a[go] for a in (live, q, l, t, full, d, r, Yl))
         Y[live] = Yl
         U[live] = np.where(r != 0.0, U[live] - t[:, None] * r, U[live])  # inf * 0 is NaN
         add, drop = live[full], live[~full]
         if len(add):
-            Ja, Ra, qa, da = Js[full], R[add], q[full], d[full]
+            Ja, qa, da = J[add], q[full], d[full]
             for j in range(n - 1, 0, -1):  # zero d below qa
                 rot = (j > qa) & (da[:, j] != 0.0)
                 if rot.any():
                     h = _givens(da[:, j - 1], da[:, j], rot, (Ja, j - 1, j, 2))
                     da[:, j - 1] = np.where(rot, h, da[:, j - 1])
                     da[:, j] = np.where(rot, 0.0, da[:, j])
-            Ra[np.arange(len(add)), :, qa] = da
-            J[add], R[add] = Ja, Ra
+            J[add], R[add, :, qa] = Ja, da
             nact[add] += 1
             adding[add] = False
         if len(drop):
-            Jd, qd = Js[~full], q[~full]
+            Jd, qd = J[drop], q[~full]
             # shift the columns after l left, and rotate R back to triangular
             src = np.minimum(cols + (cols >= l[~full, None]), n)
-            Rd = np.take_along_axis(R[drop], src[:, None, :], axis=2)
+            Rd = R[drop[:, None, None], cols[:n, None], src[:, None, :]]
             act[drop] = np.take_along_axis(act[drop], src, axis=1)
             U[drop] = np.take_along_axis(U[drop], src, axis=1)
             for j in range(n - 1):

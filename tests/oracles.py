@@ -934,6 +934,20 @@ def sorted_matching_wq(x, y, q) -> float:
     return float(np.mean(np.abs(x - y) ** q)) ** (1.0 / q)
 
 
+def wasserstein_union1d_grid(mu: DiscreteMeasure, nu: DiscreteMeasure, q) -> float:
+    """W_q on the line by the quantile coupling on the cuts of
+    np.union1d(F_mu, F_nu) in (0, 1]: the arithmetic of the 1-D branch of
+    metrics.wasserstein term for term, so the two agree bit for bit when
+    their grids do."""
+    cums = [cumulative_weights(mu), cumulative_weights(nu)]
+    cuts = np.union1d(*cums)
+    cuts = cuts[(cuts > 0.0) & (cuts <= 1.0)]
+    prev = np.concatenate(([0.0], cuts[:-1]))
+    mids = 0.5 * (prev + cuts)
+    q_mu, q_nu = (m.points[np.searchsorted(c, mids), 0] for m, c in zip((mu, nu), cums))
+    return float(np.abs(q_mu - q_nu) ** q @ (cuts - prev)) ** (1.0 / q)
+
+
 def measure_sampler(m: DiscreteMeasure):
     """Sampler drawing i.i.d. atoms of m according to its weights."""
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from meanrisk import measure as ms
 from meanrisk.errors import DimMismatch, EmptySupport, NegativeWeight, OutOfRange, float_array
+from meanrisk.measure import POINT_TOL
 
 from oracles import (
     cumulative_weights,
@@ -387,6 +388,22 @@ class TestMergeSorted:
         assert np.array_equal(m.points.ravel(), [0.0, 1.4e-12])
         assert np.array_equal(m.weights, np.array([2.0, 1.0]) / 3.0)
 
+    @pytest.mark.parametrize("step", [0.9e-12, 1.1e-12])
+    def test_rows_apart_in_the_second_coordinate_only(self, step, monkeypatch):
+        # first coordinates tie exactly, so the second decides: chains of
+        # 0.9e-12 steps pass the consecutive test and are re-split by the
+        # anchor rule, and 1.1e-12 steps make every row its own atom on the
+        # consecutive test alone
+        points = np.array([[x, k * step] for x in (-1.0, 0.0, 2.5) for k in range(40)])
+        weights = np.random.default_rng(3).uniform(size=len(points))
+        want = merge_sorted_oracle(points, weights)
+        assert len(want[0]) == (60 if step < POINT_TOL else 120)
+        group_end, scans = ms._group_end, []
+        monkeypatch.setattr(ms, "_group_end", lambda *a: scans.append(a) or group_end(*a))
+        got = ms._merge_sorted(points, weights)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+        assert (len(scans) > 0) == (step < POINT_TOL)
+
     def test_long_chain_and_large_groups(self):
         n = 5000
         chain = (np.arange(n) * 5e-13).reshape(-1, 1)
@@ -664,6 +681,24 @@ class TestMoments:
         assert all(x >= y - 1e-14 for x, y in zip(tails, tails[1:]))
         beyond = float(np.max(mu.norms()) ** q)
         assert ms.tail_functional(mu, q, beyond + 1e-9) == 0.0
+
+
+class TestNorms:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_equal_to_linalg_norm(self, d):
+        # scales 1e-6 to 1e300 and one row at 1e-300 (atoms within 1e-12 of
+        # it would merge into it): squares that underflow, and squares that
+        # overflow to inf in rows of finite points
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(200, d)) * 10.0 ** rng.integers(-6, 301, size=(200, 1))
+        points[0], points[1] = 1e-300, 1e300
+        mu = ms.DiscreteMeasure(points, np.ones(len(points)))
+        assert len(mu) == len(points)
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(mu.points, axis=1)
+            got = mu.norms()
+        assert np.isinf(want).any() and (want < 1e-290).any()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestMix:

@@ -19,8 +19,10 @@ from oracles import (
     fortet_mourier_oracle,
     kron_marginal_rows,
     pairwise_bl_oracle,
+    cumulative_weights,
     sorted_matching_wq,
     wasserstein_transport_oracle,
+    wasserstein_union1d_grid,
 )
 
 
@@ -267,6 +269,34 @@ class TestWasserstein:
             again = DiscreteMeasure(mu.points, mu.weights)
             assert mt.wasserstein(mu, mu, 1.0) == 0.0
         assert again.digest() == mu.digest()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_dim_grid_is_union1d_with_exact_ties(self, seed):
+        # weights in 64ths, zeros among them: the cumulative sums are exact,
+        # so cuts tie between the two measures and within one
+        rng = np.random.default_rng(seed)
+        pair = []
+        for _ in range(2):
+            n = int(rng.integers(1, 12))
+            counts = np.diff(np.sort(np.concatenate(([0, 64], rng.integers(0, 65, n - 1)))))
+            pair.append(DiscreteMeasure(rng.normal(size=(n, 1)), counts / 64.0))
+        cums = [cumulative_weights(m) for m in pair]
+        assert len(np.union1d(*cums)) < sum(map(len, cums))
+        for mu, nu in (pair, pair[::-1]):
+            for q in (1.0, 2.0, 3.0):
+                assert mt.wasserstein(mu, nu, q) == wasserstein_union1d_grid(mu, nu, q)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_distances_are_linalg_norm_bit_for_bit(self, dim):
+        # scales 1e-300 to 1e300: differences whose squares underflow or overflow
+        rng = np.random.default_rng(dim)
+        X, Y = (rng.normal(size=(30, dim)) * 10.0 ** rng.integers(-300, 301, size=(30, 1))
+                for _ in range(2))
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(X[:, None, :] - Y[None, :, :], axis=2)
+            got = mt._distances(X, Y)
+        assert np.isinf(want).any() and (want < 1e-290).any()
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dim,q", [(1, 1.0), (1, 2.0), (2, 1.0), (2, 2.0), (3, 2.0)])
     def test_matches_dense_transport(self, dim, q):

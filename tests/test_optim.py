@@ -916,6 +916,25 @@ class TestMiqpBatch:
         assert same_rows(parts, whole)
         assert np.mean(whole.status == optim.OPTIMAL) > 0.5
 
+    def test_one_unconstrained_solve_per_call(self, monkeypatch):
+        # 300 inputs whose trees take several rounds, swept in one chunk or 7
+        # inputs at a time: 2D y = -q is solved once for every node of a tree
+        rng = np.random.default_rng(2)
+        D = np.array([[1.0, 0.2], [0.2, 0.7]])
+        A = np.array([[1.0, 1.0], [-1.0, 1.0]])
+        Q, B = rng.normal(0.0, 3.0, (300, 2)), rng.normal(0.0, 2.0, (300, 2))
+        solves, sweeps = [], []
+        solve, sweep = optim._stacked_solve, optim._qp_sweep
+        monkeypatch.setattr(optim, "_stacked_solve", lambda K, R: solves.append(len(R))
+                            or solve(K, R))
+        monkeypatch.setattr(optim, "_qp_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        for idx, budget in (((), optim.SWEEP_BYTES), ((0, 1), optim.SWEEP_BYTES),
+                            ((0, 1), sweep_budget(7, A, (0, 1)))):
+            monkeypatch.setattr(optim, "SWEEP_BYTES", budget)
+            solves.clear(), sweeps.clear()
+            optim.solve_miqp_batch(D, Q, A, B, idx, ((-2.0, 2.0),) * len(idx))
+            assert solves == [300] and len(sweeps) > (2 if idx else 0)
+
     def test_budget_is_checked_before_any_solve(self, monkeypatch):
         # 1 base row + 2 box rows for each of 10 integer coordinates, with the
         # budget one byte short of one input: refused before any solve, having
@@ -1113,6 +1132,28 @@ class TestDualActiveSet:
             assert abs(value - (y @ D @ y + q @ y)) <= 1e-12 * (1.0 + abs(value))
         with mock.patch.object(optim, "SWEEP_BYTES", sweep_budget(1, A, ())):
             assert same_rows(optim.solve_miqp_batch(D, Q[:5], A, B[:5]), [r[:5] for r in rows])
+
+    def test_a_step_holds_under_six_n_by_n_arrays_per_input(self):
+        # 12 inputs at n = 40 outside a polytope of 60 rows, whose steps add
+        # rows and drop them: J, R and one path's copies of either are four n
+        # x n arrays an input; the add path's copies kept through the drop
+        # path took the peak to 7.6
+        rng = np.random.default_rng(0)
+        n, k = 40, 12
+        M = rng.normal(size=(n, n))
+        D, A = M @ M.T / n + np.eye(n), rng.normal(size=(60, n))
+        Q, B = -2.0 * rng.normal(0.0, 3.0, size=(k, n)) @ D, rng.uniform(0.1, 1.0, size=(k, 60))
+        J0 = np.linalg.inv(np.linalg.cholesky(2.0 * D)).T
+        Y = optim._stacked_solve(2.0 * D, -Q)
+        tracemalloc.start()
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ok, _, _ = qp.dual_active_set(D, J0, A, Q, B, Y, optim.FEAS_TOL, optim.QP_STEP_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ok.all()
+        assert peak < k * 6 * 8 * n * n
 
     def test_six_variables_sixteen_rows(self):
         rng = np.random.default_rng(5)
